@@ -23,7 +23,14 @@ from .errors import (
     NotGaloisError,
 )
 from .graphs import SerreGraph
-from .groups import FiniteGroup, Subgroup, all_subgroups, are_conjugate_subgroups, parse_group_spec
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    all_subgroups,
+    are_conjugate_subgroups,
+    left_cosets,
+    parse_group_spec,
+)
 from .report import VerificationReport
 
 
@@ -152,11 +159,20 @@ def _validate_covering(top: SerreGraph, bottom: SerreGraph, vmap, emap) -> None:
             raise ArithmeticError("projection does not commute with endpoints")
         if emap[top.inverse[e]] != bottom.inverse[f]:
             raise ArithmeticError("projection does not commute with inversion")
+    top_out = _out_edge_lists(top)
+    bottom_out = _out_edge_lists(bottom)
     for w in range(top.vertex_count):
-        local = [emap[e] for e in top.out_edges(w)]
-        target = bottom.out_edges(vmap[w])
-        if sorted(local) != sorted(target) or len(local) != len(set(local)):
+        # bottom_out lists are strictly increasing, so equality also rules out repeats
+        if sorted(emap[e] for e in top_out[w]) != bottom_out[vmap[w]]:
             raise ArithmeticError(f"restriction at vertex {w} is not a bijection")
+
+
+def _out_edge_lists(g: SerreGraph) -> list[list[int]]:
+    """Directed edges leaving each vertex, in index order."""
+    out: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for e, v in enumerate(g.origin):
+        out[v].append(e)
+    return out
 
 
 def is_galois(c: Cover) -> bool:
@@ -172,16 +188,7 @@ def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
     if not is_galois(c):
         raise NotGaloisError("intermediate graphs need a connected (Galois) cover")
     base = c.base
-    cosets: list[tuple[int, ...]] = []
-    seen = [False] * g.order
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        coset = tuple(sorted(g.mul(a, x) for a in h.elements))
-        for y in coset:
-            seen[y] = True
-        cosets.append(coset)
-    cosets.sort(key=lambda cs: cs[0])
+    cosets = left_cosets(h)
     coset_of = [-1] * g.order
     for i, coset in enumerate(cosets):
         for y in coset:

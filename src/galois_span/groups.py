@@ -245,6 +245,13 @@ class Subgroup:
     def key(self) -> tuple[int, ...]:
         return self.elements
 
+    def class_key(self) -> tuple[int, ...]:
+        """Least sorted element tuple among the conjugates: equal exactly on a class."""
+        g = self.parent
+        return min(
+            tuple(sorted(g.conj(x, a) for a in self.elements)) for x in range(g.order)
+        )
+
     def describe(self) -> str:
         return "{" + ",".join(self.parent.label(a) for a in self.elements) + "}"
 

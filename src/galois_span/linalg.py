@@ -1,11 +1,14 @@
 """Exact linear algebra: fraction-free determinants, rational elimination,
 Kronecker products and Cauchy-Binet identities.
 
-Everything here works on plain lists of lists.  Integer matrices go through
-Bareiss elimination (the only divisions are exact); rational matrices use
-ordinary Gaussian elimination over `fractions.Fraction`; matrices over other
-commutative rings (polynomials, cyclotomic integers) use a division-free
-Laplace expansion with memoization over column subsets.
+Dense matrices are plain lists of lists.  General integer matrices go
+through dense Bareiss elimination (the only divisions are exact); sparse
+symmetric positive-definite integer matrices, such as reduced Laplacians,
+go through the same fraction-free elimination on sparse rows with a
+minimum-degree pivot order; rational matrices use ordinary Gaussian
+elimination over `fractions.Fraction`; matrices over other commutative
+rings (polynomials, cyclotomic integers) use a division-free Laplace
+expansion with memoization over column subsets.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotSquareError
+from .errors import NotSquareError, TooLargeError
 from .polynomials import IntPoly, interpolate_int_poly
 
 
@@ -52,6 +55,52 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
+    """Determinant of a symmetric positive-definite integer matrix in sparse rows.
+
+    `rows[i]` maps column index to a nonzero entry.  Fraction-free Bareiss
+    elimination with a symmetric pivot order: the pivot is always the
+    remaining row with the fewest entries (minimum degree), ties broken by
+    index.  Positive definiteness makes every pivot positive, so no row
+    exchange is needed and the determinant is the last pivot.
+
+    A row the pivot row does not reach would only gain the factor
+    pivot/prev.  These factors telescope, so the row is stored as it was
+    and rescaled once, by prev/scale[i], when it is next touched; every
+    division is exact because each rescaled entry is a minor.
+    """
+    n = len(rows)
+    live = [dict(r) for r in rows]
+    scale = [1] * n
+    remaining = set(range(n))
+    prev = 1
+    for _ in range(n):
+        p = min(remaining, key=lambda i: (len(live[i]), i))
+        remaining.remove(p)
+        row_p = live[p]
+        if scale[p] != prev:
+            row_p = {j: v * prev // scale[p] for j, v in row_p.items()}
+        pivot = row_p.pop(p, 0)
+        if pivot <= 0:
+            raise ArithmeticError(f"pivot {pivot} at row {p}: matrix is not positive definite")
+        # symmetric pattern: the rows with an entry in column p are row p's columns
+        for i, factor in row_p.items():
+            row_i = live[i]
+            del row_i[p]
+            s = scale[i]
+            if s == prev:
+                updated = {j: v * pivot for j, v in row_i.items()}
+            else:
+                updated = {j: v * pivot * prev // s for j, v in row_i.items()}
+            for j, v in row_p.items():
+                updated[j] = updated.get(j, 0) - factor * v
+            live[i] = {j: v // prev for j, v in updated.items() if v}
+            scale[i] = pivot
+        live[p] = {}
+        prev = pivot
+    return prev
 
 
 def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
@@ -111,7 +160,7 @@ def det_ring(matrix: Sequence[Sequence], one):
     if n == 0:
         return one
     if n > 16:
-        raise NotSquareError(f"division-free determinant limited to 16x16, got {n}")
+        raise TooLargeError(f"division-free determinant limited to 16x16, got {n}")
     # expand along the top row of the remaining block, top-down:
     # det(rows r.., S) = sum_t (-1)^t a[r][j_t] det(rows r+1.., S - j_t)
     full = (1 << n) - 1

@@ -116,11 +116,16 @@ def verify_brauer_kuroda(c: Cover, multiplier: int | None = None) -> Verificatio
     mu = mobius(poset)
     terms = []
     term_details = []
+    # conjugate subgroups give isomorphic quotients: one kappa per class
+    class_kappa: dict[tuple[int, ...], int] = {}
     for sub in cyclic_subgroups(g):
         if m % sub.index() != 0:
             raise ValueError("multiplier must clear every subgroup index")
         exponent = -mu.mu(sub.elements, TOP_KEY) * (m // sub.index())
-        kappa_c = intermediate_kappa(c, sub)
+        key = sub.class_key()
+        if key not in class_kappa:
+            class_kappa[key] = intermediate_kappa(c, sub)
+        kappa_c = class_kappa[key]
         terms.append((sub.index() * kappa_c, exponent))
         term_details.append(
             {

@@ -20,7 +20,7 @@ from galois_span.errors import (
     NoConnectedAssignmentFoundError,
     NotGaloisError,
 )
-from galois_span.graphs import bouquet, build_graph, cycle_graph
+from galois_span.graphs import bouquet, build_graph, complete_graph, cycle_graph
 from galois_span.groups import (
     all_subgroups,
     cyclic_group,
@@ -31,6 +31,7 @@ from galois_span.groups import (
     parse_group_spec,
     symmetric_group,
 )
+from galois_span.linalg import det_int
 from helpers import dumbbell_graph
 
 
@@ -194,6 +195,28 @@ def test_conjugate_kappa_check():
     d4 = dihedral_group(4)
     alpha = random_connected_voltage(bouquet(2), d4, seed=9)
     assert conjugate_kappa_check(derived_graph(alpha)).passed
+
+
+def test_quotient_kappas_equal_dense_minor_on_s4_cover():
+    g = symmetric_group(4)
+    c = derived_graph(random_connected_voltage(complete_graph(5), g, seed=3))
+    for h in cyclic_subgroups(g):
+        graph = intermediate_graph(c, h).graph
+        minor = [row[1:] for row in graph.laplacian()[1:]]
+        assert graph.spanning_tree_count() == det_int(minor)
+
+
+def test_conjugate_kappa_check_computes_every_subgroup(monkeypatch):
+    import galois_span.covers as covers
+
+    calls = []
+    original = covers.intermediate_kappa
+    monkeypatch.setattr(
+        covers, "intermediate_kappa", lambda cover, h: calls.append(h) or original(cover, h)
+    )
+    c = s3_cover()
+    assert conjugate_kappa_check(c).passed
+    assert [h.elements for h in calls] == [h.elements for h in all_subgroups(c.group)]
 
 
 def test_random_connected_voltage_determinism():

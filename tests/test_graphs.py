@@ -109,6 +109,17 @@ def test_matrix_tree_equals_brute_force_randomized():
         assert g.spanning_tree_count() == brute_force_spanning_trees(g)
 
 
+def test_sparse_matrix_tree_equals_dense_minor_randomized():
+    rng = random.Random(8)
+    sizes = set()
+    for _ in range(200):
+        g = random_connected_graph(rng, max_vertices=7, max_edges=14)
+        sizes.add(g.vertex_count)
+        minor = [row[1:] for row in g.laplacian()[1:]]
+        assert g.spanning_tree_count() == det_int(minor)
+    assert {1, 2} <= sizes
+
+
 def test_ihara_h_poly_bouquet():
     h = bouquet(2).ihara_h_poly()
     assert h.coeffs == (1, -4, 3)

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from galois_span.errors import NotSquareError
+from galois_span.errors import NotSquareError, TooLargeError
 from galois_span.linalg import (
     cauchy_binet_check,
     delete_row_col,
     det_fraction,
     det_int,
     det_int_poly_matrix,
+    det_int_sparse_spd,
     det_ring,
     kronecker,
     mat_mul,
@@ -40,6 +41,43 @@ def test_det_routes_agree_randomized():
 def test_det_not_square():
     with pytest.raises(NotSquareError):
         det_int([[1, 2, 3], [4, 5, 6]])
+
+
+def test_det_ring_size_guard():
+    identity = [[int(i == j) for j in range(17)] for i in range(17)]
+    with pytest.raises(TooLargeError):
+        det_ring(identity, 1)
+
+
+def test_det_int_sparse_spd_small():
+    assert det_int_sparse_spd([]) == 1
+    assert det_int_sparse_spd([{0: 7}]) == 7
+    assert det_int_sparse_spd([{0: 2, 1: -1}, {0: -1, 1: 2}]) == 3
+    # a row of fewer entries is eliminated first; the determinant is unchanged
+    rows = [{0: 3, 1: -1, 2: -1}, {0: -1, 1: 2}, {0: -1, 2: 2}]
+    assert det_int_sparse_spd(rows) == 8
+    assert rows[1] == {0: -1, 1: 2}  # the input is not modified
+
+
+def test_det_int_sparse_spd_matches_dense_randomized():
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randrange(1, 9)
+        b = [[rng.randrange(-2, 3) * (rng.random() < 0.4) for _ in range(n)] for _ in range(n)]
+        # B^T B + I is symmetric positive definite, and sparse when B is
+        dense = [
+            [sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)]
+            for i in range(n)
+        ]
+        rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        assert det_int_sparse_spd(rows) == det_int(dense)
+
+
+def test_det_int_sparse_spd_rejects_non_positive_pivot():
+    with pytest.raises(ArithmeticError):
+        det_int_sparse_spd([{}])
+    with pytest.raises(ArithmeticError):
+        det_int_sparse_spd([{0: 1, 1: 2}, {0: 2, 1: 1}])
 
 
 def test_poly_matrix_det():

@@ -15,7 +15,7 @@ from galois_span.errors import (
     NotGaloisError,
     WrongGroupError,
 )
-from galois_span.graphs import bouquet, cycle_graph
+from galois_span.graphs import bouquet, complete_graph, cycle_graph
 from galois_span.groups import (
     cyclic_group,
     cyclic_subgroups,
@@ -117,6 +117,29 @@ def test_brauer_kuroda_q8_relation():
         k4s = [v for h, v in ks.items() if len(h) == 4]
         kx = c.base.spanning_tree_count()
         assert k2 * kx**2 == 2 * k4s[0] * k4s[1] * k4s[2]
+
+
+@pytest.mark.parametrize("spec, classes, subgroups", [("S4", 5, 17), ("C2xS4", 10, 34)])
+def test_brauer_kuroda_one_kappa_per_conjugacy_class(monkeypatch, spec, classes, subgroups):
+    import galois_span.theorems as theorems
+
+    g = parse_group_spec(spec)
+    c = derived_graph(random_connected_voltage(complete_graph(5), g, seed=1))
+    calls = []
+    monkeypatch.setattr(
+        theorems,
+        "intermediate_kappa",
+        lambda cover, h: calls.append(h) or intermediate_kappa(cover, h),
+    )
+    report = verify_brauer_kuroda(c)
+    assert report.passed
+    assert len(calls) == classes
+    assert len({h.class_key() for h in calls}) == classes
+    terms = report.details["terms"]
+    cyclic = cyclic_subgroups(g)
+    assert len(terms) == len(cyclic) == subgroups
+    # the reused values are the ones computed subgroup by subgroup
+    assert [t["kappa"] for t in terms] == [intermediate_kappa(c, h) for h in cyclic]
 
 
 def test_multiplier_invariance():
