@@ -6,7 +6,9 @@ with p > 2*sqrt(|G|) (e the group exponent), degrees are recovered with a
 square root mod p, and every character value is lifted to an exact
 eigenvalue-multiplicity vector over e-th roots of unity by a discrete
 Fourier transform mod p.  No floating point is involved anywhere; row
-orthogonality is verified exactly before a table is returned.
+orthogonality is verified exactly before a table is returned, with every
+Gram entry computed as one packed integer dot product and reduced mod
+Phi_e.
 
 Eigenspace splitting starts from a seeded random linear combination of the
 class matrices and falls back to a deterministic sweep, so tables are
@@ -19,9 +21,10 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from operator import mul
 
-from .cyclotomic import CyclotomicInt, reverse_mult_vector
+from .cyclotomic import CyclotomicInt, _context, reverse_mult_vector
 from .errors import (
     GeneratorDependentError,
     MismatchedGroupError,
@@ -31,19 +34,11 @@ from .errors import (
     OrderTooLargeError,
 )
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, max_group_order
+from .numtheory import factorize, is_prime
 from .posets import TOP_KEY, cyclic_poset, mobius
 from .report import VerificationReport
 
 _PRIME_SEARCH_LIMIT = 10_000_000
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def _dixon_prime(order: int, exponent: int) -> int:
@@ -51,7 +46,7 @@ def _dixon_prime(order: int, exponent: int) -> int:
     floor = max(2 * isqrt(order), 2)
     p = exponent + 1
     while p <= _PRIME_SEARCH_LIMIT:
-        if p > floor and _is_prime(p):
+        if p > floor and is_prime(p):
             return p
         p += exponent
     raise NoSuitablePrimeError(
@@ -59,24 +54,10 @@ def _dixon_prime(order: int, exponent: int) -> int:
     )
 
 
-def _factorize(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _primitive_root(p: int) -> int:
-    factors = _factorize(p - 1)
+    factors = factorize(p - 1)
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+        if all(pow(g, (p - 1) // q, p) != 1 for q, _ in factors):
             return g
     raise ArithmeticError(f"no primitive root mod {p}")
 
@@ -430,17 +411,55 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
 
 
 def _verify_table(table: CharacterTable) -> None:
+    """Exact row orthogonality: sum_k |K_k| chi_i(k) conj(chi_j(k)) = |G| delta_ij.
+
+    Multiplicity vectors are packed as integers in X = 2^B (Kronecker
+    substitution): |K_k| chi_i(k) as sum_a |K_k| m_ik[a] X^a, conj(chi_j(k))
+    as sum_b m_jk[b] X^(e-1-b).  A Gram entry is then one integer dot product
+    over the classes, whose digit a - b + e - 1 holds the coefficient of
+    zeta^(a-b).  Every term is non-negative and X exceeds every coefficient,
+    so no carry crosses a digit.  The digits are folded into Z[x]/(x^e - 1)
+    and reduced mod Phi_e once.
+    """
     g = table.group
     chars = table.characters
+    e, sizes = table.e, table.class_sizes
     if len(chars) != table.class_count:
         raise ArithmeticError("character count differs from class count")
     if sum(c.degree**2 for c in chars) != g.order:
         raise ArithmeticError("degree squares do not sum to the group order")
-    for i, chi in enumerate(chars):
+    if any(m < 0 for chi in chars for v in chi.values for m in v):
+        raise ArithmeticError("negative eigenvalue multiplicity")
+    bound = max(sum(map(sum, chi.values)) for chi in chars) * max(
+        sum(size * sum(v) for size, v in zip(sizes, chi.values)) for chi in chars
+    )
+    nbytes = bound.bit_length() // 8 + 1
+
+    def pack(digits) -> int:
+        packed = b"".join(d.to_bytes(nbytes, "little") for d in digits)
+        return int.from_bytes(packed, "little")
+
+    rows = [[pack(size * m for m in v) for size, v in zip(sizes, chi.values)] for chi in chars]
+    cols = [[pack(reversed(v)) for v in chi.values] for chi in chars]
+    width = 2 * e - 1
+    ctx = _context(e)
+    for i, row in enumerate(rows):
         for j in range(i, len(chars)):
-            value = inner_product(chi, chars[j])
-            if value != (1 if i == j else 0):
-                raise ArithmeticError(f"row orthogonality fails at ({i},{j}): {value}")
+            digits = sum(map(mul, row, cols[j])).to_bytes(nbytes * width, "little")
+            folded = [0] * e
+            for t in range(width):
+                digit = digits[t * nbytes : (t + 1) * nbytes]
+                folded[(t + 1 - e) % e] += int.from_bytes(digit, "little")
+            value = [0] * ctx.degree
+            for m, c in enumerate(folded):
+                if c:
+                    for idx, x in enumerate(ctx.reduce_exponent(m)):
+                        value[idx] += c * x
+            if value != [g.order if i == j else 0] + [0] * (ctx.degree - 1):
+                raise ArithmeticError(
+                    f"row orthogonality fails at ({i},{j}): |G| times the inner product"
+                    f" is {value} mod Phi_{e}"
+                )
 
 
 @dataclass(frozen=True)
@@ -496,7 +515,7 @@ def inner_product(phi, psi: Character) -> Fraction:
             raise MismatchedGroupError("class function on a different group")
         denom = 1
         for v in phi.values:
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
+            denom = denom * v.denominator // gcd(denom, v.denominator)
         scaled = [int(v * denom) for v in phi.values]
         acc = CyclotomicInt.zero(psi.e)
         for i, size in enumerate(sizes):
@@ -504,12 +523,6 @@ def inner_product(phi, psi: Character) -> Fraction:
         value = acc.as_int()
         return Fraction(value, g.order * denom)
     raise TypeError(f"cannot take inner product with {type(phi).__name__}")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def artin_coefficients(table: CharacterTable, chi) -> dict[tuple[int, ...], Fraction]:

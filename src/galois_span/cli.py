@@ -2,7 +2,8 @@
 
 Every command is deterministic given its inputs and seed, emits JSON (all
 big integers as decimal strings) to stdout or --out, and exits 0 on
-success or pass, 1 on verification failure, 2 on usage errors.
+success or pass, 1 on verification failure, 2 on usage errors, 3 when an
+internal exact-arithmetic invariant fails.
 """
 
 from __future__ import annotations
@@ -449,6 +450,10 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # an exact-arithmetic invariant failed inside the library
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

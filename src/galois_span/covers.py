@@ -15,6 +15,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     EulerZeroError,
@@ -27,7 +28,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     all_subgroups,
-    are_conjugate_subgroups,
     left_cosets,
     parse_group_spec,
 )
@@ -248,25 +248,21 @@ def conjugate_kappa_check(c: Cover) -> VerificationReport:
     if not is_galois(c):
         raise NotGaloisError("conjugate check needs a Galois cover")
     subgroups = all_subgroups(c.group)
-    kappas = {h.elements: intermediate_kappa(c, h) for h in subgroups}
-    pairs = 0
-    equal = 0
-    mismatches = []
-    for i in range(len(subgroups)):
-        for j in range(i + 1, len(subgroups)):
-            if are_conjugate_subgroups(subgroups[i], subgroups[j]):
-                pairs += 1
-                a = kappas[subgroups[i].elements]
-                b = kappas[subgroups[j].elements]
-                if a == b:
-                    equal += 1
-                else:
-                    mismatches.append((subgroups[i].describe(), a, subgroups[j].describe(), b))
+    kappas = [intermediate_kappa(c, h) for h in subgroups]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, h in enumerate(subgroups):
+        classes.setdefault(h.class_key(), []).append(i)
+    pairs = sorted(p for members in classes.values() for p in combinations(members, 2))
+    mismatches = [
+        (subgroups[i].describe(), kappas[i], subgroups[j].describe(), kappas[j])
+        for i, j in pairs
+        if kappas[i] != kappas[j]
+    ]
     return VerificationReport.compare(
         "conjugate subgroups give equal kappa",
         c.describe(),
-        pairs,
-        equal,
+        len(pairs),
+        len(pairs) - len(mismatches),
         started=started,
         notes="; ".join(map(str, mismatches)),
     )

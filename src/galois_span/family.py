@@ -24,13 +24,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .covers import VoltageAssignment, derived_graph
 from .errors import InterpolationMismatchError, LengthMismatchError
 from .graphs import bouquet, cycle_graph
 from .groups import cyclic_group
 from .linalg import cauchy_binet_check, det_fraction, kronecker, mat_mul, rank_fraction
+from .numtheory import factorize, is_prime
 from .polynomials import interpolate_rational
 from .report import VerificationReport
 
@@ -99,12 +99,6 @@ def exponent_grid(s: ExponentVector) -> list[ExponentVector]:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, isqrt(n) + 1))
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Distinct primes p, exponent vector s, and family parameter b (0 <= b <= s)."""
@@ -119,7 +113,7 @@ class FamilySpec:
         if len(set(self.primes)) != len(self.primes):
             raise ValueError("primes must be pairwise distinct")
         for p in self.primes:
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         for sk, bk in zip(self.s, self.b):
             if not 0 <= bk <= sk:
@@ -302,23 +296,8 @@ def nonexistence_certificate(n: int) -> VerificationReport:
     started = time.perf_counter()
     if n < 2:
         raise ValueError("need a nontrivial cyclic group")
-    primes = []
-    s = []
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            count = 0
-            while rest % d == 0:
-                rest //= d
-                count += 1
-            primes.append(d)
-            s.append(count)
-        d += 1
-    if rest > 1:
-        primes.append(rest)
-        s.append(1)
-    primes_t, s_t = tuple(primes), tuple(s)
+    factors = factorize(n)
+    primes_t, s_t = tuple(p for p, _ in factors), tuple(k for _, k in factors)
     grid = [a for a in exponent_grid(s_t) if any(a)]
     degree_matrix = []
     for b in grid:

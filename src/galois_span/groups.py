@@ -5,6 +5,11 @@ Elements are indices 0..n-1 with a canonical, constructor-defined ordering
 groups), so every downstream matrix and poset is deterministic for a given
 build sequence.  Subgroups are value objects identified by their sorted
 element sets.
+
+The subgroup lattice is built by cyclic extension (Neubüser 1960) on
+element bitmasks.  Constructions that guarantee closure (joins, cyclic
+closures, conjugates) skip the O(|H|^2) check of the public `Subgroup`
+constructor.
 """
 
 from __future__ import annotations
@@ -212,6 +217,14 @@ class Subgroup:
                 if self.parent.mul(a, b) not in elems:
                     raise InvalidTableError("subgroup not closed under product")
 
+    @classmethod
+    def _trusted(cls, parent: FiniteGroup, elements) -> "Subgroup":
+        """Subgroup whose closure the construction guarantees; skips the check."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "parent", parent)
+        object.__setattr__(h, "elements", tuple(sorted(elements)))
+        return h
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -236,11 +249,13 @@ class Subgroup:
 
     def is_cyclic(self) -> bool:
         return any(
-            _cyclic_closure(self.parent, a) == set(self.elements) for a in self.elements
+            len(_closure(self.parent, [self.parent.identity], [a])) == self.order
+            for a in self.elements
         )
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        return Subgroup(self.parent, tuple(self.parent.conj(g, a) for a in self.elements))
+        # a conjugate of a subgroup is a subgroup
+        return Subgroup._trusted(self.parent, [self.parent.conj(g, a) for a in self.elements])
 
     def key(self) -> tuple[int, ...]:
         return self.elements
@@ -256,28 +271,35 @@ class Subgroup:
         return "{" + ",".join(self.parent.label(a) for a in self.elements) + "}"
 
 
-def _cyclic_closure(g: FiniteGroup, a: int) -> set[int]:
-    out = {g.identity}
-    x = a
-    while x not in out:
-        out.add(x)
-        x = g.mul(x, a)
-    return out
-
-
 def generated_subgroup(g: FiniteGroup, generators) -> Subgroup:
     """Closure of a set of element indices under multiplication."""
-    elems = {g.identity}
-    frontier = [g.identity]
-    gens = list(generators)
-    while frontier:
-        x = frontier.pop()
+    return Subgroup._trusted(g, _closure(g, [g.identity], list(generators)))
+
+
+def _closure(g: FiniteGroup, h_elems: list[int], gens: list[int]) -> list[int]:
+    """Elements of the subgroup generated by a subgroup H and `gens`.
+
+    The result is a union of right cosets Hy, walked coset by coset over the
+    Cayley-table rows of the coset representatives; a finite group needs no
+    inverses for its closure.
+    """
+    table = g.cayley
+    seen = bytearray(g.order)
+    for a in h_elems:
+        seen[a] = 1
+    elems = list(h_elems)
+    reps = [g.identity]
+    for x in reps:
+        row = table[x]
         for s in gens:
-            for y in (g.mul(x, s), g.mul(x, g.inv(s))):
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
-    return Subgroup(g, tuple(elems))
+            y = row[s]
+            if not seen[y]:
+                reps.append(y)
+                for a in h_elems:
+                    z = table[a][y]
+                    seen[z] = 1
+                    elems.append(z)
+    return elems
 
 
 def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -285,35 +307,45 @@ def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
     seen: set[tuple[int, ...]] = set()
     out = []
     for a in range(g.order):
-        elems = tuple(sorted(_cyclic_closure(g, a)))
+        elems = tuple(sorted(_closure(g, [g.identity], [a])))
         if elems not in seen:
             seen.add(elems)
-            out.append(Subgroup(g, elems))
+            out.append(Subgroup._trusted(g, elems))
     out.sort(key=lambda h: (h.order, h.elements))
     return out
 
 
 def all_subgroups(g: FiniteGroup, max_order: int | None = None) -> list[Subgroup]:
-    """Complete subgroup list: cyclic subgroups closed under pairwise joins."""
+    """Complete subgroup list by cyclic extension (Neubüser 1960).
+
+    The cyclic subgroups form the first layer.  Each later layer joins every
+    subgroup new in the layer before with each cyclic subgroup it does not
+    contain.  Every subgroup is the join of its cyclic subgroups, so adding
+    them one at a time reaches it.  Element sets are deduplicated as bitmasks.
+    """
     bound = max_order if max_order is not None else max_group_order()
     if g.order > bound:
         raise OrderTooLargeError(f"order {g.order} exceeds bound {bound}")
-    found: dict[tuple[int, ...], Subgroup] = {}
-    for h in cyclic_subgroups(g):
-        found[h.elements] = h
-    while True:
-        keys = list(found)
+    cyclics = []  # (bitmask, generator)
+    found = {}  # bitmask -> (elements, generators)
+    for c in cyclic_subgroups(g):
+        gen = next(a for a in c.elements if g.element_order(a) == c.order)
+        cyclics.append((sum(1 << a for a in c.elements), gen))
+        found[cyclics[-1][0]] = (list(c.elements), [gen])
+    layer = list(found.items())
+    while layer:
         new = []
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                union = set(keys[i]) | set(keys[j])
-                join = generated_subgroup(g, union)
-                if join.elements not in found:
-                    found[join.elements] = join
-                    new.append(join)
-        if not new:
-            break
-    out = sorted(found.values(), key=lambda h: (h.order, h.elements))
+        for mask, (elems, gens) in layer:
+            for c_mask, c_gen in cyclics:
+                if c_mask & ~mask:  # C is not inside H
+                    join = _closure(g, elems, gens + [c_gen])
+                    j_mask = sum(1 << a for a in join)
+                    if j_mask not in found:
+                        found[j_mask] = (join, gens + [c_gen])
+                        new.append((j_mask, found[j_mask]))
+        layer = new
+    out = [Subgroup._trusted(g, elems) for elems, _ in found.values()]
+    out.sort(key=lambda h: (h.order, h.elements))
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
+from .numtheory import factorize
 
 
 class Poset:
@@ -162,18 +163,8 @@ def classical_mobius(n: int) -> int:
     """Number-theoretic Moebius function via factorization."""
     if n < 1:
         raise ValueError("classical Moebius needs n >= 1")
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            count += 1
-        d += 1
-    if n > 1:
-        count += 1
-    return -1 if count % 2 else 1
+    exponents = [k for _, k in factorize(n)]
+    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
 
 
 def divisor_poset(n: int) -> Poset:

@@ -3,6 +3,7 @@
 import random
 
 from galois_span.graphs import SerreGraph, build_graph
+from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
 from galois_span.posets import Poset
 
 
@@ -41,3 +42,34 @@ def dumbbell_graph() -> SerreGraph:
 def theta_graph() -> SerreGraph:
     """Two vertices joined by three parallel edges (chi = -1)."""
     return build_graph(2, [(0, 1), (0, 1), (0, 1)])
+
+
+def subgroups_by_pairwise_joins(g: FiniteGroup) -> list[Subgroup]:
+    """Oracle lattice: cyclic subgroups closed under pairwise joins, round by round.
+
+    Every join is closed under products and inverses by its own search and
+    passes the validating public `Subgroup` constructor.
+    """
+    found = {h.elements: h for h in cyclic_subgroups(g)}
+    while True:
+        keys = list(found)
+        new = []
+        for i in range(len(keys)):
+            for j in range(i + 1, len(keys)):
+                elems = {g.identity}
+                frontier = [g.identity]
+                gens = set(keys[i]) | set(keys[j])
+                while frontier:
+                    x = frontier.pop()
+                    for s in gens:
+                        for y in (g.mul(x, s), g.mul(x, g.inv(s))):
+                            if y not in elems:
+                                elems.add(y)
+                                frontier.append(y)
+                join = Subgroup(g, tuple(elems))
+                if join.elements not in found:
+                    found[join.elements] = join
+                    new.append(join)
+        if not new:
+            break
+    return sorted(found.values(), key=lambda h: (h.order, h.elements))

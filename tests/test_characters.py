@@ -1,9 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from galois_span.characters import (
+    CharacterTable,
     ClassFunction,
+    _verify_table,
     artin_coefficients,
     character_table,
     induced_trivial_character,
@@ -279,3 +282,76 @@ def test_sqrt_mod_roundtrip():
             assert r * r % p == x * x % p
     with pytest.raises(ArithmeticError):
         _sqrt_mod(5, 13)  # 5 is not a QR mod 13
+
+
+def _orthogonality_by_inner_products(table):
+    """Oracle: the r^2/2 pairwise CyclotomicInt inner products."""
+    chars = table.characters
+    for i, chi in enumerate(chars):
+        for j in range(i, len(chars)):
+            if inner_product(chi, chars[j]) != (1 if i == j else 0):
+                raise ArithmeticError(f"row orthogonality fails at ({i},{j})")
+
+
+def _with_values(table, changes):
+    """Copy of the table with some characters' value vectors replaced."""
+    chars = list(table.characters)
+    for index, values in changes.items():
+        chars[index] = replace(chars[index], values=tuple(values))
+    return CharacterTable(table.group, table.classes, table.e, table.prime, tuple(chars))
+
+
+@pytest.mark.parametrize("spec", SMALL_GROUPS + ["C8xC8", "D32"])
+def test_packed_orthogonality_check_accepts_tables(spec):
+    _verify_table(character_table(parse_group_spec(spec)))
+
+
+@pytest.mark.parametrize("spec", ["C6", "C2xC6", "D4", "Q8", "A4", "Dic3", "C3xC3", "S4"])
+def test_packed_orthogonality_check_rejects_corrupted_tables(spec):
+    table = character_table(parse_group_spec(spec))
+    chars, r = table.characters, table.class_count
+    # one eigenvalue of a non-trivial character moves from zeta^0 to zeta^1
+    i, k = next(
+        (i, k)
+        for i in range(1, r)
+        for k in range(1, r)
+        if chars[i].values[k][0] > 0
+    )
+    values = [list(v) for v in chars[i].values]
+    values[k][0] -= 1
+    values[k][1] += 1
+    moved = _with_values(table, {i: map(tuple, values)})
+    # two characters of one degree exchange their vectors at one class; they
+    # must differ at another class too, or the swap only relabels the rows
+    i, j, k = next(
+        (i, j, k)
+        for i in range(r)
+        for j in range(i + 1, r)
+        if chars[i].degree == chars[j].degree
+        for k in range(1, r)
+        if sum(a != b for a, b in zip(chars[i].values, chars[j].values)) > 1
+        and chars[i].values[k] != chars[j].values[k]
+    )
+    a, b = list(chars[i].values), list(chars[j].values)
+    a[k], b[k] = b[k], a[k]
+    swapped = _with_values(table, {i: a, j: b})
+    for corrupt in (moved, swapped):
+        with pytest.raises(ArithmeticError):
+            _verify_table(corrupt)
+        with pytest.raises(ArithmeticError):
+            _orthogonality_by_inner_products(corrupt)
+
+
+def test_packed_orthogonality_check_sees_irrational_parts():
+    # in Z[zeta_6], zeta^5 = 1 - zeta: moving an eigenvalue of the trivial
+    # character from zeta^0 to zeta^5 keeps every rational part of the Gram matrix
+    table = character_table(parse_group_spec("C6"))
+    trivial = table.characters[0]
+    for k in range(1, table.class_count):
+        values = list(trivial.values)
+        values[k] = (0, 0, 0, 0, 0, 1)
+        corrupt = _with_values(table, {0: values})
+        with pytest.raises(ArithmeticError):
+            _verify_table(corrupt)
+        with pytest.raises(ArithmeticError):
+            _orthogonality_by_inner_products(corrupt)

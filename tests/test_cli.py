@@ -270,3 +270,16 @@ def test_bad_inputs_exit_two(capsys):
     ) == 2
     assert main(["graph", "kappa", "--base", "missing-file.json"]) == 2
     capsys.readouterr()
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    import galois_span.characters as characters
+
+    def corrupt(table):
+        raise ArithmeticError("row orthogonality fails at (0,1)")
+
+    monkeypatch.setattr(characters, "_verify_table", corrupt)
+    assert main(["group", "info", "Q8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: row orthogonality fails at (0,1)\n"

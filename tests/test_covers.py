@@ -23,6 +23,7 @@ from galois_span.errors import (
 from galois_span.graphs import bouquet, build_graph, complete_graph, cycle_graph
 from galois_span.groups import (
     all_subgroups,
+    are_conjugate_subgroups,
     cyclic_group,
     cyclic_subgroups,
     dihedral_group,
@@ -204,6 +205,21 @@ def test_quotient_kappas_equal_dense_minor_on_s4_cover():
         graph = intermediate_graph(c, h).graph
         minor = [row[1:] for row in graph.laplacian()[1:]]
         assert graph.spanning_tree_count() == det_int(minor)
+
+
+@pytest.mark.parametrize("spec, seed", [("S3", 1), ("S4", 2), ("C2xS4", 3)])
+def test_conjugate_kappa_check_pairs_are_the_conjugate_pairs(spec, seed):
+    g = parse_group_spec(spec)
+    c = derived_graph(random_connected_voltage(bouquet(2), g, seed=seed))
+    subs = all_subgroups(g)
+    conjugate_pairs = sum(
+        are_conjugate_subgroups(subs[i], subs[j])
+        for i in range(len(subs))
+        for j in range(i + 1, len(subs))
+    )
+    report = conjugate_kappa_check(c)
+    assert report.passed
+    assert report.left == conjugate_pairs > 0
 
 
 def test_conjugate_kappa_check_computes_every_subgroup(monkeypatch):

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,8 @@ from galois_span.groups import (
     quotient_group,
     symmetric_group,
 )
+from galois_span.table1 import TABLE1_FLAGS
+from helpers import subgroups_by_pairwise_joins
 
 
 def test_cyclic_trivial():
@@ -96,6 +99,22 @@ def test_all_subgroups_against_exhaustive_filtering():
         expected = _subgroups_by_filtering(g)
         got = {h.elements for h in all_subgroups(g)}
         assert got == expected
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE1_FLAGS) + ["C2xS4"])
+def test_all_subgroups_equals_pairwise_join_oracle(spec):
+    g = parse_group_spec(spec)
+    assert all_subgroups(g) == subgroups_by_pairwise_joins(g)
+
+
+@pytest.mark.parametrize("m, count", [(5, 374), (6, 2825)])
+def test_elementary_abelian_lattice_gaussian_binomial_counts(m, count):
+    # sum over k of the Gaussian binomial [m, k]_2
+    g = parse_group_spec("x".join(["C2"] * m))
+    started = time.perf_counter()
+    subs = all_subgroups(g)
+    assert time.perf_counter() - started < 10.0
+    assert len(subs) == count
 
 
 def test_lagrange_and_conjugation_closure():

@@ -167,6 +167,15 @@ def test_hmsv_m2_m3():
             assert verify_brauer_kuroda(c).passed
 
 
+@pytest.mark.parametrize("m, seed", [(4, 60), (5, 70)])
+def test_hmsv_m4_m5(m, seed):
+    g = parse_group_spec("x".join(["C2"] * m))
+    c = derived_graph(random_connected_voltage(bouquet(m), g, seed))
+    assert verify_hmsv(c).passed
+    assert verify_kuroda(c).passed
+    assert verify_brauer_kuroda(c).passed
+
+
 def test_hmsv_wrong_group():
     c = s3_cover()
     with pytest.raises(WrongGroupError):
