@@ -12,7 +12,11 @@ Phi_e.
 
 Eigenspace splitting starts from a seeded random linear combination of the
 class matrices and falls back to a deterministic sweep, so tables are
-reproducible bit for bit for a given seed.
+reproducible bit for bit for a given seed.  Each split reduces the matrix
+restricted to the eigenspace (t x t) to upper Hessenberg form once; the
+eigenvectors for every root of its characteristic polynomial come from
+elimination on that form, mapped back through the recorded similarities,
+so a split costs O(t^3) in all (Schneider 1990).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from operator import mul
 from .cyclotomic import CyclotomicInt, _context, reverse_mult_vector
 from .errors import (
     GeneratorDependentError,
+    InvariantError,
     MismatchedGroupError,
     NoSuitablePrimeError,
     NotAbelianError,
@@ -59,7 +64,7 @@ def _primitive_root(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q, _ in factors):
             return g
-    raise ArithmeticError(f"no primitive root mod {p}")
+    raise InvariantError(f"no primitive root mod {p}")
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -68,7 +73,7 @@ def _sqrt_mod(a: int, p: int) -> int:
     if a == 0:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
-        raise ArithmeticError(f"{a} is not a square mod {p}")
+        raise InvariantError(f"{a} is not a square mod {p}")
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     q, s = p - 1, 0
@@ -117,24 +122,18 @@ def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]
     return m[:r], pivots
 
 
-def _nullspace_mod(mat: list[list[int]], p: int) -> list[list[int]]:
-    rref, pivots = _rref_mod(mat, p)
-    n = len(mat[0])
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rref[r][fc]) % p
-        basis.append(vec)
-    return basis
+def _hessenberg_mod(
+    matrix: list[list[int]], p: int
+) -> tuple[list[list[int]], list[tuple[int, int, int | None]]]:
+    """Upper Hessenberg H = S A S^-1 mod p and the similarities making up S.
 
-
-def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial mod p via Hessenberg reduction (monic, low first)."""
+    Each operation is (a, b, None), swapping rows a, b and columns a, b, or
+    (i, k, f), doing row_i -= f row_k and col_k += f col_i; S is their
+    product, the first applied rightmost.
+    """
     n = len(matrix)
     h = [[x % p for x in row] for row in matrix]
+    ops: list[tuple[int, int, int | None]] = []
     for k in range(1, n - 1):
         pivot = next((i for i in range(k, n) if h[i][k - 1]), None)
         if pivot is None:
@@ -143,6 +142,7 @@ def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
             h[k], h[pivot] = h[pivot], h[k]
             for row in h:
                 row[k], row[pivot] = row[pivot], row[k]
+            ops.append((k, pivot, None))
         inv = pow(h[k][k - 1], p - 2, p)
         for i in range(k + 1, n):
             f = h[i][k - 1] * inv % p
@@ -151,6 +151,13 @@ def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
                     h[i][j] = (h[i][j] - f * h[k][j]) % p
                 for r in range(n):
                     h[r][k] = (h[r][k] + f * h[r][i]) % p
+                ops.append((i, k, f))
+    return h, ops
+
+
+def _hessenberg_charpoly_mod(h: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial of an upper Hessenberg matrix (monic, low first)."""
+    n = len(h)
     polys: list[list[int]] = [[1]]
     for k in range(1, n + 1):
         prev = polys[k - 1]
@@ -168,6 +175,72 @@ def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
                     cur[idx] = (cur[idx] - coef * c) % p
         polys.append(cur)
     return polys[n]
+
+
+def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial mod p via Hessenberg reduction (monic, low first)."""
+    return _hessenberg_charpoly_mod(_hessenberg_mod(matrix, p)[0], p)
+
+
+def _hessenberg_nullspace_mod(h: list[list[int]], lam: int, p: int) -> list[list[int]]:
+    """Basis of the right null space of H - lam*I for upper Hessenberg H mod p.
+
+    Column c of H is zero below row c + 1, so the pivot search and the
+    elimination in column c only touch the rows from the current pivot row
+    to c + 1: at most (free columns so far) + 2 rows, O((d + 2) t^2) for
+    nullity d.  One vector per free column by back-substitution.
+    """
+    t = len(h)
+    m = [row[:] for row in h]
+    for i in range(t):
+        m[i][i] = (m[i][i] - lam) % p
+    pivots: list[int] = []
+    for c in range(t):
+        r = len(pivots)
+        last = min(c + 1, t - 1)
+        pivot = next((i for i in range(r, last + 1) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        row = m[r] = [x * inv % p for x in m[r]]
+        for i in range(r + 1, last + 1):
+            f = m[i][c]
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+        pivots.append(c)
+    is_pivot = set(pivots)
+    basis = []
+    for fc in range(t):
+        if fc in is_pivot:
+            continue
+        vec = [0] * t
+        vec[fc] = 1
+        # pivot columns right of fc stay 0: every entry right of them is 0
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            if pc < fc:
+                row = m[r]
+                vec[pc] = -sum(row[j] * vec[j] for j in range(pc + 1, fc + 1)) % p
+        basis.append(vec)
+    return basis
+
+
+def _undo_similarity_mod(
+    vec: list[int], ops: list[tuple[int, int, int | None]], p: int
+) -> list[int]:
+    """S^-1 vec for the S of `_hessenberg_mod`.
+
+    Maps a null vector of H - lam*I to one of A - lam*I, undoing the
+    operations last to first.
+    """
+    y = vec[:]
+    for i, k, f in reversed(ops):
+        if f is None:
+            y[i], y[k] = y[k], y[i]
+        else:
+            y[i] = (y[i] + f * y[k]) % p
+    return y
 
 
 def _poly_eval_mod(coeffs: list[int], x: int, p: int) -> int:
@@ -243,7 +316,7 @@ class CharacterTable:
         ]
         kernel = Subgroup(self.group, tuple(elems))
         if not kernel.is_normal():
-            raise ArithmeticError("character kernel is not normal: table is corrupt")
+            raise InvariantError("character kernel is not normal: table is corrupt")
         return kernel
 
     def kernels(self) -> list[Subgroup]:
@@ -282,22 +355,28 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
     e = g.exponent()
     p = _dixon_prime(g.order, e)
 
-    # class multiplication coefficients: M_i[j][k] = #{x in K_i : x^-1 z_k in K_j}
-    mats = []
+    # class multiplication coefficients M_i[j][k] = #{x in K_i : x^-1 z_k in K_j},
+    # kept as one (k, j) pair per such x: sum_i |K_i| r = |G| r pairs
+    pairs = []
     for i in range(r):
-        m = [[0] * r for _ in range(r)]
+        pairs_i = []
         for k in range(r):
             z = reps[k]
-            for x in classes[i]:
-                j = class_of[g.mul(g.inv(x), z)]
-                m[j][k] += 1
-        mats.append(m)
+            pairs_i.extend((k, class_of[g.mul(g.inv(x), z)]) for x in classes[i])
+        pairs.append(pairs_i)
 
-    mats_t = [[[m[j][i] for j in range(r)] for i in range(r)] for m in mats]
+    def combine(weights):
+        """sum_i w_i M_i^T mod p, built from the pairs in O(|G| r)."""
+        out = [[0] * r for _ in range(r)]
+        for w, pairs_i in zip(weights, pairs):
+            if w:
+                for k, j in pairs_i:
+                    out[k][j] += w
+        return [[x % p for x in row] for row in out]
 
     # common right eigenvectors of all class matrices, as rows against M^T
     spaces: list[tuple[list[list[int]], list[int]]] = [
-        _rref_mod([[1 if i == j else 0 for j in range(r)] for i in range(r)], p)
+        ([[1 if i == j else 0 for j in range(r)] for i in range(r)], list(range(r)))
     ]
 
     def refine(space_list, mat_t):
@@ -309,51 +388,43 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
                 continue
             restricted = []
             for row in basis:
-                image = [
-                    sum(row[a] * mat_t[a][b] for a in range(r)) % p for b in range(r)
-                ]
-                restricted.append([image[c] for c in pivots])
+                terms = [(x, mat_t[a]) for a, x in enumerate(row) if x]
+                restricted.append([sum(x * m[c] for x, m in terms) % p for c in pivots])
             rt = [[restricted[j][i] for j in range(t)] for i in range(t)]
-            cp = _charpoly_mod(rt, p)
+            h, ops = _hessenberg_mod(rt, p)
+            cp = _hessenberg_charpoly_mod(h, p)
             roots = [lam for lam in range(p) if _poly_eval_mod(cp, lam, p) == 0]
             split_dim = 0
             for lam in roots:
-                shifted = [
-                    [(rt[i][j] - (lam if i == j else 0)) % p for j in range(t)]
-                    for i in range(t)
-                ]
-                null_vecs = _nullspace_mod(shifted, p)
+                null_vecs = _hessenberg_nullspace_mod(h, lam, p)
                 if not null_vecs:
                     continue
                 split_dim += len(null_vecs)
-                new_rows = [
-                    [
-                        sum(coords[j] * basis[j][c] for j in range(t)) % p
-                        for c in range(r)
-                    ]
-                    for coords in null_vecs
-                ]
+                new_rows = []
+                for vec in null_vecs:
+                    coords = _undo_similarity_mod(vec, ops, p)
+                    acc = [0] * r
+                    for x, b in zip(coords, basis):
+                        if x:
+                            acc = [u + x * v for u, v in zip(acc, b)]
+                    new_rows.append([u % p for u in acc])
                 out.append(_rref_mod(new_rows, p))
             if split_dim != t:
-                raise ArithmeticError("class matrix not diagonalizable mod p")
+                raise InvariantError("class matrix not diagonalizable mod p")
         return out
 
     rng = random.Random(seed)
     attempts = 0
     while any(len(b) > 1 for b, _ in spaces) and attempts < 4:
         weights = [rng.randrange(p) for _ in range(r)]
-        combo = [
-            [sum(weights[i] * mats_t[i][a][b] for i in range(r)) % p for b in range(r)]
-            for a in range(r)
-        ]
-        spaces = refine(spaces, combo)
+        spaces = refine(spaces, combine(weights))
         attempts += 1
-    for m_t in mats_t:
+    for i in range(r):
         if all(len(b) == 1 for b, _ in spaces):
             break
-        spaces = refine(spaces, m_t)
+        spaces = refine(spaces, combine([int(i == j) for j in range(r)]))
     if not all(len(b) == 1 for b, _ in spaces) or len(spaces) != r:
-        raise ArithmeticError("failed to split eigenspaces of the class matrices")
+        raise InvariantError("failed to split eigenspaces of the class matrices")
 
     # normalize to central characters, recover degrees and values mod p
     inv_class = [class_of[g.inv(rep)] for rep in reps]
@@ -363,7 +434,7 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
     for basis, _ in spaces:
         w = basis[0]
         if w[0] % p == 0:
-            raise ArithmeticError("central character vanishes at the identity")
+            raise InvariantError("central character vanishes at the identity")
         scale = pow(w[0], p - 2, p)
         omega = [x * scale % p for x in w]
         s = sum(omega[i] * omega[inv_class[i]] * inv_sizes[i] for i in range(r)) % p
@@ -374,7 +445,8 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
         chi = [d * omega[i] * inv_sizes[i] % p for i in range(r)]
         chars_mod.append((d, chi))
 
-    # power map on classes and the fixed primitive e-th root of unity mod p
+    # power map on classes and the inverse DFT rows over the fixed
+    # primitive e-th root of unity mod p
     pm = []
     for rep in reps:
         row = []
@@ -385,21 +457,17 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
         pm.append(row)
     omega_root = pow(_primitive_root(p), (p - 1) // e, p)
     omega_pows = [pow(omega_root, k, p) for k in range(e)]
+    dft = [[omega_pows[(-j * k) % e] for j in range(e)] for k in range(e)]
     inv_e = pow(e % p, p - 2, p)
 
     characters = []
     for d, chi in chars_mod:
         values = []
         for i in range(r):
-            series = [chi[pm[i][j]] for j in range(e)]
-            mult = []
-            for k in range(e):
-                acc = 0
-                for j in range(e):
-                    acc += series[j] * omega_pows[(-j * k) % e]
-                mult.append(acc % p * inv_e % p)
+            series = [chi[c] for c in pm[i]]
+            mult = [sum(map(mul, series, row)) % p * inv_e % p for row in dft]
             if sum(mult) != d or any(m > d for m in mult):
-                raise ArithmeticError("character lifting produced invalid multiplicities")
+                raise InvariantError("character lifting produced invalid multiplicities")
             values.append(tuple(mult))
         characters.append(Character(group=g, e=e, degree=d, values=tuple(values)))
 
@@ -425,11 +493,11 @@ def _verify_table(table: CharacterTable) -> None:
     chars = table.characters
     e, sizes = table.e, table.class_sizes
     if len(chars) != table.class_count:
-        raise ArithmeticError("character count differs from class count")
+        raise InvariantError("character count differs from class count")
     if sum(c.degree**2 for c in chars) != g.order:
-        raise ArithmeticError("degree squares do not sum to the group order")
+        raise InvariantError("degree squares do not sum to the group order")
     if any(m < 0 for chi in chars for v in chi.values for m in v):
-        raise ArithmeticError("negative eigenvalue multiplicity")
+        raise InvariantError("negative eigenvalue multiplicity")
     bound = max(sum(map(sum, chi.values)) for chi in chars) * max(
         sum(size * sum(v) for size, v in zip(sizes, chi.values)) for chi in chars
     )
@@ -456,7 +524,7 @@ def _verify_table(table: CharacterTable) -> None:
                     for idx, x in enumerate(ctx.reduce_exponent(m)):
                         value[idx] += c * x
             if value != [g.order if i == j else 0] + [0] * (ctx.degree - 1):
-                raise ArithmeticError(
+                raise InvariantError(
                     f"row orthogonality fails at ({i},{j}): |G| times the inner product"
                     f" is {value} mod Phi_{e}"
                 )
@@ -488,7 +556,7 @@ def induced_trivial_character(table: CharacterTable, h: Subgroup) -> ClassFuncti
         rep = cls[0]
         count = sum(1 for x in range(g.order) if g.mul(g.mul(g.inv(x), rep), x) in members)
         if count % h.order != 0:
-            raise ArithmeticError("induced character value is not integral")
+            raise InvariantError("induced character value is not integral")
         values.append(Fraction(count // h.order))
     return ClassFunction(group=g, values=tuple(values))
 
@@ -574,7 +642,7 @@ def artin_coefficients(table: CharacterTable, chi) -> dict[tuple[int, ...], Frac
         for i in range(table.class_count):
             recon[i] += a * ind.values[i]
     if tuple(recon) != chi.values:
-        raise ArithmeticError("Artin induction reconstruction failed")
+        raise InvariantError("Artin induction reconstruction failed")
     return coeffs
 
 
@@ -616,7 +684,7 @@ def verify_eq3(g: FiniteGroup) -> VerificationReport:
         for c in cyclics:
             a = inner_product(induced[c.elements], rho)
             if a.denominator != 1:
-                raise ArithmeticError("induction multiplicity is not an integer")
+                raise InvariantError("induction multiplicity is not an integer")
             total += mu.mu(c.elements, TOP_KEY) * int(a) * (g.order // c.index())
         checks.append((f"character {idx}", total, 0))
 

@@ -3,7 +3,7 @@
 Every command is deterministic given its inputs and seed, emits JSON (all
 big integers as decimal strings) to stdout or --out, and exits 0 on
 success or pass, 1 on verification failure, 2 on usage errors, 3 when an
-internal exact-arithmetic invariant fails.
+internal exact-arithmetic invariant fails (`errors.InvariantError`).
 """
 
 from __future__ import annotations
@@ -451,7 +451,8 @@ def main(argv=None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # an exact-arithmetic invariant failed inside the library
+        # errors.InvariantError: an exact-arithmetic invariant failed inside
+        # the library; any other arithmetic fault is reported the same way
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -19,6 +19,7 @@ from itertools import combinations
 
 from .errors import (
     EulerZeroError,
+    InvariantError,
     MismatchedGroupError,
     NoConnectedAssignmentFoundError,
     NotGaloisError,
@@ -152,19 +153,19 @@ def derived_graph(alpha: VoltageAssignment) -> Cover:
 def _validate_covering(top: SerreGraph, bottom: SerreGraph, vmap, emap) -> None:
     """Assert that (vmap, emap) is a covering map of Serre graphs."""
     if sorted(set(vmap)) != list(range(bottom.vertex_count)):
-        raise ArithmeticError("projection is not vertex-surjective")
+        raise InvariantError("projection is not vertex-surjective")
     for e in range(top.edge_count):
         f = emap[e]
         if vmap[top.origin[e]] != bottom.origin[f] or vmap[top.terminus[e]] != bottom.terminus[f]:
-            raise ArithmeticError("projection does not commute with endpoints")
+            raise InvariantError("projection does not commute with endpoints")
         if emap[top.inverse[e]] != bottom.inverse[f]:
-            raise ArithmeticError("projection does not commute with inversion")
+            raise InvariantError("projection does not commute with inversion")
     top_out = _out_edge_lists(top)
     bottom_out = _out_edge_lists(bottom)
     for w in range(top.vertex_count):
         # bottom_out lists are strictly increasing, so equality also rules out repeats
         if sorted(emap[e] for e in top_out[w]) != bottom_out[vmap[w]]:
-            raise ArithmeticError(f"restriction at vertex {w} is not a bijection")
+            raise InvariantError(f"restriction at vertex {w} is not a bijection")
 
 
 def _out_edge_lists(g: SerreGraph) -> list[list[int]]:

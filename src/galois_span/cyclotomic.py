@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import InvariantError
 from .polynomials import IntPoly, poly_divmod_exact
 
 
@@ -207,7 +208,7 @@ class CyclotomicInt:
 
     def as_int(self) -> int:
         if not self.is_rational_integer():
-            raise ArithmeticError(f"{self!r} is not a rational integer")
+            raise InvariantError(f"{self!r} is not a rational integer")
         return self.coeffs[0] if self.coeffs else 0
 
     def __repr__(self) -> str:

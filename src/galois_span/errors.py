@@ -2,11 +2,18 @@
 
 Every guard in the package raises one of these instead of a bare
 ValueError so callers (and the CLI) can react to specific failure modes.
+Bad input raises a `GaloisSpanError` (CLI exit code 2); a failed internal
+invariant of the exact arithmetic raises `InvariantError` (exit code 3).
 """
 
 
 class GaloisSpanError(Exception):
     """Base class for all library errors."""
+
+
+class InvariantError(ArithmeticError):
+    """An exact-arithmetic invariant failed inside the library: a bug, not bad
+    input.  The CLI reports it as `internal error: ...` with exit code 3."""
 
 
 class DisconnectedGraphError(GaloisSpanError):

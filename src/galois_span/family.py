@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import VoltageAssignment, derived_graph
-from .errors import InterpolationMismatchError, LengthMismatchError
+from .errors import InterpolationMismatchError, InvariantError, LengthMismatchError
 from .graphs import bouquet, cycle_graph
 from .groups import cyclic_group
 from .linalg import cauchy_binet_check, det_fraction, kronecker, mat_mul, rank_fraction
@@ -146,7 +146,7 @@ def degree_formula(primes, a: ExponentVector, b: ExponentVector) -> int:
     head = exp_pow(primes, a)
     tail = exp_pow(primes, exp_sub_floor(a, b))
     if head % tail != 0:
-        raise ArithmeticError("degree formula did not produce an integer")
+        raise InvariantError("degree formula did not produce an integer")
     return head - head // tail
 
 
@@ -259,7 +259,7 @@ def lemma_matrix_check(primes, s: ExponentVector) -> VerificationReport:
     for p, sk in zip(primes, s):
         exponent = sk * t_size // (sk + 1)
         if sk * t_size % (sk + 1) != 0:
-            raise ArithmeticError("closed-form exponent is not an integer")
+            raise InvariantError("closed-form exponent is not an integer")
         magnitude_expected *= abs(Fraction(1, p) - 1) ** exponent
         closed_form *= (Fraction(1, p) - 1) ** exponent
     magnitude = abs(det)

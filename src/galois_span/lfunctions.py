@@ -24,6 +24,7 @@ from .covers import Cover, intermediate_kappa
 from .cyclotomic import CyclotomicInt, CycloPoly
 from .errors import (
     EulerZeroError,
+    InvariantError,
     MismatchedGroupError,
     NotAbelianError,
     NotBouquetError,
@@ -319,7 +320,7 @@ def verify_prop_formula(c: Cover) -> VerificationReport:
             continue  # trivial character
         product = product * h_at_one(c, rho)
     if not product.is_rational_integer():
-        raise ArithmeticError("character product did not reduce to a rational integer")
+        raise InvariantError("character product did not reduce to a rational integer")
     left = c.group.order * c.derived.spanning_tree_count()
     right = c.base.spanning_tree_count() * product.as_int()
     return VerificationReport.compare(
@@ -350,7 +351,7 @@ def verify_inter_rel(c: Cover, h: Subgroup) -> VerificationReport:
             continue
         a = inner_product(induced, chi)
         if a.denominator != 1 or a < 0:
-            raise ArithmeticError("induction multiplicity must be a nonnegative integer")
+            raise InvariantError("induction multiplicity must be a nonnegative integer")
         for _ in range(int(a)):
             product = product * h_at_one(c, rho)
     left = h.index() * intermediate_kappa(c, h)

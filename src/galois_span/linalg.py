@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotSquareError, TooLargeError
+from .errors import InvariantError, NotSquareError, TooLargeError
 from .polynomials import IntPoly, interpolate_int_poly
 
 
@@ -84,7 +84,7 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
             row_p = {j: v * prev // scale[p] for j, v in row_p.items()}
         pivot = row_p.pop(p, 0)
         if pivot <= 0:
-            raise ArithmeticError(f"pivot {pivot} at row {p}: matrix is not positive definite")
+            raise InvariantError(f"pivot {pivot} at row {p}: matrix is not positive definite")
         # symmetric pattern: the rows with an entry in column p are row p's columns
         for i, factor in row_p.items():
             row_i = live[i]

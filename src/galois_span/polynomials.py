@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import InvariantError
+
 
 def _trim(coeffs: Sequence) -> tuple:
     n = len(coeffs)
@@ -115,14 +117,14 @@ def poly_divmod_exact(num: IntPoly, den: IntPoly) -> IntPoly:
     for k in range(len(q) - 1, -1, -1):
         c = rem[k + len(d) - 1]
         if c % lead != 0:
-            raise ArithmeticError("inexact polynomial division")
+            raise InvariantError("inexact polynomial division")
         f = c // lead
         q[k] = f
         if f:
             for i, dc in enumerate(d):
                 rem[k + i] -= f * dc
     if any(rem):
-        raise ArithmeticError("inexact polynomial division: nonzero remainder")
+        raise InvariantError("inexact polynomial division: nonzero remainder")
     return IntPoly(q)
 
 
@@ -166,5 +168,5 @@ def interpolate_int_poly(points: Sequence[tuple[int, int]]) -> IntPoly:
     coeffs = interpolate_rational(points)
     for c in coeffs:
         if c.denominator != 1:
-            raise ArithmeticError(f"non-integer coefficient {c} in interpolation")
+            raise InvariantError(f"non-integer coefficient {c} in interpolation")
     return IntPoly(tuple(c.numerator for c in coeffs))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantError
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
 from .numtheory import factorize
 
@@ -129,7 +130,7 @@ class MobiusTable:
                 if poset.leq_idx(i, j):
                     a, b = mu_down(i, j), mu_up(i, j)
                     if a != b:
-                        raise ArithmeticError(
+                        raise InvariantError(
                             f"Moebius recursions disagree at ({i},{j}): {a} vs {b}"
                         )
                     values[(i, j)] = a

@@ -2,6 +2,7 @@
 
 import random
 
+from galois_span.characters import _rref_mod
 from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
 from galois_span.posets import Poset
@@ -73,3 +74,55 @@ def subgroups_by_pairwise_joins(g: FiniteGroup) -> list[Subgroup]:
         if not new:
             break
     return sorted(found.values(), key=lambda h: (h.order, h.elements))
+
+
+def nullspace_mod(mat: list[list[int]], p: int) -> list[list[int]]:
+    """Oracle: right null space of a dense matrix mod p from its full RREF."""
+    rref, pivots = _rref_mod(mat, p)
+    n = len(mat[0])
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [0] * n
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = (-rref[r][fc]) % p
+        basis.append(vec)
+    return basis
+
+
+def associativity_failure(table) -> tuple[int, int, int] | None:
+    """Oracle: the first triple (a, b, c) with (ab)c != a(bc), by testing all n^3."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def random_loop_table(rng: random.Random, n: int) -> list[list[int]]:
+    """Random Latin square with identity 0 (a loop), by randomized backtracking."""
+    table = [[0] * n for _ in range(n)]
+    table[0] = list(range(n))
+    for i in range(n):
+        table[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [x for x in range(n) if x not in used]
+        rng.shuffle(options)
+        for x in options:
+            table[i][j] = x
+            if fill(k + 1):
+                return True
+        return False
+
+    if not fill(0):
+        raise AssertionError("no Latin square completion")
+    return table

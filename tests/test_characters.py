@@ -1,11 +1,19 @@
+import hashlib
+import json
+import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from galois_span.characters import (
     CharacterTable,
     ClassFunction,
+    _hessenberg_mod,
+    _hessenberg_nullspace_mod,
+    _rref_mod,
+    _undo_similarity_mod,
     _verify_table,
     artin_coefficients,
     character_table,
@@ -33,6 +41,7 @@ from galois_span.groups import (
     symmetric_group,
 )
 from galois_span.posets import TOP_KEY, cyclic_poset, mobius
+from helpers import nullspace_mod
 
 SMALL_GROUPS = ["C1", "C2", "C5", "C6", "C2xC2", "C2xC6", "S3", "D4", "Q8", "A4", "Dic3", "C3xC3"]
 
@@ -267,6 +276,95 @@ def test_charpoly_mod_against_polynomial_determinant():
         expected = det_ring(mat, IntPoly((1,)))
         want = [c % p for c in expected.coeffs] + [0] * (n + 1 - len(expected.coeffs))
         assert [c % p for c in got] == want
+
+
+def _mat_mul_mod(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _inverse_mod(a, p):
+    n = len(a)
+    rref, pivots = _rref_mod([row + [int(i == j) for j in range(n)] for i, row in enumerate(a)], p)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in rref]
+
+
+def _random_diagonalizable(rng, n, p):
+    """P D P^-1 mod p with eigenvalues drawn from a few values, so most repeat."""
+    while True:
+        q = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        q_inv = _inverse_mod(q, p)
+        if q_inv is not None:
+            break
+    values = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
+    d = [[rng.choice(values) if i == j else 0 for j in range(n)] for i in range(n)]
+    return _mat_mul_mod(_mat_mul_mod(q, d, p), q_inv, p)
+
+
+def _assert_hessenberg_nullspaces_match_dense(a, p, lams):
+    h, ops = _hessenberg_mod(a, p)
+    n = len(a)
+    assert all(h[i][j] == 0 for i in range(n) for j in range(i - 1))
+    for lam in lams:
+        dense = nullspace_mod([[(a[i][j] - lam * (i == j)) % p for j in range(n)] for i in range(n)], p)
+        vecs = [_undo_similarity_mod(v, ops, p) for v in _hessenberg_nullspace_mod(h, lam, p)]
+        assert len(vecs) == len(dense)
+        if dense:
+            assert _rref_mod(vecs, p) == _rref_mod(dense, p)
+
+
+def test_hessenberg_nullspace_matches_dense_on_diagonalizable_matrices():
+    rng = random.Random(29)
+    for p in (17, 97):
+        for _ in range(40):
+            a = _random_diagonalizable(rng, rng.randrange(1, 9), p)
+            _assert_hessenberg_nullspaces_match_dense(a, p, range(p))
+
+
+def test_hessenberg_nullspace_matches_dense_on_random_matrices():
+    rng = random.Random(31)
+    p = 13
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        _assert_hessenberg_nullspaces_match_dense(a, p, range(p))
+
+
+def test_hessenberg_nullspace_with_zero_subdiagonal():
+    p = 17
+    rng = random.Random(37)
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    scalar = [[7 * int(i == j) for j in range(6)] for i in range(6)]
+    blocks = []
+    for sizes in ((2, 3), (1, 1, 4), (3, 1, 2, 2)):
+        n = sum(sizes)
+        a = [[0] * n for _ in range(n)]
+        start = 0
+        for size in sizes:
+            block = _random_diagonalizable(rng, size, p)
+            for i in range(size):
+                a[start + i][start : start + size] = block[i]
+            start += size
+        blocks.append(a)
+    for a in [identity, scalar] + blocks:
+        h, _ = _hessenberg_mod(a, p)
+        assert any(h[i][i - 1] == 0 for i in range(1, len(a)))
+        _assert_hessenberg_nullspaces_match_dense(a, p, range(p))
+
+
+DIGESTS = json.loads((Path(__file__).parent / "character_table_digests.json").read_text())
+
+
+@pytest.mark.parametrize("spec", sorted(DIGESTS))
+def test_character_tables_are_byte_identical_to_recorded_dumps(spec):
+    """sha256 over the sorted-key JSON dumps at seeds 0 and 1, each followed by a newline."""
+    g = parse_group_spec(spec)
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        dump = json.dumps(character_table(g, seed).to_json_dict(), sort_keys=True)
+        digest.update(dump.encode() + b"\n")
+    assert digest.hexdigest() == DIGESTS[spec]
 
 
 def test_sqrt_mod_roundtrip():

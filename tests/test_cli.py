@@ -273,7 +273,12 @@ def test_bad_inputs_exit_two(capsys):
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):
+    from dataclasses import replace
+
     import galois_span.characters as characters
+    from galois_span.errors import InvariantError
+
+    real_verify = characters._verify_table
 
     def corrupt(table):
         raise ArithmeticError("row orthogonality fails at (0,1)")
@@ -283,3 +288,23 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: row orthogonality fails at (0,1)\n"
+
+    # the real check on a corrupted table raises the library's InvariantError
+    raised = []
+
+    def swap_then_verify(table):
+        chars = list(table.characters)
+        chars[1] = replace(chars[1], values=chars[0].values)
+        table.characters = tuple(chars)
+        try:
+            real_verify(table)
+        except ArithmeticError as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(characters, "_verify_table", swap_then_verify)
+    assert main(["group", "info", "Q8"]) == 3
+    assert raised == [InvariantError]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: row orthogonality fails at ")

@@ -1,3 +1,5 @@
+import random
+import re
 import time
 from itertools import combinations
 
@@ -10,6 +12,7 @@ from galois_span.errors import (
     OrderTooLargeError,
 )
 from galois_span.groups import (
+    FiniteGroup,
     Subgroup,
     all_subgroups,
     alternating_group,
@@ -29,7 +32,7 @@ from galois_span.groups import (
     symmetric_group,
 )
 from galois_span.table1 import TABLE1_FLAGS
-from helpers import subgroups_by_pairwise_joins
+from helpers import associativity_failure, random_loop_table, subgroups_by_pairwise_joins
 
 
 def test_cyclic_trivial():
@@ -182,6 +185,67 @@ def test_invalid_table():
         from_cayley_table([[0, 1], [0, 1]])
     with pytest.raises(InvalidTableError):
         from_cayley_table([[0, 1], [1, 1]])
+
+
+# a loop of order 5 (Latin square with identity 0, every element its own
+# inverse); every group of order 5 is cyclic, so it is not associative
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _product_table(t1, t2):
+    n1, n2 = len(t1), len(t2)
+    return [
+        [t1[a1][b1] * n2 + t2[a2][b2] for b1 in range(n1) for b2 in range(n2)]
+        for a1 in range(n1)
+        for a2 in range(n2)
+    ]
+
+
+def _assert_rejected_at_failing_triple(table):
+    with pytest.raises(InvalidTableError, match="associativity fails") as info:
+        from_cayley_table(table)
+    a, b, c = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(info.value)).groups())
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE1_FLAGS) + ["C4xS4", "D64"])
+def test_light_associativity_test_accepts_what_the_exhaustive_oracle_accepts(spec):
+    g = parse_group_spec(spec)
+    assert associativity_failure(g.cayley) is None
+    FiniteGroup(g.cayley)._validate()
+
+
+def test_non_associative_loops_are_rejected():
+    assert associativity_failure(LOOP5) is not None
+    _assert_rejected_at_failing_triple(LOOP5)
+    # order 80: the old check only sampled triples above order 64
+    big = _product_table(LOOP5, cyclic_group(16).cayley)
+    assert len(big) > 64
+    _assert_rejected_at_failing_triple(big)
+
+
+def test_light_associativity_test_agrees_with_oracle_on_random_loops():
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        table = random_loop_table(rng, rng.randrange(2, 9))
+        try:
+            g = FiniteGroup(table, validate=False)
+        except InvalidTableError:
+            continue  # some element has no two-sided inverse
+        associative = associativity_failure(table) is None
+        seen[associative] += 1
+        if associative:
+            g._validate()
+        else:
+            _assert_rejected_at_failing_triple(table)
+    assert seen[True] >= 10 and seen[False] >= 10
 
 
 def test_permutation_closure_bound():
