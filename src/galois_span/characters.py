@@ -22,7 +22,6 @@ so a split costs O(t^3) in all (Schneider 1990).
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -303,9 +302,6 @@ class CharacterTable:
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-    def trivial_character(self) -> Character:
-        return self.characters[0]
 
     def kernel_of(self, chi: Character) -> Subgroup:
         """Elements where the multiplicity vector is concentrated at zeta^0."""
@@ -666,7 +662,6 @@ def verify_eq3(g: FiniteGroup) -> VerificationReport:
     Checks |G| * (-sum_C mu(C, top)/[G:C]) = |G| and, for every nontrivial
     irreducible rho, sum_C mu(C, top) a_{rho,C} |G|/[G:C] = 0.
     """
-    started = time.perf_counter()
     table = character_table(g)
     poset = cyclic_poset(g)
     mu = mobius(poset)
@@ -694,7 +689,6 @@ def verify_eq3(g: FiniteGroup) -> VerificationReport:
         f"group {g.name} (order {g.order})",
         len(checks),
         passed,
-        started=started,
         notes="; ".join(f"{name}: {a} vs {b}" for name, a, b in checks if a != b),
         details={"checks": [[name, a, b] for name, a, b in checks]},
     )

@@ -343,7 +343,7 @@ def _cmd_selftest(args) -> int:
         "Q8",
         "A4",
     ]
-    summary = random_suite(args.seed, args.iters, groups, bases, jobs=args.jobs)
+    summary = random_suite(args.seed, args.iters, groups, bases)
     eq3_rows = []
     for spec in groups:
         report = verify_eq3(parse_group_spec(spec))
@@ -433,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="seeded random verification suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--groups", help="comma-separated GroupSpecs")
     add_io(p)
     p.set_defaults(func=_cmd_selftest)

@@ -5,15 +5,16 @@ elements (inverse edges carry inverse voltages).  The derived graph has
 vertex set V x G with terminus twisted by right multiplication; the group
 acts on the left of the second coordinate, so the quotient by a subgroup H
 uses cosets H*sigma and is well-defined against the right-multiplying
-voltages.  Connectivity of the derived graph is exactly the Galois
-condition, and every projection built here is validated as a covering map.
+voltages.  One coset-quotient builder makes every such graph: the derived
+graph is the quotient by the trivial subgroup, X_H the quotient by H.
+Connectivity of the derived graph is exactly the Galois condition, and
+every projection built here is validated as a covering map.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -88,12 +89,6 @@ class Cover:
     def group(self) -> FiniteGroup:
         return self.voltage.group
 
-    def derived_vertex(self, v: int, sigma: int) -> int:
-        return v * self.group.order + sigma
-
-    def project_vertex(self, w: int) -> int:
-        return w // self.group.order
-
     def describe(self) -> str:
         return (
             f"base ({self.base.vertex_count}v/{self.base.geometric_edge_count}e), "
@@ -111,43 +106,59 @@ class IntermediateGraph:
     coset_of: tuple[int, ...]  # group element -> coset index
     coset_count: int
 
-    def vertex(self, v: int, sigma: int) -> int:
-        return v * self.coset_count + self.coset_of[sigma]
-
 
 def derived_graph(alpha: VoltageAssignment) -> Cover:
-    """Construct the derived graph with vertices (v, sigma), deterministically."""
+    """The quotient by the trivial subgroup: vertices (v, sigma), deterministically."""
+    derived, _ = _coset_quotient(alpha, [(sigma,) for sigma in range(alpha.group.order)], "")
+    return Cover(voltage=alpha, derived=derived)
+
+
+def _coset_quotient(
+    alpha: VoltageAssignment, cosets: list[tuple[int, ...]], prefix: str
+) -> tuple[SerreGraph, tuple[int, ...]]:
+    """Quotient of the derived graph by the subgroup whose left cosets are given.
+
+    Vertex (v, H*sigma) is v * k + i for the i-th of the k cosets, named after
+    the coset's first element behind `prefix`; edge e x H*sigma leaves it and
+    ends at (t(e), H*sigma*alpha(e)).  The projection to the base is validated
+    as a covering map.  Returns the graph and the coset index of each element.
+    """
     base, g = alpha.base, alpha.group
-    n = g.order
+    k = len(cosets)
+    coset_of = [-1] * g.order
+    for i, coset in enumerate(cosets):
+        for y in coset:
+            coset_of[y] = i
     origin = []
     terminus = []
     inverse = []
     for e in range(base.edge_count):
         a = alpha.voltage_of(e)
-        for sigma in range(n):
-            origin.append(base.origin[e] * n + sigma)
-            terminus.append(base.terminus[e] * n + g.mul(sigma, a))
-            inverse.append(base.inverse[e] * n + g.mul(sigma, a))
+        o, t, inv = base.origin[e] * k, base.terminus[e] * k, base.inverse[e] * k
+        for ci, coset in enumerate(cosets):
+            target = coset_of[g.mul(coset[0], a)]
+            origin.append(o + ci)
+            terminus.append(t + target)
+            inverse.append(inv + target)
     names = [
-        f"({base.vertex_label(v)},{g.label(sigma)})"
+        f"({base.vertex_label(v)},{prefix}{g.label(coset[0])})"
         for v in range(base.vertex_count)
-        for sigma in range(n)
+        for coset in cosets
     ]
-    derived = SerreGraph(
-        vertex_count=base.vertex_count * n,
+    graph = SerreGraph(
+        vertex_count=base.vertex_count * k,
         origin=tuple(origin),
         terminus=tuple(terminus),
         inverse=tuple(inverse),
         vertex_names=tuple(names),
     )
-    cover = Cover(voltage=alpha, derived=derived)
     _validate_covering(
-        derived,
+        graph,
         base,
-        vmap=[w // n for w in range(derived.vertex_count)],
-        emap=[d // n for d in range(derived.edge_count)],
+        vmap=[w // k for w in range(graph.vertex_count)],
+        emap=[d // k for d in range(graph.edge_count)],
     )
-    return cover
+    return graph, tuple(coset_of)
 
 
 def _validate_covering(top: SerreGraph, bottom: SerreGraph, vmap, emap) -> None:
@@ -188,55 +199,17 @@ def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
         raise MismatchedGroupError("subgroup of a different group")
     if not is_galois(c):
         raise NotGaloisError("intermediate graphs need a connected (Galois) cover")
-    base = c.base
     cosets = left_cosets(h)
-    coset_of = [-1] * g.order
-    for i, coset in enumerate(cosets):
-        for y in coset:
-            coset_of[y] = i
-    k = len(cosets)
-
-    origin = []
-    terminus = []
-    inverse = []
-    for e in range(base.edge_count):
-        a = c.voltage.voltage_of(e)
-        for ci in range(k):
-            rep = cosets[ci][0]
-            target = coset_of[g.mul(rep, a)]
-            origin.append(base.origin[e] * k + ci)
-            terminus.append(base.terminus[e] * k + target)
-            inverse.append(base.inverse[e] * k + target)
-    names = [
-        f"({base.vertex_label(v)},H{g.label(cosets[ci][0])})"
-        for v in range(base.vertex_count)
-        for ci in range(k)
-    ]
-    graph = SerreGraph(
-        vertex_count=base.vertex_count * k,
-        origin=tuple(origin),
-        terminus=tuple(terminus),
-        inverse=tuple(inverse),
-        vertex_names=tuple(names),
-    )
-    inter = IntermediateGraph(
-        cover=c, subgroup=h, graph=graph, coset_of=tuple(coset_of), coset_count=k
-    )
-    # both projections must be covering maps
-    n = g.order
+    graph, coset_of = _coset_quotient(c.voltage, cosets, "H")
+    # the projection from the cover must be a covering map too
+    n, k = g.order, len(cosets)
     _validate_covering(
         c.derived,
         graph,
         vmap=[(w // n) * k + coset_of[w % n] for w in range(c.derived.vertex_count)],
         emap=[(d // n) * k + coset_of[d % n] for d in range(c.derived.edge_count)],
     )
-    _validate_covering(
-        graph,
-        base,
-        vmap=[w // k for w in range(graph.vertex_count)],
-        emap=[d // k for d in range(graph.edge_count)],
-    )
-    return inter
+    return IntermediateGraph(cover=c, subgroup=h, graph=graph, coset_of=coset_of, coset_count=k)
 
 
 def intermediate_kappa(c: Cover, h: Subgroup) -> int:
@@ -245,7 +218,6 @@ def intermediate_kappa(c: Cover, h: Subgroup) -> int:
 
 def conjugate_kappa_check(c: Cover) -> VerificationReport:
     """kappa agrees across conjugate subgroups (cover-isomorphism consequence)."""
-    started = time.perf_counter()
     if not is_galois(c):
         raise NotGaloisError("conjugate check needs a Galois cover")
     subgroups = all_subgroups(c.group)
@@ -264,7 +236,6 @@ def conjugate_kappa_check(c: Cover) -> VerificationReport:
         c.describe(),
         len(pairs),
         len(pairs) - len(mismatches),
-        started=started,
         notes="; ".join(map(str, mismatches)),
     )
 

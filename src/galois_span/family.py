@@ -21,7 +21,6 @@ as code.  Determinants and ranks over Q are exact.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -248,7 +247,6 @@ def lemma_matrix_check(primes, s: ExponentVector) -> VerificationReport:
     the check asserts the absolute value and records whether the computed
     sign agrees (it does not always; see the det details).
     """
-    started = time.perf_counter()
     t_size = 1
     for sk in s:
         t_size *= sk + 1
@@ -271,7 +269,6 @@ def lemma_matrix_check(primes, s: ExponentVector) -> VerificationReport:
         f"p={tuple(primes)}, s={tuple(s)}",
         left,
         right,
-        started=started,
         notes="" if det == closed_form else (
             f"sign differs from the printed closed form: computed {det}, printed {closed_form}"
         ),
@@ -293,7 +290,6 @@ def nonexistence_certificate(n: int) -> VerificationReport:
     certifies full rank over Q, and records the unbounded-kappa witness that
     kills the remaining exponent: cycle bases give kappa(X) = 3 and 4.
     """
-    started = time.perf_counter()
     if n < 2:
         raise ValueError("need a nontrivial cyclic group")
     factors = factorize(n)
@@ -321,7 +317,6 @@ def nonexistence_certificate(n: int) -> VerificationReport:
         f"n={n}, factorization p={primes_t}, s={s_t}",
         full,
         rank,
-        started=started,
         notes=notes,
         details={
             "matrix_size": full,

@@ -250,9 +250,6 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def contains(self, a: int) -> bool:
-        return a in set(self.elements)
-
     def is_trivial(self) -> bool:
         return self.order == 1
 

@@ -8,15 +8,15 @@ and the right regular representation reproduces the derived graph's
 matrices entry for entry.
 
 All determinants are exact.  Matrices whose entries are rational integers
-take the integer fast path (evaluation-interpolation determinant); genuine
-cyclotomic matrices use a division-free expansion, which the small vertex
-counts of the bases keep cheap.
+go to `graphs.zeta_numerator`, the same builder and evaluation-interpolation
+determinant as a graph's own h(u); genuine cyclotomic matrices use a
+division-free expansion, which the small vertex counts of the bases keep
+cheap.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 
 from .characters import character_table, induced_trivial_character, inner_product
@@ -30,9 +30,9 @@ from .errors import (
     NotBouquetError,
     NotGaloisError,
 )
+from .graphs import zeta_numerator
 from .groups import FiniteGroup, Subgroup, parse_group_spec
-from .linalg import det_int_poly_matrix, det_ring
-from .polynomials import IntPoly
+from .linalg import det_ring
 from .report import VerificationReport
 
 
@@ -205,18 +205,8 @@ def h_poly(c: Cover, rho: MatrixRep) -> CycloPoly:
     m = len(a)
     e = rho.e
     if _all_rational(a):
-        u = IntPoly.x()
-        u2 = u * u
-        mat = [
-            [
-                (IntPoly.const(1) if i == j else IntPoly())
-                - a[i][j].as_int() * u
-                + ((d_diag[i] - 1) * u2 if i == j else IntPoly())
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        return CycloPoly.from_int_poly(e, det_int_poly_matrix(mat))
+        ints = [[entry.as_int() for entry in row] for row in a]
+        return CycloPoly.from_int_poly(e, zeta_numerator(ints, d_diag))
     one = CycloPoly.const(CyclotomicInt.one(e))
     u = CycloPoly(e, (CyclotomicInt.zero(e), CyclotomicInt.one(e)))
     u2 = u * u
@@ -277,7 +267,6 @@ def _abelian_rep_list(g: FiniteGroup) -> list[MatrixRep]:
 
 def verify_factorization(c: Cover) -> VerificationReport:
     """prod_chi h(u, chi) = h_Y(u) as exact integer polynomials (abelian G)."""
-    started = time.perf_counter()
     reps = _abelian_rep_list(c.group)
     e = reps[0].e
     product = CycloPoly.const(CyclotomicInt.one(e))
@@ -297,7 +286,6 @@ def verify_factorization(c: Cover) -> VerificationReport:
         c.describe(),
         slots,
         matches,
-        started=started,
         details={
             "product_coeffs": [str(x) for x in lhs.coeffs],
             "derived_coeffs": [str(x) for x in rhs.coeffs],
@@ -307,7 +295,6 @@ def verify_factorization(c: Cover) -> VerificationReport:
 
 def verify_prop_formula(c: Cover) -> VerificationReport:
     """|G| kappa(Y) = kappa(X) prod_{chi != 1} h(1, chi) for abelian covers."""
-    started = time.perf_counter()
     if c.base.euler_characteristic() == 0:
         raise EulerZeroError("the product formula needs chi(X) != 0")
     if not c.derived.is_connected():
@@ -328,13 +315,11 @@ def verify_prop_formula(c: Cover) -> VerificationReport:
         c.describe(),
         left,
         right,
-        started=started,
     )
 
 
 def verify_inter_rel(c: Cover, h: Subgroup) -> VerificationReport:
     """[G:H] kappa(X_H) = kappa(X) prod h(1,chi)^{a_{chi,H}} for abelian covers."""
-    started = time.perf_counter()
     if c.base.euler_characteristic() == 0:
         raise EulerZeroError("the subgroup formula needs chi(X) != 0")
     if not c.derived.is_connected():
@@ -361,5 +346,4 @@ def verify_inter_rel(c: Cover, h: Subgroup) -> VerificationReport:
         f"{c.describe()}, H={h.describe()}",
         left,
         right,
-        started=started,
     )

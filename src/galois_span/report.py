@@ -1,8 +1,11 @@
-"""Verification reports: exact integer comparisons with a pass flag."""
+"""Verification reports: exact integer comparisons with a pass flag.
+
+A report holds only what the check computed, no wall-clock time, so its
+JSON is byte-identical for fixed inputs.
+"""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -23,7 +26,6 @@ class VerificationReport:
     right: int
     passed: bool
     trivial: bool = False
-    seconds: float = 0.0
     notes: str = ""
     details: Mapping[str, Any] = field(default_factory=dict)
 
@@ -36,11 +38,9 @@ class VerificationReport:
         right: int,
         *,
         trivial: bool = False,
-        started: float | None = None,
         notes: str = "",
         details: Mapping[str, Any] | None = None,
     ) -> "VerificationReport":
-        seconds = 0.0 if started is None else time.perf_counter() - started
         if trivial and not notes:
             notes = "trivially true"
         return cls(
@@ -50,7 +50,6 @@ class VerificationReport:
             right=right,
             passed=left == right,
             trivial=trivial,
-            seconds=seconds,
             notes=notes,
             details=dict(details or {}),
         )
@@ -69,7 +68,6 @@ class VerificationReport:
             "passed": self.passed,
             "status": self.status(),
             "trivial": self.trivial,
-            "seconds": round(self.seconds, 6),
             "notes": self.notes,
             "details": _jsonable(self.details),
         }

@@ -10,7 +10,6 @@ kernel formula) the report says "trivially true" rather than "pass".
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,7 +36,6 @@ def _cleared_product_check(
     terms: list[tuple[int, int]],
     *,
     trivial: bool,
-    started: float,
     notes: str = "",
     details=None,
 ) -> VerificationReport:
@@ -54,14 +52,12 @@ def _cleared_product_check(
         elif exponent < 0:
             left *= value ** (-exponent)
     return VerificationReport.compare(
-        claim, inputs, left, right, trivial=trivial, started=started, notes=notes,
-        details=details,
+        claim, inputs, left, right, trivial=trivial, notes=notes, details=details
     )
 
 
 def verify_kuroda(c: Cover) -> VerificationReport:
     """kappa(Y) = (1/|G|) prod_{kernels H} ([G:H] kappa(X_H))^(-mu(bottom, H))."""
-    started = time.perf_counter()
     if not is_galois(c):
         raise NotGaloisError("the kernel formula needs a Galois cover")
     g = c.group
@@ -93,7 +89,6 @@ def verify_kuroda(c: Cover) -> VerificationReport:
         g.order * kappa_y,
         terms,
         trivial=trivial,
-        started=started,
         notes="trivially true: a faithful irreducible makes every exponent vanish"
         if trivial
         else "",
@@ -107,7 +102,6 @@ def verify_brauer_kuroda(c: Cover, multiplier: int | None = None) -> Verificatio
     Exponents are cleared by raising both sides to `multiplier` (default
     |G|; any common multiple of the indices gives the same verdict).
     """
-    started = time.perf_counter()
     if not is_galois(c):
         raise NotGaloisError("the cyclic-subgroup formula needs a Galois cover")
     g = c.group
@@ -143,7 +137,6 @@ def verify_brauer_kuroda(c: Cover, multiplier: int | None = None) -> Verificatio
         kappa_x**m,
         terms,
         trivial=trivial,
-        started=started,
         notes="trivially true: cyclic Galois group" if trivial else "",
         details={
             "kappa_X": kappa_x,
@@ -156,7 +149,6 @@ def verify_brauer_kuroda(c: Cover, multiplier: int | None = None) -> Verificatio
 
 def verify_hmsv(c: Cover) -> VerificationReport:
     """kappa(Y) kappa(X)^(2^m - 2) = 2^(2^m - m - 1) prod kappa(X_i) for (Z/2)^m."""
-    started = time.perf_counter()
     g = c.group
     if not g.is_abelian() or g.exponent() > 2:
         raise WrongGroupError("the elementary-abelian formula needs (Z/2)^m")
@@ -180,7 +172,6 @@ def verify_hmsv(c: Cover) -> VerificationReport:
         left,
         right,
         trivial=(m <= 1),
-        started=started,
         details={"m": m, "kappa_Y": kappa_y, "kappa_X": kappa_x, "kappas": kappas},
     )
 
@@ -191,7 +182,6 @@ def verify_custom_relation(c: Cover, coefficients: dict[Subgroup, int]) -> Verif
     The relation sum n_H Ind_H^G(1) = 0 is first checked exactly on every
     conjugacy class; anything else is rejected.
     """
-    started = time.perf_counter()
     if not is_galois(c):
         raise NotGaloisError("needs a Galois cover")
     g = c.group
@@ -220,13 +210,11 @@ def verify_custom_relation(c: Cover, coefficients: dict[Subgroup, int]) -> Verif
         1,
         terms,
         trivial=not terms,
-        started=started,
     )
 
 
 def verify_euler_zero(c: Cover) -> VerificationReport:
     """kappa(Y) = |G| kappa(X) for connected covers of a chi = 0 base."""
-    started = time.perf_counter()
     if c.base.euler_characteristic() != 0:
         raise EulerZeroError("verifier is for bases with Euler characteristic zero")
     if not is_galois(c):
@@ -240,7 +228,6 @@ def verify_euler_zero(c: Cover) -> VerificationReport:
         c.describe(),
         c.derived.spanning_tree_count(),
         c.group.order * c.base.spanning_tree_count(),
-        started=started,
     )
 
 
@@ -309,13 +296,11 @@ def random_suite(
     iterations: int,
     group_specs: list[str],
     bases: list,
-    jobs: int = 1,
 ) -> SuiteSummary:
     """Seeded random covers run through every end-to-end verifier.
 
     Per-iteration seeds derive deterministically from the master seed, so
-    the summary is reproducible regardless of `jobs` (iterations are
-    independent; results are collected in iteration order).
+    the summary is reproducible.
     """
     from .covers import derived_graph, random_connected_voltage
 
@@ -323,8 +308,7 @@ def random_suite(
     if not group_specs or iterations <= 0:
         return summary
     groups = [parse_group_spec(s) for s in group_specs]
-
-    def run_one(i: int) -> list[dict]:
+    for i in range(iterations):
         iteration_seed = seed * 1_000_003 + i
         g = groups[i % len(groups)]
         base = bases[i % len(bases)]
@@ -336,28 +320,17 @@ def random_suite(
             conjugate_kappa_check(cover),
             hashimoto_check(cover.derived),
         ]
-        return [
-            {
-                "iteration": i,
-                "group": g.name,
-                "cover": cover.describe(),
-                "claim": r.claim,
-                "status": r.status(),
-                "passed": r.passed,
-            }
-            for r in reports
-        ]
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(run_one, range(iterations)))
-    else:
-        batches = [run_one(i) for i in range(iterations)]
-    for batch in batches:
-        for entry in batch:
-            summary.entries.append(entry)
-            if not entry["passed"]:
+        for r in reports:
+            summary.entries.append(
+                {
+                    "iteration": i,
+                    "group": g.name,
+                    "cover": cover.describe(),
+                    "claim": r.claim,
+                    "status": r.status(),
+                    "passed": r.passed,
+                }
+            )
+            if not r.passed:
                 summary.failures += 1
     return summary

@@ -5,6 +5,7 @@ import random
 from galois_span.characters import _rref_mod
 from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
+from galois_span.linalg import det_int
 from galois_span.posets import Poset
 
 
@@ -38,6 +39,17 @@ def random_poset(rng: random.Random, max_elements=7) -> Poset:
 def dumbbell_graph() -> SerreGraph:
     """Two vertices, a loop at each, and one bridge (chi = -1)."""
     return build_graph(2, [(0, 0), (0, 1), (1, 1)])
+
+
+def dense_zeta_numerator_at(a, degrees, u: int) -> int:
+    """Oracle: det(I - A u + (D - I) u^2) at one integer u, by dense Bareiss."""
+    n = len(a)
+    return det_int(
+        [
+            [(1 + (degrees[i] - 1) * u * u if i == j else 0) - a[i][j] * u for j in range(n)]
+            for i in range(n)
+        ]
+    )
 
 
 def theta_graph() -> SerreGraph:

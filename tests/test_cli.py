@@ -208,9 +208,15 @@ def test_out_file(capsys, tmp_path):
 
 
 def test_deterministic_output(capsys):
-    code1, data1 = run(capsys, "selftest", "--seed", "7", "--iters", "3")
-    code2, data2 = run(capsys, "selftest", "--seed", "7", "--iters", "3")
-    assert data1 == data2
+    for argv in (
+        ["selftest", "--seed", "7", "--iters", "3"],
+        ["verify", "kuroda", "--base", "bouquet:2", "--group", "C2xC6", "--voltage", "(1,0);(0,1)"],
+    ):
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], argv
 
 
 def test_verify_relation_cli(capsys, tmp_path):

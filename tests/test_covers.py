@@ -138,6 +138,25 @@ def test_whole_group_quotient_is_base():
     )
 
 
+def test_trivial_quotient_is_the_derived_graph():
+    covers = [
+        fig2_cover(),
+        s3_cover(),
+        derived_graph(random_connected_voltage(complete_graph(4), symmetric_group(4), 3)),
+        derived_graph(random_connected_voltage(dumbbell_graph(), dihedral_group(4), 7)),
+    ]
+    for c in covers:
+        inter = intermediate_graph(c, generated_subgroup(c.group, []))
+        assert inter.coset_count == c.group.order
+        assert inter.coset_of == tuple(range(c.group.order))
+        assert inter.graph.origin == c.derived.origin
+        assert inter.graph.terminus == c.derived.terminus
+        assert inter.graph.inverse == c.derived.inverse
+        assert [name.replace(",H", ",") for name in inter.graph.vertex_names] == list(
+            c.derived.vertex_names
+        )
+
+
 def test_intermediate_counts_and_degrees():
     c = s3_cover()
     g = c.group

@@ -16,9 +16,10 @@ from galois_span.graphs import (
     graph_to_json_dict,
     hashimoto_check,
     path_graph,
+    zeta_numerator,
 )
 from galois_span.linalg import delete_row_col, det_int
-from helpers import random_connected_graph
+from helpers import dense_zeta_numerator_at, random_connected_graph
 
 
 def test_build_graph_bouquet():
@@ -133,6 +134,18 @@ def test_ihara_h_poly_cycle_and_tree():
     # any tree: h'(1) = -2
     for tree in (path_graph(2), path_graph(4), build_graph(4, [(0, 1), (0, 2), (0, 3)])):
         assert tree.ihara_h_poly().derivative()(1) == -2
+
+
+def test_zeta_numerator_matches_dense_determinants_on_random_multigraphs():
+    rng = random.Random(41)
+    for _ in range(40):
+        g = random_connected_graph(rng, max_vertices=6, max_edges=12)
+        a, d = g.adjacency_matrix(), g.degrees()
+        h = zeta_numerator(a, d)
+        assert h == g.ihara_h_poly()
+        assert h.degree <= 2 * g.vertex_count
+        for u in range(2 * g.vertex_count + 2):
+            assert h(u) == dense_zeta_numerator_at(a, d, u)
 
 
 def test_hashimoto_identity_randomized():

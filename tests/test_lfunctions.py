@@ -4,7 +4,7 @@ import pytest
 
 from galois_span.covers import VoltageAssignment, derived_graph, random_connected_voltage
 from galois_span.errors import EulerZeroError, NotAbelianError, NotBouquetError
-from galois_span.graphs import bouquet, cycle_graph
+from galois_span.graphs import bouquet, complete_graph, cycle_graph, zeta_numerator
 from galois_span.groups import (
     all_subgroups,
     cyclic_group,
@@ -25,7 +25,7 @@ from galois_span.lfunctions import (
     verify_inter_rel,
     verify_prop_formula,
 )
-from helpers import theta_graph
+from helpers import dense_zeta_numerator_at, theta_graph
 
 
 def simple_cover(group_spec="C4", loops=2, volt=(1, 2)):
@@ -54,6 +54,28 @@ def test_regular_rep_twisted_matrix_is_derived_adjacency():
     a, d = twisted_matrices(cover, regular_rep(cover.group))
     derived_a = cover.derived.adjacency_matrix()
     assert [[x.as_int() for x in row] for row in a] == derived_a
+
+
+def test_zeta_numerator_matches_dense_determinants_on_twisted_integer_matrices():
+    covers = [
+        simple_cover("S3", 2, (2, 3)),
+        derived_graph(random_connected_voltage(theta_graph(), parse_group_spec("D4"), 3)),
+        derived_graph(random_connected_voltage(complete_graph(4), parse_group_spec("C2xC2"), 5)),
+    ]
+    checked = 0
+    for cover in covers:
+        reps = [trivial_rep(cover.group), regular_rep(cover.group)]
+        if cover.group.is_abelian():
+            reps += abelian_reps(cover.group)
+        for rho in reps:
+            a, d = twisted_matrices(cover, rho)
+            ints = [[x.as_int() for x in row] for row in a]
+            h = zeta_numerator(ints, d)
+            assert h_poly(cover, rho).to_int_poly() == h
+            for u in range(2 * len(ints) + 2):
+                assert h(u) == dense_zeta_numerator_at(ints, d, u)
+            checked += 1
+    assert checked == 10
 
 
 def test_h_poly_trivial_is_base_h():

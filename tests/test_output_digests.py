@@ -1,0 +1,105 @@
+"""Byte-identical CLI output for `cover build`, `cover intermediates`, `cover dot`
+and `lfun h`.
+
+Each case's digest is the sha256 over the stdout of every command run on it,
+in order, each followed by a newline.  The digests in `output_digests.json`
+were recorded before the derived graph and the intermediate quotients came
+from one coset-quotient builder and before both integer zeta numerators came
+from `graphs.zeta_numerator`; they pin vertex names, edge order and every
+coefficient.  `cover dot --subgroup 1` prints the quotient by the cyclic
+subgroup generated by element 1 (its DOT text goes to stderr).
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from galois_span.cli import _load_base, main
+from galois_span.covers import random_connected_voltage
+from galois_span.groups import parse_group_spec
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "galois_span", "fixtures")
+
+# name -> (base, group, inline voltages or a seed for random_connected_voltage, lfun h)
+# where lfun h is "chars" (every abelian character), "regular" (the right regular
+# representation from a file) or None
+CASES = {
+    "readme-C2xC6": ("bouquet:2", "C2xC6", "(1,0);(0,1)", "chars"),
+    "readme-S3": ("bouquet:2", "S3", "(0 1);(0 1 2)", "regular"),
+    "readme-Q8": ("bouquet:2", "Q8", "a1;a0b", "regular"),
+    "readme-C2xC2": ("bouquet:2", "C2xC2", "(1,0);(0,1)", "chars"),
+    "readme-C4-cycle3": ("cycle:3", "C4", "1;0;0", "chars"),
+    "fixture-fig2": ("bouquet2.json", "C2xC6", "fig2_voltage.json", "chars"),
+    "fixture-s3": ("bouquet2.json", "S3", "s3_voltage.json", None),
+    "seeded-S4-complete4": ("complete:4", "S4", 3, None),
+    "seeded-A4-bouquet3": ("bouquet:3", "A4", 5, None),
+    "seeded-C3xS3-bouquet2": ("bouquet:2", "C3xS3", 7, None),
+    "seeded-D4-complete4": ("complete:4", "D4", 11, "regular"),
+    "seeded-C2xS4-bouquet2": ("bouquet:2", "C2xS4", 19, None),
+    "seeded-C2xC6-complete4": ("complete:4", "C2xC6", 13, "chars"),
+    "seeded-C2x4-bouquet4": ("bouquet:4", "C2xC2xC2xC2", 17, "chars"),
+}
+
+DIGESTS = json.loads((Path(__file__).parent / "output_digests.json").read_text())
+
+
+def _fixture(name: str) -> str:
+    return os.path.join(FIXTURES, name) if name.endswith(".json") else name
+
+
+def _regular_rep_file(spec: str, path: Path) -> str:
+    """The right regular representation as a matrix-representation file."""
+    g = parse_group_spec(spec)
+    e = g.exponent()
+    one, zero = [1] + [0] * (e - 1), [0] * e
+    matrices = {
+        str(x): [[one if g.mul(s, x) == t else zero for t in range(g.order)] for s in range(g.order)]
+        for x in range(g.order)
+    }
+    path.write_text(json.dumps({"group": spec, "degree": g.order, "e": e, "matrices": matrices}))
+    return str(path)
+
+
+def case_commands(name: str, tmp_path: Path) -> list[list[str]]:
+    base, spec, voltage, lfun = CASES[name]
+    if isinstance(voltage, int):
+        alpha = random_connected_voltage(_load_base(base), parse_group_spec(spec), voltage)
+        voltage = ";".join(map(str, alpha.volt))
+    args = ["--base", _fixture(base), "--group", spec, "--voltage", _fixture(voltage)]
+    commands = [
+        ["cover", "build", *args],
+        ["cover", "intermediates", *args],
+        ["cover", "dot", *args, "--subgroup", "1"],
+    ]
+    if lfun == "chars":
+        commands += [
+            ["lfun", "h", *args, "--chi", str(k)] for k in range(parse_group_spec(spec).order)
+        ]
+    elif lfun == "regular":
+        rep = _regular_rep_file(spec, tmp_path / "regular.json")
+        commands.append(["lfun", "h", *args, "--rep", rep])
+    return commands
+
+
+def case_digest(name: str, tmp_path: Path) -> str:
+    digest = hashlib.sha256()
+    for argv in case_commands(name, tmp_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        digest.update(out.getvalue().encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_every_case_has_a_digest():
+    assert sorted(CASES) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cover_and_lfun_output_is_byte_identical_to_recorded_digest(name, tmp_path):
+    assert case_digest(name, tmp_path) == DIGESTS[name]

@@ -298,13 +298,6 @@ def test_random_suite_reproducible():
     assert empty.entries == []
 
 
-def test_random_suite_parallel_matches_serial():
-    bases = [bouquet(2), bouquet(3)]
-    serial = random_suite(9, 6, ["S3", "D4"], bases, jobs=1)
-    parallel = random_suite(9, 6, ["S3", "D4"], bases, jobs=3)
-    assert serial.to_json_dict() == parallel.to_json_dict()
-
-
 def test_abelian_noncyclic_formulas_are_nontrivial():
     # structural assertion: the exponent vectors are nonzero for both formulas
     for spec, seed in (("C2xC2", 11), ("C2xC6", 12), ("C2xC4", 13)):
