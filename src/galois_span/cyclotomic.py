@@ -237,10 +237,6 @@ class CycloPoly:
     def const(cls, value: CyclotomicInt) -> "CycloPoly":
         return cls(value.e, (value,))
 
-    @classmethod
-    def from_int_poly(cls, e: int, poly: IntPoly) -> "CycloPoly":
-        return cls(e, tuple(CyclotomicInt.from_int(e, c) for c in poly.coeffs))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

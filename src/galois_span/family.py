@@ -30,7 +30,7 @@ from .graphs import bouquet, cycle_graph
 from .groups import cyclic_group
 from .linalg import cauchy_binet_check, det_fraction, kronecker, mat_mul, rank_fraction
 from .numtheory import factorize, is_prime
-from .polynomials import interpolate_rational
+from .polynomials import forward_differences
 from .report import VerificationReport
 
 # re-exported here because the matrix lemma checks live in this module
@@ -153,8 +153,8 @@ def kappa_degree_in_t(f: FamilySpec, a: ExponentVector) -> int:
     """Interpolated degree of kappa(t) for the lemma family over Z/p^a.
 
     Builds the family with voltage p^b (the lemma's own parameter) on t
-    loops, samples t = 0..D+1 with D the closed-form degree, interpolates
-    the exact polynomial and asserts the degree matches the closed form.
+    loops, samples t = 0..D+1 with D the closed-form degree and asserts that
+    the last nonzero forward difference of the samples is the D-th.
     """
     if len(a) != len(f.primes):
         raise LengthMismatchError("a has the wrong length")
@@ -163,17 +163,17 @@ def kappa_degree_in_t(f: FamilySpec, a: ExponentVector) -> int:
     expected = degree_formula(f.primes, a, f.b)
     modulus = exp_pow(f.primes, a)
     voltage = exp_pow(f.primes, f.b)
-    points = [
-        (t, _bouquet_family_kappa(modulus, voltage, t)) for t in range(expected + 2)
-    ]
-    coeffs = interpolate_rational(points)
-    degree = len(coeffs) - 1
+    diffs = forward_differences(
+        [_bouquet_family_kappa(modulus, voltage, t) for t in range(expected + 2)]
+    )
+    # delta^k of a degree-k polynomial is k! times its leading coefficient
+    degree = max((k for k, d in enumerate(diffs) if d), default=-1)
     if degree != expected:
         raise InterpolationMismatchError(
             f"kappa(t) has degree {degree}, formula says {expected} "
             f"(p={f.primes}, s={f.s}, b={f.b}, a={a})"
         )
-    if coeffs[-1] <= 0:
+    if diffs[degree] <= 0:
         raise InterpolationMismatchError("kappa(t) must have a positive leading coefficient")
     return degree
 

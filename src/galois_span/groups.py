@@ -83,12 +83,9 @@ class FiniteGroup:
         """Latin-square check, then Light's associativity test.
 
         The elements s with (a s) c = a (s c) for all a, c are closed under
-        the product, so checking every s in a generating set S proves
-        associativity in O(n^2 |S|) (Clifford & Preston 1961, section 1.2).
-        S is picked greedily: the least element not yet reached is added,
-        and the reached set is closed under right multiplication by S.  For
-        a group each new generator at least doubles the reached subgroup,
-        so |S| <= log2 n.
+        the product, so checking every s in the generating set S of
+        `generators` proves associativity in O(n^2 |S|) (Clifford & Preston
+        1961, section 1.2).
         """
         n = self.order
         table = self.cayley
@@ -100,6 +97,25 @@ class FiniteGroup:
         for col in zip(*table):
             if len(set(col)) != n:
                 raise InvalidTableError("table column is not a permutation")
+        for s in self.generators():
+            s_row = table[s]
+            for a, a_row in enumerate(table):
+                if table[a_row[s]] != tuple(map(a_row.__getitem__, s_row)):
+                    c = next(
+                        c for c in range(n) if table[a_row[s]][c] != a_row[s_row[c]]
+                    )
+                    raise InvalidTableError(f"associativity fails at ({a},{s},{c})")
+
+    def generators(self) -> list[int]:
+        """A greedy generating set: every element is a product of them.
+
+        The least element not yet reached is added, and the reached set is
+        closed under right multiplication by the chosen elements.  For a
+        group each new generator at least doubles the reached subgroup, so
+        there are at most log2 n of them.
+        """
+        n = self.order
+        table = self.cayley
         gens: list[int] = []
         reached = [False] * n
         reached[self.identity] = True
@@ -115,14 +131,7 @@ class FiniteGroup:
                     if not reached[y]:
                         reached[y] = True
                         frontier.append(y)
-        for s in gens:
-            s_row = table[s]
-            for a, a_row in enumerate(table):
-                if table[a_row[s]] != tuple(map(a_row.__getitem__, s_row)):
-                    c = next(
-                        c for c in range(n) if table[a_row[s]][c] != a_row[s_row[c]]
-                    )
-                    raise InvalidTableError(f"associativity fails at ({a},{s},{c})")
+        return gens
 
     # -- basic operations ----------------------------------------------------
 

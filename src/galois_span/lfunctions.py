@@ -7,17 +7,19 @@ construction down: the trivial representation recovers (A_X, D_X) exactly,
 and the right regular representation reproduces the derived graph's
 matrices entry for entry.
 
-All determinants are exact.  Matrices whose entries are rational integers
-go to `graphs.zeta_numerator`, the same builder and evaluation-interpolation
-determinant as a graph's own h(u); genuine cyclotomic matrices use a
-division-free expansion, which the small vertex counts of the bases keep
-cheap.
+All determinants are exact and go through integer determinants.  Each
+entry of Z[zeta_e] is lifted to the integer polynomial in x of its reduced
+coordinates; h(u, rho) is `graphs.zeta_numerator`, the same builder and
+evaluation-interpolation determinant as a graph's own h(u), at consecutive
+integers x, interpolated in x and evaluated at zeta_e.  A matrix with
+rational entries takes one sample, which is exactly a graph's h(u).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .characters import character_table, induced_trivial_character, inner_product
 from .covers import Cover, intermediate_kappa
@@ -32,7 +34,8 @@ from .errors import (
 )
 from .graphs import zeta_numerator
 from .groups import FiniteGroup, Subgroup, parse_group_spec
-from .linalg import det_ring
+from .linalg import det_int_poly_matrix, sample_points
+from .polynomials import IntPoly, interpolate_int_poly
 from .report import VerificationReport
 
 
@@ -59,21 +62,13 @@ class MatrixRep:
             for j in range(d):
                 if ident[i][j] != (one if i == j else zero):
                     raise ValueError("representation does not send identity to identity")
-        # homomorphism check: exhaustive for small groups, sampled above
-        if g.order <= 64:
-            pairs = ((a, b) for a in range(g.order) for b in range(g.order))
-        else:
-            import random
-
-            rng = random.Random(0)
-            pairs = (
-                (rng.randrange(g.order), rng.randrange(g.order)) for _ in range(2000)
-            )
-        for a, b in pairs:
-            if _mat_mul_cyclo(self.matrices[a], self.matrices[b]) != self.matrices[
-                g.mul(a, b)
-            ]:
-                raise ValueError(f"rho({a})rho({b}) != rho({a}*{b})")
+        # homomorphism check, exact: the s with rho(a)rho(s) = rho(a s) for
+        # every a are closed under products, so a generating set suffices
+        for b in g.generators():
+            for a in range(g.order):
+                product = _mat_mul_cyclo(self.matrices[a], self.matrices[b])
+                if product != self.matrices[g.mul(a, b)]:
+                    raise ValueError(f"rho({a})rho({b}) != rho({a}*{b})")
 
     def matrix(self, element: int):
         return self.matrices[element]
@@ -195,47 +190,39 @@ def twisted_matrices(c: Cover, rho: MatrixRep):
     return a, d_rho
 
 
-def _all_rational(matrix) -> bool:
-    return all(entry.is_rational_integer() for row in matrix for entry in row)
+def _lift(matrix) -> list[list[IntPoly]]:
+    """Each entry of Z[zeta_e] as the polynomial in x of its reduced coordinates."""
+    return [[IntPoly(entry.coeffs) for entry in row] for row in matrix]
+
+
+def _at_root(e: int, poly: IntPoly) -> CyclotomicInt:
+    """poly(zeta_e), reduced mod Phi_e; any length is fine because zeta^e = 1."""
+    return CyclotomicInt.from_mult_vector(e, poly.coeffs)
 
 
 def h_poly(c: Cover, rho: MatrixRep) -> CycloPoly:
-    """Exact determinant det(I - A_rho u + (D_rho - I) u^2)."""
+    """Exact determinant det(I - A_rho u + (D_rho - I) u^2).
+
+    A_rho is lifted to a matrix A(x) over Z[x] with A(zeta_e) = A_rho.  The
+    map x -> zeta_e is a ring homomorphism and commutes with det, so h is
+    `zeta_numerator(A(x), D)` at the `sample_points` of A(x), every
+    u-coefficient interpolated in x and then evaluated at zeta_e.  A
+    rational A_rho has degree 0 in x and takes the single sample x = 0.
+    """
     a, d_diag = twisted_matrices(c, rho)
-    m = len(a)
-    e = rho.e
-    if _all_rational(a):
-        ints = [[entry.as_int() for entry in row] for row in a]
-        return CycloPoly.from_int_poly(e, zeta_numerator(ints, d_diag))
-    one = CycloPoly.const(CyclotomicInt.one(e))
-    u = CycloPoly(e, (CyclotomicInt.zero(e), CyclotomicInt.one(e)))
-    u2 = u * u
-    mat = [
-        [
-            (one if i == j else CycloPoly(e))
-            - CycloPoly.const(a[i][j]) * u
-            + ((d_diag[i] - 1) * u2 if i == j else CycloPoly(e))
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return det_ring(mat, one)
+    lifted = _lift(a)
+    xs = sample_points(lifted)
+    samples = [zeta_numerator([[p(x) for p in row] for row in lifted], d_diag).coeffs for x in xs]
+    by_power = zip_longest(*samples, fillvalue=0)
+    return CycloPoly(rho.e, [_at_root(rho.e, interpolate_int_poly(xs.start, v)) for v in by_power])
 
 
 def h_at_one(c: Cover, rho: MatrixRep) -> CyclotomicInt:
-    """h(1, rho) = det(D_rho - A_rho), evaluated directly."""
+    """h(1, rho) = det(D_rho - A_rho), through the same lift to Z[x]."""
     a, d_diag = twisted_matrices(c, rho)
-    m = len(a)
-    e = rho.e
-    mat = [
-        [
-            (CyclotomicInt.from_int(e, d_diag[i]) if i == j else CyclotomicInt.zero(e))
-            - a[i][j]
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return det_ring(mat, CyclotomicInt.one(e))
+    rows = enumerate(_lift(a))
+    d_minus_a = [[(d_diag[i] if i == j else 0) - p for j, p in enumerate(row)] for i, row in rows]
+    return _at_root(rho.e, det_int_poly_matrix(d_minus_a))
 
 
 def bouquet_h_formula(c: Cover, rho: MatrixRep) -> CyclotomicInt:

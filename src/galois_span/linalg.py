@@ -6,9 +6,10 @@ through dense Bareiss elimination (the only divisions are exact); sparse
 symmetric positive-definite integer matrices, such as reduced Laplacians,
 go through the same fraction-free elimination on sparse rows with a
 minimum-degree pivot order; rational matrices use ordinary Gaussian
-elimination over `fractions.Fraction`; matrices over other commutative
-rings (polynomials, cyclotomic integers) use a division-free Laplace
-expansion with memoization over column subsets.
+elimination over `fractions.Fraction`.  Matrices of integer polynomials go
+through integer determinants at consecutive integers and one integer
+interpolation; cyclotomic matrices reach them after a lift to Z[x]
+(`lfunctions`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvariantError, NotSquareError, TooLargeError
+from .errors import InvariantError, NotSquareError
 from .polynomials import IntPoly, interpolate_int_poly
 
 
@@ -149,67 +150,25 @@ def rank_fraction(matrix: Sequence[Sequence]) -> int:
     return rank
 
 
-def det_ring(matrix: Sequence[Sequence], one):
-    """Division-free determinant over any commutative ring.
+def sample_points(matrix: Sequence[Sequence[IntPoly]]) -> range:
+    """Consecutive integers around 0, enough to interpolate det(matrix).
 
-    Laplace expansion with memoization over column subsets: O(2^n * n) ring
-    operations, so only suitable for small matrices.  `one` is the ring unit
-    used for the empty determinant.
+    The determinant has degree at most the sum of the row-wise maximal entry
+    degrees, so that many plus one samples determine it.
     """
-    n = _check_square(matrix)
-    if n == 0:
-        return one
-    if n > 16:
-        raise TooLargeError(f"division-free determinant limited to 16x16, got {n}")
-    # expand along the top row of the remaining block, top-down:
-    # det(rows r.., S) = sum_t (-1)^t a[r][j_t] det(rows r+1.., S - j_t)
-    full = (1 << n) - 1
-    dp = {full: one}
-    for r in range(n):
-        row = matrix[r]
-        nxt: dict[int, object] = {}
-        for mask, val in dp.items():
-            pos = 0
-            for j in range(n):
-                bit = 1 << j
-                if not (mask & bit):
-                    continue
-                entry = row[j]
-                term = val * entry
-                if pos & 1:
-                    term = -term
-                sub = mask ^ bit
-                if sub in nxt:
-                    nxt[sub] = nxt[sub] + term
-                else:
-                    nxt[sub] = term
-                pos += 1
-        dp = nxt
-    return dp[0]
+    bound = sum(max((p.degree for p in row if p), default=0) for row in matrix)
+    return range(-(bound // 2), bound - bound // 2 + 1)
 
 
 def det_int_poly_matrix(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
     """Determinant of a matrix of integer polynomials.
 
-    Evaluation-interpolation: the determinant has degree at most the sum of
-    the row-wise maximal entry degrees, so it is recovered exactly from
-    integer determinants at enough sample points.
+    Evaluation-interpolation: integer determinants at `sample_points`, then
+    one integer interpolation.
     """
-    n = _check_square(matrix)
-    if n == 0:
-        return IntPoly((1,))
-    bound = 0
-    for row in matrix:
-        bound += max((p.degree for p in row if p), default=0)
-    if bound < 0:
-        return IntPoly()
-    points = []
-    x0 = -(bound // 2)
-    for k in range(bound + 1):
-        x = x0 + k
-        evaluated = [[p(x) for p in row] for row in matrix]
-        points.append((x, det_int(evaluated)))
-    return interpolate_int_poly(points)
+    xs = sample_points(matrix)
+    values = [det_int([[p(x) for p in row] for row in matrix]) for x in xs]
+    return interpolate_int_poly(xs.start, values)
 
 
 def kronecker(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

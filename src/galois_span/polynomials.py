@@ -2,11 +2,13 @@
 
 Coefficients are stored low degree first and normalized (no trailing
 zeros).  The zero polynomial has an empty coefficient tuple and degree -1.
+Interpolation takes samples at consecutive integers and stays in the
+integers: forward differences, exact division by k!, Horner's rule in the
+falling-factorial basis.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
@@ -128,45 +130,41 @@ def poly_divmod_exact(num: IntPoly, den: IntPoly) -> IntPoly:
     return IntPoly(q)
 
 
-def interpolate_rational(points: Sequence[tuple[int, object]]) -> list[Fraction]:
-    """Coefficients (low first) of the unique polynomial through the points.
+def forward_differences(values: Sequence[int]) -> list[int]:
+    """Leading diagonal of the difference table: values[0], delta values[0], ...
 
-    Newton divided differences over exact rationals; the points must have
-    pairwise distinct abscissae.
+    For samples f(x0), f(x0 + 1), ... the k-th entry is the forward
+    difference delta^k f(x0).
     """
-    xs = [p[0] for p in points]
-    ys = [Fraction(p[1]) for p in points]
-    n = len(points)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    # expand Newton form to monomial coefficients
-    out = [Fraction(0)] * n
-    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    deg = 0
-    for k in range(n):
-        c = coef[k]
-        if c:
-            for i in range(deg + 1):
-                out[i] += c * basis[i]
-        if k < n - 1:
-            # basis *= (x - xs[k])
-            nxt = [Fraction(0)] * n
-            for i in range(deg + 1):
-                nxt[i + 1] += basis[i]
-                nxt[i] -= xs[k] * basis[i]
-            basis = nxt
-            deg += 1
-    while out and out[-1] == 0:
-        out.pop()
+    row = list(values)
+    out = []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
     return out
 
 
-def interpolate_int_poly(points: Sequence[tuple[int, int]]) -> IntPoly:
-    """Interpolate and assert that every coefficient is an integer."""
-    coeffs = interpolate_rational(points)
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InvariantError(f"non-integer coefficient {c} in interpolation")
-    return IntPoly(tuple(c.numerator for c in coeffs))
+def interpolate_int_poly(x0: int, values: Sequence[int]) -> IntPoly:
+    """The integer polynomial of degree < len(values) with f(x0 + k) = values[k].
+
+    Newton's forward form f(x) = sum_k delta^k f(x0) / k! * (x - x0)_k with
+    the falling factorial (x - x0)_k = (x - x0)(x - x0 - 1)...(x - x0 - k + 1).
+    The falling factorials are a Z-basis of Z[x], so f has integer
+    coefficients exactly when every delta^k f(x0) is divisible by k!; a
+    remainder raises `InvariantError`.  The expansion is Horner's rule in
+    that basis, in integers throughout.
+    """
+    newton, factorial = [], 1
+    for k, diff in enumerate(forward_differences(values)):
+        factorial *= max(k, 1)
+        if diff % factorial:
+            raise InvariantError(f"non-integer coefficient {diff}/{factorial} in interpolation")
+        newton.append(diff // factorial)
+    out: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        # out = out * (x - x0 - k) + newton[k]
+        nxt = [newton[k]] + out
+        for i, c in enumerate(out):
+            nxt[i] -= (x0 + k) * c
+        out = nxt
+    return IntPoly(out)

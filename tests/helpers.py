@@ -1,11 +1,13 @@
 """Shared generators for the randomized (seeded) test corpora."""
 
 import random
+from fractions import Fraction
 
 from galois_span.characters import _rref_mod
+from galois_span.errors import TooLargeError
 from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
-from galois_span.linalg import det_int
+from galois_span.linalg import _check_square, det_int
 from galois_span.posets import Poset
 
 
@@ -50,6 +52,80 @@ def dense_zeta_numerator_at(a, degrees, u: int) -> int:
             for i in range(n)
         ]
     )
+
+
+def det_ring(matrix, one):
+    """Oracle: division-free determinant over any commutative ring.
+
+    Laplace expansion with memoization over column subsets: O(2^n * n) ring
+    operations, so only suitable for small matrices.  `one` is the ring unit
+    used for the empty determinant.
+    """
+    n = _check_square(matrix)
+    if n == 0:
+        return one
+    if n > 16:
+        raise TooLargeError(f"division-free determinant limited to 16x16, got {n}")
+    # expand along the top row of the remaining block, top-down:
+    # det(rows r.., S) = sum_t (-1)^t a[r][j_t] det(rows r+1.., S - j_t)
+    full = (1 << n) - 1
+    dp = {full: one}
+    for r in range(n):
+        row = matrix[r]
+        nxt: dict[int, object] = {}
+        for mask, val in dp.items():
+            pos = 0
+            for j in range(n):
+                bit = 1 << j
+                if not (mask & bit):
+                    continue
+                entry = row[j]
+                term = val * entry
+                if pos & 1:
+                    term = -term
+                sub = mask ^ bit
+                if sub in nxt:
+                    nxt[sub] = nxt[sub] + term
+                else:
+                    nxt[sub] = term
+                pos += 1
+        dp = nxt
+    return dp[0]
+
+
+def interpolate_rational(points) -> list[Fraction]:
+    """Oracle: coefficients (low first) of the unique polynomial through the points.
+
+    Newton divided differences over exact rationals; the points must have
+    pairwise distinct abscissae.
+    """
+    xs = [p[0] for p in points]
+    ys = [Fraction(p[1]) for p in points]
+    n = len(points)
+    coef = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    # expand Newton form to monomial coefficients
+    out = [Fraction(0)] * n
+    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    deg = 0
+    for k in range(n):
+        c = coef[k]
+        if c:
+            for i in range(deg + 1):
+                out[i] += c * basis[i]
+        if k < n - 1:
+            # basis *= (x - xs[k])
+            nxt = [Fraction(0)] * n
+            for i in range(deg + 1):
+                nxt[i + 1] += basis[i]
+                nxt[i] -= xs[k] * basis[i]
+            basis = nxt
+            deg += 1
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def theta_graph() -> SerreGraph:

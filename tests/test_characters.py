@@ -256,8 +256,8 @@ def test_charpoly_mod_against_polynomial_determinant():
     import random as _random
 
     from galois_span.characters import _charpoly_mod
-    from galois_span.linalg import det_ring
     from galois_span.polynomials import IntPoly
+    from helpers import det_ring
 
     rng = _random.Random(17)
     p = 97

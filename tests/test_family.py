@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from galois_span.errors import LengthMismatchError
+from galois_span.errors import InterpolationMismatchError, LengthMismatchError
 from galois_span.family import (
     FamilySpec,
     build_matrix_M,
@@ -110,6 +110,22 @@ def test_kappa_degree_rejects_bad_a():
         kappa_degree_in_t(spec, (0,))
     with pytest.raises(ValueError):
         kappa_degree_in_t(spec, (3,))
+
+
+def test_kappa_degree_rejects_a_wrong_degree_or_sign(monkeypatch):
+    import galois_span.family as family
+
+    spec = FamilySpec(primes=(2,), s=(2,), b=(1,))  # a = (2,): the formula says degree 2
+    wrong = {
+        "has degree 1,": lambda modulus, voltage, t: 5 + t,
+        "has degree 3,": lambda modulus, voltage, t: t**3,
+        "has degree -1,": lambda modulus, voltage, t: 0,
+        "positive leading coefficient": lambda modulus, voltage, t: 7 + t - t * t,
+    }
+    for message, kappa in wrong.items():
+        monkeypatch.setattr(family, "_bouquet_family_kappa", kappa)
+        with pytest.raises(InterpolationMismatchError, match=message):
+            kappa_degree_in_t(spec, (2,))
 
 
 def test_interpolated_polynomial_values_are_positive_integers():

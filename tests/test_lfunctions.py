@@ -11,6 +11,8 @@ from galois_span.groups import (
     parse_group_spec,
     symmetric_group,
 )
+from galois_span.cli import main
+from galois_span.cyclotomic import CyclotomicInt, CycloPoly
 from galois_span.lfunctions import (
     abelian_reps,
     bouquet_h_formula,
@@ -18,6 +20,7 @@ from galois_span.lfunctions import (
     h_at_one,
     h_poly,
     regular_rep,
+    rep_from_abelian_character,
     rep_from_json_dict,
     trivial_rep,
     twisted_matrices,
@@ -25,7 +28,7 @@ from galois_span.lfunctions import (
     verify_inter_rel,
     verify_prop_formula,
 )
-from helpers import dense_zeta_numerator_at, theta_graph
+from helpers import dense_zeta_numerator_at, det_ring, theta_graph
 
 
 def simple_cover(group_spec="C4", loops=2, volt=(1, 2)):
@@ -243,3 +246,112 @@ def test_rep_validation_rejects_non_homomorphism():
     }
     with pytest.raises(ValueError):
         rep_from_json_dict(bad)
+
+
+def test_rep_validation_is_exact_above_order_64():
+    # C2xC48, element 48a + b = (a, b); chi(a, b) = zeta_48^(24a + b)
+    g = parse_group_spec("C2xC48")
+    assert g.order == 96
+    exps = [(24 * (x // 48) + x % 48) % 48 for x in range(g.order)]
+    assert rep_from_abelian_character(g, exps, 48).degree == 1
+    gens = g.generators()
+    others = [x for x in range(g.order) if x not in gens and x != g.identity]
+    for x in (gens[0], gens[-1], others[0], others[-1]):
+        bad = list(exps)
+        bad[x] = (bad[x] + 1) % 48
+        with pytest.raises(ValueError):
+            rep_from_abelian_character(g, bad, 48)
+    # zeta^(b + 5a) respects right multiplication by (0,1) but not by (1,0),
+    # whose value zeta^5 does not square to 1: only the second generator sees it
+    assert gens == [1, 48]
+    with pytest.raises(ValueError, match=r"rho\(\d+\)rho\(48\)"):
+        rep_from_abelian_character(g, [(x % 48 + 5 * (x // 48)) % 48 for x in range(96)], 48)
+
+
+def _det_ring_h_poly(cover, rho):
+    """Oracle: det(I - A_rho u + (D_rho - I) u^2) by Laplace expansion over Z[zeta_e][u]."""
+    a, d_diag = twisted_matrices(cover, rho)
+    e, m = rho.e, len(a)
+    one = CycloPoly.const(CyclotomicInt.one(e))
+    u = CycloPoly(e, (CyclotomicInt.zero(e), CyclotomicInt.one(e)))
+    mat = [
+        [
+            (one + (d_diag[i] - 1) * u * u if i == j else CycloPoly(e)) - CycloPoly.const(a[i][j]) * u
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+    return det_ring(mat, one)
+
+
+def _det_ring_h_at_one(cover, rho):
+    """Oracle: det(D_rho - A_rho) by Laplace expansion over Z[zeta_e]."""
+    a, d_diag = twisted_matrices(cover, rho)
+    m = len(a)
+    mat = [[(d_diag[i] if i == j else 0) - a[i][j] for j in range(m)] for i in range(m)]
+    return det_ring(mat, CyclotomicInt.one(rho.e))
+
+
+@pytest.mark.parametrize("spec", ["C3", "C4", "C5", "C7", "C8", "C12", "C3xC4", "C2xC4"])
+def test_cyclotomic_route_matches_laplace_oracle(spec):
+    g = parse_group_spec(spec)
+    covers = [
+        derived_graph(random_connected_voltage(base, g, seed))
+        for base, seed in ((bouquet(2), 3), (complete_graph(4), 5), (cycle_graph(3), 7))
+        if base.euler_characteristic() != 0 or g.is_cyclic()
+    ]
+    conductors = set()
+    for cover in covers:
+        for rho in abelian_reps(g):
+            h = h_poly(cover, rho)
+            assert h == _det_ring_h_poly(cover, rho)
+            assert h_at_one(cover, rho) == _det_ring_h_at_one(cover, rho) == h(1)
+            conductors.add(rho.e)
+    assert conductors == {g.exponent()}
+
+
+def _c3_sum_of_three(cover):
+    reps = abelian_reps(cover.group)
+    return reps, direct_sum(direct_sum(reps[1], reps[2]), reps[1])
+
+
+def test_eighteen_by_eighteen_cyclotomic_h_is_product_of_summands():
+    g = cyclic_group(3)
+    cover = derived_graph(random_connected_voltage(complete_graph(6), g, 2))
+    reps, rho = _c3_sum_of_three(cover)
+    assert len(twisted_matrices(cover, rho)[0]) == 18
+    h1, h2 = h_poly(cover, reps[1]), h_poly(cover, reps[2])
+    h = h_poly(cover, rho)
+    assert h == h1 * h2 * h1
+    assert h.degree == 2 * 18
+    assert h_at_one(cover, rho) == h1(1) * h2(1) * h1(1) == h(1)
+
+
+def test_lfun_h_accepts_an_eighteen_by_eighteen_rep_file(tmp_path, capsys):
+    import json
+
+    g = cyclic_group(3)
+    alpha = random_connected_voltage(complete_graph(6), g, 2)
+    cover = derived_graph(alpha)
+    _, rho = _c3_sum_of_three(cover)
+    path = tmp_path / "rep.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": "C3",
+                "degree": rho.degree,
+                "e": rho.e,
+                "matrices": {
+                    str(x): [[list(entry.coeffs) + [0] for entry in row] for row in m]
+                    for x, m in enumerate(rho.matrices)
+                },
+            }
+        )
+    )
+    voltage = ";".join(map(str, alpha.volt))
+    argv = ["lfun", "h", "--base", "complete:6", "--group", "C3", "--voltage", voltage]
+    assert main([*argv, "--rep", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    h = h_poly(cover, rho)
+    assert out["degree"] == h.degree == 36
+    assert out["coefficients"] == [list(map(str, c.coeffs)) for c in h.coeffs]

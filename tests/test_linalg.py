@@ -11,12 +11,13 @@ from galois_span.linalg import (
     det_int,
     det_int_poly_matrix,
     det_int_sparse_spd,
-    det_ring,
     kronecker,
     mat_mul,
     rank_fraction,
 )
 from galois_span.polynomials import IntPoly
+
+from helpers import det_ring
 
 
 def test_det_int_small():

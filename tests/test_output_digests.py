@@ -1,5 +1,5 @@
-"""Byte-identical CLI output for `cover build`, `cover intermediates`, `cover dot`
-and `lfun h`.
+"""Byte-identical CLI output for `cover build`, `cover intermediates`, `cover dot`,
+`lfun h`, `graph zeta`, the three `lfun verify-*` commands and `family degree`.
 
 Each case's digest is the sha256 over the stdout of every command run on it,
 in order, each followed by a newline.  The digests in `output_digests.json`
@@ -8,6 +8,12 @@ from one coset-quotient builder and before both integer zeta numerators came
 from `graphs.zeta_numerator`; they pin vertex names, edge order and every
 coefficient.  `cover dot --subgroup 1` prints the quotient by the cyclic
 subgroup generated by element 1 (its DOT text goes to stderr).
+
+The `zeta-verify:` digests cover `graph zeta` on the base and `lfun
+verify-factor`, `verify-prop` and `verify-inter --subgroup 1` on every abelian
+case whose base has chi != 0; `family-degree-readme` is the README's `family
+degree` example.  They were recorded before every zeta numerator, twisted or
+not, went through integer evaluation-interpolation.
 """
 
 import contextlib
@@ -45,6 +51,16 @@ CASES = {
     "seeded-C2x4-bouquet4": ("bouquet:4", "C2xC2xC2xC2", 17, "chars"),
 }
 
+# abelian cases whose base has nonzero Euler characteristic
+VERIFY_CASES = (
+    "readme-C2xC6",
+    "readme-C2xC2",
+    "fixture-fig2",
+    "seeded-C2xC6-complete4",
+    "seeded-C2x4-bouquet4",
+)
+FAMILY_DEGREE_README = ["family", "degree", "--p", "2,3", "--s", "1,1", "--b", "0,1"]
+
 DIGESTS = json.loads((Path(__file__).parent / "output_digests.json").read_text())
 
 
@@ -65,12 +81,17 @@ def _regular_rep_file(spec: str, path: Path) -> str:
     return str(path)
 
 
-def case_commands(name: str, tmp_path: Path) -> list[list[str]]:
-    base, spec, voltage, lfun = CASES[name]
+def _cover_args(name: str) -> list[str]:
+    base, spec, voltage, _ = CASES[name]
     if isinstance(voltage, int):
         alpha = random_connected_voltage(_load_base(base), parse_group_spec(spec), voltage)
         voltage = ";".join(map(str, alpha.volt))
-    args = ["--base", _fixture(base), "--group", spec, "--voltage", _fixture(voltage)]
+    return ["--base", _fixture(base), "--group", spec, "--voltage", _fixture(voltage)]
+
+
+def case_commands(name: str, tmp_path: Path) -> list[list[str]]:
+    _, spec, _, lfun = CASES[name]
+    args = _cover_args(name)
     commands = [
         ["cover", "build", *args],
         ["cover", "intermediates", *args],
@@ -86,9 +107,19 @@ def case_commands(name: str, tmp_path: Path) -> list[list[str]]:
     return commands
 
 
-def case_digest(name: str, tmp_path: Path) -> str:
+def verify_commands(name: str) -> list[list[str]]:
+    args = _cover_args(name)
+    return [
+        ["graph", "zeta", "--base", _fixture(CASES[name][0])],
+        ["lfun", "verify-factor", *args],
+        ["lfun", "verify-prop", *args],
+        ["lfun", "verify-inter", *args, "--subgroup", "1"],
+    ]
+
+
+def commands_digest(commands: list[list[str]]) -> str:
     digest = hashlib.sha256()
-    for argv in case_commands(name, tmp_path):
+    for argv in commands:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0, argv
@@ -97,9 +128,19 @@ def case_digest(name: str, tmp_path: Path) -> str:
 
 
 def test_every_case_has_a_digest():
-    assert sorted(CASES) == sorted(DIGESTS)
+    names = [*CASES, *(f"zeta-verify:{n}" for n in VERIFY_CASES), "family-degree-readme"]
+    assert sorted(names) == sorted(DIGESTS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cover_and_lfun_output_is_byte_identical_to_recorded_digest(name, tmp_path):
-    assert case_digest(name, tmp_path) == DIGESTS[name]
+    assert commands_digest(case_commands(name, tmp_path)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", VERIFY_CASES)
+def test_zeta_and_lfun_verify_output_is_byte_identical_to_recorded_digest(name):
+    assert commands_digest(verify_commands(name)) == DIGESTS[f"zeta-verify:{name}"]
+
+
+def test_family_degree_output_is_byte_identical_to_recorded_digest():
+    assert commands_digest([FAMILY_DEGREE_README]) == DIGESTS["family-degree-readme"]

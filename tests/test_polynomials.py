@@ -3,12 +3,15 @@ import random
 import pytest
 from fractions import Fraction
 
+from galois_span.errors import InvariantError
 from galois_span.polynomials import (
     IntPoly,
+    forward_differences,
     interpolate_int_poly,
-    interpolate_rational,
     poly_divmod_exact,
 )
+
+from helpers import interpolate_rational
 
 
 def test_basic_arithmetic():
@@ -42,8 +45,8 @@ def test_interpolation_roundtrip():
     for _ in range(40):
         coeffs = [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 6))]
         p = IntPoly(coeffs)
-        pts = [(x, p(x)) for x in range(-3, max(4, p.degree + 2))]
-        assert interpolate_int_poly(pts) == p
+        values = [p(x) for x in range(-3, max(4, p.degree + 2))]
+        assert interpolate_int_poly(-3, values) == p
 
 
 def test_interpolation_rational_values():
@@ -58,3 +61,32 @@ def test_interpolation_rational_values():
 
     for x, y in pts:
         assert ev(x) == y
+
+
+def test_integer_interpolation_matches_rational_oracle():
+    rng = random.Random(23)
+    cases = [(IntPoly(), x0) for x0 in (-7, 0, 7)]
+    for degree in range(13):
+        for _ in range(4):
+            coeffs = [rng.randrange(-30, 31) for _ in range(degree)] + [rng.choice((-5, -1, 1, 7))]
+            cases.append((IntPoly(coeffs), rng.randrange(-7, 8)))
+    for p, x0 in cases:
+        for extra in (0, 2):
+            xs = range(x0, x0 + max(p.degree, 0) + 1 + extra)
+            got = interpolate_int_poly(x0, [p(x) for x in xs])
+            assert got == p
+            assert list(got.coeffs) == interpolate_rational([(x, p(x)) for x in xs])
+
+
+def test_forward_differences_of_a_cubic():
+    # f(x) = x^3 at 0..4: delta^3 f = 3! and delta^4 f = 0
+    assert forward_differences([0, 1, 8, 27, 64]) == [0, 1, 6, 6, 0]
+    assert forward_differences([]) == []
+
+
+def test_integer_interpolation_rejects_non_integer_coefficients():
+    # t(t-1)/2 is integer-valued, but its coefficients are not integers
+    with pytest.raises(InvariantError):
+        interpolate_int_poly(0, [t * (t - 1) // 2 for t in range(5)])
+    with pytest.raises(InvariantError):
+        interpolate_int_poly(-3, [t * (t - 1) // 2 for t in range(-3, 1)])
