@@ -29,7 +29,7 @@ from .characters import (
     one_dim_characters,
     verify_eq3,
 )
-from .cyclotomic import CyclotomicInt, CycloPoly, cyclotomic_polynomial
+from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
 from .family import (
     FamilySpec,
     build_matrix_M,

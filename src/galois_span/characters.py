@@ -176,11 +176,6 @@ def _hessenberg_charpoly_mod(h: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial mod p via Hessenberg reduction (monic, low first)."""
-    return _hessenberg_charpoly_mod(_hessenberg_mod(matrix, p)[0], p)
-
-
 def _hessenberg_nullspace_mod(h: list[list[int]], lam: int, p: int) -> list[list[int]]:
     """Basis of the right null space of H - lam*I for upper Hessenberg H mod p.
 
@@ -295,9 +290,6 @@ class CharacterTable:
             for x in cls:
                 class_of[x] = i
         self.class_of = class_of
-        self.inv_class = tuple(
-            class_of[group.inv(cls[0])] for cls in classes
-        )
 
     @property
     def class_count(self) -> int:
@@ -314,9 +306,6 @@ class CharacterTable:
         if not kernel.is_normal():
             raise InvariantError("character kernel is not normal: table is corrupt")
         return kernel
-
-    def kernels(self) -> list[Subgroup]:
-        return [self.kernel_of(chi) for chi in self.characters]
 
     def to_json_dict(self) -> dict:
         return {

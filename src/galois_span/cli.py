@@ -21,7 +21,7 @@ from .covers import (
     intermediate_graph,
     load_voltage,
 )
-from .errors import GaloisSpanError
+from .errors import GaloisSpanError, json_int
 from .family import (
     FamilySpec,
     degree_formula,
@@ -259,7 +259,7 @@ def _cmd_lfun(args) -> int:
             {
                 "degree": poly.degree,
                 "coefficients": [list(map(str, c.coeffs)) for c in poly.coeffs],
-                "conductor": poly.e,
+                "conductor": rho.e,
             },
             args,
         )
@@ -293,7 +293,9 @@ def _cmd_verify(args) -> int:
                 cover.group.element_by_label(str(x)) if not isinstance(x, int) else x
                 for x in item["elements"]
             ]
-            coeffs[Subgroup(cover.group, tuple(elems))] = int(item["coefficient"])
+            coeffs[Subgroup(cover.group, tuple(elems))] = json_int(
+                item["coefficient"], "relation coefficient"
+            )
         report = verify_custom_relation(cover, coeffs)
     _emit(report.to_json_dict(), args)
     return 0 if report.passed else 1
@@ -363,8 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p):
+    def add_out(p):
         p.add_argument("--out", help="write JSON output to this file")
+
+    def add_dot(p):
         p.add_argument("--dot", help="write DOT output to this file")
 
     def add_cover_args(p):
@@ -379,27 +383,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="base-graph invariants")
     p.add_argument("action", choices=["kappa", "zeta", "dot"])
     p.add_argument("--base", required=True)
-    add_io(p)
+    add_out(p)
+    add_dot(p)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("group", help="group information")
     p.add_argument("action", choices=["info", "table1", "subgroups"])
     p.add_argument("spec", nargs="?", help="GroupSpec; table1 defaults to every fixture row")
-    add_io(p)
+    add_out(p)
     p.set_defaults(func=_cmd_group)
 
     p = sub.add_parser("poset", help="subgroup posets and Moebius tables")
     p.add_argument("action", choices=["hasse", "mobius"])
     p.add_argument("--group", required=True)
     p.add_argument("--poset", choices=["kernel", "cyclic"], default="cyclic")
-    add_io(p)
+    add_out(p)
+    add_dot(p)
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("cover", help="derived graphs and intermediate quotients")
     p.add_argument("action", choices=["build", "kappa", "intermediates", "dot"])
     add_cover_args(p)
     p.add_argument("--subgroup", help="comma-separated generators for `dot`")
-    add_io(p)
+    add_out(p)
+    add_dot(p)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("lfun", help="twisted zeta numerators")
@@ -408,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, default=0, help="abelian character index for `h`")
     p.add_argument("--rep", help="matrix representation JSON file for `h`")
     p.add_argument("--subgroup", help="comma-separated generators for `verify-inter`")
-    add_io(p)
+    add_out(p)
     p.set_defaults(func=_cmd_lfun)
 
     p = sub.add_parser("verify", help="spanning-tree formula verifiers")
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_cover_args(p)
     p.add_argument("--relation", help="JSON file of {elements, coefficient} records")
-    add_io(p)
+    add_out(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("family", help="cyclic bouquet families and the matrix lemma")
@@ -427,14 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", help="comma-separated exponents")
     p.add_argument("--b", help="comma-separated family parameter")
     p.add_argument("--n", type=int, help="cyclic group order for `nonexistence`")
-    add_io(p)
+    add_out(p)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("selftest", help="seeded random verification suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--groups", help="comma-separated GroupSpecs")
-    add_io(p)
+    add_out(p)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

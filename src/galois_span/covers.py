@@ -24,6 +24,7 @@ from .errors import (
     MismatchedGroupError,
     NoConnectedAssignmentFoundError,
     NotGaloisError,
+    json_int,
 )
 from .graphs import SerreGraph
 from .groups import (
@@ -240,9 +241,10 @@ def conjugate_kappa_check(c: Cover) -> VerificationReport:
     )
 
 
-def random_connected_voltage(
-    base: SerreGraph, g: FiniteGroup, seed: int, max_attempts: int = 200
-) -> VoltageAssignment:
+VOLTAGE_ATTEMPTS = 200
+
+
+def random_connected_voltage(base: SerreGraph, g: FiniteGroup, seed: int) -> VoltageAssignment:
     """Seeded uniform voltages, resampled until the derived graph is connected."""
     if not base.is_connected():
         raise NoConnectedAssignmentFoundError("base graph is disconnected")
@@ -252,13 +254,13 @@ def random_connected_voltage(
         )
     rng = random.Random(seed)
     m = base.geometric_edge_count
-    for _ in range(max_attempts):
+    for _ in range(VOLTAGE_ATTEMPTS):
         volt = tuple(rng.randrange(g.order) for _ in range(m))
         alpha = VoltageAssignment(base=base, group=g, volt=volt)
         if derived_graph(alpha).derived.is_connected():
             return alpha
     raise NoConnectedAssignmentFoundError(
-        f"no connected assignment found in {max_attempts} attempts"
+        f"no connected assignment found in {VOLTAGE_ATTEMPTS} attempts"
     )
 
 
@@ -274,7 +276,7 @@ def voltage_from_json_dict(base: SerreGraph, data: dict) -> VoltageAssignment:
     g = parse_group_spec(data["group"])
     volt = [g.identity] * base.geometric_edge_count
     for item in data["assignments"]:
-        k = int(item["edge"])
+        k = json_int(item["edge"], "voltage edge")
         if not 0 <= k < base.geometric_edge_count:
             raise ValueError(f"edge index {k} out of range")
         element = item["element"]

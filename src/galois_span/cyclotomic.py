@@ -5,6 +5,9 @@ equality, rational-integer recognition and conjugation are all decided
 canonically with integer arithmetic only.  Character values additionally
 carry an eigenvalue-multiplicity vector (length e, entries in [0, degree]);
 `CyclotomicInt.from_mult_vector` converts it into the reduced form.
+
+There is no polynomial type here: a polynomial over Z[zeta_e] is a
+`polynomials.IntPoly` whose coefficients are `CyclotomicInt`s.
 """
 
 from __future__ import annotations
@@ -219,111 +222,3 @@ def reverse_mult_vector(mult) -> tuple[int, ...]:
     """Multiplicity vector of the complex-conjugate value (index reversal)."""
     e = len(mult)
     return tuple(mult[(e - k) % e] for k in range(e))
-
-
-class CycloPoly:
-    """Polynomial in u with CyclotomicInt coefficients (low degree first)."""
-
-    __slots__ = ("e", "coeffs")
-
-    def __init__(self, e: int, coeffs=()):
-        self.e = e
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, value: CyclotomicInt) -> "CycloPoly":
-        return cls(value.e, (value,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _coerce(self, other) -> "CycloPoly":
-        if isinstance(other, CycloPoly):
-            if other.e != self.e:
-                raise ValueError("mixed conductors")
-            return other
-        if isinstance(other, CyclotomicInt):
-            return CycloPoly(self.e, (other,))
-        if isinstance(other, int):
-            return CycloPoly(self.e, (CyclotomicInt.from_int(self.e, other),))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        zero = CyclotomicInt.zero(self.e)
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [zero] * (n - len(o.coeffs))
-        return CycloPoly(self.e, tuple(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloPoly(self.e, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, CyclotomicInt)):
-            o = self._coerce(other)
-            if not o.coeffs:
-                return CycloPoly(self.e)
-            scalar = o.coeffs[0]
-            return CycloPoly(self.e, tuple(c * scalar for c in self.coeffs))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return CycloPoly(self.e)
-        zero = CyclotomicInt.zero(self.e)
-        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return CycloPoly(self.e, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycloPoly)
-            and self.e == other.e
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.e, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __call__(self, x) -> CyclotomicInt:
-        acc = CyclotomicInt.zero(self.e)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def coefficient(self, k: int) -> CyclotomicInt:
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return CyclotomicInt.zero(self.e)
-
-    def to_int_poly(self) -> IntPoly:
-        """Reduce to an integer polynomial; raises if any coefficient is not rational."""
-        return IntPoly(tuple(c.as_int() for c in self.coeffs))
-
-    def __repr__(self):
-        return f"CycloPoly(e={self.e}, coeffs={list(self.coeffs)})"

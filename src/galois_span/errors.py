@@ -4,6 +4,7 @@ Every guard in the package raises one of these instead of a bare
 ValueError so callers (and the CLI) can react to specific failure modes.
 Bad input raises a `GaloisSpanError` (CLI exit code 2); a failed internal
 invariant of the exact arithmetic raises `InvariantError` (exit code 3).
+`json_int` is the one integer check of the JSON file readers.
 """
 
 
@@ -98,3 +99,13 @@ class NotSquareError(GaloisSpanError):
 
 class InterpolationMismatchError(GaloisSpanError):
     """Interpolated polynomial has an unexpected degree."""
+
+
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; a float, bool or string raises `GaloisSpanError`.
+
+    Input files are read exactly: 0.5 or 2.9 is refused, never truncated.
+    """
+    if type(value) is not int:
+        raise GaloisSpanError(f"{what} must be an integer, got {value!r}")
+    return value

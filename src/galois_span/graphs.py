@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DisconnectedGraphError, TooLargeError
+from .errors import DisconnectedGraphError, TooLargeError, json_int
 from .linalg import det_int_poly_matrix, det_int_sparse_spd
 from .polynomials import IntPoly
 from .report import VerificationReport
@@ -120,14 +120,6 @@ class SerreGraph:
         for e in range(self.edge_count):
             d[self.origin[e]] += 1
         return d
-
-    def laplacian(self) -> list[list[int]]:
-        a = self.adjacency_matrix()
-        d = self.degrees()
-        return [
-            [(d[i] if i == j else 0) - a[i][j] for j in range(self.vertex_count)]
-            for i in range(self.vertex_count)
-        ]
 
     def spanning_tree_count(self) -> int:
         """Complexity kappa: any cofactor of the Laplacian, computed exactly."""
@@ -273,8 +265,8 @@ def graph_to_json_dict(g: SerreGraph) -> dict:
 
 def graph_from_json_dict(data: dict) -> SerreGraph:
     return build_graph(
-        int(data["vertices"]),
-        [(int(u), int(v)) for u, v in data["edges"]],
+        json_int(data["vertices"], "graph vertices"),
+        [tuple(json_int(v, "edge endpoint") for v in edge) for edge in data["edges"]],
         data.get("names"),
     )
 

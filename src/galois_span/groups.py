@@ -29,7 +29,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 128
-DEFAULT_CLOSURE_BOUND = 512
+CLOSURE_BOUND = 512
 
 
 def max_group_order() -> int:
@@ -144,18 +144,6 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        result = self.identity
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -281,9 +269,6 @@ class Subgroup:
         # a conjugate of a subgroup is a subgroup
         return Subgroup._trusted(self.parent, [self.parent.conj(g, a) for a in self.elements])
 
-    def key(self) -> tuple[int, ...]:
-        return self.elements
-
     def class_key(self) -> tuple[int, ...]:
         """Least sorted element tuple among the conjugates: equal exactly on a class."""
         g = self.parent
@@ -339,7 +324,7 @@ def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
     return out
 
 
-def all_subgroups(g: FiniteGroup, max_order: int | None = None) -> list[Subgroup]:
+def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Complete subgroup list by cyclic extension (Neubüser 1960).
 
     The cyclic subgroups form the first layer.  Each later layer joins every
@@ -347,7 +332,7 @@ def all_subgroups(g: FiniteGroup, max_order: int | None = None) -> list[Subgroup
     contain.  Every subgroup is the join of its cyclic subgroups, so adding
     them one at a time reaches it.  Element sets are deduplicated as bitmasks.
     """
-    bound = max_order if max_order is not None else max_group_order()
+    bound = max_group_order()
     if g.order > bound:
         raise OrderTooLargeError(f"order {g.order} exceeds bound {bound}")
     cyclics = []  # (bitmask, generator)
@@ -562,9 +547,8 @@ def alternating_group(n: int) -> FiniteGroup:
     return _group_from_perms(perms, name=f"A{n}")
 
 
-def from_permutations(generators, bound: int | None = None, name: str = "perm") -> FiniteGroup:
+def from_permutations(generators, name: str = "perm") -> FiniteGroup:
     """Group generated by permutations (tuples in one-line notation)."""
-    limit = bound if bound is not None else DEFAULT_CLOSURE_BOUND
     gens = [tuple(p) for p in generators]
     if not gens:
         raise ValueError("need at least one generator")
@@ -579,8 +563,8 @@ def from_permutations(generators, bound: int | None = None, name: str = "perm") 
         for s in gens:
             y = _perm_mul(x, s)
             if y not in elems:
-                if len(elems) >= limit:
-                    raise ClosureTooLargeError(f"closure exceeds bound {limit}")
+                if len(elems) >= CLOSURE_BOUND:
+                    raise ClosureTooLargeError(f"closure exceeds bound {CLOSURE_BOUND}")
                 elems.add(y)
                 frontier.append(y)
     return _group_from_perms(list(elems), name=name)

@@ -12,7 +12,10 @@ entry of Z[zeta_e] is lifted to the integer polynomial in x of its reduced
 coordinates; h(u, rho) is `graphs.zeta_numerator`, the same builder and
 evaluation-interpolation determinant as a graph's own h(u), at consecutive
 integers x, interpolated in x and evaluated at zeta_e.  A matrix with
-rational entries takes one sample, which is exactly a graph's h(u).
+rational entries takes one sample, which is exactly a graph's h(u).  The
+result is an `IntPoly` in u whose coefficients are cyclotomic integers, the
+same polynomial class as a graph's h(u).  A representation is checked to be
+a homomorphism with `linalg.mat_mul`, the one matrix product.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import zip_longest
 
 from .characters import character_table, induced_trivial_character, inner_product
 from .covers import Cover, intermediate_kappa
-from .cyclotomic import CyclotomicInt, CycloPoly
+from .cyclotomic import CyclotomicInt
 from .errors import (
     EulerZeroError,
     InvariantError,
@@ -31,10 +34,11 @@ from .errors import (
     NotAbelianError,
     NotBouquetError,
     NotGaloisError,
+    json_int,
 )
 from .graphs import zeta_numerator
 from .groups import FiniteGroup, Subgroup, parse_group_spec
-from .linalg import det_int_poly_matrix, sample_points
+from .linalg import det_int_poly_matrix, mat_mul, sample_points
 from .polynomials import IntPoly, interpolate_int_poly
 from .report import VerificationReport
 
@@ -66,23 +70,9 @@ class MatrixRep:
         # every a are closed under products, so a generating set suffices
         for b in g.generators():
             for a in range(g.order):
-                product = _mat_mul_cyclo(self.matrices[a], self.matrices[b])
-                if product != self.matrices[g.mul(a, b)]:
+                product = mat_mul(self.matrices[a], self.matrices[b])
+                if product != [list(row) for row in self.matrices[g.mul(a, b)]]:
                     raise ValueError(f"rho({a})rho({b}) != rho({a}*{b})")
-
-    def matrix(self, element: int):
-        return self.matrices[element]
-
-
-def _mat_mul_cyclo(a, b):
-    d = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(1, d)), start=a[i][0] * b[0][j])
-            for j in range(d)
-        )
-        for i in range(d)
-    )
 
 
 def trivial_rep(g: FiniteGroup, e: int | None = None) -> MatrixRep:
@@ -120,33 +110,19 @@ def abelian_reps(g: FiniteGroup) -> list[MatrixRep]:
     return [rep_from_abelian_character(g, exps, e) for exps in one_dim_characters(g)]
 
 
-def direct_sum(rho: MatrixRep, tau: MatrixRep) -> MatrixRep:
-    """Block-diagonal sum of two representations of the same group."""
-    if rho.group is not tau.group:
-        raise MismatchedGroupError("representations of different groups")
-    if rho.e != tau.e:
-        raise ValueError("representations over different root orders")
-    zero = CyclotomicInt.zero(rho.e)
-    d1, d2 = rho.degree, tau.degree
-    mats = []
-    for x in range(rho.group.order):
-        a, b = rho.matrices[x], tau.matrices[x]
-        top = [tuple(a[i]) + (zero,) * d2 for i in range(d1)]
-        bottom = [(zero,) * d1 + tuple(b[i]) for i in range(d2)]
-        mats.append(tuple(top + bottom))
-    return MatrixRep(group=rho.group, degree=d1 + d2, e=rho.e, matrices=tuple(mats))
-
-
 def rep_from_json_dict(data: dict) -> MatrixRep:
     """Matrix-rep file: entries are length-e integer vectors (coefficients of zeta^k)."""
     g = parse_group_spec(data["group"])
-    d = int(data["degree"])
-    e = int(data["e"])
+    d = json_int(data["degree"], "rep degree")
+    e = json_int(data["e"], "rep e")
     mats: list = [None] * g.order
     for label, rows in data["matrices"].items():
         x = g.element_by_label(label) if not label.isdigit() else int(label)
         mats[x] = tuple(
-            tuple(CyclotomicInt.from_mult_vector(e, entry) for entry in row)
+            tuple(
+                CyclotomicInt.from_mult_vector(e, [json_int(c, "rep entry") for c in entry])
+                for entry in row
+            )
             for row in rows
         )
     if any(m is None for m in mats):
@@ -200,7 +176,7 @@ def _at_root(e: int, poly: IntPoly) -> CyclotomicInt:
     return CyclotomicInt.from_mult_vector(e, poly.coeffs)
 
 
-def h_poly(c: Cover, rho: MatrixRep) -> CycloPoly:
+def h_poly(c: Cover, rho: MatrixRep) -> IntPoly:
     """Exact determinant det(I - A_rho u + (D_rho - I) u^2).
 
     A_rho is lifted to a matrix A(x) over Z[x] with A(zeta_e) = A_rho.  The
@@ -208,13 +184,14 @@ def h_poly(c: Cover, rho: MatrixRep) -> CycloPoly:
     `zeta_numerator(A(x), D)` at the `sample_points` of A(x), every
     u-coefficient interpolated in x and then evaluated at zeta_e.  A
     rational A_rho has degree 0 in x and takes the single sample x = 0.
+    The coefficients are `CyclotomicInt`s of conductor rho.e.
     """
     a, d_diag = twisted_matrices(c, rho)
     lifted = _lift(a)
     xs = sample_points(lifted)
     samples = [zeta_numerator([[p(x) for p in row] for row in lifted], d_diag).coeffs for x in xs]
     by_power = zip_longest(*samples, fillvalue=0)
-    return CycloPoly(rho.e, [_at_root(rho.e, interpolate_int_poly(xs.start, v)) for v in by_power])
+    return IntPoly([_at_root(rho.e, interpolate_int_poly(xs.start, v)) for v in by_power])
 
 
 def h_at_one(c: Cover, rho: MatrixRep) -> CyclotomicInt:
@@ -254,25 +231,17 @@ def _abelian_rep_list(g: FiniteGroup) -> list[MatrixRep]:
 
 def verify_factorization(c: Cover) -> VerificationReport:
     """prod_chi h(u, chi) = h_Y(u) as exact integer polynomials (abelian G)."""
-    reps = _abelian_rep_list(c.group)
-    e = reps[0].e
-    product = CycloPoly.const(CyclotomicInt.one(e))
-    for rho in reps:
+    product = IntPoly.const(1)
+    for rho in _abelian_rep_list(c.group):
         product = product * h_poly(c, rho)
-    lhs = product.to_int_poly()
+    lhs = IntPoly([x.as_int() for x in product.coeffs])
     rhs = c.derived.ihara_h_poly()
-    slots = max(len(lhs.coeffs), len(rhs.coeffs))
-    matches = sum(
-        1
-        for k in range(slots)
-        if (lhs.coeffs[k] if k < len(lhs.coeffs) else 0)
-        == (rhs.coeffs[k] if k < len(rhs.coeffs) else 0)
-    )
+    pairs = list(zip_longest(lhs.coeffs, rhs.coeffs, fillvalue=0))
     return VerificationReport.compare(
         "prod_chi h(u,chi) = h_Y(u)",
         c.describe(),
-        slots,
-        matches,
+        len(pairs),
+        sum(a == b for a, b in pairs),
         details={
             "product_coeffs": [str(x) for x in lhs.coeffs],
             "derived_coeffs": [str(x) for x in rhs.coeffs],

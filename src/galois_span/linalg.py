@@ -5,16 +5,18 @@ Dense matrices are plain lists of lists.  General integer matrices go
 through dense Bareiss elimination (the only divisions are exact); sparse
 symmetric positive-definite integer matrices, such as reduced Laplacians,
 go through the same fraction-free elimination on sparse rows with a
-minimum-degree pivot order; rational matrices use ordinary Gaussian
-elimination over `fractions.Fraction`.  Matrices of integer polynomials go
-through integer determinants at consecutive integers and one integer
-interpolation; cyclotomic matrices reach them after a lift to Z[x]
-(`lfunctions`).
+minimum-degree pivot order.  Rational matrices are scaled to integer
+matrices row by row and take the same Bareiss elimination.  Matrices of
+integer polynomials go through integer determinants at consecutive
+integers and one integer interpolation; cyclotomic matrices reach them
+after a lift to Z[x] (`lfunctions`).  The matrix product serves ints,
+`Fraction`s and cyclotomic integers alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import InvariantError, NotSquareError
@@ -105,26 +107,22 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
 
 
 def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant over exact rationals (Gaussian elimination with pivoting)."""
-    n = _check_square(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            if m[i][k] == 0:
-                continue
-            f = m[i][k] / pivot
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return det
+    """Determinant over exact rationals.
+
+    Each row is scaled by the lcm of its denominators; the determinant of
+    the integer matrix, by `det_int`, is divided by the product of the
+    scales.
+    """
+    _check_square(matrix)
+    rows, total = [], 1
+    for row in matrix:
+        fracs = [Fraction(x) for x in row]
+        scale = 1
+        for x in fracs:
+            scale *= x.denominator // gcd(scale, x.denominator)
+        rows.append([x.numerator * (scale // x.denominator) for x in fracs])
+        total *= scale
+    return Fraction(det_int(rows), total)
 
 
 def rank_fraction(matrix: Sequence[Sequence]) -> int:
@@ -194,16 +192,21 @@ def delete_row_col(matrix: Sequence[Sequence], row: int, col: int) -> list[list]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    """Matrix product over any commutative ring of entries.
+
+    Row i of the product combines the rows of b at the nonzero entries of
+    row i of a, so a permutation factor costs one ring product per entry
+    of b.  An all-zero row of a is multiplied into row 0 of b, which keeps
+    the entries in the operands' ring.
+    """
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        terms = [(k, x) for k, x in enumerate(row) if x] or [(0, row[0])]
+        k, x = terms[0]
+        acc = [x * y for y in b[k]]
+        for k, x in terms[1:]:
+            acc = [s + x * y for s, y in zip(acc, b[k])]
+        out.append(acc)
     return out
 
 

@@ -1,7 +1,10 @@
-"""Dense univariate polynomials with exact integer coefficients.
+"""Dense univariate polynomials with exact coefficients.
 
-Coefficients are stored low degree first and normalized (no trailing
-zeros).  The zero polynomial has an empty coefficient tuple and degree -1.
+The coefficients are Python ints or cyclotomic integers
+(`cyclotomic.CyclotomicInt`): both rings share `+`, `*` and `==`, so one
+class serves h(u) in Z[u] and h(u, rho) in Z[zeta_e][u].  Coefficients are
+stored as given, low degree first and normalized (no trailing zeros).  The
+zero polynomial has an empty coefficient tuple and degree -1.
 Interpolation takes samples at consecutive integers and stays in the
 integers: forward differences, exact division by k!, Horner's rule in the
 falling-factorial basis.
@@ -22,15 +25,19 @@ def _trim(coeffs: Sequence) -> tuple:
 
 
 class IntPoly:
-    """Polynomial in one indeterminate over the integers."""
+    """Polynomial in one indeterminate over Z or Z[zeta_e].
+
+    Every operand that is not an `IntPoly` is a scalar of the coefficient
+    ring.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs = _trim(tuple(int(c) for c in coeffs))
+    def __init__(self, coeffs: Iterable = ()):
+        self.coeffs = _trim(tuple(coeffs))
 
     @classmethod
-    def const(cls, c: int) -> "IntPoly":
+    def const(cls, c) -> "IntPoly":
         return cls((c,))
 
     @classmethod
@@ -45,15 +52,15 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if not isinstance(other, IntPoly):
             other = IntPoly((other,))
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(("IntPoly", self.coeffs))
 
     def __add__(self, other) -> "IntPoly":
-        if isinstance(other, int):
+        if not isinstance(other, IntPoly):
             other = IntPoly((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -69,30 +76,28 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
         return self + (-other)
 
     def __rsub__(self, other) -> "IntPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
+        if not isinstance(other, IntPoly):
             return IntPoly(tuple(c * other for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
+        # no product is skipped: every slot then holds a value of the
+        # operands' ring, never a bare int 0 among cyclotomic integers
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
         return IntPoly(out)
 
     __rmul__ = __mul__
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -100,9 +105,6 @@ class IntPoly:
 
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"

@@ -20,7 +20,7 @@ from .numtheory import factorize
 class Poset:
     """Immutable finite poset over hashable keys."""
 
-    def __init__(self, keys, labels, leq_matrix, validate: bool = True):
+    def __init__(self, keys, labels, leq_matrix):
         self.keys = tuple(keys)
         self.labels = tuple(str(l) for l in labels)
         self.leq_matrix = tuple(tuple(bool(x) for x in row) for row in leq_matrix)
@@ -30,8 +30,7 @@ class Poset:
             raise ValueError("duplicate poset keys")
         if len(self.labels) != n or len(self.leq_matrix) != n:
             raise ValueError("poset field lengths disagree")
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = len(self.keys)
@@ -61,9 +60,6 @@ class Poset:
 
     def index(self, key) -> int:
         return self._index[key]
-
-    def leq(self, a, b) -> bool:
-        return self.leq_matrix[self._index[a]][self._index[b]]
 
     def leq_idx(self, i: int, j: int) -> bool:
         return self.leq_matrix[i][j]
@@ -166,11 +162,6 @@ def classical_mobius(n: int) -> int:
         raise ValueError("classical Moebius needs n >= 1")
     exponents = [k for _, k in factorize(n)]
     return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
-
-
-def divisor_poset(n: int) -> Poset:
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    return Poset.from_leq(divisors, [str(d) for d in divisors], lambda a, b: b % a == 0)
 
 
 def adjoin_bottom(p: Poset, label: str = "∅") -> Poset:

@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
-from galois_span.characters import _rref_mod
-from galois_span.errors import TooLargeError
+from galois_span.characters import _hessenberg_charpoly_mod, _hessenberg_mod, _rref_mod
+from galois_span.cyclotomic import CyclotomicInt
+from galois_span.errors import MismatchedGroupError, TooLargeError
 from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
+from galois_span.lfunctions import MatrixRep
 from galois_span.linalg import _check_square, det_int
 from galois_span.posets import Poset
 
@@ -36,6 +38,77 @@ def random_poset(rng: random.Random, max_elements=7) -> Poset:
                     if leq[k][j]:
                         leq[i][j] = True
     return Poset(list(range(n)), [str(i) for i in range(n)], leq)
+
+
+def laplacian(g: SerreGraph) -> list[list[int]]:
+    """Dense Laplacian D - A of a graph."""
+    a = g.adjacency_matrix()
+    d = g.degrees()
+    n = g.vertex_count
+    return [[(d[i] if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+
+
+def divisor_poset(n: int) -> Poset:
+    """Divisors of n ordered by divisibility."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return Poset.from_leq(divisors, [str(d) for d in divisors], lambda a, b: b % a == 0)
+
+
+def charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial mod p via Hessenberg reduction (monic, low first)."""
+    return _hessenberg_charpoly_mod(_hessenberg_mod(matrix, p)[0], p)
+
+
+def direct_sum(rho: MatrixRep, tau: MatrixRep) -> MatrixRep:
+    """Block-diagonal sum of two representations of the same group."""
+    if rho.group is not tau.group:
+        raise MismatchedGroupError("representations of different groups")
+    if rho.e != tau.e:
+        raise ValueError("representations over different root orders")
+    zero = CyclotomicInt.zero(rho.e)
+    d1, d2 = rho.degree, tau.degree
+    mats = []
+    for x in range(rho.group.order):
+        a, b = rho.matrices[x], tau.matrices[x]
+        top = [tuple(a[i]) + (zero,) * d2 for i in range(d1)]
+        bottom = [(zero,) * d1 + tuple(b[i]) for i in range(d2)]
+        mats.append(tuple(top + bottom))
+    return MatrixRep(group=rho.group, degree=d1 + d2, e=rho.e, matrices=tuple(mats))
+
+
+def mat_mul_dense(a, b) -> list[list]:
+    """Oracle: matrix product by the dense triple loop."""
+    inner, cols = len(b), len(b[0])
+    return [
+        [
+            sum((row[k] * b[k][j] for k in range(1, inner)), start=row[0] * b[0][j])
+            for j in range(cols)
+        ]
+        for row in a
+    ]
+
+
+def det_fraction_by_elimination(matrix) -> Fraction:
+    """Oracle: determinant over exact rationals by Gaussian elimination with pivoting."""
+    n = _check_square(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        pivot = m[k][k]
+        det *= pivot
+        for i in range(k + 1, n):
+            if m[i][k] == 0:
+                continue
+            f = m[i][k] / pivot
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return det
 
 
 def dumbbell_graph() -> SerreGraph:

@@ -255,16 +255,15 @@ def test_character_table_json_dump():
 def test_charpoly_mod_against_polynomial_determinant():
     import random as _random
 
-    from galois_span.characters import _charpoly_mod
     from galois_span.polynomials import IntPoly
-    from helpers import det_ring
+    from helpers import charpoly_mod, det_ring
 
     rng = _random.Random(17)
     p = 97
     for _ in range(25):
         n = rng.randrange(1, 6)
         a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        got = _charpoly_mod(a, p)
+        got = charpoly_mod(a, p)
         # oracle: det(xI - A) over Z[x], reduced mod p
         mat = [
             [

@@ -1,11 +1,13 @@
 import json
 import os
+import shlex
 
 import pytest
 
 from galois_span.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "galois_span", "fixtures")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def run(capsys, *argv):
@@ -314,3 +316,93 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: row orthogonality fails at ")
+
+
+# rho(1) = [[0, 1/2], [2, 0]]: the swap conjugated by diag(1, 2), a true
+# representation of C2 over Q but not over Z[zeta_2]
+HALF_REP = {
+    "group": "C2",
+    "degree": 2,
+    "e": 2,
+    "matrices": {
+        "0": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        "1": [[[0, 0], [0.5, 0]], [[2, 0], [0, 0]]],
+    },
+}
+COVER = ["--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"]
+# what the error names -> (file contents, command whose last option takes the file)
+NON_INTEGER_FILES = {
+    "graph vertices": ({"vertices": 2.9, "edges": [[0, 1], [1, 1]]}, ["graph", "kappa", "--base"]),
+    "edge endpoint": ({"vertices": 2, "edges": [[0, 1], [True, 1]]}, ["graph", "kappa", "--base"]),
+    "voltage edge": (
+        {"group": "C2", "assignments": [{"edge": 0.5, "element": 1}]},
+        ["cover", "kappa", "--base", "bouquet:2", "--voltage"],
+    ),
+    "relation coefficient": (
+        [{"elements": [0, 1], "coefficient": 1.5}, {"elements": [0], "coefficient": -1}],
+        ["verify", "relation", *COVER, "--relation"],
+    ),
+    "rep degree": ({**HALF_REP, "degree": 2.0}, ["lfun", "h", *COVER, "--rep"]),
+    "rep e": ({**HALF_REP, "e": "2"}, ["lfun", "h", *COVER, "--rep"]),
+    "rep entry": (
+        HALF_REP,
+        ["lfun", "h", "--base", "complete:3", "--group", "C2", "--voltage", "1;0;0", "--rep"],
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(NON_INTEGER_FILES))
+def test_json_readers_refuse_non_integer_numbers(capsys, tmp_path, what):
+    data, argv = NON_INTEGER_FILES[what]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {what} must be an integer, got ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["group", "info", "S3"],
+        ["lfun", "h", *COVER],
+        ["verify", "kuroda", *COVER],
+        ["family", "nonexistence", "--n", "4"],
+        ["selftest", "--iters", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dot_is_a_usage_error_where_no_dot_is_written(command, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--dot", str(tmp_path / "x.dot")])
+    assert exc.value.code == 2
+
+
+def readme_worked_examples() -> list[str]:
+    """Every `galois-span ...` line of the README's worked-examples shell block."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### Reproducing the worked examples", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("galois-span ")]
+
+
+def test_readme_worked_examples_run(capsys):
+    lines = readme_worked_examples()
+    assert len(lines) == 12
+    outputs = {}
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        code, outputs[line] = run(capsys, *argv)
+        assert code == 0, line
+
+    def output_of(*words):
+        [line] = [line for line in lines if set(words) <= set(shlex.split(line))]
+        return outputs[line]
+
+    assert output_of("kuroda", "C2xC6")["details"]["kappa_Y"] == "117600"
+    terms = output_of("brauer-kuroda", "S3")["details"]["terms"]
+    assert [t["kappa"] for t in terms if t["subgroup"] == "{e}"] == ["294"]
+    assert output_of("det-m")["details"]["det"] == "-1/4"

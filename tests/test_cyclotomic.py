@@ -1,9 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from galois_span.cyclotomic import (
-    CycloPoly,
     CyclotomicInt,
     cyclotomic_polynomial,
     reverse_mult_vector,
@@ -81,21 +81,37 @@ def test_equality_against_int():
     assert z == -1
 
 
-def test_cyclopoly_arithmetic():
+def _random_cyclotomic(rng, e):
+    return CyclotomicInt.from_mult_vector(e, [rng.randrange(-3, 4) for _ in range(e)])
+
+
+def test_intpoly_over_cyclotomic_integers_agrees_pointwise():
+    rng = random.Random(7)
+    for e in (3, 4, 8, 12):
+        for _ in range(15):
+            p, q = (
+                IntPoly([_random_cyclotomic(rng, e) for _ in range(rng.randrange(6))])
+                for _ in range(2)
+            )
+            z, c = _random_cyclotomic(rng, e), _random_cyclotomic(rng, e)
+            assert (p * q)(z) == p(z) * q(z)
+            assert (p + q)(z) == p(z) + q(z)
+            assert (p - q)(z) == p(z) - q(z)
+            assert (p - p).degree == -1
+            # a scalar operand is the constant polynomial, on either side
+            assert p + c == c + p == p + IntPoly.const(c)
+            assert p * c == c * p == p * IntPoly.const(c)
+            assert (p * c)(z) == p(z) * c
+
+
+def test_intpoly_with_rational_coefficients_equals_the_integer_polynomial():
     e = 4
     z = CyclotomicInt.root(e)
-    p = CycloPoly(e, (CyclotomicInt.one(e), z))  # 1 + z u
-    q = CycloPoly(e, (z,))
-    assert (p * q).coeffs == (z, z * z)
-    assert (p - p).degree == -1
-    assert p(1) == 1 + z
-    ip = p * CycloPoly(e, (CyclotomicInt.one(e), z.conjugate()))
+    one = CyclotomicInt.one(e)
     # (1 + z u)(1 + z^-1 u) = 1 + (z + z^-1) u + u^2 = 1 + 0u + u^2 over e=4
-    assert ip.to_int_poly() == IntPoly([1, 0, 1])
-
-
-def test_cyclopoly_to_int_poly_rejects_irrational():
-    e = 4
-    p = CycloPoly(e, (CyclotomicInt.root(e),))
-    with pytest.raises(ArithmeticError):
-        p.to_int_poly()
+    p = IntPoly((one, z)) * IntPoly((one, z.conjugate()))
+    assert p == IntPoly([1, 0, 1])
+    assert p.degree == 2
+    assert IntPoly([one, z]) != IntPoly([1, 1])
+    assert IntPoly([Fraction(4, 2), Fraction(0), Fraction(3, 1)]) == IntPoly([2, 0, 3])
+    assert IntPoly([CyclotomicInt.zero(e), Fraction(0)]) == IntPoly() == 0

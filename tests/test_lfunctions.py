@@ -12,11 +12,11 @@ from galois_span.groups import (
     symmetric_group,
 )
 from galois_span.cli import main
-from galois_span.cyclotomic import CyclotomicInt, CycloPoly
+from galois_span.polynomials import IntPoly
+from galois_span.cyclotomic import CyclotomicInt
 from galois_span.lfunctions import (
     abelian_reps,
     bouquet_h_formula,
-    direct_sum,
     h_at_one,
     h_poly,
     regular_rep,
@@ -28,7 +28,7 @@ from galois_span.lfunctions import (
     verify_inter_rel,
     verify_prop_formula,
 )
-from helpers import dense_zeta_numerator_at, det_ring, theta_graph
+from helpers import dense_zeta_numerator_at, det_ring, direct_sum, theta_graph
 
 
 def simple_cover(group_spec="C4", loops=2, volt=(1, 2)):
@@ -49,7 +49,7 @@ def test_regular_rep_matches_derived_graph():
     for spec, volt in (("C4", (1, 2)), ("S3", (2, 3)), ("C2xC2", (1, 2))):
         cover = simple_cover(spec, 2, volt)
         hreg = h_poly(cover, regular_rep(cover.group))
-        assert hreg.to_int_poly() == cover.derived.ihara_h_poly()
+        assert hreg == cover.derived.ihara_h_poly()
 
 
 def test_regular_rep_twisted_matrix_is_derived_adjacency():
@@ -74,7 +74,7 @@ def test_zeta_numerator_matches_dense_determinants_on_twisted_integer_matrices()
             a, d = twisted_matrices(cover, rho)
             ints = [[x.as_int() for x in row] for row in a]
             h = zeta_numerator(ints, d)
-            assert h_poly(cover, rho).to_int_poly() == h
+            assert h_poly(cover, rho) == h
             for u in range(2 * len(ints) + 2):
                 assert h(u) == dense_zeta_numerator_at(ints, d, u)
             checked += 1
@@ -83,7 +83,7 @@ def test_zeta_numerator_matches_dense_determinants_on_twisted_integer_matrices()
 
 def test_h_poly_trivial_is_base_h():
     cover = simple_cover("C2xC2", 2, (1, 2))
-    assert h_poly(cover, trivial_rep(cover.group)).to_int_poly() == cover.base.ihara_h_poly()
+    assert h_poly(cover, trivial_rep(cover.group)) == cover.base.ihara_h_poly()
 
 
 def test_single_loop_z4_example():
@@ -153,6 +153,24 @@ def test_factorization_multivertex_base():
     g = parse_group_spec("C2xC6")
     alpha = random_connected_voltage(theta_graph(), g, seed=3)
     assert verify_factorization(derived_graph(alpha)).passed
+
+
+def test_irrational_character_product_is_an_invariant_error(monkeypatch, capsys):
+    import galois_span.lfunctions as lfunctions
+    from galois_span.errors import InvariantError
+
+    def irrational_h_poly(c, rho):
+        # 1 + zeta_4 u for every character: the product has the coefficient 4 zeta_4
+        return IntPoly((CyclotomicInt.one(rho.e), CyclotomicInt.root(rho.e)))
+
+    monkeypatch.setattr(lfunctions, "h_poly", irrational_h_poly)
+    with pytest.raises(InvariantError, match="not a rational integer"):
+        verify_factorization(simple_cover("C4", 2, (1, 2)))
+    argv = ["lfun", "verify-factor", "--base", "bouquet:2", "--group", "C4", "--voltage", "1;2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: CyclotomicInt(e=4, ")
 
 
 def test_prop_formula_examples():
@@ -272,11 +290,11 @@ def _det_ring_h_poly(cover, rho):
     """Oracle: det(I - A_rho u + (D_rho - I) u^2) by Laplace expansion over Z[zeta_e][u]."""
     a, d_diag = twisted_matrices(cover, rho)
     e, m = rho.e, len(a)
-    one = CycloPoly.const(CyclotomicInt.one(e))
-    u = CycloPoly(e, (CyclotomicInt.zero(e), CyclotomicInt.one(e)))
+    one = IntPoly.const(CyclotomicInt.one(e))
+    u = IntPoly((CyclotomicInt.zero(e), CyclotomicInt.one(e)))
     mat = [
         [
-            (one + (d_diag[i] - 1) * u * u if i == j else CycloPoly(e)) - CycloPoly.const(a[i][j]) * u
+            (one + (d_diag[i] - 1) * u * u if i == j else IntPoly()) - IntPoly.const(a[i][j]) * u
             for j in range(m)
         ]
         for i in range(m)

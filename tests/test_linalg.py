@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import NotSquareError, TooLargeError
 from galois_span.linalg import (
     cauchy_binet_check,
@@ -17,7 +18,7 @@ from galois_span.linalg import (
 )
 from galois_span.polynomials import IntPoly
 
-from helpers import det_ring
+from helpers import det_fraction_by_elimination, det_ring, mat_mul_dense
 
 
 def test_det_int_small():
@@ -135,3 +136,65 @@ def test_delete_row_col_and_mat_mul():
     m = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     assert delete_row_col(m, 0, 1) == [[4, 6], [7, 9]]
     assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+
+
+# ring name -> (lift of a small integer into the ring, the ring's one)
+RINGS = {
+    "int": (lambda rng, k: k, 1),
+    "fraction": (lambda rng, k: Fraction(k, rng.randrange(1, 5)), Fraction(1)),
+    "cyclotomic": (
+        lambda rng, k: k * CyclotomicInt.root(12, rng.randrange(12)),
+        CyclotomicInt.one(12),
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_mat_mul_matches_dense_oracle(ring):
+    lift, one = RINGS[ring]
+    rng = random.Random(23)
+
+    def matrix(rows, cols):
+        # about half the entries are zero
+        return [
+            [lift(rng, rng.randrange(-3, 4) if rng.randrange(2) else 0) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    def permutation(n):
+        image = rng.sample(range(n), n)
+        return [[one if j == image[i] else one * 0 for j in range(n)] for i in range(n)]
+
+    pairs = [(matrix(1, 1), matrix(1, 1)), ([[one * 0]], matrix(1, 3))]
+    for _ in range(25):
+        r, k, c = (rng.randrange(1, 5) for _ in range(3))
+        a = matrix(r, k)
+        a[rng.randrange(r)] = [one * 0] * k  # a zero row
+        pairs.append((a, matrix(k, c)))
+    for n in (1, 2, 5):
+        p, m = permutation(n), matrix(n, n)
+        pairs += [(p, m), (m, p), (p, permutation(n))]
+    for a, b in pairs:
+        product = mat_mul(a, b)
+        assert product == mat_mul_dense(a, b)
+        # zero rows included, every entry stays in the ring
+        assert {type(x) for row in product for x in row} == {type(one)}
+
+
+def test_det_fraction_matches_elimination_oracle():
+    rng = random.Random(29)
+    singular = 0
+    for _ in range(200):
+        n = rng.randrange(0, 6)
+        m = [
+            [Fraction(rng.randrange(-5, 6), rng.randrange(1, 7)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n >= 2 and rng.randrange(3) == 0:
+            # row 0 a rational multiple of row 1 makes m singular
+            c = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+            m[0] = [c * x for x in m[1]]
+        expected = det_fraction_by_elimination(m)
+        singular += expected == 0
+        assert det_fraction(m) == expected
+    assert singular >= 30

@@ -19,13 +19,12 @@ from galois_span.posets import (
     adjoin_top,
     classical_mobius,
     cyclic_poset,
-    divisor_poset,
     hasse_dot,
     kernel_poset,
     mobius,
     mobius_inversion_check,
 )
-from helpers import random_poset
+from helpers import divisor_poset, random_poset
 
 
 def test_poset_validation():
