@@ -19,9 +19,10 @@ from .covers import (
     cover_to_json_dict,
     derived_graph,
     intermediate_graph,
+    json_element,
     load_voltage,
 )
-from .errors import GaloisSpanError, json_int
+from .errors import GaloisSpanError, InvariantError, json_int
 from .family import (
     FamilySpec,
     degree_formula,
@@ -143,6 +144,9 @@ def _cmd_graph(args) -> int:
     if args.action == "zeta":
         h = g.ihara_h_poly()
         report = hashimoto_check(g)
+        slope = h.derivative()(1)
+        if slope != report.left:
+            raise InvariantError(f"h'(1) of h(u) is {slope}, the Hashimoto check has {report.left}")
         _emit(
             {
                 "h_coefficients": [str(c) for c in h.coeffs],
@@ -289,10 +293,7 @@ def _cmd_verify(args) -> int:
             data = json.load(fh)
         coeffs = {}
         for item in data:
-            elems = [
-                cover.group.element_by_label(str(x)) if not isinstance(x, int) else x
-                for x in item["elements"]
-            ]
+            elems = [json_element(cover.group, x, "relation element") for x in item["elements"]]
             coeffs[Subgroup(cover.group, tuple(elems))] = json_int(
                 item["coefficient"], "relation coefficient"
             )

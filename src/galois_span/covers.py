@@ -8,7 +8,11 @@ uses cosets H*sigma and is well-defined against the right-multiplying
 voltages.  One coset-quotient builder makes every such graph: the derived
 graph is the quotient by the trivial subgroup, X_H the quotient by H.
 Connectivity of the derived graph is exactly the Galois condition, and
-every projection built here is validated as a covering map.
+every projection built here is validated as a covering map.  Random
+voltages are tested for that condition without building the derived graph:
+it is connected exactly when the net voltages of the fundamental cycles of
+a spanning tree of the base generate G (Gross & Tucker, Topological Graph
+Theory, 1987, section 2.5).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     all_subgroups,
+    generated_subgroup,
     left_cosets,
     parse_group_spec,
 )
@@ -188,6 +193,45 @@ def _out_edge_lists(g: SerreGraph) -> list[list[int]]:
     return out
 
 
+def cycle_nets(alpha: VoltageAssignment) -> list[int]:
+    """Net voltages of the fundamental cycles of a spanning tree of a connected base.
+
+    The tree is grown from vertex 0; potential[v] is the net voltage of the
+    tree path from 0 to v, and the geometric edge u -> v off the tree with
+    voltage a closes the cycle with net potential[u] * a * potential[v]^-1.
+    Walking from (0, e) in the derived graph reaches (0, sigma) exactly for
+    sigma in the subgroup these generate.
+    """
+    base, g, volt = alpha.base, alpha.group, alpha.volt
+    edges = base.geometric_edges()
+    incident: list[list[int]] = [[] for _ in range(base.vertex_count)]
+    for slot, (u, v) in enumerate(edges):
+        incident[u].append(slot)
+        incident[v].append(slot)
+    potential: list[int | None] = [None] * base.vertex_count
+    potential[0] = g.identity
+    tree = set()
+    stack = [0]
+    while stack:
+        w = stack.pop()
+        for slot in incident[w]:
+            u, v = edges[slot]
+            if potential[v] is None:
+                potential[v] = g.mul(potential[u], volt[slot])
+                stack.append(v)
+            elif potential[u] is None:
+                potential[u] = g.mul(potential[v], g.inv(volt[slot]))
+                stack.append(u)
+            else:
+                continue
+            tree.add(slot)
+    return [
+        g.mul(g.mul(potential[u], volt[slot]), g.inv(potential[v]))
+        for slot, (u, v) in enumerate(edges)
+        if slot not in tree
+    ]
+
+
 def is_galois(c: Cover) -> bool:
     """Connected derived graph; fiber transitivity holds by construction."""
     return c.derived.is_connected()
@@ -245,7 +289,11 @@ VOLTAGE_ATTEMPTS = 200
 
 
 def random_connected_voltage(base: SerreGraph, g: FiniteGroup, seed: int) -> VoltageAssignment:
-    """Seeded uniform voltages, resampled until the derived graph is connected."""
+    """Seeded uniform voltages, resampled until the derived graph is connected.
+
+    Each attempt is tested by generation (`cycle_nets`), not by building the
+    derived graph.
+    """
     if not base.is_connected():
         raise NoConnectedAssignmentFoundError("base graph is disconnected")
     if base.euler_characteristic() == 0 and not g.is_cyclic():
@@ -257,7 +305,7 @@ def random_connected_voltage(base: SerreGraph, g: FiniteGroup, seed: int) -> Vol
     for _ in range(VOLTAGE_ATTEMPTS):
         volt = tuple(rng.randrange(g.order) for _ in range(m))
         alpha = VoltageAssignment(base=base, group=g, volt=volt)
-        if derived_graph(alpha).derived.is_connected():
+        if generated_subgroup(g, cycle_nets(alpha)).order == g.order:
             return alpha
     raise NoConnectedAssignmentFoundError(
         f"no connected assignment found in {VOLTAGE_ATTEMPTS} attempts"
@@ -279,12 +327,18 @@ def voltage_from_json_dict(base: SerreGraph, data: dict) -> VoltageAssignment:
         k = json_int(item["edge"], "voltage edge")
         if not 0 <= k < base.geometric_edge_count:
             raise ValueError(f"edge index {k} out of range")
-        element = item["element"]
-        if isinstance(element, int):
-            volt[k] = element
-        else:
-            volt[k] = g.element_by_label(str(element))
+        volt[k] = json_element(g, item["element"], "voltage element")
     return VoltageAssignment(base=base, group=g, volt=tuple(volt))
+
+
+def json_element(g: FiniteGroup, value, what: str) -> int:
+    """A group element in a JSON file: a label string or an element index.
+
+    An index must be a JSON integer (`json_int`): `true` or `1.0` is refused.
+    """
+    if isinstance(value, str):
+        return g.element_by_label(value)
+    return json_int(value, what)
 
 
 def load_voltage(base: SerreGraph, path: str) -> VoltageAssignment:

@@ -186,6 +186,9 @@ class CyclotomicInt:
         )
 
     def __hash__(self) -> int:
+        # a rational value equals its int, so it must hash as that int
+        if self.is_rational_integer():
+            return hash(self.as_int())
         return hash((self.e, self.coeffs))
 
     def __bool__(self) -> bool:

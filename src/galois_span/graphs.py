@@ -12,8 +12,10 @@ fraction-free with a minimum-degree pivot order.  The reciprocal zeta numerator
 ``h(u) = det(I - A u + (D - I) u^2)`` is computed as an exact integer
 polynomial by `zeta_numerator`, the one builder of that matrix: it serves a
 graph's own adjacency matrix and the integer-valued twisted matrices of
-`lfunctions` alike.  ``h'(1) = -2 * chi * kappa`` is exposed as a checkable
-identity.
+`lfunctions` alike.  Hashimoto's identity ``h'(1) = -2 * chi * kappa`` is
+checked without h(u): with M(u) = I - A u + (D - I) u^2 and L = D - A the
+Laplacian, M(1 + t) = L + t (2(D - I) - A) mod t^2, so one elimination over
+Z[t]/(t^2) gives det L = 0 and h'(1) together (`linalg.det_int_derivative`).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DisconnectedGraphError, TooLargeError, json_int
-from .linalg import det_int_poly_matrix, det_int_sparse_spd
+from .errors import DisconnectedGraphError, InvariantError, TooLargeError, json_int
+from .linalg import det_int_derivative, det_int_poly_matrix, det_int_sparse_spd
 from .polynomials import IntPoly
 from .report import VerificationReport
 
@@ -239,11 +241,23 @@ def brute_force_spanning_trees(g: SerreGraph) -> int:
 
 
 def hashimoto_check(g: SerreGraph) -> VerificationReport:
-    """Check h'(1) == -2 * chi * kappa on a connected graph."""
+    """Check h'(1) == -2 * chi * kappa on a connected graph.
+
+    h'(1) comes from one elimination of L + tB, B = 2(D - I) - A, over
+    Z[t]/(t^2): det(L + tB) = h(1 + t) mod t^2, so det L = h(1) must be 0
+    (otherwise `InvariantError`) and the t-coefficient is h'(1).
+    """
     if not g.is_connected():
         raise DisconnectedGraphError("Hashimoto identity needs a connected graph")
-    h = g.ihara_h_poly()
-    left = h.derivative()(1)
+    a, degrees = g.adjacency_matrix(), g.degrees()
+    laplacian = [[-x for x in row] for row in a]
+    slope = [[-x for x in row] for row in a]
+    for i, d in enumerate(degrees):
+        laplacian[i][i] += d
+        slope[i][i] += 2 * (d - 1)
+    h_one, left = det_int_derivative(laplacian, slope)
+    if h_one != 0:
+        raise InvariantError(f"det of the Laplacian is {h_one}, not 0")
     right = -2 * g.euler_characteristic() * g.spanning_tree_count()
     return VerificationReport.compare(
         "h'(1) = -2*chi*kappa",

@@ -2,7 +2,10 @@
 Kronecker products and Cauchy-Binet identities.
 
 Dense matrices are plain lists of lists.  General integer matrices go
-through dense Bareiss elimination (the only divisions are exact); sparse
+through dense Bareiss elimination (the only divisions are exact); an entry
+that is not an `int` is refused, never truncated.  The same elimination over
+the dual numbers Z[t]/(t^2) gives det A and the derivative of det(A + tB) at
+t = 0 in one pass (`det_int_derivative`); sparse
 symmetric positive-definite integer matrices, such as reduced Laplacians,
 go through the same fraction-free elimination on sparse rows with a
 minimum-degree pivot order.  Rational matrices are scaled to integer
@@ -31,12 +34,24 @@ def _check_square(m: Sequence[Sequence]) -> int:
     return n
 
 
+def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A mutable copy of an integer matrix; any entry that is not an `int` raises."""
+    rows = []
+    for row in matrix:
+        copy = list(row)
+        for x in copy:
+            if type(x) is not int:
+                raise InvariantError(f"integer determinant of a non-integer entry {x!r}")
+        rows.append(copy)
+    return rows
+
+
 def det_int(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss elimination."""
     n = _check_square(matrix)
     if n == 0:
         return 1
-    m = [list(map(int, row)) for row in matrix]
+    m = _int_rows(matrix)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -58,6 +73,44 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def det_int_derivative(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(det A, d/dt det(A + tB) at t = 0) for integer matrices A and B.
+
+    Fraction-free Bareiss elimination over the dual numbers Z[t]/(t^2): the
+    entry x + ty is held as the pair (x, y), and (n0 + t n1) / (p0 + t p1) is
+    q0 = n0 // p0, q1 = (n1 - q0 p1) // p0.  Every entry is a minor of A + tB,
+    so both divisions are exact once p0 != 0.  There is no row exchange:
+    every pivot before the last is a proper leading principal minor, and its
+    constant term, a leading principal minor of A, must be nonzero (it is
+    positive for a connected graph's Laplacian).  A zero raises
+    `InvariantError`.
+    """
+    n = _check_square(a)
+    if _check_square(b) != n:
+        raise NotSquareError(f"A is {n}x{n}, B is {len(b)}x{len(b)}")
+    if n == 0:
+        return 1, 0
+    m0, m1 = _int_rows(a), _int_rows(b)
+    prev0, prev1 = 1, 0
+    for k in range(n - 1):
+        row0_k, row1_k = m0[k], m1[k]
+        p0, p1 = row0_k[k], row1_k[k]
+        if p0 == 0:
+            raise InvariantError(f"leading principal minor of order {k + 1} vanishes")
+        for i in range(k + 1, n):
+            row0_i, row1_i = m0[i], m1[i]
+            f0, f1 = row0_i[k], row1_i[k]
+            for j in range(k + 1, n):
+                x0, y0 = row0_i[j], row0_k[j]
+                q0 = (x0 * p0 - f0 * y0) // prev0
+                row1_i[j] = (
+                    x0 * p1 + row1_i[j] * p0 - f0 * row1_k[j] - f1 * y0 - q0 * prev1
+                ) // prev0
+                row0_i[j] = q0
+        prev0, prev1 = p0, p1
+    return m0[n - 1][n - 1], m1[n - 1][n - 1]
 
 
 def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 from galois_span.characters import _hessenberg_charpoly_mod, _hessenberg_mod, _rref_mod
+from galois_span.covers import VOLTAGE_ATTEMPTS, VoltageAssignment, derived_graph, is_galois
 from galois_span.cyclotomic import CyclotomicInt
-from galois_span.errors import MismatchedGroupError, TooLargeError
+from galois_span.errors import MismatchedGroupError, NoConnectedAssignmentFoundError, TooLargeError
 from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
 from galois_span.lfunctions import MatrixRep
@@ -287,3 +288,23 @@ def random_loop_table(rng: random.Random, n: int) -> list[list[int]]:
     if not fill(0):
         raise AssertionError("no Latin square completion")
     return table
+
+
+def random_connected_voltage_by_derived_graph(
+    base: SerreGraph, g: FiniteGroup, seed: int
+) -> VoltageAssignment:
+    """`covers.random_connected_voltage` with each attempt tested on its derived graph.
+
+    The same seeded draws; an attempt is accepted when `is_galois` holds on
+    the built derived graph.  Assumes a connected base whose Euler
+    characteristic allows G.
+    """
+    rng = random.Random(seed)
+    for _ in range(VOLTAGE_ATTEMPTS):
+        volt = tuple(rng.randrange(g.order) for _ in range(base.geometric_edge_count))
+        alpha = VoltageAssignment(base=base, group=g, volt=volt)
+        if is_galois(derived_graph(alpha)):
+            return alpha
+    raise NoConnectedAssignmentFoundError(
+        f"no connected assignment found in {VOLTAGE_ATTEMPTS} attempts"
+    )

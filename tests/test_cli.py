@@ -29,6 +29,20 @@ def test_graph_zeta(capsys):
     assert data["hashimoto"]["passed"] is True
 
 
+def test_graph_zeta_refuses_h_that_disagrees_with_the_hashimoto_check(capsys, monkeypatch):
+    # the printed h(u) is cross-checked against the check's own h'(1)
+    from dataclasses import replace
+
+    from galois_span import cli
+
+    real = cli.hashimoto_check
+    monkeypatch.setattr(cli, "hashimoto_check", lambda g: replace(real(g), left=real(g).left + 1))
+    assert main(["graph", "zeta", "--base", "bouquet:2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: h'(1) of h(u) is 2, the Hashimoto check has 3\n"
+
+
 def test_graph_dot(capsys, tmp_path):
     out = tmp_path / "g.dot"
     code = main(["graph", "dot", "--base", "bouquet:2", "--dot", str(out)])
@@ -340,6 +354,14 @@ NON_INTEGER_FILES = {
     ),
     "relation coefficient": (
         [{"elements": [0, 1], "coefficient": 1.5}, {"elements": [0], "coefficient": -1}],
+        ["verify", "relation", *COVER, "--relation"],
+    ),
+    "voltage element": (
+        {"group": "C2", "assignments": [{"edge": 0, "element": True}]},
+        ["cover", "kappa", "--base", "bouquet:2", "--voltage"],
+    ),
+    "relation element": (
+        [{"elements": [0, True], "coefficient": 1}, {"elements": [0], "coefficient": -2}],
         ["verify", "relation", *COVER, "--relation"],
     ),
     "rep degree": ({**HALF_REP, "degree": 2.0}, ["lfun", "h", *COVER, "--rep"]),

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from galois_span.covers import (
     _validate_covering,
     conjugate_kappa_check,
     cover_to_json_dict,
+    cycle_nets,
     derived_graph,
     intermediate_graph,
     intermediate_kappa,
@@ -20,7 +22,14 @@ from galois_span.errors import (
     NoConnectedAssignmentFoundError,
     NotGaloisError,
 )
-from galois_span.graphs import bouquet, build_graph, complete_graph, cycle_graph
+from galois_span.graphs import (
+    bouquet,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    hashimoto_check,
+    path_graph,
+)
 from galois_span.groups import (
     all_subgroups,
     are_conjugate_subgroups,
@@ -33,7 +42,12 @@ from galois_span.groups import (
     symmetric_group,
 )
 from galois_span.linalg import det_int
-from helpers import dumbbell_graph, laplacian
+from helpers import (
+    dumbbell_graph,
+    laplacian,
+    random_connected_voltage_by_derived_graph,
+    theta_graph,
+)
 
 
 def fig2_cover() -> Cover:
@@ -260,6 +274,103 @@ def test_random_connected_voltage_determinism():
     a2 = random_connected_voltage(bouquet(2), g, seed=0)
     assert a1.volt == a2.volt
     assert derived_graph(a1).derived.is_connected()
+
+
+GENERATION_BASES = {
+    "bouquet:2": bouquet(2),
+    "bouquet:3": bouquet(3),
+    "cycle:3": cycle_graph(3),
+    "complete:4": complete_graph(4),
+    "dumbbell": dumbbell_graph(),
+    "theta": theta_graph(),
+    "leaf-loop-double": build_graph(4, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 2), (2, 3)]),
+    "path:3": path_graph(3),
+}
+GENERATION_GROUPS = ("C2", "C4", "C6", "C2xC2", "S3", "D4", "Q8", "A4", "C2xC2xC2", "C3xS3")
+
+
+def test_generation_test_equals_connectivity_of_the_derived_graph():
+    # the fundamental-cycle nets generate G exactly when the built derived graph
+    # is connected; uniform voltages give both outcomes on every base
+    rng = random.Random(29)
+    outcomes = {True: 0, False: 0}
+    for spec in GENERATION_GROUPS:
+        g = parse_group_spec(spec)
+        for base in GENERATION_BASES.values():
+            for _ in range(8):
+                volt = tuple(rng.randrange(g.order) for _ in range(base.geometric_edge_count))
+                alpha = VoltageAssignment(base=base, group=g, volt=volt)
+                generates = generated_subgroup(g, cycle_nets(alpha)).order == g.order
+                assert generates == is_galois(derived_graph(alpha)), (spec, volt)
+                outcomes[generates] += 1
+    assert sum(outcomes.values()) >= 500
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_three_generator_group_never_generates_over_bouquet2():
+    g = parse_group_spec("C2xC2xC2")
+    for a in range(g.order):
+        for b in range(g.order):
+            alpha = VoltageAssignment(base=bouquet(2), group=g, volt=(a, b))
+            assert generated_subgroup(g, cycle_nets(alpha)).order < g.order
+            assert not is_galois(derived_graph(alpha))
+    with pytest.raises(NoConnectedAssignmentFoundError) as exc:
+        random_connected_voltage(bouquet(2), g, seed=0)
+    # byte-identical to the message in the random-corpus seed-0 digest
+    assert str(exc.value) == "no connected assignment found in 200 attempts"
+
+
+def test_cycle_nets_on_a_bouquet_and_a_tree():
+    # bouquet: every loop is a fundamental cycle and its net is its voltage
+    g = parse_group_spec("S3")
+    alpha = VoltageAssignment(base=bouquet(3), group=g, volt=(1, 4, 0))
+    assert cycle_nets(alpha) == [1, 4, 0]
+    # a tree has no cycles
+    assert cycle_nets(VoltageAssignment(base=path_graph(3), group=g, volt=(2, 5))) == []
+
+
+@pytest.mark.parametrize("base_name", sorted(GENERATION_BASES))
+def test_random_connected_voltage_equals_the_derived_graph_reference(base_name):
+    base = GENERATION_BASES[base_name]
+    for spec in GENERATION_GROUPS:
+        g = parse_group_spec(spec)
+        if base.euler_characteristic() == 0 and not g.is_cyclic():
+            continue
+        for seed in range(4):
+            try:
+                expected = random_connected_voltage_by_derived_graph(base, g, seed)
+            except NoConnectedAssignmentFoundError as exc:
+                with pytest.raises(NoConnectedAssignmentFoundError) as got:
+                    random_connected_voltage(base, g, seed)
+                assert str(got.value) == str(exc)
+                continue
+            assert random_connected_voltage(base, g, seed) == expected
+
+
+# (base, group) pairs whose seeded covers have at most 48 vertices, so the
+# whole h(u) of the cover stays cheap; 14 groups in all
+HASHIMOTO_COVERS = [
+    *(("bouquet:2", spec) for spec in ("C2xC2", "S3", "D4", "Q8", "C2xC6", "D5", "Dic3")),
+    *(("bouquet:3", spec) for spec in ("A4", "C3xS3", "C2xC2xC2", "D6", "C4xC2")),
+    *(("complete:4", spec) for spec in ("C2", "C3", "S3", "C2xC2", "C4", "D4", "Q8")),
+]
+
+
+@pytest.mark.parametrize("base_name, spec", HASHIMOTO_COVERS)
+def test_hashimoto_left_side_is_the_derivative_of_the_cover_h(base_name, spec):
+    base = GENERATION_BASES[base_name]
+    for seed in (1, 2):
+        cover = derived_graph(random_connected_voltage(base, parse_group_spec(spec), seed))
+        report = hashimoto_check(cover.derived)
+        assert report.left == cover.derived.ihara_h_poly().derivative()(1)
+        assert report.passed, report
+
+
+def test_hashimoto_check_on_the_s4_cover_of_k5():
+    # 120 vertices: h(u) itself would need 241 dense 120x120 determinants
+    cover = derived_graph(random_connected_voltage(complete_graph(5), parse_group_spec("S4"), 1))
+    assert cover.derived.vertex_count == 120
+    assert hashimoto_check(cover.derived).passed
 
 
 def test_random_voltage_euler_zero_guard():

@@ -81,6 +81,14 @@ def test_equality_against_int():
     assert z == -1
 
 
+def test_hash_agrees_with_equality_against_int():
+    assert len({CyclotomicInt.from_int(4, 7), 7}) == 1
+    assert hash(CyclotomicInt.root(2)) == hash(-1)
+    assert hash(CyclotomicInt.root(3) + CyclotomicInt.root(3, 2)) == hash(-1)
+    assert {CyclotomicInt.zero(5): "zero"}[0] == "zero"
+    assert len({CyclotomicInt.root(12), CyclotomicInt.root(12, 5), 1}) == 3
+
+
 def _random_cyclotomic(rng, e):
     return CyclotomicInt.from_mult_vector(e, [rng.randrange(-3, 4) for _ in range(e)])
 

@@ -156,6 +156,38 @@ def test_hashimoto_identity_randomized():
         assert report.passed, report
 
 
+# a triangle with a loop at 0, a double edge 1-2 and a leaf 3
+LEAF_LOOP_DOUBLE_EDGE = build_graph(4, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path_graph(1),
+        path_graph(5),
+        build_graph(5, [(0, 1), (0, 2), (2, 3), (2, 4)]),
+        cycle_graph(1),
+        cycle_graph(6),
+        bouquet(3),
+        LEAF_LOOP_DOUBLE_EDGE,
+        complete_graph(5),
+    ],
+    ids=["vertex", "path5", "tree5", "loop", "cycle6", "bouquet3", "leaf-loop-double", "K5"],
+)
+def test_hashimoto_left_side_is_the_derivative_of_h_at_one(g):
+    # the dual-number elimination against the whole polynomial h(u)
+    report = hashimoto_check(g)
+    assert report.left == g.ihara_h_poly().derivative()(1)
+    assert report.passed, report
+
+
+def test_hashimoto_left_side_matches_h_on_random_multigraphs():
+    rng = random.Random(13)
+    for _ in range(60):
+        g = random_connected_graph(rng, max_vertices=7, max_edges=12)
+        assert hashimoto_check(g).left == g.ihara_h_poly().derivative()(1)
+
+
 def test_json_roundtrip_and_dot():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0), (1, 1)], vertex_names=["a", "b", "c"])
     data = json.loads(json.dumps(graph_to_json_dict(g)))

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from galois_span.cyclotomic import CyclotomicInt
-from galois_span.errors import NotSquareError, TooLargeError
+from galois_span.errors import InvariantError, NotSquareError, TooLargeError
 from galois_span.linalg import (
     cauchy_binet_check,
     delete_row_col,
     det_fraction,
     det_int,
+    det_int_derivative,
     det_int_poly_matrix,
     det_int_sparse_spd,
     kronecker,
@@ -43,6 +44,53 @@ def test_det_routes_agree_randomized():
 def test_det_not_square():
     with pytest.raises(NotSquareError):
         det_int([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 2.9, 2.0, True, "3"])
+def test_det_int_refuses_non_integer_entries(entry):
+    # a non-int entry is refused, never truncated: Fraction(1, 2) once gave det 0
+    with pytest.raises(InvariantError, match="non-integer entry"):
+        det_int([[entry, 0], [0, 2]])
+    with pytest.raises(InvariantError, match="non-integer entry"):
+        det_int_derivative([[1, 0], [0, 2]], [[0, 0], [entry, 0]])
+
+
+def test_det_int_derivative_small():
+    assert det_int_derivative([], []) == (1, 0)
+    assert det_int_derivative([[3]], [[5]]) == (3, 5)
+    # det([[2 + t, 1], [1, 1 + 2t]]) = 1 + 5t + 2t^2
+    assert det_int_derivative([[2, 1], [1, 1]], [[1, 0], [0, 2]]) == (1, 5)
+    with pytest.raises(NotSquareError):
+        det_int_derivative([[1, 2], [3, 4]], [[1]])
+
+
+def test_det_int_derivative_matches_the_polynomial_determinant_randomized():
+    # det(A + tB) as a polynomial in t is the oracle for (value, slope) at t = 0
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(300):
+        n = rng.randrange(1, 6)
+        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        p = det_int_poly_matrix([[IntPoly((x, y)) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        if all(det_int([row[:k] for row in a[:k]]) for k in range(1, n)):
+            assert det_int_derivative(a, b) == (p(0), p.derivative()(0))
+        else:
+            refused += 1
+            with pytest.raises(InvariantError, match="leading principal minor"):
+                det_int_derivative(a, b)
+    assert 0 < refused < 300
+
+
+def test_det_int_derivative_refuses_a_vanishing_constant_pivot():
+    # det A = -1 is fine, but the order-1 leading minor of A is 0: a row
+    # exchange would be needed, and the pivot t has no inverse mod t^2
+    with pytest.raises(InvariantError, match="order 1 vanishes"):
+        det_int_derivative([[0, 1], [1, 0]], [[1, 0], [0, 0]])
+    # the order-2 leading minor vanishes before the last step
+    a = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    with pytest.raises(InvariantError, match="order 2 vanishes"):
+        det_int_derivative(a, [[0] * 3 for _ in range(3)])
 
 
 def test_det_ring_size_guard():

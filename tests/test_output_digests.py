@@ -14,6 +14,11 @@ verify-factor`, `verify-prop` and `verify-inter --subgroup 1` on every abelian
 case whose base has chi != 0; `family-degree-readme` is the README's `family
 degree` example.  They were recorded before every zeta numerator, twisted or
 not, went through integer evaluation-interpolation.
+
+The `selftest:` digests pin two seeded selftest runs, and `graph-zeta-irregular`
+pins `graph zeta` on a graph with a leaf, a loop and a double edge.  They were
+recorded before Hashimoto's h'(1) came from one elimination over Z[t]/(t^2) and
+before voltage sampling tested connectivity by generation.
 """
 
 import contextlib
@@ -60,6 +65,14 @@ VERIFY_CASES = (
     "seeded-C2x4-bouquet4",
 )
 FAMILY_DEGREE_README = ["family", "degree", "--p", "2,3", "--s", "1,1", "--b", "0,1"]
+SELFTEST_CASES = {
+    "selftest:seed0": ["selftest", "--seed", "0", "--iters", "40"],
+    "selftest:seed1-groups": [
+        "selftest", "--seed", "1", "--iters", "40", "--groups", "S4,C2xA4,Dic5,C3xS3"
+    ],
+}
+# a triangle with a loop at 0, a double edge 1-2 and a leaf 3: degrees 5, 3, 4, 1
+IRREGULAR_GRAPH = {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 0], [0, 0], [1, 2], [2, 3]]}
 
 DIGESTS = json.loads((Path(__file__).parent / "output_digests.json").read_text())
 
@@ -128,7 +141,13 @@ def commands_digest(commands: list[list[str]]) -> str:
 
 
 def test_every_case_has_a_digest():
-    names = [*CASES, *(f"zeta-verify:{n}" for n in VERIFY_CASES), "family-degree-readme"]
+    names = [
+        *CASES,
+        *(f"zeta-verify:{n}" for n in VERIFY_CASES),
+        "family-degree-readme",
+        *SELFTEST_CASES,
+        "graph-zeta-irregular",
+    ]
     assert sorted(names) == sorted(DIGESTS)
 
 
@@ -144,3 +163,15 @@ def test_zeta_and_lfun_verify_output_is_byte_identical_to_recorded_digest(name):
 
 def test_family_degree_output_is_byte_identical_to_recorded_digest():
     assert commands_digest([FAMILY_DEGREE_README]) == DIGESTS["family-degree-readme"]
+
+
+@pytest.mark.parametrize("name", sorted(SELFTEST_CASES))
+def test_selftest_output_is_byte_identical_to_recorded_digest(name):
+    assert commands_digest([SELFTEST_CASES[name]]) == DIGESTS[name]
+
+
+def test_graph_zeta_on_irregular_graph_is_byte_identical_to_recorded_digest(tmp_path):
+    path = tmp_path / "irregular.json"
+    path.write_text(json.dumps(IRREGULAR_GRAPH))
+    command = ["graph", "zeta", "--base", str(path)]
+    assert commands_digest([command]) == DIGESTS["graph-zeta-irregular"]
