@@ -530,7 +530,7 @@ def induced_trivial_character(table: CharacterTable, h: Subgroup) -> ClassFuncti
     """Character induced from the trivial character of a subgroup.
 
     Value at g is the number of cosets xH fixed by g, computed as
-    |{x : x^-1 g x in H}| / |H|; always a nonnegative integer.
+    |{x : x g x^-1 in H}| / |H|; always a nonnegative integer.
     """
     g = table.group
     if h.parent is not g:
@@ -539,7 +539,7 @@ def induced_trivial_character(table: CharacterTable, h: Subgroup) -> ClassFuncti
     values = []
     for cls in table.classes:
         rep = cls[0]
-        count = sum(1 for x in range(g.order) if g.mul(g.mul(g.inv(x), rep), x) in members)
+        count = sum(row[rep] in members for row in g.conjugation())
         if count % h.order != 0:
             raise InvariantError("induced character value is not integral")
         values.append(Fraction(count // h.order))

@@ -19,7 +19,7 @@ from .covers import (
     cover_to_json_dict,
     derived_graph,
     intermediate_graph,
-    json_element,
+    is_galois,
     load_voltage,
 )
 from .errors import GaloisSpanError, InvariantError, json_int
@@ -42,7 +42,7 @@ from .graphs import (
     load_graph,
     path_graph,
 )
-from .groups import Subgroup, all_subgroups, parse_group_spec
+from .groups import FiniteGroup, Subgroup, all_subgroups, generated_subgroup, parse_group_spec
 from .lfunctions import (
     abelian_reps,
     h_poly,
@@ -84,13 +84,7 @@ def _load_voltage(base: SerreGraph, group_spec: str | None, voltage: str) -> Vol
     if group_spec is None:
         raise GaloisSpanError("--group is required with an inline voltage list")
     g = parse_group_spec(group_spec)
-    parts = [p.strip() for p in voltage.split(";") if p.strip()]
-    volt = []
-    for part in parts:
-        if part.lstrip("-").isdigit():
-            volt.append(int(part) % g.order)
-        else:
-            volt.append(g.element_by_label(part))
+    volt = _elements(g, voltage)
     if len(volt) != base.geometric_edge_count:
         raise GaloisSpanError(
             f"need {base.geometric_edge_count} voltages, got {len(volt)}"
@@ -120,17 +114,15 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.replace("(", "").replace(")", "").split(",") if x != "")
 
 
-def _subgroup_from_args(cover, text: str) -> Subgroup:
-    elems = []
-    for token in text.split(","):
-        token = token.strip()
-        if token.lstrip("-").isdigit():
-            elems.append(int(token))
-        else:
-            elems.append(cover.group.element_by_label(token))
-    from .groups import generated_subgroup
+def _elements(g: FiniteGroup, text: str) -> list[int]:
+    """A semicolon-separated list of element names (`FiniteGroup.element`)."""
+    return [g.element(part.strip()) for part in text.split(";") if part.strip()]
 
-    return generated_subgroup(cover.group, elems)
+
+def _subgroup_from_args(cover, text: str | None) -> Subgroup:
+    if text is None:
+        raise GaloisSpanError("verify-inter needs --subgroup")
+    return generated_subgroup(cover.group, _elements(cover.group, text))
 
 
 # -- command handlers ---------------------------------------------------------
@@ -219,7 +211,7 @@ def _cmd_cover(args) -> int:
     if args.action == "kappa":
         _emit(
             {
-                "galois": cover.derived.is_connected(),
+                "galois": is_galois(cover.voltage),
                 "kappa_Y": str(cover.derived.spanning_tree_count()),
                 "kappa_X": str(cover.base.spanning_tree_count()),
             },
@@ -257,6 +249,8 @@ def _cmd_lfun(args) -> int:
             rho = load_rep(args.rep)
         else:
             reps = abelian_reps(cover.group)
+            if not 0 <= args.chi < len(reps):
+                raise GaloisSpanError(f"--chi must be in 0..{len(reps) - 1}, got {args.chi}")
             rho = reps[args.chi]
         poly = h_poly(cover, rho)
         _emit(
@@ -293,7 +287,7 @@ def _cmd_verify(args) -> int:
             data = json.load(fh)
         coeffs = {}
         for item in data:
-            elems = [json_element(cover.group, x, "relation element") for x in item["elements"]]
+            elems = [cover.group.element(x, "relation element") for x in item["elements"]]
             coeffs[Subgroup(cover.group, tuple(elems))] = json_int(
                 item["coefficient"], "relation coefficient"
             )
@@ -405,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="derived graphs and intermediate quotients")
     p.add_argument("action", choices=["build", "kappa", "intermediates", "dot"])
     add_cover_args(p)
-    p.add_argument("--subgroup", help="comma-separated generators for `dot`")
+    p.add_argument("--subgroup", help="semicolon-separated generators for `dot`")
     add_out(p)
     add_dot(p)
     p.set_defaults(func=_cmd_cover)
@@ -415,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_cover_args(p)
     p.add_argument("--chi", type=int, default=0, help="abelian character index for `h`")
     p.add_argument("--rep", help="matrix representation JSON file for `h`")
-    p.add_argument("--subgroup", help="comma-separated generators for `verify-inter`")
+    p.add_argument("--subgroup", help="semicolon-separated generators for `verify-inter`")
     add_out(p)
     p.set_defaults(func=_cmd_lfun)
 
@@ -453,8 +447,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GaloisSpanError, FileNotFoundError, KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
+    except (GaloisSpanError, OSError, KeyError, ValueError) as exc:
+        # one argument is the message (a KeyError's repr would quote it); an
+        # OSError's str() joins its errno, text and file name
+        message = exc.args[0] if len(exc.args) == 1 else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

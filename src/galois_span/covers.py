@@ -1,17 +1,16 @@
 """Voltage assignments, derived graphs and intermediate quotients.
 
 A voltage assignment labels one orientation of the base graph with group
-elements (inverse edges carry inverse voltages).  The derived graph has
-vertex set V x G with terminus twisted by right multiplication; the group
-acts on the left of the second coordinate, so the quotient by a subgroup H
-uses cosets H*sigma and is well-defined against the right-multiplying
-voltages.  One coset-quotient builder makes every such graph: the derived
-graph is the quotient by the trivial subgroup, X_H the quotient by H.
-Connectivity of the derived graph is exactly the Galois condition, and
-every projection built here is validated as a covering map.  Random
-voltages are tested for that condition without building the derived graph:
-it is connected exactly when the net voltages of the fundamental cycles of
-a spanning tree of the base generate G (Gross & Tucker, Topological Graph
+elements, kept per directed edge (inverse edges carry inverse voltages).
+The derived graph has vertex set V x G with terminus twisted by right
+multiplication; G acts on the left of the second coordinate, so the
+quotient by a subgroup H uses cosets H*sigma.  One coset-quotient builder
+makes every such graph (the derived graph is the quotient by the trivial
+subgroup), and every projection is validated as a covering map.  The cover
+is Galois exactly when the derived graph is connected; `is_galois`, which
+every Galois guard and the random sampler ask, decides it by generation:
+the base is connected and the net voltages of the fundamental cycles of a
+spanning tree of the base generate G (Gross & Tucker, Topological Graph
 Theory, 1987, section 2.5).
 """
 
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (
@@ -49,35 +48,29 @@ class VoltageAssignment:
     base: SerreGraph
     group: FiniteGroup
     volt: tuple[int, ...]  # one element index per orientation edge
+    # one element index per directed edge, with alpha(e-bar) = alpha(e)^-1
+    edge_volt: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.volt) != self.base.geometric_edge_count:
+        base, g = self.base, self.group
+        if len(self.volt) != base.geometric_edge_count:
             raise ValueError("need one voltage per geometric edge")
         for x in self.volt:
-            if not 0 <= x < self.group.order:
+            if not 0 <= x < g.order:
                 raise ValueError(f"voltage {x} out of range")
+        edge_volt = [g.identity] * base.edge_count
+        for e, x in zip(base.orientation(), self.volt):
+            edge_volt[e] = x
+            edge_volt[base.inverse[e]] = g.inv(x)
+        object.__setattr__(self, "edge_volt", tuple(edge_volt))
 
     def voltage_of(self, edge: int) -> int:
         """Voltage of any directed edge, with alpha(e-bar) = alpha(e)^-1."""
-        inv = self.base.inverse[edge]
-        if edge < inv:
-            return self.volt[_orientation_slot(self.base, edge)]
-        return self.group.inv(self.volt[_orientation_slot(self.base, inv)])
+        return self.edge_volt[edge]
 
     def describe(self) -> str:
         names = [self.group.label(x) for x in self.volt]
         return f"{self.group.name} voltages ({', '.join(names)})"
-
-
-def _orientation_slot(base: SerreGraph, edge: int) -> int:
-    # canonical orientation lists the lower edge of each pair in index order
-    from bisect import bisect_left
-
-    ori = base.orientation()
-    i = bisect_left(ori, edge)
-    if i < len(ori) and ori[i] == edge:
-        return i
-    raise ValueError(f"edge {edge} not in the canonical orientation")
 
 
 @dataclass(frozen=True)
@@ -232,9 +225,10 @@ def cycle_nets(alpha: VoltageAssignment) -> list[int]:
     ]
 
 
-def is_galois(c: Cover) -> bool:
-    """Connected derived graph; fiber transitivity holds by construction."""
-    return c.derived.is_connected()
+def is_galois(alpha: VoltageAssignment) -> bool:
+    """Connected derived graph, by generation: a connected base whose `cycle_nets` generate G."""
+    g = alpha.group
+    return alpha.base.is_connected() and generated_subgroup(g, cycle_nets(alpha)).order == g.order
 
 
 def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
@@ -242,7 +236,7 @@ def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
     g = c.group
     if h.parent is not g:
         raise MismatchedGroupError("subgroup of a different group")
-    if not is_galois(c):
+    if not is_galois(c.voltage):
         raise NotGaloisError("intermediate graphs need a connected (Galois) cover")
     cosets = left_cosets(h)
     graph, coset_of = _coset_quotient(c.voltage, cosets, "H")
@@ -263,7 +257,7 @@ def intermediate_kappa(c: Cover, h: Subgroup) -> int:
 
 def conjugate_kappa_check(c: Cover) -> VerificationReport:
     """kappa agrees across conjugate subgroups (cover-isomorphism consequence)."""
-    if not is_galois(c):
+    if not is_galois(c.voltage):
         raise NotGaloisError("conjugate check needs a Galois cover")
     subgroups = all_subgroups(c.group)
     kappas = [intermediate_kappa(c, h) for h in subgroups]
@@ -291,8 +285,7 @@ VOLTAGE_ATTEMPTS = 200
 def random_connected_voltage(base: SerreGraph, g: FiniteGroup, seed: int) -> VoltageAssignment:
     """Seeded uniform voltages, resampled until the derived graph is connected.
 
-    Each attempt is tested by generation (`cycle_nets`), not by building the
-    derived graph.
+    Each attempt is tested by `is_galois`, not by building the derived graph.
     """
     if not base.is_connected():
         raise NoConnectedAssignmentFoundError("base graph is disconnected")
@@ -305,7 +298,7 @@ def random_connected_voltage(base: SerreGraph, g: FiniteGroup, seed: int) -> Vol
     for _ in range(VOLTAGE_ATTEMPTS):
         volt = tuple(rng.randrange(g.order) for _ in range(m))
         alpha = VoltageAssignment(base=base, group=g, volt=volt)
-        if generated_subgroup(g, cycle_nets(alpha)).order == g.order:
+        if is_galois(alpha):
             return alpha
     raise NoConnectedAssignmentFoundError(
         f"no connected assignment found in {VOLTAGE_ATTEMPTS} attempts"
@@ -318,8 +311,8 @@ def random_connected_voltage(base: SerreGraph, g: FiniteGroup, seed: int) -> Vol
 def voltage_from_json_dict(base: SerreGraph, data: dict) -> VoltageAssignment:
     """Voltage file: {"group": spec, "assignments": [{"edge": k, "element": x}]}.
 
-    `edge` is a geometric edge index of the base; `element` is a label or an
-    element index of the group.
+    `edge` is a geometric edge index of the base; `element` names a group
+    element (`FiniteGroup.element`).
     """
     g = parse_group_spec(data["group"])
     volt = [g.identity] * base.geometric_edge_count
@@ -327,18 +320,8 @@ def voltage_from_json_dict(base: SerreGraph, data: dict) -> VoltageAssignment:
         k = json_int(item["edge"], "voltage edge")
         if not 0 <= k < base.geometric_edge_count:
             raise ValueError(f"edge index {k} out of range")
-        volt[k] = json_element(g, item["element"], "voltage element")
+        volt[k] = g.element(item["element"], "voltage element")
     return VoltageAssignment(base=base, group=g, volt=tuple(volt))
-
-
-def json_element(g: FiniteGroup, value, what: str) -> int:
-    """A group element in a JSON file: a label string or an element index.
-
-    An index must be a JSON integer (`json_int`): `true` or `1.0` is refused.
-    """
-    if isinstance(value, str):
-        return g.element_by_label(value)
-    return json_int(value, what)
 
 
 def load_voltage(base: SerreGraph, path: str) -> VoltageAssignment:

@@ -111,12 +111,6 @@ class SerreGraph:
             a[self.origin[e]][self.terminus[e]] += 1
         return a
 
-    def degree_matrix(self) -> list[list[int]]:
-        d = [[0] * self.vertex_count for _ in range(self.vertex_count)]
-        for e in range(self.edge_count):
-            d[self.origin[e]][self.origin[e]] += 1
-        return d
-
     def degrees(self) -> list[int]:
         d = [0] * self.vertex_count
         for e in range(self.edge_count):

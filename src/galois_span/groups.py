@@ -3,8 +3,9 @@
 Elements are indices 0..n-1 with a canonical, constructor-defined ordering
 (lexicographic tuples for direct products, one-line notation for permutation
 groups), so every downstream matrix and poset is deterministic for a given
-build sequence.  Subgroups are value objects identified by their sorted
-element sets.
+build sequence.  `FiniteGroup.element` reads every element name and
+`FiniteGroup.conjugation` holds every conjugate.  Subgroups are value
+objects identified by their sorted element sets.
 
 The subgroup lattice is built by cyclic extension (Neubüser 1960) on
 element bitmasks.  Constructions that guarantee closure (joins, cyclic
@@ -22,10 +23,12 @@ from math import gcd
 
 from .errors import (
     ClosureTooLargeError,
+    GaloisSpanError,
     InvalidTableError,
     MismatchedGroupError,
     NotNormalError,
     OrderTooLargeError,
+    json_int,
 )
 
 DEFAULT_MAX_ORDER = 128
@@ -143,7 +146,16 @@ class FiniteGroup:
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        return self.conjugation()[g][x]
+
+    def conjugation(self) -> tuple[tuple[int, ...], ...]:
+        """Row g is the map x -> g x g^-1, read off the Cayley table once."""
+        if "conjugation" not in self._cache:
+            table, inv = self.cayley, self.inverses
+            self._cache["conjugation"] = tuple(
+                tuple(table[gx][inv[g]] for gx in table[g]) for g in range(self.order)
+            )
+        return self._cache["conjugation"]
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -172,11 +184,18 @@ class FiniteGroup:
     def label(self, a: int) -> str:
         return self.labels[a]
 
-    def element_by_label(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no element labelled {label!r} in {self.name}")
+    def element(self, name, what: str = "element") -> int:
+        """An index below the order (an int or ASCII digits) or a label; anything
+        else raises `GaloisSpanError` naming `what`."""
+        if isinstance(name, str) and not (name.isascii() and name.isdigit()):
+            if name not in self.labels:
+                raise GaloisSpanError(f"no element labelled {name!r} in {self.name}")
+            return self.labels.index(name)
+        index = json_int(int(name) if isinstance(name, str) else name, what)
+        if not 0 <= index < self.order:
+            message = f"{what} {index} out of range: {self.name} has order {self.order}"
+            raise GaloisSpanError(message)
+        return index
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -189,10 +208,10 @@ class FiniteGroup:
             return self._cache["classes"]
         seen = [False] * self.order
         classes = []
-        for a in range(self.order):
+        for a, images in enumerate(zip(*self.conjugation())):
             if seen[a]:
                 continue
-            orbit = {self.conj(g, a) for g in range(self.order)}
+            orbit = set(images)
             for x in orbit:
                 seen[x] = True
             classes.append(tuple(sorted(orbit)))
@@ -255,9 +274,7 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         elems = set(self.elements)
-        return all(
-            self.parent.conj(g, a) in elems for g in range(self.parent.order) for a in elems
-        )
+        return all(row[a] in elems for row in self.parent.conjugation() for a in elems)
 
     def is_cyclic(self) -> bool:
         return any(
@@ -267,13 +284,14 @@ class Subgroup:
 
     def conjugate_by(self, g: int) -> "Subgroup":
         # a conjugate of a subgroup is a subgroup
-        return Subgroup._trusted(self.parent, [self.parent.conj(g, a) for a in self.elements])
+        row = self.parent.conjugation()[g]
+        return Subgroup._trusted(self.parent, [row[a] for a in self.elements])
 
     def class_key(self) -> tuple[int, ...]:
         """Least sorted element tuple among the conjugates: equal exactly on a class."""
-        g = self.parent
         return min(
-            tuple(sorted(g.conj(x, a) for a in self.elements)) for x in range(g.order)
+            tuple(sorted(map(row.__getitem__, self.elements)))
+            for row in self.parent.conjugation()
         )
 
     def describe(self) -> str:

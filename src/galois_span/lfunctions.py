@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .characters import character_table, induced_trivial_character, inner_product
-from .covers import Cover, intermediate_kappa
+from .covers import Cover, intermediate_kappa, is_galois
 from .cyclotomic import CyclotomicInt
 from .errors import (
     EulerZeroError,
@@ -111,14 +111,14 @@ def abelian_reps(g: FiniteGroup) -> list[MatrixRep]:
 
 
 def rep_from_json_dict(data: dict) -> MatrixRep:
-    """Matrix-rep file: entries are length-e integer vectors (coefficients of zeta^k)."""
+    """Matrix-rep file: element names (`FiniteGroup.element`) map to matrices
+    whose entries are length-e integer vectors (coefficients of zeta^k)."""
     g = parse_group_spec(data["group"])
     d = json_int(data["degree"], "rep degree")
     e = json_int(data["e"], "rep e")
     mats: list = [None] * g.order
-    for label, rows in data["matrices"].items():
-        x = g.element_by_label(label) if not label.isdigit() else int(label)
-        mats[x] = tuple(
+    for name, rows in data["matrices"].items():
+        mats[g.element(name, "rep element")] = tuple(
             tuple(
                 CyclotomicInt.from_mult_vector(e, [json_int(c, "rep entry") for c in entry])
                 for entry in row
@@ -253,7 +253,7 @@ def verify_prop_formula(c: Cover) -> VerificationReport:
     """|G| kappa(Y) = kappa(X) prod_{chi != 1} h(1, chi) for abelian covers."""
     if c.base.euler_characteristic() == 0:
         raise EulerZeroError("the product formula needs chi(X) != 0")
-    if not c.derived.is_connected():
+    if not is_galois(c.voltage):
         raise NotGaloisError("the product formula needs a Galois cover")
     reps = _abelian_rep_list(c.group)
     e = reps[0].e
@@ -278,7 +278,7 @@ def verify_inter_rel(c: Cover, h: Subgroup) -> VerificationReport:
     """[G:H] kappa(X_H) = kappa(X) prod h(1,chi)^{a_{chi,H}} for abelian covers."""
     if c.base.euler_characteristic() == 0:
         raise EulerZeroError("the subgroup formula needs chi(X) != 0")
-    if not c.derived.is_connected():
+    if not is_galois(c.voltage):
         raise NotGaloisError("the subgroup formula needs a Galois cover")
     g = c.group
     reps = _abelian_rep_list(g)

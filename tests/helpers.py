@@ -1,10 +1,11 @@
 """Shared generators for the randomized (seeded) test corpora."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from galois_span.characters import _hessenberg_charpoly_mod, _hessenberg_mod, _rref_mod
-from galois_span.covers import VOLTAGE_ATTEMPTS, VoltageAssignment, derived_graph, is_galois
+from galois_span.covers import VOLTAGE_ATTEMPTS, VoltageAssignment, derived_graph
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import MismatchedGroupError, NoConnectedAssignmentFoundError, TooLargeError
 from galois_span.graphs import SerreGraph, build_graph
@@ -295,16 +296,64 @@ def random_connected_voltage_by_derived_graph(
 ) -> VoltageAssignment:
     """`covers.random_connected_voltage` with each attempt tested on its derived graph.
 
-    The same seeded draws; an attempt is accepted when `is_galois` holds on
-    the built derived graph.  Assumes a connected base whose Euler
+    The same seeded draws; an attempt is accepted when the built derived
+    graph is connected.  Assumes a connected base whose Euler
     characteristic allows G.
     """
     rng = random.Random(seed)
     for _ in range(VOLTAGE_ATTEMPTS):
         volt = tuple(rng.randrange(g.order) for _ in range(base.geometric_edge_count))
         alpha = VoltageAssignment(base=base, group=g, volt=volt)
-        if is_galois(derived_graph(alpha)):
+        if derived_graph(alpha).derived.is_connected():
             return alpha
     raise NoConnectedAssignmentFoundError(
         f"no connected assignment found in {VOLTAGE_ATTEMPTS} attempts"
     )
+
+
+def conjugate_by_products(g: FiniteGroup, x: int, a: int) -> int:
+    """x a x^-1 from two products and an inverse: the oracle for `FiniteGroup.conjugation`."""
+    return g.mul(g.mul(x, a), g.inv(x))
+
+
+def conjugacy_classes_by_products(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Orbits under conjugation, ordered as `FiniteGroup.conjugacy_classes` orders them."""
+    orbits = {
+        tuple(sorted({conjugate_by_products(g, x, a) for x in range(g.order)}))
+        for a in range(g.order)
+    }
+    return sorted(orbits, key=lambda c: (g.identity not in c, c[0]))
+
+
+def class_key_by_products(h: Subgroup) -> tuple[int, ...]:
+    g = h.parent
+    return min(
+        tuple(sorted(conjugate_by_products(g, x, a) for a in h.elements)) for x in range(g.order)
+    )
+
+
+def is_normal_by_products(h: Subgroup) -> bool:
+    g = h.parent
+    elems = set(h.elements)
+    return all(conjugate_by_products(g, x, a) in elems for x in range(g.order) for a in elems)
+
+
+def induced_trivial_values_by_products(table, h: Subgroup) -> list[Fraction]:
+    """Ind_H^G(1) at each class: |{x : x^-1 g x in H}| / |H|, by products."""
+    g = table.group
+    members = set(h.elements)
+    return [
+        Fraction(sum(g.mul(g.mul(g.inv(x), cls[0]), x) in members for x in range(g.order)), h.order)
+        for cls in table.classes
+    ]
+
+
+def voltage_by_orientation_slot(alpha: VoltageAssignment, edge: int) -> int:
+    """Voltage of a directed edge by bisecting the canonical orientation for its
+    geometric edge: the oracle for `VoltageAssignment.voltage_of`."""
+    orientation = alpha.base.orientation()
+    inverse = alpha.base.inverse[edge]
+    slot = bisect_left(orientation, min(edge, inverse))
+    assert orientation[slot] == min(edge, inverse)
+    x = alpha.volt[slot]
+    return x if edge < inverse else alpha.group.inv(x)

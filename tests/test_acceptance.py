@@ -59,7 +59,7 @@ def _report(number: int, name: str, started: float, limit: float):
 
 def _fig2_cover():
     g = parse_group_spec("C2xC6")
-    lab = g.element_by_label
+    lab = g.element
     return derived_graph(
         VoltageAssignment(base=bouquet(2), group=g, volt=(lab("(1,0)"), lab("(0,1)")))
     )
@@ -69,7 +69,7 @@ def test_criterion_01_z2z6_example():
     started = time.perf_counter()
     c = _fig2_cover()
     g = c.group
-    lab = g.element_by_label
+    lab = g.element
     k1 = intermediate_kappa(c, generated_subgroup(g, [lab("(1,0)")]))
     k2 = intermediate_kappa(c, generated_subgroup(g, [lab("(1,3)")]))
     k3 = intermediate_kappa(c, generated_subgroup(g, [lab("(0,3)")]))
@@ -86,7 +86,7 @@ def test_criterion_01_z2z6_example():
 def test_criterion_02_s3_example():
     started = time.perf_counter()
     g = parse_group_spec("S3")
-    lab = g.element_by_label
+    lab = g.element
     c = derived_graph(
         VoltageAssignment(base=bouquet(2), group=g, volt=(lab("(0 1)"), lab("(0 1 2)")))
     )

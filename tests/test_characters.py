@@ -32,6 +32,7 @@ from galois_span.errors import (
     NotRationalValuedError,
 )
 from galois_span.groups import (
+    all_subgroups,
     cyclic_group,
     cyclic_subgroups,
     dicyclic_group,
@@ -41,7 +42,8 @@ from galois_span.groups import (
     symmetric_group,
 )
 from galois_span.posets import TOP_KEY, cyclic_poset, mobius
-from helpers import nullspace_mod
+from galois_span.table1 import TABLE1_FLAGS
+from helpers import induced_trivial_values_by_products, nullspace_mod
 
 SMALL_GROUPS = ["C1", "C2", "C5", "C6", "C2xC2", "C2xC6", "S3", "D4", "Q8", "A4", "Dic3", "C3xC3"]
 
@@ -452,3 +454,12 @@ def test_packed_orthogonality_check_sees_irrational_parts():
             _verify_table(corrupt)
         with pytest.raises(ArithmeticError):
             _orthogonality_by_inner_products(corrupt)
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE1_FLAGS) + ["C2xS4"])
+def test_induced_trivial_characters_agree_with_products(spec):
+    g = parse_group_spec(spec)
+    table = character_table(g)
+    for h in all_subgroups(g):
+        expected = induced_trivial_values_by_products(table, h)
+        assert list(induced_trivial_character(table, h).values) == expected

@@ -373,6 +373,87 @@ NON_INTEGER_FILES = {
 }
 
 
+S3_COVER = ["--base", "bouquet:2", "--group", "S3", "--voltage", "(0 1);(0 1 2)"]
+C3_COVER = ["--base", "bouquet:2", "--group", "C3", "--voltage", "1;0"]
+C2_REP = {"group": "C2", "degree": 1, "e": 2, "matrices": {"0": [[[1, 0]]], "5": [[[0, 1]]]}}
+# what is refused -> (argv, file contents for the last option or None, error message)
+REFUSED_ELEMENTS = {
+    "subgroup out of range": (
+        ["cover", "dot", *S3_COVER, "--subgroup", "99"],
+        None,
+        "element 99 out of range: S3 has order 6",
+    ),
+    "negative subgroup": (
+        ["cover", "dot", *S3_COVER, "--subgroup", "-1"],
+        None,
+        "no element labelled '-1' in S3",
+    ),
+    "voltage out of range": (
+        ["cover", "kappa", "--base", "bouquet:2", "--group", "C2", "--voltage", "3;0"],
+        None,
+        "element 3 out of range: C2 has order 2",
+    ),
+    "relation element out of range": (
+        ["verify", "relation", *S3_COVER, "--relation"],
+        [{"elements": [0, 99], "coefficient": 1}, {"elements": [0], "coefficient": -1}],
+        "relation element 99 out of range: S3 has order 6",
+    ),
+    "rep key out of range": (
+        ["lfun", "h", *COVER, "--rep"],
+        C2_REP,
+        "rep element 5 out of range: C2 has order 2",
+    ),
+    "chi above the range": (
+        ["lfun", "h", *C3_COVER, "--chi", "7"],
+        None,
+        "--chi must be in 0..2, got 7",
+    ),
+    "negative chi": (
+        ["lfun", "h", *C3_COVER, "--chi", "-1"],
+        None,
+        "--chi must be in 0..2, got -1",
+    ),
+    "verify-inter without subgroup": (
+        ["lfun", "verify-inter", *C3_COVER],
+        None,
+        "verify-inter needs --subgroup",
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(REFUSED_ELEMENTS))
+def test_bad_element_or_character_index_is_a_usage_error(capsys, tmp_path, what):
+    argv, data, message = REFUSED_ELEMENTS[what]
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = [*argv, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_unreadable_input_file_is_a_usage_error_that_names_the_file(capsys):
+    assert main(["graph", "kappa", "--base", "missing-file.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(": 'missing-file.json'\n")
+    # an existing path is read as a voltage file, and a directory is refused
+    assert main(["cover", "kappa", "--base", "bouquet:2", "--group", "C2", "--voltage", "."]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(": '.'\n")
+
+
+def test_subgroup_takes_a_semicolon_separated_list(capsys):
+    cover = ["--base", "bouquet:2", "--group", "C2xC2", "--voltage", "(1,0);(0,1)"]
+    code, data = run(capsys, "cover", "dot", *cover, "--subgroup", "(1,0)")
+    assert code == 0 and data["vertices"] == 2
+    code, data = run(capsys, "cover", "dot", *cover, "--subgroup", "(1,0); 1")
+    assert code == 0 and data["vertices"] == 1
+    code, data = run(capsys, "lfun", "verify-inter", *cover, "--subgroup", "(1,0);(0,1)")
+    assert code == 0 and data["passed"] is True
+
+
 @pytest.mark.parametrize("what", sorted(NON_INTEGER_FILES))
 def test_json_readers_refuse_non_integer_numbers(capsys, tmp_path, what):
     data, argv = NON_INTEGER_FILES[what]

@@ -47,6 +47,7 @@ from helpers import (
     laplacian,
     random_connected_voltage_by_derived_graph,
     theta_graph,
+    voltage_by_orientation_slot,
 )
 
 
@@ -55,7 +56,7 @@ def fig2_cover() -> Cover:
     alpha = VoltageAssignment(
         base=bouquet(2),
         group=g,
-        volt=(g.element_by_label("(1,0)"), g.element_by_label("(0,1)")),
+        volt=(g.element("(1,0)"), g.element("(0,1)")),
     )
     return derived_graph(alpha)
 
@@ -65,7 +66,7 @@ def s3_cover() -> Cover:
     alpha = VoltageAssignment(
         base=bouquet(2),
         group=g,
-        volt=(g.element_by_label("(0 1)"), g.element_by_label("(0 1 2)")),
+        volt=(g.element("(0 1)"), g.element("(0 1 2)")),
     )
     return derived_graph(alpha)
 
@@ -76,7 +77,7 @@ def test_derived_graph_shape():
     assert c.derived.edge_count == 4 * 12
     assert c.derived.euler_characteristic() == -12
     assert c.derived.is_connected()
-    assert is_galois(c)
+    assert is_galois(c.voltage)
 
 
 def test_cayley_cover_of_single_loop():
@@ -99,7 +100,7 @@ def test_not_galois_when_voltages_generate_proper_subgroup():
     g = cyclic_group(4)
     alpha = VoltageAssignment(base=bouquet(1), group=g, volt=(2,))  # <2> = C2 < C4
     c = derived_graph(alpha)
-    assert not is_galois(c)
+    assert not is_galois(c.voltage)
     with pytest.raises(NotGaloisError):
         intermediate_graph(c, generated_subgroup(g, []))
 
@@ -108,14 +109,15 @@ def test_disconnected_identity_voltage_two_vertices():
     base = build_graph(2, [(0, 1)])
     g = cyclic_group(2)
     alpha = VoltageAssignment(base=base, group=g, volt=(0,))
-    assert not is_galois(derived_graph(alpha))
+    assert not is_galois(alpha)
+    assert not derived_graph(alpha).derived.is_connected()
 
 
 def test_fig2_intermediate_kappas():
     c = fig2_cover()
     g = c.group
     kappas = {h.elements: intermediate_kappa(c, h) for h in all_subgroups(g)}
-    lab = g.element_by_label
+    lab = g.element
     h1 = generated_subgroup(g, [lab("(1,0)")]).elements
     h2 = generated_subgroup(g, [lab("(1,3)")]).elements
     h3 = generated_subgroup(g, [lab("(0,3)")]).elements
@@ -301,10 +303,50 @@ def test_generation_test_equals_connectivity_of_the_derived_graph():
                 volt = tuple(rng.randrange(g.order) for _ in range(base.geometric_edge_count))
                 alpha = VoltageAssignment(base=base, group=g, volt=volt)
                 generates = generated_subgroup(g, cycle_nets(alpha)).order == g.order
-                assert generates == is_galois(derived_graph(alpha)), (spec, volt)
+                assert generates == derived_graph(alpha).derived.is_connected(), (spec, volt)
+                assert generates == is_galois(alpha)
                 outcomes[generates] += 1
     assert sum(outcomes.values()) >= 500
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_voltage_of_agrees_with_the_orientation_bisect():
+    rng = random.Random(31)
+    for spec in GENERATION_GROUPS:
+        g = parse_group_spec(spec)
+        for base in GENERATION_BASES.values():
+            volt = tuple(rng.randrange(g.order) for _ in range(base.geometric_edge_count))
+            alpha = VoltageAssignment(base=base, group=g, volt=volt)
+            edges = range(base.edge_count)
+            assert [alpha.voltage_of(e) for e in edges] == [
+                voltage_by_orientation_slot(alpha, e) for e in edges
+            ], (spec, volt)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        build_graph(2, [(0, 0), (1, 1)]),  # two components, each with a loop
+        build_graph(3, [(0, 1), (1, 1)]),  # an isolated vertex
+        build_graph(0, []),
+    ],
+    ids=["two-loops", "isolated-vertex", "empty"],
+)
+@pytest.mark.parametrize("spec", ["C1", "C2", "S3"])
+def test_generation_test_refuses_every_disconnected_base(base, spec):
+    g = parse_group_spec(spec)
+    for x in range(g.order):
+        alpha = VoltageAssignment(base=base, group=g, volt=(x,) * base.geometric_edge_count)
+        assert not is_galois(alpha)
+        assert not derived_graph(alpha).derived.is_connected()
+
+
+def test_generation_test_over_the_trivial_group_is_connectivity_of_the_base():
+    g = parse_group_spec("C1")
+    for base in GENERATION_BASES.values():
+        alpha = VoltageAssignment(base=base, group=g, volt=(0,) * base.geometric_edge_count)
+        assert is_galois(alpha)
+        assert derived_graph(alpha).derived.is_connected()
 
 
 def test_three_generator_group_never_generates_over_bouquet2():
@@ -313,7 +355,8 @@ def test_three_generator_group_never_generates_over_bouquet2():
         for b in range(g.order):
             alpha = VoltageAssignment(base=bouquet(2), group=g, volt=(a, b))
             assert generated_subgroup(g, cycle_nets(alpha)).order < g.order
-            assert not is_galois(derived_graph(alpha))
+            assert not is_galois(alpha)
+    assert not derived_graph(alpha).derived.is_connected()
     with pytest.raises(NoConnectedAssignmentFoundError) as exc:
         random_connected_voltage(bouquet(2), g, seed=0)
     # byte-identical to the message in the random-corpus seed-0 digest

@@ -28,7 +28,7 @@ def test_build_graph_bouquet():
     assert g.edge_count == 4
     assert g.euler_characteristic() == -1
     assert g.adjacency_matrix() == [[4]]
-    assert g.degree_matrix() == [[4]]
+    assert g.degrees() == [4]
 
 
 def test_build_graph_validates():
@@ -54,7 +54,7 @@ def test_adjacency_cycle3_and_path():
     a = c3.adjacency_matrix()
     assert all(a[i][i] == 0 for i in range(3))
     assert sum(map(sum, a)) == 6
-    assert c3.degree_matrix() == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    assert c3.degrees() == [2, 2, 2]
     assert laplacian(path_graph(2)) == [[1, -1], [-1, 1]]
 
 

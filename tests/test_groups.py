@@ -7,6 +7,7 @@ import pytest
 
 from galois_span.errors import (
     ClosureTooLargeError,
+    GaloisSpanError,
     InvalidTableError,
     NotNormalError,
     OrderTooLargeError,
@@ -32,7 +33,15 @@ from galois_span.groups import (
     symmetric_group,
 )
 from galois_span.table1 import TABLE1_FLAGS
-from helpers import associativity_failure, random_loop_table, subgroups_by_pairwise_joins
+from helpers import (
+    associativity_failure,
+    class_key_by_products,
+    conjugacy_classes_by_products,
+    conjugate_by_products,
+    is_normal_by_products,
+    random_loop_table,
+    subgroups_by_pairwise_joins,
+)
 
 
 def test_cyclic_trivial():
@@ -145,7 +154,7 @@ def test_index_cosets_quotient():
     triv = generated_subgroup(g, [])
     assert triv.index() == 12
     h4 = generated_subgroup(
-        g, [g.element_by_label("(1,0)"), g.element_by_label("(0,3)")]
+        g, [g.element("(1,0)"), g.element("(0,3)")]
     )
     assert h4.order == 4
     cosets = left_cosets(h4)
@@ -299,7 +308,69 @@ def test_subgroup_rejects_non_subgroup():
 
 def test_permutation_composition_convention():
     s3 = symmetric_group(3)
-    a = s3.element_by_label("(0 1)")
-    b = s3.element_by_label("(0 1 2)")
+    a = s3.element("(0 1)")
+    b = s3.element("(0 1 2)")
     # (0 1) after (0 1 2): 0 -> 1 -> 0, 1 -> 2, 2 -> 0 -> 1 = (1 2)
     assert s3.label(s3.mul(a, b)) == "(1 2)"
+
+
+# group, name -> the element it names; an index is an int or ASCII digits
+ELEMENT_ACCEPTS = [
+    ("C2", 1, 1),
+    ("C2", "1", 1),
+    ("C2", "0", 0),
+    ("C2", "00", 0),
+    ("S3", 5, 5),
+    ("S3", "5", 5),
+    ("S3", "e", 0),
+    ("S3", "(0 1 2)", 3),
+    ("C2xC2", "(1,0)", 2),
+    ("C2xC2", "3", 3),
+    ("Q8", "a0b", 4),
+]
+# group, name -> the start of the error message
+ELEMENT_REFUSES = [
+    ("S3", 99, "element 99 out of range: S3 has order 6"),
+    ("S3", "99", "element 99 out of range: S3 has order 6"),
+    ("C2", "3", "element 3 out of range: C2 has order 2"),
+    ("C2", -1, "element -1 out of range"),
+    ("C2", "-1", "no element labelled '-1' in C2"),
+    ("C2", "+1", "no element labelled '+1'"),
+    ("C2", " 1", "no element labelled ' 1'"),
+    ("C2", "\u0661", "no element labelled"),  # an Arabic-Indic digit one
+    ("C2", "", "no element labelled ''"),
+    ("C2xC2", "(1", "no element labelled '(1'"),
+    ("S3", "(0 1 3)", "no element labelled"),
+    ("C2", True, "element must be an integer, got True"),
+    ("C2", 1.0, "element must be an integer, got 1.0"),
+    ("C2", None, "element must be an integer, got None"),
+    ("C2", [1], "element must be an integer, got [1]"),
+]
+
+
+@pytest.mark.parametrize("spec, name, index", ELEMENT_ACCEPTS)
+def test_element_accepts_an_index_below_the_order_or_a_label(spec, name, index):
+    assert parse_group_spec(spec).element(name) == index
+
+
+@pytest.mark.parametrize("spec, name, message", ELEMENT_REFUSES)
+def test_element_refuses_everything_else(spec, name, message):
+    with pytest.raises(GaloisSpanError) as exc:
+        parse_group_spec(spec).element(name)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE1_FLAGS) + ["C2xS4", "C4xS4"])
+def test_conjugation_table_agrees_with_products(spec):
+    g = parse_group_spec(spec)
+    n = g.order
+    expected = [[conjugate_by_products(g, x, a) for a in range(n)] for x in range(n)]
+    assert [list(row) for row in g.conjugation()] == expected
+    assert all(g.conj(x, a) == expected[x][a] for x in range(n) for a in range(n))
+    assert g.conjugacy_classes() == conjugacy_classes_by_products(g)
+    for h in all_subgroups(g):
+        assert h.class_key() == class_key_by_products(h)
+        assert h.is_normal() == is_normal_by_products(h)
+        for x in range(n):
+            conjugate = sorted(conjugate_by_products(g, x, a) for a in h.elements)
+            assert list(h.conjugate_by(x).elements) == conjugate

@@ -42,7 +42,7 @@ def test_trivial_rep_reduces_to_base_matrices():
         rho = trivial_rep(cover.group)
         a, d = twisted_matrices(cover, rho)
         assert [[x.as_int() for x in row] for row in a] == cover.base.adjacency_matrix()
-        assert d == [row[i] for i, row in enumerate(cover.base.degree_matrix())]
+        assert d == cover.base.degrees()
 
 
 def test_regular_rep_matches_derived_graph():
@@ -183,8 +183,8 @@ def test_prop_formula_examples():
             base=bouquet(2),
             group=parse_group_spec("C2xC6"),
             volt=(
-                parse_group_spec("C2xC6").element_by_label("(1,0)"),
-                parse_group_spec("C2xC6").element_by_label("(0,1)"),
+                parse_group_spec("C2xC6").element("(1,0)"),
+                parse_group_spec("C2xC6").element("(0,1)"),
             ),
         )
     )
@@ -216,7 +216,7 @@ def test_prop_formula_guards():
 
 def test_inter_rel_fig2():
     g = parse_group_spec("C2xC6")
-    lab = g.element_by_label
+    lab = g.element
     cover = derived_graph(
         VoltageAssignment(base=bouquet(2), group=g, volt=(lab("(1,0)"), lab("(0,1)")))
     )

@@ -19,6 +19,12 @@ The `selftest:` digests pin two seeded selftest runs, and `graph-zeta-irregular`
 pins `graph zeta` on a graph with a leaf, a loop and a double edge.  They were
 recorded before Hashimoto's h'(1) came from one elimination over Z[t]/(t^2) and
 before voltage sampling tested connectivity by generation.
+
+`cover-kappa` pins `cover kappa` (with its "galois" field) on every case, and
+`verify-relation-S3` pins `verify relation` on the Artin relation
+[1] + 2[S3] - [C3] - 2[C2] = 0 of S3 over `bouquet:2`, its elements given
+both as indices and as labels.  Both were recorded before element names,
+edge voltages, conjugates and the Galois test each came from one routine.
 """
 
 import contextlib
@@ -71,6 +77,12 @@ SELFTEST_CASES = {
         "selftest", "--seed", "1", "--iters", "40", "--groups", "S4,C2xA4,Dic5,C3xS3"
     ],
 }
+S3_ARTIN_RELATION = [
+    {"elements": ["e"], "coefficient": 1},
+    {"elements": [0, 1, 2, 3, 4, 5], "coefficient": 2},
+    {"elements": ["e", "(0 1 2)", "(0 2 1)"], "coefficient": -1},
+    {"elements": [0, "(0 1)"], "coefficient": -2},
+]
 # a triangle with a loop at 0, a double edge 1-2 and a leaf 3: degrees 5, 3, 4, 1
 IRREGULAR_GRAPH = {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 0], [0, 0], [1, 2], [2, 3]]}
 
@@ -147,6 +159,8 @@ def test_every_case_has_a_digest():
         "family-degree-readme",
         *SELFTEST_CASES,
         "graph-zeta-irregular",
+        "cover-kappa",
+        "verify-relation-S3",
     ]
     assert sorted(names) == sorted(DIGESTS)
 
@@ -175,3 +189,16 @@ def test_graph_zeta_on_irregular_graph_is_byte_identical_to_recorded_digest(tmp_
     path.write_text(json.dumps(IRREGULAR_GRAPH))
     command = ["graph", "zeta", "--base", str(path)]
     assert commands_digest([command]) == DIGESTS["graph-zeta-irregular"]
+
+
+def test_cover_kappa_output_is_byte_identical_to_recorded_digest():
+    commands = [["cover", "kappa", *_cover_args(name)] for name in sorted(CASES)]
+    assert commands_digest(commands) == DIGESTS["cover-kappa"]
+
+
+def test_verify_relation_output_is_byte_identical_to_recorded_digest(tmp_path):
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(S3_ARTIN_RELATION))
+    args = ["--base", "bouquet:2", "--group", "S3", "--voltage", "(0 1);(0 1 2)"]
+    command = ["verify", "relation", *args, "--relation", str(path)]
+    assert commands_digest([command]) == DIGESTS["verify-relation-S3"]
