@@ -227,6 +227,8 @@ def cycle_nets(alpha: VoltageAssignment) -> list[int]:
 
 def is_galois(alpha: VoltageAssignment) -> bool:
     """Connected derived graph, by generation: a connected base whose `cycle_nets` generate G."""
+    if not isinstance(alpha, VoltageAssignment):
+        raise TypeError(f"is_galois takes a VoltageAssignment, got {type(alpha).__name__}")
     g = alpha.group
     return alpha.base.is_connected() and generated_subgroup(g, cycle_nets(alpha)).order == g.order
 

@@ -191,7 +191,10 @@ class FiniteGroup:
             if name not in self.labels:
                 raise GaloisSpanError(f"no element labelled {name!r} in {self.name}")
             return self.labels.index(name)
-        index = json_int(int(name) if isinstance(name, str) else name, what)
+        try:
+            index = json_int(int(name) if isinstance(name, str) else name, what)
+        except ValueError:  # int() refuses digit strings past Python's conversion limit
+            raise GaloisSpanError(f"{what} has too many digits for {self.name}") from None
         if not 0 <= index < self.order:
             message = f"{what} {index} out of range: {self.name} has order {self.order}"
             raise GaloisSpanError(message)

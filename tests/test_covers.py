@@ -105,6 +105,12 @@ def test_not_galois_when_voltages_generate_proper_subgroup():
         intermediate_graph(c, generated_subgroup(g, []))
 
 
+def test_is_galois_names_its_argument_type():
+    c = derived_graph(VoltageAssignment(base=bouquet(1), group=cyclic_group(2), volt=(1,)))
+    with pytest.raises(TypeError, match="takes a VoltageAssignment, got Cover"):
+        is_galois(c)
+
+
 def test_disconnected_identity_voltage_two_vertices():
     base = build_graph(2, [(0, 1)])
     g = cyclic_group(2)
@@ -356,7 +362,7 @@ def test_three_generator_group_never_generates_over_bouquet2():
             alpha = VoltageAssignment(base=bouquet(2), group=g, volt=(a, b))
             assert generated_subgroup(g, cycle_nets(alpha)).order < g.order
             assert not is_galois(alpha)
-    assert not derived_graph(alpha).derived.is_connected()
+            assert not derived_graph(alpha).derived.is_connected()
     with pytest.raises(NoConnectedAssignmentFoundError) as exc:
         random_connected_voltage(bouquet(2), g, seed=0)
     # byte-identical to the message in the random-corpus seed-0 digest

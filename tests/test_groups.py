@@ -345,6 +345,7 @@ ELEMENT_REFUSES = [
     ("C2", 1.0, "element must be an integer, got 1.0"),
     ("C2", None, "element must be an integer, got None"),
     ("C2", [1], "element must be an integer, got [1]"),
+    ("C2", "9" * 5000, "element has too many digits for C2"),  # past int()'s digit limit
 ]
 
 
