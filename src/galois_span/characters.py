@@ -638,11 +638,11 @@ def is_irreducibly_represented(g: FiniteGroup) -> bool:
 
 
 def is_exceptional(g: FiniteGroup) -> bool:
-    """True when mu({1}, top) vanishes in the cyclic-subgroup poset."""
-    poset = cyclic_poset(g)
-    table = mobius(poset)
-    trivial_key = (g.identity,)
-    return table.mu(trivial_key, TOP_KEY) == 0
+    """True when mu({1}, top) vanishes in the cyclic-subgroup poset; kept on the group."""
+    if "is_exceptional" not in g._cache:
+        table = mobius(cyclic_poset(g))
+        g._cache["is_exceptional"] = table.mu((g.identity,), TOP_KEY) == 0
+    return g._cache["is_exceptional"]
 
 
 def verify_eq3(g: FiniteGroup) -> VerificationReport:

@@ -22,7 +22,7 @@ from .covers import (
     is_galois,
     load_voltage,
 )
-from .errors import GaloisSpanError, InvariantError, json_int
+from .errors import GaloisSpanError, InvariantError, json_int, json_list, json_object
 from .family import (
     FamilySpec,
     degree_formula,
@@ -286,8 +286,10 @@ def _cmd_verify(args) -> int:
         with open(args.relation, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         coeffs = {}
-        for item in data:
-            elems = [cover.group.element(x, "relation element") for x in item["elements"]]
+        for item in json_list(data, "relation file"):
+            item = json_object(item, "relation entry", "elements", "coefficient")
+            elements = json_list(item["elements"], "relation elements")
+            elems = [cover.group.element(x, "relation element") for x in elements]
             coeffs[Subgroup(cover.group, tuple(elems))] = json_int(
                 item["coefficient"], "relation coefficient"
             )

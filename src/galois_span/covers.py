@@ -12,6 +12,10 @@ every Galois guard and the random sampler ask, decides it by generation:
 the base is connected and the net voltages of the fundamental cycles of a
 spanning tree of the base generate G (Gross & Tucker, Topological Graph
 Theory, 1987, section 2.5).
+
+Each assignment keeps its Galois answer and each cover keeps kappa(X_H) per
+subgroup H, computed on first request with every check and read back after
+that: the verifiers of one cover ask for overlapping sets of quotients.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .errors import (
     NoConnectedAssignmentFoundError,
     NotGaloisError,
     json_int,
+    json_list,
+    json_object,
 )
 from .graphs import SerreGraph
 from .groups import (
@@ -50,6 +56,8 @@ class VoltageAssignment:
     volt: tuple[int, ...]  # one element index per orientation edge
     # one element index per directed edge, with alpha(e-bar) = alpha(e)^-1
     edge_volt: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the answer of `is_galois`, once asked
+    _galois: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base, g = self.base, self.group
@@ -79,6 +87,10 @@ class Cover:
 
     voltage: VoltageAssignment
     derived: SerreGraph
+    # kappa(X_H) by the element tuple of H, filled by `intermediate_kappa`
+    _kappas: dict[tuple[int, ...], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def base(self) -> SerreGraph:
@@ -229,17 +241,27 @@ def is_galois(alpha: VoltageAssignment) -> bool:
     """Connected derived graph, by generation: a connected base whose `cycle_nets` generate G."""
     if not isinstance(alpha, VoltageAssignment):
         raise TypeError(f"is_galois takes a VoltageAssignment, got {type(alpha).__name__}")
-    g = alpha.group
-    return alpha.base.is_connected() and generated_subgroup(g, cycle_nets(alpha)).order == g.order
+    if alpha._galois is None:
+        g = alpha.group
+        galois = alpha.base.is_connected() and (
+            generated_subgroup(g, cycle_nets(alpha)).order == g.order
+        )
+        object.__setattr__(alpha, "_galois", galois)
+    return alpha._galois
+
+
+def _check_quotient(c: Cover, h: Subgroup) -> None:
+    """The guards of every quotient request: H lies in G and the cover is Galois."""
+    if h.parent is not c.group:
+        raise MismatchedGroupError("subgroup of a different group")
+    if not is_galois(c.voltage):
+        raise NotGaloisError("intermediate graphs need a connected (Galois) cover")
 
 
 def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
     """Quotient by the left action of H: vertices (v, H*sigma)."""
+    _check_quotient(c, h)
     g = c.group
-    if h.parent is not g:
-        raise MismatchedGroupError("subgroup of a different group")
-    if not is_galois(c.voltage):
-        raise NotGaloisError("intermediate graphs need a connected (Galois) cover")
     cosets = left_cosets(h)
     graph, coset_of = _coset_quotient(c.voltage, cosets, "H")
     # the projection from the cover must be a covering map too
@@ -254,11 +276,22 @@ def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
 
 
 def intermediate_kappa(c: Cover, h: Subgroup) -> int:
-    return intermediate_graph(c, h).graph.spanning_tree_count()
+    """kappa(X_H), kept on the cover by the exact subgroup (never by its class).
+
+    The first request builds and validates the quotient; only the count is kept.
+    """
+    _check_quotient(c, h)
+    if h.elements not in c._kappas:
+        c._kappas[h.elements] = intermediate_graph(c, h).graph.spanning_tree_count()
+    return c._kappas[h.elements]
 
 
 def conjugate_kappa_check(c: Cover) -> VerificationReport:
-    """kappa agrees across conjugate subgroups (cover-isomorphism consequence)."""
+    """kappa agrees across conjugate subgroups (cover-isomorphism consequence).
+
+    Each subgroup's kappa comes from its own quotient, since the cover keeps
+    kappa per subgroup and not per class, so this stays an independent check.
+    """
     if not is_galois(c.voltage):
         raise NotGaloisError("conjugate check needs a Galois cover")
     subgroups = all_subgroups(c.group)
@@ -316,9 +349,11 @@ def voltage_from_json_dict(base: SerreGraph, data: dict) -> VoltageAssignment:
     `edge` is a geometric edge index of the base; `element` names a group
     element (`FiniteGroup.element`).
     """
+    data = json_object(data, "voltage file", "group", "assignments")
     g = parse_group_spec(data["group"])
     volt = [g.identity] * base.geometric_edge_count
-    for item in data["assignments"]:
+    for item in json_list(data["assignments"], "voltage assignments"):
+        item = json_object(item, "voltage assignment", "edge", "element")
         k = json_int(item["edge"], "voltage edge")
         if not 0 <= k < base.geometric_edge_count:
             raise ValueError(f"edge index {k} out of range")

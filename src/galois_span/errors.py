@@ -4,7 +4,8 @@ Every guard in the package raises one of these instead of a bare
 ValueError so callers (and the CLI) can react to specific failure modes.
 Bad input raises a `GaloisSpanError` (CLI exit code 2); a failed internal
 invariant of the exact arithmetic raises `InvariantError` (exit code 3).
-`json_int` is the one integer check of the JSON file readers.
+`json_int` is the one integer check of the JSON file readers, and
+`json_list` and `json_object` their shape checks.
 """
 
 
@@ -27,6 +28,10 @@ class TooLargeError(GaloisSpanError):
 
 class InvalidTableError(GaloisSpanError):
     """A Cayley table failed the group axioms."""
+
+
+class GroupSpecError(GaloisSpanError, ValueError):
+    """A group spec string (or the Cayley-table file it names) does not parse."""
 
 
 class ClosureTooLargeError(GaloisSpanError):
@@ -108,4 +113,25 @@ def json_int(value, what: str) -> int:
     """
     if type(value) is not int:
         raise GaloisSpanError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def json_list(value, what: str) -> list:
+    """`value` if it is a JSON array; anything else raises `GaloisSpanError`."""
+    if type(value) is not list:
+        raise GaloisSpanError(f"{what} must be a JSON array, got {_brief(value)}")
+    return value
+
+
+def json_object(value, what: str, *keys: str) -> dict:
+    """`value` if it is a JSON object holding every one of `keys`; anything
+    else raises `GaloisSpanError` naming the expected shape."""
+    if type(value) is not dict or any(key not in value for key in keys):
+        shape = " {" + ", ".join(f'"{key}": ...' for key in keys) + "}" if keys else ""
+        raise GaloisSpanError(f"{what} must be a JSON object{shape}, got {_brief(value)}")
     return value

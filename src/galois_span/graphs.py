@@ -21,10 +21,18 @@ Z[t]/(t^2) gives det L = 0 and h'(1) together (`linalg.det_int_derivative`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import DisconnectedGraphError, InvariantError, TooLargeError, json_int
+from .errors import (
+    DisconnectedGraphError,
+    GaloisSpanError,
+    InvariantError,
+    TooLargeError,
+    json_int,
+    json_list,
+    json_object,
+)
 from .linalg import det_int_derivative, det_int_poly_matrix, det_int_sparse_spd
 from .polynomials import IntPoly
 from .report import VerificationReport
@@ -46,6 +54,8 @@ class SerreGraph:
     terminus: tuple[int, ...]
     inverse: tuple[int, ...]
     vertex_names: tuple[str, ...] | None = None
+    # the answer of `spanning_tree_count`, once asked
+    _kappa: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, e = self.vertex_count, len(self.origin)
@@ -118,7 +128,9 @@ class SerreGraph:
         return d
 
     def spanning_tree_count(self) -> int:
-        """Complexity kappa: any cofactor of the Laplacian, computed exactly."""
+        """Complexity kappa: any cofactor of the Laplacian, computed exactly once."""
+        if self._kappa is not None:
+            return self._kappa
         if not self.is_connected():
             raise DisconnectedGraphError("spanning trees of a disconnected graph")
         # the Laplacian with vertex 0's row and column deleted; loops cancel
@@ -130,7 +142,8 @@ class SerreGraph:
             row[u - 1] = row.get(u - 1, 0) + 1
             if v:
                 row[v - 1] = row.get(v - 1, 0) - 1
-        return det_int_sparse_spd(rows)
+        object.__setattr__(self, "_kappa", det_int_sparse_spd(rows))
+        return self._kappa
 
     def ihara_h_poly(self) -> IntPoly:
         """h(u) = det(I - A u + (D - I) u^2) as an exact integer polynomial."""
@@ -272,11 +285,17 @@ def graph_to_json_dict(g: SerreGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> SerreGraph:
-    return build_graph(
-        json_int(data["vertices"], "graph vertices"),
-        [tuple(json_int(v, "edge endpoint") for v in edge) for edge in data["edges"]],
-        data.get("names"),
-    )
+    """Graph file: {"vertices": n, "edges": [[u, v], ...], "names": [...]}, names optional."""
+    data = json_object(data, "graph file", "vertices", "edges")
+    edges = []
+    for edge in json_list(data["edges"], "graph edges"):
+        if len(json_list(edge, "graph edge")) != 2:
+            raise GaloisSpanError(f"graph edge must be a pair [u, v], got {edge!r}")
+        edges.append(tuple(json_int(v, "edge endpoint") for v in edge))
+    names = data.get("names")
+    if names is not None and not all(isinstance(n, str) for n in json_list(names, "graph names")):
+        raise GaloisSpanError("graph names must be strings")
+    return build_graph(json_int(data["vertices"], "graph vertices"), edges, names)
 
 
 def load_graph(path: str) -> SerreGraph:

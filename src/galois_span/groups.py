@@ -5,7 +5,10 @@ Elements are indices 0..n-1 with a canonical, constructor-defined ordering
 groups), so every downstream matrix and poset is deterministic for a given
 build sequence.  `FiniteGroup.element` reads every element name and
 `FiniteGroup.conjugation` holds every conjugate.  Subgroups are value
-objects identified by their sorted element sets.
+objects identified by their sorted element sets.  A group keeps what is
+derived from it alone (conjugation, classes, subgroup lists, character
+tables, posets) in its `_cache`, computed on first request; the subgroup
+lists are handed out as fresh lists, so no caller can change the kept one.
 
 The subgroup lattice is built by cyclic extension (Neubüser 1960) on
 element bitmasks.  Constructions that guarantee closure (joins, cyclic
@@ -24,11 +27,14 @@ from math import gcd
 from .errors import (
     ClosureTooLargeError,
     GaloisSpanError,
+    GroupSpecError,
     InvalidTableError,
     MismatchedGroupError,
     NotNormalError,
     OrderTooLargeError,
     json_int,
+    json_list,
+    json_object,
 )
 
 DEFAULT_MAX_ORDER = 128
@@ -47,6 +53,8 @@ class FiniteGroup:
     def __init__(self, cayley, labels=None, name: str = "G", validate: bool = True):
         self.cayley = tuple(tuple(int(x) for x in row) for row in cayley)
         self.order = len(self.cayley)
+        if any(len(row) != self.order for row in self.cayley):
+            raise InvalidTableError("Cayley table is not square")
         self.name = name
         if labels is None:
             labels = [str(i) for i in range(self.order)]
@@ -93,7 +101,7 @@ class FiniteGroup:
         n = self.order
         table = self.cayley
         for row in table:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
+            if min(row) < 0 or max(row) >= n:
                 raise InvalidTableError("table entries out of range")
             if len(set(row)) != n:
                 raise InvalidTableError("table row is not a permutation")
@@ -208,7 +216,7 @@ class FiniteGroup:
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Partition of element indices; identity class first, then by least member."""
         if "classes" in self._cache:
-            return self._cache["classes"]
+            return list(self._cache["classes"])
         seen = [False] * self.order
         classes = []
         for a, images in enumerate(zip(*self.conjugation())):
@@ -219,20 +227,18 @@ class FiniteGroup:
                 seen[x] = True
             classes.append(tuple(sorted(orbit)))
         classes.sort(key=lambda c: (self.identity not in c, c[0]))
-        self._cache["classes"] = classes
+        self._cache["classes"] = tuple(classes)
         return classes
 
-    def class_index_of(self) -> list[int]:
+    def class_index_of(self) -> tuple[int, ...]:
         """Map element -> index of its conjugacy class."""
-        if "class_of" in self._cache:
-            return self._cache["class_of"]
-        classes = self.conjugacy_classes()
-        out = [0] * self.order
-        for i, cls in enumerate(classes):
-            for x in cls:
-                out[x] = i
-        self._cache["class_of"] = out
-        return out
+        if "class_of" not in self._cache:
+            out = [0] * self.order
+            for i, cls in enumerate(self.conjugacy_classes()):
+                for x in cls:
+                    out[x] = i
+            self._cache["class_of"] = tuple(out)
+        return self._cache["class_of"]
 
 
 @dataclass(frozen=True)
@@ -334,6 +340,8 @@ def _closure(g: FiniteGroup, h_elems: list[int], gens: list[int]) -> list[int]:
 
 def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """All subgroups generated by a single element, canonically sorted."""
+    if "cyclic_subgroups" in g._cache:
+        return list(g._cache["cyclic_subgroups"])
     seen: set[tuple[int, ...]] = set()
     out = []
     for a in range(g.order):
@@ -342,6 +350,7 @@ def cyclic_subgroups(g: FiniteGroup) -> list[Subgroup]:
             seen.add(elems)
             out.append(Subgroup._trusted(g, elems))
     out.sort(key=lambda h: (h.order, h.elements))
+    g._cache["cyclic_subgroups"] = tuple(out)
     return out
 
 
@@ -356,6 +365,8 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     bound = max_group_order()
     if g.order > bound:
         raise OrderTooLargeError(f"order {g.order} exceeds bound {bound}")
+    if "all_subgroups" in g._cache:
+        return list(g._cache["all_subgroups"])
     cyclics = []  # (bitmask, generator)
     found = {}  # bitmask -> (elements, generators)
     for c in cyclic_subgroups(g):
@@ -376,6 +387,7 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
         layer = new
     out = [Subgroup._trusted(g, elems) for elems, _ in found.values()]
     out.sort(key=lambda h: (h.order, h.elements))
+    g._cache["all_subgroups"] = tuple(out)
     return out
 
 
@@ -605,14 +617,19 @@ def _parse_cycles(text: str) -> tuple[int, ...]:
     while i < len(text):
         ch = text[i]
         if ch == "(":
-            j = text.index(")", i)
+            j = text.find(")", i)
             body = text[i + 1 : j].replace(",", " ").split()
-            cycles.append([int(x) for x in body])
+            if j < 0 or not all(x.isascii() and x.isdigit() for x in body):
+                raise GroupSpecError(f"bad cycle notation in permutation {text.strip()!r}")
+            cycle = [int(x) for x in body]
+            if len(set(cycle)) != len(cycle):
+                raise GroupSpecError(f"cycle repeats a point in permutation {text.strip()!r}")
+            cycles.append(cycle)
             i = j + 1
         elif ch.isspace():
             i += 1
         else:
-            raise ValueError(f"bad cycle notation near {text[i:]!r}")
+            raise GroupSpecError(f"bad cycle notation near {text[i:]!r}")
     size = max((max(c) for c in cycles if c), default=-1) + 1
     # rightmost cycle acts first: the product is c1 o c2 o ... o ck
     perm = list(range(size))
@@ -629,12 +646,17 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 
     Grammar: C<n>, D<n> (dihedral of order 2n), Q8 / Q16 (dicyclic), Dic<n>,
     S<n>, A<n>, products joined with 'x' (e.g. C2xC6), perm:(cycles);(cycles),
-    or table:<path> pointing at a JSON Cayley table.
+    or table:<path> pointing at a JSON Cayley table.  A spec that does not
+    parse raises `GroupSpecError` naming the bad piece.
     """
+    if not isinstance(spec, str):
+        raise GroupSpecError(f"group spec must be a string, got {spec!r}")
     spec = spec.strip()
     if spec.startswith("perm:"):
         body = spec[len("perm:") :]
         gens = [_parse_cycles(part) for part in body.split(";") if part.strip()]
+        if not gens:
+            raise GroupSpecError(f"group spec {spec!r} names no permutation")
         size = max(len(p) for p in gens)
         gens = [p + tuple(range(len(p), size)) for p in gens]
         return from_permutations(gens, name=spec)
@@ -642,10 +664,8 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         path = spec[len("table:") :]
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if isinstance(data, dict):
-            return from_cayley_table(data["table"], data.get("labels"), name=path)
-        return from_cayley_table(data, name=path)
-    factors = [_parse_atom(tok) for tok in spec.split("x")]
+        return _table_from_json(data, path)
+    factors = [_parse_atom(tok, spec) for tok in spec.split("x")]
     group = factors[0]
     for extra in factors[1:]:
         group = direct_product(group, extra)
@@ -653,25 +673,43 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     return group
 
 
-def _parse_atom(token: str) -> FiniteGroup:
+def _table_from_json(data, path: str) -> FiniteGroup:
+    """A Cayley-table file: rows of element indices, bare or as {"table": rows, "labels": [...]}."""
+    labels = None
+    if type(data) is dict:
+        labels = data.get("labels")
+        data = json_object(data, f"Cayley table file {path}", "table")["table"]
+        if labels is not None:
+            labels = json_list(labels, "Cayley table labels")
+            if not all(isinstance(label, str) for label in labels):
+                raise GroupSpecError(f"Cayley table labels must be strings, got {labels!r}")
+    rows = [json_list(row, "Cayley table row") for row in json_list(data, f"Cayley table {path}")]
+    table = [[json_int(x, "Cayley table entry") for x in row] for row in rows]
+    return from_cayley_table(table, labels, name=path)
+
+
+_ATOM_MAKERS = {
+    "Dic": dicyclic_group,
+    "C": cyclic_group,
+    "D": dihedral_group,
+    "S": symmetric_group,
+    "A": alternating_group,
+    "Q": lambda n: dicyclic_group(n // 4),
+}
+
+
+def _parse_atom(token: str, spec: str) -> FiniteGroup:
+    """One factor of a product spec: a family letter (or Dic) and a positive size."""
     token = token.strip()
-    if token.startswith("Dic"):
-        return dicyclic_group(int(token[3:]))
-    if token.startswith("Q"):
-        n = int(token[1:])
-        if n % 4 != 0 or n < 8:
-            raise ValueError(f"Q{n} is not a dicyclic order (use multiples of 4, >= 8)")
-        return dicyclic_group(n // 4)
-    kind, num = token[0], token[1:]
-    makers = {
-        "C": cyclic_group,
-        "D": dihedral_group,
-        "S": symmetric_group,
-        "A": alternating_group,
-    }
-    if kind not in makers or not num.isdigit():
-        raise ValueError(f"cannot parse group atom {token!r}")
-    return makers[kind](int(num))
+    kind = "Dic" if token.startswith("Dic") else token[:1]
+    num = token[len(kind) :]
+    if kind not in _ATOM_MAKERS or not (num.isascii() and num.isdigit()) or int(num) < 1:
+        where = "empty factor" if not token else f"group atom {token!r}"
+        raise GroupSpecError(f"cannot parse {where} in group spec {spec!r}")
+    n = int(num)
+    if kind == "Q" and (n % 4 != 0 or n < 8):
+        raise GroupSpecError(f"Q{n} is not a dicyclic order (use multiples of 4, >= 8)")
+    return _ATOM_MAKERS[kind](n)
 
 
 def _atom_order(token: str) -> int:

@@ -29,12 +29,15 @@ from .covers import Cover, intermediate_kappa, is_galois
 from .cyclotomic import CyclotomicInt
 from .errors import (
     EulerZeroError,
+    GaloisSpanError,
     InvariantError,
     MismatchedGroupError,
     NotAbelianError,
     NotBouquetError,
     NotGaloisError,
     json_int,
+    json_list,
+    json_object,
 )
 from .graphs import zeta_numerator
 from .groups import FiniteGroup, Subgroup, parse_group_spec
@@ -113,17 +116,22 @@ def abelian_reps(g: FiniteGroup) -> list[MatrixRep]:
 def rep_from_json_dict(data: dict) -> MatrixRep:
     """Matrix-rep file: element names (`FiniteGroup.element`) map to matrices
     whose entries are length-e integer vectors (coefficients of zeta^k)."""
+    data = json_object(data, "rep file", "group", "degree", "e", "matrices")
     g = parse_group_spec(data["group"])
     d = json_int(data["degree"], "rep degree")
     e = json_int(data["e"], "rep e")
+    if e < 1:
+        raise GaloisSpanError(f"rep e must be positive, got {e}")
     mats: list = [None] * g.order
-    for name, rows in data["matrices"].items():
+    for name, rows in json_object(data["matrices"], "rep matrices").items():
         mats[g.element(name, "rep element")] = tuple(
             tuple(
-                CyclotomicInt.from_mult_vector(e, [json_int(c, "rep entry") for c in entry])
-                for entry in row
+                CyclotomicInt.from_mult_vector(
+                    e, [json_int(c, "rep entry") for c in json_list(entry, "rep entry")]
+                )
+                for entry in json_list(row, "rep matrix row")
             )
-            for row in rows
+            for row in json_list(rows, "rep matrix")
         )
     if any(m is None for m in mats):
         raise ValueError("matrix file misses some group elements")

@@ -5,12 +5,15 @@ forms (summing over the lower and the upper half-open interval); the two
 computations must agree and the package treats any disagreement as a bug.
 Adjoined bounds (a bottom below every kernel, a top above every cyclic
 subgroup) are genuine poset elements so that values like mu(bottom, x) come
-from the same code path as interior values.
+from the same code path as interior values.  A poset keeps its Moebius
+table, and a group keeps its cyclic poset and the kernel poset of each of
+its character tables, each computed once on first request.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import InvariantError
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
@@ -31,6 +34,7 @@ class Poset:
         if len(self.labels) != n or len(self.leq_matrix) != n:
             raise ValueError("poset field lengths disagree")
         self._validate()
+        self._mobius: MobiusTable | None = None  # filled by `mobius`
 
     def _validate(self):
         n = len(self.keys)
@@ -130,7 +134,7 @@ class MobiusTable:
                             f"Moebius recursions disagree at ({i},{j}): {a} vs {b}"
                         )
                     values[(i, j)] = a
-        self.values = values
+        self.values = MappingProxyType(values)  # read-only: `mobius` shares the table
 
     def mu(self, a, b) -> int:
         i, j = self.poset.index(a), self.poset.index(b)
@@ -153,7 +157,10 @@ class MobiusTable:
 
 
 def mobius(p: Poset) -> MobiusTable:
-    return MobiusTable(p)
+    """The poset's Moebius table, both recursions run on the first request."""
+    if p._mobius is None:
+        p._mobius = MobiusTable(p)
+    return p._mobius
 
 
 def classical_mobius(n: int) -> int:
@@ -212,14 +219,24 @@ TOP_KEY = "∞"
 
 
 def kernel_poset(g: FiniteGroup, character_table) -> Poset:
-    """Kernels of irreducible characters under inclusion, with a bottom adjoined."""
-    kernels = [character_table.kernel_of(chi) for chi in character_table.characters]
-    return adjoin_bottom(subgroup_poset(kernels), BOTTOM_KEY)
+    """Kernels of irreducible characters under inclusion, with a bottom adjoined.
+
+    Kept on the group per table object, as `character_table` keeps one table
+    per seed.
+    """
+    cache_key = ("kernel_poset", character_table)
+    if cache_key not in g._cache:
+        kernels = [character_table.kernel_of(chi) for chi in character_table.characters]
+        g._cache[cache_key] = adjoin_bottom(subgroup_poset(kernels), BOTTOM_KEY)
+    return g._cache[cache_key]
 
 
 def cyclic_poset(g: FiniteGroup) -> Poset:
     """Cyclic subgroups under inclusion, with a top adjoined."""
-    return adjoin_top(subgroup_poset(cyclic_subgroups(g), label_prefix="C"), TOP_KEY)
+    if "cyclic_poset" not in g._cache:
+        cyclics = subgroup_poset(cyclic_subgroups(g), label_prefix="C")
+        g._cache["cyclic_poset"] = adjoin_top(cyclics, TOP_KEY)
+    return g._cache["cyclic_poset"]
 
 
 def mobius_inversion_check(p: Poset, f: dict, g: dict) -> bool:

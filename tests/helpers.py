@@ -1,10 +1,13 @@
 """Shared generators for the randomized (seeded) test corpora."""
 
+import contextlib
+import io
 import random
 from bisect import bisect_left
 from fractions import Fraction
 
 from galois_span.characters import _hessenberg_charpoly_mod, _hessenberg_mod, _rref_mod
+from galois_span.cli import main
 from galois_span.covers import VOLTAGE_ATTEMPTS, VoltageAssignment, derived_graph
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import MismatchedGroupError, NoConnectedAssignmentFoundError, TooLargeError
@@ -357,3 +360,19 @@ def voltage_by_orientation_slot(alpha: VoltageAssignment, edge: int) -> int:
     assert orientation[slot] == min(edge, inverse)
     x = alpha.volt[slot]
     return x if edge < inverse else alpha.group.inv(x)
+
+
+def run_cli(argv: list[str]) -> int:
+    """`cli.main(argv)`, asserting exit 0, 1 or 2 (2 with an `error:` or `usage:`
+    line) and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing an option
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), (argv, err.getvalue())
+    return code

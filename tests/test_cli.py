@@ -466,6 +466,127 @@ def test_json_readers_refuse_non_integer_numbers(capsys, tmp_path, what):
     assert "Traceback" not in captured.err
 
 
+# spec -> the one-line refusal of `group info` and `group subgroups`
+MALFORMED_SPECS = {
+    "": "cannot parse empty factor in group spec ''",
+    "C2x": "cannot parse empty factor in group spec 'C2x'",
+    "C2xxC3": "cannot parse empty factor in group spec 'C2xxC3'",
+    "Z5": "cannot parse group atom 'Z5' in group spec 'Z5'",
+    "C0": "cannot parse group atom 'C0' in group spec 'C0'",
+    "C-2": "cannot parse group atom 'C-2' in group spec 'C-2'",
+    "Dic": "cannot parse group atom 'Dic' in group spec 'Dic'",
+    "Q6": "Q6 is not a dicyclic order (use multiples of 4, >= 8)",
+    "perm:": "group spec 'perm:' names no permutation",
+    "perm:(0 1": "bad cycle notation in permutation '(0 1'",
+    "perm:(0 a)": "bad cycle notation in permutation '(0 a)'",
+    "perm:(0 1 0)": "cycle repeats a point in permutation '(0 1 0)'",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MALFORMED_SPECS))
+@pytest.mark.parametrize("action", ["info", "subgroups"])
+def test_malformed_group_spec_is_a_usage_error_that_names_the_atom(capsys, action, spec):
+    assert main(["group", action, spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {MALFORMED_SPECS[spec]}\n"
+
+
+# file contents -> (command whose last option takes the file, error message)
+MISSHAPEN_FILES = {
+    "relation file of numbers": (
+        [1],
+        ["verify", "relation", *COVER, "--relation"],
+        'relation entry must be a JSON object {"elements": ..., "coefficient": ...}, got 1',
+    ),
+    "relation file that is an object": (
+        {"elements": [0], "coefficient": 1},
+        ["verify", "relation", *COVER, "--relation"],
+        "relation file must be a JSON array, got {'elements': [0], 'coefficient': 1}",
+    ),
+    "relation elements that are a number": (
+        [{"elements": 0, "coefficient": 1}],
+        ["verify", "relation", *COVER, "--relation"],
+        "relation elements must be a JSON array, got 0",
+    ),
+    "voltage assignment that is a number": (
+        {"group": "C2", "assignments": [5]},
+        ["cover", "kappa", "--base", "bouquet:2", "--voltage"],
+        'voltage assignment must be a JSON object {"edge": ..., "element": ...}, got 5',
+    ),
+    "voltage file that is an array": (
+        [1],
+        ["cover", "kappa", "--base", "bouquet:2", "--voltage"],
+        'voltage file must be a JSON object {"group": ..., "assignments": ...}, got [1]',
+    ),
+    "voltage group that is a number": (
+        {"group": 2, "assignments": []},
+        ["cover", "kappa", "--base", "bouquet:2", "--voltage"],
+        "group spec must be a string, got 2",
+    ),
+    "graph file without edges": (
+        {"vertices": 2},
+        ["graph", "kappa", "--base"],
+        'graph file must be a JSON object {"vertices": ..., "edges": ...}, got {\'vertices\': 2}',
+    ),
+    "graph edge of three vertices": (
+        {"vertices": 2, "edges": [[0, 1, 1]]},
+        ["graph", "kappa", "--base"],
+        "graph edge must be a pair [u, v], got [0, 1, 1]",
+    ),
+    "graph names that are a string": (
+        {"vertices": 2, "edges": [[0, 1]], "names": "ab"},
+        ["graph", "kappa", "--base"],
+        "graph names must be a JSON array, got 'ab'",
+    ),
+    "rep matrices that are an array": (
+        {"group": "C2", "degree": 1, "e": 2, "matrices": []},
+        ["lfun", "h", *COVER, "--rep"],
+        "rep matrices must be a JSON object, got []",
+    ),
+    "rep entry that is a number": (
+        {"group": "C2", "degree": 1, "e": 2, "matrices": {"0": [[1]], "1": [[[0, 1]]]}},
+        ["lfun", "h", *COVER, "--rep"],
+        "rep entry must be a JSON array, got 1",
+    ),
+    "rep conductor zero": (
+        {"group": "C2", "degree": 1, "e": 0, "matrices": {}},
+        ["lfun", "h", *COVER, "--rep"],
+        "rep e must be positive, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(MISSHAPEN_FILES))
+def test_json_readers_refuse_a_misshapen_file_naming_the_shape(capsys, tmp_path, what):
+    data, argv, message = MISSHAPEN_FILES[what]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1], [1]], "Cayley table is not square"),
+        ({"labels": ["e", "a"]}, "Cayley table file {path} must be a JSON object"),
+        ([[0, 1.0], [1, 0]], "Cayley table entry must be an integer, got 1.0"),
+        ({"table": [[0, 1], [1, 0]], "labels": [0, 1]}, "Cayley table labels must be strings"),
+    ],
+)
+def test_cayley_table_file_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, table, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    assert main(["group", "subgroups", f"table:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message.format(path=path)}")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command",
     [

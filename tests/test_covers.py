@@ -19,6 +19,7 @@ from galois_span.covers import (
 )
 from galois_span.errors import (
     EulerZeroError,
+    MismatchedGroupError,
     NoConnectedAssignmentFoundError,
     NotGaloisError,
 )
@@ -462,3 +463,84 @@ def test_intermediate_kappa_on_two_vertex_base():
         inter = intermediate_graph(c, h)
         assert inter.graph.is_connected()
         assert inter.graph.spanning_tree_count() >= 1
+
+
+# -- the values a cover, an assignment and a group keep ---------------------------
+
+
+def _warm(c: Cover) -> None:
+    """Every verifier of one selftest iteration, in the selftest's order."""
+    from galois_span.theorems import verify_brauer_kuroda, verify_kuroda
+
+    verify_kuroda(c)
+    verify_brauer_kuroda(c)
+    conjugate_kappa_check(c)
+    hashimoto_check(c.derived)
+
+
+@pytest.mark.parametrize("base_name, spec", HASHIMOTO_COVERS)
+def test_kept_kappas_equal_the_kappa_of_a_freshly_built_quotient(base_name, spec):
+    base, g = GENERATION_BASES[base_name], parse_group_spec(spec)
+    alpha = random_connected_voltage(base, g, 1)
+    c = derived_graph(alpha)
+    _warm(c)
+    for h in all_subgroups(g):
+        fresh = derived_graph(VoltageAssignment(base=base, group=g, volt=alpha.volt))
+        expected = intermediate_graph(fresh, h).graph.spanning_tree_count()
+        assert intermediate_kappa(c, h) == expected, (spec, h.describe())
+    fresh = derived_graph(VoltageAssignment(base=base, group=g, volt=alpha.volt))
+    assert c.derived.spanning_tree_count() == fresh.derived.spanning_tree_count()
+
+
+def test_guards_still_raise_once_the_kept_values_are_warm():
+    g = symmetric_group(3)
+    c = s3_cover()
+    _warm(c)
+    # the same element sets in a structurally equal group: the key matches, the group does not
+    twin = symmetric_group(3)
+    for h in all_subgroups(twin):
+        with pytest.raises(MismatchedGroupError):
+            intermediate_kappa(c, h)
+        with pytest.raises(MismatchedGroupError):
+            intermediate_graph(c, h)
+    # a cover that is not Galois refuses every request, the first and the later ones
+    alpha = VoltageAssignment(base=bouquet(2), group=g, volt=(g.element("(0 1)"),) * 2)
+    not_galois = derived_graph(alpha)
+    assert not is_galois(alpha) and not is_galois(alpha)
+    for _ in range(2):
+        for h in all_subgroups(g):
+            with pytest.raises(NotGaloisError):
+                intermediate_kappa(not_galois, h)
+        with pytest.raises(NotGaloisError):
+            conjugate_kappa_check(not_galois)
+
+
+@pytest.mark.parametrize("spec", ["C2xC2", "S3", "D4", "Q8", "A4", "C3xS3"])
+def test_one_selftest_iteration_builds_each_quotient_once(monkeypatch, spec):
+    import galois_span.covers as covers
+    import galois_span.theorems as theorems
+
+    built = []
+    asked = []
+    build = covers._coset_quotient
+    kappa = covers.intermediate_kappa
+
+    def counting_build(alpha, cosets, prefix):
+        built.append(len(cosets))
+        return build(alpha, cosets, prefix)
+
+    def recording_kappa(c, h):
+        asked.append(h.elements)
+        return kappa(c, h)
+
+    monkeypatch.setattr(covers, "_coset_quotient", counting_build)
+    for module in (covers, theorems):
+        monkeypatch.setattr(module, "intermediate_kappa", recording_kappa)
+    summary = theorems.random_suite(3, 1, [spec], [bouquet(2)])
+    assert summary.all_passed
+    subgroups = all_subgroups(parse_group_spec(spec))
+    # every subgroup is asked for (the conjugate check asks for all), some more than once
+    assert sorted(set(asked)) == sorted(h.elements for h in subgroups)
+    assert len(asked) > len(set(asked))
+    # one quotient per distinct subgroup, plus the derived graph
+    assert len(built) == len(set(asked)) + 1

@@ -7,15 +7,13 @@ with an `error:` line); nothing else, and never a traceback.  Examples are
 derandomized so a failure reproduces.
 """
 
-import contextlib
-import io
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from galois_span.cli import main
+from helpers import run_cli
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -40,20 +38,6 @@ JSON_ELEMENTS = st.one_of(
     st.none(),
     st.lists(st.integers(0, 3), max_size=2),
 )
-
-
-def run_cli(argv: list[str]) -> int:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refusing an option
-            code = exc.code
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
-    if code == 2:
-        assert err.getvalue().startswith(("error: ", "usage: ")), (argv, err.getvalue())
-    return code
 
 
 def with_file(data, argv: list[str]) -> int:

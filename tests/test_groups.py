@@ -375,3 +375,26 @@ def test_conjugation_table_agrees_with_products(spec):
         for x in range(n):
             conjugate = sorted(conjugate_by_products(g, x, a) for a in h.elements)
             assert list(h.conjugate_by(x).elements) == conjugate
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "C2xQ8"])
+def test_subgroup_lists_kept_on_the_group_cannot_be_changed_by_a_caller(spec):
+    g = parse_group_spec(spec)
+    for listing in (all_subgroups, cyclic_subgroups):
+        expected = [h.elements for h in listing(parse_group_spec(spec))]
+        first = listing(g)
+        first.reverse()
+        first.append(Subgroup(g, (g.identity,)))
+        listing(g).clear()
+        again = listing(g)
+        assert again is not first
+        assert [h.elements for h in again] == expected
+        assert all(h.parent is g for h in again)
+
+
+def test_the_order_bound_is_read_on_every_subgroup_request(monkeypatch):
+    g = parse_group_spec("S4")
+    assert len(all_subgroups(g)) == 30
+    monkeypatch.setenv("GALOIS_SPAN_MAX_ORDER", "12")
+    with pytest.raises(OrderTooLargeError):
+        all_subgroups(g)

@@ -18,7 +18,11 @@ not, went through integer evaluation-interpolation.
 The `selftest:` digests pin two seeded selftest runs, and `graph-zeta-irregular`
 pins `graph zeta` on a graph with a leaf, a loop and a double edge.  They were
 recorded before Hashimoto's h'(1) came from one elimination over Z[t]/(t^2) and
-before voltage sampling tested connectivity by generation.
+before voltage sampling tested connectivity by generation.  The third,
+`selftest:seed2-conjugate-classes`, runs groups with large classes of
+non-normal subgroups, whose conjugate check compares many quotients; it was
+recorded before each cover kept its kappa(X_H) per subgroup and each group its
+subgroup lists, posets and Moebius tables.
 
 `cover-kappa` pins `cover kappa` (with its "galois" field) on every case, and
 `verify-relation-S3` pins `verify relation` on the Artin relation
@@ -75,6 +79,9 @@ SELFTEST_CASES = {
     "selftest:seed0": ["selftest", "--seed", "0", "--iters", "40"],
     "selftest:seed1-groups": [
         "selftest", "--seed", "1", "--iters", "40", "--groups", "S4,C2xA4,Dic5,C3xS3"
+    ],
+    "selftest:seed2-conjugate-classes": [
+        "selftest", "--seed", "2", "--iters", "40", "--groups", "D4,D6,S4,C2xD4"
     ],
 }
 S3_ARTIN_RELATION = [

@@ -195,3 +195,18 @@ def test_hasse_dot_shapes():
     diamond = subgroup_poset(all_subgroups(klein))
     dot = hasse_dot(diamond)
     assert dot.count("->") == 6  # bottom to 3 atoms, 3 atoms to top
+
+
+def test_posets_and_mobius_tables_are_kept_and_read_only():
+    g = parse_group_spec("S4")
+    table = character_table(g)
+    assert cyclic_poset(g) is cyclic_poset(g)
+    assert kernel_poset(g, table) is kernel_poset(g, table)
+    for poset in (cyclic_poset(g), kernel_poset(g, table)):
+        mu = mobius(poset)
+        assert mobius(poset) is mu
+        with pytest.raises(TypeError):
+            mu.values[(0, 0)] = 5
+        # the kept table equals one computed on an equal, fresh poset
+        fresh = Poset(poset.keys, poset.labels, poset.leq_matrix)
+        assert dict(mobius(fresh).values) == dict(mu.values)
