@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every command is deterministic given its inputs and seed, emits JSON (all
-big integers as decimal strings) to stdout or --out, and exits 0 on
-success or pass, 1 on verification failure, 2 on usage errors, 3 when an
-internal exact-arithmetic invariant fails (`errors.InvariantError`).
+big integers as decimal strings of any length, by `report.decimal_text`) to
+stdout or --out, and exits 0 on success or pass, 1 on verification failure,
+2 on usage errors, 3 when an internal exact-arithmetic invariant fails
+(`errors.InvariantError`).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .lfunctions import (
     verify_prop_formula,
 )
 from .posets import cyclic_poset, hasse_dot, kernel_poset, mobius
+from .report import decimal_text
 from .table1 import TABLE1_FLAGS
 from .theorems import (
     random_suite,
@@ -131,17 +133,20 @@ def _subgroup_from_args(cover, text: str | None) -> Subgroup:
 def _cmd_graph(args) -> int:
     g = _load_base(args.base)
     if args.action == "kappa":
-        _emit({"vertices": g.vertex_count, "kappa": str(g.spanning_tree_count())}, args)
+        _emit({"vertices": g.vertex_count, "kappa": decimal_text(g.spanning_tree_count())}, args)
         return 0
     if args.action == "zeta":
         h = g.ihara_h_poly()
         report = hashimoto_check(g)
         slope = h.derivative()(1)
         if slope != report.left:
-            raise InvariantError(f"h'(1) of h(u) is {slope}, the Hashimoto check has {report.left}")
+            raise InvariantError(
+                f"h'(1) of h(u) is {decimal_text(slope)},"
+                f" the Hashimoto check has {decimal_text(report.left)}"
+            )
         _emit(
             {
-                "h_coefficients": [str(c) for c in h.coeffs],
+                "h_coefficients": [decimal_text(c) for c in h.coeffs],
                 "hashimoto": report.to_json_dict(),
             },
             args,
@@ -212,8 +217,8 @@ def _cmd_cover(args) -> int:
         _emit(
             {
                 "galois": is_galois(cover.voltage),
-                "kappa_Y": str(cover.derived.spanning_tree_count()),
-                "kappa_X": str(cover.base.spanning_tree_count()),
+                "kappa_Y": decimal_text(cover.derived.spanning_tree_count()),
+                "kappa_X": decimal_text(cover.base.spanning_tree_count()),
             },
             args,
         )
@@ -235,7 +240,7 @@ def _cmd_cover(args) -> int:
                 "subgroup": [g.label(x) for x in h.elements],
                 "index": h.index(),
                 "vertices": inter.graph.vertex_count,
-                "kappa": str(inter.graph.spanning_tree_count()),
+                "kappa": decimal_text(inter.graph.spanning_tree_count()),
             }
         )
     _emit({"group": g.name, "intermediates": rows}, args)
@@ -256,7 +261,7 @@ def _cmd_lfun(args) -> int:
         _emit(
             {
                 "degree": poly.degree,
-                "coefficients": [list(map(str, c.coeffs)) for c in poly.coeffs],
+                "coefficients": [list(map(decimal_text, c.coeffs)) for c in poly.coeffs],
                 "conductor": rho.e,
             },
             args,

@@ -182,20 +182,11 @@ def _validate_covering(top: SerreGraph, bottom: SerreGraph, vmap, emap) -> None:
             raise InvariantError("projection does not commute with endpoints")
         if emap[top.inverse[e]] != bottom.inverse[f]:
             raise InvariantError("projection does not commute with inversion")
-    top_out = _out_edge_lists(top)
-    bottom_out = _out_edge_lists(bottom)
-    for w in range(top.vertex_count):
-        # bottom_out lists are strictly increasing, so equality also rules out repeats
-        if sorted(emap[e] for e in top_out[w]) != bottom_out[vmap[w]]:
+    bottom_out = bottom.out_edges()
+    for w, leaving in enumerate(top.out_edges()):
+        # bottom_out tuples are strictly increasing, so equality also rules out repeats
+        if tuple(sorted(emap[e] for e in leaving)) != bottom_out[vmap[w]]:
             raise InvariantError(f"restriction at vertex {w} is not a bijection")
-
-
-def _out_edge_lists(g: SerreGraph) -> list[list[int]]:
-    """Directed edges leaving each vertex, in index order."""
-    out: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e, v in enumerate(g.origin):
-        out[v].append(e)
-    return out
 
 
 def cycle_nets(alpha: VoltageAssignment) -> list[int]:

@@ -54,8 +54,11 @@ class SerreGraph:
     terminus: tuple[int, ...]
     inverse: tuple[int, ...]
     vertex_names: tuple[str, ...] | None = None
-    # the answer of `spanning_tree_count`, once asked
+    # the answers of `spanning_tree_count` and `out_edges`, once asked
     _kappa: int | None = field(default=None, init=False, repr=False, compare=False)
+    _out: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n, e = self.vertex_count, len(self.origin)
@@ -114,6 +117,15 @@ class SerreGraph:
                     count += 1
                     stack.append(w)
         return count == n
+
+    def out_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Directed edges leaving each vertex, in index order, built once."""
+        if self._out is None:
+            out: list[list[int]] = [[] for _ in range(self.vertex_count)]
+            for e, v in enumerate(self.origin):
+                out[v].append(e)
+            object.__setattr__(self, "_out", tuple(map(tuple, out)))
+        return self._out
 
     def adjacency_matrix(self) -> list[list[int]]:
         a = [[0] * self.vertex_count for _ in range(self.vertex_count)]

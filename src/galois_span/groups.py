@@ -6,9 +6,10 @@ groups), so every downstream matrix and poset is deterministic for a given
 build sequence.  `FiniteGroup.element` reads every element name and
 `FiniteGroup.conjugation` holds every conjugate.  Subgroups are value
 objects identified by their sorted element sets.  A group keeps what is
-derived from it alone (conjugation, classes, subgroup lists, character
-tables, posets) in its `_cache`, computed on first request; the subgroup
-lists are handed out as fresh lists, so no caller can change the kept one.
+derived from it alone (conjugation, classes, subgroup lists, the class key
+of each subgroup, character tables, posets) in its `_cache`, computed on
+first request; the subgroup lists are handed out as fresh lists, so no
+caller can change the kept one.
 
 The subgroup lattice is built by cyclic extension (Neubüser 1960) on
 element bitmasks.  Constructions that guarantee closure (joins, cyclic
@@ -297,11 +298,20 @@ class Subgroup:
         return Subgroup._trusted(self.parent, [row[a] for a in self.elements])
 
     def class_key(self) -> tuple[int, ...]:
-        """Least sorted element tuple among the conjugates: equal exactly on a class."""
-        return min(
-            tuple(sorted(map(row.__getitem__, self.elements)))
-            for row in self.parent.conjugation()
-        )
+        """Least sorted element tuple among the conjugates: equal exactly on a class.
+
+        The group keeps the key of every member of a class once one member
+        is asked, so each class of subgroups is conjugated once per group.
+        """
+        keys = self.parent._cache.setdefault("class_keys", {})
+        if self.elements not in keys:
+            conjugates = {
+                tuple(sorted(map(row.__getitem__, self.elements)))
+                for row in self.parent.conjugation()
+            }
+            key = min(conjugates)
+            keys.update(dict.fromkeys(conjugates, key))
+        return keys[self.elements]
 
     def describe(self) -> str:
         return "{" + ",".join(self.parent.label(a) for a in self.elements) + "}"

@@ -1,13 +1,36 @@
 """Verification reports: exact integer comparisons with a pass flag.
 
 A report holds only what the check computed, no wall-clock time, so its
-JSON is byte-identical for fixed inputs.
+JSON is byte-identical for fixed inputs.  Every integer of the output is
+written by `decimal_text`, which has no digit limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+
+# below 640, the least int-to-str digit limit Python can be set to
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
+
+def decimal_text(n: int) -> str:
+    """The exact decimal text of an int of any size.
+
+    `str(int)` refuses more digits than Python's int-to-str limit (4300 by
+    default); this writes the number in pieces below that limit and leaves
+    the limit, which also guards parsing, as it is.
+    """
+    if n < 0:
+        return "-" + decimal_text(-n)
+    pieces = []
+    while n >= _PIECE:
+        n, low = divmod(n, _PIECE)
+        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
+    pieces.append(str(n))
+    return "".join(reversed(pieces))
 
 
 @dataclass(frozen=True)
@@ -63,8 +86,8 @@ class VerificationReport:
         return {
             "claim": self.claim,
             "inputs": self.inputs,
-            "left": str(self.left),
-            "right": str(self.right),
+            "left": decimal_text(self.left),
+            "right": decimal_text(self.right),
             "passed": self.passed,
             "status": self.status(),
             "trivial": self.trivial,
@@ -81,7 +104,7 @@ def _jsonable(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return str(value)
+        return decimal_text(value)
     if hasattr(value, "numerator") and hasattr(value, "denominator"):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{decimal_text(value.numerator)}/{decimal_text(value.denominator)}"
     return value if isinstance(value, (str, float)) else str(value)

@@ -376,3 +376,29 @@ def run_cli(argv: list[str]) -> int:
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), (argv, err.getvalue())
     return code
+
+
+def derived_walk_counts(c, length: int) -> list[list[int]]:
+    """Oracle for `lfunctions.walk_table`, from the Hashimoto matrix of the derived graph.
+
+    Edge e x sigma of Y has index e * |G| + sigma.  A closed walk in the base
+    from e_0 with net voltage g is a non-backtracking walk in Y from
+    (e_0, identity) to (e_0, g), so N_k(g) sums row (e_0, identity) of W_Y^k
+    at column (e_0, g) over every base edge e_0.
+    """
+    y, g = c.derived, c.group
+    counts = [[0] * g.order for _ in range(length)]
+    for start in range(c.base.edge_count):
+        vector = [0] * y.edge_count
+        vector[start * g.order + g.identity] = 1
+        for row in counts:
+            step = [0] * y.edge_count
+            for f, value in enumerate(vector):
+                if value:
+                    for f2 in y.out_edges()[y.terminus[f]]:
+                        if f2 != y.inverse[f]:
+                            step[f2] += value
+            vector = step
+            for x in range(g.order):
+                row[x] += vector[start * g.order + x]
+    return counts

@@ -630,3 +630,58 @@ def test_readme_worked_examples_run(capsys):
     terms = output_of("brauer-kuroda", "S3")["details"]["terms"]
     assert [t["kappa"] for t in terms if t["subgroup"] == "{e}"] == ["294"]
     assert output_of("det-m")["details"]["det"] == "-1/4"
+
+
+# 5001 digits, past Python's default 4300-digit limit on int-to-str conversion
+BIG = 7 * 10**5000 - 1
+BIG_TEXT = "6" + "9" * 5000
+
+
+def test_decimal_text_writes_any_int_and_leaves_the_digit_limit_alone():
+    import sys
+
+    from galois_span.report import decimal_text
+
+    limit = sys.get_int_max_str_digits()
+    assert decimal_text(BIG) == BIG_TEXT
+    assert decimal_text(-BIG) == "-" + BIG_TEXT
+    # inner pieces keep their leading zeros
+    assert decimal_text(10**1300 + 5) == "1" + "0" * 1299 + "5"
+    assert [decimal_text(n) for n in (0, 7, -12, 10**600)] == ["0", "7", "-12", "1" + "0" * 600]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_report_with_5000_digit_integers_serializes_exactly():
+    from fractions import Fraction
+
+    from galois_span.report import VerificationReport
+
+    report = VerificationReport.compare(
+        "big", "no cover", BIG, -BIG, details={"terms": [{"kappa": BIG}], "ratio": Fraction(BIG, 2)}
+    )
+    data = json.loads(json.dumps(report.to_json_dict()))
+    assert (data["left"], data["right"]) == (BIG_TEXT, "-" + BIG_TEXT)
+    assert data["details"] == {"terms": [{"kappa": BIG_TEXT}], "ratio": BIG_TEXT + "/2"}
+
+
+def test_cli_prints_integers_past_the_digit_limit(capsys, monkeypatch):
+    from galois_span import cli
+    from galois_span.graphs import SerreGraph
+    from galois_span.polynomials import IntPoly
+    from galois_span.report import VerificationReport
+
+    cover = ["--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"]
+    monkeypatch.setattr(SerreGraph, "spanning_tree_count", lambda self: BIG)
+    code, data = run(capsys, "graph", "kappa", "--base", "cycle:5")
+    assert code == 0 and data["kappa"] == BIG_TEXT
+    code, data = run(capsys, "cover", "kappa", *cover)
+    assert code == 0 and data["kappa_Y"] == data["kappa_X"] == BIG_TEXT
+    monkeypatch.setattr(SerreGraph, "ihara_h_poly", lambda self: IntPoly((1, BIG)))
+    big_report = VerificationReport.compare("big", "no cover", BIG, BIG, details={"kappa": BIG})
+    monkeypatch.setattr(cli, "hashimoto_check", lambda g: big_report)
+    code, data = run(capsys, "graph", "zeta", "--base", "bouquet:2")
+    assert code == 0 and data["h_coefficients"] == ["1", BIG_TEXT]
+    monkeypatch.setattr(cli, "verify_kuroda", lambda c: big_report)
+    code, data = run(capsys, "verify", "kuroda", *cover)
+    assert code == 0
+    assert (data["left"], data["right"], data["details"]["kappa"]) == (BIG_TEXT,) * 3

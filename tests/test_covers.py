@@ -19,6 +19,7 @@ from galois_span.covers import (
 )
 from galois_span.errors import (
     EulerZeroError,
+    InvariantError,
     MismatchedGroupError,
     NoConnectedAssignmentFoundError,
     NotGaloisError,
@@ -225,6 +226,24 @@ def test_tower_consistency():
                 rep = [x for x in range(g.order) if lower.coset_of[x] == ci][0]
                 emap.append(e * k_up + upper.coset_of[rep])
             _validate_covering(lower.graph, upper.graph, vmap, emap)
+
+
+def test_covering_check_refuses_a_map_that_is_not_a_local_bijection():
+    # both loops of a one-vertex graph onto the first loop of bouquet:2: endpoints
+    # and inversion commute, but the vertex's four edges cover only two
+    top, bottom = bouquet(2), bouquet(2)
+    with pytest.raises(InvariantError, match="restriction at vertex 0 is not a bijection"):
+        _validate_covering(top, bottom, vmap=[0], emap=[0, 1, 0, 1])
+
+
+def test_out_edge_lists_are_built_once_per_graph():
+    c = fig2_cover()
+    first = c.derived.out_edges()
+    assert c.derived.out_edges() is first
+    assert first == tuple(
+        tuple(e for e in range(c.derived.edge_count) if c.derived.origin[e] == v)
+        for v in range(c.derived.vertex_count)
+    )
 
 
 def test_conjugate_kappa_check():

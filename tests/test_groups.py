@@ -377,6 +377,18 @@ def test_conjugation_table_agrees_with_products(spec):
             assert list(h.conjugate_by(x).elements) == conjugate
 
 
+@pytest.mark.parametrize("spec", ["S4", "C2xS4"])
+def test_one_class_key_request_keeps_the_key_of_every_conjugate(spec):
+    g = parse_group_spec(spec)
+    subgroups = all_subgroups(g)
+    h = next(h for h in subgroups if not h.is_normal())
+    key = h.class_key()
+    members = {x.elements for x in subgroups if class_key_by_products(x) == key}
+    assert len(members) > 1
+    assert g._cache["class_keys"] == dict.fromkeys(members, key)
+    assert {x.class_key() for x in subgroups} == {class_key_by_products(x) for x in subgroups}
+
+
 @pytest.mark.parametrize("spec", ["S4", "D6", "C2xQ8"])
 def test_subgroup_lists_kept_on_the_group_cannot_be_changed_by_a_caller(spec):
     g = parse_group_spec(spec)

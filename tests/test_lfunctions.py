@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from galois_span.covers import VoltageAssignment, derived_graph, random_connected_voltage
-from galois_span.errors import EulerZeroError, NotAbelianError, NotBouquetError
-from galois_span.graphs import bouquet, complete_graph, cycle_graph, zeta_numerator
+from galois_span.covers import VoltageAssignment, derived_graph, is_galois, random_connected_voltage
+from galois_span.errors import EulerZeroError, InvariantError, NotAbelianError, NotBouquetError
+from galois_span.graphs import (
+    bouquet,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    hashimoto_check,
+    path_graph,
+    zeta_numerator,
+)
 from galois_span.groups import (
     all_subgroups,
     cyclic_group,
@@ -17,7 +25,9 @@ from galois_span.cyclotomic import CyclotomicInt
 from galois_span.lfunctions import (
     abelian_reps,
     bouquet_h_formula,
+    derived_h_poly,
     h_at_one,
+    h_from_traces,
     h_poly,
     regular_rep,
     rep_from_abelian_character,
@@ -27,8 +37,15 @@ from galois_span.lfunctions import (
     verify_factorization,
     verify_inter_rel,
     verify_prop_formula,
+    walk_table,
 )
-from helpers import dense_zeta_numerator_at, det_ring, direct_sum, theta_graph
+from helpers import (
+    dense_zeta_numerator_at,
+    derived_walk_counts,
+    det_ring,
+    direct_sum,
+    theta_graph,
+)
 
 
 def simple_cover(group_spec="C4", loops=2, volt=(1, 2)):
@@ -161,10 +178,10 @@ def test_factorization_multivertex_base():
 
 def test_irrational_character_product_is_an_invariant_error(monkeypatch, capsys):
     import galois_span.lfunctions as lfunctions
-    from galois_span.errors import InvariantError
 
     def irrational_h_poly(c, rho):
-        # 1 + zeta_4 u for every character: the product has the coefficient 4 zeta_4
+        # 1 + zeta_4 u for chi_0, chi_1, chi_2, and chi_3 = conj(chi_1) takes the
+        # conjugate 1 - zeta_4 u: the product has the coefficient 2 zeta_4
         return IntPoly((CyclotomicInt.one(rho.e), CyclotomicInt.root(rho.e)))
 
     monkeypatch.setattr(lfunctions, "h_poly", irrational_h_poly)
@@ -377,3 +394,126 @@ def test_lfun_h_accepts_an_eighteen_by_eighteen_rep_file(tmp_path, capsys):
     h = h_poly(cover, rho)
     assert out["degree"] == h.degree == 36
     assert out["coefficients"] == [list(map(str, c.coeffs)) for c in h.coeffs]
+
+
+# -- h_Y(u) from closed non-backtracking walks in the base ----------------------------
+
+# a loop at 0, an edge 0-1, a loop at 1 and a leaf 2
+LEAF_BASE = build_graph(3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+
+# (base, group, inline voltages or a seed for random_connected_voltage); at most 48
+# vertices in Y, so the dense h_Y(u) of `ihara_h_poly` stays an affordable oracle
+WALK_CASES = {
+    "readme-C2xC6": (bouquet(2), "C2xC6", "(1,0);(0,1)"),
+    "readme-S3": (bouquet(2), "S3", "(0 1);(0 1 2)"),
+    "readme-Q8": (bouquet(2), "Q8", "a1;a0b"),
+    "readme-C2xC2": (bouquet(2), "C2xC2", "(1,0);(0,1)"),
+    "readme-C4-cycle3": (cycle_graph(3), "C4", "1;0;0"),
+    "seeded-A4-bouquet3": (bouquet(3), "A4", 5),
+    "seeded-C3xS3-bouquet2": (bouquet(2), "C3xS3", 7),
+    "seeded-D4-complete4": (complete_graph(4), "D4", 11),
+    "seeded-C2xS4-bouquet2": (bouquet(2), "C2xS4", 19),
+    "seeded-C2xC6-complete4": (complete_graph(4), "C2xC6", 13),
+    "seeded-C2x4-bouquet4": (bouquet(4), "C2xC2xC2xC2", 17),
+    "single-loop-C5": (bouquet(1), "C5", "2"),
+    "theta-D4": (theta_graph(), "D4", 3),
+    "leaf-S3": (LEAF_BASE, "S3", "(0 1);(0 1 2);1;(1 2)"),
+    "not-galois-C2xC2": (bouquet(2), "C2xC2", "(1,0);(1,0)"),
+    "tree-trivial": (path_graph(3), "C1", "0;0"),
+}
+
+
+def walk_cover(name):
+    base, spec, voltage = WALK_CASES[name]
+    g = parse_group_spec(spec)
+    if isinstance(voltage, int):
+        return derived_graph(random_connected_voltage(base, g, voltage))
+    volt = tuple(g.element(x) for x in voltage.split(";"))
+    return derived_graph(VoltageAssignment(base=base, group=g, volt=volt))
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_walk_route_h_y_equals_the_dense_h_of_the_derived_graph(name):
+    cover = walk_cover(name)
+    assert derived_h_poly(cover) == cover.derived.ihara_h_poly()
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_walk_table_summed_over_the_group_gives_the_base_h(name):
+    cover = walk_cover(name)
+    base = cover.base
+    rows = walk_table(cover, 2 * base.vertex_count)
+    excess = base.geometric_edge_count - base.vertex_count
+    assert h_from_traces([sum(row) for row in rows], excess) == base.ihara_h_poly()
+
+
+@pytest.mark.parametrize("name", ["readme-S3", "theta-D4", "leaf-S3", "not-galois-C2xC2"])
+def test_walk_table_matches_the_hashimoto_matrix_of_the_derived_graph(name):
+    # every net voltage, not only the identity that h_Y reads
+    cover = walk_cover(name)
+    assert walk_table(cover, 8) == derived_walk_counts(cover, 8)
+
+
+def test_walk_route_covers_trees_and_disconnected_covers():
+    assert derived_h_poly(walk_cover("tree-trivial")) == IntPoly((1, 0, -1))
+    assert not is_galois(walk_cover("not-galois-C2xC2").voltage)
+
+
+def test_walk_route_derivative_at_one_matches_hashimoto_on_a_120_vertex_cover():
+    cover = derived_graph(random_connected_voltage(complete_graph(5), symmetric_group(4), 1))
+    assert cover.derived.vertex_count == 120
+    report = hashimoto_check(cover.derived)
+    assert report.passed
+    assert derived_h_poly(cover).derivative()(1) == report.left
+
+
+def test_corrupted_power_sum_is_an_invariant_error(monkeypatch, capsys):
+    import galois_span.lfunctions as lfunctions
+
+    # Y has 4 vertices of degree 4, so h_Y has degree 8 and leading coefficient 3^4
+    cover = simple_cover("C4", 2, (1, 2))
+    real = lfunctions.walk_table
+
+    def corrupted(by):
+        def table(c, length):
+            rows = real(c, length)
+            rows[-1][c.group.identity] += by
+            return rows
+
+        return table
+
+    # tr(W_Y^8) one |G| too large: 8 c_8 = -(... + 4) is not a multiple of 8
+    monkeypatch.setattr(lfunctions, "walk_table", corrupted(1))
+    with pytest.raises(InvariantError, match="does not divide exactly at k = 8"):
+        derived_h_poly(cover)
+    # 8 too large: the division is exact and the leading coefficient drops by 1
+    monkeypatch.setattr(lfunctions, "walk_table", corrupted(2))
+    with pytest.raises(InvariantError, match="u\\^8 coefficient 80, not 81"):
+        derived_h_poly(cover)
+    argv = ["lfun", "verify-factor", "--base", "bouquet:2", "--group", "C4", "--voltage", "1;2"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "internal error: h_Y has u^8 coefficient 80, not 81\n"
+    # a polynomial whose leading coefficient is right but whose value at 1 is not
+    monkeypatch.setattr(lfunctions, "walk_table", real)
+    real_newton = lfunctions.h_from_traces
+    monkeypatch.setattr(lfunctions, "h_from_traces", lambda q, m: real_newton(q, m) + 1)
+    with pytest.raises(InvariantError, match="h_Y\\(1\\) is 1, not 0"):
+        derived_h_poly(cover)
+
+
+def test_factorization_takes_one_h_per_conjugate_pair(monkeypatch):
+    import galois_span.lfunctions as lfunctions
+
+    cover = walk_cover("readme-C2xC6")
+    reps = abelian_reps(cover.group)
+    old_product = IntPoly.const(1)
+    for rho in reps:
+        old_product = old_product * h_poly(cover, rho)
+    calls = []
+    real = lfunctions.h_poly
+    monkeypatch.setattr(lfunctions, "h_poly", lambda c, rho: calls.append(rho) or real(c, rho))
+    report = verify_factorization(cover)
+    assert report.passed
+    # C2xC6 has 4 real characters and 4 conjugate pairs
+    assert len(calls) == 8
+    assert report.details["product_coeffs"] == [str(x.as_int()) for x in old_product.coeffs]

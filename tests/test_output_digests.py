@@ -29,6 +29,13 @@ subgroup lists, posets and Moebius tables.
 [1] + 2[S3] - [C3] - 2[C2] = 0 of S3 over `bouquet:2`, its elements given
 both as indices and as labels.  Both were recorded before element names,
 edge voltages, conjugates and the Galois test each came from one routine.
+
+`verify-brauer-kuroda-C4xS4` pins `verify brauer-kuroda` on the 480-vertex
+C4xS4 cover of `complete:5` (`random_connected_voltage` seed 1), whose
+cleared sides have about 9300 digits, past Python's 4300-digit limit on
+int-to-str conversion.  It was recorded once every output integer went
+through `report.decimal_text`, and equals the output of the code before that
+change run with the limit lifted.
 """
 
 import contextlib
@@ -90,6 +97,8 @@ S3_ARTIN_RELATION = [
     {"elements": ["e", "(0 1 2)", "(0 2 1)"], "coefficient": -1},
     {"elements": [0, "(0 1)"], "coefficient": -2},
 ]
+# (base, group, seed): a cover whose report has integers of more than 4300 digits
+BIG_BRAUER_KURODA = ("complete:5", "C4xS4", 1)
 # a triangle with a loop at 0, a double edge 1-2 and a leaf 3: degrees 5, 3, 4, 1
 IRREGULAR_GRAPH = {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 0], [0, 0], [1, 2], [2, 3]]}
 
@@ -168,6 +177,7 @@ def test_every_case_has_a_digest():
         "graph-zeta-irregular",
         "cover-kappa",
         "verify-relation-S3",
+        "verify-brauer-kuroda-C4xS4",
     ]
     assert sorted(names) == sorted(DIGESTS)
 
@@ -209,3 +219,11 @@ def test_verify_relation_output_is_byte_identical_to_recorded_digest(tmp_path):
     args = ["--base", "bouquet:2", "--group", "S3", "--voltage", "(0 1);(0 1 2)"]
     command = ["verify", "relation", *args, "--relation", str(path)]
     assert commands_digest([command]) == DIGESTS["verify-relation-S3"]
+
+
+def test_verify_brauer_kuroda_past_the_digit_limit_is_byte_identical_to_recorded_digest():
+    base, spec, seed = BIG_BRAUER_KURODA
+    alpha = random_connected_voltage(_load_base(base), parse_group_spec(spec), seed)
+    voltage = ";".join(map(str, alpha.volt))
+    command = ["verify", "brauer-kuroda", "--base", base, "--group", spec, "--voltage", voltage]
+    assert commands_digest([command]) == DIGESTS["verify-brauer-kuroda-C4xS4"]
