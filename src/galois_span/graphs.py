@@ -8,7 +8,9 @@ pair of directed edges whose origin and terminus coincide, so it contributes
 
 The spanning-tree count (complexity) is computed by the Matrix-Tree theorem:
 the reduced Laplacian is built directly as sparse rows and eliminated
-fraction-free with a minimum-degree pivot order.  The reciprocal zeta numerator
+fraction-free: a symbolic phase fixes the minimum-degree pivot order and each
+pivot's fill, and a numeric phase eliminates one triangle in that order
+(`linalg.det_int_sparse_spd`).  The reciprocal zeta numerator
 ``h(u) = det(I - A u + (D - I) u^2)`` is computed as an exact integer
 polynomial by `zeta_numerator`, the one builder of that matrix: it serves a
 graph's own adjacency matrix and the integer-valued twisted matrices of

@@ -657,7 +657,9 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     Grammar: C<n>, D<n> (dihedral of order 2n), Q8 / Q16 (dicyclic), Dic<n>,
     S<n>, A<n>, products joined with 'x' (e.g. C2xC6), perm:(cycles);(cycles),
     or table:<path> pointing at a JSON Cayley table.  A spec that does not
-    parse raises `GroupSpecError` naming the bad piece.
+    parse raises `GroupSpecError` naming the bad piece.  A product spec whose
+    order exceeds `max_group_order()` raises `OrderTooLargeError` before any
+    factor is built; `perm:` closures keep their own `CLOSURE_BOUND`.
     """
     if not isinstance(spec, str):
         raise GroupSpecError(f"group spec must be a string, got {spec!r}")
@@ -675,7 +677,17 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return _table_from_json(data, path)
-    factors = [_parse_atom(tok, spec) for tok in spec.split("x")]
+    atoms = [_parse_atom(tok, spec) for tok in spec.split("x")]
+    bound = max_group_order()
+    order = 1
+    for kind, n in atoms:
+        order *= _atom_order(kind, n, bound)
+        if order > bound:
+            raise OrderTooLargeError(
+                f"group spec {spec!r} has order above {bound}, "
+                "the bound set by GALOIS_SPAN_MAX_ORDER"
+            )
+    factors = [_ATOM_MAKERS[kind](n) for kind, n in atoms]
     group = factors[0]
     for extra in factors[1:]:
         group = direct_product(group, extra)
@@ -708,8 +720,8 @@ _ATOM_MAKERS = {
 }
 
 
-def _parse_atom(token: str, spec: str) -> FiniteGroup:
-    """One factor of a product spec: a family letter (or Dic) and a positive size."""
+def _parse_atom(token: str, spec: str) -> tuple[str, int]:
+    """One factor of a product spec: its family letter (or Dic) and positive size."""
     token = token.strip()
     kind = "Dic" if token.startswith("Dic") else token[:1]
     num = token[len(kind) :]
@@ -719,30 +731,26 @@ def _parse_atom(token: str, spec: str) -> FiniteGroup:
     n = int(num)
     if kind == "Q" and (n % 4 != 0 or n < 8):
         raise GroupSpecError(f"Q{n} is not a dicyclic order (use multiples of 4, >= 8)")
-    return _ATOM_MAKERS[kind](n)
+    return kind, n
 
 
-def _atom_order(token: str) -> int:
-    if token.startswith("Dic"):
-        return 4 * int(token[3:])
-    kind, num = token[0], int(token[1:])
-    if kind == "C":
-        return num
+def _atom_order(kind: str, n: int, cap: int) -> int:
+    """The order of a parsed atom, or a number above `cap` once the order passes it.
+
+    S and A stop their factorial at that point, so no huge product is formed.
+    """
+    if kind in ("C", "Q"):
+        return n
     if kind == "D":
-        return 2 * num
-    if kind == "Q":
-        return num
-    if kind == "S":
-        out = 1
-        for k in range(2, num + 1):
-            out *= k
-        return out
-    if kind == "A":
-        out = 1
-        for k in range(2, num + 1):
-            out *= k
-        return max(1, out // 2)
-    raise ValueError(token)
+        return 2 * n
+    if kind == "Dic":
+        return 4 * n
+    out = 1
+    for k in range(3 if kind == "A" else 2, n + 1):  # n!/2 for A, n! for S
+        out *= k
+        if out > cap:
+            break
+    return out
 
 
 def canonical_spec_name(spec: str) -> str | None:
@@ -750,14 +758,15 @@ def canonical_spec_name(spec: str) -> str | None:
     spec = spec.strip().replace(" ", "")
     if spec.startswith("perm:") or spec.startswith("table:"):
         return None
-    tokens = []
-    for tok in spec.split("x"):
-        if tok.startswith("Dic"):
-            n = int(tok[3:])
-            tok = {2: "Q8", 4: "Q16"}.get(n, f"Dic{n}")
-        tokens.append(tok)
     try:
-        tokens.sort(key=lambda t: (_atom_order(t), t))
-    except (ValueError, IndexError):
+        atoms = [_parse_atom(tok, spec) for tok in spec.split("x")]
+    except GroupSpecError:
         return None
-    return "x".join(tokens)
+    # orders above the group-order bound compare as capped: such specs are refused
+    bound = max_group_order()
+    keyed = []
+    for kind, n in atoms:
+        if kind == "Dic" and n in (2, 4):
+            kind, n = "Q", 4 * n
+        keyed.append((_atom_order(kind, n, bound), f"{kind}{n}"))
+    return "x".join(name for _, name in sorted(keyed))

@@ -5,20 +5,24 @@ Dense matrices are plain lists of lists.  General integer matrices go
 through dense Bareiss elimination (the only divisions are exact); an entry
 that is not an `int` is refused, never truncated.  The same elimination over
 the dual numbers Z[t]/(t^2) gives det A and the derivative of det(A + tB) at
-t = 0 in one pass (`det_int_derivative`); sparse
-symmetric positive-definite integer matrices, such as reduced Laplacians,
-go through the same fraction-free elimination on sparse rows with a
-minimum-degree pivot order.  Rational matrices are scaled to integer
-matrices row by row and take the same Bareiss elimination.  Matrices of
-integer polynomials go through integer determinants at consecutive
-integers and one integer interpolation; cyclotomic matrices reach them
-after a lift to Z[x] (`lfunctions`).  The matrix product serves ints,
-`Fraction`s and cyclotomic integers alike.
+t = 0 in one pass (`det_int_derivative`).  Sparse symmetric positive-definite
+integer matrices, such as reduced Laplacians, go through the same
+fraction-free elimination in two phases (`det_int_sparse_spd`): a symbolic
+phase on the nonzero pattern checks symmetry, fixes the minimum-degree pivot
+order and stores each pivot's row as its diagonal and its filled later
+columns, one triangle; a numeric phase eliminates in that order and updates
+each symmetric pair of entries once.  Rational matrices are scaled to
+integer matrices row by row and take the same Bareiss elimination.  Matrices
+of integer polynomials go through integer determinants at consecutive
+integers and one integer interpolation; cyclotomic matrices reach them after
+a lift to Z[x] (`lfunctions`).  The matrix product serves ints, `Fraction`s
+and cyclotomic integers alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Sequence
 
@@ -116,45 +120,95 @@ def det_int_derivative(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -
 def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     """Determinant of a symmetric positive-definite integer matrix in sparse rows.
 
-    `rows[i]` maps column index to a nonzero entry.  Fraction-free Bareiss
-    elimination with a symmetric pivot order: the pivot is always the
-    remaining row with the fewest entries (minimum degree), ties broken by
-    index.  Positive definiteness makes every pivot positive, so no row
-    exchange is needed and the determinant is the last pivot.
+    `rows[i]` maps column index to entry; the input is not modified.
+    Fraction-free Bareiss elimination in two phases.
 
-    A row the pivot row does not reach would only gain the factor
-    pivot/prev.  These factors telescope, so the row is stored as it was
-    and rescaled once, by prev/scale[i], when it is next touched; every
-    division is exact because each rescaled entry is a minor.
+    The symbolic phase works on the nonzero pattern.  One pass over the
+    entries checks that every column index is in range and that entry (i, j)
+    equals entry (j, i), and raises `InvariantError` naming (i, j) otherwise.
+    The pattern is then eliminated in minimum-degree order: the pivot is
+    always the remaining row with the fewest entries, ties broken by the
+    lowest index, and it joins its remaining columns in every row they name.
+    A reduced Laplacian's Schur complements stay M-matrices, so none of its
+    entries cancels and this is the order that eliminating the values would
+    choose.  When a row is taken as pivot, its filled set of later columns is
+    final, and the row is stored as its diagonal and those columns, with 0
+    where the matrix has no entry: one triangle, to which the numeric phase
+    adds no key.
+
+    The numeric phase takes the pivots in that order.  A pivot rewrites each
+    row i that it reaches in one pass, a_ij = (a_ij * pivot - a_pi * a_pj)
+    // prev for i and the columns after it, so each symmetric pair is updated
+    once.  A row the pivot does not reach would only gain the factor
+    pivot/prev; these factors telescope, so the row is kept as it was and
+    rescaled by prev/scale[i] within the pass that next rewrites it.  Every
+    division is exact because every entry is a minor.  Positive definiteness
+    makes every pivot positive, so no row exchange is needed and the
+    determinant is the last pivot; a pivot that is not positive raises
+    `InvariantError`.
     """
     n = len(rows)
-    live = [dict(r) for r in rows]
+    # symbolic phase: check the pattern, then eliminate it in minimum-degree order
+    adj: list[set[int] | None] = []
+    for i, row in enumerate(rows):
+        cols = set()
+        for j, v in row.items():
+            if j.__class__ is not int or not 0 <= j < n:
+                raise InvariantError(f"entry ({i}, {j!r}) lies outside the {n}x{n} matrix")
+            if v and j != i:
+                w = rows[j].get(i, 0)
+                if w != v:
+                    raise InvariantError(
+                        f"entry ({i}, {j}) is {v} but entry ({j}, {i}) is {w}: "
+                        "matrix is not symmetric"
+                    )
+                cols.add(j)
+        adj.append(cols)
+    heap = [(len(cols), i) for i, cols in enumerate(adj)]
+    heapify(heap)
+    order: list[int] = []
+    upper: list[dict[int, int] | None] = [None] * n  # a pivot's row: diagonal, later columns
+    while heap:
+        degree, p = heappop(heap)
+        if upper[p] is not None or degree != len(adj[p]):
+            continue  # a stale entry: p was taken or its degree changed
+        order.append(p)
+        filled = adj[p]
+        row = rows[p]
+        stored = {j: row.get(j, 0) for j in filled}
+        stored[p] = row.get(p, 0)
+        upper[p] = stored
+        for i in filled:
+            cols = adj[i]
+            cols.discard(p)
+            cols |= filled
+            cols.discard(i)
+            heappush(heap, (len(cols), i))
+        adj[p] = None  # upper[p] holds what the numeric phase needs
+    # numeric phase: one pass per reached row, scales deferred for the rest
     scale = [1] * n
-    remaining = set(range(n))
+    pivot_row = [0] * n  # the pivot's entries by column, 0 elsewhere
     prev = 1
-    for _ in range(n):
-        p = min(remaining, key=lambda i: (len(live[i]), i))
-        remaining.remove(p)
-        row_p = live[p]
+    for p in order:
+        row_p = upper[p]
+        upper[p] = None
         if scale[p] != prev:
             row_p = {j: v * prev // scale[p] for j, v in row_p.items()}
-        pivot = row_p.pop(p, 0)
+        pivot = row_p.pop(p)
         if pivot <= 0:
             raise InvariantError(f"pivot {pivot} at row {p}: matrix is not positive definite")
-        # symmetric pattern: the rows with an entry in column p are row p's columns
-        for i, factor in row_p.items():
-            row_i = live[i]
-            del row_i[p]
-            s = scale[i]
+        for j, v in row_p.items():
+            pivot_row[j] = v
+        for i, f in row_p.items():
+            row_i, s = upper[i], scale[i]
             if s == prev:
-                updated = {j: v * pivot for j, v in row_i.items()}
-            else:
-                updated = {j: v * pivot * prev // s for j, v in row_i.items()}
-            for j, v in row_p.items():
-                updated[j] = updated.get(j, 0) - factor * v
-            live[i] = {j: v // prev for j, v in updated.items() if v}
+                upper[i] = {j: (v * pivot - f * pivot_row[j]) // prev for j, v in row_i.items()}
+            else:  # row i is current as of pivot s: rescale by prev/s in the same pass
+                m = pivot * prev
+                upper[i] = {j: (v * m // s - f * pivot_row[j]) // prev for j, v in row_i.items()}
             scale[i] = pivot
-        live[p] = {}
+        for j in row_p:
+            pivot_row[j] = 0
         prev = pivot
     return prev
 

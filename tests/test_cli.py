@@ -492,6 +492,17 @@ def test_malformed_group_spec_is_a_usage_error_that_names_the_atom(capsys, actio
     assert captured.err == f"error: {MALFORMED_SPECS[spec]}\n"
 
 
+
+def test_group_spec_above_the_order_bound_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("GALOIS_SPAN_MAX_ORDER", raising=False)
+    assert main(["group", "info", "S333"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: group spec 'S333' has order above 128, the bound set by GALOIS_SPAN_MAX_ORDER\n"
+    )
+
+
 # file contents -> (command whose last option takes the file, error message)
 MISSHAPEN_FILES = {
     "relation file of numbers": (

@@ -5,9 +5,11 @@ from itertools import combinations
 
 import pytest
 
+from galois_span import groups
 from galois_span.errors import (
     ClosureTooLargeError,
     GaloisSpanError,
+    GroupSpecError,
     InvalidTableError,
     NotNormalError,
     OrderTooLargeError,
@@ -266,6 +268,42 @@ def test_order_bound(monkeypatch):
     monkeypatch.setenv("GALOIS_SPAN_MAX_ORDER", "8")
     with pytest.raises(OrderTooLargeError):
         all_subgroups(direct_product(cyclic_group(4), cyclic_group(4)))
+
+
+
+@pytest.fixture
+def atoms_refused(monkeypatch):
+    """Every atom maker raises, so a spec that reaches one fails at once."""
+
+    def refuse(n):
+        raise AssertionError(f"an atom of size {n} was built")
+
+    monkeypatch.delenv("GALOIS_SPAN_MAX_ORDER", raising=False)
+    for kind in groups._ATOM_MAKERS:
+        monkeypatch.setitem(groups._ATOM_MAKERS, kind, refuse)
+
+
+@pytest.mark.parametrize(
+    "spec", ["S333", "A6", "C1000", "C100xC100", "D65", "Dic33", "Q132", "C2xC2xC2xC2xC2xC2xC2xC2"]
+)
+def test_a_spec_above_the_order_bound_is_refused_before_any_atom_is_built(atoms_refused, spec):
+    message = f"group spec {spec!r} has order above 128, the bound set by GALOIS_SPAN_MAX_ORDER"
+    with pytest.raises(OrderTooLargeError, match=re.escape(message)):
+        parse_group_spec(spec)
+
+
+def test_every_atom_is_validated_before_the_order_bound(atoms_refused):
+    with pytest.raises(GroupSpecError, match="'Z5'"):
+        parse_group_spec("S333xZ5")
+    with pytest.raises(AssertionError):  # within the bound the makers are reached
+        parse_group_spec("S5")
+
+
+def test_the_spec_order_bound_follows_the_environment(monkeypatch):
+    monkeypatch.setenv("GALOIS_SPAN_MAX_ORDER", "8")
+    assert parse_group_spec("C2xC2xC2").order == 8
+    with pytest.raises(OrderTooLargeError, match="above 8"):
+        parse_group_spec("C3xC3")
 
 
 def test_group_spec_grammar():

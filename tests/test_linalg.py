@@ -1,10 +1,14 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from galois_span.covers import derived_graph, random_connected_voltage
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import InvariantError, NotSquareError, TooLargeError
+from galois_span.graphs import bouquet, complete_graph
+from galois_span.groups import parse_group_spec
 from galois_span.linalg import (
     cauchy_binet_check,
     delete_row_col,
@@ -19,7 +23,14 @@ from galois_span.linalg import (
 )
 from galois_span.polynomials import IntPoly
 
-from helpers import det_fraction_by_elimination, det_ring, mat_mul_dense
+from helpers import (
+    det_fraction_by_elimination,
+    det_ring,
+    dumbbell_graph,
+    laplacian,
+    mat_mul_dense,
+    theta_graph,
+)
 
 
 def test_det_int_small():
@@ -128,6 +139,77 @@ def test_det_int_sparse_spd_rejects_non_positive_pivot():
         det_int_sparse_spd([{}])
     with pytest.raises(ArithmeticError):
         det_int_sparse_spd([{0: 1, 1: 2}, {0: 2, 1: 1}])
+
+
+
+def _sparse_rows(dense):
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+def test_det_int_sparse_spd_matches_dense_up_to_thirty_rows():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randrange(1, 31)
+        density = rng.choice((0.05, 0.1, 0.2))
+        b = [[rng.randrange(-3, 4) * (rng.random() < density) for _ in range(n)] for _ in range(n)]
+        # B^T B + I is symmetric positive definite, and sparse when B is
+        dense = [
+            [sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)]
+            for i in range(n)
+        ]
+        assert det_int_sparse_spd(_sparse_rows(dense)) == det_int(dense)
+
+
+def test_det_int_sparse_spd_keeps_a_fill_entry_that_cancels():
+    # every row has two entries off the diagonal, so rows 0 and 1 go first;
+    # row 0 fills entry (2, 3) with -1, and row 1, rescaled by the first
+    # pivot, brings it back to exactly 0 while the entry keeps its place
+    dense = [[2, 0, 1, 1], [0, 2, 1, -1], [1, 1, 3, 0], [1, -1, 0, 3]]
+    assert det_int(dense) == 16
+    assert det_int_sparse_spd(_sparse_rows(dense)) == 16
+
+
+@pytest.mark.parametrize(
+    "base, spec, seed",
+    [
+        ("complete:4", "S3", 0),
+        ("complete:4", "C2xC6", 1),
+        ("complete:5", "D6", 2),
+        ("bouquet:2", "A4", 3),
+        ("bouquet:3", "Q16", 4),
+        ("theta", "C2xC2", 5),
+        ("dumbbell", "C3", 6),
+    ],
+)
+def test_det_int_sparse_spd_on_reduced_laplacians_of_covers(base, spec, seed):
+    base_graph = {
+        "complete:4": lambda: complete_graph(4),
+        "complete:5": lambda: complete_graph(5),
+        "bouquet:2": lambda: bouquet(2),
+        "bouquet:3": lambda: bouquet(3),
+        "theta": theta_graph,
+        "dumbbell": dumbbell_graph,
+    }[base]()
+    y = derived_graph(random_connected_voltage(base_graph, parse_group_spec(spec), seed)).derived
+    assert 2 <= y.vertex_count <= 60
+    minor = [row[1:] for row in laplacian(y)[1:]]
+    assert det_int_sparse_spd(_sparse_rows(minor)) == det_int(minor) == y.spanning_tree_count()
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        ([{0: 2, 1: 1}, {1: 2}], "(0, 1)"),  # the pattern is not symmetric
+        ([{0: 2}, {0: 1, 1: 2}], "(1, 0)"),
+        ([{0: 2, 1: 1}, {0: -1, 1: 2}], "(0, 1)"),  # the values are not symmetric
+        ([{0: 2, 2: 1}, {1: 2}], "(0, 2)"),  # a column out of range
+        ([{0: 2}, {-1: 1, 1: 2}], "(1, -1)"),
+        ([{0: 2, "1": 1}, {1: 2}], "(0, '1')"),
+    ],
+)
+def test_det_int_sparse_spd_refuses_a_malformed_matrix(rows, where):
+    with pytest.raises(InvariantError, match=re.escape(where)):
+        det_int_sparse_spd(rows)
 
 
 def test_poly_matrix_det():
