@@ -1,14 +1,21 @@
 """Exact character tables of finite groups and the apparatus built on them.
 
-The table is computed by Dixon's finite-field method: class-multiplication
-matrices are simultaneously diagonalized over F_p for a prime p = 1 (mod e)
-with p > 2*sqrt(|G|) (e the group exponent), degrees are recovered with a
+An abelian group's table is its dual group Hom(G, mu_e) (e the group
+exponent), built by extending characters one cyclic step at a time.  Any
+other group's table is computed by Dixon's finite-field method:
+class-multiplication matrices are simultaneously diagonalized over F_p for
+a prime p = 1 (mod e) with p > 2*sqrt(|G|), degrees are recovered with a
 square root mod p, and every character value is lifted to an exact
-eigenvalue-multiplicity vector over e-th roots of unity by a discrete
-Fourier transform mod p.  No floating point is involved anywhere; row
-orthogonality is verified exactly before a table is returned, with every
-Gram entry computed as one packed integer dot product and reduced mod
-Phi_e.
+eigenvalue-multiplicity vector by a discrete Fourier transform mod p.  The
+eigenvalues at g are o(g)-th roots of unity, so the transform has length
+o(g), and it is taken once for each family of classes that generate
+conjugate cyclic subgroups; the other classes of a family permute its
+result.  No floating point is involved anywhere.
+
+Row orthogonality is verified exactly before a table is returned: every
+Gram entry is one packed integer dot product, folded by x^e = 1 and
+reduced mod Phi_e.  Each distinct multiplicity vector is packed once, and
+each distinct folded integer is reduced once.
 
 Eigenspace splitting starts from a seeded random linear combination of the
 class matrices and falls back to a deterministic sweep, so tables are
@@ -278,12 +285,11 @@ class Character:
 class CharacterTable:
     """All irreducible characters of a finite group, exactly."""
 
-    def __init__(self, group, classes, e, prime, characters):
+    def __init__(self, group, classes, e, characters):
         self.group = group
         self.classes = classes
         self.class_sizes = tuple(len(c) for c in classes)
         self.e = e
-        self.prime = prime
         self.characters = characters
         class_of = [0] * group.order
         for i, cls in enumerate(classes):
@@ -324,7 +330,13 @@ class CharacterTable:
 
 
 def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
-    """Compute Irr(G) exactly; results are cached on the group per seed."""
+    """Compute Irr(G) exactly; results are cached on the group per seed.
+
+    An abelian group (every class a singleton) gets its table from the dual
+    group, any other group from Dixon's method.  Characters are sorted on
+    their values, trivial first, so the table does not depend on the route
+    or on the seed.  Every table passes `_verify_table` before it is kept.
+    """
     cache_key = ("character_table", seed)
     if cache_key in g._cache:
         return g._cache[cache_key]
@@ -333,11 +345,72 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
         raise OrderTooLargeError(f"order {g.order} exceeds bound {bound}")
 
     classes = g.conjugacy_classes()
+    e = g.exponent()
+    if len(classes) == g.order:
+        characters = _dual_group_characters(g, e)
+    else:
+        characters = _dixon_characters(g, e, seed)
+    characters.sort(key=_table_order)
+    table = CharacterTable(g, classes, e, tuple(characters))
+    _verify_table(table)
+    g._cache[cache_key] = table
+    return table
+
+
+def _table_order(chi: Character):
+    return (not chi.is_trivial(), chi.degree, chi.values)
+
+
+def _dual_group_characters(g: FiniteGroup, e: int) -> list[Character]:
+    """Irr(G) = Hom(G, mu_e) of an abelian group, by cyclic extension.
+
+    Each character is kept as exponents k with chi(y) = zeta_e^k on the
+    subgroup H reached so far, starting from H = 1.  For x outside H, with
+    x^m the first power of x in H, each chi of H extends in m ways:
+    chi'(h x^j) = chi(h) + j b (mod e) for the m solutions b of
+    m b = chi(x^m) (mod e).  They exist because x^m has order o(x)/m and m
+    divides o(x), which divides the exponent e.  O(|G|^2) in all; no prime
+    is needed.
+    """
+    members = [g.identity]
+    position = {g.identity: 0}
+    exponents = [[0]]
+    for x in range(g.order):
+        if x in position:
+            continue
+        powers = [g.identity]
+        y = x
+        while y not in position:
+            powers.append(y)
+            y = g.mul(y, x)
+        m = len(powers)
+        at = position[y]
+        members = [g.mul(h, xj) for xj in powers for h in members]
+        position = {h: i for i, h in enumerate(members)}
+        exponents = [
+            [(k + j * b) % e for j in range(m) for k in chi]
+            for chi in exponents
+            for b in range(chi[at] // m, e, e // m)
+        ]
+    units = [tuple(int(k == j) for j in range(e)) for k in range(e)]
+    reps = [position[cls[0]] for cls in g.conjugacy_classes()]
+    return [
+        Character(group=g, e=e, degree=1, values=tuple(units[chi[i]] for i in reps))
+        for chi in exponents
+    ]
+
+
+def _dixon_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:
+    """Irr(G) by Dixon's method over F_p, unsorted.
+
+    The characters of a non-abelian group; for abelian groups the test
+    oracle of `_dual_group_characters`.
+    """
+    classes = g.conjugacy_classes()
     r = len(classes)
     reps = [cls[0] for cls in classes]
     class_of = g.class_index_of()
     sizes = [len(cls) for cls in classes]
-    e = g.exponent()
     p = _dixon_prime(g.order, e)
 
     # class multiplication coefficients M_i[j][k] = #{x in K_i : x^-1 z_k in K_j},
@@ -430,49 +503,71 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
         chi = [d * omega[i] * inv_sizes[i] % p for i in range(r)]
         chars_mod.append((d, chi))
 
-    # power map on classes and the inverse DFT rows over the fixed
-    # primitive e-th root of unity mod p
+    # power map on classes: pm[i][j] is the class of g_i^j for j < o(g_i)
     pm = []
     for rep in reps:
-        row = []
-        x = g.identity
-        for _ in range(e):
+        row = [class_of[g.identity]]
+        x = rep
+        while x != g.identity:
             row.append(class_of[x])
             x = g.mul(x, rep)
         pm.append(row)
+    # the class of g_i^a, a prime to o = o(g_i), generates a conjugate of
+    # <g_i>: its multiplicity of zeta_o^t is g_i's multiplicity of
+    # zeta_o^(t/a).  One DFT per such family, at its least class.
+    source: list[tuple[int, int] | None] = [None] * r
+    for i, row in enumerate(pm):
+        if source[i] is None:
+            o = len(row)
+            for a in range(o):  # a = 0 only for the identity, o = 1
+                if gcd(a, o) == 1 and source[row[a]] is None:
+                    source[row[a]] = (i, pow(a, -1, o))
+    # inverse DFT rows of length o over zeta_o = zeta_e^(e/o), the fixed
+    # primitive e-th root of unity mod p to that power
     omega_root = pow(_primitive_root(p), (p - 1) // e, p)
     omega_pows = [pow(omega_root, k, p) for k in range(e)]
-    dft = [[omega_pows[(-j * k) % e] for j in range(e)] for k in range(e)]
-    inv_e = pow(e % p, p - 2, p)
+    dfts = {}
+    for o in {len(row) for row in pm}:
+        step = e // o
+        rows = [[omega_pows[-j * t * step % e] for j in range(o)] for t in range(o)]
+        dfts[o] = (rows, pow(o, p - 2, p))
 
     characters = []
     for d, chi in chars_mod:
+        lifted = {}
         values = []
-        for i in range(r):
-            series = [chi[c] for c in pm[i]]
-            mult = [sum(map(mul, series, row)) % p * inv_e % p for row in dft]
-            if sum(mult) != d or any(m > d for m in mult):
-                raise InvariantError("character lifting produced invalid multiplicities")
-            values.append(tuple(mult))
+        for i, (leader, b) in enumerate(source):
+            if leader == i:
+                rows, inv_o = dfts[len(pm[i])]
+                series = [chi[c] for c in pm[i]]
+                mult = [sum(map(mul, series, row)) % p * inv_o % p for row in rows]
+                if sum(mult) != d or any(m > d for m in mult):
+                    raise InvariantError("character lifting produced invalid multiplicities")
+                lifted[i] = mult
+            mult = lifted[leader]
+            o = len(mult)
+            vec = [0] * e
+            for t in range(o):
+                vec[t * (e // o)] = mult[b * t % o]
+            values.append(tuple(vec))
         characters.append(Character(group=g, e=e, degree=d, values=tuple(values)))
-
-    characters.sort(key=lambda c: (not c.is_trivial(), c.degree, c.values))
-    table = CharacterTable(g, classes, e, p, tuple(characters))
-    _verify_table(table)
-    g._cache[cache_key] = table
-    return table
+    return characters
 
 
 def _verify_table(table: CharacterTable) -> None:
     """Exact row orthogonality: sum_k |K_k| chi_i(k) conj(chi_j(k)) = |G| delta_ij.
 
     Multiplicity vectors are packed as integers in X = 2^B (Kronecker
-    substitution): |K_k| chi_i(k) as sum_a |K_k| m_ik[a] X^a, conj(chi_j(k))
-    as sum_b m_jk[b] X^(e-1-b).  A Gram entry is then one integer dot product
-    over the classes, whose digit a - b + e - 1 holds the coefficient of
-    zeta^(a-b).  Every term is non-negative and X exceeds every coefficient,
-    so no carry crosses a digit.  The digits are folded into Z[x]/(x^e - 1)
-    and reduced mod Phi_e once.
+    substitution): m as sum_a m[a] X^a for chi_i, and as
+    sum_b m[b] X^(e-1-b) for conj(chi_j).  Each distinct vector is packed
+    once; |K_k| chi_i(k) is |K_k| times its packed integer.  A Gram entry is
+    then one integer dot product over the classes, whose digit a - b + e - 1
+    holds the coefficient of zeta^(a-b).  Every term is non-negative and X
+    exceeds the sum of all coefficients, so no carry crosses a digit, not
+    even after x^e = 1 adds digit t to digit t + e (both hold zeta^(t+1)):
+    one mask, one shift and one add.  Each distinct folded integer is reduced mod Phi_e
+    once; the reductions are kept for the call only, keyed by that integer,
+    so every one of the r(r+1)/2 entries is still checked exactly.
     """
     g = table.group
     chars = table.characters
@@ -481,7 +576,8 @@ def _verify_table(table: CharacterTable) -> None:
         raise InvariantError("character count differs from class count")
     if sum(c.degree**2 for c in chars) != g.order:
         raise InvariantError("degree squares do not sum to the group order")
-    if any(m < 0 for chi in chars for v in chi.values for m in v):
+    vectors = {v for chi in chars for v in chi.values}
+    if min(map(min, vectors)) < 0:
         raise InvariantError("negative eigenvalue multiplicity")
     bound = max(sum(map(sum, chi.values)) for chi in chars) * max(
         sum(size * sum(v) for size, v in zip(sizes, chi.values)) for chi in chars
@@ -492,26 +588,36 @@ def _verify_table(table: CharacterTable) -> None:
         packed = b"".join(d.to_bytes(nbytes, "little") for d in digits)
         return int.from_bytes(packed, "little")
 
-    rows = [[pack(size * m for m in v) for size, v in zip(sizes, chi.values)] for chi in chars]
-    cols = [[pack(reversed(v)) for v in chi.values] for chi in chars]
-    width = 2 * e - 1
+    packed = {v: pack(v) for v in vectors}
+    packed_conj = {v: pack(reversed(v)) for v in vectors}
+    rows = [[size * packed[v] for size, v in zip(sizes, chi.values)] for chi in chars]
+    cols = [[packed_conj[v] for v in chi.values] for chi in chars]
+    digit_bits = 8 * nbytes
+    low_bits = digit_bits * (e - 1)
+    mask = (1 << low_bits) - 1
     ctx = _context(e)
+    zero = (0,) * ctx.degree
+    diagonal = (g.order,) + zero[1:]
+    reduced: dict[int, tuple[int, ...]] = {}
     for i, row in enumerate(rows):
         for j in range(i, len(chars)):
-            digits = sum(map(mul, row, cols[j])).to_bytes(nbytes * width, "little")
-            folded = [0] * e
-            for t in range(width):
-                digit = digits[t * nbytes : (t + 1) * nbytes]
-                folded[(t + 1 - e) % e] += int.from_bytes(digit, "little")
-            value = [0] * ctx.degree
-            for m, c in enumerate(folded):
-                if c:
-                    for idx, x in enumerate(ctx.reduce_exponent(m)):
-                        value[idx] += c * x
-            if value != [g.order if i == j else 0] + [0] * (ctx.degree - 1):
+            gram = sum(map(mul, row, cols[j]))
+            # digit m of `folded` is the coefficient of zeta^m
+            folded = (gram >> low_bits) + ((gram & mask) << digit_bits)
+            value = reduced.get(folded)
+            if value is None:
+                digits = folded.to_bytes(nbytes * e, "little")
+                acc = [0] * ctx.degree
+                for m in range(e):
+                    c = int.from_bytes(digits[m * nbytes : (m + 1) * nbytes], "little")
+                    if c:
+                        for idx, x in enumerate(ctx.reduce_exponent(m)):
+                            acc[idx] += c * x
+                value = reduced[folded] = tuple(acc)
+            if value != (diagonal if i == j else zero):
                 raise InvariantError(
                     f"row orthogonality fails at ({i},{j}): |G| times the inner product"
-                    f" is {value} mod Phi_{e}"
+                    f" is {list(value)} mod Phi_{e}"
                 )
 
 

@@ -620,8 +620,21 @@ def from_cayley_table(table, labels=None, name: str = "table") -> FiniteGroup:
 # -- GroupSpec grammar ---------------------------------------------------------
 
 
-def _parse_cycles(text: str) -> tuple[int, ...]:
-    """Parse one generator like "(0 1 2)(3 4)" into one-line notation."""
+def _above(num: str, bound: int) -> bool:
+    """Whether a string of ASCII digits names a number above `bound`.
+
+    A string with more significant digits than `bound` is never converted.
+    """
+    digits = num.lstrip("0")
+    return len(digits) > len(str(bound)) or int(num) > bound
+
+
+def _parse_cycles(text: str, spec: str) -> tuple[int, ...]:
+    """Parse one generator like "(0 1 2)(3 4)" into one-line notation.
+
+    Points run from 0 to CLOSURE_BOUND - 1: every element of the closure is
+    a tuple as long as the domain, so a larger point is refused unbuilt.
+    """
     cycles = []
     i = 0
     while i < len(text):
@@ -631,6 +644,11 @@ def _parse_cycles(text: str) -> tuple[int, ...]:
             body = text[i + 1 : j].replace(",", " ").split()
             if j < 0 or not all(x.isascii() and x.isdigit() for x in body):
                 raise GroupSpecError(f"bad cycle notation in permutation {text.strip()!r}")
+            if any(_above(x, CLOSURE_BOUND - 1) for x in body):
+                raise GroupSpecError(
+                    f"permutation {text.strip()!r} in group spec {spec!r} names a point"
+                    f" above {CLOSURE_BOUND - 1}, the largest point of a perm: domain"
+                )
             cycle = [int(x) for x in body]
             if len(set(cycle)) != len(cycle):
                 raise GroupSpecError(f"cycle repeats a point in permutation {text.strip()!r}")
@@ -659,14 +677,16 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     or table:<path> pointing at a JSON Cayley table.  A spec that does not
     parse raises `GroupSpecError` naming the bad piece.  A product spec whose
     order exceeds `max_group_order()` raises `OrderTooLargeError` before any
-    factor is built; `perm:` closures keep their own `CLOSURE_BOUND`.
+    factor is built, and so does an atom whose size has more digits than
+    that bound.  `perm:` points run below `CLOSURE_BOUND`, which also bounds
+    the closure.
     """
     if not isinstance(spec, str):
         raise GroupSpecError(f"group spec must be a string, got {spec!r}")
     spec = spec.strip()
     if spec.startswith("perm:"):
         body = spec[len("perm:") :]
-        gens = [_parse_cycles(part) for part in body.split(";") if part.strip()]
+        gens = [_parse_cycles(part, spec) for part in body.split(";") if part.strip()]
         if not gens:
             raise GroupSpecError(f"group spec {spec!r} names no permutation")
         size = max(len(p) for p in gens)
@@ -725,9 +745,15 @@ def _parse_atom(token: str, spec: str) -> tuple[str, int]:
     token = token.strip()
     kind = "Dic" if token.startswith("Dic") else token[:1]
     num = token[len(kind) :]
-    if kind not in _ATOM_MAKERS or not (num.isascii() and num.isdigit()) or int(num) < 1:
+    if kind not in _ATOM_MAKERS or not (num.isascii() and num.isdigit()) or not num.strip("0"):
         where = "empty factor" if not token else f"group atom {token!r}"
         raise GroupSpecError(f"cannot parse {where} in group spec {spec!r}")
+    bound = max_group_order()
+    if len(num.lstrip("0")) > len(str(bound)):
+        raise OrderTooLargeError(
+            f"group atom {token!r} in group spec {spec!r} has order above {bound},"
+            " the bound set by GALOIS_SPAN_MAX_ORDER"
+        )
     n = int(num)
     if kind == "Q" and (n % 4 != 0 or n < 8):
         raise GroupSpecError(f"Q{n} is not a dicyclic order (use multiples of 4, >= 8)")
@@ -760,7 +786,7 @@ def canonical_spec_name(spec: str) -> str | None:
         return None
     try:
         atoms = [_parse_atom(tok, spec) for tok in spec.split("x")]
-    except GroupSpecError:
+    except (GroupSpecError, OrderTooLargeError):
         return None
     # orders above the group-order bound compare as capped: such specs are refused
     bound = max_group_order()

@@ -7,12 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from galois_span import characters
 from galois_span.characters import (
     CharacterTable,
     ClassFunction,
+    _dixon_characters,
     _hessenberg_mod,
     _hessenberg_nullspace_mod,
     _rref_mod,
+    _table_order,
     _undo_similarity_mod,
     _verify_table,
     artin_coefficients,
@@ -368,6 +371,29 @@ def test_character_tables_are_byte_identical_to_recorded_dumps(spec):
     assert digest.hexdigest() == DIGESTS[spec]
 
 
+ABELIAN_SPECS = sorted(s for s in TABLE1_FLAGS if parse_group_spec(s).is_abelian()) + [
+    "C8xC8",
+    "C2xC2xC2xC2xC2",
+    "C4xC4xC2",
+]
+
+
+@pytest.mark.parametrize("spec", ABELIAN_SPECS)
+def test_abelian_tables_from_the_dual_group_equal_dixon_tables(spec, monkeypatch):
+    g = parse_group_spec(spec)
+    dixon = {
+        seed: tuple(sorted(_dixon_characters(g, g.exponent(), seed), key=_table_order))
+        for seed in (0, 1)
+    }
+
+    def refuse(group, e, seed):
+        raise AssertionError("an abelian group went through Dixon's method")
+
+    monkeypatch.setattr(characters, "_dixon_characters", refuse)
+    for seed in (0, 1):
+        assert character_table(g, seed).characters == dixon[seed]
+
+
 def test_sqrt_mod_roundtrip():
     import random as _random
 
@@ -397,7 +423,7 @@ def _with_values(table, changes):
     chars = list(table.characters)
     for index, values in changes.items():
         chars[index] = replace(chars[index], values=tuple(values))
-    return CharacterTable(table.group, table.classes, table.e, table.prime, tuple(chars))
+    return CharacterTable(table.group, table.classes, table.e, tuple(chars))
 
 
 @pytest.mark.parametrize("spec", SMALL_GROUPS + ["C8xC8", "D32"])
@@ -405,7 +431,9 @@ def test_packed_orthogonality_check_accepts_tables(spec):
     _verify_table(character_table(parse_group_spec(spec)))
 
 
-@pytest.mark.parametrize("spec", ["C6", "C2xC6", "D4", "Q8", "A4", "Dic3", "C3xC3", "S4"])
+@pytest.mark.parametrize(
+    "spec", ["C6", "C2xC6", "D4", "Q8", "A4", "Dic3", "C3xC3", "S4", "C8xC8", "C2xC2xC2xC2xC2"]
+)
 def test_packed_orthogonality_check_rejects_corrupted_tables(spec):
     table = character_table(parse_group_spec(spec))
     chars, r = table.characters, table.class_count

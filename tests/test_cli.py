@@ -1,10 +1,13 @@
 import json
 import os
 import shlex
+import tracemalloc
 
 import pytest
 
 from galois_span.cli import main
+from galois_span.errors import GroupSpecError, OrderTooLargeError
+from galois_span.groups import parse_group_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "galois_span", "fixtures")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -501,6 +504,47 @@ def test_group_spec_above_the_order_bound_is_a_usage_error(capsys, monkeypatch):
     assert captured.err == (
         "error: group spec 'S333' has order above 128, the bound set by GALOIS_SPAN_MAX_ORDER\n"
     )
+
+
+def test_atom_size_with_more_digits_than_the_order_bound_is_refused_unconverted(
+    capsys, monkeypatch
+):
+    # 5000 digits: int() of the size would raise Python's own 4300-digit error
+    monkeypatch.delenv("GALOIS_SPAN_MAX_ORDER", raising=False)
+    atom = "C" + "9" * 5000
+    assert main(["group", "info", f"C2x{atom}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: group atom {atom!r} in group spec 'C2x{atom}' has order above 128,"
+        " the bound set by GALOIS_SPAN_MAX_ORDER\n"
+    )
+    with pytest.raises(OrderTooLargeError):
+        parse_group_spec(atom)
+    assert parse_group_spec("C00012").order == 12
+
+
+@pytest.mark.parametrize("point", ["999999", "9" * 5000])
+def test_perm_point_above_the_domain_bound_is_refused_before_any_tuple_is_built(
+    capsys, point
+):
+    spec = f"perm:(0 {point})"
+    tracemalloc.start()
+    try:
+        assert main(["group", "info", spec]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a domain of 10^6 points took 124 MB
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: permutation '(0 {point})' in group spec {spec!r} names a point"
+        " above 511, the largest point of a perm: domain\n"
+    )
+    with pytest.raises(GroupSpecError):
+        parse_group_spec(spec)
+    assert parse_group_spec("perm:(0 511)").order == 2
 
 
 # file contents -> (command whose last option takes the file, error message)
