@@ -738,9 +738,18 @@ def artin_coefficients(table: CharacterTable, chi) -> dict[tuple[int, ...], Frac
 
 
 def is_irreducibly_represented(g: FiniteGroup) -> bool:
-    """True when some irreducible character is faithful."""
+    """True when some irreducible character is faithful.
+
+    The kernel of chi is the union of the classes whose multiplicity vector
+    is concentrated at zeta^0 (`CharacterTable.kernel_of`), so chi is
+    faithful exactly when the identity's class is the only such class.
+    """
     table = character_table(g)
-    return any(table.kernel_of(chi).is_trivial() for chi in table.characters)
+    one = table.class_of[g.identity]
+    return any(
+        all(i == one or v[0] != chi.degree for i, v in enumerate(chi.values))
+        for chi in table.characters
+    )
 
 
 def is_exceptional(g: FiniteGroup) -> bool:

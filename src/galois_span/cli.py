@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Every command is deterministic given its inputs and seed, emits JSON (all
-big integers as decimal strings of any length, by `report.decimal_text`) to
+`main` builds only the parser of the command named by its first argument
+(`parse_args`); the whole parser tree (`build_parser`) is built only for
+help, the version, and usage errors that are not one command's own.  Every
+command is deterministic given its inputs and seed, emits JSON (all big
+integers as decimal strings of any length, by `report.decimal_text`) to
 stdout or --out, and exits 0 on success or pass, 1 on verification failure,
 2 on usage errors, 3 when an internal exact-arithmetic invariant fails
 (`errors.InvariantError`).
@@ -359,101 +362,140 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _add_out(p):
+    p.add_argument("--out", help="write JSON output to this file")
+
+
+def _add_dot(p):
+    p.add_argument("--dot", help="write DOT output to this file")
+
+
+def _add_cover(p):
+    p.add_argument("--base", required=True, help="graph file or builtin (bouquet:2, cycle:5, ...)")
+    p.add_argument("--group", help="GroupSpec (required with inline voltages)")
+    p.add_argument(
+        "--voltage",
+        required=True,
+        help="voltage JSON file or inline semicolon-separated elements",
+    )
+
+
+def _graph_args(p):
+    p.add_argument("action", choices=["kappa", "zeta", "dot"])
+    p.add_argument("--base", required=True)
+    _add_out(p)
+    _add_dot(p)
+
+
+def _group_args(p):
+    p.add_argument("action", choices=["info", "table1", "subgroups"])
+    p.add_argument("spec", nargs="?", help="GroupSpec; table1 defaults to every fixture row")
+    _add_out(p)
+
+
+def _poset_args(p):
+    p.add_argument("action", choices=["hasse", "mobius"])
+    p.add_argument("--group", required=True)
+    p.add_argument("--poset", choices=["kernel", "cyclic"], default="cyclic")
+    _add_out(p)
+    _add_dot(p)
+
+
+def _cover_args(p):
+    p.add_argument("action", choices=["build", "kappa", "intermediates", "dot"])
+    _add_cover(p)
+    p.add_argument("--subgroup", help="semicolon-separated generators for `dot`")
+    _add_out(p)
+    _add_dot(p)
+
+
+def _lfun_args(p):
+    p.add_argument("action", choices=["h", "verify-prop", "verify-factor", "verify-inter"])
+    _add_cover(p)
+    p.add_argument("--chi", type=int, default=0, help="abelian character index for `h`")
+    p.add_argument("--rep", help="matrix representation JSON file for `h`")
+    p.add_argument("--subgroup", help="semicolon-separated generators for `verify-inter`")
+    _add_out(p)
+
+
+def _verify_args(p):
+    p.add_argument(
+        "action",
+        choices=["kuroda", "brauer-kuroda", "hmsv", "relation", "euler-zero"],
+    )
+    _add_cover(p)
+    p.add_argument("--relation", help="JSON file of {elements, coefficient} records")
+    _add_out(p)
+
+
+def _family_args(p):
+    p.add_argument("action", choices=["degree", "det-m", "nonexistence"])
+    p.add_argument("--p", help="comma-separated primes")
+    p.add_argument("--s", help="comma-separated exponents")
+    p.add_argument("--b", help="comma-separated family parameter")
+    p.add_argument("--n", type=int, help="cyclic group order for `nonexistence`")
+    _add_out(p)
+
+
+def _selftest_args(p):
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--groups", help="comma-separated GroupSpecs")
+    _add_out(p)
+
+
+# name -> (help line, adds the command's arguments to a parser, handler)
+COMMANDS = {
+    "graph": ("base-graph invariants", _graph_args, _cmd_graph),
+    "group": ("group information", _group_args, _cmd_group),
+    "poset": ("subgroup posets and Moebius tables", _poset_args, _cmd_poset),
+    "cover": ("derived graphs and intermediate quotients", _cover_args, _cmd_cover),
+    "lfun": ("twisted zeta numerators", _lfun_args, _cmd_lfun),
+    "verify": ("spanning-tree formula verifiers", _verify_args, _cmd_verify),
+    "family": ("cyclic bouquet families and the matrix lemma", _family_args, _cmd_family),
+    "selftest": ("seeded random verification suite", _selftest_args, _cmd_selftest),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: every command, as `--help`, `--version` and usage errors show it."""
     parser = argparse.ArgumentParser(
         prog="galois-span",
         description="Exact spanning-tree arithmetic for Galois covers of graphs.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
-        p.add_argument("--out", help="write JSON output to this file")
-
-    def add_dot(p):
-        p.add_argument("--dot", help="write DOT output to this file")
-
-    def add_cover_args(p):
-        p.add_argument("--base", required=True, help="graph file or builtin (bouquet:2, cycle:5, ...)")
-        p.add_argument("--group", help="GroupSpec (required with inline voltages)")
-        p.add_argument(
-            "--voltage",
-            required=True,
-            help="voltage JSON file or inline semicolon-separated elements",
-        )
-
-    p = sub.add_parser("graph", help="base-graph invariants")
-    p.add_argument("action", choices=["kappa", "zeta", "dot"])
-    p.add_argument("--base", required=True)
-    add_out(p)
-    add_dot(p)
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("group", help="group information")
-    p.add_argument("action", choices=["info", "table1", "subgroups"])
-    p.add_argument("spec", nargs="?", help="GroupSpec; table1 defaults to every fixture row")
-    add_out(p)
-    p.set_defaults(func=_cmd_group)
-
-    p = sub.add_parser("poset", help="subgroup posets and Moebius tables")
-    p.add_argument("action", choices=["hasse", "mobius"])
-    p.add_argument("--group", required=True)
-    p.add_argument("--poset", choices=["kernel", "cyclic"], default="cyclic")
-    add_out(p)
-    add_dot(p)
-    p.set_defaults(func=_cmd_poset)
-
-    p = sub.add_parser("cover", help="derived graphs and intermediate quotients")
-    p.add_argument("action", choices=["build", "kappa", "intermediates", "dot"])
-    add_cover_args(p)
-    p.add_argument("--subgroup", help="semicolon-separated generators for `dot`")
-    add_out(p)
-    add_dot(p)
-    p.set_defaults(func=_cmd_cover)
-
-    p = sub.add_parser("lfun", help="twisted zeta numerators")
-    p.add_argument("action", choices=["h", "verify-prop", "verify-factor", "verify-inter"])
-    add_cover_args(p)
-    p.add_argument("--chi", type=int, default=0, help="abelian character index for `h`")
-    p.add_argument("--rep", help="matrix representation JSON file for `h`")
-    p.add_argument("--subgroup", help="semicolon-separated generators for `verify-inter`")
-    add_out(p)
-    p.set_defaults(func=_cmd_lfun)
-
-    p = sub.add_parser("verify", help="spanning-tree formula verifiers")
-    p.add_argument(
-        "action",
-        choices=["kuroda", "brauer-kuroda", "hmsv", "relation", "euler-zero"],
-    )
-    add_cover_args(p)
-    p.add_argument("--relation", help="JSON file of {elements, coefficient} records")
-    add_out(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("family", help="cyclic bouquet families and the matrix lemma")
-    p.add_argument("action", choices=["degree", "det-m", "nonexistence"])
-    p.add_argument("--p", help="comma-separated primes")
-    p.add_argument("--s", help="comma-separated exponents")
-    p.add_argument("--b", help="comma-separated family parameter")
-    p.add_argument("--n", type=int, help="cyclic group order for `nonexistence`")
-    add_out(p)
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("selftest", help="seeded random verification suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--groups", help="comma-separated GroupSpecs")
-    add_out(p)
-    p.set_defaults(func=_cmd_selftest)
-
+    for name, (help_line, add_arguments, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv`, building only the parser of the command it names.
+
+    In the whole tree a command's parser is an `ArgumentParser` with prog
+    `galois-span NAME` that receives `argv[1:]`; the standalone one is built
+    the same way, so it parses, helps and reports errors byte for byte as
+    that one would.  The whole tree parses everything else: no command or an
+    unknown one, `--help`, `--version`, and arguments the command does not
+    take (their error carries the top-level usage line).
+    """
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments, _ = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"galois-span {argv[0]}")
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run a parsed command; bad input exits 2 and a failed invariant 3."""
+    _, _, handler = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (GaloisSpanError, OSError, KeyError, ValueError) as exc:
         # one argument is the message (a KeyError's repr would quote it); an
         # OSError's str() joins its errno, text and file name
@@ -465,6 +507,10 @@ def main(argv=None) -> int:
         # the library; any other arithmetic fault is reported the same way
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    return run(parse_args(sys.argv[1:] if argv is None else list(argv)))
 
 
 if __name__ == "__main__":

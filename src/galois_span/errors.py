@@ -34,6 +34,12 @@ class GroupSpecError(GaloisSpanError, ValueError):
     """A group spec string (or the Cayley-table file it names) does not parse."""
 
 
+class FamilyParameterError(GaloisSpanError, ValueError):
+    """A parameter of a cyclic bouquet family or of its lemmas is out of range:
+    repeated or non-prime primes, b or a outside 0..s, t < 0, or a trivial
+    cyclic group."""
+
+
 class ClosureTooLargeError(GaloisSpanError):
     """Permutation closure exceeded the configured bound."""
 

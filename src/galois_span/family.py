@@ -25,7 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import VoltageAssignment, derived_graph
-from .errors import InterpolationMismatchError, InvariantError, LengthMismatchError
+from .errors import (
+    FamilyParameterError,
+    InterpolationMismatchError,
+    InvariantError,
+    LengthMismatchError,
+)
 from .graphs import bouquet, cycle_graph
 from .groups import cyclic_group
 from .linalg import cauchy_binet_check, det_fraction, kronecker, mat_mul, rank_fraction
@@ -98,6 +103,15 @@ def exponent_grid(s: ExponentVector) -> list[ExponentVector]:
     return out
 
 
+def _check_primes(primes) -> None:
+    """Refuse repeated primes and non-primes: the family lemmas need distinct primes."""
+    if len(set(primes)) != len(primes):
+        raise FamilyParameterError("primes must be pairwise distinct")
+    for p in primes:
+        if not is_prime(p):
+            raise FamilyParameterError(f"{p} is not prime")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Distinct primes p, exponent vector s, and family parameter b (0 <= b <= s)."""
@@ -109,14 +123,10 @@ class FamilySpec:
     def __post_init__(self):
         if not (len(self.primes) == len(self.s) == len(self.b)):
             raise LengthMismatchError("primes, s and b must have equal lengths")
-        if len(set(self.primes)) != len(self.primes):
-            raise ValueError("primes must be pairwise distinct")
-        for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+        _check_primes(self.primes)
         for sk, bk in zip(self.s, self.b):
             if not 0 <= bk <= sk:
-                raise ValueError("need 0 <= b <= s componentwise")
+                raise FamilyParameterError("need 0 <= b <= s componentwise")
 
     @property
     def modulus(self) -> int:
@@ -135,7 +145,7 @@ def _bouquet_family_kappa(modulus: int, loop_voltage: int, t: int) -> int:
 def family_kappa(f: FamilySpec, t: int) -> int:
     """kappa of the proof family over Z/p^s: voltages p^(s-b) on t loops and 1."""
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise FamilyParameterError("t must be nonnegative")
     voltage = exp_pow(f.primes, exp_sub_floor(f.s, f.b))
     return _bouquet_family_kappa(f.modulus, voltage, t)
 
@@ -159,7 +169,7 @@ def kappa_degree_in_t(f: FamilySpec, a: ExponentVector) -> int:
     if len(a) != len(f.primes):
         raise LengthMismatchError("a has the wrong length")
     if not any(a) or any(x < 0 or x > sk for x, sk in zip(a, f.s)):
-        raise ValueError("need 0 < a <= s")
+        raise FamilyParameterError("need 0 < a <= s")
     expected = degree_formula(f.primes, a, f.b)
     modulus = exp_pow(f.primes, a)
     voltage = exp_pow(f.primes, f.b)
@@ -245,8 +255,11 @@ def lemma_matrix_check(primes, s: ExponentVector) -> VerificationReport:
 
     The printed closed form is (-1)^(T-1) prod (1/p_i - 1)^(s_i T/(s_i+1));
     the check asserts the absolute value and records whether the computed
-    sign agrees (it does not always; see the det details).
+    sign agrees (it does not always; see the det details).  Repeated or
+    non-prime primes are refused before M is built, as `FamilySpec` refuses
+    them.
     """
+    _check_primes(primes)
     t_size = 1
     for sk in s:
         t_size *= sk + 1
@@ -291,7 +304,7 @@ def nonexistence_certificate(n: int) -> VerificationReport:
     kills the remaining exponent: cycle bases give kappa(X) = 3 and 4.
     """
     if n < 2:
-        raise ValueError("need a nontrivial cyclic group")
+        raise FamilyParameterError("need a nontrivial cyclic group")
     factors = factorize(n)
     primes_t, s_t = tuple(p for p, _ in factors), tuple(k for _, k in factors)
     grid = [a for a in exponent_grid(s_t) if any(a)]

@@ -484,6 +484,14 @@ def test_packed_orthogonality_check_sees_irrational_parts():
             _orthogonality_by_inner_products(corrupt)
 
 
+@pytest.mark.parametrize("spec", sorted(TABLE1_FLAGS) + ["C8xC8", "D32", "C2xC2xC2xC2xC2"])
+def test_faithfulness_from_class_values_agrees_with_the_kernel_subgroup(spec):
+    g = parse_group_spec(spec)
+    table = character_table(g)
+    expected = any(table.kernel_of(chi).is_trivial() for chi in table.characters)
+    assert is_irreducibly_represented(g) is expected
+
+
 @pytest.mark.parametrize("spec", sorted(TABLE1_FLAGS) + ["C2xS4"])
 def test_induced_trivial_characters_agree_with_products(spec):
     g = parse_group_spec(spec)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from galois_span import cli
 from galois_span.cli import main
 from galois_span.errors import GroupSpecError, OrderTooLargeError
 from galois_span.groups import parse_group_spec
@@ -642,21 +643,89 @@ def test_cayley_table_file_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path,
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["group", "info", "S3"],
-        ["lfun", "h", *COVER],
-        ["verify", "kuroda", *COVER],
-        ["family", "nonexistence", "--n", "4"],
-        ["selftest", "--iters", "1"],
-    ],
-    ids=lambda argv: argv[0],
-)
+NO_DOT_COMMANDS = [
+    ["group", "info", "S3"],
+    ["lfun", "h", *COVER],
+    ["verify", "kuroda", *COVER],
+    ["family", "nonexistence", "--n", "4"],
+    ["selftest", "--iters", "1"],
+]
+
+
+@pytest.mark.parametrize("command", NO_DOT_COMMANDS, ids=lambda argv: argv[0])
 def test_dot_is_a_usage_error_where_no_dot_is_written(command, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([*command, "--dot", str(tmp_path / "x.dot")])
     assert exc.value.code == 2
+
+
+def outcome(capsys, call, argv):
+    """Exit code, stdout and stderr of `call(argv)`, an argparse exit included."""
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def whole_tree_main(argv):
+    """`main` as it was before commands got standalone parsers."""
+    return cli.run(cli.build_parser().parse_args(argv))
+
+
+SUCCESSFUL_RUNS = [
+    ["graph", "kappa", "--base", "cycle:5"],
+    ["group", "info", "S3"],
+    ["poset", "mobius", "--group", "S3"],
+    ["cover", "kappa", *COVER],
+    ["lfun", "h", *COVER],
+    ["verify", "kuroda", *COVER],
+    ["family", "det-m", "--p", "2", "--s", "2"],
+    ["selftest", "--iters", "1"],
+]
+PARITY_ARGVS = [
+    [],
+    ["--help"],
+    ["--version"],
+    ["frobnicate"],
+    *([name] for name in cli.COMMANDS),
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["graph", "frobnicate", "--base", "bouquet:2"],
+    *([*command, "--dot", "x.dot"] for command in NO_DOT_COMMANDS),
+    ["poset", "mobius", "--group", "S3", "--poset", "lattice"],
+    ["lfun", "h", *COVER, "--chi", "x"],
+    *SUCCESSFUL_RUNS,
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_a_standalone_command_parser_answers_as_the_whole_tree(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    expected = outcome(capsys, whole_tree_main, argv)
+    assert outcome(capsys, main, argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv", [["poset", "mobius", "--group", "S3"], ["group", "info", "Q8"]], ids=lambda argv: argv[0]
+)
+def test_a_command_builds_only_its_own_parser(argv, capsys, monkeypatch):
+    code, expected, _ = outcome(capsys, whole_tree_main, argv)
+    assert code == 0
+
+    def refuse():
+        raise AssertionError("the whole parser tree was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert outcome(capsys, main, argv) == (0, expected, "")
+
+
+def test_family_primes_are_checked_as_bad_input(capsys):
+    assert main(["family", "det-m", "--p", "0", "--s", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: 0 is not prime\n")
+    assert main(["family", "degree", "--p", "4", "--s", "1", "--b", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: 4 is not prime\n")
 
 
 def readme_worked_examples() -> list[str]:

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from galois_span.errors import InterpolationMismatchError, LengthMismatchError
+from galois_span.errors import (
+    FamilyParameterError,
+    GaloisSpanError,
+    InterpolationMismatchError,
+    LengthMismatchError,
+)
 from galois_span.family import (
     FamilySpec,
     build_matrix_M,
@@ -49,6 +54,38 @@ def test_family_spec_validation():
         FamilySpec(primes=(2, 2), s=(1, 1), b=(0, 0))
     with pytest.raises(ValueError):
         FamilySpec(primes=(2,), s=(1,), b=(2,))
+
+
+def test_family_parameter_errors_are_typed_and_still_value_errors():
+    spec = FamilySpec(primes=(2,), s=(2,), b=(1,))
+    refusals = [
+        (lambda: FamilySpec(primes=(2, 2), s=(1, 1), b=(0, 0)), "primes must be pairwise distinct"),
+        (lambda: FamilySpec(primes=(4,), s=(1,), b=(0,)), "4 is not prime"),
+        (lambda: FamilySpec(primes=(2,), s=(1,), b=(2,)), "need 0 <= b <= s componentwise"),
+        (lambda: family_kappa(spec, -1), "t must be nonnegative"),
+        (lambda: kappa_degree_in_t(spec, (3,)), "need 0 < a <= s"),
+        (lambda: nonexistence_certificate(1), "need a nontrivial cyclic group"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(FamilyParameterError) as exc:
+            call()
+        assert isinstance(exc.value, GaloisSpanError) and isinstance(exc.value, ValueError)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "primes, s, message",
+    [
+        ((0,), (1,), "0 is not prime"),
+        ((1,), (1,), "1 is not prime"),
+        ((2, 2), (1, 1), "primes must be pairwise distinct"),
+        ((2, 6), (1, 1), "6 is not prime"),
+    ],
+)
+def test_matrix_lemma_refuses_repeated_or_non_prime_primes(primes, s, message):
+    with pytest.raises(FamilyParameterError) as exc:
+        lemma_matrix_check(primes, s)
+    assert str(exc.value) == message
 
 
 def test_family_kappa_closed_form_case():
