@@ -26,7 +26,14 @@ from .covers import (
     is_galois,
     load_voltage,
 )
-from .errors import GaloisSpanError, InvariantError, json_int, json_list, json_object
+from .errors import (
+    FamilyParameterError,
+    GaloisSpanError,
+    InvariantError,
+    json_int,
+    json_list,
+    json_object,
+)
 from .family import (
     FamilySpec,
     degree_formula,
@@ -115,8 +122,17 @@ def _cover_from_args(args):
     return derived_graph(alpha)
 
 
-def _parse_vector(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace("(", "").replace(")", "").split(",") if x != "")
+def _parse_vector(text: str, option: str) -> tuple[int, ...]:
+    """A comma-separated integer vector; a bad entry names `option` and the entry."""
+    vector = []
+    for token in text.replace("(", "").replace(")", "").split(","):
+        if token == "":
+            continue
+        try:
+            vector.append(int(token))
+        except ValueError:
+            raise FamilyParameterError(f"{option}: {token!r} is not an integer") from None
+    return tuple(vector)
 
 
 def _elements(g: FiniteGroup, text: str) -> list[int]:
@@ -315,15 +331,15 @@ def _cmd_family(args) -> int:
         return 0 if report.passed else 1
     if args.p is None or args.s is None:
         raise GaloisSpanError(f"{args.action} needs --p and --s")
-    primes = _parse_vector(args.p)
-    s = _parse_vector(args.s)
+    primes = _parse_vector(args.p, "--p")
+    s = _parse_vector(args.s, "--s")
     if args.action == "det-m":
         report = lemma_matrix_check(primes, s)
         _emit(report.to_json_dict(), args)
         return 0 if report.passed else 1
     if args.b is None:
         raise GaloisSpanError("degree needs --b")
-    b = _parse_vector(args.b)
+    b = _parse_vector(args.b, "--b")
     spec = FamilySpec(primes=primes, s=s, b=b)
     rows = []
     for a in exponent_grid(s):

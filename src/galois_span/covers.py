@@ -6,7 +6,11 @@ The derived graph has vertex set V x G with terminus twisted by right
 multiplication; G acts on the left of the second coordinate, so the
 quotient by a subgroup H uses cosets H*sigma.  One coset-quotient builder
 makes every such graph (the derived graph is the quotient by the trivial
-subgroup), and every projection is validated as a covering map.  The cover
+subgroup), and every projection is validated as a covering map: Y -> X and
+X_H -> X by the full check, Y -> X_H by its morphism property alone, since
+a graph morphism between two coverings of X that commutes with them is
+itself a covering.  That leaves one test per distinct edge voltage a: the
+coset of sigma*a depends only on the coset of sigma.  The cover
 is Galois exactly when the derived graph is connected; `is_galois`, which
 every Galois guard and the random sampler ask, decides it by generation:
 the base is connected and the net voltages of the fundamental cycles of a
@@ -15,7 +19,9 @@ Theory, 1987, section 2.5).
 
 Each assignment keeps its Galois answer and each cover keeps kappa(X_H) per
 subgroup H, computed on first request with every check and read back after
-that: the verifiers of one cover ask for overlapping sets of quotients.
+that: the verifiers of one cover ask for overlapping sets of quotients.  The
+quotient by the trivial subgroup has the derived graph's arrays, so its
+kappa is kappa(Y), read from the derived graph instead of a second quotient.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .errors import (
     MismatchedGroupError,
     NoConnectedAssignmentFoundError,
     NotGaloisError,
+    VoltageError,
     json_int,
     json_list,
     json_object,
@@ -62,10 +69,10 @@ class VoltageAssignment:
     def __post_init__(self):
         base, g = self.base, self.group
         if len(self.volt) != base.geometric_edge_count:
-            raise ValueError("need one voltage per geometric edge")
+            raise VoltageError("need one voltage per geometric edge")
         for x in self.volt:
             if not 0 <= x < g.order:
-                raise ValueError(f"voltage {x} out of range")
+                raise VoltageError(f"voltage {x} out of range")
         edge_volt = [g.identity] * base.edge_count
         for e, x in zip(base.orientation(), self.volt):
             edge_volt[e] = x
@@ -250,30 +257,52 @@ def _check_quotient(c: Cover, h: Subgroup) -> None:
 
 
 def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
-    """Quotient by the left action of H: vertices (v, H*sigma)."""
+    """Quotient by the left action of H: vertices (v, H*sigma).
+
+    X_H -> X is validated as a covering when the quotient is built.  The
+    projection Y -> X_H, (v, sigma) -> (v, H*sigma), commutes with both
+    coverings of X, so it is a covering as soon as it is a graph morphism
+    (`_validate_projection`).
+    """
     _check_quotient(c, h)
-    g = c.group
     cosets = left_cosets(h)
     graph, coset_of = _coset_quotient(c.voltage, cosets, "H")
-    # the projection from the cover must be a covering map too
-    n, k = g.order, len(cosets)
-    _validate_covering(
-        c.derived,
-        graph,
-        vmap=[(w // n) * k + coset_of[w % n] for w in range(c.derived.vertex_count)],
-        emap=[(d // n) * k + coset_of[d % n] for d in range(c.derived.edge_count)],
+    _validate_projection(c.voltage, coset_of)
+    return IntermediateGraph(
+        cover=c, subgroup=h, graph=graph, coset_of=coset_of, coset_count=len(cosets)
     )
-    return IntermediateGraph(cover=c, subgroup=h, graph=graph, coset_of=coset_of, coset_count=k)
+
+
+def _validate_projection(alpha: VoltageAssignment, coset_of) -> None:
+    """Assert that (v, sigma) -> (v, coset_of[sigma]) is a morphism of Y onto its quotient.
+
+    The quotient's edge e x C ends at (t(e), coset of rep(C)*alpha(e)) for a
+    representative of C, and its inverse starts there, so the projection
+    commutes with endpoints and inversion exactly when, for every distinct
+    edge voltage a, the coset of sigma*a depends only on the coset of sigma.
+    A morphism between two coverings of X that commutes with them is a
+    covering, so this completes the check of Y -> X_H.
+    """
+    cayley = alpha.group.cayley
+    for a in set(alpha.edge_volt):
+        image: dict[int, int] = {}
+        for sigma, coset in enumerate(coset_of):
+            target = coset_of[cayley[sigma][a]]
+            if image.setdefault(coset, target) != target:
+                raise InvariantError("projection from the cover does not commute with endpoints")
 
 
 def intermediate_kappa(c: Cover, h: Subgroup) -> int:
     """kappa(X_H), kept on the cover by the exact subgroup (never by its class).
 
-    The first request builds and validates the quotient; only the count is kept.
+    The first request builds and validates the quotient; only the count is
+    kept.  For the trivial subgroup the quotient is the derived graph itself
+    (same arrays), so its count is kappa(Y), kept on the derived graph.
     """
     _check_quotient(c, h)
     if h.elements not in c._kappas:
-        c._kappas[h.elements] = intermediate_graph(c, h).graph.spanning_tree_count()
+        quotient = c.derived if h.is_trivial() else intermediate_graph(c, h).graph
+        c._kappas[h.elements] = quotient.spanning_tree_count()
     return c._kappas[h.elements]
 
 
@@ -281,7 +310,10 @@ def conjugate_kappa_check(c: Cover) -> VerificationReport:
     """kappa agrees across conjugate subgroups (cover-isomorphism consequence).
 
     Each subgroup's kappa comes from its own quotient, since the cover keeps
-    kappa per subgroup and not per class, so this stays an independent check.
+    kappa per subgroup and not per class, so this stays an independent check;
+    the trivial subgroup, alone in its class, takes kappa(Y) from the derived
+    graph.  Every quotient's projection from Y is checked as a morphism over X
+    (`intermediate_graph`).
     """
     if not is_galois(c.voltage):
         raise NotGaloisError("conjugate check needs a Galois cover")
@@ -347,7 +379,7 @@ def voltage_from_json_dict(base: SerreGraph, data: dict) -> VoltageAssignment:
         item = json_object(item, "voltage assignment", "edge", "element")
         k = json_int(item["edge"], "voltage edge")
         if not 0 <= k < base.geometric_edge_count:
-            raise ValueError(f"edge index {k} out of range")
+            raise VoltageError(f"edge index {k} out of range")
         volt[k] = g.element(item["element"], "voltage element")
     return VoltageAssignment(base=base, group=g, volt=tuple(volt))
 

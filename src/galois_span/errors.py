@@ -35,9 +35,16 @@ class GroupSpecError(GaloisSpanError, ValueError):
 
 
 class FamilyParameterError(GaloisSpanError, ValueError):
-    """A parameter of a cyclic bouquet family or of its lemmas is out of range:
-    repeated or non-prime primes, b or a outside 0..s, t < 0, or a trivial
-    cyclic group."""
+    """A parameter of a cyclic bouquet family or of its lemmas is out of range
+    or does not parse: repeated or non-prime primes, a negative exponent, b or
+    a outside 0..s, t < 0, a trivial cyclic group, or a non-integer entry of
+    `--p`, `--s` or `--b`."""
+
+
+class VoltageError(GaloisSpanError, ValueError):
+    """A voltage assignment does not fit its base graph or group: the wrong
+    number of voltages, an element index out of range, or an edge index out
+    of range in a voltage file."""
 
 
 class ClosureTooLargeError(GaloisSpanError):

@@ -257,9 +257,11 @@ def lemma_matrix_check(primes, s: ExponentVector) -> VerificationReport:
     the check asserts the absolute value and records whether the computed
     sign agrees (it does not always; see the det details).  Repeated or
     non-prime primes are refused before M is built, as `FamilySpec` refuses
-    them.
+    them, and so is a negative exponent (the closed form divides by s_i + 1).
     """
     _check_primes(primes)
+    if any(sk < 0 for sk in s):
+        raise FamilyParameterError("need s >= 0 componentwise")
     t_size = 1
     for sk in s:
         t_size *= sk + 1

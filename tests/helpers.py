@@ -8,7 +8,13 @@ from fractions import Fraction
 
 from galois_span.characters import _hessenberg_charpoly_mod, _hessenberg_mod, _rref_mod
 from galois_span.cli import main
-from galois_span.covers import VOLTAGE_ATTEMPTS, VoltageAssignment, derived_graph
+from galois_span.covers import (
+    VOLTAGE_ATTEMPTS,
+    Cover,
+    VoltageAssignment,
+    _validate_covering,
+    derived_graph,
+)
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import MismatchedGroupError, NoConnectedAssignmentFoundError, TooLargeError
 from galois_span.graphs import SerreGraph, build_graph
@@ -114,6 +120,32 @@ def det_fraction_by_elimination(matrix) -> Fraction:
             for j in range(k, n):
                 m[i][j] -= f * m[k][j]
     return det
+
+
+def projection_by_full_covering_check(c: Cover, quotient: SerreGraph, coset_of) -> None:
+    """Oracle for `covers._validate_projection`: the full covering check of
+    (v, sigma) -> (v, coset_of[sigma]) from the derived graph onto `quotient`,
+    with maps over every vertex and edge of the cover and every star sorted."""
+    n, k = c.group.order, max(coset_of) + 1
+    _validate_covering(
+        c.derived,
+        quotient,
+        vmap=[(w // n) * k + coset_of[w % n] for w in range(c.derived.vertex_count)],
+        emap=[(d // n) * k + coset_of[d % n] for d in range(c.derived.edge_count)],
+    )
+
+
+def set_partitions(items: list) -> list[list[tuple]]:
+    """Every partition of `items` into blocks, each block in the order of `items`."""
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    out = []
+    for partition in set_partitions(rest):
+        out.append([(first,)] + partition)
+        for i, block in enumerate(partition):
+            out.append(partition[:i] + [(first,) + block] + partition[i + 1 :])
+    return out
 
 
 def dumbbell_graph() -> SerreGraph:

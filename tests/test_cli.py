@@ -728,6 +728,20 @@ def test_family_primes_are_checked_as_bad_input(capsys):
     assert capsys.readouterr() == ("", "error: 4 is not prime\n")
 
 
+def test_family_negative_exponent_is_bad_input(capsys):
+    assert main(["family", "det-m", "--p", "2", "--s", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: need s >= 0 componentwise\n")
+
+
+@pytest.mark.parametrize("option", ["--p", "--s", "--b"])
+def test_family_vector_options_name_their_bad_entry(capsys, option):
+    values = {"--p": "2", "--s": "1", "--b": "0"}
+    values[option] += ",x"
+    argv = ["family", "degree"] + [word for pair in values.items() for word in pair]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {option}: 'x' is not an integer\n")
+
+
 def readme_worked_examples() -> list[str]:
     """Every `galois-span ...` line of the README's worked-examples shell block."""
     with open(README, encoding="utf-8") as fh:

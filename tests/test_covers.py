@@ -6,7 +6,9 @@ import pytest
 from galois_span.covers import (
     Cover,
     VoltageAssignment,
+    _coset_quotient,
     _validate_covering,
+    _validate_projection,
     conjugate_kappa_check,
     cover_to_json_dict,
     cycle_nets,
@@ -23,6 +25,7 @@ from galois_span.errors import (
     MismatchedGroupError,
     NoConnectedAssignmentFoundError,
     NotGaloisError,
+    VoltageError,
 )
 from galois_span.graphs import (
     bouquet,
@@ -47,7 +50,9 @@ from galois_span.linalg import det_int
 from helpers import (
     dumbbell_graph,
     laplacian,
+    projection_by_full_covering_check,
     random_connected_voltage_by_derived_graph,
+    set_partitions,
     theta_graph,
     voltage_by_orientation_slot,
 )
@@ -234,6 +239,124 @@ def test_covering_check_refuses_a_map_that_is_not_a_local_bijection():
     top, bottom = bouquet(2), bouquet(2)
     with pytest.raises(InvariantError, match="restriction at vertex 0 is not a bijection"):
         _validate_covering(top, bottom, vmap=[0], emap=[0, 1, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "base_name, spec, seed",
+    [
+        ("bouquet:2", "S3", 0),
+        ("bouquet:2", "Q8", 1),
+        ("complete:4", "S4", 2),
+        ("bouquet:2", "C2xS4", 3),
+    ],
+)
+def test_projection_check_accepts_as_the_full_covering_check(base_name, spec, seed):
+    g = parse_group_spec(spec)
+    c = derived_graph(random_connected_voltage(GENERATION_BASES[base_name], g, seed))
+    for h in all_subgroups(g):
+        inter = intermediate_graph(c, h)
+        _validate_projection(c.voltage, inter.coset_of)
+        projection_by_full_covering_check(c, inter.graph, inter.coset_of)
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except InvariantError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "base_name, spec, seed",
+    [
+        ("bouquet:2", "S3", 0),
+        ("complete:4", "S3", 1),
+        ("bouquet:2", "C6", 0),
+        ("bouquet:2", "D4", 0),
+    ],
+)
+def test_projection_check_agrees_with_the_full_check_on_every_partition(base_name, spec, seed):
+    # every partition of G whose quotient is a Serre graph at all: the two checks
+    # give one verdict, and they accept exactly the coset partitions of subgroups
+    g = parse_group_spec(spec)
+    alpha = random_connected_voltage(GENERATION_BASES[base_name], g, seed)
+    c = derived_graph(alpha)
+    verdicts = []
+    for blocks in set_partitions(list(range(g.order))):
+        try:
+            graph, coset_of = _coset_quotient(alpha, blocks, "H")
+        except ValueError:
+            continue  # the arrays are not a Serre graph (inversion not an involution)
+        verdict = _accepts(_validate_projection, alpha, coset_of)
+        assert verdict == _accepts(projection_by_full_covering_check, c, graph, coset_of), blocks
+        verdicts.append(verdict)
+    assert verdicts.count(True) == len(all_subgroups(g))
+    assert verdicts.count(False) > 0
+
+
+def test_projection_check_refuses_a_partition_not_stable_under_right_multiplication():
+    # the sigma*H cosets of a non-normal subgroup of S3: right multiplication by the
+    # voltages does not permute them.  Through the public path the quotient is never
+    # built from such a partition: `SerreGraph` refuses its arrays with ValueError
+    # (inversion not an involution), so the check is called directly here.
+    c = s3_cover()
+    g = c.group
+    h = generated_subgroup(g, [g.element("(0 1)")])
+    assert not h.is_normal()
+    blocks = sorted({tuple(sorted(g.mul(s, x) for x in h.elements)) for s in range(g.order)})
+    coset_of = [0] * g.order
+    for i, block in enumerate(blocks):
+        for x in block:
+            coset_of[x] = i
+    with pytest.raises(InvariantError, match="does not commute with endpoints"):
+        _validate_projection(c.voltage, coset_of)
+    with pytest.raises(ValueError, match="inversion not an involution"):
+        _coset_quotient(c.voltage, blocks, "H")
+
+
+def test_kuroda_on_an_s4_cover_eliminates_the_cover_once(monkeypatch):
+    # kappa(X_{e}) is kappa(Y): one 119-row determinant, not one per quotient and one for Y
+    import galois_span.graphs as graphs
+    from galois_span.theorems import verify_kuroda
+
+    sizes = []
+    det = graphs.det_int_sparse_spd
+
+    def counting_det(rows):
+        sizes.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(graphs, "det_int_sparse_spd", counting_det)
+    c = derived_graph(random_connected_voltage(complete_graph(5), symmetric_group(4), 3))
+    assert verify_kuroda(c).passed
+    assert c.derived.vertex_count == 120
+    assert sizes.count(119) == 1
+
+
+def test_voltage_refusals_are_typed():
+    g = symmetric_group(3)
+    refusals = [
+        (
+            lambda: VoltageAssignment(base=bouquet(2), group=g, volt=(0,)),
+            "need one voltage per geometric edge",
+        ),
+        (
+            lambda: VoltageAssignment(base=bouquet(2), group=g, volt=(0, 6)),
+            "voltage 6 out of range",
+        ),
+        (
+            lambda: voltage_from_json_dict(
+                bouquet(2), {"group": "S3", "assignments": [{"edge": 2, "element": "e"}]}
+            ),
+            "edge index 2 out of range",
+        ),
+    ]
+    for call, message in refusals:
+        with pytest.raises(VoltageError) as exc:
+            call()
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == message
 
 
 def test_out_edge_lists_are_built_once_per_graph():
@@ -561,5 +684,7 @@ def test_one_selftest_iteration_builds_each_quotient_once(monkeypatch, spec):
     # every subgroup is asked for (the conjugate check asks for all), some more than once
     assert sorted(set(asked)) == sorted(h.elements for h in subgroups)
     assert len(asked) > len(set(asked))
-    # one quotient per distinct subgroup, plus the derived graph
-    assert len(built) == len(set(asked)) + 1
+    # one quotient per distinct nontrivial subgroup, plus the derived graph; the
+    # trivial quotient is never built, since its kappa is the derived graph's
+    assert len(built) == len(set(asked))
+    assert built.count(parse_group_spec(spec).order) == 1

@@ -88,6 +88,13 @@ def test_matrix_lemma_refuses_repeated_or_non_prime_primes(primes, s, message):
     assert str(exc.value) == message
 
 
+def test_matrix_lemma_refuses_a_negative_exponent():
+    # the closed-form exponent s*T/(s+1) would divide by zero at s = -1
+    for s in ((-1,), (1, -2)):
+        with pytest.raises(FamilyParameterError, match=r"^need s >= 0 componentwise$"):
+            lemma_matrix_check((2, 3)[: len(s)], s)
+
+
 def test_family_kappa_closed_form_case():
     spec = FamilySpec(primes=(2,), s=(2,), b=(1,))
     for t in range(6):
