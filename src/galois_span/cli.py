@@ -135,6 +135,16 @@ def _parse_vector(text: str, option: str) -> tuple[int, ...]:
     return tuple(vector)
 
 
+def _check_equal_lengths(vectors: dict[str, tuple[int, ...]]) -> None:
+    """Refuse vectors of different lengths, naming the first option that differs."""
+    (first, head), *rest = vectors.items()
+    for option, vector in rest:
+        if len(vector) != len(head):
+            raise FamilyParameterError(
+                f"{first} has length {len(head)} but {option} has length {len(vector)}"
+            )
+
+
 def _elements(g: FiniteGroup, text: str) -> list[int]:
     """A semicolon-separated list of element names (`FiniteGroup.element`)."""
     return [g.element(part.strip()) for part in text.split(";") if part.strip()]
@@ -331,15 +341,18 @@ def _cmd_family(args) -> int:
         return 0 if report.passed else 1
     if args.p is None or args.s is None:
         raise GaloisSpanError(f"{args.action} needs --p and --s")
-    primes = _parse_vector(args.p, "--p")
-    s = _parse_vector(args.s, "--s")
+    vectors = {"--p": _parse_vector(args.p, "--p"), "--s": _parse_vector(args.s, "--s")}
+    if args.action == "degree":
+        if args.b is None:
+            raise GaloisSpanError("degree needs --b")
+        vectors["--b"] = _parse_vector(args.b, "--b")
+    _check_equal_lengths(vectors)
+    primes, s = vectors["--p"], vectors["--s"]
     if args.action == "det-m":
         report = lemma_matrix_check(primes, s)
         _emit(report.to_json_dict(), args)
         return 0 if report.passed else 1
-    if args.b is None:
-        raise GaloisSpanError("degree needs --b")
-    b = _parse_vector(args.b, "--b")
+    b = vectors["--b"]
     spec = FamilySpec(primes=primes, s=s, b=b)
     rows = []
     for a in exponent_grid(s):

@@ -6,16 +6,28 @@ The derived graph has vertex set V x G with terminus twisted by right
 multiplication; G acts on the left of the second coordinate, so the
 quotient by a subgroup H uses cosets H*sigma.  One coset-quotient builder
 makes every such graph (the derived graph is the quotient by the trivial
-subgroup), and every projection is validated as a covering map: Y -> X and
-X_H -> X by the full check, Y -> X_H by its morphism property alone, since
-a graph morphism between two coverings of X that commutes with them is
-itself a covering.  That leaves one test per distinct edge voltage a: the
-coset of sigma*a depends only on the coset of sigma.  The cover
-is Galois exactly when the derived graph is connected; `is_galois`, which
-every Galois guard and the random sampler ask, decides it by generation:
-the base is connected and the net voltages of the fundamental cycles of a
-spanning tree of the base generate G (Gross & Tucker, Topological Graph
-Theory, 1987, section 2.5).
+subgroup), and it checks, while it builds the arrays:
+
+- that the cosets partition G, which makes X_H -> X a covering by
+  construction (Gross & Tucker, Topological Graph Theory, 1987, section
+  2.5): the arrays are laid out by index, one quotient edge over each base
+  edge at every vertex;
+- for each distinct edge voltage a, that the coset of sigma*a depends only
+  on the coset of sigma, which makes Y -> X_H a graph morphism, and a
+  morphism between two coverings of X that commutes with them is a
+  covering;
+- the `SerreGraph` invariants of the result (inversion is a fixed-point-free
+  involution that swaps endpoints).
+
+The first two raise `InvariantError`, the last `GraphError`.  The full
+covering check of a map between Serre graphs, over every vertex and edge
+with every star sorted, is kept in the tests as the oracle of these checks.
+
+The cover is Galois exactly when the derived graph is connected; `is_galois`,
+which every Galois guard asks, decides it by generation: the base is
+connected and the net voltages of the fundamental cycles of a spanning tree
+of the base generate G.  `random_connected_voltage` walks that spanning tree
+once per call and tests each draw by the same generation test.
 
 Each assignment keeps its Galois answer and each cover keeps kappa(X_H) per
 subgroup H, computed on first request with every check and read back after
@@ -32,6 +44,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (
+    DisconnectedGraphError,
     EulerZeroError,
     InvariantError,
     MismatchedGroupError,
@@ -46,8 +59,8 @@ from .graphs import SerreGraph
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _closure,
     all_subgroups,
-    generated_subgroup,
     left_cosets,
     parse_group_spec,
 )
@@ -137,31 +150,46 @@ def _coset_quotient(
     """Quotient of the derived graph by the subgroup whose left cosets are given.
 
     Vertex (v, H*sigma) is v * k + i for the i-th of the k cosets, named after
-    the coset's first element behind `prefix`; edge e x H*sigma leaves it and
-    ends at (t(e), H*sigma*alpha(e)).  The projection to the base is validated
-    as a covering map.  Returns the graph and the coset index of each element.
+    the coset's first element behind `prefix`; edge e x H*sigma is e * k + i,
+    leaves it and ends at (t(e), H*sigma*alpha(e)).  Each distinct edge
+    voltage a acts once on the cosets, image[i] = coset of rep(i)*a, and the
+    same pass checks that this action is well defined: the coset of sigma*a
+    depends only on the coset of sigma, for every sigma.  That is exactly
+    when (v, sigma) -> (v, coset of sigma) is a graph morphism of the derived
+    graph onto the quotient, and a morphism between two coverings of X that
+    commutes with them is a covering.  Failing it raises `InvariantError`.
+
+    X_H -> X, (w, d) -> (w // k, d // k), needs no further check: the cosets
+    are checked to partition G (`_coset_index`), so every image index lies
+    in [0, k), and with the arrays built by index that alone gives vertex
+    surjectivity, endpoints, inversion and one quotient edge over each base
+    edge at every vertex.  `SerreGraph` checks that inversion is an
+    involution.  Returns the graph and the coset index of each element.
     """
     base, g = alpha.base, alpha.group
     k = len(cosets)
-    coset_of = [-1] * g.order
-    for i, coset in enumerate(cosets):
-        for y in coset:
-            coset_of[y] = i
-    origin = []
-    terminus = []
-    inverse = []
-    for e in range(base.edge_count):
-        a = alpha.voltage_of(e)
+    coset_of = _coset_index(g.order, cosets)
+    reps = [coset[0] for coset in cosets]
+    images: dict[int, list[int]] = {}
+    for a in set(alpha.edge_volt):
+        column = [coset_of[row[a]] for row in g.cayley]
+        image = [column[r] for r in reps]
+        if [image[c] for c in coset_of] != column:
+            raise InvariantError("projection from the cover does not commute with endpoints")
+        images[a] = image
+    origin: list[int] = []
+    terminus: list[int] = []
+    inverse: list[int] = []
+    for e, a in enumerate(alpha.edge_volt):
+        image = images[a]
         o, t, inv = base.origin[e] * k, base.terminus[e] * k, base.inverse[e] * k
-        for ci, coset in enumerate(cosets):
-            target = coset_of[g.mul(coset[0], a)]
-            origin.append(o + ci)
-            terminus.append(t + target)
-            inverse.append(inv + target)
+        origin.extend(range(o, o + k))
+        terminus.extend([t + x for x in image])
+        inverse.extend([inv + x for x in image])
     names = [
-        f"({base.vertex_label(v)},{prefix}{g.label(coset[0])})"
+        f"({base.vertex_label(v)},{prefix}{g.label(rep)})"
         for v in range(base.vertex_count)
-        for coset in cosets
+        for rep in reps
     ]
     graph = SerreGraph(
         vertex_count=base.vertex_count * k,
@@ -170,69 +198,96 @@ def _coset_quotient(
         inverse=tuple(inverse),
         vertex_names=tuple(names),
     )
-    _validate_covering(
-        graph,
-        base,
-        vmap=[w // k for w in range(graph.vertex_count)],
-        emap=[d // k for d in range(graph.edge_count)],
-    )
     return graph, tuple(coset_of)
 
 
-def _validate_covering(top: SerreGraph, bottom: SerreGraph, vmap, emap) -> None:
-    """Assert that (vmap, emap) is a covering map of Serre graphs."""
-    if sorted(set(vmap)) != list(range(bottom.vertex_count)):
-        raise InvariantError("projection is not vertex-surjective")
-    for e in range(top.edge_count):
-        f = emap[e]
-        if vmap[top.origin[e]] != bottom.origin[f] or vmap[top.terminus[e]] != bottom.terminus[f]:
-            raise InvariantError("projection does not commute with endpoints")
-        if emap[top.inverse[e]] != bottom.inverse[f]:
-            raise InvariantError("projection does not commute with inversion")
-    bottom_out = bottom.out_edges()
-    for w, leaving in enumerate(top.out_edges()):
-        # bottom_out tuples are strictly increasing, so equality also rules out repeats
-        if tuple(sorted(emap[e] for e in leaving)) != bottom_out[vmap[w]]:
-            raise InvariantError(f"restriction at vertex {w} is not a bijection")
+def _coset_index(n: int, cosets: list[tuple[int, ...]]) -> list[int]:
+    """The coset index of each of the n elements; `InvariantError` unless the
+    cosets are nonempty and every element lies in exactly one of them."""
+    coset_of = [-1] * n
+    for i, coset in enumerate(cosets):
+        for y in coset:
+            if not 0 <= y < n or coset_of[y] != -1:
+                raise InvariantError(f"element {y} is not in exactly one coset")
+            coset_of[y] = i
+    if -1 in coset_of or not all(cosets):
+        raise InvariantError("cosets do not partition the group")
+    return coset_of
 
 
-def cycle_nets(alpha: VoltageAssignment) -> list[int]:
-    """Net voltages of the fundamental cycles of a spanning tree of a connected base.
+def _spanning_tree_plan(base: SerreGraph):
+    """One walk of a spanning tree of the base, grown from vertex 0 by depth-first search.
 
-    The tree is grown from vertex 0; potential[v] is the net voltage of the
-    tree path from 0 to v, and the geometric edge u -> v off the tree with
-    voltage a closes the cycle with net potential[u] * a * potential[v]^-1.
-    Walking from (0, e) in the derived graph reaches (0, sigma) exactly for
-    sigma in the subgroup these generate.
+    Returns (steps, chords), or None when the base is empty or disconnected.
+    Each step (slot, known, new, forward) reaches vertex `new` from `known`
+    along geometric edge `slot`, traversed along its orientation when
+    `forward`; the steps come in the order the walk reaches the vertices.
+    Each chord (slot, u, v) is a geometric edge u -> v off the tree.
     """
-    base, g, volt = alpha.base, alpha.group, alpha.volt
+    n = base.vertex_count
+    if n == 0:
+        return None
     edges = base.geometric_edges()
-    incident: list[list[int]] = [[] for _ in range(base.vertex_count)]
+    incident: list[list[int]] = [[] for _ in range(n)]
     for slot, (u, v) in enumerate(edges):
         incident[u].append(slot)
         incident[v].append(slot)
-    potential: list[int | None] = [None] * base.vertex_count
-    potential[0] = g.identity
-    tree = set()
+    reached = [False] * n
+    reached[0] = True
+    in_tree = [False] * len(edges)
+    steps = []
     stack = [0]
     while stack:
         w = stack.pop()
         for slot in incident[w]:
             u, v = edges[slot]
-            if potential[v] is None:
-                potential[v] = g.mul(potential[u], volt[slot])
-                stack.append(v)
-            elif potential[u] is None:
-                potential[u] = g.mul(potential[v], g.inv(volt[slot]))
-                stack.append(u)
+            if not reached[v]:
+                known, new, forward = u, v, True
+            elif not reached[u]:
+                known, new, forward = v, u, False
             else:
                 continue
-            tree.add(slot)
-    return [
-        g.mul(g.mul(potential[u], volt[slot]), g.inv(potential[v]))
-        for slot, (u, v) in enumerate(edges)
-        if slot not in tree
-    ]
+            reached[new] = True
+            in_tree[slot] = True
+            steps.append((slot, known, new, forward))
+            stack.append(new)
+    if len(steps) != n - 1:
+        return None
+    chords = [(slot, u, v) for slot, (u, v) in enumerate(edges) if not in_tree[slot]]
+    return steps, chords
+
+
+def _plan_nets(plan, g: FiniteGroup, volt: tuple[int, ...]) -> list[int]:
+    """Net voltages of the plan's fundamental cycles under the voltages `volt`.
+
+    potential[v] is the net voltage of the tree path from 0 to v, and the
+    chord u -> v with voltage a closes the cycle with net
+    potential[u] * a * potential[v]^-1.
+    """
+    steps, chords = plan
+    table, inv = g.cayley, g.inverses
+    potential = [g.identity] * (len(steps) + 1)
+    for slot, known, new, forward in steps:
+        x = volt[slot]
+        potential[new] = table[potential[known]][x if forward else inv[x]]
+    return [table[table[potential[u]][volt[slot]]][inv[potential[v]]] for slot, u, v in chords]
+
+
+def _generates(g: FiniteGroup, elements: list[int]) -> bool:
+    return len(_closure(g, [g.identity], elements)) == g.order
+
+
+def cycle_nets(alpha: VoltageAssignment) -> list[int]:
+    """Net voltages of the fundamental cycles of a spanning tree of a connected base.
+
+    The tree is grown from vertex 0 (`_spanning_tree_plan`).  Walking from
+    (0, e) in the derived graph reaches (0, sigma) exactly for sigma in the
+    subgroup these generate.
+    """
+    plan = _spanning_tree_plan(alpha.base)
+    if plan is None:
+        raise DisconnectedGraphError("fundamental cycles need a connected base")
+    return _plan_nets(plan, alpha.group, alpha.volt)
 
 
 def is_galois(alpha: VoltageAssignment) -> bool:
@@ -240,9 +295,9 @@ def is_galois(alpha: VoltageAssignment) -> bool:
     if not isinstance(alpha, VoltageAssignment):
         raise TypeError(f"is_galois takes a VoltageAssignment, got {type(alpha).__name__}")
     if alpha._galois is None:
-        g = alpha.group
-        galois = alpha.base.is_connected() and (
-            generated_subgroup(g, cycle_nets(alpha)).order == g.order
+        plan = _spanning_tree_plan(alpha.base)
+        galois = plan is not None and _generates(
+            alpha.group, _plan_nets(plan, alpha.group, alpha.volt)
         )
         object.__setattr__(alpha, "_galois", galois)
     return alpha._galois
@@ -259,37 +314,15 @@ def _check_quotient(c: Cover, h: Subgroup) -> None:
 def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
     """Quotient by the left action of H: vertices (v, H*sigma).
 
-    X_H -> X is validated as a covering when the quotient is built.  The
-    projection Y -> X_H, (v, sigma) -> (v, H*sigma), commutes with both
-    coverings of X, so it is a covering as soon as it is a graph morphism
-    (`_validate_projection`).
+    The builder checks both projections, X_H -> X and Y -> X_H,
+    (v, sigma) -> (v, H*sigma), as it builds the arrays (`_coset_quotient`).
     """
     _check_quotient(c, h)
     cosets = left_cosets(h)
     graph, coset_of = _coset_quotient(c.voltage, cosets, "H")
-    _validate_projection(c.voltage, coset_of)
     return IntermediateGraph(
         cover=c, subgroup=h, graph=graph, coset_of=coset_of, coset_count=len(cosets)
     )
-
-
-def _validate_projection(alpha: VoltageAssignment, coset_of) -> None:
-    """Assert that (v, sigma) -> (v, coset_of[sigma]) is a morphism of Y onto its quotient.
-
-    The quotient's edge e x C ends at (t(e), coset of rep(C)*alpha(e)) for a
-    representative of C, and its inverse starts there, so the projection
-    commutes with endpoints and inversion exactly when, for every distinct
-    edge voltage a, the coset of sigma*a depends only on the coset of sigma.
-    A morphism between two coverings of X that commutes with them is a
-    covering, so this completes the check of Y -> X_H.
-    """
-    cayley = alpha.group.cayley
-    for a in set(alpha.edge_volt):
-        image: dict[int, int] = {}
-        for sigma, coset in enumerate(coset_of):
-            target = coset_of[cayley[sigma][a]]
-            if image.setdefault(coset, target) != target:
-                raise InvariantError("projection from the cover does not commute with endpoints")
 
 
 def intermediate_kappa(c: Cover, h: Subgroup) -> int:
@@ -313,7 +346,7 @@ def conjugate_kappa_check(c: Cover) -> VerificationReport:
     kappa per subgroup and not per class, so this stays an independent check;
     the trivial subgroup, alone in its class, takes kappa(Y) from the derived
     graph.  Every quotient's projection from Y is checked as a morphism over X
-    (`intermediate_graph`).
+    when the quotient is built (`_coset_quotient`).
     """
     if not is_galois(c.voltage):
         raise NotGaloisError("conjugate check needs a Galois cover")
@@ -343,9 +376,13 @@ VOLTAGE_ATTEMPTS = 200
 def random_connected_voltage(base: SerreGraph, g: FiniteGroup, seed: int) -> VoltageAssignment:
     """Seeded uniform voltages, resampled until the derived graph is connected.
 
-    Each attempt is tested by `is_galois`, not by building the derived graph.
+    The base's spanning tree is walked once per call (`_spanning_tree_plan`);
+    each draw computes only its fundamental-cycle nets and their closure, the
+    test of `is_galois`, and only the accepted draw becomes a
+    `VoltageAssignment`, with its Galois answer kept.
     """
-    if not base.is_connected():
+    plan = _spanning_tree_plan(base)
+    if plan is None:
         raise NoConnectedAssignmentFoundError("base graph is disconnected")
     if base.euler_characteristic() == 0 and not g.is_cyclic():
         raise EulerZeroError(
@@ -355,8 +392,9 @@ def random_connected_voltage(base: SerreGraph, g: FiniteGroup, seed: int) -> Vol
     m = base.geometric_edge_count
     for _ in range(VOLTAGE_ATTEMPTS):
         volt = tuple(rng.randrange(g.order) for _ in range(m))
-        alpha = VoltageAssignment(base=base, group=g, volt=volt)
-        if is_galois(alpha):
+        if _generates(g, _plan_nets(plan, g, volt)):
+            alpha = VoltageAssignment(base=base, group=g, volt=volt)
+            object.__setattr__(alpha, "_galois", True)
             return alpha
     raise NoConnectedAssignmentFoundError(
         f"no connected assignment found in {VOLTAGE_ATTEMPTS} attempts"

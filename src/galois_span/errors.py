@@ -34,6 +34,13 @@ class GroupSpecError(GaloisSpanError, ValueError):
     """A group spec string (or the Cayley-table file it names) does not parse."""
 
 
+class GraphError(GaloisSpanError, ValueError):
+    """Arrays or an edge list that do not form a Serre graph: inconsistent
+    lengths, an odd number of directed edges, an endpoint out of range, an
+    inversion that is not a fixed-point-free involution swapping endpoints,
+    a name list of the wrong length, or a cycle with no vertex."""
+
+
 class FamilyParameterError(GaloisSpanError, ValueError):
     """A parameter of a cyclic bouquet family or of its lemmas is out of range
     or does not parse: repeated or non-prime primes, a negative exponent, b or

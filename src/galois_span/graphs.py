@@ -29,6 +29,7 @@ from itertools import combinations
 from .errors import (
     DisconnectedGraphError,
     GaloisSpanError,
+    GraphError,
     InvariantError,
     TooLargeError,
     json_int,
@@ -65,21 +66,21 @@ class SerreGraph:
     def __post_init__(self):
         n, e = self.vertex_count, len(self.origin)
         if len(self.terminus) != e or len(self.inverse) != e:
-            raise ValueError("edge arrays have inconsistent lengths")
+            raise GraphError("edge arrays have inconsistent lengths")
         if e % 2 != 0:
-            raise ValueError("directed edge count must be even")
+            raise GraphError("directed edge count must be even")
         for i in range(e):
             if not (0 <= self.origin[i] < n and 0 <= self.terminus[i] < n):
-                raise ValueError(f"edge {i} endpoint out of range")
+                raise GraphError(f"edge {i} endpoint out of range")
             j = self.inverse[i]
             if not 0 <= j < e or j == i:
-                raise ValueError(f"inversion not fixed-point-free at edge {i}")
+                raise GraphError(f"inversion not fixed-point-free at edge {i}")
             if self.inverse[j] != i:
-                raise ValueError(f"inversion not an involution at edge {i}")
+                raise GraphError(f"inversion not an involution at edge {i}")
             if self.origin[j] != self.terminus[i] or self.terminus[j] != self.origin[i]:
-                raise ValueError(f"inversion does not swap endpoints at edge {i}")
+                raise GraphError(f"inversion does not swap endpoints at edge {i}")
         if self.vertex_names is not None and len(self.vertex_names) != n:
-            raise ValueError("vertex_names length mismatch")
+            raise GraphError("vertex_names length mismatch")
 
     @property
     def edge_count(self) -> int:
@@ -192,7 +193,7 @@ def build_graph(
     inverse: list[int] = []
     for u, v in undirected_edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
+            raise GraphError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
         e = len(origin)
         origin += [u, v]
         terminus += [v, u]
@@ -212,7 +213,7 @@ def bouquet(loops: int) -> SerreGraph:
 
 def cycle_graph(n: int) -> SerreGraph:
     if n < 1:
-        raise ValueError("cycle needs at least one vertex")
+        raise GraphError("cycle needs at least one vertex")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

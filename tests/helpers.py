@@ -8,15 +8,14 @@ from fractions import Fraction
 
 from galois_span.characters import _hessenberg_charpoly_mod, _hessenberg_mod, _rref_mod
 from galois_span.cli import main
-from galois_span.covers import (
-    VOLTAGE_ATTEMPTS,
-    Cover,
-    VoltageAssignment,
-    _validate_covering,
-    derived_graph,
-)
+from galois_span.covers import VOLTAGE_ATTEMPTS, Cover, VoltageAssignment, derived_graph
 from galois_span.cyclotomic import CyclotomicInt
-from galois_span.errors import MismatchedGroupError, NoConnectedAssignmentFoundError, TooLargeError
+from galois_span.errors import (
+    InvariantError,
+    MismatchedGroupError,
+    NoConnectedAssignmentFoundError,
+    TooLargeError,
+)
 from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
 from galois_span.lfunctions import MatrixRep
@@ -122,10 +121,70 @@ def det_fraction_by_elimination(matrix) -> Fraction:
     return det
 
 
+def _validate_covering(top: SerreGraph, bottom: SerreGraph, vmap, emap) -> None:
+    """Oracle: assert that (vmap, emap) is a covering map of Serre graphs, over
+    every vertex and edge of `top` with every star sorted."""
+    if sorted(set(vmap)) != list(range(bottom.vertex_count)):
+        raise InvariantError("projection is not vertex-surjective")
+    for e in range(top.edge_count):
+        f = emap[e]
+        if vmap[top.origin[e]] != bottom.origin[f] or vmap[top.terminus[e]] != bottom.terminus[f]:
+            raise InvariantError("projection does not commute with endpoints")
+        if emap[top.inverse[e]] != bottom.inverse[f]:
+            raise InvariantError("projection does not commute with inversion")
+    bottom_out = bottom.out_edges()
+    for w, leaving in enumerate(top.out_edges()):
+        # bottom_out tuples are strictly increasing, so equality also rules out repeats
+        if tuple(sorted(emap[e] for e in leaving)) != bottom_out[vmap[w]]:
+            raise InvariantError(f"restriction at vertex {w} is not a bijection")
+
+
+def base_projection_by_full_covering_check(quotient: SerreGraph, base: SerreGraph) -> None:
+    """Oracle for the partition check of `covers._coset_quotient`: the full
+    covering check of (w, d) -> (w // k, d // k) from a quotient onto its base."""
+    k = quotient.vertex_count // base.vertex_count
+    _validate_covering(
+        quotient,
+        base,
+        vmap=[w // k for w in range(quotient.vertex_count)],
+        emap=[d // k for d in range(quotient.edge_count)],
+    )
+
+
+def coset_quotient_by_representatives(alpha: VoltageAssignment, blocks) -> tuple[SerreGraph, list]:
+    """Oracle builder: the quotient arrays of `covers._coset_quotient` for any
+    partition of G, edge e x B ending at the block of rep(B)*alpha(e) for the
+    first element of B, one `g.mul` per edge and block and no check of its own.
+    `SerreGraph` refuses arrays whose inversion is not an involution."""
+    base, g = alpha.base, alpha.group
+    k = len(blocks)
+    coset_of = [-1] * g.order
+    for i, block in enumerate(blocks):
+        for y in block:
+            coset_of[y] = i
+    origin, terminus, inverse = [], [], []
+    for e in range(base.edge_count):
+        a = alpha.voltage_of(e)
+        o, t, inv = base.origin[e] * k, base.terminus[e] * k, base.inverse[e] * k
+        for ci, block in enumerate(blocks):
+            target = coset_of[g.mul(block[0], a)]
+            origin.append(o + ci)
+            terminus.append(t + target)
+            inverse.append(inv + target)
+    graph = SerreGraph(
+        vertex_count=base.vertex_count * k,
+        origin=tuple(origin),
+        terminus=tuple(terminus),
+        inverse=tuple(inverse),
+    )
+    return graph, coset_of
+
+
 def projection_by_full_covering_check(c: Cover, quotient: SerreGraph, coset_of) -> None:
-    """Oracle for `covers._validate_projection`: the full covering check of
-    (v, sigma) -> (v, coset_of[sigma]) from the derived graph onto `quotient`,
-    with maps over every vertex and edge of the cover and every star sorted."""
+    """Oracle for the per-voltage action check of `covers._coset_quotient`: the
+    full covering check of (v, sigma) -> (v, coset_of[sigma]) from the derived
+    graph onto `quotient`, with maps over every vertex and edge of the cover
+    and every star sorted."""
     n, k = c.group.order, max(coset_of) + 1
     _validate_covering(
         c.derived,

@@ -742,6 +742,52 @@ def test_family_vector_options_name_their_bad_entry(capsys, option):
     assert capsys.readouterr() == ("", f"error: {option}: 'x' is not an integer\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["det-m", "--p", "2,3", "--s", "1"], "--p has length 2 but --s has length 1"),
+        (
+            ["degree", "--p", "2,3", "--s", "1", "--b", "0"],
+            "--p has length 2 but --s has length 1",
+        ),
+        (
+            ["degree", "--p", "2", "--s", "1", "--b", "0,0"],
+            "--p has length 1 but --b has length 2",
+        ),
+    ],
+    ids=["det-m", "degree-s", "degree-b"],
+)
+def test_family_vectors_of_different_lengths_are_refused_before_any_work(
+    capsys, monkeypatch, argv, message
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the family computation")
+
+    for name in ("lemma_matrix_check", "FamilySpec", "exponent_grid"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main(["family", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# --base (a graph file's contents, or a builder spec) -> the one-line refusal of `graph kappa`
+MALFORMED_BASES = {
+    "endpoint": ({"vertices": 2, "edges": [[0, 5]]}, "edge (0,5) out of range for 2 vertices"),
+    "names": ({"vertices": 2, "edges": [[0, 1]], "names": ["a"]}, "vertex_names length mismatch"),
+    "empty-cycle": ("cycle:0", "cycle needs at least one vertex"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(MALFORMED_BASES))
+def test_a_malformed_graph_exits_2_without_a_traceback(capsys, tmp_path, what):
+    base, message = MALFORMED_BASES[what]
+    if isinstance(base, dict):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(base))
+        base = str(path)
+    assert main(["graph", "kappa", "--base", base]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def readme_worked_examples() -> list[str]:
     """Every `galois-span ...` line of the README's worked-examples shell block."""
     with open(README, encoding="utf-8") as fh:

@@ -7,8 +7,6 @@ from galois_span.covers import (
     Cover,
     VoltageAssignment,
     _coset_quotient,
-    _validate_covering,
-    _validate_projection,
     conjugate_kappa_check,
     cover_to_json_dict,
     cycle_nets,
@@ -20,7 +18,9 @@ from galois_span.covers import (
     voltage_from_json_dict,
 )
 from galois_span.errors import (
+    DisconnectedGraphError,
     EulerZeroError,
+    GraphError,
     InvariantError,
     MismatchedGroupError,
     NoConnectedAssignmentFoundError,
@@ -48,6 +48,9 @@ from galois_span.groups import (
 )
 from galois_span.linalg import det_int
 from helpers import (
+    _validate_covering,
+    base_projection_by_full_covering_check,
+    coset_quotient_by_representatives,
     dumbbell_graph,
     laplacian,
     projection_by_full_covering_check,
@@ -251,11 +254,14 @@ def test_covering_check_refuses_a_map_that_is_not_a_local_bijection():
     ],
 )
 def test_projection_check_accepts_as_the_full_covering_check(base_name, spec, seed):
+    # every quotient the builder returns passes both full covering checks: X_H -> X
+    # and Y -> X_H, with maps over every vertex and edge and every star sorted
     g = parse_group_spec(spec)
     c = derived_graph(random_connected_voltage(GENERATION_BASES[base_name], g, seed))
+    base_projection_by_full_covering_check(c.derived, c.base)
     for h in all_subgroups(g):
         inter = intermediate_graph(c, h)
-        _validate_projection(c.voltage, inter.coset_of)
+        base_projection_by_full_covering_check(inter.graph, c.base)
         projection_by_full_covering_check(c, inter.graph, inter.coset_of)
 
 
@@ -277,42 +283,70 @@ def _accepts(check, *args) -> bool:
     ],
 )
 def test_projection_check_agrees_with_the_full_check_on_every_partition(base_name, spec, seed):
-    # every partition of G whose quotient is a Serre graph at all: the two checks
-    # give one verdict, and they accept exactly the coset partitions of subgroups
+    # on every partition of G the builder's verdict (a graph, or InvariantError) is
+    # the oracle's: the arrays built from block representatives form a Serre graph
+    # and both projections pass the full covering check.  Both accept exactly the
+    # coset partitions of subgroups, with the same arrays.
     g = parse_group_spec(spec)
     alpha = random_connected_voltage(GENERATION_BASES[base_name], g, seed)
     c = derived_graph(alpha)
-    verdicts = []
+    accepted = serre_but_refused = 0
     for blocks in set_partitions(list(range(g.order))):
         try:
-            graph, coset_of = _coset_quotient(alpha, blocks, "H")
-        except ValueError:
-            continue  # the arrays are not a Serre graph (inversion not an involution)
-        verdict = _accepts(_validate_projection, alpha, coset_of)
-        assert verdict == _accepts(projection_by_full_covering_check, c, graph, coset_of), blocks
-        verdicts.append(verdict)
-    assert verdicts.count(True) == len(all_subgroups(g))
-    assert verdicts.count(False) > 0
+            expected, coset_of = coset_quotient_by_representatives(alpha, blocks)
+        except GraphError:
+            oracle = False  # the arrays are not a Serre graph (inversion not an involution)
+        else:
+            oracle = _accepts(projection_by_full_covering_check, c, expected, coset_of)
+            oracle = oracle and _accepts(base_projection_by_full_covering_check, expected, c.base)
+            serre_but_refused += not oracle
+        try:
+            graph, built_coset_of = _coset_quotient(alpha, blocks, "H")
+        except InvariantError:
+            graph = None
+        assert (graph is not None) == oracle, blocks
+        if oracle:
+            assert list(built_coset_of) == coset_of
+            assert (graph.origin, graph.terminus, graph.inverse) == (
+                expected.origin,
+                expected.terminus,
+                expected.inverse,
+            )
+            accepted += 1
+    assert accepted == len(all_subgroups(g))
+    assert serre_but_refused > 0
 
 
 def test_projection_check_refuses_a_partition_not_stable_under_right_multiplication():
     # the sigma*H cosets of a non-normal subgroup of S3: right multiplication by the
-    # voltages does not permute them.  Through the public path the quotient is never
-    # built from such a partition: `SerreGraph` refuses its arrays with ValueError
-    # (inversion not an involution), so the check is called directly here.
+    # voltages does not permute them.  The builder refuses them in its per-voltage
+    # pass, before any array is built; the arrays built from block representatives
+    # are not a Serre graph at all (inversion not an involution).
     c = s3_cover()
     g = c.group
     h = generated_subgroup(g, [g.element("(0 1)")])
     assert not h.is_normal()
     blocks = sorted({tuple(sorted(g.mul(s, x) for x in h.elements)) for s in range(g.order)})
-    coset_of = [0] * g.order
-    for i, block in enumerate(blocks):
-        for x in block:
-            coset_of[x] = i
     with pytest.raises(InvariantError, match="does not commute with endpoints"):
-        _validate_projection(c.voltage, coset_of)
-    with pytest.raises(ValueError, match="inversion not an involution"):
         _coset_quotient(c.voltage, blocks, "H")
+    with pytest.raises(GraphError, match="inversion not an involution"):
+        coset_quotient_by_representatives(c.voltage, blocks)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([(0, 1, 2), (3, 4)], "cosets do not partition the group"),  # 5 is missing
+        ([(0, 1, 2), (2, 3, 4, 5)], "element 2 is not in exactly one coset"),
+        ([(0, 1, 2), (3, 4, 5), ()], "cosets do not partition the group"),
+        ([(0, 1, 2), (3, 4, 5, 6)], "element 6 is not in exactly one coset"),
+        ([(0, 1, 2), (3, 4, -1)], "element -1 is not in exactly one coset"),
+    ],
+    ids=["missing", "repeated", "empty-block", "too-large", "negative"],
+)
+def test_coset_quotient_refuses_a_list_that_is_not_a_partition(blocks, message):
+    with pytest.raises(InvariantError, match=message):
+        _coset_quotient(s3_cover().voltage, blocks, "H")
 
 
 def test_kuroda_on_an_s4_cover_eliminates_the_cover_once(monkeypatch):
@@ -537,6 +571,53 @@ def test_random_connected_voltage_equals_the_derived_graph_reference(base_name):
                 assert str(got.value) == str(exc)
                 continue
             assert random_connected_voltage(base, g, seed) == expected
+
+
+def _count_sampler_work(monkeypatch) -> dict[str, int]:
+    """Count the tree walks and the assignments built inside `covers`."""
+    import galois_span.covers as covers
+
+    counts = {"walks": 0, "assignments": 0}
+    plan, assignment = covers._spanning_tree_plan, covers.VoltageAssignment
+
+    def counting_plan(base):
+        counts["walks"] += 1
+        return plan(base)
+
+    def counting_assignment(**kwargs):
+        counts["assignments"] += 1
+        return assignment(**kwargs)
+
+    monkeypatch.setattr(covers, "_spanning_tree_plan", counting_plan)
+    monkeypatch.setattr(covers, "VoltageAssignment", counting_assignment)
+    return counts
+
+
+def test_a_refused_voltage_request_walks_the_tree_once_and_builds_no_assignment(monkeypatch):
+    # C2xC2xC2 needs three generators and bouquet:2 has two cycles: all 200 draws fail
+    counts = _count_sampler_work(monkeypatch)
+    with pytest.raises(NoConnectedAssignmentFoundError) as exc:
+        random_connected_voltage(bouquet(2), parse_group_spec("C2xC2xC2"), seed=0)
+    assert str(exc.value) == "no connected assignment found in 200 attempts"
+    assert counts == {"walks": 1, "assignments": 0}
+
+
+@pytest.mark.parametrize("base_name", ["bouquet:3", "complete:4", "theta"])
+def test_an_accepted_voltage_request_builds_one_assignment_that_knows_it_is_galois(
+    monkeypatch, base_name
+):
+    counts = _count_sampler_work(monkeypatch)
+    alpha = random_connected_voltage(GENERATION_BASES[base_name], parse_group_spec("C3xS3"), 5)
+    assert counts == {"walks": 1, "assignments": 1}
+    assert alpha._galois is True
+    assert derived_graph(alpha).derived.is_connected()
+
+
+def test_cycle_nets_refuses_a_disconnected_base():
+    base = build_graph(2, [(0, 0), (1, 1)])
+    alpha = VoltageAssignment(base=base, group=cyclic_group(2), volt=(1, 1))
+    with pytest.raises(DisconnectedGraphError):
+        cycle_nets(alpha)
 
 
 # (base, group) pairs whose seeded covers have at most 48 vertices, so the

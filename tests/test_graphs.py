@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from galois_span.errors import DisconnectedGraphError, TooLargeError
+from galois_span.errors import DisconnectedGraphError, GaloisSpanError, GraphError, TooLargeError
 from galois_span.graphs import (
     SerreGraph,
     bouquet,
@@ -37,6 +37,35 @@ def test_build_graph_validates():
     # involution axioms checked at construction
     with pytest.raises(ValueError):
         SerreGraph(1, (0,), (0,), (0,))  # odd count / fixed point
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SerreGraph(1, (0, 0), (0,), (1, 0)), "edge arrays have inconsistent lengths"),
+        (lambda: SerreGraph(1, (0,), (0,), (0,)), "directed edge count must be even"),
+        (lambda: SerreGraph(1, (0, 1), (1, 0), (1, 0)), "edge 0 endpoint out of range"),
+        (
+            lambda: SerreGraph(1, (0, 0), (0, 0), (0, 1)),
+            "inversion not fixed-point-free at edge 0",
+        ),
+        (
+            lambda: SerreGraph(1, (0,) * 4, (0,) * 4, (1, 2, 3, 0)),
+            "inversion not an involution at edge 0",
+        ),
+        (
+            lambda: SerreGraph(2, (0, 0), (1, 1), (1, 0)),
+            "inversion does not swap endpoints at edge 0",
+        ),
+        (lambda: SerreGraph(1, (), (), (), ("a", "b")), "vertex_names length mismatch"),
+        (lambda: build_graph(2, [(0, 5)]), r"edge \(0,5\) out of range for 2 vertices"),
+        (lambda: cycle_graph(0), "cycle needs at least one vertex"),
+    ],
+)
+def test_graph_refusals_are_typed(build, message):
+    with pytest.raises(GraphError, match=f"^{message}$") as exc:
+        build()
+    assert isinstance(exc.value, GaloisSpanError) and isinstance(exc.value, ValueError)
 
 
 def test_empty_and_cycle():
