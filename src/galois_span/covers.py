@@ -4,9 +4,10 @@ A voltage assignment labels one orientation of the base graph with group
 elements, kept per directed edge (inverse edges carry inverse voltages).
 The derived graph has vertex set V x G with terminus twisted by right
 multiplication; G acts on the left of the second coordinate, so the
-quotient by a subgroup H uses cosets H*sigma.  One coset-quotient builder
-makes every such graph (the derived graph is the quotient by the trivial
-subgroup), and it checks, while it builds the arrays:
+quotient by a subgroup H uses cosets H*sigma.  One builder makes the coset
+action of the edge voltages and the edge arrays of every such quotient (the
+derived graph is the quotient by the trivial subgroup), and it checks, while
+it builds the arrays:
 
 - that the cosets partition G, which makes X_H -> X a covering by
   construction (Gross & Tucker, Topological Graph Theory, 1987, section
@@ -19,9 +20,11 @@ subgroup), and it checks, while it builds the arrays:
 - the `SerreGraph` invariants of the result (inversion is a fixed-point-free
   involution that swaps endpoints).
 
-The first two raise `InvariantError`, the last `GraphError`.  The full
-covering check of a map between Serre graphs, over every vertex and edge
-with every star sorted, is kept in the tests as the oracle of these checks.
+The first two raise `InvariantError`, the last `GraphError`; the last is
+run when the arrays become a labelled `SerreGraph` (`derived_graph`,
+`intermediate_graph`).  The full covering check of a map between Serre
+graphs, over every vertex and edge with every star sorted, is kept in the
+tests as the oracle of these checks.
 
 The cover is Galois exactly when the derived graph is connected; `is_galois`,
 which every Galois guard asks, decides it by generation: the base is
@@ -30,10 +33,16 @@ of the base generate G.  `random_connected_voltage` walks that spanning tree
 once per call and tests each draw by the same generation test.
 
 Each assignment keeps its Galois answer and each cover keeps kappa(X_H) per
-subgroup H, computed on first request with every check and read back after
-that: the verifiers of one cover ask for overlapping sets of quotients.  The
-quotient by the trivial subgroup has the derived graph's arrays, so its
-kappa is kappa(Y), read from the derived graph instead of a second quotient.
+subgroup H, computed on first request and read back after that: the
+verifiers of one cover ask for overlapping sets of quotients.  The quotient
+by the trivial subgroup has the derived graph's arrays, so its kappa is
+kappa(Y), read from the derived graph instead of a second quotient.  For any
+other H, kappa(X_H) is read from the checked arrays alone, with no labelled
+graph: the partition and per-voltage checks run, and the reduced Laplacian's
+elimination checks symmetry and positive pivots.  Two checks of a labelled
+graph are implied and skipped.  The connectivity search: the Galois guard
+has shown Y connected, and X_H is its image under a morphism.  The
+involution check: the action of a^-1 undoes the action of a on the cosets.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from .errors import (
     json_list,
     json_object,
 )
-from .graphs import SerreGraph
+from .graphs import SerreGraph, matrix_tree_count
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -149,22 +158,49 @@ def _coset_quotient(
 ) -> tuple[SerreGraph, tuple[int, ...]]:
     """Quotient of the derived graph by the subgroup whose left cosets are given.
 
-    Vertex (v, H*sigma) is v * k + i for the i-th of the k cosets, named after
-    the coset's first element behind `prefix`; edge e x H*sigma is e * k + i,
-    leaves it and ends at (t(e), H*sigma*alpha(e)).  Each distinct edge
-    voltage a acts once on the cosets, image[i] = coset of rep(i)*a, and the
-    same pass checks that this action is well defined: the coset of sigma*a
-    depends only on the coset of sigma, for every sigma.  That is exactly
-    when (v, sigma) -> (v, coset of sigma) is a graph morphism of the derived
-    graph onto the quotient, and a morphism between two coverings of X that
-    commutes with them is a covering.  Failing it raises `InvariantError`.
+    The arrays and their checks are `_quotient_arrays`; this adds the names
+    and the `SerreGraph`, whose construction checks that inversion is an
+    involution.  Vertex (v, H*sigma) is named after the coset's first element
+    behind `prefix`.  Returns the graph and the coset index of each element.
+    """
+    base, g = alpha.base, alpha.group
+    origin, terminus, inverse, coset_of = _quotient_arrays(alpha, cosets)
+    names = [
+        f"({base.vertex_label(v)},{prefix}{g.label(coset[0])})"
+        for v in range(base.vertex_count)
+        for coset in cosets
+    ]
+    graph = SerreGraph(
+        vertex_count=base.vertex_count * len(cosets),
+        origin=tuple(origin),
+        terminus=tuple(terminus),
+        inverse=tuple(inverse),
+        vertex_names=tuple(names),
+    )
+    return graph, tuple(coset_of)
+
+
+def _quotient_arrays(
+    alpha: VoltageAssignment, cosets: list[tuple[int, ...]]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The coset action of the edge voltages and the quotient's edge arrays, checked.
+
+    Vertex (v, H*sigma) is v * k + i for the i-th of the k cosets; edge
+    e x H*sigma is e * k + i, leaves it and ends at (t(e), H*sigma*alpha(e)).
+    Each distinct edge voltage a acts once on the cosets, image[i] = coset of
+    rep(i)*a, and the same pass checks that this action is well defined: the
+    coset of sigma*a depends only on the coset of sigma, for every sigma.
+    That is exactly when (v, sigma) -> (v, coset of sigma) is a graph
+    morphism of the derived graph onto the quotient, and a morphism between
+    two coverings of X that commutes with them is a covering.  Failing it
+    raises `InvariantError`.
 
     X_H -> X, (w, d) -> (w // k, d // k), needs no further check: the cosets
     are checked to partition G (`_coset_index`), so every image index lies
     in [0, k), and with the arrays built by index that alone gives vertex
     surjectivity, endpoints, inversion and one quotient edge over each base
-    edge at every vertex.  `SerreGraph` checks that inversion is an
-    involution.  Returns the graph and the coset index of each element.
+    edge at every vertex.  Returns origin, terminus, inverse and the coset
+    index of each element.
     """
     base, g = alpha.base, alpha.group
     k = len(cosets)
@@ -186,19 +222,7 @@ def _coset_quotient(
         origin.extend(range(o, o + k))
         terminus.extend([t + x for x in image])
         inverse.extend([inv + x for x in image])
-    names = [
-        f"({base.vertex_label(v)},{prefix}{g.label(rep)})"
-        for v in range(base.vertex_count)
-        for rep in reps
-    ]
-    graph = SerreGraph(
-        vertex_count=base.vertex_count * k,
-        origin=tuple(origin),
-        terminus=tuple(terminus),
-        inverse=tuple(inverse),
-        vertex_names=tuple(names),
-    )
-    return graph, tuple(coset_of)
+    return origin, terminus, inverse, coset_of
 
 
 def _coset_index(n: int, cosets: list[tuple[int, ...]]) -> list[int]:
@@ -315,7 +339,7 @@ def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
     """Quotient by the left action of H: vertices (v, H*sigma).
 
     The builder checks both projections, X_H -> X and Y -> X_H,
-    (v, sigma) -> (v, H*sigma), as it builds the arrays (`_coset_quotient`).
+    (v, sigma) -> (v, H*sigma), as it builds the arrays (`_quotient_arrays`).
     """
     _check_quotient(c, h)
     cosets = left_cosets(h)
@@ -328,14 +352,25 @@ def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
 def intermediate_kappa(c: Cover, h: Subgroup) -> int:
     """kappa(X_H), kept on the cover by the exact subgroup (never by its class).
 
-    The first request builds and validates the quotient; only the count is
-    kept.  For the trivial subgroup the quotient is the derived graph itself
-    (same arrays), so its count is kappa(Y), kept on the derived graph.
+    The first request computes it with every check that decides it; only the
+    count is kept.  For the trivial subgroup the quotient is the derived
+    graph itself (same arrays), so its count is kappa(Y), kept on the derived
+    graph.  For any other H the checked arrays of `_quotient_arrays` go
+    straight to `matrix_tree_count`: no names, no `SerreGraph` and no
+    connectivity search.  The guard has shown that Y is connected, and X_H
+    is its image, so X_H is connected.  Inversion needs no check of its own:
+    the action of a^-1 undoes the action of a on the cosets of a subgroup.
+    `det_int_sparse_spd` still checks that the reduced Laplacian is
+    symmetric and that every pivot is positive.
     """
     _check_quotient(c, h)
     if h.elements not in c._kappas:
-        quotient = c.derived if h.is_trivial() else intermediate_graph(c, h).graph
-        c._kappas[h.elements] = quotient.spanning_tree_count()
+        if h.is_trivial():
+            kappa = c.derived.spanning_tree_count()
+        else:
+            origin, terminus, _, _ = _quotient_arrays(c.voltage, left_cosets(h))
+            kappa = matrix_tree_count(c.base.vertex_count * h.index(), origin, terminus)
+        c._kappas[h.elements] = kappa
     return c._kappas[h.elements]
 
 
@@ -346,7 +381,7 @@ def conjugate_kappa_check(c: Cover) -> VerificationReport:
     kappa per subgroup and not per class, so this stays an independent check;
     the trivial subgroup, alone in its class, takes kappa(Y) from the derived
     graph.  Every quotient's projection from Y is checked as a morphism over X
-    when the quotient is built (`_coset_quotient`).
+    when its arrays are built (`_quotient_arrays`).
     """
     if not is_galois(c.voltage):
         raise NotGaloisError("conjugate check needs a Galois cover")

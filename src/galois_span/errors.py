@@ -54,6 +54,13 @@ class VoltageError(GaloisSpanError, ValueError):
     of range in a voltage file."""
 
 
+class PosetError(GaloisSpanError, ValueError):
+    """Keys, labels and an order relation that do not form a poset: repeated
+    keys, fields of different lengths, a relation matrix that is not square,
+    reflexive, antisymmetric and transitive, an adjoined bound whose key is
+    taken, or a classical Moebius argument below 1."""
+
+
 class ClosureTooLargeError(GaloisSpanError):
     """Permutation closure exceeded the configured bound."""
 

@@ -7,7 +7,9 @@ pair of directed edges whose origin and terminus coincide, so it contributes
 2 to the adjacency diagonal and 2 to the degree and cancels in the Laplacian.
 
 The spanning-tree count (complexity) is computed by the Matrix-Tree theorem:
-the reduced Laplacian is built directly as sparse rows and eliminated
+the reduced Laplacian is built directly from the edge arrays as sparse rows
+(`matrix_tree_count`, which also serves quotient arrays that never become a
+`SerreGraph`) and eliminated
 fraction-free: a symbolic phase fixes the minimum-degree pivot order and each
 pivot's fill, and a numeric phase eliminates one triangle in that order
 (`linalg.det_int_sparse_spd`).  The reciprocal zeta numerator
@@ -17,7 +19,8 @@ graph's own adjacency matrix and the integer-valued twisted matrices of
 `lfunctions` alike.  Hashimoto's identity ``h'(1) = -2 * chi * kappa`` is
 checked without h(u): with M(u) = I - A u + (D - I) u^2 and L = D - A the
 Laplacian, M(1 + t) = L + t (2(D - I) - A) mod t^2, so one elimination over
-Z[t]/(t^2) gives det L = 0 and h'(1) together (`linalg.det_int_derivative`).
+Z[t]/(t^2) gives det L = 0 and h'(1) together (`linalg.det_int_derivative`);
+both matrices are symmetric, so it updates one triangle.
 """
 
 from __future__ import annotations
@@ -144,20 +147,11 @@ class SerreGraph:
 
     def spanning_tree_count(self) -> int:
         """Complexity kappa: any cofactor of the Laplacian, computed exactly once."""
-        if self._kappa is not None:
-            return self._kappa
-        if not self.is_connected():
-            raise DisconnectedGraphError("spanning trees of a disconnected graph")
-        # the Laplacian with vertex 0's row and column deleted; loops cancel
-        rows: list[dict[int, int]] = [{} for _ in range(self.vertex_count - 1)]
-        for u, v in zip(self.origin, self.terminus):
-            if u == v or u == 0:
-                continue
-            row = rows[u - 1]
-            row[u - 1] = row.get(u - 1, 0) + 1
-            if v:
-                row[v - 1] = row.get(v - 1, 0) - 1
-        object.__setattr__(self, "_kappa", det_int_sparse_spd(rows))
+        if self._kappa is None:
+            if not self.is_connected():
+                raise DisconnectedGraphError("spanning trees of a disconnected graph")
+            kappa = matrix_tree_count(self.vertex_count, self.origin, self.terminus)
+            object.__setattr__(self, "_kappa", kappa)
         return self._kappa
 
     def ihara_h_poly(self) -> IntPoly:
@@ -166,6 +160,26 @@ class SerreGraph:
 
     def vertex_label(self, v: int) -> str:
         return self.vertex_names[v] if self.vertex_names else str(v)
+
+
+def matrix_tree_count(vertex_count: int, origin, terminus) -> int:
+    """kappa of a connected graph given by its edge arrays, by the Matrix-Tree theorem.
+
+    The one builder of the reduced Laplacian: the Laplacian with vertex 0's
+    row and column deleted, as sparse rows (loops cancel), whose determinant
+    is `det_int_sparse_spd`.  Connectivity is the caller's to know: on a
+    disconnected graph the elimination meets a pivot that is not positive
+    and raises `InvariantError`.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(vertex_count - 1)]
+    for u, v in zip(origin, terminus):
+        if u == v or u == 0:
+            continue
+        row = rows[u - 1]
+        row[u - 1] = row.get(u - 1, 0) + 1
+        if v:
+            row[v - 1] = row.get(v - 1, 0) - 1
+    return det_int_sparse_spd(rows)
 
 
 def zeta_numerator(a: list[list[int]], degrees: list[int]) -> IntPoly:

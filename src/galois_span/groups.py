@@ -413,18 +413,23 @@ def are_conjugate_subgroups(h1: Subgroup, h2: Subgroup) -> bool:
 
 
 def left_cosets(h: Subgroup) -> list[tuple[int, ...]]:
-    """Cosets Hg (H multiplied on the left), indexed by least element."""
+    """Cosets Hg (H multiplied on the left), indexed by least element.
+
+    Each coset is read from the Cayley table's rows of H at the least element
+    not yet covered, which is then the coset's least element, so the cosets
+    come out in order of it.
+    """
     g = h.parent
+    rows = [g.cayley[a] for a in h.elements]
     seen = [False] * g.order
     cosets = []
     for x in range(g.order):
         if seen[x]:
             continue
-        coset = tuple(sorted(g.mul(a, x) for a in h.elements))
+        coset = sorted([row[x] for row in rows])
         for y in coset:
             seen[y] = True
-        cosets.append(coset)
-    cosets.sort(key=lambda c: c[0])
+        cosets.append(tuple(coset))
     return cosets
 
 

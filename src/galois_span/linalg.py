@@ -5,18 +5,19 @@ Dense matrices are plain lists of lists.  General integer matrices go
 through dense Bareiss elimination (the only divisions are exact); an entry
 that is not an `int` is refused, never truncated.  The same elimination over
 the dual numbers Z[t]/(t^2) gives det A and the derivative of det(A + tB) at
-t = 0 in one pass (`det_int_derivative`).  Sparse symmetric positive-definite
-integer matrices, such as reduced Laplacians, go through the same
-fraction-free elimination in two phases (`det_int_sparse_spd`): a symbolic
-phase on the nonzero pattern checks symmetry, fixes the minimum-degree pivot
-order and stores each pivot's row as its diagonal and its filled later
-columns, one triangle; a numeric phase eliminates in that order and updates
-each symmetric pair of entries once.  Rational matrices are scaled to
-integer matrices row by row and take the same Bareiss elimination.  Matrices
-of integer polynomials go through integer determinants at consecutive
-integers and one integer interpolation; cyclotomic matrices reach them after
-a lift to Z[x] (`lfunctions`).  The matrix product serves ints, `Fraction`s
-and cyclotomic integers alike.
+t = 0 in one pass (`det_int_derivative`); it takes symmetric A and B only,
+refuses any other, and updates one triangle.  Sparse symmetric
+positive-definite integer matrices, such as reduced Laplacians, go through
+the same fraction-free elimination in two phases (`det_int_sparse_spd`): a
+symbolic phase on the nonzero pattern checks symmetry, fixes the
+minimum-degree pivot order and stores each pivot's row as its diagonal and
+its filled later columns, one triangle; a numeric phase eliminates in that
+order and updates each symmetric pair of entries once.  Rational matrices
+are scaled to integer matrices row by row and take the same Bareiss
+elimination.  Matrices of integer polynomials go through integer
+determinants at consecutive integers and one integer interpolation;
+cyclotomic matrices reach them after a lift to Z[x] (`lfunctions`).  The
+matrix product serves ints, `Fraction`s and cyclotomic integers alike.
 """
 
 from __future__ import annotations
@@ -80,12 +81,16 @@ def det_int(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def det_int_derivative(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(det A, d/dt det(A + tB) at t = 0) for integer matrices A and B.
+    """(det A, d/dt det(A + tB) at t = 0) for symmetric integer matrices A and B.
 
     Fraction-free Bareiss elimination over the dual numbers Z[t]/(t^2): the
     entry x + ty is held as the pair (x, y), and (n0 + t n1) / (p0 + t p1) is
     q0 = n0 // p0, q1 = (n1 - q0 p1) // p0.  Every entry is a minor of A + tB,
-    so both divisions are exact once p0 != 0.  There is no row exchange:
+    so both divisions are exact once p0 != 0.  A and B must be symmetric;
+    an entry (i, j) that differs from (j, i) in either raises `InvariantError`
+    naming (i, j).  Every step then keeps the matrix symmetric, so it updates
+    the entries on and after the diagonal only, each symmetric pair once,
+    and reads the factor of row i from row k.  There is no row exchange:
     every pivot before the last is a proper leading principal minor, and its
     constant term, a leading principal minor of A, must be nonzero (it is
     positive for a connected graph's Laplacian).  A zero raises
@@ -97,6 +102,14 @@ def det_int_derivative(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -
     if n == 0:
         return 1, 0
     m0, m1 = _int_rows(a), _int_rows(b)
+    for name, m in (("A", m0), ("B", m1)):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if m[i][j] != m[j][i]:
+                    raise InvariantError(
+                        f"entry ({i}, {j}) of {name} is {m[i][j]} but entry ({j}, {i}) is "
+                        f"{m[j][i]}: matrix is not symmetric"
+                    )
     prev0, prev1 = 1, 0
     for k in range(n - 1):
         row0_k, row1_k = m0[k], m1[k]
@@ -105,8 +118,8 @@ def det_int_derivative(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -
             raise InvariantError(f"leading principal minor of order {k + 1} vanishes")
         for i in range(k + 1, n):
             row0_i, row1_i = m0[i], m1[i]
-            f0, f1 = row0_i[k], row1_i[k]
-            for j in range(k + 1, n):
+            f0, f1 = row0_k[i], row1_k[i]
+            for j in range(i, n):
                 x0, y0 = row0_i[j], row0_k[j]
                 q0 = (x0 * p0 - f0 * y0) // prev0
                 row1_i[j] = (

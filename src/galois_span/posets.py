@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import InvariantError
+from .errors import InvariantError, PosetError
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
 from .numtheory import factorize
 
@@ -30,9 +30,9 @@ class Poset:
         self._index = {k: i for i, k in enumerate(self.keys)}
         n = len(self.keys)
         if len(self._index) != n:
-            raise ValueError("duplicate poset keys")
+            raise PosetError("duplicate poset keys")
         if len(self.labels) != n or len(self.leq_matrix) != n:
-            raise ValueError("poset field lengths disagree")
+            raise PosetError("poset field lengths disagree")
         self._validate()
         self._mobius: MobiusTable | None = None  # filled by `mobius`
 
@@ -41,17 +41,17 @@ class Poset:
         m = self.leq_matrix
         for i in range(n):
             if len(m[i]) != n:
-                raise ValueError("leq matrix is not square")
+                raise PosetError("leq matrix is not square")
             if not m[i][i]:
-                raise ValueError("relation is not reflexive")
+                raise PosetError("relation is not reflexive")
         for i in range(n):
             for j in range(n):
                 if i != j and m[i][j] and m[j][i]:
-                    raise ValueError("relation is not antisymmetric")
+                    raise PosetError("relation is not antisymmetric")
                 if m[i][j]:
                     for k in range(n):
                         if m[j][k] and not m[i][k]:
-                            raise ValueError("relation is not transitive")
+                            raise PosetError("relation is not transitive")
 
     @classmethod
     def from_leq(cls, keys, labels, leq) -> "Poset":
@@ -166,14 +166,14 @@ def mobius(p: Poset) -> MobiusTable:
 def classical_mobius(n: int) -> int:
     """Number-theoretic Moebius function via factorization."""
     if n < 1:
-        raise ValueError("classical Moebius needs n >= 1")
+        raise PosetError("classical Moebius needs n >= 1")
     exponents = [k for _, k in factorize(n)]
     return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
 
 
 def adjoin_bottom(p: Poset, label: str = "∅") -> Poset:
     if label in p.keys:
-        raise ValueError(f"key {label!r} already present")
+        raise PosetError(f"key {label!r} already present")
     keys = (label,) + p.keys
     labels = (label,) + p.labels
     n = len(p)
@@ -185,7 +185,7 @@ def adjoin_bottom(p: Poset, label: str = "∅") -> Poset:
 
 def adjoin_top(p: Poset, label: str = "∞") -> Poset:
     if label in p.keys:
-        raise ValueError(f"key {label!r} already present")
+        raise PosetError(f"key {label!r} already present")
     keys = p.keys + (label,)
     labels = p.labels + (label,)
     n = len(p)
@@ -218,15 +218,32 @@ BOTTOM_KEY = "∅"
 TOP_KEY = "∞"
 
 
+def kernel_subgroups(g: FiniteGroup, character_table) -> dict[tuple[int, ...], Subgroup]:
+    """The kernels of the irreducible characters, by element tuple.
+
+    Each comes from `kernel_of`, which checks it is a normal subgroup, and
+    they are kept on the group per table object, so a verifier that asks
+    again reuses them instead of checking them again.
+    """
+    cache_key = ("kernel_subgroups", character_table)
+    if cache_key not in g._cache:
+        kernels: dict[tuple[int, ...], Subgroup] = {}
+        for chi in character_table.characters:
+            h = character_table.kernel_of(chi)
+            kernels.setdefault(h.elements, h)
+        g._cache[cache_key] = kernels
+    return g._cache[cache_key]
+
+
 def kernel_poset(g: FiniteGroup, character_table) -> Poset:
     """Kernels of irreducible characters under inclusion, with a bottom adjoined.
 
     Kept on the group per table object, as `character_table` keeps one table
-    per seed.
+    per seed; its keys are those of `kernel_subgroups`.
     """
     cache_key = ("kernel_poset", character_table)
     if cache_key not in g._cache:
-        kernels = [character_table.kernel_of(chi) for chi in character_table.characters]
+        kernels = list(kernel_subgroups(g, character_table).values())
         g._cache[cache_key] = adjoin_bottom(subgroup_poset(kernels), BOTTOM_KEY)
     return g._cache[cache_key]
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .graphs import hashimoto_check
 from .groups import Subgroup, all_subgroups, canonical_spec_name, cyclic_subgroups, parse_group_spec
-from .posets import BOTTOM_KEY, TOP_KEY, cyclic_poset, kernel_poset, mobius
+from .posets import BOTTOM_KEY, TOP_KEY, cyclic_poset, kernel_poset, kernel_subgroups, mobius
 from .report import VerificationReport
 from .table1 import PAPER_DISAGREEMENTS, TABLE1_FLAGS
 
@@ -63,13 +63,14 @@ def verify_kuroda(c: Cover) -> VerificationReport:
     g = c.group
     table = character_table(g)
     poset = kernel_poset(g, table)
+    kernels = kernel_subgroups(g, table)
     mu = mobius(poset)
     terms = []
     term_details = []
     for key in poset.keys:
         if key == BOTTOM_KEY:
             continue
-        h = Subgroup(g, key)
+        h = kernels[key]
         exponent = -mu.mu(BOTTOM_KEY, key)
         kappa_h = intermediate_kappa(c, h)
         terms.append((h.index() * kappa_h, exponent))

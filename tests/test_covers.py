@@ -333,6 +333,52 @@ def test_projection_check_refuses_a_partition_not_stable_under_right_multiplicat
         coset_quotient_by_representatives(c.voltage, blocks)
 
 
+def test_kappa_path_refuses_a_partition_not_stable_under_right_multiplication(monkeypatch):
+    # the same sigma*H cosets, handed to intermediate_kappa in place of the left
+    # cosets: the per-voltage check refuses them before any determinant runs
+    import galois_span.covers as covers
+    import galois_span.graphs as graphs
+
+    c = s3_cover()
+    g = c.group
+    h = generated_subgroup(g, [g.element("(0 1)")])
+    blocks = sorted({tuple(sorted(g.mul(s, x) for x in h.elements)) for s in range(g.order)})
+    dets = []
+    monkeypatch.setattr(covers, "left_cosets", lambda subgroup: blocks)
+    monkeypatch.setattr(graphs, "det_int_sparse_spd", lambda rows: dets.append(rows) or 1)
+    with pytest.raises(InvariantError, match="does not commute with endpoints"):
+        intermediate_kappa(c, h)
+    assert dets == []
+    assert h.elements not in c._kappas
+
+
+def test_kappas_of_every_subgroup_build_no_graph_beyond_the_derived_graph(monkeypatch):
+    # kappa(X_H) goes from the checked quotient arrays straight to the reduced
+    # Laplacian: no names, no SerreGraph; the derived graph is the one graph built
+    import galois_span.graphs as graphs
+
+    g = parse_group_spec("C2xS4")
+    alpha = random_connected_voltage(bouquet(2), g, 3)
+    built = []
+    check = graphs.SerreGraph.__post_init__
+
+    def counting_check(self):
+        built.append(self.vertex_count)
+        check(self)
+
+    monkeypatch.setattr(graphs.SerreGraph, "__post_init__", counting_check)
+    c = derived_graph(alpha)
+    subgroups = all_subgroups(g)
+    kappas = [intermediate_kappa(c, h) for h in subgroups]
+    assert built == [g.order]
+    assert len(subgroups) == 98 and min(kappas) > 0
+    # the oracle: the labelled quotient's own count, built outside the kappa path
+    built.clear()
+    for h, kappa in zip(subgroups, kappas):
+        assert intermediate_graph(c, h).graph.spanning_tree_count() == kappa
+    assert len(built) == len(subgroups)
+
+
 @pytest.mark.parametrize(
     "blocks, message",
     [
@@ -423,6 +469,7 @@ def test_quotient_kappas_equal_dense_minor_on_s4_cover():
         graph = intermediate_graph(c, h).graph
         minor = [row[1:] for row in laplacian(graph)[1:]]
         assert graph.spanning_tree_count() == det_int(minor)
+        assert intermediate_kappa(c, h) == det_int(minor)
 
 
 @pytest.mark.parametrize("spec, seed", [("S3", 1), ("S4", 2), ("C2xS4", 3)])
@@ -701,7 +748,9 @@ def _warm(c: Cover) -> None:
     hashimoto_check(c.derived)
 
 
-@pytest.mark.parametrize("base_name, spec", HASHIMOTO_COVERS)
+@pytest.mark.parametrize(
+    "base_name, spec", HASHIMOTO_COVERS + [("complete:4", "A4"), ("complete:4", "S4")]
+)
 def test_kept_kappas_equal_the_kappa_of_a_freshly_built_quotient(base_name, spec):
     base, g = GENERATION_BASES[base_name], parse_group_spec(spec)
     alpha = random_connected_voltage(base, g, 1)
@@ -745,18 +794,18 @@ def test_one_selftest_iteration_builds_each_quotient_once(monkeypatch, spec):
 
     built = []
     asked = []
-    build = covers._coset_quotient
+    build = covers._quotient_arrays
     kappa = covers.intermediate_kappa
 
-    def counting_build(alpha, cosets, prefix):
+    def counting_build(alpha, cosets):
         built.append(len(cosets))
-        return build(alpha, cosets, prefix)
+        return build(alpha, cosets)
 
     def recording_kappa(c, h):
         asked.append(h.elements)
         return kappa(c, h)
 
-    monkeypatch.setattr(covers, "_coset_quotient", counting_build)
+    monkeypatch.setattr(covers, "_quotient_arrays", counting_build)
     for module in (covers, theorems):
         monkeypatch.setattr(module, "intermediate_kappa", recording_kappa)
     summary = theorems.random_suite(3, 1, [spec], [bouquet(2)])
@@ -765,7 +814,7 @@ def test_one_selftest_iteration_builds_each_quotient_once(monkeypatch, spec):
     # every subgroup is asked for (the conjugate check asks for all), some more than once
     assert sorted(set(asked)) == sorted(h.elements for h in subgroups)
     assert len(asked) > len(set(asked))
-    # one quotient per distinct nontrivial subgroup, plus the derived graph; the
-    # trivial quotient is never built, since its kappa is the derived graph's
+    # the arrays of one quotient per distinct nontrivial subgroup, plus the derived
+    # graph's; the trivial quotient is never built, since its kappa is the derived graph's
     assert len(built) == len(set(asked))
     assert built.count(parse_group_spec(spec).order) == 1

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from galois_span.errors import DisconnectedGraphError, GaloisSpanError, GraphError, TooLargeError
+from galois_span.errors import (
+    DisconnectedGraphError,
+    GaloisSpanError,
+    GraphError,
+    InvariantError,
+    TooLargeError,
+)
 from galois_span.graphs import (
     SerreGraph,
     bouquet,
@@ -15,6 +21,7 @@ from galois_span.graphs import (
     graph_to_dot,
     graph_to_json_dict,
     hashimoto_check,
+    matrix_tree_count,
     path_graph,
     zeta_numerator,
 )
@@ -104,6 +111,16 @@ def test_disconnected_raises():
         g.spanning_tree_count()
     with pytest.raises(DisconnectedGraphError):
         hashimoto_check(g)
+
+
+def test_matrix_tree_count_of_disconnected_arrays_meets_a_non_positive_pivot():
+    # the arrays path trusts the caller on connectivity; a disconnected graph
+    # still cannot pass as a count, since the elimination refuses its zero pivot
+    g = build_graph(4, [(0, 1), (2, 3), (2, 3)])
+    with pytest.raises(InvariantError, match="not positive definite"):
+        matrix_tree_count(g.vertex_count, g.origin, g.terminus)
+    h = complete_graph(5)
+    assert matrix_tree_count(h.vertex_count, h.origin, h.terminus) == 125
 
 
 def test_brute_force_guard():

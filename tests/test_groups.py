@@ -168,6 +168,15 @@ def test_index_cosets_quotient():
     assert sorted(q.element_order(x) for x in range(3)) == [1, 3, 3]
 
 
+@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "C2xC6", "A4", "S4"])
+def test_left_cosets_are_the_cosets_Hx_in_order_of_least_element(spec):
+    # the oracle: the coset of each element by products, sorted, deduplicated
+    g = parse_group_spec(spec)
+    for h in all_subgroups(g):
+        expected = sorted({tuple(sorted(g.mul(a, x) for a in h.elements)) for x in range(g.order)})
+        assert left_cosets(h) == expected, h.describe()
+
+
 def test_quotient_requires_normal():
     s3 = symmetric_group(3)
     h = [x for x in cyclic_subgroups(s3) if x.order == 2][0]

@@ -75,14 +75,21 @@ def test_det_int_derivative_small():
         det_int_derivative([[1, 2], [3, 4]], [[1]])
 
 
+def _symmetric(rng: random.Random, n: int) -> list[list[int]]:
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randrange(-4, 5)
+    return m
+
+
 def test_det_int_derivative_matches_the_polynomial_determinant_randomized():
     # det(A + tB) as a polynomial in t is the oracle for (value, slope) at t = 0
     rng = random.Random(23)
     refused = 0
     for _ in range(300):
         n = rng.randrange(1, 6)
-        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-        b = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        a, b = _symmetric(rng, n), _symmetric(rng, n)
         p = det_int_poly_matrix([[IntPoly((x, y)) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
         if all(det_int([row[:k] for row in a[:k]]) for k in range(1, n)):
             assert det_int_derivative(a, b) == (p(0), p.derivative()(0))
@@ -91,6 +98,18 @@ def test_det_int_derivative_matches_the_polynomial_determinant_randomized():
             with pytest.raises(InvariantError, match="leading principal minor"):
                 det_int_derivative(a, b)
     assert 0 < refused < 300
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_det_int_derivative_refuses_an_asymmetric_matrix(which):
+    # the elimination updates one triangle, so an asymmetric input is refused
+    # before any step, naming the first entry that differs from its mirror
+    symmetric = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    asymmetric = [[2, 1, 0], [1, 2, 1], [0, 3, 2]]
+    a, b = (asymmetric, symmetric) if which == "A" else (symmetric, asymmetric)
+    message = rf"entry \(1, 2\) of {which} is 1 but entry \(2, 1\) is 3: matrix is not symmetric"
+    with pytest.raises(InvariantError, match=message):
+        det_int_derivative(a, b)
 
 
 def test_det_int_derivative_refuses_a_vanishing_constant_pivot():

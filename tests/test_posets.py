@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from galois_span.characters import character_table
+from galois_span.errors import GaloisSpanError, PosetError
 from galois_span.groups import (
     cyclic_group,
     dicyclic_group,
@@ -42,6 +43,53 @@ def test_poset_validation():
                 [False, False, True],
             ],
         )  # not transitive
+
+
+T, F = True, False
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the fields: keys, labels and relation rows must line up
+        (lambda: Poset([0, 0], ["a", "b"], [[T, T], [T, T]]), "duplicate poset keys"),
+        (lambda: Poset([0, 1], ["0"], [[T, F], [F, T]]), "poset field lengths disagree"),
+        (lambda: Poset([0, 1], ["0", "1"], [[T, F]]), "poset field lengths disagree"),
+        (lambda: Poset([0, 1], ["0", "1"], [[T], [F, T]]), "leq matrix is not square"),
+        # the order axioms
+        (lambda: Poset([0, 1], ["0", "1"], [[F, F], [F, T]]), "relation is not reflexive"),
+        (lambda: Poset([0, 1], ["0", "1"], [[T, T], [T, T]]), "relation is not antisymmetric"),
+        (
+            lambda: Poset([0, 1, 2], list("012"), [[T, T, F], [F, T, T], [F, F, T]]),
+            "relation is not transitive",
+        ),
+        # adjoined bounds need a fresh key
+        (
+            lambda: adjoin_bottom(Poset(["x"], ["x"], [[T]]), "x"),
+            "key 'x' already present",
+        ),
+        (lambda: adjoin_top(Poset(["x"], ["x"], [[T]]), "x"), "key 'x' already present"),
+        # the classical Moebius function starts at 1
+        (lambda: classical_mobius(0), "classical Moebius needs n >= 1"),
+    ],
+    ids=[
+        "duplicate-keys",
+        "short-labels",
+        "short-matrix",
+        "ragged-matrix",
+        "not-reflexive",
+        "not-antisymmetric",
+        "not-transitive",
+        "bottom-key-taken",
+        "top-key-taken",
+        "classical-zero",
+    ],
+)
+def test_poset_refusals_are_typed(call, message):
+    with pytest.raises(PosetError) as exc:
+        call()
+    assert isinstance(exc.value, GaloisSpanError) and isinstance(exc.value, ValueError)
+    assert str(exc.value) == message
 
 
 def test_chain_mobius():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from galois_span.characters import character_table
 from galois_span.covers import (
     VoltageAssignment,
     derived_graph,
@@ -71,6 +72,24 @@ def test_kuroda_trivial_for_irreducibly_represented():
     alpha = random_connected_voltage(bouquet(2), g, seed=0)
     report = verify_kuroda(derived_graph(alpha))
     assert report.passed and report.trivial
+
+
+def test_kuroda_reuses_the_kernels_checked_with_the_kernel_poset(monkeypatch):
+    # kernel_of checks each kernel once, when the group's kernel poset is built;
+    # later Kuroda checks of covers of the same group check no subgroup again
+    from galois_span.groups import Subgroup
+
+    g = parse_group_spec("C2xC6")
+    first = derived_graph(random_connected_voltage(bouquet(2), g, seed=1))
+    checks = []
+    check = Subgroup.__post_init__
+    monkeypatch.setattr(Subgroup, "__post_init__", lambda h: checks.append(h) or check(h))
+    assert verify_kuroda(first).passed
+    assert len(checks) == len(character_table(g).characters)
+    checks.clear()
+    for seed in (2, 3):
+        assert verify_kuroda(derived_graph(random_connected_voltage(bouquet(2), g, seed))).passed
+    assert checks == []
 
 
 def test_brauer_kuroda_s3():
