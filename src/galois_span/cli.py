@@ -324,9 +324,9 @@ def _cmd_verify(args) -> int:
             item = json_object(item, "relation entry", "elements", "coefficient")
             elements = json_list(item["elements"], "relation elements")
             elems = [cover.group.element(x, "relation element") for x in elements]
-            coeffs[Subgroup(cover.group, tuple(elems))] = json_int(
-                item["coefficient"], "relation coefficient"
-            )
+            h = Subgroup(cover.group, tuple(elems))
+            # a subgroup listed more than once takes the sum of its coefficients
+            coeffs[h] = coeffs.get(h, 0) + json_int(item["coefficient"], "relation coefficient")
         report = verify_custom_relation(cover, coeffs)
     _emit(report.to_json_dict(), args)
     return 0 if report.passed else 1

@@ -54,6 +54,13 @@ class VoltageError(GaloisSpanError, ValueError):
     of range in a voltage file."""
 
 
+class RepresentationError(GaloisSpanError, ValueError):
+    """Matrices that do not form a representation of their group: not one
+    matrix per element, a matrix of the wrong degree, an identity not sent to
+    the identity matrix, a product that is not respected, or a matrix file
+    that misses an element."""
+
+
 class PosetError(GaloisSpanError, ValueError):
     """Keys, labels and an order relation that do not form a poset: repeated
     keys, fields of different lengths, a relation matrix that is not square,

@@ -15,7 +15,8 @@ integers x, interpolated in x and evaluated at zeta_e.  A matrix with
 rational entries takes one sample, which is exactly a graph's h(u).  The
 result is an `IntPoly` in u whose coefficients are cyclotomic integers, the
 same polynomial class as a graph's h(u).  A representation is checked to be
-a homomorphism with `linalg.mat_mul`, the one matrix product.
+a homomorphism with `linalg.mat_mul`, the one matrix product; matrices
+that are not a representation raise `RepresentationError`.
 
 h_Y(u) of the derived graph takes no determinant of Y.  Ihara-Bass gives
 det(I - uW_Y) = (1 - u^2)^(m_Y - n_Y) h_Y(u) for the non-backtracking edge
@@ -48,6 +49,7 @@ from .errors import (
     NotAbelianError,
     NotBouquetError,
     NotGaloisError,
+    RepresentationError,
     json_int,
     json_list,
     json_object,
@@ -71,24 +73,24 @@ class MatrixRep:
     def __post_init__(self):
         g, d = self.group, self.degree
         if len(self.matrices) != g.order:
-            raise ValueError("need one matrix per group element")
+            raise RepresentationError("need one matrix per group element")
         for m in self.matrices:
             if len(m) != d or any(len(row) != d for row in m):
-                raise ValueError("matrix degree mismatch")
+                raise RepresentationError("matrix degree mismatch")
         ident = self.matrices[g.identity]
         one = CyclotomicInt.one(self.e)
         zero = CyclotomicInt.zero(self.e)
         for i in range(d):
             for j in range(d):
                 if ident[i][j] != (one if i == j else zero):
-                    raise ValueError("representation does not send identity to identity")
+                    raise RepresentationError("representation does not send identity to identity")
         # homomorphism check, exact: the s with rho(a)rho(s) = rho(a s) for
         # every a are closed under products, so a generating set suffices
         for b in g.generators():
             for a in range(g.order):
                 product = mat_mul(self.matrices[a], self.matrices[b])
                 if product != [list(row) for row in self.matrices[g.mul(a, b)]]:
-                    raise ValueError(f"rho({a})rho({b}) != rho({a}*{b})")
+                    raise RepresentationError(f"rho({a})rho({b}) != rho({a}*{b})")
 
 
 def trivial_rep(g: FiniteGroup, e: int | None = None) -> MatrixRep:
@@ -147,7 +149,7 @@ def rep_from_json_dict(data: dict) -> MatrixRep:
             for row in json_list(rows, "rep matrix")
         )
     if any(m is None for m in mats):
-        raise ValueError("matrix file misses some group elements")
+        raise RepresentationError("matrix file misses some group elements")
     return MatrixRep(group=g, degree=d, e=e, matrices=tuple(mats))
 
 

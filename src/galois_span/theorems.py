@@ -1,20 +1,31 @@
 """End-to-end verifiers for the spanning-tree formulas.
 
-Every check is an exact integer comparison: rational exponents are cleared
-by raising both sides to the group order (each index divides it) and
-negative exponents by cross-multiplying, so no rational power is ever
-evaluated numerically.  When a formula degenerates (a cyclic Galois group
-in the cyclic-subgroup formula, a group with a faithful irreducible in the
-kernel formula) the report says "trivially true" rather than "pass".
+The Kuroda analogue, the Brauer–Kuroda relation, the elementary-abelian
+(HMSV) formula and a custom relation are each prod_H ([G:H] kappa(X_H))^(n_H)
+= 1 for a Brauer relation sum_H n_H Ind_H^G(1) = 0, and all four go through
+one core: `checked_relation` checks the relation exactly on every conjugacy
+class, and `_relation_sides` takes kappa once per class of conjugate
+subgroups and multiplies each term with n > 0 into the left side and each
+with n < 0, raised to -n, into the right, so no rational or negative power
+is ever evaluated.  A named formula keeps its checked vector on the group.
+A report is "trivially true" rather than "pass" exactly when the vector,
+summed within each conjugacy class of subgroups, is zero: a cyclic Galois
+group for Brauer–Kuroda, a group with a faithful irreducible for Kuroda.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .characters import character_table, induced_trivial_character, is_exceptional, is_irreducibly_represented
-from .covers import Cover, conjugate_kappa_check, intermediate_kappa, is_galois
+from .characters import character_table, is_exceptional, is_irreducibly_represented
+from .covers import (
+    Cover,
+    conjugate_kappa_check,
+    derived_graph,
+    intermediate_kappa,
+    is_galois,
+    random_connected_voltage,
+)
 from .errors import (
     EulerZeroError,
     NonCyclicOnEulerZeroError,
@@ -23,77 +34,113 @@ from .errors import (
     WrongGroupError,
 )
 from .graphs import hashimoto_check
-from .groups import Subgroup, all_subgroups, canonical_spec_name, cyclic_subgroups, parse_group_spec
+from .groups import FiniteGroup, Subgroup, all_subgroups, canonical_spec_name, cyclic_subgroups, parse_group_spec
 from .posets import BOTTOM_KEY, TOP_KEY, cyclic_poset, kernel_poset, kernel_subgroups, mobius
 from .report import VerificationReport
 from .table1 import PAPER_DISAGREEMENTS, TABLE1_FLAGS
 
 
-def _cleared_product_check(
-    claim: str,
-    inputs: str,
-    base_left: int,
-    terms: list[tuple[int, int]],
-    *,
-    trivial: bool,
-    notes: str = "",
-    details=None,
-) -> VerificationReport:
-    """Compare base_left * prod(value^e for e<0 cleared) with prod(value^e for e>0).
+def checked_relation(g: FiniteGroup, terms) -> tuple:
+    """The terms (H, n_H) as a tuple, once sum n_H Ind_H^G(1) = 0 holds
+    exactly on every conjugacy class of g.
 
-    `terms` holds (value, exponent) pairs with integer exponents; negative
-    exponents multiply into the left side.
+    Ind_H^G(1) takes the value [G:H] |H meet c| / |c| on a class c, so the
+    sum is read off the classes of the elements of each H, in integers and
+    without a character table.  Every H must be a subgroup of g, whatever
+    its coefficient; a subgroup may appear in several terms.
     """
-    left = base_left
-    right = 1
-    for value, exponent in terms:
-        if exponent > 0:
-            right *= value**exponent
-        elif exponent < 0:
-            left *= value ** (-exponent)
-    return VerificationReport.compare(
-        claim, inputs, left, right, trivial=trivial, notes=notes, details=details
-    )
+    terms = tuple(terms)
+    classes = g.conjugacy_classes()
+    class_of = g.class_index_of()
+    scaled = [0] * len(classes)  # |c| times the sum on c
+    for h, n in terms:
+        if h.parent is not g:
+            raise WrongGroupError("subgroup of a different group")
+        for a in h.elements:
+            scaled[class_of[a]] += n * h.index()
+    total = [value // len(c) for value, c in zip(scaled, classes)]
+    if any(total):
+        raise NotABrauerRelationError(
+            "sum n_H Ind_H^G(1) != 0: " + ", ".join(str(v) for v in total)
+        )
+    return terms
+
+
+def _relation_sides(c: Cover, relation: tuple) -> tuple[int, int, bool, list[int]]:
+    """(left, right, trivial, kappa(X_H) of each term) for a checked relation.
+
+    kappa is taken once per class of conjugate subgroups, whose quotients
+    are isomorphic; `trivial` holds when the coefficients summed within
+    each class are all zero.
+    """
+    kappas: dict[tuple[int, ...], int] = {}
+    merged: dict[tuple[int, ...], int] = {}
+    left = right = 1
+    for h, n in relation:
+        key = h.class_key()
+        if key not in kappas:
+            kappas[key] = intermediate_kappa(c, h)
+        merged[key] = merged.get(key, 0) + n
+        if n > 0:
+            left *= (h.index() * kappas[key]) ** n
+        elif n < 0:
+            right *= (h.index() * kappas[key]) ** -n
+    return left, right, not any(merged.values()), [kappas[h.class_key()] for h, _ in relation]
+
+
+def _kept_relation(g: FiniteGroup, name: str, build) -> tuple:
+    """The checked relation `build(g)`, kept on the group under `name`."""
+    if name not in g._cache:
+        g._cache[name] = checked_relation(g, build(g))
+    return g._cache[name]
+
+
+def _kuroda_terms(g: FiniteGroup) -> list[tuple[Subgroup, int]]:
+    """[1] + sum over kernels K of mu(bottom, K) [K], the kernels in poset order."""
+    table = character_table(g)
+    poset = kernel_poset(g, table)
+    kernels = kernel_subgroups(g, table)
+    mu = mobius(poset)
+    terms = [(Subgroup._trusted(g, [g.identity]), 1)]
+    terms += [(kernels[key], mu.mu(BOTTOM_KEY, key)) for key in poset.keys if key != BOTTOM_KEY]
+    return terms
+
+
+def _brauer_kuroda_terms(g: FiniteGroup) -> list[tuple[Subgroup, int]]:
+    """|G| [G] + sum over cyclic C of mu(C, top) |G|/[G:C] [C]."""
+    mu = mobius(cyclic_poset(g))
+    terms = [(Subgroup._trusted(g, range(g.order)), g.order)]
+    terms += [(h, mu.mu(h.elements, TOP_KEY) * (g.order // h.index())) for h in cyclic_subgroups(g)]
+    return terms
+
+
+def _hmsv_terms(g: FiniteGroup) -> list[tuple[Subgroup, int]]:
+    """[1] + (2^m - 2) [G] - sum of the index-two subgroups [X_i], for G = (Z/2)^m."""
+    terms = [(Subgroup._trusted(g, [g.identity]), 1), (Subgroup._trusted(g, range(g.order)), g.order - 2)]
+    terms += [(h, -1) for h in all_subgroups(g) if h.index() == 2]
+    return terms
 
 
 def verify_kuroda(c: Cover) -> VerificationReport:
     """kappa(Y) = (1/|G|) prod_{kernels H} ([G:H] kappa(X_H))^(-mu(bottom, H))."""
     if not is_galois(c.voltage):
         raise NotGaloisError("the kernel formula needs a Galois cover")
-    g = c.group
-    table = character_table(g)
-    poset = kernel_poset(g, table)
-    kernels = kernel_subgroups(g, table)
-    mu = mobius(poset)
-    terms = []
-    term_details = []
-    for key in poset.keys:
-        if key == BOTTOM_KEY:
-            continue
-        h = kernels[key]
-        exponent = -mu.mu(BOTTOM_KEY, key)
-        kappa_h = intermediate_kappa(c, h)
-        terms.append((h.index() * kappa_h, exponent))
-        term_details.append(
-            {
-                "subgroup": h.describe(),
-                "index": h.index(),
-                "kappa": kappa_h,
-                "exponent": exponent,
-            }
-        )
-    kappa_y = c.derived.spanning_tree_count()
-    trivial = any(len(key) == 1 for key in poset.keys if key != BOTTOM_KEY)
-    return _cleared_product_check(
+    relation = _kept_relation(c.group, "kuroda_relation", _kuroda_terms)
+    left, right, trivial, kappas = _relation_sides(c, relation)
+    term_details = [
+        {"subgroup": h.describe(), "index": h.index(), "kappa": k, "exponent": -n}
+        for (h, n), k in zip(relation[1:], kappas[1:])
+    ]
+    return VerificationReport.compare(
         "kappa(Y) = (1/|G|) prod ([G:H] kappa(X_H))^(-mu)",
         c.describe(),
-        g.order * kappa_y,
-        terms,
+        left,
+        right,
         trivial=trivial,
         notes="trivially true: a faithful irreducible makes every exponent vanish"
         if trivial
         else "",
-        details={"kappa_Y": kappa_y, "terms": term_details},
+        details={"kappa_Y": kappas[0], "terms": term_details},
     )
 
 
@@ -106,40 +153,22 @@ def verify_brauer_kuroda(c: Cover) -> VerificationReport:
     if not is_galois(c.voltage):
         raise NotGaloisError("the cyclic-subgroup formula needs a Galois cover")
     g = c.group
-    m = g.order
-    poset = cyclic_poset(g)
-    mu = mobius(poset)
-    terms = []
-    term_details = []
-    # conjugate subgroups give isomorphic quotients: one kappa per class
-    class_kappa: dict[tuple[int, ...], int] = {}
-    for sub in cyclic_subgroups(g):
-        exponent = -mu.mu(sub.elements, TOP_KEY) * (m // sub.index())
-        key = sub.class_key()
-        if key not in class_kappa:
-            class_kappa[key] = intermediate_kappa(c, sub)
-        kappa_c = class_kappa[key]
-        terms.append((sub.index() * kappa_c, exponent))
-        term_details.append(
-            {
-                "subgroup": sub.describe(),
-                "index": sub.index(),
-                "kappa": kappa_c,
-                "cleared_exponent": exponent,
-            }
-        )
-    kappa_x = c.base.spanning_tree_count()
-    trivial = g.is_cyclic()
-    return _cleared_product_check(
+    relation = _kept_relation(g, "brauer_kuroda_relation", _brauer_kuroda_terms)
+    left, right, trivial, kappas = _relation_sides(c, relation)
+    term_details = [
+        {"subgroup": h.describe(), "index": h.index(), "kappa": k, "cleared_exponent": -n}
+        for (h, n), k in zip(relation[1:], kappas[1:])
+    ]
+    return VerificationReport.compare(
         "kappa(X)^m = prod ([G:C] kappa(X_C))^(-mu m/[G:C])",
         c.describe(),
-        kappa_x**m,
-        terms,
+        left,
+        right,
         trivial=trivial,
         notes="trivially true: cyclic Galois group" if trivial else "",
         details={
-            "kappa_X": kappa_x,
-            "multiplier": m,
+            "kappa_X": kappas[0],
+            "multiplier": g.order,
             "exceptional": is_exceptional(g),
             "terms": term_details,
         },
@@ -147,68 +176,42 @@ def verify_brauer_kuroda(c: Cover) -> VerificationReport:
 
 
 def verify_hmsv(c: Cover) -> VerificationReport:
-    """kappa(Y) kappa(X)^(2^m - 2) = 2^(2^m - m - 1) prod kappa(X_i) for (Z/2)^m."""
+    """kappa(Y) kappa(X)^(2^m - 2) = 2^(2^m - m - 1) prod kappa(X_i) for (Z/2)^m.
+
+    Both sides of the relation carry [G:1] = 2^m, which is divided out to
+    give the formula in this form.
+    """
     g = c.group
     if not g.is_abelian() or g.exponent() > 2:
         raise WrongGroupError("the elementary-abelian formula needs (Z/2)^m")
     if not is_galois(c.voltage):
         raise NotGaloisError("needs a Galois cover")
-    m = g.order.bit_length() - 1
-    index_two = [h for h in all_subgroups(g) if h.index() == 2]
-    kappa_y = c.derived.spanning_tree_count()
-    kappa_x = c.base.spanning_tree_count()
-    # kappa(X)'s exponent 2^m - 2 is -1 at m = 0: clear it to whichever side
-    left = kappa_y * kappa_x ** max(2**m - 2, 0)
-    right = 2 ** (2**m - m - 1) * kappa_x ** max(2 - 2**m, 0)
-    kappas = []
-    for h in index_two:
-        k = intermediate_kappa(c, h)
-        kappas.append(k)
-        right *= k
+    relation = _kept_relation(g, "hmsv_relation", _hmsv_terms)
+    left, right, trivial, kappas = _relation_sides(c, relation)
     return VerificationReport.compare(
         "kappa(Y) kappa(X)^(2^m-2) = 2^(2^m-m-1) prod kappa(X_i)",
         c.describe(),
-        left,
-        right,
-        trivial=(m <= 1),
-        details={"m": m, "kappa_Y": kappa_y, "kappa_X": kappa_x, "kappas": kappas},
+        left // g.order,
+        right // g.order,
+        trivial=trivial,
+        details={
+            "m": g.order.bit_length() - 1,
+            "kappa_Y": kappas[0],
+            "kappa_X": kappas[1],
+            "kappas": kappas[2:],
+        },
     )
 
 
 def verify_custom_relation(c: Cover, coefficients: dict[Subgroup, int]) -> VerificationReport:
-    """prod ([G:H] kappa(X_H))^(n_H) = 1 for a verified character relation.
-
-    The relation sum n_H Ind_H^G(1) = 0 is first checked exactly on every
-    conjugacy class; anything else is rejected.
-    """
+    """prod ([G:H] kappa(X_H))^(n_H) = 1 for a relation checked on characters."""
     if not is_galois(c.voltage):
         raise NotGaloisError("needs a Galois cover")
-    g = c.group
-    table = character_table(g)
-    total = [Fraction(0)] * table.class_count
-    for h, n in coefficients.items():
-        if h.parent is not g:
-            raise WrongGroupError("subgroup of a different group")
-        if n == 0:
-            continue
-        ind = induced_trivial_character(table, h)
-        for i in range(table.class_count):
-            total[i] += n * ind.values[i]
-    if any(total):
-        raise NotABrauerRelationError(
-            "sum n_H Ind_H^G(1) != 0: " + ", ".join(str(v) for v in total)
-        )
-    terms = [
-        (h.index() * intermediate_kappa(c, h), n)
-        for h, n in coefficients.items()
-        if n != 0
-    ]
-    return _cleared_product_check(
-        "prod ([G:H] kappa(X_H))^(n_H) = 1",
-        c.describe(),
-        1,
-        terms,
-        trivial=not terms,
+    relation = checked_relation(c.group, coefficients.items())
+    # a zero coefficient puts nothing on either side, so its kappa is not taken
+    left, right, trivial, _ = _relation_sides(c, tuple((h, n) for h, n in relation if n))
+    return VerificationReport.compare(
+        "prod ([G:H] kappa(X_H))^(n_H) = 1", c.describe(), left, right, trivial=trivial
     )
 
 
@@ -301,8 +304,6 @@ def random_suite(
     Per-iteration seeds derive deterministically from the master seed, so
     the summary is reproducible.
     """
-    from .covers import derived_graph, random_connected_voltage
-
     summary = SuiteSummary(seed=seed, iterations=iterations)
     if not group_specs or iterations <= 0:
         return summary

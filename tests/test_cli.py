@@ -269,6 +269,26 @@ def test_verify_relation_cli(capsys, tmp_path):
     assert code == 0 and data["passed"] is True
 
 
+def test_verify_relation_sums_repeated_entries(capsys, tmp_path):
+    # the Artin relation [1] + 2[S3] - [C3] - 2[C2] of S3, with -2[C2] written
+    # as two entries of -1 for the same subgroup
+    relation = tmp_path / "relation.json"
+    relation.write_text(
+        json.dumps(
+            [
+                {"elements": ["e"], "coefficient": 1},
+                {"elements": [0, 1, 2, 3, 4, 5], "coefficient": 2},
+                {"elements": ["e", "(0 1 2)", "(0 2 1)"], "coefficient": -1},
+                {"elements": ["e", "(0 1)"], "coefficient": -1},
+                {"elements": [0, "(0 1)"], "coefficient": -1},
+            ]
+        )
+    )
+    code, data = run(capsys, "verify", "relation", *S3_COVER, "--relation", str(relation))
+    assert code == 0 and data["status"] == "pass"
+    assert data["left"] == data["right"] == "1764"
+
+
 def test_poset_hasse_cli(capsys, tmp_path):
     dot = tmp_path / "h.dot"
     code = main(

@@ -1,9 +1,17 @@
+import json
 import random
 
 import pytest
 
 from galois_span.covers import VoltageAssignment, derived_graph, is_galois, random_connected_voltage
-from galois_span.errors import EulerZeroError, InvariantError, NotAbelianError, NotBouquetError
+from galois_span.errors import (
+    EulerZeroError,
+    GaloisSpanError,
+    InvariantError,
+    NotAbelianError,
+    NotBouquetError,
+    RepresentationError,
+)
 from galois_span.graphs import (
     bouquet,
     build_graph,
@@ -23,6 +31,7 @@ from galois_span.cli import main
 from galois_span.polynomials import IntPoly
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.lfunctions import (
+    MatrixRep,
     abelian_reps,
     bouquet_h_formula,
     derived_h_poly,
@@ -287,6 +296,39 @@ def test_rep_validation_rejects_non_homomorphism():
         rep_from_json_dict(bad)
 
 
+# message -> a C2 rep file (e = 4) that `lfun h --rep` refuses with it
+BAD_REP_FILES = {
+    "matrix degree mismatch": {"degree": 2, "matrices": {"0": [[[1, 0, 0, 0]]], "1": [[[1, 0, 0, 0]]]}},
+    "representation does not send identity to identity": {
+        "degree": 1,
+        "matrices": {"0": [[[0, 0, 1, 0]]], "1": [[[1, 0, 0, 0]]]},
+    },
+    "rho(1)rho(1) != rho(1*1)": {"degree": 1, "matrices": {"0": [[[1, 0, 0, 0]]], "1": [[[0, 1, 0, 0]]]}},
+    "matrix file misses some group elements": {"degree": 1, "matrices": {"0": [[[1, 0, 0, 0]]]}},
+}
+
+
+@pytest.mark.parametrize("message", sorted(BAD_REP_FILES))
+def test_bad_rep_file_raises_representation_error_and_exits_2(message, tmp_path, capsys):
+    data = {"group": "C2", "e": 4, **BAD_REP_FILES[message]}
+    with pytest.raises(RepresentationError) as exc:
+        rep_from_json_dict(data)
+    assert str(exc.value) == message
+    assert isinstance(exc.value, GaloisSpanError) and isinstance(exc.value, ValueError)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    cover = ["--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"]
+    assert main(["lfun", "h", *cover, "--rep", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_rep_with_a_matrix_count_other_than_the_order_raises_representation_error():
+    g = cyclic_group(2)
+    one = ((CyclotomicInt.one(2),),)
+    with pytest.raises(RepresentationError, match="^need one matrix per group element$"):
+        MatrixRep(group=g, degree=1, e=2, matrices=(one,))
+
+
 def test_rep_validation_is_exact_above_order_64():
     # C2xC48, element 48a + b = (a, b); chi(a, b) = zeta_48^(24a + b)
     g = parse_group_spec("C2xC48")
@@ -367,8 +409,6 @@ def test_eighteen_by_eighteen_cyclotomic_h_is_product_of_summands():
 
 
 def test_lfun_h_accepts_an_eighteen_by_eighteen_rep_file(tmp_path, capsys):
-    import json
-
     g = cyclic_group(3)
     alpha = random_connected_voltage(complete_graph(6), g, 2)
     cover = derived_graph(alpha)

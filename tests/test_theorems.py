@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from galois_span.characters import character_table
+import galois_span.theorems as theorems
+from galois_span.characters import character_table, is_irreducibly_represented
 from galois_span.covers import (
     VoltageAssignment,
     derived_graph,
@@ -23,7 +24,10 @@ from galois_span.groups import (
     parse_group_spec,
     symmetric_group,
 )
+from galois_span.posets import mobius
+from galois_span.table1 import TABLE1_FLAGS
 from galois_span.theorems import (
+    checked_relation,
     random_suite,
     table1_row,
     verify_brauer_kuroda,
@@ -32,6 +36,7 @@ from galois_span.theorems import (
     verify_hmsv,
     verify_kuroda,
 )
+from helpers import induced_trivial_values_by_products
 
 
 def fig2_cover():
@@ -139,8 +144,6 @@ def test_brauer_kuroda_q8_relation():
 
 @pytest.mark.parametrize("spec, classes, subgroups", [("S4", 5, 17), ("C2xS4", 10, 34)])
 def test_brauer_kuroda_one_kappa_per_conjugacy_class(monkeypatch, spec, classes, subgroups):
-    import galois_span.theorems as theorems
-
     g = parse_group_spec(spec)
     c = derived_graph(random_connected_voltage(complete_graph(5), g, seed=1))
     calls = []
@@ -151,8 +154,9 @@ def test_brauer_kuroda_one_kappa_per_conjugacy_class(monkeypatch, spec, classes,
     )
     report = verify_brauer_kuroda(c)
     assert report.passed
-    assert len(calls) == classes
-    assert len({h.class_key() for h in calls}) == classes
+    # kappa(X) is the kappa of the G term, a class of its own for non-cyclic G
+    assert len(calls) == classes + 1 and calls[0].is_whole_group()
+    assert len({h.class_key() for h in calls}) == classes + 1
     terms = report.details["terms"]
     cyclic = cyclic_subgroups(g)
     assert len(terms) == len(cyclic) == subgroups
@@ -234,7 +238,11 @@ def test_custom_relation_rejects_non_relation():
     c = s3_cover()
     g = c.group
     bad = {generated_subgroup(g, range(g.order)): 1}
-    with pytest.raises(NotABrauerRelationError):
+    with pytest.raises(NotABrauerRelationError, match=r"^sum n_H Ind_H\^G\(1\) != 0: 1, 1, 1$"):
+        verify_custom_relation(c, bad)
+    # the regular character (6, 0, 0) plus Ind from C2 (3, 1, 0), by class
+    bad = {generated_subgroup(g, []): 1, generated_subgroup(g, [g.element("(0 1)")]): 1}
+    with pytest.raises(NotABrauerRelationError, match=r"^sum n_H Ind_H\^G\(1\) != 0: 9, 1, 0$"):
         verify_custom_relation(c, bad)
 
 
@@ -322,3 +330,141 @@ def test_hmsv_trivial_group():
     report = verify_hmsv(derived_graph(alpha))
     assert report.passed and report.trivial
     assert isinstance(report.left, int) and isinstance(report.right, int)
+
+
+def _merged(terms):
+    """The coefficients summed within each conjugacy class of subgroups."""
+    merged = {}
+    for h, n in terms:
+        merged[h.class_key()] = merged.get(h.class_key(), 0) + n
+    return merged
+
+
+def _vanishes_on_characters(g, terms) -> bool:
+    """sum n_H Ind_H^G(1) = 0 at every class, each value counted by products."""
+    table = character_table(g)
+    total = [0] * table.class_count
+    for h, n in terms:
+        for i, value in enumerate(induced_trivial_values_by_products(table, h)):
+            total[i] += n * value
+    return not any(total)
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE1_FLAGS) + ["C2xS4", "C4xS4", "S5"])
+def test_kuroda_and_brauer_kuroda_vectors_are_brauer_relations(spec):
+    # each merged vector is zero exactly for the group the formula degenerates on
+    g = parse_group_spec(spec)
+    for terms, degenerate in (
+        (theorems._kuroda_terms(g), is_irreducibly_represented(g)),
+        (theorems._brauer_kuroda_terms(g), g.is_cyclic()),
+    ):
+        assert _vanishes_on_characters(g, terms)
+        assert checked_relation(g, terms) == tuple(terms)
+        assert (not any(_merged(terms).values())) == degenerate
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_hmsv_vector_is_a_brauer_relation(m):
+    g = parse_group_spec("x".join(["C2"] * m) or "C1")
+    terms = theorems._hmsv_terms(g)
+    assert len(terms) == 2 + 2**m - 1
+    assert _vanishes_on_characters(g, terms)
+    assert checked_relation(g, terms) == tuple(terms)
+    assert (not any(_merged(terms).values())) == (m <= 1)
+
+
+@pytest.mark.parametrize("verify, spec", [(verify_kuroda, "C2xC6"), (verify_brauer_kuroda, "S3")])
+def test_wrong_moebius_values_are_not_a_brauer_relation(monkeypatch, verify, spec):
+    # doubling every Moebius value breaks both poset formulas; a freshly
+    # parsed group has no checked relation kept yet
+    class Doubled:
+        def __init__(self, table):
+            self.table = table
+
+        def mu(self, a, b):
+            return 2 * self.table.mu(a, b)
+
+    monkeypatch.setattr(theorems, "mobius", lambda poset: Doubled(mobius(poset)))
+    c = derived_graph(random_connected_voltage(bouquet(2), parse_group_spec(spec), seed=1))
+    with pytest.raises(NotABrauerRelationError, match=r"^sum n_H Ind_H\^G\(1\) != 0: "):
+        verify(c)
+
+
+@pytest.mark.parametrize(
+    "verify, builder, spec",
+    [
+        (verify_kuroda, "_kuroda_terms", "S3"),
+        (verify_brauer_kuroda, "_brauer_kuroda_terms", "C2xC2"),
+        (verify_hmsv, "_hmsv_terms", "C2xC2"),
+    ],
+)
+def test_a_wrong_coefficient_in_a_named_formula_is_not_a_brauer_relation(
+    monkeypatch, verify, builder, spec
+):
+    build = getattr(theorems, builder)
+
+    def one_off(g):
+        *head, (h, n) = build(g)
+        return head + [(h, n + 1)]
+
+    monkeypatch.setattr(theorems, builder, one_off)
+    g = parse_group_spec(spec)
+    c = derived_graph(random_connected_voltage(bouquet(2), g, seed=1))
+    with pytest.raises(NotABrauerRelationError):
+        verify(c)
+    monkeypatch.setattr(theorems, builder, build)
+    assert verify(c).passed  # nothing wrong was kept on the group
+
+
+def _two_conjugate_c2(g):
+    lab = g.element
+    return generated_subgroup(g, [lab("(0 1)")]), generated_subgroup(g, [lab("(1 2)")])
+
+
+def test_custom_relation_takes_kappa_once_per_conjugacy_class(monkeypatch):
+    # [1] + 2[S3] - [C3] - [C2] - [C2'] with two conjugate C2 listed apart
+    c = s3_cover()
+    g = c.group
+    c2, c2_conjugate = _two_conjugate_c2(g)
+    assert c2.class_key() == c2_conjugate.class_key() and c2 != c2_conjugate
+    relation = {
+        generated_subgroup(g, []): 1,
+        generated_subgroup(g, range(g.order)): 2,
+        generated_subgroup(g, [g.element("(0 1 2)")]): -1,
+        c2: -1,
+        c2_conjugate: -1,
+    }
+    calls = []
+    monkeypatch.setattr(
+        theorems, "intermediate_kappa", lambda cover, h: calls.append(h) or intermediate_kappa(cover, h)
+    )
+    report = verify_custom_relation(c, relation)
+    assert report.passed and not report.trivial
+    assert len(calls) == 4 and c2_conjugate not in calls
+    assert report.left == report.right == 6 * 294 * 1
+
+
+def test_custom_relation_takes_no_kappa_for_a_zero_coefficient(monkeypatch):
+    c = s3_cover()
+    calls = []
+    monkeypatch.setattr(
+        theorems, "intermediate_kappa", lambda cover, h: calls.append(h) or intermediate_kappa(cover, h)
+    )
+    report = verify_custom_relation(c, {h: 0 for h in cyclic_subgroups(c.group)})
+    assert report.passed and report.trivial and calls == []
+
+
+def test_custom_relation_of_two_conjugates_is_trivially_true():
+    c = s3_cover()
+    c2, c2_conjugate = _two_conjugate_c2(c.group)
+    report = verify_custom_relation(c, {c2: 1, c2_conjugate: -1})
+    assert report.passed and report.trivial and report.status() == "trivially true"
+    assert report.left == report.right == 3 * 7
+
+
+def test_custom_relation_refuses_a_subgroup_of_another_group_with_coefficient_zero():
+    c = s3_cover()
+    other = parse_group_spec("S3")
+    relation = {generated_subgroup(c.group, []): 0, generated_subgroup(other, []): 0}
+    with pytest.raises(WrongGroupError, match="^subgroup of a different group$"):
+        verify_custom_relation(c, relation)
