@@ -632,24 +632,32 @@ class ClassFunction:
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
 
 
-def induced_trivial_character(table: CharacterTable, h: Subgroup) -> ClassFunction:
-    """Character induced from the trivial character of a subgroup.
+def induced_trivial_values(h: Subgroup) -> tuple[int, ...]:
+    """Ind_H^G(1) on each class c of G = h.parent, in `conjugacy_classes()` order.
 
-    Value at g is the number of cosets xH fixed by g, computed as
-    |{x : x g x^-1 in H}| / |H|; always a nonnegative integer.
+    The value is the number of cosets xH fixed by an element of c,
+    [G:H] |H meet c| / |c|, read off the classes of the elements of H.
     """
-    g = table.group
-    if h.parent is not g:
-        raise MismatchedGroupError("subgroup of a different group")
-    members = set(h.elements)
+    g = h.parent
+    class_of = g.class_index_of()
+    classes = g.conjugacy_classes()
+    meets = [0] * len(classes)
+    for a in h.elements:
+        meets[class_of[a]] += 1
     values = []
-    for cls in table.classes:
-        rep = cls[0]
-        count = sum(row[rep] in members for row in g.conjugation())
-        if count % h.order != 0:
+    for meet, cls in zip(meets, classes):
+        value, rest = divmod(h.index() * meet, len(cls))
+        if rest:
             raise InvariantError("induced character value is not integral")
-        values.append(Fraction(count // h.order))
-    return ClassFunction(group=g, values=tuple(values))
+        values.append(value)
+    return tuple(values)
+
+
+def induced_trivial_character(table: CharacterTable, h: Subgroup) -> ClassFunction:
+    """Character induced from the trivial character of a subgroup."""
+    if h.parent is not table.group:
+        raise MismatchedGroupError("subgroup of a different group")
+    return ClassFunction(group=table.group, values=induced_trivial_values(h))
 
 
 def inner_product(phi, psi: Character) -> Fraction:

@@ -325,7 +325,6 @@ def _cmd_verify(args) -> int:
             elements = json_list(item["elements"], "relation elements")
             elems = [cover.group.element(x, "relation element") for x in elements]
             h = Subgroup(cover.group, tuple(elems))
-            # a subgroup listed more than once takes the sum of its coefficients
             coeffs[h] = coeffs.get(h, 0) + json_int(item["coefficient"], "relation coefficient")
         report = verify_custom_relation(cover, coeffs)
     _emit(report.to_json_dict(), args)

@@ -1,23 +1,22 @@
 """End-to-end verifiers for the spanning-tree formulas.
 
 The Kuroda analogue, the Brauer–Kuroda relation, the elementary-abelian
-(HMSV) formula and a custom relation are each prod_H ([G:H] kappa(X_H))^(n_H)
-= 1 for a Brauer relation sum_H n_H Ind_H^G(1) = 0, and all four go through
-one core: `checked_relation` checks the relation exactly on every conjugacy
-class, and `_relation_sides` takes kappa once per class of conjugate
-subgroups and multiplies each term with n > 0 into the left side and each
-with n < 0, raised to -n, into the right, so no rational or negative power
-is ever evaluated.  A named formula keeps its checked vector on the group.
-A report is "trivially true" rather than "pass" exactly when the vector,
-summed within each conjugacy class of subgroups, is zero: a cyclic Galois
-group for Brauer–Kuroda, a group with a faithful irreducible for Kuroda.
+(HMSV) formula and a custom relation each read prod_H ([G:H] kappa(X_H))^(n_H)
+= 1 for a Brauer relation sum_H n_H Ind_H^G(1) = 0, and go through one core.
+A report is "trivially true" when the vector, summed within each conjugacy
+class of subgroups, is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import character_table, is_exceptional, is_irreducibly_represented
+from .characters import (
+    character_table,
+    induced_trivial_values,
+    is_exceptional,
+    is_irreducibly_represented,
+)
 from .covers import (
     Cover,
     conjugate_kappa_check,
@@ -44,21 +43,15 @@ def checked_relation(g: FiniteGroup, terms) -> tuple:
     """The terms (H, n_H) as a tuple, once sum n_H Ind_H^G(1) = 0 holds
     exactly on every conjugacy class of g.
 
-    Ind_H^G(1) takes the value [G:H] |H meet c| / |c| on a class c, so the
-    sum is read off the classes of the elements of each H, in integers and
-    without a character table.  Every H must be a subgroup of g, whatever
-    its coefficient; a subgroup may appear in several terms.
+    Every H must be a subgroup of g, whatever its coefficient; a subgroup
+    may appear in several terms.
     """
     terms = tuple(terms)
-    classes = g.conjugacy_classes()
-    class_of = g.class_index_of()
-    scaled = [0] * len(classes)  # |c| times the sum on c
+    total = [0] * len(g.conjugacy_classes())
     for h, n in terms:
         if h.parent is not g:
             raise WrongGroupError("subgroup of a different group")
-        for a in h.elements:
-            scaled[class_of[a]] += n * h.index()
-    total = [value // len(c) for value, c in zip(scaled, classes)]
+        total = [t + n * v for t, v in zip(total, induced_trivial_values(h))]
     if any(total):
         raise NotABrauerRelationError(
             "sum n_H Ind_H^G(1) != 0: " + ", ".join(str(v) for v in total)

@@ -21,6 +21,7 @@ from galois_span.characters import (
     artin_coefficients,
     character_table,
     induced_trivial_character,
+    induced_trivial_values,
     inner_product,
     is_exceptional,
     is_irreducibly_represented,
@@ -498,4 +499,6 @@ def test_induced_trivial_characters_agree_with_products(spec):
     table = character_table(g)
     for h in all_subgroups(g):
         expected = induced_trivial_values_by_products(table, h)
+        values = induced_trivial_values(h)
+        assert list(values) == expected and all(type(v) is int for v in values)
         assert list(induced_trivial_character(table, h).values) == expected
