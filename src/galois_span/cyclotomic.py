@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvariantError
+from .errors import CyclotomicError, InvariantError
 from .polynomials import IntPoly, poly_divmod_exact
 
 
@@ -22,7 +22,7 @@ from .polynomials import IntPoly, poly_divmod_exact
 def cyclotomic_polynomial(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, exactly, by recursive division."""
     if n < 1:
-        raise ValueError("cyclotomic polynomial needs n >= 1")
+        raise CyclotomicError("cyclotomic polynomial needs n >= 1")
     x_n_minus_1 = IntPoly([-1] + [0] * (n - 1) + [1])
     quotient = x_n_minus_1
     for d in range(1, n):
@@ -75,7 +75,7 @@ class CyclotomicInt:
         ctx = _context(e)
         c = tuple(coeffs)
         if len(c) != ctx.degree:
-            raise ValueError(f"expected {ctx.degree} coefficients for e={e}")
+            raise CyclotomicError(f"expected {ctx.degree} coefficients for e={e}")
         self.e = e
         self.coeffs = c
 
@@ -122,7 +122,7 @@ class CyclotomicInt:
     def _coerce(self, other) -> "CyclotomicInt":
         if isinstance(other, CyclotomicInt):
             if other.e != self.e:
-                raise ValueError(f"mixed conductors {self.e} and {other.e}")
+                raise CyclotomicError(f"mixed conductors {self.e} and {other.e}")
             return other
         if isinstance(other, int):
             return CyclotomicInt.from_int(self.e, other)

@@ -34,6 +34,16 @@ class GroupSpecError(GaloisSpanError, ValueError):
     """A group spec string (or the Cayley-table file it names) does not parse."""
 
 
+class GroupConstructionError(GaloisSpanError, ValueError):
+    """A group constructor given an order below 1, no generators, or
+    generators that are not permutations of one domain."""
+
+
+class CyclotomicError(GaloisSpanError, ValueError):
+    """A cyclotomic integer with a conductor below 1 or the wrong number of
+    coordinates, or an operation on two conductors."""
+
+
 class GraphError(GaloisSpanError, ValueError):
     """Arrays or an edge list that do not form a Serre graph: inconsistent
     lengths, an odd number of directed edges, an endpoint out of range, an

@@ -60,7 +60,8 @@ class SerreGraph:
     terminus: tuple[int, ...]
     inverse: tuple[int, ...]
     vertex_names: tuple[str, ...] | None = None
-    # the answers of `spanning_tree_count` and `out_edges`, once asked
+    # the answers of `is_connected`, `spanning_tree_count` and `out_edges`, once asked
+    _connected: bool | None = field(default=None, init=False, repr=False, compare=False)
     _kappa: int | None = field(default=None, init=False, repr=False, compare=False)
     _out: tuple[tuple[int, ...], ...] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -105,24 +106,21 @@ class SerreGraph:
         return self.vertex_count - self.geometric_edge_count
 
     def is_connected(self) -> bool:
-        n = self.vertex_count
-        if n == 0:
-            return False
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for e in range(self.edge_count):
-            adj[self.origin[e]].append(self.terminus[e])
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == n
+        """Whether every vertex is reached from vertex 0, walked once."""
+        if self._connected is None:
+            n = self.vertex_count
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for e in range(self.edge_count):
+                adj[self.origin[e]].append(self.terminus[e])
+            reached = [0] if n else []
+            seen = [True] + [False] * (n - 1)  # not read when n == 0
+            for v in reached:  # grows as the walk goes
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        reached.append(w)
+            object.__setattr__(self, "_connected", n > 0 and len(reached) == n)
+        return self._connected
 
     def out_edges(self) -> tuple[tuple[int, ...], ...]:
         """Directed edges leaving each vertex, in index order, built once."""

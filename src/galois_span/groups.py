@@ -28,6 +28,7 @@ from math import gcd
 from .errors import (
     ClosureTooLargeError,
     GaloisSpanError,
+    GroupConstructionError,
     GroupSpecError,
     InvalidTableError,
     MismatchedGroupError,
@@ -457,7 +458,7 @@ def quotient_group(h: Subgroup) -> tuple[FiniteGroup, list[int]]:
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
-        raise ValueError("cyclic group needs n >= 1")
+        raise GroupConstructionError("cyclic group needs n >= 1")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, [str(i) for i in range(n)], name=f"C{n}")
 
@@ -482,7 +483,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: rotations r^i then reflections r^i s."""
     if n < 1:
-        raise ValueError("dihedral group needs n >= 1")
+        raise GroupConstructionError("dihedral group needs n >= 1")
 
     def idx(rot: int, flip: int) -> int:
         return rot % n + n * flip
@@ -507,7 +508,7 @@ def dicyclic_group(n: int) -> FiniteGroup:
     dicyclic_group(2) is the quaternion group Q8.
     """
     if n < 1:
-        raise ValueError("dicyclic group needs n >= 1")
+        raise GroupConstructionError("dicyclic group needs n >= 1")
     m = 2 * n
 
     def idx(i: int, e: int) -> int:
@@ -567,7 +568,7 @@ def _group_from_perms(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     if n < 1:
-        raise ValueError("symmetric group needs n >= 1")
+        raise GroupConstructionError("symmetric group needs n >= 1")
     return _group_from_perms(list(iter_permutations(range(n))), name=f"S{n}")
 
 
@@ -590,7 +591,7 @@ def _perm_sign(p: tuple[int, ...]) -> int:
 
 def alternating_group(n: int) -> FiniteGroup:
     if n < 1:
-        raise ValueError("alternating group needs n >= 1")
+        raise GroupConstructionError("alternating group needs n >= 1")
     perms = [p for p in iter_permutations(range(n)) if _perm_sign(p) == 1]
     return _group_from_perms(perms, name=f"A{n}")
 
@@ -599,10 +600,10 @@ def from_permutations(generators, name: str = "perm") -> FiniteGroup:
     """Group generated by permutations (tuples in one-line notation)."""
     gens = [tuple(p) for p in generators]
     if not gens:
-        raise ValueError("need at least one generator")
+        raise GroupConstructionError("need at least one generator")
     size = len(gens[0])
     if any(len(p) != size or sorted(p) != list(range(size)) for p in gens):
-        raise ValueError("generators must be permutations of the same domain")
+        raise GroupConstructionError("generators must be permutations of the same domain")
     identity = tuple(range(size))
     elems = {identity}
     frontier = [identity]

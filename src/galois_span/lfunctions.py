@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import gcd
 from operator import add, sub
 
 from .characters import character_table, induced_trivial_character, inner_product
@@ -345,23 +346,32 @@ def verify_factorization(c: Cover) -> VerificationReport:
     """prod_chi h(u, chi) = h_Y(u) as exact integer polynomials (abelian G).
 
     The left side takes h(u, chi) from the twisted determinant (`h_poly`)
-    once per conjugate pair: A_chi-bar is the complex conjugate of A_chi, so
-    h(u, chi-bar) is h(u, chi) conjugated coefficientwise.  The right side
-    comes from closed walks in the base (`derived_h_poly`), so the two sides
-    are independent computations.
+    once per Galois orbit of linear characters: A_chi^a is A_chi under
+    zeta -> zeta^a, which commutes with det, so h(u, chi^a) is h(u, chi)
+    under `CyclotomicInt.galois(a)` coefficientwise.  The product over an
+    orbit is fixed by every such map, so it is a rational polynomial:
+    `as_int` checks each coefficient (`InvariantError` otherwise), and the
+    orbit products are multiplied in integers.  The right side comes from
+    closed walks in the base (`derived_h_poly`), so the two sides are
+    independent computations.
     """
-    product = IntPoly.const(1)
-    by_values: dict[tuple[CyclotomicInt, ...], IntPoly] = {}
-    for rho in _abelian_rep_list(c.group):
+    reps = _abelian_rep_list(c.group)
+    e = c.group.exponent()
+    units = [a for a in range(2, e) if gcd(a, e) == 1]
+    lhs = IntPoly.const(1)
+    seen: set[tuple[CyclotomicInt, ...]] = set()
+    for rho in reps:
         values = tuple(m[0][0] for m in rho.matrices)
-        conjugate = by_values.get(tuple(x.conjugate() for x in values))
-        if conjugate is None:
-            h = h_poly(c, rho)
-        else:
-            h = IntPoly([x.conjugate() for x in conjugate.coeffs])
-        by_values[values] = h
-        product = product * h
-    lhs = IntPoly([x.as_int() for x in product.coeffs])
+        if values in seen:
+            continue
+        h = orbit = h_poly(c, rho)
+        seen.add(values)
+        for a in units:
+            image = tuple(x.galois(a) for x in values)
+            if image not in seen:  # orbits are disjoint: a seen image is in this orbit
+                seen.add(image)
+                orbit = orbit * IntPoly([x.galois(a) for x in h.coeffs])
+        lhs = lhs * IntPoly([x.as_int() for x in orbit.coeffs])
     rhs = derived_h_poly(c)
     pairs = list(zip_longest(lhs.coeffs, rhs.coeffs, fillvalue=0))
     return VerificationReport.compare(

@@ -8,16 +8,19 @@ the dual numbers Z[t]/(t^2) gives det A and the derivative of det(A + tB) at
 t = 0 in one pass (`det_int_derivative`); it takes symmetric A and B only,
 refuses any other, and updates one triangle.  Sparse symmetric
 positive-definite integer matrices, such as reduced Laplacians, go through
-the same fraction-free elimination in two phases (`det_int_sparse_spd`): a
-symbolic phase on the nonzero pattern checks symmetry, fixes the
-minimum-degree pivot order and stores each pivot's row as its diagonal and
-its filled later columns, one triangle; a numeric phase eliminates in that
-order and updates each symmetric pair of entries once.  Rational matrices
-are scaled to integer matrices row by row and take the same Bareiss
-elimination.  Matrices of integer polynomials go through integer
-determinants at consecutive integers and one integer interpolation;
-cyclotomic matrices reach them after a lift to Z[x] (`lfunctions`).  The
-matrix product serves ints, `Fraction`s and cyclotomic integers alike.
+fraction-free elimination in two phases (`det_int_sparse_spd`): a symbolic
+phase on the nonzero pattern checks symmetry, fixes the minimum-degree
+pivot order and stores each pivot's row as its diagonal and its filled
+later columns, one triangle; a numeric phase eliminates in that order and
+updates each symmetric pair of entries once.  Its denominators are local:
+each row is held over the determinants of the eliminated components of the
+pattern next to it, not over the last pivot, and the determinant is the
+product over the final components.  Rational matrices are scaled to
+integer matrices row by row and take dense Bareiss elimination.  Matrices
+of integer polynomials go through integer determinants at consecutive
+integers and one integer interpolation; cyclotomic matrices reach them
+after a lift to Z[x] (`lfunctions`).  The matrix product serves ints,
+`Fraction`s and cyclotomic integers alike.
 """
 
 from __future__ import annotations
@@ -149,16 +152,30 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     where the matrix has no entry: one triangle, to which the numeric phase
     adds no key.
 
-    The numeric phase takes the pivots in that order.  A pivot rewrites each
-    row i that it reaches in one pass, a_ij = (a_ij * pivot - a_pi * a_pj)
-    // prev for i and the columns after it, so each symmetric pair is updated
-    once.  A row the pivot does not reach would only gain the factor
-    pivot/prev; these factors telescope, so the row is kept as it was and
-    rescaled by prev/scale[i] within the pass that next rewrites it.  Every
-    division is exact because every entry is a minor.  Positive definiteness
-    makes every pivot positive, so no row exchange is needed and the
-    determinant is the last pivot; a pivot that is not positive raises
-    `InvariantError`.
+    The numeric phase takes the pivots in that order.  The eliminated rows
+    fall into components, the connected pieces of the pattern restricted to
+    them, tracked as one bit per component in an int mask; a row's
+    components are those next to it.  Row i is held at its own scale s_i,
+    the product of det A[C] over its components C: by Sylvester's identity
+    its entry (i, j) is then the minor of A on the rows of those components
+    and i against the same rows and j.  Pivot p at scale s_p has the
+    diagonal det A[C'], C' being p with its components, a principal minor,
+    so it must be positive, or `InvariantError`.  It rewrites each row i it
+    reaches in one pass, for i and the columns after it, so each symmetric
+    pair is updated once:
+
+        f = a_pi s_i // s_p
+        a_ij = (a_ij a_pp - f a_pj) // d,  d = prod det A[C], C next to i and p
+        s_i = s_i // d * a_pp
+
+    and row i's components lose p's and gain C'.  Every division is exact:
+    f is entry (i, p) at row i's scale and the new a_ij is entry (i, j) at
+    the new scale, both minors; d is a product of factors of s_i.  When i
+    and p have the same components this is the global Bareiss step, d =
+    s_p.  A row the pivot does not reach keeps its values and its scale, so
+    a pivot's determinant enters only the rows it touches.  Positive
+    definiteness makes every pivot positive, so no row exchange is needed,
+    and the determinant is the product over the final components.
     """
     n = len(rows)
     # symbolic phase: check the pattern, then eliminate it in minimum-degree order
@@ -198,32 +215,49 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
             cols.discard(i)
             heappush(heap, (len(cols), i))
         adj[p] = None  # upper[p] holds what the numeric phase needs
-    # numeric phase: one pass per reached row, scales deferred for the rest
+    # numeric phase: each row at the scale of the eliminated components next to it
+    comps = [0] * n  # a row's adjacent components, bit p for the one pivot p made
+    # a row's scale, the product of their determinants, until the row is the
+    # pivot; then the determinant of the component it made
     scale = [1] * n
+    live = 0  # the components no later pivot has merged
     pivot_row = [0] * n  # the pivot's entries by column, 0 elsewhere
-    prev = 1
     for p in order:
         row_p = upper[p]
         upper[p] = None
-        if scale[p] != prev:
-            row_p = {j: v * prev // scale[p] for j, v in row_p.items()}
-        pivot = row_p.pop(p)
+        pivot = row_p.pop(p)  # det A[C] for the new component C: p and its components
         if pivot <= 0:
             raise InvariantError(f"pivot {pivot} at row {p}: matrix is not positive definite")
+        mask_p, s_p, bit = comps[p], scale[p], 1 << p
+        scale[p] = pivot
+        live = live & ~mask_p | bit
         for j, v in row_p.items():
             pivot_row[j] = v
         for i, f in row_p.items():
-            row_i, s = upper[i], scale[i]
-            if s == prev:
-                upper[i] = {j: (v * pivot - f * pivot_row[j]) // prev for j, v in row_i.items()}
-            else:  # row i is current as of pivot s: rescale by prev/s in the same pass
-                m = pivot * prev
-                upper[i] = {j: (v * m // s - f * pivot_row[j]) // prev for j, v in row_i.items()}
-            scale[i] = pivot
+            mask_i = comps[i]
+            if mask_i == mask_p:  # the global Bareiss step: s_i = s_p = d
+                d = s_p
+                comps[i], scale[i] = bit, pivot
+            else:
+                s_i = scale[i]
+                f = f * s_i // s_p  # exact: entry (i, p) at row i's scale, a minor
+                d = _product_over_bits(mask_i & mask_p, scale)  # divides s_i
+                comps[i], scale[i] = mask_i & ~mask_p | bit, s_i // d * pivot
+            # exact: the new entry (i, j) at the new scale s_i is a minor
+            upper[i] = {j: (v * pivot - f * pivot_row[j]) // d for j, v in upper[i].items()}
         for j in row_p:
             pivot_row[j] = 0
-        prev = pivot
-    return prev
+    return _product_over_bits(live, scale)
+
+
+def _product_over_bits(mask: int, values: list[int]) -> int:
+    """The product of values[k] over the set bits k of mask."""
+    product = 1
+    while mask:
+        low = mask & -mask
+        product *= values[low.bit_length() - 1]
+        mask ^= low
+    return product
 
 
 def det_fraction(matrix: Sequence[Sequence]) -> Fraction:

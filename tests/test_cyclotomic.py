@@ -8,6 +8,7 @@ from galois_span.cyclotomic import (
     cyclotomic_polynomial,
     reverse_mult_vector,
 )
+from galois_span.errors import CyclotomicError, GaloisSpanError
 from galois_span.polynomials import IntPoly
 
 
@@ -123,3 +124,18 @@ def test_intpoly_with_rational_coefficients_equals_the_integer_polynomial():
     assert IntPoly([one, z]) != IntPoly([1, 1])
     assert IntPoly([Fraction(4, 2), Fraction(0), Fraction(3, 1)]) == IntPoly([2, 0, 3])
     assert IntPoly([CyclotomicInt.zero(e), Fraction(0)]) == IntPoly() == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cyclotomic_polynomial(0), "cyclotomic polynomial needs n >= 1"),
+        (lambda: CyclotomicInt(4, (1, 2, 3)), "expected 2 coefficients for e=4"),
+        (lambda: CyclotomicInt.root(4) * CyclotomicInt.root(6), "mixed conductors 4 and 6"),
+    ],
+)
+def test_cyclotomic_refusals_are_typed(call, message):
+    with pytest.raises(CyclotomicError) as exc:
+        call()
+    assert isinstance(exc.value, GaloisSpanError) and isinstance(exc.value, ValueError)
+    assert str(exc.value) == message

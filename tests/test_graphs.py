@@ -113,6 +113,18 @@ def test_disconnected_raises():
         hashimoto_check(g)
 
 
+def test_connectivity_is_walked_once_and_kept():
+    assert not SerreGraph(0, (), (), ()).is_connected()
+    assert not build_graph(3, [(0, 1)]).is_connected()
+    g = complete_graph(4)
+    assert g.spanning_tree_count() == 16
+    # hashimoto_check reads the kept answer instead of walking the graph again:
+    # a forged answer makes it refuse a connected graph
+    object.__setattr__(g, "_connected", False)
+    with pytest.raises(DisconnectedGraphError):
+        hashimoto_check(g)
+
+
 def test_matrix_tree_count_of_disconnected_arrays_meets_a_non_positive_pivot():
     # the arrays path trusts the caller on connectivity; a disconnected graph
     # still cannot pass as a count, since the elimination refuses its zero pivot

@@ -9,6 +9,7 @@ from galois_span import groups
 from galois_span.errors import (
     ClosureTooLargeError,
     GaloisSpanError,
+    GroupConstructionError,
     GroupSpecError,
     InvalidTableError,
     NotNormalError,
@@ -457,3 +458,29 @@ def test_the_order_bound_is_read_on_every_subgroup_request(monkeypatch):
     monkeypatch.setenv("GALOIS_SPAN_MAX_ORDER", "12")
     with pytest.raises(OrderTooLargeError):
         all_subgroups(g)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cyclic_group(0), "cyclic group needs n >= 1"),
+        (lambda: dihedral_group(0), "dihedral group needs n >= 1"),
+        (lambda: dicyclic_group(0), "dicyclic group needs n >= 1"),
+        (lambda: symmetric_group(0), "symmetric group needs n >= 1"),
+        (lambda: alternating_group(0), "alternating group needs n >= 1"),
+        (lambda: from_permutations([]), "need at least one generator"),
+        (
+            lambda: from_permutations([(1, 0), (0, 2, 1)]),
+            "generators must be permutations of the same domain",
+        ),
+        (
+            lambda: from_permutations([(0, 0)]),
+            "generators must be permutations of the same domain",
+        ),
+    ],
+)
+def test_group_constructor_refusals_are_typed(call, message):
+    with pytest.raises(GroupConstructionError) as exc:
+        call()
+    assert isinstance(exc.value, GaloisSpanError) and isinstance(exc.value, ValueError)
+    assert str(exc.value) == message

@@ -557,3 +557,45 @@ def test_factorization_takes_one_h_per_conjugate_pair(monkeypatch):
     # C2xC6 has 4 real characters and 4 conjugate pairs
     assert len(calls) == 8
     assert report.details["product_coeffs"] == [str(x.as_int()) for x in old_product.coeffs]
+
+
+@pytest.mark.parametrize(
+    "spec, volt, h_calls",
+    [
+        # C5: the 4 nontrivial characters are one orbit of zeta -> zeta^a
+        ("C5", (1, 1), 2),
+        # C8: orbits {1}, {chi^4}, {chi^2, chi^6} and {chi, chi^3, chi^5, chi^7}
+        ("C8", (1, 2), 4),
+    ],
+)
+def test_factorization_takes_one_h_per_galois_orbit(monkeypatch, spec, volt, h_calls):
+    import galois_span.lfunctions as lfunctions
+
+    cover = simple_cover(spec, 2, volt)
+    old_product = IntPoly.const(1)
+    for rho in abelian_reps(cover.group):
+        old_product = old_product * h_poly(cover, rho)
+    calls = []
+    real = lfunctions.h_poly
+    monkeypatch.setattr(lfunctions, "h_poly", lambda c, rho: calls.append(rho) or real(c, rho))
+    report = verify_factorization(cover)
+    assert report.passed
+    assert len(calls) == h_calls
+    assert report.details["product_coeffs"] == [str(x.as_int()) for x in old_product.coeffs]
+
+
+def test_factorization_refuses_a_corrupted_orbit_member(monkeypatch):
+    # h(u, chi^3) is taken as h(u, chi) under zeta -> zeta^3; shifting its
+    # irrational coefficients by 1 leaves an orbit product that is not rational
+    cover = simple_cover("C5", 2, (1, 1))
+    assert verify_factorization(cover).passed
+    roots = {CyclotomicInt.root(5, k) for k in range(5)}
+    real = CyclotomicInt.galois
+
+    def galois(x, k):
+        image = real(x, k)
+        return image + 1 if k == 3 and x not in roots and not x.is_rational_integer() else image
+
+    monkeypatch.setattr(CyclotomicInt, "galois", galois)
+    with pytest.raises(InvariantError, match="not a rational integer"):
+        verify_factorization(cover)

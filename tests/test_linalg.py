@@ -188,6 +188,131 @@ def test_det_int_sparse_spd_keeps_a_fill_entry_that_cancels():
     assert det_int_sparse_spd(_sparse_rows(dense)) == 16
 
 
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    dense, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            dense[at + i][at : at + len(b)] = row
+        at += len(b)
+    return dense
+
+
+def test_det_int_sparse_spd_of_a_block_diagonal_matrix_is_the_product_over_its_blocks():
+    # each block ends as its own component, and the determinant multiplies them
+    path = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]  # det 4
+    star = [[3, -1, -1], [-1, 2, 0], [-1, 0, 5]]  # det 23
+    cases = [
+        ([[7]], [[5]]),
+        (path, star),
+        (star, [[1]], path, [[2, 1], [1, 2]], [[9]]),
+    ]
+    for blocks in cases:
+        dense = _block_diagonal(*blocks)
+        expected = 1
+        for b in blocks:
+            expected *= det_int(b)
+        assert det_int(dense) == expected
+        assert det_int_sparse_spd(_sparse_rows(dense)) == expected
+        # the blocks interleaved: the same matrix with its rows and columns permuted
+        n = len(dense)
+        perm = random.Random(n).sample(range(n), n)
+        shuffled = [[dense[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        assert det_int_sparse_spd(_sparse_rows(shuffled)) == expected
+
+
+def _reduced_laplacian(n: int, edges, drop: int) -> list[list[int]]:
+    """The Laplacian of a multigraph on n vertices, given (u, v, multiplicity),
+    with row and column `drop` deleted."""
+    lap = [[0] * n for _ in range(n)]
+    for u, v, w in edges:
+        lap[u][u] += w
+        lap[v][v] += w
+        lap[u][v] -= w
+        lap[v][u] -= w
+    keep = [i for i in range(n) if i != drop]
+    return [[lap[i][j] for j in keep] for i in keep]
+
+
+@pytest.mark.parametrize("shape", ["star", "path", "tree"])
+def test_det_int_sparse_spd_on_trees_merging_many_components_at_one_pivot(shape):
+    # a tree with edge multiplicities w has prod w spanning trees.  A star
+    # reduced at a leaf eliminates its other leaves first, each a component
+    # of its own, and the centre merges them all at once; a path and a random
+    # tree merge components of every size.
+    rng = random.Random(shape)
+    for n in range(2, 26):
+        if shape == "star":
+            parents = [0] * n
+        elif shape == "path":
+            parents = list(range(-1, n - 1))
+        else:
+            parents = [-1] + [rng.randrange(i) for i in range(1, n)]
+        edges = [(parents[v], v, rng.randrange(1, 6)) for v in range(1, n)]
+        expected = 1
+        for _, _, w in edges:
+            expected *= w
+        for drop in {0, n - 1, rng.randrange(n)}:
+            minor = _reduced_laplacian(n, edges, drop)
+            assert det_int(minor) == expected
+            assert det_int_sparse_spd(_sparse_rows(minor)) == expected
+            # grounded at every vertex: L + I, a tree-patterned matrix with no
+            # determinant of 1 to hide a wrong scale
+            grounded = [row[:] for row in minor]
+            for i in range(n - 1):
+                grounded[i][i] += 1
+            assert det_int_sparse_spd(_sparse_rows(grounded)) == det_int(grounded)
+
+
+def test_det_int_sparse_spd_matches_dense_with_planted_blocks():
+    # B^T B + I with B nonzero only inside planted blocks of interleaved
+    # indices, so the pattern has several components; a few entries between
+    # blocks let components merge late
+    rng = random.Random(19)
+    for case in range(200):
+        n = rng.randrange(1, 41)
+        block_of = [rng.randrange(rng.randrange(1, 7)) for _ in range(n)]
+        density = rng.choice((0.1, 0.2, 0.35))
+        bridges = rng.choice((0, 0, 0.01, 0.03))
+        b = [
+            [
+                rng.randrange(-3, 4) * (rng.random() < (density if block_of[i] == block_of[j] else bridges))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        dense = [
+            [sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) * rng.randrange(1, 3) for j in range(n)]
+            for i in range(n)
+        ]
+        assert det_int_sparse_spd(_sparse_rows(dense)) == det_int(dense), case
+
+
+def test_det_int_sparse_spd_refuses_at_a_component_determinant():
+    # the star's leaves 0 and 1 are eliminated first, each a component of
+    # determinant 1; the centre's pivot is the determinant of the merged
+    # star, 1 - 2 = -1
+    star = [[1, 0, -1], [0, 1, -1], [-1, -1, 1]]
+    with pytest.raises(InvariantError, match=r"^pivot -1 at row 2: matrix is not positive definite$"):
+        det_int_sparse_spd(_sparse_rows(star))
+    # beside a positive definite block the refusal names the same row, shifted
+    dense = _block_diagonal([[2, -1], [-1, 2]], star)
+    with pytest.raises(InvariantError, match=r"^pivot -1 at row 4: matrix is not positive definite$"):
+        det_int_sparse_spd(_sparse_rows(dense))
+    # a determinant that is positive as a product of two negative components
+    dense = _block_diagonal([[1, 2], [2, 1]], [[1, 2], [2, 1]])
+    assert det_int(dense) == 9
+    with pytest.raises(InvariantError, match="not positive definite"):
+        det_int_sparse_spd(_sparse_rows(dense))
+
+
+def test_det_int_sparse_spd_on_the_s4_cover_of_k5():
+    y = derived_graph(random_connected_voltage(complete_graph(5), parse_group_spec("S4"), 3)).derived
+    assert y.vertex_count == 120
+    minor = [row[1:] for row in laplacian(y)[1:]]
+    assert det_int_sparse_spd(_sparse_rows(minor)) == det_int(minor) == y.spanning_tree_count()
+
+
 @pytest.mark.parametrize(
     "base, spec, seed",
     [
