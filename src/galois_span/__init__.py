@@ -26,7 +26,6 @@ from .characters import (
     inner_product,
     is_exceptional,
     is_irreducibly_represented,
-    one_dim_characters,
     verify_eq3,
 )
 from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
@@ -70,7 +69,7 @@ from .groups import (
 from .lfunctions import (
     MatrixRep,
     bouquet_h_formula,
-    h_at_one,
+    character_h_polys,
     h_poly,
     regular_rep,
     trivial_rep,

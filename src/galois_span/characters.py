@@ -40,7 +40,6 @@ from .errors import (
     InvariantError,
     MismatchedGroupError,
     NoSuitablePrimeError,
-    NotAbelianError,
     NotRationalValuedError,
     OrderTooLargeError,
 )
@@ -804,22 +803,3 @@ def verify_eq3(g: FiniteGroup) -> VerificationReport:
         notes="; ".join(f"{name}: {a} vs {b}" for name, a, b in checks if a != b),
         details={"checks": [[name, a, b] for name, a, b in checks]},
     )
-
-
-def one_dim_characters(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """All |G| degree-one characters of an abelian group as exponent maps.
-
-    Entry x of each tuple is k with chi(x) = zeta_e^k, ready to serve as an
-    explicit one-dimensional matrix representation.
-    """
-    if not g.is_abelian():
-        raise NotAbelianError(f"{g.name} is not abelian")
-    table = character_table(g)
-    out = []
-    for chi in table.characters:
-        exps = []
-        for x in range(g.order):
-            mult = chi.values[table.class_of[x]]
-            exps.append(mult.index(1))
-        out.append(tuple(exps))
-    return out

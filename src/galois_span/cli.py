@@ -27,12 +27,15 @@ from .covers import (
     load_voltage,
 )
 from .errors import (
+    MAX_INT_DIGITS,
     FamilyParameterError,
     GaloisSpanError,
+    GraphError,
     InvariantError,
     json_int,
     json_list,
     json_object,
+    load_json,
 )
 from .family import (
     FamilySpec,
@@ -55,7 +58,7 @@ from .graphs import (
 )
 from .groups import FiniteGroup, Subgroup, all_subgroups, generated_subgroup, parse_group_spec
 from .lfunctions import (
-    abelian_reps,
+    character_h_polys,
     h_poly,
     load_rep,
     verify_factorization,
@@ -85,7 +88,9 @@ def _load_base(spec: str) -> SerreGraph:
     }
     if ":" in spec:
         kind, _, num = spec.partition(":")
-        if kind in builders and num.isdigit():
+        if kind in builders and num.isascii() and num.isdigit():
+            if len(num) > MAX_INT_DIGITS:
+                raise GraphError(f"{kind} size has more than {MAX_INT_DIGITS} digits")
             return builders[kind](int(num))
     return load_graph(spec)
 
@@ -281,17 +286,19 @@ def _cmd_lfun(args) -> int:
     if args.action == "h":
         if args.rep:
             rho = load_rep(args.rep)
+            poly, conductor = h_poly(cover, rho), rho.e
         else:
-            reps = abelian_reps(cover.group)
-            if not 0 <= args.chi < len(reps):
-                raise GaloisSpanError(f"--chi must be in 0..{len(reps) - 1}, got {args.chi}")
-            rho = reps[args.chi]
-        poly = h_poly(cover, rho)
+            table = character_table(cover.group)
+            count = table.class_count
+            if not 0 <= args.chi < count:
+                raise GaloisSpanError(f"--chi must be in 0..{count - 1}, got {args.chi}")
+            (poly,) = character_h_polys(cover, table, [table.characters[args.chi]])
+            conductor = table.e
         _emit(
             {
                 "degree": poly.degree,
                 "coefficients": [list(map(decimal_text, c.coeffs)) for c in poly.coeffs],
-                "conductor": rho.e,
+                "conductor": conductor,
             },
             args,
         )
@@ -317,8 +324,7 @@ def _cmd_verify(args) -> int:
     elif args.action == "euler-zero":
         report = verify_euler_zero(cover)
     else:
-        with open(args.relation, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = load_json(args.relation, "relation file")
         coeffs = {}
         for item in json_list(data, "relation file"):
             item = json_object(item, "relation entry", "elements", "coefficient")
@@ -440,7 +446,7 @@ def _cover_args(p):
 def _lfun_args(p):
     p.add_argument("action", choices=["h", "verify-prop", "verify-factor", "verify-inter"])
     _add_cover(p)
-    p.add_argument("--chi", type=int, default=0, help="abelian character index for `h`")
+    p.add_argument("--chi", type=int, default=0, help="irreducible character index for `h`")
     p.add_argument("--rep", help="matrix representation JSON file for `h`")
     p.add_argument("--subgroup", help="semicolon-separated generators for `verify-inter`")
     _add_out(p)
@@ -524,9 +530,9 @@ def run(args: argparse.Namespace) -> int:
     _, _, handler = COMMANDS[args.command]
     try:
         return handler(args)
-    except (GaloisSpanError, OSError, KeyError, ValueError) as exc:
-        # one argument is the message (a KeyError's repr would quote it); an
-        # OSError's str() joins its errno, text and file name
+    except (GaloisSpanError, OSError) as exc:
+        # one argument is the message; an OSError's str() joins its errno,
+        # text and file name
         message = exc.args[0] if len(exc.args) == 1 else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -47,7 +47,6 @@ involution check: the action of a^-1 undoes the action of a on the cosets.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -63,6 +62,7 @@ from .errors import (
     json_int,
     json_list,
     json_object,
+    load_json,
 )
 from .graphs import SerreGraph, matrix_tree_count
 from .groups import (
@@ -458,8 +458,7 @@ def voltage_from_json_dict(base: SerreGraph, data: dict) -> VoltageAssignment:
 
 
 def load_voltage(base: SerreGraph, path: str) -> VoltageAssignment:
-    with open(path, "r", encoding="utf-8") as fh:
-        return voltage_from_json_dict(base, json.load(fh))
+    return voltage_from_json_dict(base, load_json(path, "voltage file"))
 
 
 def cover_to_json_dict(c: Cover) -> dict:

@@ -176,6 +176,14 @@ class CyclotomicInt:
 
     __rmul__ = __mul__
 
+    def divide_exact(self, k: int) -> "CyclotomicInt":
+        """self / k, coordinatewise in the power basis, a Z-basis of Z[zeta_e];
+        a coordinate that k does not divide raises `InvariantError`."""
+        quotients = [divmod(c, k) for c in self.coeffs]
+        if any(rest for _, rest in quotients):
+            raise InvariantError(f"{self!r} is not divisible by {k}")
+        return CyclotomicInt(self.e, [q for q, _ in quotients])
+
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self.is_rational_integer() and self.as_int() == other

@@ -4,9 +4,14 @@ Every guard in the package raises one of these instead of a bare
 ValueError so callers (and the CLI) can react to specific failure modes.
 Bad input raises a `GaloisSpanError` (CLI exit code 2); a failed internal
 invariant of the exact arithmetic raises `InvariantError` (exit code 3).
-`json_int` is the one integer check of the JSON file readers, and
-`json_list` and `json_object` their shape checks.
+`load_json` is the one reader of JSON input files, `json_int` their one
+integer check, and `json_list` and `json_object` their shape checks.
 """
+
+import json
+
+# Python's default limit on the digits of an int read from text
+MAX_INT_DIGITS = 4300
 
 
 class GaloisSpanError(Exception):
@@ -148,6 +153,25 @@ class NotSquareError(GaloisSpanError):
 
 class InterpolationMismatchError(GaloisSpanError):
     """Interpolated polynomial has an unexpected degree."""
+
+
+def _json_integer(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_INT_DIGITS:
+        raise ValueError(f"an integer of more than {MAX_INT_DIGITS} digits")
+    return int(text)
+
+
+def load_json(path: str, what: str):
+    """The JSON value in the file at `path`.  Invalid UTF-8, invalid JSON and an
+    integer past `MAX_INT_DIGITS` digits raise `GaloisSpanError` naming `what`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"), parse_int=_json_integer)
+    except UnicodeDecodeError as exc:
+        raise GaloisSpanError(f"{what} {path} is not UTF-8: byte {exc.start} is invalid") from None
+    except (ValueError, RecursionError) as exc:
+        raise GaloisSpanError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def json_int(value, what: str) -> int:

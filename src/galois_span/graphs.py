@@ -25,7 +25,6 @@ both matrices are symmetric, so it updates one triangle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -38,6 +37,7 @@ from .errors import (
     json_int,
     json_list,
     json_object,
+    load_json,
 )
 from .linalg import det_int_derivative, det_int_poly_matrix, det_int_sparse_spd
 from .polynomials import IntPoly
@@ -326,8 +326,7 @@ def graph_from_json_dict(data: dict) -> SerreGraph:
 
 
 def load_graph(path: str) -> SerreGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json_dict(json.load(fh))
+    return graph_from_json_dict(load_json(path, "graph file"))
 
 
 def graph_to_dot(g: SerreGraph, name: str = "X") -> str:

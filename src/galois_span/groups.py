@@ -19,7 +19,6 @@ constructor.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
@@ -37,6 +36,7 @@ from .errors import (
     json_int,
     json_list,
     json_object,
+    load_json,
 )
 
 DEFAULT_MAX_ORDER = 128
@@ -700,9 +700,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         return from_permutations(gens, name=spec)
     if spec.startswith("table:"):
         path = spec[len("table:") :]
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return _table_from_json(data, path)
+        return _table_from_json(load_json(path, "Cayley table file"), path)
     atoms = [_parse_atom(tok, spec) for tok in spec.split("x")]
     bound = max_group_order()
     order = 1

@@ -1,45 +1,43 @@
-"""Twisted zeta numerators h(u, rho) = det(I - A_rho u + (D_rho - I) u^2).
+"""Artin-Ihara L-functions of a cover: h(u, chi) and h(u, rho).
 
-A_rho is the voltage-twisted adjacency: its (v, w) block sums rho(alpha(e))
-over all directed base edges from v to w, and D_rho is the base degree
-matrix tensored with the identity.  Two structural checks pin the
-construction down: the trivial representation recovers (A_X, D_X) exactly,
-and the right regular representation reproduces the derived graph's
-matrices entry for entry.
+h(u, rho) = det(I - A_rho u + (D_rho - I) u^2).  A_rho is the
+voltage-twisted adjacency: its (v, w) block sums rho(alpha(e)) over the
+directed base edges from v to w.  D_rho is the base degree matrix tensored
+with the identity.  Ihara-Bass gives det(I - u W_rho) =
+(1 - u^2)^((m - n) deg rho) h(u, rho) for the twisted non-backtracking
+edge matrix W_rho.
 
-All determinants are exact and go through integer determinants.  Each
-entry of Z[zeta_e] is lifted to the integer polynomial in x of its reduced
-coordinates; h(u, rho) is `graphs.zeta_numerator`, the same builder and
-evaluation-interpolation determinant as a graph's own h(u), at consecutive
-integers x, interpolated in x and evaluated at zeta_e.  A matrix with
-rational entries takes one sample, which is exactly a graph's h(u).  The
-result is an `IntPoly` in u whose coefficients are cyclotomic integers, the
-same polynomial class as a graph's h(u).  A representation is checked to be
-a homomorphism with `linalg.mat_mul`, the one matrix product; matrices
-that are not a representation raise `RepresentationError`.
+Every irreducible character chi of `character_table(G)`, for any finite G,
+takes one route (`character_h_polys`): tr(W_chi^k) = sum_g chi(g) N_k(g),
+where N_k(g) counts the closed non-backtracking walks of length k in the
+base with net voltage g (`walk_table`), and Newton's identities turn the
+traces into the coefficients with exact divisions, over Z or Z[zeta_e]
+(`h_from_traces`).  The same table gives h_Y(u) of the derived graph with
+no determinant of Y, from tr(W_Y^k) = |G| N_k(1) (`derived_h_poly`).
 
-h_Y(u) of the derived graph takes no determinant of Y.  Ihara-Bass gives
-det(I - uW_Y) = (1 - u^2)^(m_Y - n_Y) h_Y(u) for the non-backtracking edge
-matrix W_Y, and the free action of G gives tr(W_Y^k) = |G| N_k(1), where
-N_k(g) counts the closed non-backtracking walks of length k in the base
-with net voltage g (`walk_table`, one list of length |G| per directed base
-edge and step).  Newton's identities turn the traces into the coefficients
-with exact divisions (`h_from_traces`); the leading coefficient
-prod_v (d_v - 1)^|G| and h_Y(1) = 0 are checked (`derived_h_poly`).  This
-is the right side of `verify_factorization`; its left side stays on the
-twisted determinants.  A plain graph's h(u) stays `graphs.zeta_numerator`:
-without the |G| saving the walk route is the slower one.
+A `MatrixRep` (a rep file, or a linear character as a 1 x 1 matrix) takes
+the twisted determinant (`h_poly`): each entry of Z[zeta_e] is lifted to
+the integer polynomial in x of its coordinates, and `graphs.zeta_numerator`
+(the builder and determinant of a graph's own h(u)) is taken at
+consecutive integers x, interpolated in x and evaluated at zeta_e.  A
+representation is checked to be a homomorphism with `linalg.mat_mul`;
+other matrices raise `RepresentationError`.
+
+Each verifier keeps its two sides independent.  `verify_prop_formula` and
+`verify_inter_rel` hold for every finite G: Matrix-Tree kappa against
+kappa(X) prod_(chi != 1) h(1, chi)^<Ind_H^G 1, chi> from the character
+route.  `verify_factorization` is abelian only: the twisted determinants
+of the linear characters against `derived_h_poly`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import gcd
 from operator import add, sub
 
-from .characters import character_table, induced_trivial_character, inner_product
+from .characters import CharacterTable, character_table, induced_trivial_character, inner_product
 from .covers import Cover, intermediate_kappa, is_galois
 from .cyclotomic import CyclotomicInt
 from .errors import (
@@ -54,10 +52,11 @@ from .errors import (
     json_int,
     json_list,
     json_object,
+    load_json,
 )
 from .graphs import zeta_numerator
 from .groups import FiniteGroup, Subgroup, parse_group_spec
-from .linalg import det_int_poly_matrix, mat_mul, sample_points
+from .linalg import mat_mul, sample_points
 from .polynomials import IntPoly, interpolate_int_poly
 from .report import VerificationReport, decimal_text
 
@@ -115,20 +114,6 @@ def regular_rep(g: FiniteGroup) -> MatrixRep:
     return MatrixRep(group=g, degree=g.order, e=e, matrices=tuple(mats))
 
 
-def rep_from_abelian_character(g: FiniteGroup, exponents, e: int | None = None) -> MatrixRep:
-    """Degree-1 representation from an exponent map x -> k with chi(x) = zeta_e^k."""
-    e = e if e is not None else g.exponent()
-    mats = tuple(((CyclotomicInt.root(e, k),),) for k in exponents)
-    return MatrixRep(group=g, degree=1, e=e, matrices=mats)
-
-
-def abelian_reps(g: FiniteGroup) -> list[MatrixRep]:
-    from .characters import one_dim_characters
-
-    e = g.exponent()
-    return [rep_from_abelian_character(g, exps, e) for exps in one_dim_characters(g)]
-
-
 def rep_from_json_dict(data: dict) -> MatrixRep:
     """Matrix-rep file: element names (`FiniteGroup.element`) map to matrices
     whose entries are length-e integer vectors (coefficients of zeta^k)."""
@@ -155,8 +140,7 @@ def rep_from_json_dict(data: dict) -> MatrixRep:
 
 
 def load_rep(path: str) -> MatrixRep:
-    with open(path, "r", encoding="utf-8") as fh:
-        return rep_from_json_dict(json.load(fh))
+    return rep_from_json_dict(load_json(path, "rep file"))
 
 
 # -- twisted matrices and h ------------------------------------------------------
@@ -190,16 +174,6 @@ def twisted_matrices(c: Cover, rho: MatrixRep):
     return a, d_rho
 
 
-def _lift(matrix) -> list[list[IntPoly]]:
-    """Each entry of Z[zeta_e] as the polynomial in x of its reduced coordinates."""
-    return [[IntPoly(entry.coeffs) for entry in row] for row in matrix]
-
-
-def _at_root(e: int, poly: IntPoly) -> CyclotomicInt:
-    """poly(zeta_e), reduced mod Phi_e; any length is fine because zeta^e = 1."""
-    return CyclotomicInt.from_mult_vector(e, poly.coeffs)
-
-
 def h_poly(c: Cover, rho: MatrixRep) -> IntPoly:
     """Exact determinant det(I - A_rho u + (D_rho - I) u^2).
 
@@ -211,19 +185,12 @@ def h_poly(c: Cover, rho: MatrixRep) -> IntPoly:
     The coefficients are `CyclotomicInt`s of conductor rho.e.
     """
     a, d_diag = twisted_matrices(c, rho)
-    lifted = _lift(a)
+    lifted = [[IntPoly(entry.coeffs) for entry in row] for row in a]
     xs = sample_points(lifted)
     samples = [zeta_numerator([[p(x) for p in row] for row in lifted], d_diag).coeffs for x in xs]
-    by_power = zip_longest(*samples, fillvalue=0)
-    return IntPoly([_at_root(rho.e, interpolate_int_poly(xs.start, v)) for v in by_power])
-
-
-def h_at_one(c: Cover, rho: MatrixRep) -> CyclotomicInt:
-    """h(1, rho) = det(D_rho - A_rho), through the same lift to Z[x]."""
-    a, d_diag = twisted_matrices(c, rho)
-    rows = enumerate(_lift(a))
-    d_minus_a = [[(d_diag[i] if i == j else 0) - p for j, p in enumerate(row)] for i, row in rows]
-    return _at_root(rho.e, det_int_poly_matrix(d_minus_a))
+    # each u-coefficient as a polynomial in x, at zeta_e (any length: zeta^e = 1)
+    at_root = (interpolate_int_poly(xs.start, v).coeffs for v in zip_longest(*samples, fillvalue=0))
+    return IntPoly([CyclotomicInt.from_mult_vector(rho.e, v) for v in at_root])
 
 
 def bouquet_h_formula(c: Cover, rho: MatrixRep) -> CyclotomicInt:
@@ -288,22 +255,56 @@ def walk_table(c: Cover, length: int) -> list[list[int]]:
     return counts
 
 
-def h_from_traces(traces: list[int], excess: int) -> IntPoly:
+def h_from_traces(traces: list, excess: int, one=1) -> IntPoly:
     """h(u) of a graph with m - n = excess from tr(W^k), k = 1, 2, ..., by Newton.
 
     Ihara-Bass: det(I - uW) = (1 - u^2)^excess h(u).  The power sums of
     (1 - u^2)^excess are 2 excess at even k and 0 at odd k, so h's are
-    q_k = tr(W^k) - that, and k c_k = -sum_(i <= k) q_i c_(k-i).  Every
-    division by k must be exact, or `InvariantError`.
+    q_k = tr(W^k) - that, and k c_k = -sum_(i <= k) q_i c_(k-i).  Traces
+    in Z[zeta_e] come with `one` of that ring.  Every division by k must be
+    exact, or `InvariantError`.
     """
     q = [t - (0 if k % 2 else 2 * excess) for k, t in enumerate(traces, 1)]
-    coeffs = [1]
+    coeffs = [one]
     for k in range(1, len(q) + 1):
-        c_k, rest = divmod(-sum(q[i] * coeffs[k - 1 - i] for i in range(k)), k)
+        total = -sum(q[i] * coeffs[k - 1 - i] for i in range(k))
+        if isinstance(total, CyclotomicInt):
+            coeffs.append(total.divide_exact(k))
+            continue
+        c_k, rest = divmod(total, k)
         if rest:
             raise InvariantError(f"Newton's identity does not divide exactly at k = {k}")
         coeffs.append(c_k)
     return IntPoly(coeffs)
+
+
+def character_h_polys(c: Cover, table: CharacterTable, chars) -> list[IntPoly]:
+    """h(u, chi) for each irreducible chi in `chars`, from one `walk_table`.
+
+    tr(W_chi^k) = sum over the classes K of chi(K) sum_(g in K) N_k(g), and
+    the excess is (m - n) chi(1).  h(u, chi) has degree 2 n chi(1), so that
+    many traces fix it.  Its coefficients are `CyclotomicInt`s of conductor
+    table.e: chi is realised over Q(zeta_e), whose integers are Z[zeta_e].
+    """
+    if not _same_group(table.group, c.group):
+        raise MismatchedGroupError("character table of a different group")
+    base = c.base
+    n, excess = base.vertex_count, base.geometric_edge_count - base.vertex_count
+    rows = walk_table(c, 2 * n * max((chi.degree for chi in chars), default=0))
+    class_sums = [[sum(row[x] for x in cls) for cls in table.classes] for row in rows]
+    polys = []
+    for chi in chars:
+        # each trace as an integer multiplicity vector over zeta_e^0 .. zeta_e^(e-1)
+        support = [[(j, m) for j, m in enumerate(v) if m] for v in chi.values]
+        traces = []
+        for sums in class_sums[: 2 * n * chi.degree]:
+            mult = [0] * table.e
+            for pairs, s in zip(support, sums):
+                for j, m in pairs:
+                    mult[j] += m * s
+            traces.append(CyclotomicInt.from_mult_vector(table.e, mult))
+        polys.append(h_from_traces(traces, excess * chi.degree, CyclotomicInt.one(table.e)))
+    return polys
 
 
 def derived_h_poly(c: Cover) -> IntPoly:
@@ -336,35 +337,33 @@ def derived_h_poly(c: Cover) -> IntPoly:
 # -- verification operations -------------------------------------------------------
 
 
-def _abelian_rep_list(g: FiniteGroup) -> list[MatrixRep]:
-    if not g.is_abelian():
-        raise NotAbelianError(f"{g.name} is not abelian")
-    return abelian_reps(g)
-
-
 def verify_factorization(c: Cover) -> VerificationReport:
     """prod_chi h(u, chi) = h_Y(u) as exact integer polynomials (abelian G).
 
     The left side takes h(u, chi) from the twisted determinant (`h_poly`)
-    once per Galois orbit of linear characters: A_chi^a is A_chi under
-    zeta -> zeta^a, which commutes with det, so h(u, chi^a) is h(u, chi)
-    under `CyclotomicInt.galois(a)` coefficientwise.  The product over an
-    orbit is fixed by every such map, so it is a rational polynomial:
-    `as_int` checks each coefficient (`InvariantError` otherwise), and the
-    orbit products are multiplied in integers.  The right side comes from
-    closed walks in the base (`derived_h_poly`), so the two sides are
-    independent computations.
+    of the 1 x 1 representation chi, read off the character table, once
+    per Galois orbit of characters: A_chi^a is A_chi under zeta -> zeta^a,
+    which commutes with det, so h(u, chi^a) is h(u, chi) under
+    `CyclotomicInt.galois(a)` coefficientwise.  The product over an orbit
+    is fixed by every such map, so it is a rational polynomial: `as_int`
+    checks each coefficient (`InvariantError` otherwise), and the orbit
+    products are multiplied in integers.  The right side comes from closed
+    walks in the base (`derived_h_poly`), so the two sides are independent
+    computations.
     """
-    reps = _abelian_rep_list(c.group)
-    e = c.group.exponent()
-    units = [a for a in range(2, e) if gcd(a, e) == 1]
+    g = c.group
+    if not g.is_abelian():
+        raise NotAbelianError(f"{g.name} is not abelian")
+    table = character_table(g)
+    units = [a for a in range(2, table.e) if gcd(a, table.e) == 1]
     lhs = IntPoly.const(1)
     seen: set[tuple[CyclotomicInt, ...]] = set()
-    for rho in reps:
-        values = tuple(m[0][0] for m in rho.matrices)
+    for chi in table.characters:
+        values = tuple(chi.value_cyclo(i) for i in range(table.class_count))
         if values in seen:
             continue
-        h = orbit = h_poly(c, rho)
+        matrices = tuple(((values[i],),) for i in table.class_of)
+        h = orbit = h_poly(c, MatrixRep(group=g, degree=1, e=table.e, matrices=matrices))
         seen.add(values)
         for a in units:
             image = tuple(x.galois(a) for x in values)
@@ -386,57 +385,39 @@ def verify_factorization(c: Cover) -> VerificationReport:
     )
 
 
-def verify_prop_formula(c: Cover) -> VerificationReport:
-    """|G| kappa(Y) = kappa(X) prod_{chi != 1} h(1, chi) for abelian covers."""
+def _formula_sides(c: Cover, h: Subgroup, formula: str) -> tuple[int, int]:
+    """[G:H] kappa(X_H) by Matrix-Tree, and kappa(X) prod_(chi != 1) h(1, chi)^a_chi
+    with a_chi = <Ind_H^G 1, chi> and every h(u, chi) from one walk table."""
     if c.base.euler_characteristic() == 0:
-        raise EulerZeroError("the product formula needs chi(X) != 0")
+        raise EulerZeroError(f"the {formula} formula needs chi(X) != 0")
     if not is_galois(c.voltage):
-        raise NotGaloisError("the product formula needs a Galois cover")
-    reps = _abelian_rep_list(c.group)
-    e = reps[0].e
-    product = CyclotomicInt.one(e)
-    for rho in reps:
-        if all(m[0][0] == CyclotomicInt.one(e) for m in rho.matrices):
-            continue  # trivial character
-        product = product * h_at_one(c, rho)
-    if not product.is_rational_integer():
-        raise InvariantError("character product did not reduce to a rational integer")
-    left = c.group.order * c.derived.spanning_tree_count()
-    right = c.base.spanning_tree_count() * product.as_int()
-    return VerificationReport.compare(
-        "|G| kappa(Y) = kappa(X) prod h(1,chi)",
-        c.describe(),
-        left,
-        right,
-    )
-
-
-def verify_inter_rel(c: Cover, h: Subgroup) -> VerificationReport:
-    """[G:H] kappa(X_H) = kappa(X) prod h(1,chi)^{a_{chi,H}} for abelian covers."""
-    if c.base.euler_characteristic() == 0:
-        raise EulerZeroError("the subgroup formula needs chi(X) != 0")
-    if not is_galois(c.voltage):
-        raise NotGaloisError("the subgroup formula needs a Galois cover")
-    g = c.group
-    reps = _abelian_rep_list(g)
-    table = character_table(g)
+        raise NotGaloisError(f"the {formula} formula needs a Galois cover")
+    table = character_table(c.group)
     induced = induced_trivial_character(table, h)
-    e = reps[0].e
-    product = CyclotomicInt.one(e)
-    # abelian_reps follows the table's character order (trivial first)
-    for rho, chi in zip(reps, table.characters):
-        if chi.is_trivial():
-            continue
+    terms = []
+    for chi in table.characters:
         a = inner_product(induced, chi)
         if a.denominator != 1 or a < 0:
             raise InvariantError("induction multiplicity must be a nonnegative integer")
-        for _ in range(int(a)):
-            product = product * h_at_one(c, rho)
-    left = h.index() * intermediate_kappa(c, h)
-    right = c.base.spanning_tree_count() * product.as_int()
-    return VerificationReport.compare(
-        "[G:H] kappa(X_H) = kappa(X) prod h(1,chi)^a",
-        f"{c.describe()}, H={h.describe()}",
-        left,
-        right,
-    )
+        if a and not chi.is_trivial():
+            terms.append((chi, int(a)))
+    product = CyclotomicInt.one(table.e)
+    for poly, (_, a) in zip(character_h_polys(c, table, [chi for chi, _ in terms]), terms):
+        for _ in range(a):
+            product = product * poly(1)
+    if not product.is_rational_integer():
+        raise InvariantError("character product did not reduce to a rational integer")
+    return h.index() * intermediate_kappa(c, h), c.base.spanning_tree_count() * product.as_int()
+
+
+def verify_prop_formula(c: Cover) -> VerificationReport:
+    """|G| kappa(Y) = kappa(X) prod_{chi != 1} h(1, chi)^chi(1): the case H = 1."""
+    sides = _formula_sides(c, Subgroup(c.group, (c.group.identity,)), "product")
+    return VerificationReport.compare("|G| kappa(Y) = kappa(X) prod h(1,chi)", c.describe(), *sides)
+
+
+def verify_inter_rel(c: Cover, h: Subgroup) -> VerificationReport:
+    """[G:H] kappa(X_H) = kappa(X) prod_{chi != 1} h(1, chi)^<Ind_H^G 1, chi>."""
+    sides = _formula_sides(c, h, "subgroup")
+    claim = "[G:H] kappa(X_H) = kappa(X) prod h(1,chi)^a"
+    return VerificationReport.compare(claim, f"{c.describe()}, H={h.describe()}", *sides)

@@ -6,7 +6,12 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 
-from galois_span.characters import _hessenberg_charpoly_mod, _hessenberg_mod, _rref_mod
+from galois_span.characters import (
+    _hessenberg_charpoly_mod,
+    _hessenberg_mod,
+    _rref_mod,
+    character_table,
+)
 from galois_span.cli import main
 from galois_span.covers import VOLTAGE_ATTEMPTS, Cover, VoltageAssignment, derived_graph
 from galois_span.cyclotomic import CyclotomicInt
@@ -67,6 +72,19 @@ def divisor_poset(n: int) -> Poset:
 def charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
     """Characteristic polynomial mod p via Hessenberg reduction (monic, low first)."""
     return _hessenberg_charpoly_mod(_hessenberg_mod(matrix, p)[0], p)
+
+
+def linear_reps(g: FiniteGroup) -> list[MatrixRep]:
+    """The degree-one characters of `character_table(g)`, in table order, as
+    1 x 1 representations; `MatrixRep` checks that each is a homomorphism."""
+    table = character_table(g)
+    reps = []
+    for chi in table.characters:
+        if chi.degree == 1:
+            values = [chi.value_cyclo(i) for i in range(table.class_count)]
+            matrices = tuple(((values[i],),) for i in table.class_of)
+            reps.append(MatrixRep(group=g, degree=1, e=table.e, matrices=matrices))
+    return reps
 
 
 def direct_sum(rho: MatrixRep, tau: MatrixRep) -> MatrixRep:

@@ -25,14 +25,12 @@ from galois_span.characters import (
     inner_product,
     is_exceptional,
     is_irreducibly_represented,
-    one_dim_characters,
     verify_eq3,
 )
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import (
     GeneratorDependentError,
     MismatchedGroupError,
-    NotAbelianError,
     NotRationalValuedError,
 )
 from galois_span.groups import (
@@ -47,7 +45,7 @@ from galois_span.groups import (
 )
 from galois_span.posets import TOP_KEY, cyclic_poset, mobius
 from galois_span.table1 import TABLE1_FLAGS
-from helpers import induced_trivial_values_by_products, nullspace_mod
+from helpers import induced_trivial_values_by_products, linear_reps, nullspace_mod
 
 SMALL_GROUPS = ["C1", "C2", "C5", "C6", "C2xC2", "C2xC6", "S3", "D4", "Q8", "A4", "Dic3", "C3xC3"]
 
@@ -229,22 +227,22 @@ def test_verify_eq3_small_groups():
 
 
 def test_one_dim_characters():
-    c2 = cyclic_group(2)
-    chars = one_dim_characters(c2)
-    assert chars == [(0, 0), (0, 1)]
-    c4 = cyclic_group(4)
-    chars4 = one_dim_characters(c4)
-    assert (0, 1, 2, 3) in chars4
-    g = parse_group_spec("C2xC6")
-    table = character_table(g)
-    maps = one_dim_characters(g)
-    assert len(maps) == 12
-    # kernels from the exponent maps match the table kernels
-    for exps, chi in zip(maps, table.characters):
-        kernel = tuple(x for x in range(g.order) if exps[x] == 0)
-        assert kernel == table.kernel_of(chi).elements
-    with pytest.raises(NotAbelianError):
-        one_dim_characters(symmetric_group(3))
+    # the degree-one characters of a table, read as 1 x 1 representations
+    # (as `verify_factorization` reads them): homomorphisms with the table's kernels
+    for spec, count in (("C2", 2), ("C4", 4), ("C2xC6", 12), ("S3", 2), ("A4", 3), ("Q8", 4)):
+        g = parse_group_spec(spec)
+        table = character_table(g)
+        reps = linear_reps(g)
+        linear = [chi for chi in table.characters if chi.degree == 1]
+        assert len(reps) == len(linear) == count
+        for rho, chi in zip(reps, linear):
+            one = CyclotomicInt.one(table.e)
+            kernel = tuple(x for x in range(g.order) if rho.matrices[x][0][0] == one)
+            assert kernel == table.kernel_of(chi).elements
+    assert [tuple(m[0][0] for m in rho.matrices) for rho in linear_reps(cyclic_group(2))] == [
+        (1, 1),
+        (1, -1),
+    ]
 
 
 def test_character_table_json_dump():

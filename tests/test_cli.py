@@ -318,6 +318,21 @@ def test_bad_inputs_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_an_untyped_value_error_is_not_reported_as_bad_input(monkeypatch):
+    # only a GaloisSpanError or an OSError is bad input (exit 2); a bare
+    # ValueError or KeyError is a bug and keeps its traceback
+    import galois_span.cli as cli
+
+    for exc in (ValueError("invalid literal"), KeyError("missing")):
+
+        def broken(c, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "verify_prop_formula", broken)
+        with pytest.raises(type(exc)):
+            main(["lfun", "verify-prop", "--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"])
+
+
 def test_internal_error_exits_three(capsys, monkeypatch):
     from dataclasses import replace
 

@@ -8,7 +8,7 @@ from galois_span.cyclotomic import (
     cyclotomic_polynomial,
     reverse_mult_vector,
 )
-from galois_span.errors import CyclotomicError, GaloisSpanError
+from galois_span.errors import CyclotomicError, GaloisSpanError, InvariantError
 from galois_span.polynomials import IntPoly
 
 
@@ -139,3 +139,15 @@ def test_cyclotomic_refusals_are_typed(call, message):
         call()
     assert isinstance(exc.value, GaloisSpanError) and isinstance(exc.value, ValueError)
     assert str(exc.value) == message
+
+
+def test_divide_exact_is_coordinatewise_and_refuses_a_remainder():
+    rng = random.Random(4)
+    for e in (1, 3, 4, 12, 15):
+        for k in (1, 2, 7):
+            x = CyclotomicInt.from_mult_vector(e, [rng.randrange(-9, 10) for _ in range(e)])
+            assert (x * k).divide_exact(k) == x
+            if k > 1:
+                with pytest.raises(InvariantError, match=f"not divisible by {k}$"):
+                    (x * k + CyclotomicInt.root(e)).divide_exact(k)
+    assert CyclotomicInt(3, (2, -4)).divide_exact(2) == CyclotomicInt(3, (1, -2))

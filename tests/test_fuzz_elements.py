@@ -1,13 +1,16 @@
-"""Fuzz the element names of every CLI input through `cli.main`.
+"""Fuzz the element names and whole input files of every CLI input through `cli.main`.
 
 Random tokens go into inline `--voltage` lists, `--subgroup`, `--chi`, and the
-element fields of voltage, relation and matrix-representation files.  Each
-run may pass (0), fail a verification (1) or be refused as bad input (2,
-with an `error:` line); nothing else, and never a traceback.  Examples are
-derandomized so a failure reproduces.
+element fields of voltage, relation and matrix-representation files.  Whole
+graph, voltage, rep, relation and `table:` files are random bytes, truncated
+JSON, or JSON with one integer of 5000 digits, and `--base kind:token` takes
+non-ASCII digits.  Each run may pass (0), fail a verification (1) or be
+refused as bad input (2, with an `error:` line); nothing else, and never a
+traceback.  Examples are derandomized so a failure reproduces.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -103,3 +106,85 @@ def test_rep_file_keys(keys):
     data = {"group": "C2", "degree": 1, "e": 2, "matrices": matrices}
     cover = ["--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"]
     with_file(data, ["lfun", "h", *cover, "--rep"])
+
+
+# kind -> (a valid file of that kind, the command that reads it, path last)
+S3_COVER = ["--base", "bouquet:2", "--group", "S3", "--voltage", "(0 1);(0 1 2)"]
+C2_COVER = ["--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"]
+FILES = {
+    "graph": ({"vertices": 2, "edges": [[0, 1], [0, 0], [1, 1]]}, ["graph", "kappa", "--base"]),
+    "voltage": (
+        {"group": "C2", "assignments": [{"edge": 0, "element": 1}, {"edge": 1, "element": 0}]},
+        ["cover", "kappa", "--base", "bouquet:2", "--voltage"],
+    ),
+    "rep": (
+        {"group": "C2", "degree": 1, "e": 2, "matrices": {"0": [[[1, 0]]], "1": [[[0, 1]]]}},
+        ["lfun", "h", *C2_COVER, "--rep"],
+    ),
+    "relation": (
+        [
+            {"elements": ["e"], "coefficient": 1},
+            {"elements": [0, 1, 2, 3, 4, 5], "coefficient": 2},
+            {"elements": ["e", "(0 1 2)", "(0 2 1)"], "coefficient": -1},
+            {"elements": [0, "(0 1)"], "coefficient": -2},
+        ],
+        ["verify", "relation", *S3_COVER, "--relation"],
+    ),
+    "table": ({"table": [[0, 1], [1, 0]], "labels": ["e", "a"]}, ["group", "info", "table:"]),
+}
+BIG = "9" * 5000
+
+
+def run_with_bytes(kind: str, content: bytes) -> int:
+    _, argv = FILES[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(content)
+        if argv[-1].endswith(":"):
+            return run_cli([*argv[:-1], argv[-1] + str(path)])
+        return run_cli([*argv, str(path)])
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_every_whole_file_fixture_is_accepted(kind):
+    data, _ = FILES[kind]
+    assert run_with_bytes(kind, json.dumps(data).encode()) in (0, 1)
+
+
+@FUZZ
+@hypothesis.given(kind=st.sampled_from(sorted(FILES)), content=st.binary(max_size=40))
+@hypothesis.example(kind="graph", content=b"\xff")
+@hypothesis.example(kind="table", content=b"[[0]]\xff")
+@hypothesis.example(kind="relation", content=b"\xef\xbb\xbf[]")
+@hypothesis.example(kind="voltage", content=b"[" * 100000)
+def test_whole_files_of_random_bytes(kind, content):
+    run_with_bytes(kind, content)
+
+
+@FUZZ
+@hypothesis.given(kind=st.sampled_from(sorted(FILES)), cut=st.integers(0, 200))
+def test_whole_files_of_truncated_json(kind, cut):
+    text = json.dumps(FILES[kind][0])
+    run_with_bytes(kind, text[: cut % (len(text) + 1)].encode())
+
+
+@FUZZ
+@hypothesis.given(kind=st.sampled_from(sorted(FILES)), which=st.integers(0, 20), sign=st.booleans())
+@hypothesis.example(kind="graph", which=0, sign=False)
+def test_whole_files_with_a_5000_digit_integer(kind, which, sign):
+    text = json.dumps(FILES[kind][0])
+    numbers = list(re.finditer(r"-?\d+", text))
+    hit = numbers[which % len(numbers)]
+    big = ("-" if sign else "") + BIG
+    assert run_with_bytes(kind, (text[: hit.start()] + big + text[hit.end() :]).encode()) == 2
+
+
+@FUZZ
+@hypothesis.given(
+    kind=st.sampled_from(("bouquet", "cycle", "path", "complete")),
+    token=st.text(alphabet="0123²³¹١٢٣४௫𝟙𝟚", min_size=1, max_size=4),
+)
+@hypothesis.example(kind="complete", token="²")
+@hypothesis.example(kind="bouquet", token=BIG)
+def test_base_kind_tokens(kind, token):
+    run_cli(["graph", "kappa", "--base", f"{kind}:{token}"])

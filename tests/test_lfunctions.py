@@ -8,6 +8,7 @@ from galois_span.errors import (
     EulerZeroError,
     GaloisSpanError,
     InvariantError,
+    MismatchedGroupError,
     NotAbelianError,
     NotBouquetError,
     RepresentationError,
@@ -22,24 +23,24 @@ from galois_span.graphs import (
     zeta_numerator,
 )
 from galois_span.groups import (
+    Subgroup,
     all_subgroups,
     cyclic_group,
     parse_group_spec,
     symmetric_group,
 )
+from galois_span.characters import character_table
 from galois_span.cli import main
 from galois_span.polynomials import IntPoly
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.lfunctions import (
     MatrixRep,
-    abelian_reps,
     bouquet_h_formula,
+    character_h_polys,
     derived_h_poly,
-    h_at_one,
     h_from_traces,
     h_poly,
     regular_rep,
-    rep_from_abelian_character,
     rep_from_json_dict,
     trivial_rep,
     twisted_matrices,
@@ -53,6 +54,7 @@ from helpers import (
     derived_walk_counts,
     det_ring,
     direct_sum,
+    linear_reps,
     theta_graph,
 )
 
@@ -95,7 +97,7 @@ def test_zeta_numerator_matches_dense_determinants_on_twisted_integer_matrices()
     for cover in covers:
         reps = [trivial_rep(cover.group), regular_rep(cover.group)]
         if cover.group.is_abelian():
-            reps += abelian_reps(cover.group)
+            reps += linear_reps(cover.group)
         for rho in reps:
             a, d = twisted_matrices(cover, rho)
             ints = [[x.as_int() for x in row] for row in a]
@@ -116,28 +118,39 @@ def test_h_poly_trivial_is_base_h():
     assert len({twisted, base}) == 1
 
 
+def character_hs(cover):
+    """h(u, chi) for every chi of the cover's character table, by the character route."""
+    table = character_table(cover.group)
+    return character_h_polys(cover, table, table.characters)
+
+
 def test_single_loop_z4_example():
     g = cyclic_group(4)
     cover = derived_graph(VoltageAssignment(base=bouquet(1), group=g, volt=(1,)))
-    values = sorted(h_at_one(cover, rho).as_int() for rho in abelian_reps(g))
+    values = sorted(h(1).as_int() for h in character_hs(cover))
     # 2 - zeta^k - zeta^-k over k = 0..3: 0, 2, 4, 2
     assert values == [0, 2, 2, 4]
 
 
 def test_bouquet_formula_matches_h_at_one():
+    # h(1, chi) of the character route against the closed form, chi by chi
     rng = random.Random(1)
-    for spec in ("C2", "C4", "C6", "C2xC2", "C2xC6"):
+    for spec in ("C2", "C4", "C6", "C2xC2", "C2xC6", "S3"):
         g = parse_group_spec(spec)
         volt = tuple(rng.randrange(g.order) for _ in range(2))
         cover = derived_graph(VoltageAssignment(base=bouquet(2), group=g, volt=volt))
-        for rho in abelian_reps(g):
-            assert bouquet_h_formula(cover, rho) == h_at_one(cover, rho)
+        table = character_table(g)
+        linear = character_h_polys(cover, table, [x for x in table.characters if x.degree == 1])
+        reps = linear_reps(g)
+        assert len(reps) == len(linear) == (2 if spec == "S3" else g.order)
+        for rho, h in zip(reps, linear):
+            assert bouquet_h_formula(cover, rho) == h(1)
 
 
 def test_bouquet_formula_c2_all_ones():
     g = cyclic_group(2)
     cover = derived_graph(VoltageAssignment(base=bouquet(2), group=g, volt=(1, 1)))
-    nontrivial = abelian_reps(g)[1]
+    nontrivial = linear_reps(g)[1]
     assert bouquet_h_formula(cover, nontrivial).as_int() == 8
 
 
@@ -146,14 +159,13 @@ def test_bouquet_formula_guards():
         VoltageAssignment(base=theta_graph(), group=cyclic_group(2), volt=(0, 1, 1))
     )
     with pytest.raises(NotBouquetError):
-        bouquet_h_formula(cover, abelian_reps(cyclic_group(2))[0])
+        bouquet_h_formula(cover, linear_reps(cyclic_group(2))[0])
 
 
 def test_conjugate_character_pair_product_is_integer():
     cover = simple_cover("C6", 2, (1, 4))
-    reps = abelian_reps(cover.group)
-    for rho in reps:
-        value = h_at_one(cover, rho)
+    for h in character_hs(cover):
+        value = h(1)
         conj = value.conjugate()
         prod = value * conj
         assert prod.is_rational_integer()
@@ -232,12 +244,12 @@ def test_prop_formula_guards():
     cover = derived_graph(VoltageAssignment(base=cycle_graph(3), group=g, volt=(1, 0, 0)))
     with pytest.raises(EulerZeroError):
         verify_prop_formula(cover)
+    # every finite G: the nonabelian S3 is no longer refused
+    s3 = derived_graph(VoltageAssignment(base=bouquet(2), group=symmetric_group(3), volt=(2, 3)))
+    assert verify_prop_formula(s3).passed
+    # verify-factor alone stays abelian
     with pytest.raises(NotAbelianError):
-        verify_prop_formula(
-            derived_graph(
-                VoltageAssignment(base=bouquet(2), group=symmetric_group(3), volt=(2, 3))
-            )
-        )
+        verify_factorization(s3)
 
 
 def test_inter_rel_fig2():
@@ -257,7 +269,7 @@ def test_inter_rel_fig2():
 
 def test_direct_sum_factorization():
     cover = simple_cover("C4", 2, (1, 2))
-    reps = abelian_reps(cover.group)
+    reps = linear_reps(cover.group)
     for i in range(len(reps)):
         for j in range(len(reps)):
             s = direct_sum(reps[i], reps[j])
@@ -278,7 +290,7 @@ def test_rep_from_json():
     rho = rep_from_json_dict(data)
     assert rho.degree == 1
     cover = derived_graph(VoltageAssignment(base=bouquet(2), group=g, volt=(1, 1)))
-    assert h_at_one(cover, rho).as_int() == 8
+    assert h_poly(cover, rho)(1).as_int() == 8
 
 
 def test_rep_validation_rejects_non_homomorphism():
@@ -333,20 +345,26 @@ def test_rep_validation_is_exact_above_order_64():
     # C2xC48, element 48a + b = (a, b); chi(a, b) = zeta_48^(24a + b)
     g = parse_group_spec("C2xC48")
     assert g.order == 96
+
+    def rep(exponents):
+        # the 1 x 1 matrices zeta_48^k, checked to be a homomorphism
+        mats = tuple(((CyclotomicInt.root(48, k),),) for k in exponents)
+        return MatrixRep(group=g, degree=1, e=48, matrices=mats)
+
     exps = [(24 * (x // 48) + x % 48) % 48 for x in range(g.order)]
-    assert rep_from_abelian_character(g, exps, 48).degree == 1
+    assert rep(exps).degree == 1
     gens = g.generators()
     others = [x for x in range(g.order) if x not in gens and x != g.identity]
     for x in (gens[0], gens[-1], others[0], others[-1]):
         bad = list(exps)
         bad[x] = (bad[x] + 1) % 48
-        with pytest.raises(ValueError):
-            rep_from_abelian_character(g, bad, 48)
+        with pytest.raises(RepresentationError):
+            rep(bad)
     # zeta^(b + 5a) respects right multiplication by (0,1) but not by (1,0),
     # whose value zeta^5 does not square to 1: only the second generator sees it
     assert gens == [1, 48]
-    with pytest.raises(ValueError, match=r"rho\(\d+\)rho\(48\)"):
-        rep_from_abelian_character(g, [(x % 48 + 5 * (x // 48)) % 48 for x in range(96)], 48)
+    with pytest.raises(RepresentationError, match=r"rho\(\d+\)rho\(48\)"):
+        rep([(x % 48 + 5 * (x // 48)) % 48 for x in range(96)])
 
 
 def _det_ring_h_poly(cover, rho):
@@ -383,16 +401,16 @@ def test_cyclotomic_route_matches_laplace_oracle(spec):
     ]
     conductors = set()
     for cover in covers:
-        for rho in abelian_reps(g):
+        for rho, h_chi in zip(linear_reps(g), character_hs(cover)):
             h = h_poly(cover, rho)
-            assert h == _det_ring_h_poly(cover, rho)
-            assert h_at_one(cover, rho) == _det_ring_h_at_one(cover, rho) == h(1)
-            conductors.add(rho.e)
+            assert h == _det_ring_h_poly(cover, rho) == h_chi
+            assert h_chi(1) == _det_ring_h_at_one(cover, rho) == h(1)
+            conductors.update({rho.e, *(c.e for c in h_chi.coeffs)})
     assert conductors == {g.exponent()}
 
 
 def _c3_sum_of_three(cover):
-    reps = abelian_reps(cover.group)
+    reps = linear_reps(cover.group)
     return reps, direct_sum(direct_sum(reps[1], reps[2]), reps[1])
 
 
@@ -405,7 +423,8 @@ def test_eighteen_by_eighteen_cyclotomic_h_is_product_of_summands():
     h = h_poly(cover, rho)
     assert h == h1 * h2 * h1
     assert h.degree == 2 * 18
-    assert h_at_one(cover, rho) == h1(1) * h2(1) * h1(1) == h(1)
+    assert character_hs(cover) == [h_poly(cover, reps[0]), h1, h2]
+    assert h(1) == h1(1) * h2(1) * h1(1)
 
 
 def test_lfun_h_accepts_an_eighteen_by_eighteen_rep_file(tmp_path, capsys):
@@ -545,7 +564,7 @@ def test_factorization_takes_one_h_per_conjugate_pair(monkeypatch):
     import galois_span.lfunctions as lfunctions
 
     cover = walk_cover("readme-C2xC6")
-    reps = abelian_reps(cover.group)
+    reps = linear_reps(cover.group)
     old_product = IntPoly.const(1)
     for rho in reps:
         old_product = old_product * h_poly(cover, rho)
@@ -573,7 +592,7 @@ def test_factorization_takes_one_h_per_galois_orbit(monkeypatch, spec, volt, h_c
 
     cover = simple_cover(spec, 2, volt)
     old_product = IntPoly.const(1)
-    for rho in abelian_reps(cover.group):
+    for rho in linear_reps(cover.group):
         old_product = old_product * h_poly(cover, rho)
     calls = []
     real = lfunctions.h_poly
@@ -599,3 +618,131 @@ def test_factorization_refuses_a_corrupted_orbit_member(monkeypatch):
     monkeypatch.setattr(CyclotomicInt, "galois", galois)
     with pytest.raises(InvariantError, match="not a rational integer"):
         verify_factorization(cover)
+
+
+# -- h(u, chi) for every irreducible chi from the walk table ---------------------------
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_character_route_equals_the_twisted_determinant_on_every_linear_character(name):
+    cover = walk_cover(name)
+    table = character_table(cover.group)
+    linear = [chi for chi in table.characters if chi.degree == 1]
+    reps = linear_reps(cover.group)
+    assert len(reps) == len(linear) >= 1
+    for rho, h in zip(reps, character_h_polys(cover, table, linear)):
+        assert h == h_poly(cover, rho)
+        assert all(c.e == table.e for c in h.coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_character_route_product_is_the_dense_h_of_the_derived_graph(name):
+    # prod_chi h(u, chi)^chi(1) = h_Y(u): the regular representation splits
+    # into chi(1) copies of each chi
+    cover = walk_cover(name)
+    table = character_table(cover.group)
+    product = IntPoly.const(1)
+    for chi, h in zip(table.characters, character_h_polys(cover, table, table.characters)):
+        top = 2 * cover.base.vertex_count * chi.degree
+        leading = 1
+        for d in cover.base.degrees():
+            leading *= (d - 1) ** chi.degree
+        assert h.degree <= top and (h.coeffs[top] if h.degree == top else 0) == leading
+        for _ in range(chi.degree):
+            product = product * h
+    assert IntPoly([c.as_int() for c in product.coeffs]) == cover.derived.ihara_h_poly()
+
+
+def test_character_route_refuses_a_table_of_another_group():
+    cover = simple_cover("C4", 2, (1, 2))
+    table = character_table(parse_group_spec("C2xC2"))
+    with pytest.raises(MismatchedGroupError):
+        character_h_polys(cover, table, table.characters)
+
+
+@pytest.mark.parametrize(
+    "base, spec, seed",
+    [
+        (bouquet(2), "S3", 1),
+        (bouquet(2), "Q8", 1),
+        (complete_graph(5), "S4", 1),
+        (complete_graph(5), "C2xS4", 1),
+        (complete_graph(5), "A5", 1),
+    ],
+)
+def test_prop_formula_holds_on_nonabelian_covers(base, spec, seed):
+    cover = derived_graph(random_connected_voltage(base, parse_group_spec(spec), seed))
+    report = verify_prop_formula(cover)
+    assert report.passed
+    assert report.left == cover.group.order * cover.derived.spanning_tree_count()
+
+
+def test_inter_rel_holds_on_every_subgroup_class_of_c2xs4():
+    g = parse_group_spec("C2xS4")
+    cover = derived_graph(random_connected_voltage(complete_graph(5), g, 1))
+    classes = {}
+    for h in all_subgroups(g):
+        classes.setdefault(h.class_key(), h)
+    assert len(classes) == 33
+    for h in classes.values():
+        assert verify_inter_rel(cover, h).passed, h.describe()
+
+
+def test_verify_prop_and_inter_exit_zero_on_s3_from_the_cli(capsys):
+    cover = ["--base", "bouquet:2", "--group", "S3", "--voltage", "(0 1);(0 1 2)"]
+    for argv in (["verify-prop"], ["verify-inter", "--subgroup", "(0 1)"]):
+        assert main(["lfun", *argv, *cover]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+
+
+def test_lfun_h_chi_prints_the_two_dimensional_character_of_s3(capsys):
+    cover = walk_cover("readme-S3")
+    argv = ["lfun", "h", "--base", "bouquet:2", "--group", "S3", "--voltage", "(0 1);(0 1 2)"]
+    outputs = []
+    for k in range(3):
+        assert main([*argv, "--chi", str(k)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert [out["degree"] for out in outputs] == [2, 2, 4]
+    assert {out["conductor"] for out in outputs} == {6}
+    h = [IntPoly([CyclotomicInt(6, map(int, c)) for c in out["coefficients"]]) for out in outputs]
+    # h(u, 1) h(u, sign) h(u, chi_2)^2 is the twisted determinant of the regular representation
+    assert h[0] * h[1] * h[2] * h[2] == h_poly(cover, regular_rep(cover.group))
+    assert main([*argv, "--chi", "3"]) == 2
+    assert capsys.readouterr().err == "error: --chi must be in 0..2, got 3\n"
+
+
+@pytest.mark.parametrize("name", ["readme-S3", "readme-Q8", "seeded-A4-bouquet3"])
+def test_corrupted_walk_table_never_passes_verify_prop(monkeypatch, name):
+    # one N_k(g) one too large, at every (k, g): verify-prop raises or fails
+    # whenever some trace reads the entry, that is when chi(g) != 0 for a
+    # nontrivial chi whose h(u, chi) takes row k; an entry no trace reads
+    # leaves every h(u, chi) as it was
+    import galois_span.lfunctions as lfunctions
+
+    cover = walk_cover(name)
+    assert verify_prop_formula(cover).passed
+    table = character_table(cover.group)
+    n = cover.base.vertex_count
+    real = lfunctions.walk_table
+    outcomes = {True: set(), False: set()}
+    for k in range(2 * n * max(chi.degree for chi in table.characters)):
+        for x in range(cover.group.order):
+
+            def corrupted(c, length, k=k, x=x):
+                rows = real(c, length)
+                rows[k][x] += 1
+                return rows
+
+            read = any(
+                chi.value_cyclo(table.class_of[x]) != 0
+                for chi in table.characters
+                if not chi.is_trivial() and k < 2 * n * chi.degree
+            )
+            monkeypatch.setattr(lfunctions, "walk_table", corrupted)
+            try:
+                outcome = "PASS" if verify_prop_formula(cover).passed else "FAIL"
+            except InvariantError:
+                outcome = "InvariantError"
+            outcomes[read].add(outcome)
+    assert outcomes[True] and outcomes[True] <= {"FAIL", "InvariantError"}
+    assert outcomes[False] <= {"PASS"}
