@@ -19,14 +19,11 @@ from .covers import (
 )
 from .characters import (
     CharacterTable,
-    ClassFunction,
-    artin_coefficients,
     character_table,
-    induced_trivial_character,
+    induced_trivial_values,
     inner_product,
     is_exceptional,
     is_irreducibly_represented,
-    verify_eq3,
 )
 from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
 from .family import (
@@ -68,11 +65,8 @@ from .groups import (
 )
 from .lfunctions import (
     MatrixRep,
-    bouquet_h_formula,
     character_h_polys,
     h_poly,
-    regular_rep,
-    trivial_rep,
     twisted_matrices,
     verify_factorization,
     verify_inter_rel,
@@ -83,7 +77,6 @@ from .posets import (
     Poset,
     adjoin_bottom,
     adjoin_top,
-    classical_mobius,
     cyclic_poset,
     hasse_dot,
     kernel_poset,
@@ -96,6 +89,7 @@ from .theorems import (
     table1_row,
     verify_brauer_kuroda,
     verify_custom_relation,
+    verify_eq3,
     verify_euler_zero,
     verify_hmsv,
     verify_kuroda,

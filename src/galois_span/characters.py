@@ -30,23 +30,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 
 from .cyclotomic import CyclotomicInt, _context, reverse_mult_vector
-from .errors import (
-    GeneratorDependentError,
-    InvariantError,
-    MismatchedGroupError,
-    NoSuitablePrimeError,
-    NotRationalValuedError,
-    OrderTooLargeError,
-)
-from .groups import FiniteGroup, Subgroup, cyclic_subgroups, max_group_order
+from .errors import InvariantError, NoSuitablePrimeError, OrderTooLargeError
+from .groups import FiniteGroup, Subgroup, max_group_order
 from .numtheory import factorize, is_prime
 from .posets import TOP_KEY, cyclic_poset, mobius
-from .report import VerificationReport
 
 _PRIME_SEARCH_LIMIT = 10_000_000
 
@@ -276,9 +267,6 @@ class Character:
 
     def is_trivial(self) -> bool:
         return self.degree == 1 and all(v[0] == 1 for v in self.values)
-
-    def is_rational(self) -> bool:
-        return all(self.value_cyclo(i).is_rational_integer() for i in range(len(self.values)))
 
 
 class CharacterTable:
@@ -620,17 +608,6 @@ def _verify_table(table: CharacterTable) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Rational-valued class function (one value per conjugacy class)."""
-
-    group: FiniteGroup
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-
-
 def induced_trivial_values(h: Subgroup) -> tuple[int, ...]:
     """Ind_H^G(1) on each class c of G = h.parent, in `conjugacy_classes()` order.
 
@@ -652,96 +629,21 @@ def induced_trivial_values(h: Subgroup) -> tuple[int, ...]:
     return tuple(values)
 
 
-def induced_trivial_character(table: CharacterTable, h: Subgroup) -> ClassFunction:
-    """Character induced from the trivial character of a subgroup."""
-    if h.parent is not table.group:
-        raise MismatchedGroupError("subgroup of a different group")
-    return ClassFunction(group=table.group, values=induced_trivial_values(h))
+def inner_product(values, psi: Character) -> int:
+    """<phi, psi> = (1/|G|) sum_K |K| phi(K) psi(K^-1), for a virtual character
+    phi given by its integer value on each class (`induced_trivial_values`).
 
-
-def inner_product(phi, psi: Character) -> Fraction:
-    """Exact inner product (1/|G|) sum |K| phi(g) psi(g^-1).
-
-    `phi` may be a Character or a rational ClassFunction; the result is a
-    rational number (an integer when phi is a character or an induced
-    trivial character).
+    The result is an integer; `InvariantError` if |G| does not divide the sum.
     """
     g = psi.group
-    sizes = [len(cls) for cls in g.conjugacy_classes()]
-    if isinstance(phi, Character):
-        if phi.group is not g:
-            raise MismatchedGroupError("characters of different groups")
-        acc = CyclotomicInt.zero(psi.e)
-        for i, size in enumerate(sizes):
-            acc = acc + size * (phi.value_cyclo(i) * psi.value_at_inverse(i))
-        value = acc.as_int()
-        return Fraction(value, g.order)
-    if isinstance(phi, ClassFunction):
-        if phi.group is not g:
-            raise MismatchedGroupError("class function on a different group")
-        denom = 1
-        for v in phi.values:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        scaled = [int(v * denom) for v in phi.values]
-        acc = CyclotomicInt.zero(psi.e)
-        for i, size in enumerate(sizes):
-            acc = acc + (size * scaled[i]) * psi.value_at_inverse(i)
-        value = acc.as_int()
-        return Fraction(value, g.order * denom)
-    raise TypeError(f"cannot take inner product with {type(phi).__name__}")
-
-
-def artin_coefficients(table: CharacterTable, chi) -> dict[tuple[int, ...], Fraction]:
-    """Artin induction coefficients of a rational-valued character.
-
-    Returns a map (cyclic subgroup element-set) -> a_chi(C) such that
-    chi = sum_C a_chi(C) * Ind_C^G(trivial); the reconstruction is verified
-    exactly before returning.
-    """
-    g = table.group
-    if isinstance(chi, Character):
-        if not chi.is_rational():
-            raise NotRationalValuedError("character has irrational values")
-        values = tuple(
-            Fraction(chi.value_cyclo(i).as_int()) for i in range(table.class_count)
-        )
-        chi = ClassFunction(group=g, values=values)
-    if not isinstance(chi, ClassFunction):
-        raise NotRationalValuedError("need a rational class function")
-
-    from .posets import classical_mobius
-
-    cyclics = cyclic_subgroups(g)
-    by_key = {c.elements: c for c in cyclics}
-
-    def value_at_generator(b: Subgroup) -> Fraction:
-        gens = [x for x in b.elements if g.element_order(x) == b.order]
-        vals = {chi.values[table.class_of[x]] for x in gens}
-        if len(vals) != 1:
-            raise GeneratorDependentError(
-                f"character value depends on the generator of {b.describe()}"
-            )
-        return next(iter(vals))
-
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for c in cyclics:
-        total = Fraction(0)
-        for b in cyclics:
-            if set(c.elements) <= set(b.elements):
-                total += classical_mobius(b.order // c.order) * value_at_generator(b)
-        coeffs[c.elements] = total / c.index()
-
-    # reconstruction check: sum_C a(C) Ind_C^G(1) = chi pointwise
-    recon = [Fraction(0)] * table.class_count
-    for key, a in coeffs.items():
-        if a == 0:
-            continue
-        ind = induced_trivial_character(table, by_key[key])
-        for i in range(table.class_count):
-            recon[i] += a * ind.values[i]
-    if tuple(recon) != chi.values:
-        raise InvariantError("Artin induction reconstruction failed")
-    return coeffs
+    acc = CyclotomicInt.zero(psi.e)
+    for i, (value, cls) in enumerate(zip(values, g.conjugacy_classes())):
+        if value:
+            acc = acc + (len(cls) * value) * psi.value_at_inverse(i)
+    multiplicity, rest = divmod(acc.as_int(), g.order)
+    if rest:
+        raise InvariantError("inner product with an irreducible character is not an integer")
+    return multiplicity
 
 
 def is_irreducibly_represented(g: FiniteGroup) -> bool:
@@ -765,41 +667,3 @@ def is_exceptional(g: FiniteGroup) -> bool:
         table = mobius(cyclic_poset(g))
         g._cache["is_exceptional"] = table.mu((g.identity,), TOP_KEY) == 0
     return g._cache["is_exceptional"]
-
-
-def verify_eq3(g: FiniteGroup) -> VerificationReport:
-    """Both exact identities behind the cyclic-subgroup spanning-tree formula.
-
-    Checks |G| * (-sum_C mu(C, top)/[G:C]) = |G| and, for every nontrivial
-    irreducible rho, sum_C mu(C, top) a_{rho,C} |G|/[G:C] = 0.
-    """
-    table = character_table(g)
-    poset = cyclic_poset(g)
-    mu = mobius(poset)
-    cyclics = cyclic_subgroups(g)
-    checks = []
-
-    lhs = -sum(mu.mu(c.elements, TOP_KEY) * g.order // c.index() for c in cyclics)
-    checks.append(("unit partition", lhs, g.order))
-
-    induced = {c.elements: induced_trivial_character(table, c) for c in cyclics}
-    for idx, rho in enumerate(table.characters):
-        if rho.is_trivial():
-            continue
-        total = 0
-        for c in cyclics:
-            a = inner_product(induced[c.elements], rho)
-            if a.denominator != 1:
-                raise InvariantError("induction multiplicity is not an integer")
-            total += mu.mu(c.elements, TOP_KEY) * int(a) * (g.order // c.index())
-        checks.append((f"character {idx}", total, 0))
-
-    passed = sum(1 for _, a, b in checks if a == b)
-    return VerificationReport.compare(
-        "eq3 identities",
-        f"group {g.name} (order {g.order})",
-        len(checks),
-        passed,
-        notes="; ".join(f"{name}: {a} vs {b}" for name, a, b in checks if a != b),
-        details={"checks": [[name, a, b] for name, a, b in checks]},
-    )

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from . import __version__
-from .characters import character_table, verify_eq3
+from .characters import character_table
 from .covers import (
     VoltageAssignment,
     cover_to_json_dict,
@@ -73,6 +73,7 @@ from .theorems import (
     table1_row,
     verify_brauer_kuroda,
     verify_custom_relation,
+    verify_eq3,
     verify_euler_zero,
     verify_hmsv,
     verify_kuroda,
@@ -204,6 +205,9 @@ def _cmd_group(args) -> int:
         _emit(payload, args)
         return 0 if all(r.fixture_status != "mismatch" for r in rows) else 1
     g = parse_group_spec(args.spec)
+    if args.action == "characters":
+        _emit(character_table(g).to_json_dict(), args)
+        return 0
     subs = all_subgroups(g)
     _emit(
         {
@@ -422,7 +426,7 @@ def _graph_args(p):
 
 
 def _group_args(p):
-    p.add_argument("action", choices=["info", "table1", "subgroups"])
+    p.add_argument("action", choices=["info", "table1", "subgroups", "characters"])
     p.add_argument("spec", nargs="?", help="GroupSpec; table1 defaults to every fixture row")
     _add_out(p)
 

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (
-    DisconnectedGraphError,
     EulerZeroError,
     InvariantError,
     MismatchedGroupError,
@@ -120,6 +119,9 @@ class Cover:
     _kappas: dict[tuple[int, ...], int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # h(1, chi) by the index of chi in `character_table(G)`, every nontrivial
+    # chi at once, filled by `lfunctions._h_at_one`
+    _h_at_one: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def base(self) -> SerreGraph:
@@ -301,21 +303,9 @@ def _generates(g: FiniteGroup, elements: list[int]) -> bool:
     return len(_closure(g, [g.identity], elements)) == g.order
 
 
-def cycle_nets(alpha: VoltageAssignment) -> list[int]:
-    """Net voltages of the fundamental cycles of a spanning tree of a connected base.
-
-    The tree is grown from vertex 0 (`_spanning_tree_plan`).  Walking from
-    (0, e) in the derived graph reaches (0, sigma) exactly for sigma in the
-    subgroup these generate.
-    """
-    plan = _spanning_tree_plan(alpha.base)
-    if plan is None:
-        raise DisconnectedGraphError("fundamental cycles need a connected base")
-    return _plan_nets(plan, alpha.group, alpha.volt)
-
-
 def is_galois(alpha: VoltageAssignment) -> bool:
-    """Connected derived graph, by generation: a connected base whose `cycle_nets` generate G."""
+    """Connected derived graph, by generation: a connected base whose
+    fundamental cycles (`_plan_nets`) have net voltages that generate G."""
     if not isinstance(alpha, VoltageAssignment):
         raise TypeError(f"is_galois takes a VoltageAssignment, got {type(alpha).__name__}")
     if alpha._galois is None:

@@ -107,24 +107,12 @@ class NotAbelianError(GaloisSpanError):
     """Operation requires an abelian group."""
 
 
-class NotRationalValuedError(GaloisSpanError):
-    """Class function must be rational-valued."""
-
-
-class GeneratorDependentError(GaloisSpanError):
-    """Character value depends on the choice of cyclic generator."""
-
-
 class NotGaloisError(GaloisSpanError):
     """Cover is not Galois (derived graph disconnected)."""
 
 
 class NoConnectedAssignmentFoundError(GaloisSpanError):
     """Random voltage search failed to produce a connected cover."""
-
-
-class NotBouquetError(GaloisSpanError):
-    """Base graph must be a bouquet (single vertex)."""
 
 
 class EulerZeroError(GaloisSpanError):

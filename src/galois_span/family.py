@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graphs import bouquet, cycle_graph
 from .groups import cyclic_group
-from .linalg import cauchy_binet_check, det_fraction, kronecker, mat_mul, rank_fraction
+from .linalg import det_fraction, mat_mul, rank_fraction
 from .numtheory import factorize, is_prime
 from .polynomials import forward_differences
 from .report import VerificationReport
@@ -58,8 +58,6 @@ __all__ = [
     "k_prime_block",
     "lemma_matrix_check",
     "nonexistence_certificate",
-    "kronecker",
-    "cauchy_binet_check",
     "det_fraction",
     "rank_fraction",
 ]

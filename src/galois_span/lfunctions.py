@@ -26,7 +26,8 @@ other matrices raise `RepresentationError`.
 Each verifier keeps its two sides independent.  `verify_prop_formula` and
 `verify_inter_rel` hold for every finite G: Matrix-Tree kappa against
 kappa(X) prod_(chi != 1) h(1, chi)^<Ind_H^G 1, chi> from the character
-route.  `verify_factorization` is abelian only: the twisted determinants
+route, every h(1, chi) taken from one walk table and kept on the cover.
+`verify_factorization` is abelian only: the twisted determinants
 of the linear characters against `derived_h_poly`.
 """
 
@@ -37,7 +38,7 @@ from itertools import zip_longest
 from math import gcd
 from operator import add, sub
 
-from .characters import CharacterTable, character_table, induced_trivial_character, inner_product
+from .characters import CharacterTable, character_table, induced_trivial_values, inner_product
 from .covers import Cover, intermediate_kappa, is_galois
 from .cyclotomic import CyclotomicInt
 from .errors import (
@@ -46,7 +47,6 @@ from .errors import (
     InvariantError,
     MismatchedGroupError,
     NotAbelianError,
-    NotBouquetError,
     NotGaloisError,
     RepresentationError,
     json_int,
@@ -91,27 +91,6 @@ class MatrixRep:
                 product = mat_mul(self.matrices[a], self.matrices[b])
                 if product != [list(row) for row in self.matrices[g.mul(a, b)]]:
                     raise RepresentationError(f"rho({a})rho({b}) != rho({a}*{b})")
-
-
-def trivial_rep(g: FiniteGroup, e: int | None = None) -> MatrixRep:
-    e = e if e is not None else g.exponent()
-    one = ((CyclotomicInt.one(e),),)
-    return MatrixRep(group=g, degree=1, e=e, matrices=tuple(one for _ in range(g.order)))
-
-
-def regular_rep(g: FiniteGroup) -> MatrixRep:
-    """Right regular representation as permutation matrices: rho(x)[s][t] = [t = s*x]."""
-    e = g.exponent()
-    one, zero = CyclotomicInt.one(e), CyclotomicInt.zero(e)
-    mats = []
-    for x in range(g.order):
-        mats.append(
-            tuple(
-                tuple(one if g.mul(s, x) == t else zero for t in range(g.order))
-                for s in range(g.order)
-            )
-        )
-    return MatrixRep(group=g, degree=g.order, e=e, matrices=tuple(mats))
 
 
 def rep_from_json_dict(data: dict) -> MatrixRep:
@@ -191,24 +170,6 @@ def h_poly(c: Cover, rho: MatrixRep) -> IntPoly:
     # each u-coefficient as a polynomial in x, at zeta_e (any length: zeta^e = 1)
     at_root = (interpolate_int_poly(xs.start, v).coeffs for v in zip_longest(*samples, fillvalue=0))
     return IntPoly([CyclotomicInt.from_mult_vector(rho.e, v) for v in at_root])
-
-
-def bouquet_h_formula(c: Cover, rho: MatrixRep) -> CyclotomicInt:
-    """Closed form sum_s (2 - rho(alpha(s)) - rho(alpha(s))^-1) for bouquet bases."""
-    if c.base.vertex_count != 1:
-        raise NotBouquetError("closed form needs a single-vertex base")
-    if rho.degree != 1:
-        raise NotBouquetError("closed form needs a degree-one representation")
-    g = c.group
-    total = CyclotomicInt.zero(rho.e)
-    for x in c.voltage.volt:
-        total = (
-            total
-            + 2
-            - rho.matrices[x][0][0]
-            - rho.matrices[g.inv(x)][0][0]
-        )
-    return total
 
 
 # -- h_Y(u) from closed non-backtracking walks in the base ---------------------------
@@ -385,26 +346,35 @@ def verify_factorization(c: Cover) -> VerificationReport:
     )
 
 
+def _h_at_one(c: Cover, table: CharacterTable) -> dict[int, CyclotomicInt]:
+    """h(1, chi) for every nontrivial chi, by its index in the table.
+
+    All of them come from one `character_h_polys` call, so from one walk
+    table, on the first request; the cover keeps them.
+    """
+    if not c._h_at_one:
+        nontrivial = [(i, chi) for i, chi in enumerate(table.characters) if not chi.is_trivial()]
+        polys = character_h_polys(c, table, [chi for _, chi in nontrivial])
+        c._h_at_one.update((i, poly(1)) for (i, _), poly in zip(nontrivial, polys))
+    return c._h_at_one
+
+
 def _formula_sides(c: Cover, h: Subgroup, formula: str) -> tuple[int, int]:
     """[G:H] kappa(X_H) by Matrix-Tree, and kappa(X) prod_(chi != 1) h(1, chi)^a_chi
-    with a_chi = <Ind_H^G 1, chi> and every h(u, chi) from one walk table."""
+    with a_chi = <Ind_H^G 1, chi> and h(1, chi) kept on the cover (`_h_at_one`)."""
     if c.base.euler_characteristic() == 0:
         raise EulerZeroError(f"the {formula} formula needs chi(X) != 0")
     if not is_galois(c.voltage):
         raise NotGaloisError(f"the {formula} formula needs a Galois cover")
     table = character_table(c.group)
-    induced = induced_trivial_character(table, h)
-    terms = []
-    for chi in table.characters:
-        a = inner_product(induced, chi)
-        if a.denominator != 1 or a < 0:
-            raise InvariantError("induction multiplicity must be a nonnegative integer")
-        if a and not chi.is_trivial():
-            terms.append((chi, int(a)))
+    induced = induced_trivial_values(h)
     product = CyclotomicInt.one(table.e)
-    for poly, (_, a) in zip(character_h_polys(c, table, [chi for chi, _ in terms]), terms):
+    for i, value in _h_at_one(c, table).items():
+        a = inner_product(induced, table.characters[i])
+        if a < 0:
+            raise InvariantError("induction multiplicity must be a nonnegative integer")
         for _ in range(a):
-            product = product * poly(1)
+            product = product * value
     if not product.is_rational_integer():
         raise InvariantError("character product did not reduce to a rational integer")
     return h.index() * intermediate_kappa(c, h), c.base.spanning_tree_count() * product.as_int()

@@ -1,5 +1,4 @@
-"""Exact linear algebra: fraction-free determinants, rational elimination,
-Kronecker products and Cauchy-Binet identities.
+"""Exact linear algebra: fraction-free determinants and rational elimination.
 
 Dense matrices are plain lists of lists.  General integer matrices go
 through dense Bareiss elimination (the only divisions are exact); an entry
@@ -323,28 +322,6 @@ def det_int_poly_matrix(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
     return interpolate_int_poly(xs.start, values)
 
 
-def kronecker(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """Kronecker product: block matrix with blocks a[i][j] * b."""
-    rows_a, cols_a = len(a), len(a[0]) if a else 0
-    rows_b, cols_b = len(b), len(b[0]) if b else 0
-    out = [[None] * (cols_a * cols_b) for _ in range(rows_a * rows_b)]
-    for i in range(rows_a):
-        for j in range(cols_a):
-            for k in range(rows_b):
-                for l in range(cols_b):
-                    out[i * rows_b + k][j * cols_b + l] = a[i][j] * b[k][l]
-    return out
-
-
-def delete_row_col(matrix: Sequence[Sequence], row: int, col: int) -> list[list]:
-    """Submatrix with one row and one column deleted (0-based indices)."""
-    return [
-        [x for j, x in enumerate(r) if j != col]
-        for i, r in enumerate(matrix)
-        if i != row
-    ]
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     """Matrix product over any commutative ring of entries.
 
@@ -362,19 +339,3 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
             acc = [s + x * y for s, y in zip(acc, b[k])]
         out.append(acc)
     return out
-
-
-def cauchy_binet_check(
-    a: Sequence[Sequence], b: Sequence[Sequence], m1: int, m2: int
-) -> bool:
-    """det((AB)(m1,m2)) == sum_m det(A(m1,m)) det(B(m,m2)), indices 1-based."""
-    n = _check_square(a)
-    _check_square(b)
-    ab = mat_mul(a, b)
-    lhs = det_fraction(delete_row_col(ab, m1 - 1, m2 - 1))
-    rhs = Fraction(0)
-    for m in range(n):
-        rhs += det_fraction(delete_row_col(a, m1 - 1, m)) * det_fraction(
-            delete_row_col(b, m, m2 - 1)
-        )
-    return lhs == rhs

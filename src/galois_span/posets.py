@@ -17,7 +17,6 @@ from types import MappingProxyType
 
 from .errors import InvariantError, PosetError
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
-from .numtheory import factorize
 
 
 class Poset:
@@ -161,14 +160,6 @@ def mobius(p: Poset) -> MobiusTable:
     if p._mobius is None:
         p._mobius = MobiusTable(p)
     return p._mobius
-
-
-def classical_mobius(n: int) -> int:
-    """Number-theoretic Moebius function via factorization."""
-    if n < 1:
-        raise PosetError("classical Moebius needs n >= 1")
-    exponents = [k for _, k in factorize(n)]
-    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
 
 
 def adjoin_bottom(p: Poset, label: str = "∅") -> Poset:

@@ -4,7 +4,9 @@ The Kuroda analogue, the Brauer–Kuroda relation, the elementary-abelian
 (HMSV) formula and a custom relation each read prod_H ([G:H] kappa(X_H))^(n_H)
 = 1 for a Brauer relation sum_H n_H Ind_H^G(1) = 0, and go through one core.
 A report is "trivially true" when the vector, summed within each conjugacy
-class of subgroups, is zero.
+class of subgroups, is zero.  `verify_eq3` pairs the Brauer–Kuroda vector
+with every irreducible character: the identities the cyclic-subgroup formula
+rests on.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 from .characters import (
     character_table,
     induced_trivial_values,
+    inner_product,
     is_exceptional,
     is_irreducibly_represented,
 )
@@ -39,19 +42,25 @@ from .report import VerificationReport
 from .table1 import PAPER_DISAGREEMENTS, TABLE1_FLAGS
 
 
-def checked_relation(g: FiniteGroup, terms) -> tuple:
-    """The terms (H, n_H) as a tuple, once sum n_H Ind_H^G(1) = 0 holds
-    exactly on every conjugacy class of g.
+def _relation_values(g: FiniteGroup, terms) -> list[int]:
+    """sum n_H Ind_H^G(1) on each conjugacy class of g, over the terms (H, n_H).
 
     Every H must be a subgroup of g, whatever its coefficient; a subgroup
     may appear in several terms.
     """
-    terms = tuple(terms)
     total = [0] * len(g.conjugacy_classes())
     for h, n in terms:
         if h.parent is not g:
             raise WrongGroupError("subgroup of a different group")
         total = [t + n * v for t, v in zip(total, induced_trivial_values(h))]
+    return total
+
+
+def checked_relation(g: FiniteGroup, terms) -> tuple:
+    """The terms (H, n_H) as a tuple, once sum n_H Ind_H^G(1) = 0 holds
+    exactly on every conjugacy class of g (`_relation_values`)."""
+    terms = tuple(terms)
+    total = _relation_values(g, terms)
     if any(total):
         raise NotABrauerRelationError(
             "sum n_H Ind_H^G(1) != 0: " + ", ".join(str(v) for v in total)
@@ -205,6 +214,30 @@ def verify_custom_relation(c: Cover, coefficients: dict[Subgroup, int]) -> Verif
     left, right, trivial, _ = _relation_sides(c, tuple((h, n) for h, n in relation if n))
     return VerificationReport.compare(
         "prod ([G:H] kappa(X_H))^(n_H) = 1", c.describe(), left, right, trivial=trivial
+    )
+
+
+def verify_eq3(g: FiniteGroup) -> VerificationReport:
+    """Both exact identities behind the cyclic-subgroup spanning-tree formula.
+
+    The Brauer-Kuroda vector (`_brauer_kuroda_terms`) is paired with every
+    irreducible rho: <sum n_H Ind_H^G(1), rho> = 0.  rho = 1 gives the unit
+    partition -sum_C mu(C, top)/[G:C] = 1, and rho != 1 the annihilation
+    sum_C mu(C, top) <Ind_C^G(1), rho> |G|/[G:C] = 0.  The vector is not
+    checked first, so a wrong coefficient gives a FAIL report, not an error.
+    """
+    values = _relation_values(g, _brauer_kuroda_terms(g))
+    checks = [
+        ("unit partition" if rho.is_trivial() else f"character {idx}", inner_product(values, rho))
+        for idx, rho in enumerate(character_table(g).characters)
+    ]
+    return VerificationReport.compare(
+        "eq3 identities",
+        f"group {g.name} (order {g.order})",
+        len(checks),
+        sum(1 for _, value in checks if value == 0),
+        notes="; ".join(f"{name}: {value} vs 0" for name, value in checks if value),
+        details={"checks": [[name, value, 0] for name, value in checks]},
     )
 
 

@@ -11,11 +11,20 @@ from galois_span.characters import (
     _hessenberg_mod,
     _rref_mod,
     character_table,
+    induced_trivial_values,
 )
 from galois_span.cli import main
-from galois_span.covers import VOLTAGE_ATTEMPTS, Cover, VoltageAssignment, derived_graph
+from galois_span.covers import (
+    VOLTAGE_ATTEMPTS,
+    Cover,
+    VoltageAssignment,
+    _plan_nets,
+    _spanning_tree_plan,
+    derived_graph,
+)
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import (
+    DisconnectedGraphError,
     InvariantError,
     MismatchedGroupError,
     NoConnectedAssignmentFoundError,
@@ -24,7 +33,8 @@ from galois_span.errors import (
 from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
 from galois_span.lfunctions import MatrixRep
-from galois_span.linalg import _check_square, det_int
+from galois_span.linalg import _check_square, det_fraction, det_int, mat_mul
+from galois_span.numtheory import factorize
 from galois_span.posets import Poset
 
 
@@ -511,3 +521,111 @@ def derived_walk_counts(c, length: int) -> list[list[int]]:
             for x in range(g.order):
                 row[x] += vector[start * g.order + x]
     return counts
+
+
+# -- oracles and constructions with no caller in the library ------------------------
+
+
+def classical_mobius(n: int) -> int:
+    """Number-theoretic Moebius function of n >= 1, by factorization."""
+    exponents = [k for _, k in factorize(n)]
+    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
+
+
+def artin_coefficients(table, values) -> dict[tuple[int, ...], Fraction]:
+    """Oracle for `theorems._brauer_kuroda_terms`: the a_C with
+    phi = sum_C a_C Ind_C^G(1) over the cyclic subgroups C, for a rational
+    class function phi given by its value on each class of the table.
+
+    a_C = (1/[G:C]) sum over the cyclic B >= C of mu([B:C]) phi(b), b a
+    generator of B and mu the classical Moebius function; the
+    reconstruction of phi is asserted.
+    """
+    g = table.group
+    cyclics = cyclic_subgroups(g)
+
+    def value_at_generator(b: Subgroup) -> Fraction:
+        found = {values[table.class_of[x]] for x in b.elements if g.element_order(x) == b.order}
+        assert len(found) == 1, f"the value depends on the generator of {b.describe()}"
+        return Fraction(found.pop())
+
+    coeffs = {}
+    for c in cyclics:
+        overgroups = (b for b in cyclics if set(c.elements) <= set(b.elements))
+        total = sum(classical_mobius(b.order // c.order) * value_at_generator(b) for b in overgroups)
+        coeffs[c.elements] = Fraction(total) / c.index()
+    recon = [Fraction(0)] * table.class_count
+    for c in cyclics:
+        for i, v in enumerate(induced_trivial_values(c)):
+            recon[i] += coeffs[c.elements] * v
+    assert recon == list(values), "Artin induction reconstruction failed"
+    return coeffs
+
+
+def character_inner_product(chi, psi) -> Fraction:
+    """Oracle: <chi, psi> = (1/|G|) sum_K |K| chi(K) psi(K^-1) of two characters;
+    `InvariantError` when the sum is not rational."""
+    g = psi.group
+    acc = CyclotomicInt.zero(psi.e)
+    for i, cls in enumerate(g.conjugacy_classes()):
+        acc = acc + len(cls) * (chi.value_cyclo(i) * psi.value_at_inverse(i))
+    return Fraction(acc.as_int(), g.order)
+
+
+def trivial_rep(g: FiniteGroup) -> MatrixRep:
+    one = ((CyclotomicInt.one(g.exponent()),),)
+    return MatrixRep(group=g, degree=1, e=g.exponent(), matrices=(one,) * g.order)
+
+
+def regular_rep(g: FiniteGroup) -> MatrixRep:
+    """Right regular representation as permutation matrices: rho(x)[s][t] = [t = s*x]."""
+    e = g.exponent()
+    one, zero = CyclotomicInt.one(e), CyclotomicInt.zero(e)
+    mats = tuple(
+        tuple(tuple(one if g.mul(s, x) == t else zero for t in range(g.order)) for s in range(g.order))
+        for x in range(g.order)
+    )
+    return MatrixRep(group=g, degree=g.order, e=e, matrices=mats)
+
+
+def bouquet_h_formula(c: Cover, rho: MatrixRep) -> CyclotomicInt:
+    """Closed form h(1, rho) = sum_s (2 - rho(alpha(s)) - rho(alpha(s))^-1) of a
+    degree-one rho over a bouquet base."""
+    assert c.base.vertex_count == 1 and rho.degree == 1
+    total = CyclotomicInt.zero(rho.e)
+    for x in c.voltage.volt:
+        total = total + 2 - rho.matrices[x][0][0] - rho.matrices[c.group.inv(x)][0][0]
+    return total
+
+
+def kronecker(a, b) -> list[list]:
+    """Kronecker product: block matrix with blocks a[i][j] * b."""
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def delete_row_col(matrix, row: int, col: int) -> list[list]:
+    """Submatrix with one row and one column deleted (0-based indices)."""
+    return [[x for j, x in enumerate(r) if j != col] for i, r in enumerate(matrix) if i != row]
+
+
+def cauchy_binet_check(a, b, m1: int, m2: int) -> bool:
+    """det((AB)(m1,m2)) == sum_m det(A(m1,m)) det(B(m,m2)), indices 1-based."""
+    n = _check_square(a)
+    _check_square(b)
+    lhs = det_fraction(delete_row_col(mat_mul(a, b), m1 - 1, m2 - 1))
+    rhs = sum(
+        det_fraction(delete_row_col(a, m1 - 1, m)) * det_fraction(delete_row_col(b, m, m2 - 1))
+        for m in range(n)
+    )
+    return lhs == rhs
+
+
+def cycle_nets(alpha: VoltageAssignment) -> list[int]:
+    """Net voltages of the fundamental cycles of the spanning tree that
+    `is_galois` grows from vertex 0; `DisconnectedGraphError` on a
+    disconnected base.  Walking from (0, e) in the derived graph reaches
+    (0, sigma) exactly for sigma in the subgroup these generate."""
+    plan = _spanning_tree_plan(alpha.base)
+    if plan is None:
+        raise DisconnectedGraphError("fundamental cycles need a connected base")
+    return _plan_nets(plan, alpha.group, alpha.volt)

@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-from galois_span.characters import verify_eq3
 from galois_span.covers import (
     VoltageAssignment,
     derived_graph,
@@ -43,6 +42,7 @@ from galois_span.posets import mobius, mobius_inversion_check
 from galois_span.theorems import (
     table1_row,
     verify_brauer_kuroda,
+    verify_eq3,
     verify_euler_zero,
     verify_hmsv,
     verify_kuroda,

@@ -10,7 +10,6 @@ import pytest
 from galois_span import characters
 from galois_span.characters import (
     CharacterTable,
-    ClassFunction,
     _dixon_characters,
     _hessenberg_mod,
     _hessenberg_nullspace_mod,
@@ -18,21 +17,14 @@ from galois_span.characters import (
     _table_order,
     _undo_similarity_mod,
     _verify_table,
-    artin_coefficients,
     character_table,
-    induced_trivial_character,
     induced_trivial_values,
     inner_product,
     is_exceptional,
     is_irreducibly_represented,
-    verify_eq3,
 )
 from galois_span.cyclotomic import CyclotomicInt
-from galois_span.errors import (
-    GeneratorDependentError,
-    MismatchedGroupError,
-    NotRationalValuedError,
-)
+from galois_span.errors import InvariantError
 from galois_span.groups import (
     all_subgroups,
     cyclic_group,
@@ -45,7 +37,14 @@ from galois_span.groups import (
 )
 from galois_span.posets import TOP_KEY, cyclic_poset, mobius
 from galois_span.table1 import TABLE1_FLAGS
-from helpers import induced_trivial_values_by_products, linear_reps, nullspace_mod
+from galois_span.theorems import verify_eq3
+from helpers import (
+    artin_coefficients,
+    character_inner_product,
+    induced_trivial_values_by_products,
+    linear_reps,
+    nullspace_mod,
+)
 
 SMALL_GROUPS = ["C1", "C2", "C5", "C6", "C2xC2", "C2xC6", "S3", "D4", "Q8", "A4", "Dic3", "C3xC3"]
 
@@ -90,7 +89,7 @@ def test_row_and_column_orthogonality():
         chars = table.characters
         for i, chi in enumerate(chars):
             for j, psi in enumerate(chars):
-                assert inner_product(chi, psi) == (1 if i == j else 0)
+                assert character_inner_product(chi, psi) == (1 if i == j else 0)
         # column orthogonality: sum_i chi_i(g) chi_i(h^-1) = |C_G(g)| delta
         r = table.class_count
         for a in range(r):
@@ -136,25 +135,24 @@ def test_flags():
 
 def test_induced_trivial_character_values():
     s3 = symmetric_group(3)
-    table = character_table(s3)
     whole = generated_subgroup(s3, range(6))
-    assert induced_trivial_character(table, whole).values == (1, 1, 1)
+    assert induced_trivial_values(whole) == (1, 1, 1)
     triv = generated_subgroup(s3, [])
-    assert induced_trivial_character(table, triv).values == (6, 0, 0)
+    assert induced_trivial_values(triv) == (6, 0, 0)
     c2 = [h for h in cyclic_subgroups(s3) if h.order == 2][0]
-    assert induced_trivial_character(table, c2).values == (3, 1, 0)
+    assert induced_trivial_values(c2) == (3, 1, 0)
 
 
 def test_induction_decompositions():
     s3 = symmetric_group(3)
     table = character_table(s3)
     c2 = [h for h in cyclic_subgroups(s3) if h.order == 2][0]
-    ind = induced_trivial_character(table, c2)
+    ind = induced_trivial_values(c2)
     decomposition = [inner_product(ind, chi) for chi in table.characters]
     assert decomposition == [1, 0, 1]
     # regular character decomposes with multiplicities = degrees
     triv = generated_subgroup(s3, [])
-    reg = induced_trivial_character(table, triv)
+    reg = induced_trivial_values(triv)
     assert [inner_product(reg, chi) for chi in table.characters] == [
         chi.degree for chi in table.characters
     ]
@@ -165,7 +163,7 @@ def test_frobenius_reciprocity():
         g = parse_group_spec(spec)
         table = character_table(g)
         for h in cyclic_subgroups(g):
-            ind = induced_trivial_character(table, h)
+            ind = induced_trivial_values(h)
             for chi in table.characters:
                 lhs = inner_product(ind, chi)
                 total = CyclotomicInt.zero(table.e)
@@ -174,21 +172,18 @@ def test_frobenius_reciprocity():
                 assert lhs == Fraction(total.as_int(), h.order)
 
 
-def test_inner_product_group_mismatch():
-    t1 = character_table(symmetric_group(3))
-    t2 = character_table(cyclic_group(6))
-    with pytest.raises(MismatchedGroupError):
-        inner_product(t1.characters[0], t2.characters[0])
+def test_inner_product_with_a_class_function_that_is_no_virtual_character_raises():
+    # 1 at the identity and 0 elsewhere pairs with the trivial character to 1/6
+    table = character_table(symmetric_group(3))
+    with pytest.raises(InvariantError, match="not an integer"):
+        inner_product((1, 0, 0), table.characters[0])
 
 
 def test_artin_coefficients_trivial_character():
-    from galois_span.posets import cyclic_poset, mobius
-
     for spec in ("S3", "Q8", "C6", "A4", "D4"):
         g = parse_group_spec(spec)
         table = character_table(g)
-        triv = ClassFunction(group=g, values=tuple(Fraction(1) for _ in range(table.class_count)))
-        coeffs = artin_coefficients(table, triv)
+        coeffs = artin_coefficients(table, [1] * table.class_count)
         mu = mobius(cyclic_poset(g))
         for c in cyclic_subgroups(g):
             assert coeffs[c.elements] == Fraction(-mu.mu(c.elements, TOP_KEY), c.index())
@@ -197,27 +192,10 @@ def test_artin_coefficients_trivial_character():
 def test_artin_coefficients_cyclic_trivial():
     g = cyclic_group(6)
     table = character_table(g)
-    triv = ClassFunction(group=g, values=tuple(Fraction(1) for _ in range(table.class_count)))
-    coeffs = artin_coefficients(table, triv)
+    coeffs = artin_coefficients(table, [1] * table.class_count)
     whole = tuple(range(6))
     assert coeffs[whole] == 1
     assert all(v == 0 for k, v in coeffs.items() if k != whole)
-
-
-def test_artin_rejects_irrational_and_generator_dependent():
-    g = cyclic_group(5)
-    table = character_table(g)
-    nontrivial = table.characters[1]
-    with pytest.raises(NotRationalValuedError):
-        artin_coefficients(table, nontrivial)
-    # rational values that depend on the generator within a cyclic subgroup
-    c5 = cyclic_group(5)
-    t5 = character_table(c5)
-    lopsided = ClassFunction(
-        group=c5, values=tuple(Fraction(k) for k in range(t5.class_count))
-    )
-    with pytest.raises(GeneratorDependentError):
-        artin_coefficients(t5, lopsided)
 
 
 def test_verify_eq3_small_groups():
@@ -413,7 +391,7 @@ def _orthogonality_by_inner_products(table):
     chars = table.characters
     for i, chi in enumerate(chars):
         for j in range(i, len(chars)):
-            if inner_product(chi, chars[j]) != (1 if i == j else 0):
+            if character_inner_product(chi, chars[j]) != (1 if i == j else 0):
                 raise ArithmeticError(f"row orthogonality fails at ({i},{j})")
 
 
@@ -499,4 +477,3 @@ def test_induced_trivial_characters_agree_with_products(spec):
         expected = induced_trivial_values_by_products(table, h)
         values = induced_trivial_values(h)
         assert list(values) == expected and all(type(v) is int for v in values)
-        assert list(induced_trivial_character(table, h).values) == expected

@@ -75,6 +75,26 @@ def test_group_subgroups(capsys):
     assert len(data["subgroups"]) == 6
 
 
+def test_group_characters_prints_the_table_that_lfun_h_chi_indexes(capsys):
+    code, data = run(capsys, "group", "characters", "A4")
+    assert code == 0
+    sizes = [c["size"] for c in data["classes"]]
+    assert sorted(sizes) == [1, 3, 4, 4] and data["exponent"] == 6
+    # each value is the multiplicity of zeta_6^k among the eigenvalues, k = 0..5
+    assert [c["degree"] for c in data["characters"]] == [1, 1, 1, 3]
+    for chi in data["characters"]:
+        assert all(sum(v) == chi["degree"] for v in chi["values"])
+    # the degree-3 character is 1 + 1 - 2 = -1 on the double transpositions
+    assert data["characters"][3]["values"][sizes.index(3)] == [1, 0, 0, 2, 0, 0]
+    # h(u, chi_k) over bouquet:2 has degree 2 n chi_k(1) = 2 chi_k(1)
+    cover = ["--base", "bouquet:2", "--group", "A4", "--voltage", "1;4"]
+    for k, chi in enumerate(data["characters"]):
+        code, h = run(capsys, "lfun", "h", *cover, "--chi", str(k))
+        assert code == 0 and h["degree"] == 2 * chi["degree"]
+    assert main(["group", "characters"]) == 2
+    assert "group spec must be a string" in capsys.readouterr().err
+
+
 def test_poset_mobius(capsys):
     code, data = run(capsys, "poset", "mobius", "--group", "Q8", "--poset", "cyclic")
     assert code == 0

@@ -9,7 +9,6 @@ from galois_span.covers import (
     _coset_quotient,
     conjugate_kappa_check,
     cover_to_json_dict,
-    cycle_nets,
     derived_graph,
     intermediate_graph,
     intermediate_kappa,
@@ -51,6 +50,7 @@ from helpers import (
     _validate_covering,
     base_projection_by_full_covering_check,
     coset_quotient_by_representatives,
+    cycle_nets,
     dumbbell_graph,
     laplacian,
     projection_by_full_covering_check,

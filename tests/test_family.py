@@ -27,11 +27,12 @@ from galois_span.family import (
     nonexistence_certificate,
     r_block,
 )
-from galois_span.linalg import det_fraction, kronecker, mat_mul
+from galois_span.linalg import det_fraction, mat_mul
 from galois_span.covers import VoltageAssignment, derived_graph
 from galois_span.graphs import bouquet
 from galois_span.groups import cyclic_group
 from galois_span.lfunctions import verify_prop_formula
+from helpers import kronecker
 
 
 def test_exponent_vector_ops():

@@ -25,8 +25,8 @@ from galois_span.graphs import (
     path_graph,
     zeta_numerator,
 )
-from galois_span.linalg import delete_row_col, det_int
-from helpers import dense_zeta_numerator_at, laplacian, random_connected_graph
+from galois_span.linalg import det_int
+from helpers import delete_row_col, dense_zeta_numerator_at, laplacian, random_connected_graph
 
 
 def test_build_graph_bouquet():

@@ -10,23 +10,23 @@ from galois_span.errors import InvariantError, NotSquareError, TooLargeError
 from galois_span.graphs import bouquet, complete_graph
 from galois_span.groups import parse_group_spec
 from galois_span.linalg import (
-    cauchy_binet_check,
-    delete_row_col,
     det_fraction,
     det_int,
     det_int_derivative,
     det_int_poly_matrix,
     det_int_sparse_spd,
-    kronecker,
     mat_mul,
     rank_fraction,
 )
 from galois_span.polynomials import IntPoly
 
 from helpers import (
+    cauchy_binet_check,
+    delete_row_col,
     det_fraction_by_elimination,
     det_ring,
     dumbbell_graph,
+    kronecker,
     laplacian,
     mat_mul_dense,
     theta_graph,

@@ -1,0 +1,73 @@
+"""No test-only code in the library: a syntax-level guard.
+
+Every top-level function and class of `galois_span` must be referred to
+somewhere in `src/galois_span` outside its own definition, `__init__.py`
+and the `__all__` lists, so that the CLI or the library's own verifiers can
+reach it.  Only names and attributes count: an import is not a reference,
+and an `__all__` entry is a string, so a re-export is not a use.
+Code that only the tests call belongs in `tests/helpers.py`.  `ALLOWED`
+names the few exceptions, each with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "galois_span"
+FAMILY_LEMMAS = "an object of the non-existence lemmas, exported to check them statement by statement"
+ALLOWED = {
+    "graphs.brute_force_spanning_trees": "oracle of Matrix-Tree counting, by enumeration",
+    "posets.mobius_inversion_check": "oracle of the two Moebius recursions",
+    "groups.quotient_group": "the planned normal-quotient covers build on it",
+    "groups.are_conjugate_subgroups": "the benchmark tracer wraps it by name",
+    "family.exp_join": FAMILY_LEMMAS,
+    "family.exp_meet": FAMILY_LEMMAS,
+    "family.family_kappa": FAMILY_LEMMAS,
+    "family.mbar_matrix": FAMILY_LEMMAS,
+    "family.j_block": FAMILY_LEMMAS,
+    "family.k_prime_block": FAMILY_LEMMAS,
+}
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each top-level function or class that no code of
+    `sources` (module name -> source text) refers to, outside its own
+    definition and `__init__`."""
+    defined, referred = [], set()
+    for module, text in sources.items():
+        if module == "__init__":
+            continue
+        for top in ast.parse(text).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = top.name
+                defined.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    referred.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    referred.add(node.attr)
+    return [f"{module}.{name}" for module, name in defined if name not in referred]
+
+
+def library_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_library_function_and_class_has_a_library_caller():
+    assert sorted(set(unreferenced(library_sources())) - set(ALLOWED)) == []
+
+
+def test_every_allowed_name_is_still_defined_and_still_uncalled():
+    assert sorted(ALLOWED) == sorted(unreferenced(library_sources()))
+
+
+def test_guard_catches_a_function_with_no_caller():
+    sources = library_sources()
+    sources["linalg"] += "\n\ndef planted(n):\n    return planted(n - 1) if n else 0\n"
+    sources["family"] += '\n__all__ += ["planted"]\n'
+    sources["__init__"] += "from .linalg import planted\n"
+    sources["posets"] = "from .linalg import planted\n" + sources["posets"]
+    assert sorted(set(unreferenced(sources)) - set(ALLOWED)) == ["linalg.planted"]
+    # one call from library code is enough
+    sources["posets"] += "\n\ndef _uses_planted():\n    return planted(3)\n"
+    assert sorted(set(unreferenced(sources)) - set(ALLOWED)) == ["posets._uses_planted"]

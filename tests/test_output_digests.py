@@ -36,6 +36,9 @@ cleared sides have about 9300 digits, past Python's 4300-digit limit on
 int-to-str conversion.  It was recorded once every output integer went
 through `report.decimal_text`, and equals the output of the code before that
 change run with the limit lifted.
+
+`group-characters` pins `group characters` on S3 and A4: the order of the
+characters that `lfun h --chi k` indexes, and their values.
 """
 
 import contextlib
@@ -97,6 +100,7 @@ S3_ARTIN_RELATION = [
     {"elements": ["e", "(0 1 2)", "(0 2 1)"], "coefficient": -1},
     {"elements": [0, "(0 1)"], "coefficient": -2},
 ]
+GROUP_CHARACTERS = [["group", "characters", "S3"], ["group", "characters", "A4"]]
 # (base, group, seed): a cover whose report has integers of more than 4300 digits
 BIG_BRAUER_KURODA = ("complete:5", "C4xS4", 1)
 # a triangle with a loop at 0, a double edge 1-2 and a leaf 3: degrees 5, 3, 4, 1
@@ -178,6 +182,7 @@ def test_every_case_has_a_digest():
         "cover-kappa",
         "verify-relation-S3",
         "verify-brauer-kuroda-C4xS4",
+        "group-characters",
     ]
     assert sorted(names) == sorted(DIGESTS)
 
@@ -227,3 +232,7 @@ def test_verify_brauer_kuroda_past_the_digit_limit_is_byte_identical_to_recorded
     voltage = ";".join(map(str, alpha.volt))
     command = ["verify", "brauer-kuroda", "--base", base, "--group", spec, "--voltage", voltage]
     assert commands_digest([command]) == DIGESTS["verify-brauer-kuroda-C4xS4"]
+
+
+def test_group_characters_output_is_byte_identical_to_recorded_digest():
+    assert commands_digest(GROUP_CHARACTERS) == DIGESTS["group-characters"]

@@ -18,14 +18,13 @@ from galois_span.posets import (
     Poset,
     adjoin_bottom,
     adjoin_top,
-    classical_mobius,
     cyclic_poset,
     hasse_dot,
     kernel_poset,
     mobius,
     mobius_inversion_check,
 )
-from helpers import divisor_poset, random_poset
+from helpers import classical_mobius, divisor_poset, random_poset
 
 
 def test_poset_validation():
@@ -69,8 +68,6 @@ T, F = True, False
             "key 'x' already present",
         ),
         (lambda: adjoin_top(Poset(["x"], ["x"], [[T]]), "x"), "key 'x' already present"),
-        # the classical Moebius function starts at 1
-        (lambda: classical_mobius(0), "classical Moebius needs n >= 1"),
     ],
     ids=[
         "duplicate-keys",
@@ -82,7 +79,6 @@ T, F = True, False
         "not-transitive",
         "bottom-key-taken",
         "top-key-taken",
-        "classical-zero",
     ],
 )
 def test_poset_refusals_are_typed(call, message):

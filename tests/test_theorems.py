@@ -10,6 +10,7 @@ from galois_span.covers import (
     intermediate_kappa,
     random_connected_voltage,
 )
+from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import (
     EulerZeroError,
     NotABrauerRelationError,
@@ -36,7 +37,7 @@ from galois_span.theorems import (
     verify_hmsv,
     verify_kuroda,
 )
-from helpers import induced_trivial_values_by_products
+from helpers import artin_coefficients, induced_trivial_values_by_products
 
 
 def fig2_cover():
@@ -205,12 +206,7 @@ def test_custom_relation_artin_s3():
     c = s3_cover()
     g = c.group
     # 6 * chi_triv = 6 * sum a_C Ind_C with integer coefficients
-    from galois_span.characters import ClassFunction, artin_coefficients, character_table
-    from fractions import Fraction
-
-    table = character_table(g)
-    triv = ClassFunction(group=g, values=tuple(Fraction(1) for _ in range(3)))
-    coeffs = artin_coefficients(table, triv)
+    coeffs = artin_coefficients(character_table(g), [1, 1, 1])
     relation = {}
     for h in cyclic_subgroups(g):
         value = coeffs[h.elements] * 6
@@ -468,3 +464,47 @@ def test_custom_relation_refuses_a_subgroup_of_another_group_with_coefficient_ze
     relation = {generated_subgroup(c.group, []): 0, generated_subgroup(other, []): 0}
     with pytest.raises(WrongGroupError, match="^subgroup of a different group$"):
         verify_custom_relation(c, relation)
+
+
+ARTIN_GROUPS = ["S3", "S4", "C2xS4", "A5", "C12", "C2xC2xC2", "Q8", "C3xS3", "C4xS4", "S5"]
+
+
+@pytest.mark.parametrize("spec", ARTIN_GROUPS)
+def test_brauer_kuroda_vector_is_artin_induction_of_the_trivial_character(spec):
+    # |G| [G] - |G| sum_C a_C [C] with 1 = sum_C a_C Ind_C^G(1), a_C from the
+    # classical Moebius function over cyclic overgroups, subgroup by subgroup
+    g = parse_group_spec(spec)
+    terms = theorems._brauer_kuroda_terms(g)
+    coeffs = artin_coefficients(character_table(g), [1] * len(g.conjugacy_classes()))
+    assert (terms[0][0].elements, terms[0][1]) == (tuple(range(g.order)), g.order)
+    assert [h.elements for h, _ in terms[1:]] == [c.elements for c in cyclic_subgroups(g)]
+    for h, n in terms[1:]:
+        assert n == -g.order * coeffs[h.elements], h.describe()
+
+
+@pytest.mark.parametrize("spec", ["S3", "Q8", "A4", "C2xS4"])
+def test_verify_eq3_reports_a_perturbed_coefficient_without_raising(monkeypatch, spec):
+    g = parse_group_spec(spec)
+    table = character_table(g)
+    assert theorems.verify_eq3(g).passed
+    real = theorems._brauer_kuroda_terms
+    cyclic = real(g)[-1][0]
+
+    def perturbed(group):
+        terms = real(group)
+        h, n = terms[-1]
+        return terms[:-1] + [(h, n + 1)]
+
+    monkeypatch.setattr(theorems, "_brauer_kuroda_terms", perturbed)
+    report = theorems.verify_eq3(g)
+    assert report.status() == "FAIL"
+    # the pairing moves by <Ind_C^G 1, rho> = (1/|C|) sum_(x in C) rho(x), Frobenius reciprocity
+    failing = []
+    for idx, rho in enumerate(table.characters):
+        total = sum((rho.value_cyclo(table.class_of[x]) for x in cyclic.elements), CyclotomicInt.zero(table.e))
+        if total.as_int():
+            failing.append("unit partition" if rho.is_trivial() else f"character {idx}")
+    assert failing[0] == "unit partition"
+    assert [note.split(":")[0] for note in report.notes.split("; ")] == failing
+    assert report.left == len(table.characters)
+    assert report.right == len(table.characters) - len(failing)
