@@ -31,6 +31,7 @@ from .errors import (
     FamilyParameterError,
     GaloisSpanError,
     GraphError,
+    GroupSpecError,
     InvariantError,
     json_int,
     json_list,
@@ -194,6 +195,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_group(args) -> int:
+    if args.spec is None and args.action != "table1":
+        raise GroupSpecError(f"group {args.action} needs a group SPEC")
     if args.action == "info":
         row = table1_row(args.spec)
         _emit(row.to_json_dict(), args)
@@ -381,17 +384,20 @@ def _cmd_family(args) -> int:
 
 def _cmd_selftest(args) -> int:
     bases = [bouquet(2), bouquet(3)]
-    groups = args.groups.split(",") if args.groups else [
+    specs = args.groups.split(",") if args.groups else [
         "C2xC2",
         "S3",
         "D4",
         "Q8",
         "A4",
     ]
-    summary = random_suite(args.seed, args.iters, groups, bases)
+    # one parse per spec: the random covers and the eq3 rows share each group
+    # and everything it keeps
+    parsed = {spec: parse_group_spec(spec) for spec in dict.fromkeys(specs)}
+    summary = random_suite(args.seed, args.iters, [parsed[s] for s in specs], bases)
     eq3_rows = []
-    for spec in groups:
-        report = verify_eq3(parse_group_spec(spec))
+    for spec in specs:
+        report = verify_eq3(parsed[spec])
         eq3_rows.append({"group": spec, "status": report.status(), "passed": report.passed})
     payload = summary.to_json_dict()
     payload["eq3"] = eq3_rows

@@ -26,6 +26,18 @@ run when the arrays become a labelled `SerreGraph` (`derived_graph`,
 graphs, over every vertex and edge with every star sorted, is kept in the
 tests as the oracle of these checks.
 
+The first two checks depend only on G, the coset list and the voltage, not
+on the base or the rest of the cover, so the group keeps their results, one
+coset plan per coset list (`_coset_plan`, in `FiniteGroup._cache` beside the
+left cosets of each subgroup): the partition check and the coset
+representatives the first time any cover of G asks for that list, and each
+voltage's checked action on the cosets the first time any cover of G has
+that voltage.  The derived graph (the trivial coset list), the labelled
+quotients and the kappa path all read the same plan, and each cover lays out
+only its own arrays.  Every check runs before its result is first kept: a
+coset list or a voltage that fails keeps nothing and fails again on the
+next request.
+
 The cover is Galois exactly when the derived graph is connected; `is_galois`,
 which every Galois guard asks, decides it by generation: the base is
 connected and the net voltages of the fundamental cycles of a spanning tree
@@ -38,11 +50,12 @@ verifiers of one cover ask for overlapping sets of quotients.  The quotient
 by the trivial subgroup has the derived graph's arrays, so its kappa is
 kappa(Y), read from the derived graph instead of a second quotient.  For any
 other H, kappa(X_H) is read from the checked arrays alone, with no labelled
-graph: the partition and per-voltage checks run, and the reduced Laplacian's
-elimination checks symmetry and positive pivots.  Two checks of a labelled
-graph are implied and skipped.  The connectivity search: the Galois guard
-has shown Y connected, and X_H is its image under a morphism.  The
-involution check: the action of a^-1 undoes the action of a on the cosets.
+graph: the partition and per-voltage checks have passed, once per group,
+and the reduced Laplacian's elimination checks symmetry and positive
+pivots.  Two checks of a labelled graph are implied and skipped.  The
+connectivity search: the Galois guard has shown Y connected, and X_H is its
+image under a morphism.  The involution check: the action of a^-1 undoes
+the action of a on the cosets.
 """
 
 from __future__ import annotations
@@ -184,18 +197,18 @@ def _coset_quotient(
 
 def _quotient_arrays(
     alpha: VoltageAssignment, cosets: list[tuple[int, ...]]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The coset action of the edge voltages and the quotient's edge arrays, checked.
+) -> tuple[list[int], list[int], list[int], tuple[int, ...]]:
+    """The quotient's edge arrays for one cover, laid out from the group's coset plan.
 
     Vertex (v, H*sigma) is v * k + i for the i-th of the k cosets; edge
     e x H*sigma is e * k + i, leaves it and ends at (t(e), H*sigma*alpha(e)).
-    Each distinct edge voltage a acts once on the cosets, image[i] = coset of
-    rep(i)*a, and the same pass checks that this action is well defined: the
-    coset of sigma*a depends only on the coset of sigma, for every sigma.
-    That is exactly when (v, sigma) -> (v, coset of sigma) is a graph
-    morphism of the derived graph onto the quotient, and a morphism between
-    two coverings of X that commutes with them is a covering.  Failing it
-    raises `InvariantError`.
+    What depends only on G, the coset list and a voltage is the group's, in
+    its kept plan (`_coset_plan`): the coset index of each element, and the
+    action of each voltage a on the cosets, image[i] = coset of rep(i)*a.
+    The action is built and checked (`_voltage_action`) the first time any
+    cover of G asks for a, and read back for every later cover; a voltage
+    whose action fails its check keeps nothing and fails again on the next
+    request.  Only the arrays are this cover's.
 
     X_H -> X, (w, d) -> (w // k, d // k), needs no further check: the cosets
     are checked to partition G (`_coset_index`), so every image index lies
@@ -206,25 +219,58 @@ def _quotient_arrays(
     """
     base, g = alpha.base, alpha.group
     k = len(cosets)
-    coset_of = _coset_index(g.order, cosets)
-    reps = [coset[0] for coset in cosets]
-    images: dict[int, list[int]] = {}
+    coset_of, reps, actions = _coset_plan(g, cosets)
     for a in set(alpha.edge_volt):
-        column = [coset_of[row[a]] for row in g.cayley]
-        image = [column[r] for r in reps]
-        if [image[c] for c in coset_of] != column:
-            raise InvariantError("projection from the cover does not commute with endpoints")
-        images[a] = image
+        if a not in actions:
+            actions[a] = _voltage_action(g, coset_of, reps, a)
     origin: list[int] = []
     terminus: list[int] = []
     inverse: list[int] = []
     for e, a in enumerate(alpha.edge_volt):
-        image = images[a]
+        image = actions[a]
         o, t, inv = base.origin[e] * k, base.terminus[e] * k, base.inverse[e] * k
         origin.extend(range(o, o + k))
         terminus.extend([t + x for x in image])
         inverse.extend([inv + x for x in image])
     return origin, terminus, inverse, coset_of
+
+
+def _coset_plan(g: FiniteGroup, cosets: list[tuple[int, ...]]):
+    """The group's kept plan for one coset list: (coset_of, reps, actions).
+
+    coset_of is the coset index of each element, reps the first element of
+    each coset, and actions the checked action of each voltage asked so far
+    (filled by `_quotient_arrays`).  The partition check runs before the plan
+    is first kept, so a list that is not a partition keeps nothing and is
+    refused again on the next request.
+    """
+    plans = g._cache.setdefault("coset_plans", {})
+    key = tuple(cosets)
+    plan = plans.get(key)
+    if plan is None:
+        coset_of = tuple(_coset_index(g.order, cosets))
+        plan = plans[key] = (coset_of, [coset[0] for coset in cosets], {})
+    return plan
+
+
+def _voltage_action(
+    g: FiniteGroup, coset_of: tuple[int, ...], reps: list[int], a: int
+) -> tuple[int, ...]:
+    """The right action of a on the cosets, image[i] = coset of rep(i)*a, checked.
+
+    One Cayley column gives the coset of sigma*a for every sigma, and the
+    action is well defined when that coset depends only on the coset of
+    sigma.  That is exactly when (v, sigma) -> (v, coset of sigma) is a
+    graph morphism of the derived graph onto the quotient, for every cover
+    of G with a among its voltages, and a morphism between two coverings of
+    X that commutes with them is a covering.  Failing it raises
+    `InvariantError`.
+    """
+    column = [coset_of[row[a]] for row in g.cayley]
+    image = tuple([column[r] for r in reps])
+    if [image[c] for c in coset_of] != column:
+        raise InvariantError("projection from the cover does not commute with endpoints")
+    return image
 
 
 def _coset_index(n: int, cosets: list[tuple[int, ...]]) -> list[int]:
@@ -328,8 +374,9 @@ def _check_quotient(c: Cover, h: Subgroup) -> None:
 def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
     """Quotient by the left action of H: vertices (v, H*sigma).
 
-    The builder checks both projections, X_H -> X and Y -> X_H,
-    (v, sigma) -> (v, H*sigma), as it builds the arrays (`_quotient_arrays`).
+    Both projections, X_H -> X and Y -> X_H, (v, sigma) -> (v, H*sigma), are
+    checked by the group's coset plan for H's left cosets, on its first use
+    and for each voltage on its first use (`_quotient_arrays`).
     """
     _check_quotient(c, h)
     cosets = left_cosets(h)
@@ -342,16 +389,19 @@ def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
 def intermediate_kappa(c: Cover, h: Subgroup) -> int:
     """kappa(X_H), kept on the cover by the exact subgroup (never by its class).
 
-    The first request computes it with every check that decides it; only the
-    count is kept.  For the trivial subgroup the quotient is the derived
-    graph itself (same arrays), so its count is kappa(Y), kept on the derived
-    graph.  For any other H the checked arrays of `_quotient_arrays` go
-    straight to `matrix_tree_count`: no names, no `SerreGraph` and no
-    connectivity search.  The guard has shown that Y is connected, and X_H
-    is its image, so X_H is connected.  Inversion needs no check of its own:
-    the action of a^-1 undoes the action of a on the cosets of a subgroup.
-    `det_int_sparse_spd` still checks that the reduced Laplacian is
-    symmetric and that every pivot is positive.
+    The cover keeps the count; the group keeps what every cover of G shares,
+    H's left cosets and their coset plan, with the partition check and the
+    action of each voltage checked the first time any cover asks for them
+    (`_quotient_arrays`).  A check that fails keeps nothing on either, so
+    the next request runs it again.  For the trivial subgroup the quotient
+    is the derived graph itself (same arrays), so its count is kappa(Y),
+    kept on the derived graph.  For any other H the arrays of
+    `_quotient_arrays` go straight to `matrix_tree_count`: no names, no
+    `SerreGraph` and no connectivity search.  The guard has shown that Y is
+    connected, and X_H is its image, so X_H is connected.  Inversion needs
+    no check of its own: the action of a^-1 undoes the action of a on the
+    cosets of a subgroup.  `det_int_sparse_spd` still checks that the
+    reduced Laplacian is symmetric and that every pivot is positive.
     """
     _check_quotient(c, h)
     if h.elements not in c._kappas:
@@ -370,8 +420,11 @@ def conjugate_kappa_check(c: Cover) -> VerificationReport:
     Each subgroup's kappa comes from its own quotient, since the cover keeps
     kappa per subgroup and not per class, so this stays an independent check;
     the trivial subgroup, alone in its class, takes kappa(Y) from the derived
-    graph.  Every quotient's projection from Y is checked as a morphism over X
-    when its arrays are built (`_quotient_arrays`).
+    graph.  Every quotient's projection from Y is a checked morphism over X:
+    the group's coset plan of each subgroup checks the action of each voltage
+    once per group, the first time any cover of G asks for it, before the
+    action is kept (`_quotient_arrays`).  What is shared is only what the
+    group and the voltage decide, so the kappas stay each cover's own.
     """
     if not is_galois(c.voltage):
         raise NotGaloisError("conjugate check needs a Galois cover")

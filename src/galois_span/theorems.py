@@ -322,18 +322,19 @@ class SuiteSummary:
 def random_suite(
     seed: int,
     iterations: int,
-    group_specs: list[str],
+    groups: list[FiniteGroup],
     bases: list,
 ) -> SuiteSummary:
     """Seeded random covers run through every end-to-end verifier.
 
     Per-iteration seeds derive deterministically from the master seed, so
-    the summary is reproducible.
+    the summary is reproducible.  The groups are the caller's, parsed once:
+    every cover of one group shares what the group keeps (character table,
+    subgroup lists, kept relations, coset plans), which changes no result.
     """
     summary = SuiteSummary(seed=seed, iterations=iterations)
-    if not group_specs or iterations <= 0:
+    if not groups or iterations <= 0:
         return summary
-    groups = [parse_group_spec(s) for s in group_specs]
     for i in range(iterations):
         iteration_seed = seed * 1_000_003 + i
         g = groups[i % len(groups)]

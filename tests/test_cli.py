@@ -91,8 +91,22 @@ def test_group_characters_prints_the_table_that_lfun_h_chi_indexes(capsys):
     for k, chi in enumerate(data["characters"]):
         code, h = run(capsys, "lfun", "h", *cover, "--chi", str(k))
         assert code == 0 and h["degree"] == 2 * chi["degree"]
-    assert main(["group", "characters"]) == 2
-    assert "group spec must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["characters", "info", "subgroups"])
+def test_group_action_without_a_spec_is_refused_by_name(capsys, action):
+    assert main(["group", action]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: group {action} needs a group SPEC\n"
+
+
+def test_group_table1_without_a_spec_prints_every_fixture_row(capsys):
+    from galois_span.table1 import TABLE1_FLAGS
+
+    code, data = run(capsys, "group", "table1")
+    assert code == 0
+    assert [r["spec"] for r in data["rows"]] == sorted(TABLE1_FLAGS)
 
 
 def test_poset_mobius(capsys):
@@ -222,6 +236,33 @@ def test_selftest(capsys):
     code, data = run(capsys, "selftest", "--seed", "0", "--iters", "4")
     assert code == 0
     assert data["all_passed"] is True
+
+
+@pytest.mark.parametrize("groups", [None, "S3,C2xC2,S3"])
+def test_selftest_parses_each_group_spec_once(capsys, monkeypatch, groups):
+    # the random covers and the eq3 rows share one parsed group per spec
+    import sys
+
+    import galois_span.groups as groups_module
+
+    parse = groups_module.parse_group_spec
+    parsed = []
+
+    def counting_parse(spec):
+        parsed.append(spec)
+        return parse(spec)
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("galois_span") and (
+            getattr(module, "parse_group_spec", None) is parse
+        ):
+            monkeypatch.setattr(module, "parse_group_spec", counting_parse)
+    argv = ["selftest", "--seed", "3", "--iters", "6"]
+    argv += ["--groups", groups] if groups else []
+    code, data = run(capsys, *argv)
+    assert code == 0 and data["all_passed"]
+    specs = [row["group"] for row in data["eq3"]]
+    assert sorted(parsed) == sorted(set(specs))
 
 
 def test_verification_failure_exit_code(capsys, tmp_path):

@@ -42,6 +42,7 @@ from galois_span.groups import (
     dihedral_group,
     direct_product,
     generated_subgroup,
+    left_cosets,
     parse_group_spec,
     symmetric_group,
 )
@@ -808,7 +809,7 @@ def test_one_selftest_iteration_builds_each_quotient_once(monkeypatch, spec):
     monkeypatch.setattr(covers, "_quotient_arrays", counting_build)
     for module in (covers, theorems):
         monkeypatch.setattr(module, "intermediate_kappa", recording_kappa)
-    summary = theorems.random_suite(3, 1, [spec], [bouquet(2)])
+    summary = theorems.random_suite(3, 1, [parse_group_spec(spec)], [bouquet(2)])
     assert summary.all_passed
     subgroups = all_subgroups(parse_group_spec(spec))
     # every subgroup is asked for (the conjugate check asks for all), some more than once
@@ -818,3 +819,105 @@ def test_one_selftest_iteration_builds_each_quotient_once(monkeypatch, spec):
     # graph's; the trivial quotient is never built, since its kappa is the derived graph's
     assert len(built) == len(set(asked))
     assert built.count(parse_group_spec(spec).order) == 1
+
+
+# -- the coset plans a group keeps for every cover of it --------------------------
+
+
+def _coset_index_of(g, cosets) -> tuple[int, ...]:
+    return tuple(next(i for i, c in enumerate(cosets) if y in c) for y in range(g.order))
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "A4", "C2xC2xC2"])
+def test_two_covers_of_one_group_check_each_voltage_action_once(monkeypatch, spec):
+    # the second cover shares the first one's voltages and adds one more edge:
+    # each (coset list, voltage) pair is checked once, by whichever cover asks first
+    import galois_span.covers as covers
+
+    checked = []
+    action = covers._voltage_action
+
+    def counting_action(g, coset_of, reps, a):
+        checked.append((coset_of, a))
+        return action(g, coset_of, reps, a)
+
+    monkeypatch.setattr(covers, "_voltage_action", counting_action)
+    g = parse_group_spec(spec)
+    first = random_connected_voltage(bouquet(3), g, 2)
+    second = VoltageAssignment(base=bouquet(4), group=g, volt=first.volt + (g.order - 1,))
+    per_cover = 0
+    for alpha in (first, second):
+        c = derived_graph(alpha)
+        assert conjugate_kappa_check(c).passed
+        per_cover += len(all_subgroups(g)) * len(set(alpha.edge_volt))
+    expected = {
+        (_coset_index_of(g, left_cosets(h)), a)
+        for h in all_subgroups(g)
+        for alpha in (first, second)
+        for a in alpha.edge_volt
+    }
+    assert sorted(checked) == sorted(expected)
+    assert len(checked) < per_cover
+    # the kept actions give the kappas of a group that has kept nothing
+    twin = parse_group_spec(spec)
+    fresh = derived_graph(VoltageAssignment(base=bouquet(4), group=twin, volt=second.volt))
+    warm = derived_graph(second)
+    for h, h_twin in zip(all_subgroups(g), all_subgroups(twin)):
+        assert intermediate_kappa(warm, h) == intermediate_kappa(fresh, h_twin), h.describe()
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[(0, 1, 2), (3, 4)], [(0, 1, 2), (2, 3, 4, 5)], [(0, 1, 2), (3, 4, 5), ()]],
+    ids=["missing", "repeated", "empty-block"],
+)
+def test_a_list_that_is_not_a_partition_keeps_no_plan_and_is_refused_again(blocks):
+    c = s3_cover()
+    for _ in range(2):
+        with pytest.raises(InvariantError):
+            _coset_quotient(c.voltage, blocks, "H")
+        assert tuple(blocks) not in c.group._cache.get("coset_plans", {})
+
+
+def test_a_voltage_whose_action_fails_keeps_nothing_and_is_refused_again(monkeypatch):
+    # the sigma*H cosets of a non-normal subgroup of S3 partition G, so the plan of
+    # the list is kept, but no voltage action that fails its check; every later
+    # request, from this cover or another cover of G, runs the check again
+    import galois_span.covers as covers
+
+    c = s3_cover()
+    g = c.group
+    h = generated_subgroup(g, [g.element("(0 1)")])
+    blocks = sorted({tuple(sorted(g.mul(s, x) for x in h.elements)) for s in range(g.order)})
+    refused = []
+    action = covers._voltage_action
+
+    def recording_action(g, coset_of, reps, a):
+        try:
+            return action(g, coset_of, reps, a)
+        except InvariantError:
+            refused.append(a)
+            raise
+
+    monkeypatch.setattr(covers, "_voltage_action", recording_action)
+    monkeypatch.setattr(covers, "left_cosets", lambda subgroup: blocks)
+    other = derived_graph(
+        VoltageAssignment(base=bouquet(3), group=g, volt=c.voltage.volt + (g.identity,))
+    )
+    for cover in (c, c, other):
+        with pytest.raises(InvariantError, match="does not commute with endpoints"):
+            intermediate_kappa(cover, h)
+        assert h.elements not in cover._kappas
+    _, _, actions = g._cache["coset_plans"][tuple(blocks)]
+    assert refused and not set(refused) & set(actions)
+    assert len(refused) == 3
+
+
+def test_left_cosets_hands_out_a_fresh_list_of_the_kept_one():
+    g = symmetric_group(3)
+    h = generated_subgroup(g, [g.element("(0 1)")])
+    cosets = left_cosets(h)
+    cosets.append((0,))
+    cosets[0] = ()
+    expected = sorted({tuple(sorted(g.mul(a, x) for a in h.elements)) for x in range(6)})
+    assert left_cosets(h) == expected

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -297,13 +298,41 @@ def test_table1_unsupported():
 
 def test_random_suite_reproducible():
     bases = [bouquet(2)]
-    s1 = random_suite(3, 4, ["S3", "C2xC2"], bases)
-    s2 = random_suite(3, 4, ["S3", "C2xC2"], bases)
+    s1 = random_suite(3, 4, [parse_group_spec(s) for s in ("S3", "C2xC2")], bases)
+    s2 = random_suite(3, 4, [parse_group_spec(s) for s in ("S3", "C2xC2")], bases)
     assert s1.to_json_dict() == s2.to_json_dict()
     assert s1.all_passed
     assert len(s1.entries) == 16  # 4 iterations x 4 checks
     empty = random_suite(0, 5, [], bases)
     assert empty.entries == []
+
+
+def test_random_suite_on_shared_warm_groups_matches_a_cold_run(monkeypatch):
+    # two runs in one process on the same group objects: the second reads every
+    # coset plan, subgroup list and kept relation the first left, checks no
+    # voltage action again, and writes the same JSON as a run on fresh groups
+    import galois_span.covers as covers
+
+    specs = ("S3", "D4", "Q8", "A4", "C2xC2")
+    bases = [bouquet(2), bouquet(3)]
+    shared = [parse_group_spec(s) for s in specs]
+    first = json.dumps(random_suite(5, 15, shared, bases).to_json_dict())
+    checked = []
+    action = covers._voltage_action
+
+    def counting_action(g, coset_of, reps, a):
+        checked.append(a)
+        return action(g, coset_of, reps, a)
+
+    monkeypatch.setattr(covers, "_voltage_action", counting_action)
+    second = json.dumps(random_suite(5, 15, shared, bases).to_json_dict())
+    assert checked == []
+    assert all(g._cache["coset_plans"] for g in shared)
+    fresh = [parse_group_spec(s) for s in specs]
+    cold = json.dumps(random_suite(5, 15, fresh, bases).to_json_dict())
+    assert checked  # the fresh groups check their actions anew
+    assert first == second == cold
+    assert json.loads(cold)["all_passed"]
 
 
 def test_abelian_noncyclic_formulas_are_nontrivial():
