@@ -1,8 +1,10 @@
 """Exact character tables of finite groups and the apparatus built on them.
 
-An abelian group's table is its dual group Hom(G, mu_e) (e the group
-exponent), built by extending characters one cyclic step at a time.  Any
-other group's table is computed by Dixon's finite-field method:
+A table takes one of three routes.  An abelian group's table is its dual
+group Hom(G, mu_e) (e the group exponent), built by extending characters
+one cyclic step at a time.  A non-abelian direct product A x B (built by
+`groups.direct_product`) takes the products chi x psi of its factors'
+tables.  Any other group's table is computed by Dixon's finite-field method:
 class-multiplication matrices are simultaneously diagonalized over F_p for
 a prime p = 1 (mod e) with p > 2*sqrt(|G|), degrees are recovered with a
 square root mod p, and every character value is lifted to an exact
@@ -12,10 +14,10 @@ o(g), and it is taken once for each family of classes that generate
 conjugate cyclic subgroups; the other classes of a family permute its
 result.  No floating point is involved anywhere.
 
-Row orthogonality is verified exactly before a table is returned: every
-Gram entry is one packed integer dot product, folded by x^e = 1 and
-reduced mod Phi_e.  Each distinct multiplicity vector is packed once, and
-each distinct folded integer is reduced once.
+Whatever the route, row orthogonality is verified exactly before a table
+is returned: every Gram entry is one packed integer dot product, folded by
+x^e = 1 and reduced mod Phi_e.  Each distinct multiplicity vector is
+packed once, and each distinct folded integer is reduced once.
 
 Eigenspace splitting starts from a seeded random linear combination of the
 class matrices and falls back to a deterministic sweep, so tables are
@@ -319,10 +321,13 @@ class CharacterTable:
 def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
     """Compute Irr(G) exactly; results are cached on the group per seed.
 
-    An abelian group (every class a singleton) gets its table from the dual
-    group, any other group from Dixon's method.  Characters are sorted on
-    their values, trivial first, so the table does not depend on the route
-    or on the seed.  Every table passes `_verify_table` before it is kept.
+    Three routes: an abelian group (every class a singleton) gets its table
+    from the dual group, a non-abelian direct product from its factors'
+    tables, and any other group (an atom, a `perm:` or `table:` group, a
+    quotient) from Dixon's method.  Characters are sorted on their values,
+    trivial first, so the table does not depend on the route or on the
+    seed.  Every table, whatever its route, passes `_verify_table` before
+    it is kept.
     """
     cache_key = ("character_table", seed)
     if cache_key in g._cache:
@@ -335,6 +340,8 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
     e = g.exponent()
     if len(classes) == g.order:
         characters = _dual_group_characters(g, e)
+    elif g.factors is not None:
+        characters = _product_characters(g, e, seed)
     else:
         characters = _dixon_characters(g, e, seed)
     characters.sort(key=_table_order)
@@ -385,6 +392,44 @@ def _dual_group_characters(g: FiniteGroup, e: int) -> list[Character]:
         Character(group=g, e=e, degree=1, values=tuple(units[chi[i]] for i in reps))
         for chi in exponents
     ]
+
+
+def _product_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:
+    """Irr(A x B) = {chi x psi : chi in Irr(A), psi in Irr(B)} (Isaacs, Thm 4.21).
+
+    g = A x B is a direct product (`FiniteGroup.factors`); the factors'
+    tables come from `character_table` and are kept on the factors.  The
+    eigenvalues of chi x psi at (a, b) are the products of chi's at a and
+    psi's at b, so its multiplicity vector there is the convolution mod
+    e = lcm(e_A, e_B) of theirs, with exponents scaled by e / e_A and
+    e / e_B.  Unsorted.
+    """
+    a, b = g.factors
+    n_b = b.order
+    tables = (character_table(a, seed), character_table(b, seed))
+    pairs = [divmod(cls[0], n_b) for cls in g.conjugacy_classes()]
+    class_pairs = [(tables[0].class_of[x], tables[1].class_of[y]) for x, y in pairs]
+    # per factor character and class, the nonzero (scaled exponent, multiplicity)s
+    sparse = [
+        [
+            [[(k * (e // t.e), m) for k, m in enumerate(v) if m] for v in chi.values]
+            for chi in t.characters
+        ]
+        for t in tables
+    ]
+    characters = []
+    for chi, terms_chi in zip(tables[0].characters, sparse[0]):
+        for psi, terms_psi in zip(tables[1].characters, sparse[1]):
+            values = []
+            for i, j in class_pairs:
+                vec = [0] * e
+                for s, m in terms_chi[i]:
+                    for t, k in terms_psi[j]:
+                        vec[(s + t) % e] += m * k
+                values.append(tuple(vec))
+            degree = chi.degree * psi.degree
+            characters.append(Character(group=g, e=e, degree=degree, values=tuple(values)))
+    return characters
 
 
 def _dixon_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:

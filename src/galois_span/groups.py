@@ -10,7 +10,9 @@ derived from it alone (conjugation, classes, subgroup lists, the class key
 and the left cosets of each subgroup, character tables, posets, and the
 coset plans of `covers`) in its `_cache`, computed on first request; the
 subgroup and coset lists are handed out as fresh lists, so no caller can
-change the kept one.
+change the kept one.  A direct product also keeps its two factors
+(`FiniteGroup.factors`), from whose character tables `characters` builds
+its own.
 
 The subgroup lattice is built by cyclic extension (Neubüser 1960) on
 element bitmasks.  Constructions that guarantee closure (joins, cyclic
@@ -54,7 +56,7 @@ class FiniteGroup:
     """Group given by an n x n Cayley table of element indices."""
 
     def __init__(self, cayley, labels=None, name: str = "G", validate: bool = True):
-        self.cayley = tuple(tuple(int(x) for x in row) for row in cayley)
+        self.cayley = tuple(tuple(map(int, row)) for row in cayley)
         self.order = len(self.cayley)
         if any(len(row) != self.order for row in self.cayley):
             raise InvalidTableError("Cayley table is not square")
@@ -68,6 +70,7 @@ class FiniteGroup:
         self.inverses = self._find_inverses()
         if validate:
             self._validate()
+        self.factors: tuple[FiniteGroup, FiniteGroup] | None = None  # set by direct_product
         self._cache: dict = {}
 
     # -- construction checks ------------------------------------------------
@@ -470,20 +473,16 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
+    """g1 x g2, the element (a1, a2) at index a1 * |g2| + a2; it keeps both factors."""
     n1, n2 = g1.order, g2.order
-    table = [
-        [
-            (g1.mul(a1, b1)) * n2 + g2.mul(a2, b2)
-            for b1 in range(n1)
-            for b2 in range(n2)
-        ]
-        for a1 in range(n1)
-        for a2 in range(n2)
-    ]
+    t1, t2 = g1.cayley, g2.cayley
+    table = [[x * n2 + y for x in t1[a1] for y in t2[a2]] for a1 in range(n1) for a2 in range(n2)]
     labels = [
         f"({g1.label(a1)},{g2.label(a2)})" for a1 in range(n1) for a2 in range(n2)
     ]
-    return FiniteGroup(table, labels, name=f"{g1.name}x{g2.name}")
+    product = FiniteGroup(table, labels, name=f"{g1.name}x{g2.name}")
+    product.factors = (g1, g2)
+    return product
 
 
 def dihedral_group(n: int) -> FiniteGroup:

@@ -132,6 +132,66 @@ def det_int_derivative(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -
     return m0[n - 1][n - 1], m1[n - 1][n - 1]
 
 
+def _symbolic_phase(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """The pivot order and stored rows of `det_int_sparse_spd`'s symbolic phase.
+
+    stored[p] maps p to its diagonal entry and each of its filled later
+    columns to its entry, 0 where the matrix has none.  Once the pivot's
+    degree is the number of rows not yet taken less one, every such row has
+    that least degree, so they form a clique: minimum degree with
+    lowest-index ties would take them in ascending index, each filled with
+    all later ones, so they are appended and stored so directly and the
+    heap loop ends.
+    """
+    n = len(rows)
+    adj: list[set[int] | None] = []
+    for i, row in enumerate(rows):
+        cols = set()
+        for j, v in row.items():
+            if j.__class__ is not int or not 0 <= j < n:
+                raise InvariantError(f"entry ({i}, {j!r}) lies outside the {n}x{n} matrix")
+            if v and j != i:
+                w = rows[j].get(i, 0)
+                if w != v:
+                    raise InvariantError(
+                        f"entry ({i}, {j}) is {v} but entry ({j}, {i}) is {w}: "
+                        "matrix is not symmetric"
+                    )
+                cols.add(j)
+        adj.append(cols)
+    heap = [(len(cols), i) for i, cols in enumerate(adj)]
+    heapify(heap)
+    order: list[int] = []
+    upper: list[dict[int, int] | None] = [None] * n  # a pivot's row: diagonal, later columns
+    while heap:
+        degree, p = heappop(heap)
+        if upper[p] is not None or degree != len(adj[p]):
+            continue  # a stale entry: p was taken or its degree changed
+        filled = adj[p]
+        if degree == n - len(order) - 1:  # the dense tail: p is its least index
+            tail = [p] + sorted(filled)
+            for k, q in enumerate(tail):
+                row = rows[q]
+                stored = {j: row.get(j, 0) for j in tail[k + 1 :]}
+                stored[q] = row.get(q, 0)
+                upper[q] = stored
+            order += tail
+            break
+        order.append(p)
+        row = rows[p]
+        stored = {j: row.get(j, 0) for j in filled}
+        stored[p] = row.get(p, 0)
+        upper[p] = stored
+        for i in filled:
+            cols = adj[i]
+            cols.discard(p)
+            cols |= filled
+            cols.discard(i)
+            heappush(heap, (len(cols), i))
+        adj[p] = None  # upper[p] holds what the numeric phase needs
+    return order, upper
+
+
 def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     """Determinant of a symmetric positive-definite integer matrix in sparse rows.
 
@@ -149,7 +209,7 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     choose.  When a row is taken as pivot, its filled set of later columns is
     final, and the row is stored as its diagonal and those columns, with 0
     where the matrix has no entry: one triangle, to which the numeric phase
-    adds no key.
+    adds no key (`_symbolic_phase`).
 
     The numeric phase takes the pivots in that order.  The eliminated rows
     fall into components, the connected pieces of the pattern restricted to
@@ -177,43 +237,7 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     and the determinant is the product over the final components.
     """
     n = len(rows)
-    # symbolic phase: check the pattern, then eliminate it in minimum-degree order
-    adj: list[set[int] | None] = []
-    for i, row in enumerate(rows):
-        cols = set()
-        for j, v in row.items():
-            if j.__class__ is not int or not 0 <= j < n:
-                raise InvariantError(f"entry ({i}, {j!r}) lies outside the {n}x{n} matrix")
-            if v and j != i:
-                w = rows[j].get(i, 0)
-                if w != v:
-                    raise InvariantError(
-                        f"entry ({i}, {j}) is {v} but entry ({j}, {i}) is {w}: "
-                        "matrix is not symmetric"
-                    )
-                cols.add(j)
-        adj.append(cols)
-    heap = [(len(cols), i) for i, cols in enumerate(adj)]
-    heapify(heap)
-    order: list[int] = []
-    upper: list[dict[int, int] | None] = [None] * n  # a pivot's row: diagonal, later columns
-    while heap:
-        degree, p = heappop(heap)
-        if upper[p] is not None or degree != len(adj[p]):
-            continue  # a stale entry: p was taken or its degree changed
-        order.append(p)
-        filled = adj[p]
-        row = rows[p]
-        stored = {j: row.get(j, 0) for j in filled}
-        stored[p] = row.get(p, 0)
-        upper[p] = stored
-        for i in filled:
-            cols = adj[i]
-            cols.discard(p)
-            cols |= filled
-            cols.discard(i)
-            heappush(heap, (len(cols), i))
-        adj[p] = None  # upper[p] holds what the numeric phase needs
+    order, upper = _symbolic_phase(rows)
     # numeric phase: each row at the scale of the eliminated components next to it
     comps = [0] * n  # a row's adjacent components, bit p for the one pivot p made
     # a row's scale, the product of their determinants, until the row is the

@@ -5,6 +5,7 @@ import io
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from galois_span.characters import (
     _hessenberg_charpoly_mod,
@@ -629,3 +630,24 @@ def cycle_nets(alpha: VoltageAssignment) -> list[int]:
     if plan is None:
         raise DisconnectedGraphError("fundamental cycles need a connected base")
     return _plan_nets(plan, alpha.group, alpha.volt)
+
+
+def symbolic_phase_by_heap(rows) -> tuple[list[int], list[dict[int, int]]]:
+    """Oracle of `linalg._symbolic_phase`: minimum-degree elimination of the
+    pattern, lowest index first among ties, with the heap to the last row."""
+    n = len(rows)
+    adj = [{j for j, v in row.items() if v and j != i} for i, row in enumerate(rows)]
+    heap = [(len(cols), i) for i, cols in enumerate(adj)]
+    heapify(heap)
+    order, upper = [], [None] * n
+    while heap:
+        degree, p = heappop(heap)
+        if upper[p] is not None or degree != len(adj[p]):
+            continue
+        order.append(p)
+        filled = adj[p]
+        upper[p] = {j: rows[p].get(j, 0) for j in filled | {p}}
+        for i in filled:
+            adj[i] = (adj[i] | filled) - {p, i}
+            heappush(heap, (len(adj[i]), i))
+    return order, upper

@@ -371,6 +371,69 @@ def test_abelian_tables_from_the_dual_group_equal_dixon_tables(spec, monkeypatch
         assert character_table(g, seed).characters == dixon[seed]
 
 
+PRODUCT_SPECS = sorted(
+    {s for s in TABLE1_FLAGS if "x" in s and not parse_group_spec(s).is_abelian()}
+    | {"C2xS4", "C3xS3", "S3xS3", "C2xC2xA4", "C4xS4"}
+)
+
+
+@pytest.mark.parametrize("spec", PRODUCT_SPECS)
+def test_product_tables_from_the_factor_tables_equal_dixon_tables(spec, monkeypatch):
+    g = parse_group_spec(spec)
+    assert g.factors is not None
+    dixon = {
+        seed: tuple(sorted(_dixon_characters(g, g.exponent(), seed), key=_table_order))
+        for seed in (0, 1)
+    }
+    dixon_route = characters._dixon_characters
+
+    def refuse_the_product(group, e, seed):
+        if group is g:
+            raise AssertionError("a direct product went through Dixon's method")
+        return dixon_route(group, e, seed)
+
+    monkeypatch.setattr(characters, "_dixon_characters", refuse_the_product)
+    for seed in (0, 1):
+        assert character_table(g, seed).characters == dixon[seed]
+
+
+def test_a_product_with_an_abelian_product_factor_takes_the_product_route(monkeypatch):
+    g = parse_group_spec("C2xC2xS3")
+    a, b = g.factors
+    assert a.factors is not None and a.is_abelian() and not b.is_abelian()
+    calls = []
+    for route in ("_dual_group_characters", "_product_characters", "_dixon_characters"):
+
+        def logged(group, *args, original=getattr(characters, route), route=route):
+            calls.append((route, group))
+            return original(group, *args)
+
+        monkeypatch.setattr(characters, route, logged)
+    character_table(g)
+    assert calls == [
+        ("_product_characters", g),
+        ("_dual_group_characters", a),
+        ("_dixon_characters", b),
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, side", [("C3xS3", 0), ("C3xS3", 1), ("S3xS3", 1), ("C2xC2xA4", 0), ("C2xC2xA4", 1)]
+)
+def test_a_factor_table_with_a_moved_multiplicity_fails_the_product_check(spec, side):
+    g = parse_group_spec(spec)
+    factor = g.factors[side]
+    table = character_table(factor)
+    # one eigenvalue of a non-trivial character moves from zeta^t to zeta^(t+1)
+    values = [list(v) for v in table.characters[1].values]
+    t = next(t for t, m in enumerate(values[1]) if m)
+    values[1][t] -= 1
+    values[1][(t + 1) % table.e] += 1
+    factor._cache[("character_table", 0)] = _with_values(table, {1: map(tuple, values)})
+    with pytest.raises(InvariantError, match="row orthogonality fails"):
+        character_table(g)
+
+
 def test_sqrt_mod_roundtrip():
     import random as _random
 

@@ -10,6 +10,7 @@ from galois_span.errors import InvariantError, NotSquareError, TooLargeError
 from galois_span.graphs import bouquet, complete_graph
 from galois_span.groups import parse_group_spec
 from galois_span.linalg import (
+    _symbolic_phase,
     det_fraction,
     det_int,
     det_int_derivative,
@@ -29,6 +30,7 @@ from helpers import (
     kronecker,
     laplacian,
     mat_mul_dense,
+    symbolic_phase_by_heap,
     theta_graph,
 )
 
@@ -338,6 +340,36 @@ def test_det_int_sparse_spd_on_reduced_laplacians_of_covers(base, spec, seed):
     assert 2 <= y.vertex_count <= 60
     minor = [row[1:] for row in laplacian(y)[1:]]
     assert det_int_sparse_spd(_sparse_rows(minor)) == det_int(minor) == y.spanning_tree_count()
+
+
+def test_symbolic_phase_cuts_the_dense_tail_as_the_heap_would_take_it():
+    rng = random.Random(29)
+    patterns = []
+    for _ in range(60):
+        n = rng.randrange(1, 25)
+        density = rng.choice((0.05, 0.15, 0.3, 0.6))
+        b = [[rng.randrange(-3, 4) * (rng.random() < density) for _ in range(n)] for _ in range(n)]
+        # B^T B + I is symmetric positive definite; dense B gives a dense tail early
+        dense = [
+            [sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)]
+            for i in range(n)
+        ]
+        patterns.append(_sparse_rows(dense))
+    for base, spec, seed in [
+        (complete_graph(4), "S3", 0),
+        (complete_graph(5), "C2xC2xC2", 1),
+        (complete_graph(5), "D6", 2),
+        (bouquet(2), "A4", 3),
+        (bouquet(3), "Q16", 4),
+        (theta_graph(), "C2xC2", 5),
+    ]:
+        y = derived_graph(random_connected_voltage(base, parse_group_spec(spec), seed)).derived
+        patterns.append(_sparse_rows([row[1:] for row in laplacian(y)[1:]]))
+    patterns.append(_sparse_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]))  # a clique from the start
+    # two cliques: no dense tail until the second block
+    patterns.append(_sparse_rows(_block_diagonal([[2, -1], [-1, 2]], [[2, -1], [-1, 2]])))
+    for rows in patterns:
+        assert _symbolic_phase(rows) == symbolic_phase_by_heap(rows)
 
 
 @pytest.mark.parametrize(
