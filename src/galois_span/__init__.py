@@ -57,7 +57,6 @@ from .groups import (
     dicyclic_group,
     dihedral_group,
     direct_product,
-    from_cayley_table,
     from_permutations,
     parse_group_spec,
     quotient_group,

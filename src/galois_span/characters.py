@@ -19,9 +19,10 @@ is returned: every Gram entry is one packed integer dot product, folded by
 x^e = 1 and reduced mod Phi_e.  Each distinct multiplicity vector is
 packed once, and each distinct folded integer is reduced once.
 
-Eigenspace splitting starts from a seeded random linear combination of the
-class matrices and falls back to a deterministic sweep, so tables are
-reproducible bit for bit for a given seed.  Each split reduces the matrix
+Eigenspace splitting starts from a random linear combination of the class
+matrices, drawn from a fixed seed, and falls back to a deterministic sweep.
+Whatever the split, the characters are sorted into one canonical order, so
+each group has exactly one table.  Each split reduces the matrix
 restricted to the eigenspace (t x t) to upper Hessenberg form once; the
 eigenvectors for every root of its characteristic polynomial come from
 elimination on that form, mapped back through the recorded similarities,
@@ -280,11 +281,8 @@ class CharacterTable:
         self.class_sizes = tuple(len(c) for c in classes)
         self.e = e
         self.characters = characters
-        class_of = [0] * group.order
-        for i, cls in enumerate(classes):
-            for x in cls:
-                class_of[x] = i
-        self.class_of = class_of
+        self.class_of = group.class_index_of()
+        self._cache: dict = {}  # the kernels and kernel poset, filled by `posets`
 
     @property
     def class_count(self) -> int:
@@ -318,20 +316,19 @@ class CharacterTable:
         }
 
 
-def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
-    """Compute Irr(G) exactly; results are cached on the group per seed.
+def character_table(g: FiniteGroup) -> CharacterTable:
+    """Compute Irr(G) exactly; the table is kept on the group.
 
     Three routes: an abelian group (every class a singleton) gets its table
     from the dual group, a non-abelian direct product from its factors'
     tables, and any other group (an atom, a `perm:` or `table:` group, a
     quotient) from Dixon's method.  Characters are sorted on their values,
     trivial first, so the table does not depend on the route or on the
-    seed.  Every table, whatever its route, passes `_verify_table` before
-    it is kept.
+    random split of Dixon's method.  Every table, whatever its route,
+    passes `_verify_table` before it is kept.
     """
-    cache_key = ("character_table", seed)
-    if cache_key in g._cache:
-        return g._cache[cache_key]
+    if "character_table" in g._cache:
+        return g._cache["character_table"]
     bound = max_group_order()
     if g.order > bound:
         raise OrderTooLargeError(f"order {g.order} exceeds bound {bound}")
@@ -341,13 +338,13 @@ def character_table(g: FiniteGroup, seed: int = 0) -> CharacterTable:
     if len(classes) == g.order:
         characters = _dual_group_characters(g, e)
     elif g.factors is not None:
-        characters = _product_characters(g, e, seed)
+        characters = _product_characters(g, e)
     else:
-        characters = _dixon_characters(g, e, seed)
+        characters = _dixon_characters(g, e, 0)
     characters.sort(key=_table_order)
     table = CharacterTable(g, classes, e, tuple(characters))
     _verify_table(table)
-    g._cache[cache_key] = table
+    g._cache["character_table"] = table
     return table
 
 
@@ -394,7 +391,7 @@ def _dual_group_characters(g: FiniteGroup, e: int) -> list[Character]:
     ]
 
 
-def _product_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:
+def _product_characters(g: FiniteGroup, e: int) -> list[Character]:
     """Irr(A x B) = {chi x psi : chi in Irr(A), psi in Irr(B)} (Isaacs, Thm 4.21).
 
     g = A x B is a direct product (`FiniteGroup.factors`); the factors'
@@ -406,7 +403,7 @@ def _product_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:
     """
     a, b = g.factors
     n_b = b.order
-    tables = (character_table(a, seed), character_table(b, seed))
+    tables = (character_table(a), character_table(b))
     pairs = [divmod(cls[0], n_b) for cls in g.conjugacy_classes()]
     class_pairs = [(tables[0].class_of[x], tables[1].class_of[y]) for x, y in pairs]
     # per factor character and class, the nonzero (scaled exponent, multiplicity)s
@@ -436,7 +433,8 @@ def _dixon_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:
     """Irr(G) by Dixon's method over F_p, unsorted.
 
     The characters of a non-abelian group; for abelian groups the test
-    oracle of `_dual_group_characters`.
+    oracle of `_dual_group_characters`.  `seed` draws the random eigenspace
+    split; `character_table` passes 0.
     """
     classes = g.conjugacy_classes()
     r = len(classes)

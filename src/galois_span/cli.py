@@ -235,7 +235,7 @@ def _cmd_group(args) -> int:
 def _cmd_poset(args) -> int:
     g = parse_group_spec(args.group)
     if args.poset == "kernel":
-        poset = kernel_poset(g, character_table(g))
+        poset = kernel_poset(character_table(g))
     else:
         poset = cyclic_poset(g)
     if args.action == "hasse":

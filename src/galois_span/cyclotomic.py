@@ -101,12 +101,6 @@ class CyclotomicInt:
         return cls.from_int(e, 1)
 
     @classmethod
-    def root(cls, e: int, k: int = 1) -> "CyclotomicInt":
-        """zeta_e^k."""
-        ctx = _context(e)
-        return cls(e, ctx.reduce_exponent(k % e))
-
-    @classmethod
     def from_mult_vector(cls, e: int, mult) -> "CyclotomicInt":
         """Value sum_k mult[k] * zeta_e^k from a length-e multiplicity vector."""
         ctx = _context(e)
@@ -213,9 +207,6 @@ class CyclotomicInt:
                 for j, t in enumerate(ctx.reduce_exponent((i * k) % self.e)):
                     acc[j] += c * t
         return CyclotomicInt(self.e, acc)
-
-    def conjugate(self) -> "CyclotomicInt":
-        return self.galois(self.e - 1)
 
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

@@ -83,6 +83,11 @@ class PosetError(GaloisSpanError, ValueError):
     taken, or a classical Moebius argument below 1."""
 
 
+class SettingError(GaloisSpanError, ValueError):
+    """An environment variable the library reads holds a value it cannot
+    use: a `GALOIS_SPAN_MAX_ORDER` that is not a positive decimal integer."""
+
+
 class ClosureTooLargeError(GaloisSpanError):
     """Permutation closure exceeded the configured bound."""
 

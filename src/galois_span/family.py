@@ -30,39 +30,22 @@ from .errors import (
     InterpolationMismatchError,
     InvariantError,
     LengthMismatchError,
+    OrderTooLargeError,
+    TooLargeError,
 )
 from .graphs import bouquet, cycle_graph
-from .groups import cyclic_group
+from .groups import cyclic_group, max_group_order
 from .linalg import det_fraction, mat_mul, rank_fraction
 from .numtheory import factorize, is_prime
 from .polynomials import forward_differences
 from .report import VerificationReport
 
-# re-exported here because the matrix lemma checks live in this module
-__all__ = [
-    "ExponentVector",
-    "FamilySpec",
-    "exp_join",
-    "exp_meet",
-    "exp_pow",
-    "exponent_grid",
-    "family_kappa",
-    "kappa_degree_in_t",
-    "degree_formula",
-    "build_matrix_M",
-    "mbar_matrix",
-    "j_block",
-    "k_block",
-    "l_block",
-    "r_block",
-    "k_prime_block",
-    "lemma_matrix_check",
-    "nonexistence_certificate",
-    "det_fraction",
-    "rank_fraction",
-]
-
 ExponentVector = tuple[int, ...]
+
+# rows of M and of the degree matrix (elimination is cubic in them), and n
+# of `nonexistence_certificate` (factored by trial division)
+GRID_MAX_ROWS = 64
+NONEXISTENCE_MAX_N = 10**12
 
 
 def exp_join(a: ExponentVector, b: ExponentVector) -> ExponentVector:
@@ -101,6 +84,17 @@ def exponent_grid(s: ExponentVector) -> list[ExponentVector]:
     return out
 
 
+def _check_grid_rows(s: ExponentVector) -> None:
+    """Refuse an s >= 0 whose grid has more than `GRID_MAX_ROWS` nonzero vectors."""
+    size = 1
+    for sk in s:
+        size *= sk + 1
+        if size - 1 > GRID_MAX_ROWS:
+            raise TooLargeError(
+                f"the exponent grid of s={tuple(s)} has more than {GRID_MAX_ROWS} nonzero vectors"
+            )
+
+
 def _check_primes(primes) -> None:
     """Refuse repeated primes and non-primes: the family lemmas need distinct primes."""
     if len(set(primes)) != len(primes):
@@ -112,7 +106,11 @@ def _check_primes(primes) -> None:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Distinct primes p, exponent vector s, and family parameter b (0 <= b <= s)."""
+    """Distinct primes p, exponent vector s, and family parameter b (0 <= b <= s).
+
+    The family lives on Z/p^s: p^s above `max_group_order()` is refused
+    before the primes are checked.
+    """
 
     primes: tuple[int, ...]
     s: ExponentVector
@@ -121,10 +119,18 @@ class FamilySpec:
     def __post_init__(self):
         if not (len(self.primes) == len(self.s) == len(self.b)):
             raise LengthMismatchError("primes, s and b must have equal lengths")
-        _check_primes(self.primes)
         for sk, bk in zip(self.s, self.b):
             if not 0 <= bk <= sk:
                 raise FamilyParameterError("need 0 <= b <= s componentwise")
+        # with |p| >= 2, an s past the bound's bit length overshoots it
+        bound = max_group_order()
+        big = any(abs(p) > 1 and sk > bound.bit_length() for p, sk in zip(self.primes, self.s))
+        if big or exp_pow(self.primes, self.s) > bound:
+            raise OrderTooLargeError(
+                f"Z/p^s for p={self.primes}, s={self.s} has order above {bound}, "
+                "the bound set by GALOIS_SPAN_MAX_ORDER"
+            )
+        _check_primes(self.primes)
 
     @property
     def modulus(self) -> int:
@@ -253,13 +259,15 @@ def lemma_matrix_check(primes, s: ExponentVector) -> VerificationReport:
 
     The printed closed form is (-1)^(T-1) prod (1/p_i - 1)^(s_i T/(s_i+1));
     the check asserts the absolute value and records whether the computed
-    sign agrees (it does not always; see the det details).  Repeated or
-    non-prime primes are refused before M is built, as `FamilySpec` refuses
-    them, and so is a negative exponent (the closed form divides by s_i + 1).
+    sign agrees (it does not always; see the det details).  A negative
+    exponent (the closed form divides by s_i + 1), a grid of more than
+    `GRID_MAX_ROWS` rows, and repeated or non-prime primes (as `FamilySpec`
+    refuses them) are refused before M is built.
     """
-    _check_primes(primes)
     if any(sk < 0 for sk in s):
         raise FamilyParameterError("need s >= 0 componentwise")
+    _check_grid_rows(s)
+    _check_primes(primes)
     t_size = 1
     for sk in s:
         t_size *= sk + 1
@@ -302,20 +310,21 @@ def nonexistence_certificate(n: int) -> VerificationReport:
     nonzero a, b (the matrix M scaled by the positive column weights p^a),
     certifies full rank over Q, and records the unbounded-kappa witness that
     kills the remaining exponent: cycle bases give kappa(X) = 3 and 4.
+    An n above `NONEXISTENCE_MAX_N` is refused before it is factored, and
+    one whose grid has more than `GRID_MAX_ROWS` rows before D is built.
     """
     if n < 2:
         raise FamilyParameterError("need a nontrivial cyclic group")
+    if n > NONEXISTENCE_MAX_N:
+        raise TooLargeError(f"n={n} is above {NONEXISTENCE_MAX_N}, the bound on n")
     factors = factorize(n)
     primes_t, s_t = tuple(p for p, _ in factors), tuple(k for _, k in factors)
+    _check_grid_rows(s_t)
     grid = [a for a in exponent_grid(s_t) if any(a)]
-    degree_matrix = []
-    for b in grid:
-        row = []
-        for a in grid:
-            over = tuple(max(x + y - z, 0) for x, y, z in zip(a, b, s_t))
-            head = exp_pow(primes_t, a)
-            row.append(head - Fraction(head, exp_pow(primes_t, over)))
-        degree_matrix.append(row)
+    # M is symmetric: D[b][a] = p^a M[b][a]
+    weights = [exp_pow(primes_t, a) for a in grid]
+    m = build_matrix_M(primes_t, s_t)
+    degree_matrix = [[w * x for w, x in zip(weights, row)] for row in m]
     rank = rank_fraction(degree_matrix)
     full = len(grid)
     witness = [cycle_graph(r).spanning_tree_count() for r in (3, 4)]

@@ -60,12 +60,9 @@ class SerreGraph:
     terminus: tuple[int, ...]
     inverse: tuple[int, ...]
     vertex_names: tuple[str, ...] | None = None
-    # the answers of `is_connected`, `spanning_tree_count` and `out_edges`, once asked
+    # the answers of `is_connected` and `spanning_tree_count`, once asked
     _connected: bool | None = field(default=None, init=False, repr=False, compare=False)
     _kappa: int | None = field(default=None, init=False, repr=False, compare=False)
-    _out: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         n, e = self.vertex_count, len(self.origin)
@@ -121,15 +118,6 @@ class SerreGraph:
                         reached.append(w)
             object.__setattr__(self, "_connected", n > 0 and len(reached) == n)
         return self._connected
-
-    def out_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Directed edges leaving each vertex, in index order, built once."""
-        if self._out is None:
-            out: list[list[int]] = [[] for _ in range(self.vertex_count)]
-            for e, v in enumerate(self.origin):
-                out[v].append(e)
-            object.__setattr__(self, "_out", tuple(map(tuple, out)))
-        return self._out
 
     def adjacency_matrix(self) -> list[list[int]]:
         a = [[0] * self.vertex_count for _ in range(self.vertex_count)]

@@ -7,7 +7,7 @@ build sequence.  `FiniteGroup.element` reads every element name and
 `FiniteGroup.conjugation` holds every conjugate.  Subgroups are value
 objects identified by their sorted element sets.  A group keeps what is
 derived from it alone (conjugation, classes, subgroup lists, the class key
-and the left cosets of each subgroup, character tables, posets, and the
+and the left cosets of each subgroup, the character table, posets, and the
 coset plans of `covers`) in its `_cache`, computed on first request; the
 subgroup and coset lists are handed out as fresh lists, so no caller can
 change the kept one.  A direct product also keeps its two factors
@@ -28,6 +28,7 @@ from itertools import permutations as iter_permutations
 from math import gcd
 
 from .errors import (
+    MAX_INT_DIGITS,
     ClosureTooLargeError,
     GaloisSpanError,
     GroupConstructionError,
@@ -36,6 +37,7 @@ from .errors import (
     MismatchedGroupError,
     NotNormalError,
     OrderTooLargeError,
+    SettingError,
     json_int,
     json_list,
     json_object,
@@ -47,15 +49,24 @@ CLOSURE_BOUND = 512
 
 
 def max_group_order() -> int:
-    """Configured guard for subgroup/character computations."""
+    """Guard for subgroup/character computations: `GALOIS_SPAN_MAX_ORDER`, which
+    must be a positive decimal integer, or `DEFAULT_MAX_ORDER` when unset or empty."""
     value = os.environ.get("GALOIS_SPAN_MAX_ORDER")
-    return int(value) if value else DEFAULT_MAX_ORDER
+    if not value:
+        return DEFAULT_MAX_ORDER
+    digits = value.lstrip("0")
+    if not (value.isascii() and value.isdigit() and 0 < len(digits) <= MAX_INT_DIGITS):
+        raise SettingError(
+            "GALOIS_SPAN_MAX_ORDER must be a positive decimal integer of at most"
+            f" {MAX_INT_DIGITS} digits, got {value!r}"
+        )
+    return int(digits)
 
 
 class FiniteGroup:
     """Group given by an n x n Cayley table of element indices."""
 
-    def __init__(self, cayley, labels=None, name: str = "G", validate: bool = True):
+    def __init__(self, cayley, labels=None, name: str = "G"):
         self.cayley = tuple(tuple(map(int, row)) for row in cayley)
         self.order = len(self.cayley)
         if any(len(row) != self.order for row in self.cayley):
@@ -68,8 +79,7 @@ class FiniteGroup:
             raise InvalidTableError("label count differs from order")
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
-        if validate:
-            self._validate()
+        self._validate()
         self.factors: tuple[FiniteGroup, FiniteGroup] | None = None  # set by direct_product
         self._cache: dict = {}
 
@@ -624,10 +634,6 @@ def from_permutations(generators, name: str = "perm") -> FiniteGroup:
     return _group_from_perms(list(elems), name=name)
 
 
-def from_cayley_table(table, labels=None, name: str = "table") -> FiniteGroup:
-    return FiniteGroup(table, labels, name=name)
-
-
 # -- GroupSpec grammar ---------------------------------------------------------
 
 
@@ -736,7 +742,7 @@ def _table_from_json(data, path: str) -> FiniteGroup:
                 raise GroupSpecError(f"Cayley table labels must be strings, got {labels!r}")
     rows = [json_list(row, "Cayley table row") for row in json_list(data, f"Cayley table {path}")]
     table = [[json_int(x, "Cayley table entry") for x in row] for row in rows]
-    return from_cayley_table(table, labels, name=path)
+    return FiniteGroup(table, labels, name=path)
 
 
 _ATOM_MAKERS = {

@@ -6,8 +6,8 @@ computations must agree and the package treats any disagreement as a bug.
 Adjoined bounds (a bottom below every kernel, a top above every cyclic
 subgroup) are genuine poset elements so that values like mu(bottom, x) come
 from the same code path as interior values.  A poset keeps its Moebius
-table, and a group keeps its cyclic poset and the kernel poset of each of
-its character tables, each computed once on first request.
+table, a group keeps its cyclic poset and a character table its kernels and
+kernel poset, each computed once on first request.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from types import MappingProxyType
 
 from .errors import InvariantError, PosetError
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
+
+BOTTOM_KEY = "∅"
+TOP_KEY = "∞"
 
 
 class Poset:
@@ -162,11 +165,11 @@ def mobius(p: Poset) -> MobiusTable:
     return p._mobius
 
 
-def adjoin_bottom(p: Poset, label: str = "∅") -> Poset:
-    if label in p.keys:
-        raise PosetError(f"key {label!r} already present")
-    keys = (label,) + p.keys
-    labels = (label,) + p.labels
+def adjoin_bottom(p: Poset) -> Poset:
+    if BOTTOM_KEY in p.keys:
+        raise PosetError(f"key {BOTTOM_KEY!r} already present")
+    keys = (BOTTOM_KEY,) + p.keys
+    labels = (BOTTOM_KEY,) + p.labels
     n = len(p)
     matrix = [[True] * (n + 1)]
     for i in range(n):
@@ -174,11 +177,11 @@ def adjoin_bottom(p: Poset, label: str = "∅") -> Poset:
     return Poset(keys, labels, matrix)
 
 
-def adjoin_top(p: Poset, label: str = "∞") -> Poset:
-    if label in p.keys:
-        raise PosetError(f"key {label!r} already present")
-    keys = p.keys + (label,)
-    labels = p.labels + (label,)
+def adjoin_top(p: Poset) -> Poset:
+    if TOP_KEY in p.keys:
+        raise PosetError(f"key {TOP_KEY!r} already present")
+    keys = p.keys + (TOP_KEY,)
+    labels = p.labels + (TOP_KEY,)
     n = len(p)
     matrix = [list(p.leq_matrix[i]) + [True] for i in range(n)]
     matrix.append([False] * n + [True])
@@ -205,45 +208,39 @@ def subgroup_poset(subgroups: list[Subgroup], label_prefix: str = "H") -> Poset:
     )
 
 
-BOTTOM_KEY = "∅"
-TOP_KEY = "∞"
+def kernel_subgroups(table) -> dict[tuple[int, ...], Subgroup]:
+    """The kernels of the irreducible characters of `table.group`, by element tuple.
 
-
-def kernel_subgroups(g: FiniteGroup, character_table) -> dict[tuple[int, ...], Subgroup]:
-    """The kernels of the irreducible characters, by element tuple.
-
-    Each comes from `kernel_of`, which checks it is a normal subgroup, and
-    they are kept on the group per table object, so a verifier that asks
-    again reuses them instead of checking them again.
+    Each comes from `table.kernel_of`, which checks it is a normal subgroup,
+    and they are kept on the table, so a verifier that asks again reuses
+    them instead of checking them again.
     """
-    cache_key = ("kernel_subgroups", character_table)
-    if cache_key not in g._cache:
+    if "kernel_subgroups" not in table._cache:
         kernels: dict[tuple[int, ...], Subgroup] = {}
-        for chi in character_table.characters:
-            h = character_table.kernel_of(chi)
+        for chi in table.characters:
+            h = table.kernel_of(chi)
             kernels.setdefault(h.elements, h)
-        g._cache[cache_key] = kernels
-    return g._cache[cache_key]
+        table._cache["kernel_subgroups"] = kernels
+    return table._cache["kernel_subgroups"]
 
 
-def kernel_poset(g: FiniteGroup, character_table) -> Poset:
+def kernel_poset(table) -> Poset:
     """Kernels of irreducible characters under inclusion, with a bottom adjoined.
 
-    Kept on the group per table object, as `character_table` keeps one table
-    per seed; its keys are those of `kernel_subgroups`.
+    Kept on the table, as `character_table` keeps the one table of each
+    group; its keys are those of `kernel_subgroups`.
     """
-    cache_key = ("kernel_poset", character_table)
-    if cache_key not in g._cache:
-        kernels = list(kernel_subgroups(g, character_table).values())
-        g._cache[cache_key] = adjoin_bottom(subgroup_poset(kernels), BOTTOM_KEY)
-    return g._cache[cache_key]
+    if "kernel_poset" not in table._cache:
+        kernels = list(kernel_subgroups(table).values())
+        table._cache["kernel_poset"] = adjoin_bottom(subgroup_poset(kernels))
+    return table._cache["kernel_poset"]
 
 
 def cyclic_poset(g: FiniteGroup) -> Poset:
     """Cyclic subgroups under inclusion, with a top adjoined."""
     if "cyclic_poset" not in g._cache:
         cyclics = subgroup_poset(cyclic_subgroups(g), label_prefix="C")
-        g._cache["cyclic_poset"] = adjoin_top(cyclics, TOP_KEY)
+        g._cache["cyclic_poset"] = adjoin_top(cyclics)
     return g._cache["cyclic_poset"]
 
 
@@ -290,9 +287,9 @@ def mobius_inversion_check(p: Poset, f: dict, g: dict) -> bool:
     return premise1 == conclusion1 and premise2 == conclusion2
 
 
-def hasse_dot(p: Poset, name: str = "hasse") -> str:
+def hasse_dot(p: Poset) -> str:
     """DOT text with covering relations only, drawn bottom-up."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph hasse {", "  rankdir=BT;"]
     for i, label in enumerate(p.labels):
         lines.append(f'  n{i} [label="{label}"];')
     for i, j in p.covers():

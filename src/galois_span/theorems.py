@@ -100,8 +100,8 @@ def _kept_relation(g: FiniteGroup, name: str, build) -> tuple:
 def _kuroda_terms(g: FiniteGroup) -> list[tuple[Subgroup, int]]:
     """[1] + sum over kernels K of mu(bottom, K) [K], the kernels in poset order."""
     table = character_table(g)
-    poset = kernel_poset(g, table)
-    kernels = kernel_subgroups(g, table)
+    poset = kernel_poset(table)
+    kernels = kernel_subgroups(table)
     mu = mobius(poset)
     terms = [(Subgroup._trusted(g, [g.identity]), 1)]
     terms += [(kernels[key], mu.mu(BOTTOM_KEY, key)) for key in poset.keys if key != BOTTOM_KEY]

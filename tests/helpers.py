@@ -23,7 +23,7 @@ from galois_span.covers import (
     _spanning_tree_plan,
     derived_graph,
 )
-from galois_span.cyclotomic import CyclotomicInt
+from galois_span.cyclotomic import CyclotomicInt, _context
 from galois_span.errors import (
     DisconnectedGraphError,
     InvariantError,
@@ -37,6 +37,24 @@ from galois_span.lfunctions import MatrixRep
 from galois_span.linalg import _check_square, det_fraction, det_int, mat_mul
 from galois_span.numtheory import factorize
 from galois_span.posets import Poset
+
+
+def root(e: int, k: int = 1) -> CyclotomicInt:
+    """zeta_e^k."""
+    return CyclotomicInt(e, _context(e).reduce_exponent(k % e))
+
+
+def conjugate(value: CyclotomicInt) -> CyclotomicInt:
+    """The complex conjugate, zeta -> zeta^-1."""
+    return value.galois(value.e - 1)
+
+
+def out_edges(graph: SerreGraph) -> tuple[tuple[int, ...], ...]:
+    """Directed edges leaving each vertex, in index order."""
+    out: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+    for e, v in enumerate(graph.origin):
+        out[v].append(e)
+    return tuple(map(tuple, out))
 
 
 def random_connected_graph(rng: random.Random, max_vertices=5, max_edges=9) -> SerreGraph:
@@ -161,8 +179,8 @@ def _validate_covering(top: SerreGraph, bottom: SerreGraph, vmap, emap) -> None:
             raise InvariantError("projection does not commute with endpoints")
         if emap[top.inverse[e]] != bottom.inverse[f]:
             raise InvariantError("projection does not commute with inversion")
-    bottom_out = bottom.out_edges()
-    for w, leaving in enumerate(top.out_edges()):
+    bottom_out = out_edges(bottom)
+    for w, leaving in enumerate(out_edges(top)):
         # bottom_out tuples are strictly increasing, so equality also rules out repeats
         if tuple(sorted(emap[e] for e in leaving)) != bottom_out[vmap[w]]:
             raise InvariantError(f"restriction at vertex {w} is not a bijection")
@@ -507,6 +525,7 @@ def derived_walk_counts(c, length: int) -> list[list[int]]:
     at column (e_0, g) over every base edge e_0.
     """
     y, g = c.derived, c.group
+    leaving = out_edges(y)
     counts = [[0] * g.order for _ in range(length)]
     for start in range(c.base.edge_count):
         vector = [0] * y.edge_count
@@ -515,7 +534,7 @@ def derived_walk_counts(c, length: int) -> list[list[int]]:
             step = [0] * y.edge_count
             for f, value in enumerate(vector):
                 if value:
-                    for f2 in y.out_edges()[y.terminus[f]]:
+                    for f2 in leaving[y.terminus[f]]:
                         if f2 != y.inverse[f]:
                             step[f2] += value
             vector = step

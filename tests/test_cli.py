@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from galois_span import cli
+from galois_span import cli, family
 from galois_span.cli import main
 from galois_span.errors import GroupSpecError, OrderTooLargeError
 from galois_span.groups import parse_group_spec
@@ -603,6 +603,17 @@ def test_group_spec_above_the_order_bound_is_a_usage_error(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", " 12", "9" * 4301])
+def test_a_malformed_order_bound_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("GALOIS_SPAN_MAX_ORDER", value)
+    assert main(["group", "info", "C1"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: GALOIS_SPAN_MAX_ORDER must be a positive decimal integer of at most 4300"
+        f" digits, got {value!r}\n",
+    )
+
+
 def test_atom_size_with_more_digits_than_the_order_bound_is_refused_unconverted(
     capsys, monkeypatch
 ):
@@ -861,6 +872,61 @@ def test_family_vectors_of_different_lengths_are_refused_before_any_work(
 
     for name in ("lemma_matrix_check", "FamilySpec", "exponent_grid"):
         monkeypatch.setattr(cli, name, no_work)
+    assert main(["family", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["degree", "--p", "2", "--s", "8", "--b", "0"],
+            "Z/p^s for p=(2,), s=(8,) has order above 128, the bound set by GALOIS_SPAN_MAX_ORDER",
+        ),
+        (
+            ["degree", "--p", "2,3", "--s", "1000000000,1", "--b", "0,0"],
+            "Z/p^s for p=(2, 3), s=(1000000000, 1) has order above 128,"
+            " the bound set by GALOIS_SPAN_MAX_ORDER",
+        ),
+        (
+            ["det-m", "--p", "2", "--s", "65"],
+            "the exponent grid of s=(65,) has more than 64 nonzero vectors",
+        ),
+        (
+            ["det-m", "--p", "2,3,5", "--s", "4,4,4"],
+            "the exponent grid of s=(4, 4, 4) has more than 64 nonzero vectors",
+        ),
+        (
+            ["nonexistence", "--n", "963761198400"],
+            "the exponent grid of s=(6, 4, 2, 1, 1, 1, 1, 1, 1) has more than 64 nonzero vectors",
+        ),
+        (
+            ["nonexistence", "--n", "1000000000001"],
+            "n=1000000000001 is above 1000000000000, the bound on n",
+        ),
+        (["nonexistence", "--n", "9" * 40], f"n={'9' * 40} is above 1000000000000, the bound on n"),
+    ],
+    ids=[
+        "degree",
+        "degree-huge-s",
+        "det-m",
+        "det-m-three-primes",
+        "nonexistence-grid",
+        "nonexistence-n",
+        "nonexistence-huge-n",
+    ],
+)
+def test_family_work_above_its_bound_is_refused_before_any_work(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("GALOIS_SPAN_MAX_ORDER", raising=False)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the family computation")
+
+    for name in ("cyclic_group", "build_matrix_M", "exponent_grid", "is_prime"):
+        monkeypatch.setattr(family, name, no_work)
+    monkeypatch.setattr(cli, "exponent_grid", no_work)
+    if argv[0] == "nonexistence" and int(argv[-1]) > family.NONEXISTENCE_MAX_N:
+        monkeypatch.setattr(family, "factorize", no_work)
     assert main(["family", *argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

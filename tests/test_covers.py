@@ -440,14 +440,6 @@ def test_voltage_refusals_are_typed():
         assert str(exc.value) == message
 
 
-def test_out_edge_lists_are_built_once_per_graph():
-    c = fig2_cover()
-    first = c.derived.out_edges()
-    assert c.derived.out_edges() is first
-    assert first == tuple(
-        tuple(e for e in range(c.derived.edge_count) if c.derived.origin[e] == v)
-        for v in range(c.derived.vertex_count)
-    )
 
 
 def test_conjugate_kappa_check():

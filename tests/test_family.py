@@ -7,7 +7,10 @@ from galois_span.errors import (
     GaloisSpanError,
     InterpolationMismatchError,
     LengthMismatchError,
+    OrderTooLargeError,
+    TooLargeError,
 )
+from galois_span import family
 from galois_span.family import (
     FamilySpec,
     build_matrix_M,
@@ -271,3 +274,22 @@ def test_degree_matrix_is_scaled_m():
     report = nonexistence_certificate(4)
     assert report.details["matrix_size"] == len(grid)
     assert det_fraction(m) != 0
+
+
+def test_family_bounds_admit_their_edges(monkeypatch):
+    monkeypatch.delenv("GALOIS_SPAN_MAX_ORDER", raising=False)
+    FamilySpec(primes=(2,), s=(7,), b=(0,))  # Z/128, the default order bound
+    with pytest.raises(OrderTooLargeError, match="has order above 128"):
+        FamilySpec(primes=(2,), s=(8,), b=(0,))
+    monkeypatch.setenv("GALOIS_SPAN_MAX_ORDER", "256")
+    FamilySpec(primes=(2,), s=(8,), b=(0,))
+    # grids of 64 nonzero vectors pass, of 65 or more do not
+    for s in ((64,), (4, 12), (3, 3, 3)):
+        family._check_grid_rows(s)
+    for s in ((65,), (1,) * 7, (4, 4, 4)):
+        with pytest.raises(TooLargeError, match="more than 64 nonzero vectors"):
+            family._check_grid_rows(s)
+    # the largest prime up to the bound on n
+    assert nonexistence_certificate(family.NONEXISTENCE_MAX_N - 11).passed
+    with pytest.raises(TooLargeError, match="the bound on n"):
+        nonexistence_certificate(family.NONEXISTENCE_MAX_N + 1)

@@ -14,6 +14,7 @@ from galois_span.errors import (
     InvalidTableError,
     NotNormalError,
     OrderTooLargeError,
+    SettingError,
 )
 from galois_span.groups import (
     FiniteGroup,
@@ -27,7 +28,6 @@ from galois_span.groups import (
     dicyclic_group,
     dihedral_group,
     direct_product,
-    from_cayley_table,
     from_permutations,
     generated_subgroup,
     left_cosets,
@@ -203,9 +203,9 @@ def test_exponent_and_abelian():
 
 def test_invalid_table():
     with pytest.raises(InvalidTableError):
-        from_cayley_table([[0, 1], [0, 1]])
+        FiniteGroup([[0, 1], [0, 1]])
     with pytest.raises(InvalidTableError):
-        from_cayley_table([[0, 1], [1, 1]])
+        FiniteGroup([[0, 1], [1, 1]])
 
 
 # a loop of order 5 (Latin square with identity 0, every element its own
@@ -230,7 +230,7 @@ def _product_table(t1, t2):
 
 def _assert_rejected_at_failing_triple(table):
     with pytest.raises(InvalidTableError, match="associativity fails") as info:
-        from_cayley_table(table)
+        FiniteGroup(table)
     a, b, c = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(info.value)).groups())
     assert table[table[a][b]][c] != table[a][table[b][c]]
 
@@ -256,14 +256,13 @@ def test_light_associativity_test_agrees_with_oracle_on_random_loops():
     seen = {True: 0, False: 0}
     for _ in range(200):
         table = random_loop_table(rng, rng.randrange(2, 9))
-        try:
-            g = FiniteGroup(table, validate=False)
-        except InvalidTableError:
+        # a Latin square: a's one right inverse is row.index(0)
+        if any(table[row.index(0)][a] != 0 for a, row in enumerate(table)):
             continue  # some element has no two-sided inverse
         associative = associativity_failure(table) is None
         seen[associative] += 1
         if associative:
-            g._validate()
+            FiniteGroup(table)
         else:
             _assert_rejected_at_failing_triple(table)
     assert seen[True] >= 10 and seen[False] >= 10
@@ -278,6 +277,17 @@ def test_order_bound(monkeypatch):
     monkeypatch.setenv("GALOIS_SPAN_MAX_ORDER", "8")
     with pytest.raises(OrderTooLargeError):
         all_subgroups(direct_product(cyclic_group(4), cyclic_group(4)))
+
+
+def test_order_bound_reads_a_positive_decimal_integer(monkeypatch):
+    for value, bound in (("", 128), ("1", 1), ("0007", 7), ("9" * 4300, int("9" * 4300))):
+        monkeypatch.setenv("GALOIS_SPAN_MAX_ORDER", value)
+        assert groups.max_group_order() == bound
+    for value in ("abc", "0", "000", "-5", "+5", " 12", "1_000", "1e3", "١٢", "9" * 4301):
+        monkeypatch.setenv("GALOIS_SPAN_MAX_ORDER", value)
+        with pytest.raises(SettingError, match=re.escape(repr(value))) as exc:
+            groups.max_group_order()
+        assert isinstance(exc.value, GaloisSpanError)
 
 
 

@@ -30,6 +30,7 @@ from helpers import (
     kronecker,
     laplacian,
     mat_mul_dense,
+    root,
     symbolic_phase_by_heap,
     theta_graph,
 )
@@ -449,7 +450,7 @@ RINGS = {
     "int": (lambda rng, k: k, 1),
     "fraction": (lambda rng, k: Fraction(k, rng.randrange(1, 5)), Fraction(1)),
     "cyclotomic": (
-        lambda rng, k: k * CyclotomicInt.root(12, rng.randrange(12)),
+        lambda rng, k: k * root(12, rng.randrange(12)),
         CyclotomicInt.one(12),
     ),
 }

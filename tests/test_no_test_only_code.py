@@ -1,10 +1,12 @@
 """No test-only code in the library: a syntax-level guard.
 
-Every top-level function and class of `galois_span` must be referred to
-somewhere in `src/galois_span` outside its own definition, `__init__.py`
-and the `__all__` lists, so that the CLI or the library's own verifiers can
-reach it.  Only names and attributes count: an import is not a reference,
-and an `__all__` entry is a string, so a re-export is not a use.
+Every top-level function and class of `galois_span`, and every method of
+those classes that is not a dunder, must be referred to somewhere in
+`src/galois_span` outside its own definition, `__init__.py` and the
+`__all__` lists, so that the CLI or the library's own verifiers can reach
+it.  Only names and attributes count: an import is not a reference, and an
+`__all__` entry is a string, so a re-export is not a use.  A method counts
+as referred to when any attribute of that name is.
 Code that only the tests call belongs in `tests/helpers.py`.  `ALLOWED`
 names the few exceptions, each with its reason.
 """
@@ -19,6 +21,7 @@ ALLOWED = {
     "posets.mobius_inversion_check": "oracle of the two Moebius recursions",
     "groups.quotient_group": "the planned normal-quotient covers build on it",
     "groups.are_conjugate_subgroups": "the benchmark tracer wraps it by name",
+    "groups.FiniteGroup.conj": "`perfbench/tracer.py` calls it",
     "family.exp_join": FAMILY_LEMMAS,
     "family.exp_meet": FAMILY_LEMMAS,
     "family.family_kappa": FAMILY_LEMMAS,
@@ -28,25 +31,44 @@ ALLOWED = {
 }
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(tree, *own: str) -> set[str]:
+    """Names and attribute names used in `tree`, apart from those in `own`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out - set(own)
+
+
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """"module.name" of each top-level function or class that no code of
-    `sources` (module name -> source text) refers to, outside its own
+    """"module.name" of each top-level function or class, and
+    "module.Class.method" of each method that is not a dunder, that no code
+    of `sources` (module name -> source text) refers to, outside its own
     definition and `__init__`."""
     defined, referred = [], set()
     for module, text in sources.items():
         if module == "__init__":
             continue
         for top in ast.parse(text).body:
-            own = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = top.name
-                defined.append((module, own))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id != own:
-                    referred.add(node.id)
-                elif isinstance(node, ast.Attribute) and node.attr != own:
-                    referred.add(node.attr)
-    return [f"{module}.{name}" for module, name in defined if name not in referred]
+            if not isinstance(top, DEFINITIONS):
+                referred |= _references(top)
+                continue
+            defined.append((f"{module}.{top.name}", top.name))
+            if not isinstance(top, ast.ClassDef):
+                referred |= _references(top, top.name)
+                continue
+            for node in top.decorator_list + top.bases + top.keywords + top.body:
+                own = ()
+                if isinstance(node, DEFINITIONS) and not node.name.startswith("__"):
+                    defined.append((f"{module}.{top.name}.{node.name}", node.name))
+                    own = (node.name,)
+                referred |= _references(node, top.name, *own)
+    return [where for where, name in defined if name not in referred]
 
 
 def library_sources() -> dict[str, str]:
@@ -64,10 +86,25 @@ def test_every_allowed_name_is_still_defined_and_still_uncalled():
 def test_guard_catches_a_function_with_no_caller():
     sources = library_sources()
     sources["linalg"] += "\n\ndef planted(n):\n    return planted(n - 1) if n else 0\n"
-    sources["family"] += '\n__all__ += ["planted"]\n'
+    sources["family"] += '\n__all__ = ["planted"]\n'
     sources["__init__"] += "from .linalg import planted\n"
     sources["posets"] = "from .linalg import planted\n" + sources["posets"]
     assert sorted(set(unreferenced(sources)) - set(ALLOWED)) == ["linalg.planted"]
     # one call from library code is enough
     sources["posets"] += "\n\ndef _uses_planted():\n    return planted(3)\n"
     assert sorted(set(unreferenced(sources)) - set(ALLOWED)) == ["posets._uses_planted"]
+
+
+def test_guard_catches_a_method_with_no_caller():
+    sources = library_sources()
+    sources["graphs"] += (
+        "\n\nclass Planted:\n"
+        "    def __init__(self):\n        self.step()\n"
+        "    def step(self):\n        return self.step()\n"
+        "    def unused(self):\n        return self.unused()\n"
+        "\n\ndef _make():\n    return Planted()\n"
+    )
+    assert sorted(set(unreferenced(sources)) - set(ALLOWED)) == [
+        "graphs.Planted.unused",
+        "graphs._make",
+    ]

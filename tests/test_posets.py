@@ -64,10 +64,10 @@ T, F = True, False
         ),
         # adjoined bounds need a fresh key
         (
-            lambda: adjoin_bottom(Poset(["x"], ["x"], [[T]]), "x"),
-            "key 'x' already present",
+            lambda: adjoin_bottom(Poset([BOTTOM_KEY], ["x"], [[T]])),
+            f"key {BOTTOM_KEY!r} already present",
         ),
-        (lambda: adjoin_top(Poset(["x"], ["x"], [[T]]), "x"), "key 'x' already present"),
+        (lambda: adjoin_top(Poset([TOP_KEY], ["x"], [[T]])), f"key {TOP_KEY!r} already present"),
     ],
     ids=[
         "duplicate-keys",
@@ -126,15 +126,15 @@ def test_adjoin_bottom_top():
 
 
 def test_adjoin_rejects_duplicate():
-    p = Poset.from_leq(["x"], ["x"], lambda a, b: True)
+    p = adjoin_bottom(Poset.from_leq(["x"], ["x"], lambda a, b: True))
     with pytest.raises(ValueError):
-        adjoin_bottom(p, "x")
+        adjoin_bottom(p)
 
 
 def test_kernel_poset_elementary_abelian():
     for m in (2, 3):
         g = parse_group_spec("x".join(["C2"] * m))
-        poset = kernel_poset(g, character_table(g))
+        poset = kernel_poset(character_table(g))
         mu = mobius(poset)
         whole = tuple(range(g.order))
         assert mu.mu(BOTTOM_KEY, whole) == 2**m - 2
@@ -146,7 +146,7 @@ def test_kernel_poset_elementary_abelian():
 
 def test_kernel_poset_cyclic_group_degenerates():
     g = cyclic_group(6)
-    poset = kernel_poset(g, character_table(g))
+    poset = kernel_poset(character_table(g))
     mu = mobius(poset)
     assert (g.identity,) in poset.keys
     for key in poset.keys:
@@ -157,7 +157,7 @@ def test_kernel_poset_cyclic_group_degenerates():
 
 def test_kernel_poset_trivial_group():
     g = cyclic_group(1)
-    poset = kernel_poset(g, character_table(g))
+    poset = kernel_poset(character_table(g))
     assert len(poset) == 2  # bottom and G
 
 
@@ -245,8 +245,8 @@ def test_posets_and_mobius_tables_are_kept_and_read_only():
     g = parse_group_spec("S4")
     table = character_table(g)
     assert cyclic_poset(g) is cyclic_poset(g)
-    assert kernel_poset(g, table) is kernel_poset(g, table)
-    for poset in (cyclic_poset(g), kernel_poset(g, table)):
+    assert kernel_poset(table) is kernel_poset(table)
+    for poset in (cyclic_poset(g), kernel_poset(table)):
         mu = mobius(poset)
         assert mobius(poset) is mu
         with pytest.raises(TypeError):

@@ -82,7 +82,7 @@ def test_kuroda_trivial_for_irreducibly_represented():
 
 
 def test_kuroda_reuses_the_kernels_checked_with_the_kernel_poset(monkeypatch):
-    # kernel_of checks each kernel once, when the group's kernel poset is built;
+    # kernel_of checks each kernel once, when the table's kernel poset is built;
     # later Kuroda checks of covers of the same group check no subgroup again
     from galois_span.groups import Subgroup
 
