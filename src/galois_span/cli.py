@@ -1,13 +1,15 @@
 """Command-line interface.
 
-`main` builds only the parser of the command named by its first argument
-(`parse_args`); the whole parser tree (`build_parser`) is built only for
-help, the version, and usage errors that are not one command's own.  Every
-command is deterministic given its inputs and seed, emits JSON (all big
-integers as decimal strings of any length, by `report.decimal_text`) to
-stdout or --out, and exits 0 on success or pass, 1 on verification failure,
-2 on usage errors, 3 when an internal exact-arithmetic invariant fails
-(`errors.InvariantError`).
+`COMMANDS` maps each command to its actions, and each action to its handler
+and the adders of exactly the options that handler reads (those it cannot
+run without are required; every action also takes --out).  `main` builds
+only the parser of the action its arguments name (`parse_args`); the whole
+tree (`build_parser`) is built only for help, the version, and usage errors
+that are not one action's own.  Every action is deterministic given its
+inputs and seed, emits JSON (all big integers as decimal strings of any
+length, by `report.decimal_text`) to stdout or --out, and exits 0 on success
+or pass, 1 on verification failure, 2 on usage errors, 3 when an internal
+exact-arithmetic invariant fails (`errors.InvariantError`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     FamilyParameterError,
     GaloisSpanError,
     GraphError,
-    GroupSpecError,
     InvariantError,
     json_int,
     json_list,
@@ -111,16 +112,26 @@ def _load_voltage(base: SerreGraph, group_spec: str | None, voltage: str) -> Vol
     return VoltageAssignment(base=base, group=g, volt=tuple(volt))
 
 
-def _emit(payload: dict, args, dot_text: str | None = None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(text: str, path: str | None, stream) -> None:
+    """`text` and a newline to the file at `path`, or to `stream` without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
-    if dot_text is not None and getattr(args, "dot", None):
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot_text + "\n")
+        print(text, file=stream)
+
+
+def _emit(payload: dict, args, passed: bool = True, dot_text: str | None = None) -> int:
+    """Write `payload` as JSON to --out or stdout, and `dot_text` to --dot or
+    stderr; the exit code is 0, or 1 when not `passed`."""
+    _write(json.dumps(payload, indent=2, sort_keys=True), args.out, sys.stdout)
+    if dot_text is not None:
+        _write(dot_text, args.dot, sys.stderr)
+    return 0 if passed else 1
+
+
+def _report(report, args) -> int:
+    return _emit(report.to_json_dict(), args, report.passed)
 
 
 def _cover_from_args(args):
@@ -129,27 +140,28 @@ def _cover_from_args(args):
     return derived_graph(alpha)
 
 
-def _parse_vector(text: str, option: str) -> tuple[int, ...]:
-    """A comma-separated integer vector; a bad entry names `option` and the entry."""
-    vector = []
-    for token in text.replace("(", "").replace(")", "").split(","):
-        if token == "":
-            continue
-        try:
-            vector.append(int(token))
-        except ValueError:
-            raise FamilyParameterError(f"{option}: {token!r} is not an integer") from None
-    return tuple(vector)
-
-
-def _check_equal_lengths(vectors: dict[str, tuple[int, ...]]) -> None:
-    """Refuse vectors of different lengths, naming the first option that differs."""
+def _family_vectors(**texts: str) -> list[tuple[int, ...]]:
+    """The comma-separated integer vectors of the family options (`p="2,3"` for
+    --p): a bad entry is refused naming its option, and so are vectors of
+    different lengths, naming the first option that differs."""
+    vectors = {}
+    for name, text in texts.items():
+        vector = []
+        for token in text.replace("(", "").replace(")", "").split(","):
+            if token == "":
+                continue
+            try:
+                vector.append(int(token))
+            except ValueError:
+                raise FamilyParameterError(f"--{name}: {token!r} is not an integer") from None
+        vectors[f"--{name}"] = tuple(vector)
     (first, head), *rest = vectors.items()
     for option, vector in rest:
         if len(vector) != len(head):
             raise FamilyParameterError(
                 f"{first} has length {len(head)} but {option} has length {len(vector)}"
             )
+    return list(vectors.values())
 
 
 def _elements(g: FiniteGroup, text: str) -> list[int]:
@@ -157,62 +169,62 @@ def _elements(g: FiniteGroup, text: str) -> list[int]:
     return [g.element(part.strip()) for part in text.split(";") if part.strip()]
 
 
-def _subgroup_from_args(cover, text: str | None) -> Subgroup:
-    if text is None:
-        raise GaloisSpanError("verify-inter needs --subgroup")
+def _subgroup(cover, text: str) -> Subgroup:
     return generated_subgroup(cover.group, _elements(cover.group, text))
 
 
-# -- command handlers ---------------------------------------------------------
+def _poset(args):
+    g = parse_group_spec(args.group)
+    return kernel_poset(character_table(g)) if args.poset == "kernel" else cyclic_poset(g)
 
 
-def _cmd_graph(args) -> int:
+# -- action handlers: each returns its exit code ------------------------------
+
+
+def _graph_kappa(args) -> int:
     g = _load_base(args.base)
-    if args.action == "kappa":
-        _emit({"vertices": g.vertex_count, "kappa": decimal_text(g.spanning_tree_count())}, args)
-        return 0
-    if args.action == "zeta":
-        h = g.ihara_h_poly()
-        report = hashimoto_check(g)
-        slope = h.derivative()(1)
-        if slope != report.left:
-            raise InvariantError(
-                f"h'(1) of h(u) is {decimal_text(slope)},"
-                f" the Hashimoto check has {decimal_text(report.left)}"
-            )
-        _emit(
-            {
-                "h_coefficients": [decimal_text(c) for c in h.coeffs],
-                "hashimoto": report.to_json_dict(),
-            },
-            args,
+    return _emit({"vertices": g.vertex_count, "kappa": decimal_text(g.spanning_tree_count())}, args)
+
+
+def _graph_zeta(args) -> int:
+    g = _load_base(args.base)
+    h = g.ihara_h_poly()
+    report = hashimoto_check(g)
+    slope = h.derivative()(1)
+    if slope != report.left:
+        raise InvariantError(
+            f"h'(1) of h(u) is {decimal_text(slope)},"
+            f" the Hashimoto check has {decimal_text(report.left)}"
         )
-        return 0 if report.passed else 1
-    _emit(graph_to_json_dict(g), args, dot_text=graph_to_dot(g))
-    if not getattr(args, "dot", None):
-        print(graph_to_dot(g), file=sys.stderr)
-    return 0
+    return _emit(
+        {
+            "h_coefficients": [decimal_text(c) for c in h.coeffs],
+            "hashimoto": report.to_json_dict(),
+        },
+        args,
+        report.passed,
+    )
 
 
-def _cmd_group(args) -> int:
-    if args.spec is None and args.action != "table1":
-        raise GroupSpecError(f"group {args.action} needs a group SPEC")
-    if args.action == "info":
-        row = table1_row(args.spec)
-        _emit(row.to_json_dict(), args)
-        return 0
-    if args.action == "table1":
-        specs = [args.spec] if args.spec else sorted(TABLE1_FLAGS)
-        rows = [table1_row(s) for s in specs]
-        payload = {"rows": [r.to_json_dict() for r in rows]}
-        _emit(payload, args)
-        return 0 if all(r.fixture_status != "mismatch" for r in rows) else 1
+def _graph_dot(args) -> int:
+    g = _load_base(args.base)
+    return _emit(graph_to_json_dict(g), args, dot_text=graph_to_dot(g))
+
+
+def _group_info(args) -> int:
+    return _emit(table1_row(args.spec).to_json_dict(), args)
+
+
+def _group_table1(args) -> int:
+    specs = [args.spec] if args.spec else sorted(TABLE1_FLAGS)
+    rows = [table1_row(s) for s in specs]
+    passed = all(r.fixture_status != "mismatch" for r in rows)
+    return _emit({"rows": [r.to_json_dict() for r in rows]}, args, passed)
+
+
+def _group_subgroups(args) -> int:
     g = parse_group_spec(args.spec)
-    if args.action == "characters":
-        _emit(character_table(g).to_json_dict(), args)
-        return 0
-    subs = all_subgroups(g)
-    _emit(
+    return _emit(
         {
             "group": g.name,
             "order": g.order,
@@ -224,54 +236,47 @@ def _cmd_group(args) -> int:
                     "normal": h.is_normal(),
                     "cyclic": h.is_cyclic(),
                 }
-                for h in subs
+                for h in all_subgroups(g)
             ],
         },
         args,
     )
-    return 0
 
 
-def _cmd_poset(args) -> int:
-    g = parse_group_spec(args.group)
-    if args.poset == "kernel":
-        poset = kernel_poset(character_table(g))
-    else:
-        poset = cyclic_poset(g)
-    if args.action == "hasse":
-        dot = hasse_dot(poset)
-        _emit({"elements": list(poset.labels)}, args, dot_text=dot)
-        if not getattr(args, "dot", None):
-            print(dot, file=sys.stderr)
-        return 0
-    table = mobius(poset)
-    _emit({"mu": table.to_json_list()}, args)
-    return 0
+def _group_characters(args) -> int:
+    return _emit(character_table(parse_group_spec(args.spec)).to_json_dict(), args)
 
 
-def _cmd_cover(args) -> int:
+def _poset_hasse(args) -> int:
+    poset = _poset(args)
+    return _emit({"elements": list(poset.labels)}, args, dot_text=hasse_dot(poset))
+
+
+def _poset_mobius(args) -> int:
+    return _emit({"mu": mobius(_poset(args)).to_json_list()}, args)
+
+
+def _cover_build(args) -> int:
     cover = _cover_from_args(args)
-    if args.action == "build":
-        _emit(cover_to_json_dict(cover), args, dot_text=graph_to_dot(cover.derived, "Y"))
-        return 0
-    if args.action == "kappa":
-        _emit(
-            {
-                "galois": is_galois(cover.voltage),
-                "kappa_Y": decimal_text(cover.derived.spanning_tree_count()),
-                "kappa_X": decimal_text(cover.base.spanning_tree_count()),
-            },
-            args,
-        )
-        return 0
-    if args.action == "dot":
-        graph = cover.derived
-        if args.subgroup:
-            graph = intermediate_graph(cover, _subgroup_from_args(cover, args.subgroup)).graph
-        _emit(graph_to_json_dict(graph), args, dot_text=graph_to_dot(graph, "XH"))
-        if not getattr(args, "dot", None):
-            print(graph_to_dot(graph, "XH"), file=sys.stderr)
-        return 0
+    # the DOT text goes to --dot only, never to stderr
+    dot = graph_to_dot(cover.derived, "Y") if args.dot else None
+    return _emit(cover_to_json_dict(cover), args, dot_text=dot)
+
+
+def _cover_kappa(args) -> int:
+    cover = _cover_from_args(args)
+    return _emit(
+        {
+            "galois": is_galois(cover.voltage),
+            "kappa_Y": decimal_text(cover.derived.spanning_tree_count()),
+            "kappa_X": decimal_text(cover.base.spanning_tree_count()),
+        },
+        args,
+    )
+
+
+def _cover_intermediates(args) -> int:
+    cover = _cover_from_args(args)
     g = cover.group
     rows = []
     for h in all_subgroups(g):
@@ -284,87 +289,83 @@ def _cmd_cover(args) -> int:
                 "kappa": decimal_text(inter.graph.spanning_tree_count()),
             }
         )
-    _emit({"group": g.name, "intermediates": rows}, args)
-    return 0
+    return _emit({"group": g.name, "intermediates": rows}, args)
 
 
-def _cmd_lfun(args) -> int:
+def _cover_dot(args) -> int:
     cover = _cover_from_args(args)
-    if args.action == "h":
-        if args.rep:
-            rho = load_rep(args.rep)
-            poly, conductor = h_poly(cover, rho), rho.e
-        else:
-            table = character_table(cover.group)
-            count = table.class_count
-            if not 0 <= args.chi < count:
-                raise GaloisSpanError(f"--chi must be in 0..{count - 1}, got {args.chi}")
-            (poly,) = character_h_polys(cover, table, [table.characters[args.chi]])
-            conductor = table.e
-        _emit(
-            {
-                "degree": poly.degree,
-                "coefficients": [list(map(decimal_text, c.coeffs)) for c in poly.coeffs],
-                "conductor": conductor,
-            },
-            args,
-        )
-        return 0
-    if args.action == "verify-prop":
-        report = verify_prop_formula(cover)
-    elif args.action == "verify-factor":
-        report = verify_factorization(cover)
-    else:
-        report = verify_inter_rel(cover, _subgroup_from_args(cover, args.subgroup))
-    _emit(report.to_json_dict(), args)
-    return 0 if report.passed else 1
+    graph = cover.derived
+    if args.subgroup:
+        graph = intermediate_graph(cover, _subgroup(cover, args.subgroup)).graph
+    return _emit(graph_to_json_dict(graph), args, dot_text=graph_to_dot(graph, "XH"))
 
 
-def _cmd_verify(args) -> int:
+def _lfun_h(args) -> int:
     cover = _cover_from_args(args)
-    if args.action == "kuroda":
-        report = verify_kuroda(cover)
-    elif args.action == "brauer-kuroda":
-        report = verify_brauer_kuroda(cover)
-    elif args.action == "hmsv":
-        report = verify_hmsv(cover)
-    elif args.action == "euler-zero":
-        report = verify_euler_zero(cover)
+    if args.rep:
+        rho = load_rep(args.rep)
+        poly, conductor = h_poly(cover, rho), rho.e
     else:
-        data = load_json(args.relation, "relation file")
-        coeffs = {}
-        for item in json_list(data, "relation file"):
-            item = json_object(item, "relation entry", "elements", "coefficient")
-            elements = json_list(item["elements"], "relation elements")
-            elems = [cover.group.element(x, "relation element") for x in elements]
-            h = Subgroup(cover.group, tuple(elems))
-            coeffs[h] = coeffs.get(h, 0) + json_int(item["coefficient"], "relation coefficient")
-        report = verify_custom_relation(cover, coeffs)
-    _emit(report.to_json_dict(), args)
-    return 0 if report.passed else 1
+        table = character_table(cover.group)
+        chi = 0 if args.chi is None else args.chi
+        if not 0 <= chi < table.class_count:
+            raise GaloisSpanError(f"--chi must be in 0..{table.class_count - 1}, got {chi}")
+        (poly,) = character_h_polys(cover, table, [table.characters[chi]])
+        conductor = table.e
+    return _emit(
+        {
+            "degree": poly.degree,
+            "coefficients": [list(map(decimal_text, c.coeffs)) for c in poly.coeffs],
+            "conductor": conductor,
+        },
+        args,
+    )
 
 
-def _cmd_family(args) -> int:
-    if args.action == "nonexistence":
-        if args.n is None:
-            raise GaloisSpanError("nonexistence needs --n")
-        report = nonexistence_certificate(args.n)
-        _emit(report.to_json_dict(), args)
-        return 0 if report.passed else 1
-    if args.p is None or args.s is None:
-        raise GaloisSpanError(f"{args.action} needs --p and --s")
-    vectors = {"--p": _parse_vector(args.p, "--p"), "--s": _parse_vector(args.s, "--s")}
-    if args.action == "degree":
-        if args.b is None:
-            raise GaloisSpanError("degree needs --b")
-        vectors["--b"] = _parse_vector(args.b, "--b")
-    _check_equal_lengths(vectors)
-    primes, s = vectors["--p"], vectors["--s"]
-    if args.action == "det-m":
-        report = lemma_matrix_check(primes, s)
-        _emit(report.to_json_dict(), args)
-        return 0 if report.passed else 1
-    b = vectors["--b"]
+def _lfun_verify_prop(args) -> int:
+    return _report(verify_prop_formula(_cover_from_args(args)), args)
+
+
+def _lfun_verify_factor(args) -> int:
+    return _report(verify_factorization(_cover_from_args(args)), args)
+
+
+def _lfun_verify_inter(args) -> int:
+    cover = _cover_from_args(args)
+    return _report(verify_inter_rel(cover, _subgroup(cover, args.subgroup)), args)
+
+
+def _verify_kuroda(args) -> int:
+    return _report(verify_kuroda(_cover_from_args(args)), args)
+
+
+def _verify_brauer_kuroda(args) -> int:
+    return _report(verify_brauer_kuroda(_cover_from_args(args)), args)
+
+
+def _verify_hmsv(args) -> int:
+    return _report(verify_hmsv(_cover_from_args(args)), args)
+
+
+def _verify_euler_zero(args) -> int:
+    return _report(verify_euler_zero(_cover_from_args(args)), args)
+
+
+def _verify_relation(args) -> int:
+    cover = _cover_from_args(args)
+    data = load_json(args.relation, "relation file")
+    coeffs = {}
+    for item in json_list(data, "relation file"):
+        item = json_object(item, "relation entry", "elements", "coefficient")
+        elements = json_list(item["elements"], "relation elements")
+        elems = [cover.group.element(x, "relation element") for x in elements]
+        h = Subgroup(cover.group, tuple(elems))
+        coeffs[h] = coeffs.get(h, 0) + json_int(item["coefficient"], "relation coefficient")
+    return _report(verify_custom_relation(cover, coeffs), args)
+
+
+def _family_degree(args) -> int:
+    primes, s, b = _family_vectors(p=args.p, s=args.s, b=args.b)
     spec = FamilySpec(primes=primes, s=s, b=b)
     rows = []
     for a in exponent_grid(s):
@@ -378,11 +379,19 @@ def _cmd_family(args) -> int:
                 "formula": degree_formula(primes, a, b),
             }
         )
-    _emit({"p": list(primes), "s": list(s), "b": list(b), "degrees": rows}, args)
-    return 0
+    return _emit({"p": list(primes), "s": list(s), "b": list(b), "degrees": rows}, args)
 
 
-def _cmd_selftest(args) -> int:
+def _family_det_m(args) -> int:
+    primes, s = _family_vectors(p=args.p, s=args.s)
+    return _report(lemma_matrix_check(primes, s), args)
+
+
+def _family_nonexistence(args) -> int:
+    return _report(nonexistence_certificate(args.n), args)
+
+
+def _selftest(args) -> int:
     bases = [bouquet(2), bouquet(3)]
     specs = args.groups.split(",") if args.groups else [
         "C2xC2",
@@ -401,145 +410,157 @@ def _cmd_selftest(args) -> int:
         eq3_rows.append({"group": spec, "status": report.status(), "passed": report.passed})
     payload = summary.to_json_dict()
     payload["eq3"] = eq3_rows
-    _emit(payload, args)
     ok = summary.all_passed and all(r["passed"] for r in eq3_rows)
-    return 0 if ok else 1
+    return _emit(payload, args, ok)
 
 
-def _add_out(p):
-    p.add_argument("--out", help="write JSON output to this file")
+# -- option adders: each adds one option, or a group of options, to a parser ----
 
 
-def _add_dot(p):
-    p.add_argument("--dot", help="write DOT output to this file")
+def _option(*names: str, **kwargs):
+    return lambda parser: parser.add_argument(*names, **kwargs)
 
 
-def _add_cover(p):
-    p.add_argument("--base", required=True, help="graph file or builtin (bouquet:2, cycle:5, ...)")
-    p.add_argument("--group", help="GroupSpec (required with inline voltages)")
-    p.add_argument(
-        "--voltage",
-        required=True,
-        help="voltage JSON file or inline semicolon-separated elements",
-    )
+def _chi_or_rep(parser) -> None:
+    # --chi has no default: argparse takes an option given at its default
+    # value as absent from its group, so `--chi 0 --rep FILE` would pass
+    one = parser.add_mutually_exclusive_group()
+    one.add_argument("--chi", type=int, help="irreducible character index (default 0)")
+    one.add_argument("--rep", help="matrix representation JSON file")
 
 
-def _graph_args(p):
-    p.add_argument("action", choices=["kappa", "zeta", "dot"])
-    p.add_argument("--base", required=True)
-    _add_out(p)
-    _add_dot(p)
+_BASE = _option("--base", required=True, help="graph file or builtin (bouquet:2, cycle:5, ...)")
+_GROUP = _option("--group", help="GroupSpec (required with inline voltages)")
+_VOLTAGE = _option(
+    "--voltage", required=True, help="voltage JSON file or inline semicolon-separated elements"
+)
+_COVER = [_BASE, _GROUP, _VOLTAGE]
+_DOT = _option("--dot", help="write DOT output to this file")
+_SPEC = _option("spec", help="GroupSpec")
+_SPEC_OR_ALL = _option("spec", nargs="?", help="GroupSpec; defaults to every fixture row")
+_POSET = [
+    _option("--group", required=True, help="GroupSpec"),
+    _option("--poset", choices=["kernel", "cyclic"], default="cyclic"),
+]
+_SUBGROUP = _option("--subgroup", help="semicolon-separated generators of a subgroup")
+_NEEDED_SUBGROUP = _option(
+    "--subgroup", required=True, help="semicolon-separated generators of a subgroup"
+)
+_RELATION = _option(
+    "--relation", required=True, help="JSON file of {elements, coefficient} records"
+)
+_P_S = [
+    _option("--p", required=True, help="comma-separated primes"),
+    _option("--s", required=True, help="comma-separated exponents"),
+]
+_B = _option("--b", required=True, help="comma-separated family parameter")
+_N = _option("--n", type=int, required=True, help="cyclic group order")
+_SELFTEST = [
+    _option("--seed", type=int, default=0),
+    _option("--iters", type=int, default=10),
+    _option("--groups", help="comma-separated GroupSpecs"),
+]
 
-
-def _group_args(p):
-    p.add_argument("action", choices=["info", "table1", "subgroups", "characters"])
-    p.add_argument("spec", nargs="?", help="GroupSpec; table1 defaults to every fixture row")
-    _add_out(p)
-
-
-def _poset_args(p):
-    p.add_argument("action", choices=["hasse", "mobius"])
-    p.add_argument("--group", required=True)
-    p.add_argument("--poset", choices=["kernel", "cyclic"], default="cyclic")
-    _add_out(p)
-    _add_dot(p)
-
-
-def _cover_args(p):
-    p.add_argument("action", choices=["build", "kappa", "intermediates", "dot"])
-    _add_cover(p)
-    p.add_argument("--subgroup", help="semicolon-separated generators for `dot`")
-    _add_out(p)
-    _add_dot(p)
-
-
-def _lfun_args(p):
-    p.add_argument("action", choices=["h", "verify-prop", "verify-factor", "verify-inter"])
-    _add_cover(p)
-    p.add_argument("--chi", type=int, default=0, help="irreducible character index for `h`")
-    p.add_argument("--rep", help="matrix representation JSON file for `h`")
-    p.add_argument("--subgroup", help="semicolon-separated generators for `verify-inter`")
-    _add_out(p)
-
-
-def _verify_args(p):
-    p.add_argument(
-        "action",
-        choices=["kuroda", "brauer-kuroda", "hmsv", "relation", "euler-zero"],
-    )
-    _add_cover(p)
-    p.add_argument("--relation", help="JSON file of {elements, coefficient} records")
-    _add_out(p)
-
-
-def _family_args(p):
-    p.add_argument("action", choices=["degree", "det-m", "nonexistence"])
-    p.add_argument("--p", help="comma-separated primes")
-    p.add_argument("--s", help="comma-separated exponents")
-    p.add_argument("--b", help="comma-separated family parameter")
-    p.add_argument("--n", type=int, help="cyclic group order for `nonexistence`")
-    _add_out(p)
-
-
-def _selftest_args(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--groups", help="comma-separated GroupSpecs")
-    _add_out(p)
-
-
-# name -> (help line, adds the command's arguments to a parser, handler)
+# command -> (help line, {action: (handler, adders)}); `selftest` has the one action None
 COMMANDS = {
-    "graph": ("base-graph invariants", _graph_args, _cmd_graph),
-    "group": ("group information", _group_args, _cmd_group),
-    "poset": ("subgroup posets and Moebius tables", _poset_args, _cmd_poset),
-    "cover": ("derived graphs and intermediate quotients", _cover_args, _cmd_cover),
-    "lfun": ("twisted zeta numerators", _lfun_args, _cmd_lfun),
-    "verify": ("spanning-tree formula verifiers", _verify_args, _cmd_verify),
-    "family": ("cyclic bouquet families and the matrix lemma", _family_args, _cmd_family),
-    "selftest": ("seeded random verification suite", _selftest_args, _cmd_selftest),
+    "graph": ("base-graph invariants", {
+        "kappa": (_graph_kappa, [_BASE]),
+        "zeta": (_graph_zeta, [_BASE]),
+        "dot": (_graph_dot, [_BASE, _DOT]),
+    }),
+    "group": ("group information", {
+        "info": (_group_info, [_SPEC]),
+        "table1": (_group_table1, [_SPEC_OR_ALL]),
+        "subgroups": (_group_subgroups, [_SPEC]),
+        "characters": (_group_characters, [_SPEC]),
+    }),
+    "poset": ("subgroup posets and Moebius tables", {
+        "hasse": (_poset_hasse, [*_POSET, _DOT]),
+        "mobius": (_poset_mobius, _POSET),
+    }),
+    "cover": ("derived graphs and intermediate quotients", {
+        "build": (_cover_build, [*_COVER, _DOT]),
+        "kappa": (_cover_kappa, _COVER),
+        "intermediates": (_cover_intermediates, _COVER),
+        "dot": (_cover_dot, [*_COVER, _SUBGROUP, _DOT]),
+    }),
+    "lfun": ("twisted zeta numerators", {
+        "h": (_lfun_h, [*_COVER, _chi_or_rep]),
+        "verify-prop": (_lfun_verify_prop, _COVER),
+        "verify-factor": (_lfun_verify_factor, _COVER),
+        "verify-inter": (_lfun_verify_inter, [*_COVER, _NEEDED_SUBGROUP]),
+    }),
+    "verify": ("spanning-tree formula verifiers", {
+        "kuroda": (_verify_kuroda, _COVER),
+        "brauer-kuroda": (_verify_brauer_kuroda, _COVER),
+        "hmsv": (_verify_hmsv, _COVER),
+        "relation": (_verify_relation, [*_COVER, _RELATION]),
+        "euler-zero": (_verify_euler_zero, _COVER),
+    }),
+    "family": ("cyclic bouquet families and the matrix lemma", {
+        "degree": (_family_degree, [*_P_S, _B]),
+        "det-m": (_family_det_m, _P_S),
+        "nonexistence": (_family_nonexistence, [_N]),
+    }),
+    "selftest": ("seeded random verification suite", {None: (_selftest, _SELFTEST)}),
 }
 
 
+def _declare(parser: argparse.ArgumentParser, handler, adders) -> None:
+    """Give an action's parser its options, --out and its handler."""
+    for add in adders:
+        add(parser)
+    parser.add_argument("--out", help="write JSON output to this file")
+    parser.set_defaults(handler=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The whole tree: every command, as `--help`, `--version` and usage errors show it."""
+    """The whole tree: every action, as `--help`, `--version` and usage errors show it."""
     parser = argparse.ArgumentParser(
         prog="galois-span",
         description="Exact spanning-tree arithmetic for Galois covers of graphs.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments, _) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, actions) in COMMANDS.items():
+        command = commands.add_parser(name, help=help_line)
+        if None in actions:
+            _declare(command, *actions[None])
+            continue
+        subparsers = command.add_subparsers(dest="action", required=True)
+        for action, (handler, adders) in actions.items():
+            _declare(subparsers.add_parser(action), handler, adders)
     return parser
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse `argv`, building only the parser of the command it names.
+    """Parse `argv`, building only the parser of the action it names.
 
-    In the whole tree a command's parser is an `ArgumentParser` with prog
-    `galois-span NAME` that receives `argv[1:]`; the standalone one is built
-    the same way, so it parses, helps and reports errors byte for byte as
-    that one would.  The whole tree parses everything else: no command or an
-    unknown one, `--help`, `--version`, and arguments the command does not
-    take (their error carries the top-level usage line).
+    In the whole tree an action's parser is an `ArgumentParser` with prog
+    `galois-span COMMAND ACTION` (`galois-span selftest` for the command
+    without actions) that receives the words after the action; the
+    standalone one is built the same way, so it parses, helps and reports
+    errors byte for byte as that one would.  The whole tree parses the rest:
+    no or an unknown command or action, `--help`, `--version`, and options
+    the action does not take (their error carries the top-level usage line).
     """
     if argv and argv[0] in COMMANDS:
-        _, add_arguments, _ = COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"galois-span {argv[0]}")
-        add_arguments(parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
+        actions = COMMANDS[argv[0]][1]
+        words = argv[:1] if None in actions else argv[:2]
+        action = words[1] if len(words) == 2 else None
+        if action in actions:
+            parser = argparse.ArgumentParser(prog=" ".join(["galois-span", *words]))
+            _declare(parser, *actions[action])
+            args, rest = parser.parse_known_args(argv[len(words):])
+            if not rest:
+                return args
     return build_parser().parse_args(argv)
 
 
 def run(args: argparse.Namespace) -> int:
-    """Run a parsed command; bad input exits 2 and a failed invariant 3."""
-    _, _, handler = COMMANDS[args.command]
+    """Run a parsed action; bad input exits 2 and a failed invariant 3."""
     try:
-        return handler(args)
+        return args.handler(args)
     except (GaloisSpanError, OSError) as exc:
         # one argument is the message; an OSError's str() joins its errno,
         # text and file name

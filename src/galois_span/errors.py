@@ -132,10 +132,6 @@ class NotABrauerRelationError(GaloisSpanError):
     """Coefficients do not annihilate the induced trivial characters."""
 
 
-class NonCyclicOnEulerZeroError(GaloisSpanError):
-    """Connected cover of a graph with zero Euler characteristic must be cyclic."""
-
-
 class LengthMismatchError(GaloisSpanError):
     """Componentwise operation on vectors of different lengths."""
 

@@ -43,7 +43,7 @@ from .report import VerificationReport
 ExponentVector = tuple[int, ...]
 
 # rows of M and of the degree matrix (elimination is cubic in them), and n
-# of `nonexistence_certificate` (factored by trial division)
+# of `nonexistence_certificate` and the primes (all taken by trial division)
 GRID_MAX_ROWS = 64
 NONEXISTENCE_MAX_N = 10**12
 
@@ -100,6 +100,8 @@ def _check_primes(primes) -> None:
     if len(set(primes)) != len(primes):
         raise FamilyParameterError("primes must be pairwise distinct")
     for p in primes:
+        if p > NONEXISTENCE_MAX_N:
+            raise TooLargeError(f"p={p} is above {NONEXISTENCE_MAX_N}, the bound on p")
         if not is_prime(p):
             raise FamilyParameterError(f"{p} is not prime")
 

@@ -30,7 +30,7 @@ from .covers import (
 )
 from .errors import (
     EulerZeroError,
-    NonCyclicOnEulerZeroError,
+    InvariantError,
     NotABrauerRelationError,
     NotGaloisError,
     WrongGroupError,
@@ -248,9 +248,9 @@ def verify_euler_zero(c: Cover) -> VerificationReport:
     if not is_galois(c.voltage):
         raise NotGaloisError("needs a Galois cover")
     if not c.group.is_cyclic():
-        raise NonCyclicOnEulerZeroError(
-            "connected cover of a chi = 0 base with a non-cyclic group: construction bug"
-        )
+        # pi_1 of a connected chi = 0 graph is Z, so a connected cover of it
+        # has a cyclic group: this is a library fault, not bad input
+        raise InvariantError("connected cover of a chi = 0 base with a non-cyclic group")
     return VerificationReport.compare(
         "kappa(Y) = |G| kappa(X)",
         c.describe(),

@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import shlex
+import time
 import tracemalloc
 
 import pytest
@@ -95,10 +97,14 @@ def test_group_characters_prints_the_table_that_lfun_h_chi_indexes(capsys):
 
 @pytest.mark.parametrize("action", ["characters", "info", "subgroups"])
 def test_group_action_without_a_spec_is_refused_by_name(capsys, action):
-    assert main(["group", action]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["group", action])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: group {action} needs a group SPEC\n"
+    assert captured.err.endswith(
+        f"galois-span group {action}: error: the following arguments are required: spec\n"
+    )
 
 
 def test_group_table1_without_a_spec_prints_every_fixture_row(capsys):
@@ -370,8 +376,10 @@ def test_table1_mismatch_exits_one(capsys, monkeypatch):
 
 
 def test_bad_inputs_exit_two(capsys):
-    assert main(["family", "det-m"]) == 2
-    assert main(["family", "nonexistence"]) == 2
+    for argv in (["family", "det-m"], ["family", "nonexistence"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     assert main(
         ["cover", "kappa", "--base", "bouquet:2", "--group", "S3", "--voltage", "nope;(0 1)"]
     ) == 2
@@ -512,11 +520,6 @@ REFUSED_ELEMENTS = {
         ["lfun", "h", *C3_COVER, "--chi", "-1"],
         None,
         "--chi must be in 0..2, got -1",
-    ),
-    "verify-inter without subgroup": (
-        ["lfun", "verify-inter", *C3_COVER],
-        None,
-        "verify-inter needs --subgroup",
     ),
 }
 
@@ -777,8 +780,154 @@ def outcome(capsys, call, argv):
 
 
 def whole_tree_main(argv):
-    """`main` as it was before commands got standalone parsers."""
+    """`main` as it was before actions got standalone parsers."""
     return cli.run(cli.build_parser().parse_args(argv))
+
+
+# the Artin relation [1] + 2[S3] - [C3] - 2[C2] of S3
+S3_ARTIN_RELATION = [
+    {"elements": ["e"], "coefficient": 1},
+    {"elements": [0, 1, 2, 3, 4, 5], "coefficient": 2},
+    {"elements": ["e", "(0 1 2)", "(0 2 1)"], "coefficient": -1},
+    {"elements": [0, "(0 1)"], "coefficient": -2},
+]
+# (command, action) -> the rest of an argv that runs it to exit 0 in a
+# directory holding `relation.json` (S3_ARTIN_RELATION)
+ACTION_RUNS = {
+    ("graph", "kappa"): ["--base", "cycle:5"],
+    ("graph", "zeta"): ["--base", "bouquet:2"],
+    ("graph", "dot"): ["--base", "bouquet:2", "--dot", "g.dot"],
+    ("group", "info"): ["S3"],
+    ("group", "table1"): ["S3"],
+    ("group", "subgroups"): ["S3"],
+    ("group", "characters"): ["S3"],
+    ("poset", "hasse"): ["--group", "S3", "--poset", "kernel", "--dot", "h.dot"],
+    ("poset", "mobius"): ["--group", "S3"],
+    ("cover", "build"): [*COVER, "--dot", "y.dot"],
+    ("cover", "kappa"): COVER,
+    ("cover", "intermediates"): COVER,
+    ("cover", "dot"): [*COVER, "--subgroup", "1", "--dot", "xh.dot"],
+    ("lfun", "h"): [*COVER, "--chi", "1"],
+    ("lfun", "verify-prop"): COVER,
+    ("lfun", "verify-factor"): COVER,
+    ("lfun", "verify-inter"): [*COVER, "--subgroup", "1"],
+    ("verify", "kuroda"): COVER,
+    ("verify", "brauer-kuroda"): COVER,
+    ("verify", "hmsv"): COVER,
+    ("verify", "relation"): [*S3_COVER, "--relation", "relation.json"],
+    ("verify", "euler-zero"): ["--base", "cycle:3", "--group", "C4", "--voltage", "1;0;0"],
+    ("family", "degree"): ["--p", "2", "--s", "2", "--b", "1"],
+    ("family", "det-m"): ["--p", "2", "--s", "2"],
+    ("family", "nonexistence"): ["--n", "12"],
+    ("selftest", None): ["--iters", "1"],
+}
+
+
+def action_argv(command, action):
+    return [command, *([action] if action else []), *ACTION_RUNS[command, action]]
+
+
+def action_id(argv):
+    return " ".join(argv) or "(none)"
+
+
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch):
+    """A working directory holding `relation.json`."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "relation.json").write_text(json.dumps(S3_ARTIN_RELATION))
+    return tmp_path
+
+
+def test_every_action_has_a_run():
+    actions = {(c, a) for c, (_, by_action) in cli.COMMANDS.items() for a in by_action}
+    assert set(ACTION_RUNS) == actions
+    assert len(FOREIGN_OPTIONS) == 27
+
+
+# (command, action, option) for the 27 pairs that the parser of the command
+# accepted and the handler of the action never read
+FOREIGN_OPTIONS = [
+    ("graph", "kappa", ["--dot", "x.dot"]),
+    ("graph", "zeta", ["--dot", "x.dot"]),
+    ("poset", "mobius", ["--dot", "x.dot"]),
+    ("cover", "build", ["--subgroup", "1"]),
+    ("cover", "kappa", ["--subgroup", "1"]),
+    ("cover", "kappa", ["--dot", "x.dot"]),
+    ("cover", "intermediates", ["--subgroup", "1"]),
+    ("cover", "intermediates", ["--dot", "x.dot"]),
+    ("lfun", "h", ["--subgroup", "1"]),
+    *(
+        ("lfun", action, option)
+        for action in ("verify-prop", "verify-factor")
+        for option in (["--chi", "1"], ["--rep", "rep.json"], ["--subgroup", "1"])
+    ),
+    ("lfun", "verify-inter", ["--chi", "1"]),
+    ("lfun", "verify-inter", ["--rep", "rep.json"]),
+    *(
+        ("verify", action, ["--relation", "relation.json"])
+        for action in ("kuroda", "brauer-kuroda", "hmsv", "euler-zero")
+    ),
+    ("family", "degree", ["--n", "6"]),
+    ("family", "det-m", ["--b", "1"]),
+    ("family", "det-m", ["--n", "6"]),
+    *(("family", "nonexistence", [option, "2"]) for option in ("--p", "--s", "--b")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, action, option", FOREIGN_OPTIONS, ids=lambda x: x if isinstance(x, str) else x[0]
+)
+def test_an_option_the_action_does_not_read_is_refused_before_any_work(
+    capsys, in_tmp, command, action, option
+):
+    before = sorted(in_tmp.iterdir())
+    code, out, err = outcome(capsys, main, [*action_argv(command, action), *option])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"galois-span: error: unrecognized arguments: {' '.join(option)}"
+    assert sorted(in_tmp.iterdir()) == before
+
+
+# an argv without an option its action cannot run without -> the options named
+MISSING_REQUIRED = {
+    "verify relation": (["verify", "relation", *S3_COVER], "--relation"),
+    "lfun verify-inter": (["lfun", "verify-inter", *C3_COVER], "--subgroup"),
+    "family det-m": (["family", "det-m"], "--p, --s"),
+    "family det-m --s": (["family", "det-m", "--p", "2"], "--s"),
+    "family degree": (["family", "degree", "--p", "2", "--s", "1"], "--b"),
+    "family nonexistence": (["family", "nonexistence"], "--n"),
+    "group characters": (["group", "characters"], "spec"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(MISSING_REQUIRED))
+def test_a_missing_required_option_is_refused_by_argparse_without_a_traceback(
+    capsys, monkeypatch, what
+):
+    argv, names = MISSING_REQUIRED[what]
+    monkeypatch.setattr(cli, "_cover_from_args", lambda args: pytest.fail("reached the handler"))
+    code, out, err = outcome(capsys, main, argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    prog = " ".join(["galois-span", *argv[:2]])
+    assert err.splitlines()[-1] == f"{prog}: error: the following arguments are required: {names}"
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--chi", "1", "--rep", "REP"], ["--chi", "0", "--rep", "REP"], ["--rep", "REP", "--chi", "0"]],
+)
+def test_lfun_h_takes_chi_or_rep_not_both(capsys, tmp_path, options):
+    # --chi 0 is the index used without --chi, and is refused all the same
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({**C2_REP, "matrices": {"0": [[[1, 0]]], "1": [[[0, 1]]]}}))
+    argv = ["lfun", "h", *COVER, *(str(rep) if word == "REP" else word for word in options)]
+    code, out, err = outcome(capsys, main, argv)
+    assert (code, out) == (2, "")
+    first, second = sorted(["--chi", "--rep"], key=options.index)
+    assert err.splitlines()[-1] == (
+        f"galois-span lfun h: error: argument {second}: not allowed with argument {first}"
+    )
 
 
 SUCCESSFUL_RUNS = [
@@ -798,15 +947,23 @@ PARITY_ARGVS = [
     ["frobnicate"],
     *([name] for name in cli.COMMANDS),
     *([name, "-h"] for name in cli.COMMANDS),
+    *([c, a, "-h"] for c, a in ACTION_RUNS if a),
     ["graph", "frobnicate", "--base", "bouquet:2"],
     *([*command, "--dot", "x.dot"] for command in NO_DOT_COMMANDS),
+    # one option per action that the action does not take
+    *(
+        [*action_argv(c, a), *(["--dot", "x.dot"] if a == "relation" else ["--relation", "r"])]
+        for c, a in ACTION_RUNS
+    ),
+    *(argv for argv, _ in MISSING_REQUIRED.values()),
     ["poset", "mobius", "--group", "S3", "--poset", "lattice"],
     ["lfun", "h", *COVER, "--chi", "x"],
+    ["lfun", "h", *COVER, "--chi", "1", "--rep", "rep.json"],
     *SUCCESSFUL_RUNS,
 ]
 
 
-@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=action_id)
 def test_a_standalone_command_parser_answers_as_the_whole_tree(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
@@ -814,18 +971,57 @@ def test_a_standalone_command_parser_answers_as_the_whole_tree(argv, capsys, mon
     assert outcome(capsys, main, argv) == expected
 
 
-@pytest.mark.parametrize(
-    "argv", [["poset", "mobius", "--group", "S3"], ["group", "info", "Q8"]], ids=lambda argv: argv[0]
-)
-def test_a_command_builds_only_its_own_parser(argv, capsys, monkeypatch):
-    code, expected, _ = outcome(capsys, whole_tree_main, argv)
+@pytest.mark.parametrize("argv", [action_argv(*key) for key in ACTION_RUNS], ids=action_id)
+def test_a_command_builds_only_its_own_parser(argv, capsys, monkeypatch, in_tmp):
+    code, expected, expected_err = outcome(capsys, whole_tree_main, argv)
     assert code == 0
 
     def refuse():
         raise AssertionError("the whole parser tree was built")
 
     monkeypatch.setattr(cli, "build_parser", refuse)
-    assert outcome(capsys, main, argv) == (0, expected, "")
+    assert outcome(capsys, main, argv) == (0, expected, expected_err)
+
+
+def readme_options_table() -> dict:
+    """(command, action) -> (required, optional) option names, from the README's table."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    rows = text.split("| actions | required | optional |\n|---|---|---|\n", 1)[1]
+    table = {}
+    for row in rows.split("\n\n", 1)[0].splitlines():
+        cells = row.replace("SPEC", "spec").strip("|").split("|")
+        actions, required, optional = (re.findall(r"`([^`]+)`", cell) for cell in cells)
+        for words in actions:
+            command, _, action = words.partition(" ")
+            table[command, action or None] = (sorted(required), sorted(optional))
+    return table
+
+
+def declared_options(capsys, command, action) -> tuple[list, list]:
+    """(required, optional) option names of an action, read off its one-line usage."""
+    words = [command, action] if action else [command]
+    code, out, _ = outcome(capsys, main, [*words, "-h"])
+    assert code == 0
+    usage = out.splitlines()[0].removeprefix(f"usage: galois-span {' '.join(words)} ")
+    optional = {
+        choice.split()[0]
+        for group in re.findall(r"\[([^]]*)\]", usage)
+        for choice in group.split(" | ")
+    }
+    rest = re.sub(r"\[[^]]*\]", "", usage).split()
+    required = [word for word in rest if word.startswith("--") or word.islower()]
+    return sorted(required), sorted(optional - {"-h", "--out"})
+
+
+def test_the_readme_table_lists_the_options_of_every_action(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")
+    table = readme_options_table()
+    assert set(table) == set(ACTION_RUNS)
+    for key in ACTION_RUNS:
+        assert declared_options(capsys, *key) == table[key], key
+    # the parsers of the commands accepted 95 (action, option) pairs
+    assert sum(len(required) + len(optional) for required, optional in table.values()) == 68
 
 
 def test_family_primes_are_checked_as_bad_input(capsys):
@@ -833,6 +1029,18 @@ def test_family_primes_are_checked_as_bad_input(capsys):
     assert capsys.readouterr() == ("", "error: 0 is not prime\n")
     assert main(["family", "degree", "--p", "4", "--s", "1", "--b", "0"]) == 2
     assert capsys.readouterr() == ("", "error: 4 is not prime\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["det-m", "--s", "1"], ["degree", "--s", "0", "--b", "0"]], ids=lambda argv: argv[0]
+)
+def test_a_prime_above_the_trial_division_bound_is_refused_in_under_a_second(capsys, argv):
+    # trial division of this 19-digit prime ran for longer than 15 s
+    prime = "1000000000000000003"
+    start = time.perf_counter()
+    assert main(["family", *argv, "--p", prime]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: p={prime} is above 1000000000000, the bound on p\n")
 
 
 def test_family_negative_exponent_is_bad_input(capsys):

@@ -14,6 +14,7 @@ from galois_span.covers import (
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import (
     EulerZeroError,
+    InvariantError,
     NotABrauerRelationError,
     NotGaloisError,
     WrongGroupError,
@@ -260,6 +261,19 @@ def test_euler_zero_cycles():
         assert report.left == order * n
     with pytest.raises(EulerZeroError):
         verify_euler_zero(s3_cover())
+
+
+def test_a_non_cyclic_cover_of_a_chi_zero_base_is_a_library_fault(monkeypatch):
+    # pi_1 of cycle:3 is Z, so no connected cover has the group C2xC2; past a
+    # Galois test that is wrong, the verifier reports a failed invariant
+    g = parse_group_spec("C2xC2")
+    volt = tuple(g.element(x) for x in ("(1,0)", "(0,1)", "(0,0)"))
+    c = derived_graph(VoltageAssignment(base=cycle_graph(3), group=g, volt=volt))
+    with pytest.raises(NotGaloisError):
+        verify_euler_zero(c)
+    monkeypatch.setattr(theorems, "is_galois", lambda alpha: True)
+    with pytest.raises(InvariantError, match="non-cyclic group"):
+        verify_euler_zero(c)
 
 
 def test_not_galois_errors():
