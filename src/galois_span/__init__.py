@@ -29,10 +29,7 @@ from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
 from .family import (
     FamilySpec,
     build_matrix_M,
-    exp_join,
-    exp_meet,
     exp_pow,
-    family_kappa,
     kappa_degree_in_t,
     lemma_matrix_check,
     nonexistence_certificate,
@@ -40,7 +37,6 @@ from .family import (
 from .graphs import (
     SerreGraph,
     bouquet,
-    brute_force_spanning_trees,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -80,7 +76,6 @@ from .posets import (
     hasse_dot,
     kernel_poset,
     mobius,
-    mobius_inversion_check,
 )
 from .report import VerificationReport
 from .theorems import (

@@ -67,31 +67,13 @@ def _primitive_root(p: int) -> int:
 
 
 def _sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks square root mod an odd prime; raises if a is not a square."""
+    """The square root of a mod an odd prime p that is at most p/2, by a scan
+    of F_p; raises if a is not a square."""
     a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise InvariantError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
+    for r in range(p // 2 + 1):
+        if r * r % p == a:
+            return r
+    raise InvariantError(f"{a} is not a square mod {p}")
 
 
 # -- F_p linear algebra (dense lists, small sizes) ------------------------------
@@ -528,8 +510,6 @@ def _dixon_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:
         s = sum(omega[i] * omega[inv_class[i]] * inv_sizes[i] for i in range(r)) % p
         d2 = order_mod * pow(s, p - 2, p) % p
         d = _sqrt_mod(d2, p)
-        if d > p - d:
-            d = p - d
         chi = [d * omega[i] * inv_sizes[i] % p for i in range(r)]
         chars_mod.append((d, chi))
 

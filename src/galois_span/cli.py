@@ -113,18 +113,27 @@ def _load_voltage(base: SerreGraph, group_spec: str | None, voltage: str) -> Vol
 
 
 def _write(text: str, path: str | None, stream) -> None:
-    """`text` and a newline to the file at `path`, or to `stream` without one."""
+    """`text` and a newline to the file at `path`, or flushed to `stream` without one."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text, file=stream)
+        print(text, file=stream, flush=True)
 
 
 def _emit(payload: dict, args, passed: bool = True, dot_text: str | None = None) -> int:
     """Write `payload` as JSON to --out or stdout, and `dot_text` to --dot or
-    stderr; the exit code is 0, or 1 when not `passed`."""
-    _write(json.dumps(payload, indent=2, sort_keys=True), args.out, sys.stdout)
+    stderr; the exit code is 0, or 1 when not `passed`, also when the reader
+    of stdout has closed it (stdout then goes to the null device, so that
+    nothing is printed as Python flushes it at exit)."""
+    try:
+        _write(json.dumps(payload, indent=2, sort_keys=True), args.out, sys.stdout)
+    except BrokenPipeError:
+        if args.out:
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if dot_text is not None:
         _write(dot_text, args.dot, sys.stderr)
     return 0 if passed else 1
@@ -216,7 +225,7 @@ def _group_info(args) -> int:
 
 
 def _group_table1(args) -> int:
-    specs = [args.spec] if args.spec else sorted(TABLE1_FLAGS)
+    specs = sorted(TABLE1_FLAGS) if args.spec is None else [args.spec]
     rows = [table1_row(s) for s in specs]
     passed = all(r.fixture_status != "mismatch" for r in rows)
     return _emit({"rows": [r.to_json_dict() for r in rows]}, args, passed)

@@ -1,11 +1,11 @@
 """Bouquet voltage families over cyclic groups and the non-existence apparatus.
 
-Two related families appear here and they use different voltage exponents;
-the mapping between them is the source of most confusion, so it is spelled
-out once:
+Two related families use different voltage exponents; the mapping between
+them is the source of most confusion, so it is spelled out once:
 
-* `family_kappa` builds the family from the non-existence proof: group
-  Z/p^s, t loops with voltage p^(s-b) and one loop with voltage 1.
+* the family of the non-existence proof (`family_kappa` in
+  `tests/helpers.py`, with the other lemma objects): group Z/p^s, t loops
+  with voltage p^(s-b) and one loop with voltage 1.
 * `kappa_degree_in_t` checks the degree lemma directly: group Z/p^a,
   t loops with voltage p^b and one loop with voltage 1, whose kappa is a
   polynomial in t of degree p^a * (1 - 1/p^((a-b) join 0)).
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graphs import bouquet, cycle_graph
 from .groups import cyclic_group, max_group_order
-from .linalg import det_fraction, mat_mul, rank_fraction
+from .linalg import det_fraction, rank_fraction
 from .numtheory import factorize, is_prime
 from .polynomials import forward_differences
 from .report import VerificationReport
@@ -46,18 +46,6 @@ ExponentVector = tuple[int, ...]
 # of `nonexistence_certificate` and the primes (all taken by trial division)
 GRID_MAX_ROWS = 64
 NONEXISTENCE_MAX_N = 10**12
-
-
-def exp_join(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    if len(a) != len(b):
-        raise LengthMismatchError(f"lengths {len(a)} and {len(b)}")
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def exp_meet(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    if len(a) != len(b):
-        raise LengthMismatchError(f"lengths {len(a)} and {len(b)}")
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 def exp_pow(p: tuple[int, ...], a: ExponentVector) -> int:
@@ -148,14 +136,6 @@ def _bouquet_family_kappa(modulus: int, loop_voltage: int, t: int) -> int:
     return cover.derived.spanning_tree_count()
 
 
-def family_kappa(f: FamilySpec, t: int) -> int:
-    """kappa of the proof family over Z/p^s: voltages p^(s-b) on t loops and 1."""
-    if t < 0:
-        raise FamilyParameterError("t must be nonnegative")
-    voltage = exp_pow(f.primes, exp_sub_floor(f.s, f.b))
-    return _bouquet_family_kappa(f.modulus, voltage, t)
-
-
 def degree_formula(primes, a: ExponentVector, b: ExponentVector) -> int:
     """p^a * (1 - 1/p^((a-b) join 0)), always a nonnegative integer."""
     head = exp_pow(primes, a)
@@ -208,52 +188,6 @@ def build_matrix_M(primes, s: ExponentVector) -> list[list[Fraction]]:
             row.append(1 - Fraction(1, exp_pow(primes, over)))
         matrix.append(row)
     return matrix
-
-
-def mbar_matrix(primes, s: ExponentVector) -> list[list[Fraction]]:
-    """Same matrix over the full grid including the zero vector."""
-    grid = exponent_grid(s)
-    return [
-        [
-            1 - Fraction(1, exp_pow(primes, tuple(max(x + y - z, 0) for x, y, z in zip(a, b, s))))
-            for b in grid
-        ]
-        for a in grid
-    ]
-
-
-def j_block(s_i: int) -> list[list[Fraction]]:
-    return [[Fraction(1)] * (s_i + 1) for _ in range(s_i + 1)]
-
-
-def k_block(p_i: int, s_i: int) -> list[list[Fraction]]:
-    return [
-        [Fraction(1, p_i ** max(a + b - s_i, 0)) for b in range(s_i + 1)]
-        for a in range(s_i + 1)
-    ]
-
-
-def l_block(s_i: int) -> list[list[Fraction]]:
-    out = [[Fraction(0)] * (s_i + 1) for _ in range(s_i + 1)]
-    for i in range(s_i + 1):
-        out[i][i] = Fraction(1)
-        if i > 0:
-            out[i][0] = Fraction(-1)
-    return out
-
-
-def r_block(s_i: int) -> list[list[Fraction]]:
-    out = [[Fraction(0)] * (s_i + 1) for _ in range(s_i + 1)]
-    for i in range(s_i + 1):
-        out[i][i] = Fraction(1)
-        if i > 0:
-            out[0][i] = Fraction(-1)
-    return out
-
-
-def k_prime_block(p_i: int, s_i: int) -> list[list[Fraction]]:
-    """L K R: (1,1) entry 1, first row/column otherwise zero, anti-triangular block."""
-    return mat_mul(mat_mul(l_block(s_i), k_block(p_i, s_i)), r_block(s_i))
 
 
 def lemma_matrix_check(primes, s: ExponentVector) -> VerificationReport:

@@ -26,14 +26,12 @@ both matrices are symmetric, so it updates one triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import (
     DisconnectedGraphError,
     GaloisSpanError,
     GraphError,
     InvariantError,
-    TooLargeError,
     json_int,
     json_list,
     json_object,
@@ -43,7 +41,6 @@ from .linalg import det_int_derivative, det_int_poly_matrix, det_int_sparse_spd
 from .polynomials import IntPoly
 from .report import VerificationReport
 
-BRUTE_FORCE_EDGE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -223,43 +220,6 @@ def path_graph(n: int) -> SerreGraph:
 
 def complete_graph(n: int) -> SerreGraph:
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def brute_force_spanning_trees(g: SerreGraph) -> int:
-    """Count spanning trees by exhaustive enumeration over geometric edges.
-
-    Independent oracle for the Matrix-Tree route; guarded to small graphs.
-    """
-    m = g.geometric_edge_count
-    if m > BRUTE_FORCE_EDGE_LIMIT:
-        raise TooLargeError(f"{m} geometric edges exceeds limit {BRUTE_FORCE_EDGE_LIMIT}")
-    n = g.vertex_count
-    if n == 0:
-        return 0
-    if n == 1:
-        return 1
-    edges = g.geometric_edges()
-    count = 0
-    for subset in combinations(range(m), n - 1):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for idx in subset:
-            u, v = edges[idx]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if acyclic:
-            count += 1
-    return count
 
 
 def hashimoto_check(g: SerreGraph) -> VerificationReport:

@@ -1,25 +1,26 @@
-"""Exact linear algebra: fraction-free determinants and rational elimination.
+"""Exact linear algebra: fraction-free determinants and ranks.
 
-Dense matrices are plain lists of lists.  General integer matrices go
-through dense Bareiss elimination (the only divisions are exact); an entry
-that is not an `int` is refused, never truncated.  The same elimination over
-the dual numbers Z[t]/(t^2) gives det A and the derivative of det(A + tB) at
-t = 0 in one pass (`det_int_derivative`); it takes symmetric A and B only,
-refuses any other, and updates one triangle.  Sparse symmetric
-positive-definite integer matrices, such as reduced Laplacians, go through
-fraction-free elimination in two phases (`det_int_sparse_spd`): a symbolic
-phase on the nonzero pattern checks symmetry, fixes the minimum-degree
-pivot order and stores each pivot's row as its diagonal and its filled
-later columns, one triangle; a numeric phase eliminates in that order and
-updates each symmetric pair of entries once.  Its denominators are local:
-each row is held over the determinants of the eliminated components of the
-pattern next to it, not over the last pivot, and the determinant is the
-product over the final components.  Rational matrices are scaled to
-integer matrices row by row and take dense Bareiss elimination.  Matrices
-of integer polynomials go through integer determinants at consecutive
-integers and one integer interpolation; cyclotomic matrices reach them
-after a lift to Z[x] (`lfunctions`).  The matrix product serves ints,
-`Fraction`s and cyclotomic integers alike.
+Dense matrices are plain lists of lists.  Integer matrices go through one
+fraction-free echelon (`_echelon`), which gives the determinant and the
+rank; an entry that is not an `int` is refused, never truncated.
+Rational matrices take the same echelon once each row is scaled to
+integers (`_scaled_rows`).  Bareiss's step over the dual numbers
+Z[t]/(t^2) gives det A and the derivative of det(A + tB) at t = 0 in one
+pass (`det_int_derivative`); it takes symmetric A and B only, refuses any
+other, and updates one triangle.  Sparse symmetric positive-definite
+integer matrices, such as reduced Laplacians, go through fraction-free
+elimination in two phases (`det_int_sparse_spd`): a symbolic phase on the
+nonzero pattern checks symmetry, fixes the minimum-degree pivot order and
+stores each pivot's row as its diagonal and its filled later columns, one
+triangle; a numeric phase eliminates in that order and updates each
+symmetric pair of entries once.  Its denominators are local: each row is
+held over the determinants of the eliminated components of the pattern
+next to it, not over the last pivot, and the determinant is the product
+over the final components.  Matrices of integer polynomials go through
+integer determinants at consecutive integers and one integer
+interpolation; cyclotomic matrices reach them after a lift to Z[x]
+(`lfunctions`).  The matrix product serves ints, `Fraction`s and
+cyclotomic integers alike.
 """
 
 from __future__ import annotations
@@ -53,33 +54,41 @@ def _int_rows(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     return rows
 
 
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    n = _check_square(matrix)
-    if n == 0:
-        return 1
-    m = _int_rows(matrix)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
+def _echelon(m: list[list[int]]) -> tuple[int, int]:
+    """Rank and signed last pivot of an integer matrix, eliminated in place.
+
+    Bareiss's step with row exchanges, skipping a column with no pivot:
+    every entry stays a minor, so each division is exact.  The signed last
+    pivot is the determinant of a square matrix of full rank (1 if empty).
+    """
+    rows, cols = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        if rank == rows:
+            break
+        if not m[rank][c]:
+            r = next((i for i in range(rank + 1, rows) if m[i][c]), None)
+            if r is None:
+                continue
+            m[rank], m[r] = m[r], m[rank]
+            sign = -sign
+        row_k = m[rank]
+        pivot = row_k[c]
+        for row_i in m[rank + 1 :]:
+            f = row_i[c]
+            for j in range(c + 1, cols):
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+            row_i[c] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+        rank += 1
+    return rank, sign * prev
+
+
+def det_int(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by the fraction-free echelon."""
+    n = _check_square(matrix)
+    rank, det = _echelon(_int_rows(matrix))
+    return det if rank == n else 0
 
 
 def det_int_derivative(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -283,14 +292,8 @@ def _product_over_bits(mask: int, values: list[int]) -> int:
     return product
 
 
-def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant over exact rationals.
-
-    Each row is scaled by the lcm of its denominators; the determinant of
-    the integer matrix, by `det_int`, is divided by the product of the
-    scales.
-    """
-    _check_square(matrix)
+def _scaled_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Each rational row times the lcm of its denominators; the product of the lcms."""
     rows, total = [], 1
     for row in matrix:
         fracs = [Fraction(x) for x in row]
@@ -299,30 +302,18 @@ def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
             scale *= x.denominator // gcd(scale, x.denominator)
         rows.append([x.numerator * (scale // x.denominator) for x in fracs])
         total *= scale
+    return rows, total
+
+
+def det_fraction(matrix: Sequence[Sequence]) -> Fraction:
+    """Determinant over the rationals: `det_int` of the scaled rows over their scale."""
+    rows, total = _scaled_rows(matrix)
     return Fraction(det_int(rows), total)
 
 
 def rank_fraction(matrix: Sequence[Sequence]) -> int:
-    """Rank over the rationals via exact row reduction."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot_row = next((i for i in range(rank, rows) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / pivot
-                for j in range(col, cols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over the rationals: the rank of the scaled rows, by `_echelon`."""
+    return _echelon(_scaled_rows(matrix)[0])[0]
 
 
 def sample_points(matrix: Sequence[Sequence[IntPoly]]) -> range:

@@ -1,18 +1,16 @@
 """Finite posets and their Moebius functions.
 
-The Moebius function is computed by memoized recursion in both defining
-forms (summing over the lower and the upper half-open interval); the two
-computations must agree and the package treats any disagreement as a bug.
-Adjoined bounds (a bottom below every kernel, a top above every cyclic
-subgroup) are genuine poset elements so that values like mu(bottom, x) come
-from the same code path as interior values.  A poset keeps its Moebius
-table, a group keeps its cyclic poset and a character table its kernels and
-kernel poset, each computed once on first request.
+The Moebius function is computed by both defining recursions, which must
+agree (`MobiusTable`); a disagreement is a bug.  Adjoined bounds (a bottom
+below every kernel, a top above every cyclic subgroup) are genuine poset
+elements so that values like mu(bottom, x) come from the same code path as
+interior values.  A poset keeps its Moebius table, a group keeps its cyclic
+poset and a character table its kernels and kernel poset, each computed
+once on first request.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import InvariantError, PosetError
@@ -67,9 +65,6 @@ class Poset:
     def index(self, key) -> int:
         return self._index[key]
 
-    def leq_idx(self, i: int, j: int) -> bool:
-        return self.leq_matrix[i][j]
-
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with i covered by j (nothing strictly between)."""
         n = len(self.keys)
@@ -88,61 +83,40 @@ class Poset:
 
 
 class MobiusTable:
-    """Moebius values for all comparable pairs of a poset."""
+    """Moebius values for all comparable pairs of a poset.
+
+    Each defining recursion is one pass over a linear extension, the
+    elements by the size of their down-set; the two must agree on every
+    comparable pair, or `InvariantError` names the pair.
+    """
 
     def __init__(self, poset: Poset):
         self.poset = poset
-        n = len(poset)
-        down: dict[tuple[int, int], int] = {}
-        up: dict[tuple[int, int], int] = {}
-
-        def mu_down(x: int, y: int) -> int:
-            # mu(x,y) = -sum_{x <= z < y} mu(x,z)
-            if (x, y) in down:
-                return down[(x, y)]
-            if x == y:
-                value = 1
-            else:
-                value = -sum(
-                    mu_down(x, z)
-                    for z in range(n)
-                    if z != y and poset.leq_idx(x, z) and poset.leq_idx(z, y)
-                )
-            down[(x, y)] = value
-            return value
-
-        def mu_up(x: int, y: int) -> int:
-            # dual form: mu(x,y) = -sum_{x < z <= y} mu(z,y)
-            if (x, y) in up:
-                return up[(x, y)]
-            if x == y:
-                value = 1
-            else:
-                value = -sum(
-                    mu_up(z, y)
-                    for z in range(n)
-                    if z != x and poset.leq_idx(x, z) and poset.leq_idx(z, y)
-                )
-            up[(x, y)] = value
-            return value
-
+        m = poset.leq_matrix
+        n = len(m)
+        order = sorted(range(n), key=lambda y: sum(row[y] for row in m))
+        down = [{x: 1} for x in range(n)]  # down[x][y]: -sum of mu(x, z), x <= z < y
+        for x, row in enumerate(down):
+            for y in order:
+                if y != x and m[x][y]:
+                    row[y] = -sum(v for z, v in row.items() if m[z][y])
+        up = [{y: 1} for y in range(n)]  # up[y][x]: -sum of mu(z, y), x < z <= y
+        for y, col in enumerate(up):
+            for x in reversed(order):
+                if x != y and m[x][y]:
+                    col[x] = -sum(v for z, v in col.items() if m[x][z])
         values: dict[tuple[int, int], int] = {}
-        for i in range(n):
-            for j in range(n):
-                if poset.leq_idx(i, j):
-                    a, b = mu_down(i, j), mu_up(i, j)
-                    if a != b:
-                        raise InvariantError(
-                            f"Moebius recursions disagree at ({i},{j}): {a} vs {b}"
-                        )
-                    values[(i, j)] = a
+        for i, row in enumerate(down):
+            for j, a in sorted(row.items()):
+                if a != up[j][i]:
+                    raise InvariantError(
+                        f"Moebius recursions disagree at ({i},{j}): {a} vs {up[j][i]}"
+                    )
+                values[(i, j)] = a
         self.values = MappingProxyType(values)  # read-only: `mobius` shares the table
 
     def mu(self, a, b) -> int:
         i, j = self.poset.index(a), self.poset.index(b)
-        return self.values.get((i, j), 0)
-
-    def mu_idx(self, i: int, j: int) -> int:
         return self.values.get((i, j), 0)
 
     def to_json_list(self) -> list[dict]:
@@ -242,49 +216,6 @@ def cyclic_poset(g: FiniteGroup) -> Poset:
         cyclics = subgroup_poset(cyclic_subgroups(g), label_prefix="C")
         g._cache["cyclic_poset"] = adjoin_top(cyclics)
     return g._cache["cyclic_poset"]
-
-
-def mobius_inversion_check(p: Poset, f: dict, g: dict) -> bool:
-    """Verify both directions of the inversion formula on the given data.
-
-    Each implication is checked as stated: whenever the summation premise
-    holds for every element, the inverted identity must hold for every
-    element (and conversely).  Values are treated as exact rationals.
-    """
-    table = mobius(p)
-    n = len(p)
-    fv = [Fraction(f[k]) for k in p.keys]
-    gv = [Fraction(g[k]) for k in p.keys]
-
-    def up_sum(values, x):
-        return sum(
-            (values[y] for y in range(n) if p.leq_idx(x, y)), start=Fraction(0)
-        )
-
-    def up_mu_sum(values, x):
-        return sum(
-            (table.mu_idx(x, y) * values[y] for y in range(n) if p.leq_idx(x, y)),
-            start=Fraction(0),
-        )
-
-    def down_sum(values, y):
-        return sum(
-            (values[x] for x in range(n) if p.leq_idx(x, y)), start=Fraction(0)
-        )
-
-    def down_mu_sum(values, y):
-        return sum(
-            (table.mu_idx(x, y) * values[x] for x in range(n) if p.leq_idx(x, y)),
-            start=Fraction(0),
-        )
-
-    # direction (1): g(x) = sum_{y >= x} f(y)  <=>  f(x) = sum_{y >= x} mu(x,y) g(y)
-    premise1 = all(gv[x] == up_sum(fv, x) for x in range(n))
-    conclusion1 = all(fv[x] == up_mu_sum(gv, x) for x in range(n))
-    # direction (2): g(y) = sum_{x <= y} f(x)  <=>  f(y) = sum_{x <= y} mu(x,y) g(x)
-    premise2 = all(gv[y] == down_sum(fv, y) for y in range(n))
-    conclusion2 = all(fv[y] == down_mu_sum(gv, y) for y in range(n))
-    return premise1 == conclusion1 and premise2 == conclusion2
 
 
 def hasse_dot(p: Poset) -> str:

@@ -6,6 +6,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 
 from galois_span.characters import (
     _hessenberg_charpoly_mod,
@@ -26,17 +27,27 @@ from galois_span.covers import (
 from galois_span.cyclotomic import CyclotomicInt, _context
 from galois_span.errors import (
     DisconnectedGraphError,
+    FamilyParameterError,
     InvariantError,
+    LengthMismatchError,
     MismatchedGroupError,
     NoConnectedAssignmentFoundError,
     TooLargeError,
+)
+from galois_span.family import (
+    ExponentVector,
+    FamilySpec,
+    _bouquet_family_kappa,
+    exp_pow,
+    exp_sub_floor,
+    exponent_grid,
 )
 from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
 from galois_span.lfunctions import MatrixRep
 from galois_span.linalg import _check_square, det_fraction, det_int, mat_mul
 from galois_span.numtheory import factorize
-from galois_span.posets import Poset
+from galois_span.posets import Poset, mobius
 
 
 def root(e: int, k: int = 1) -> CyclotomicInt:
@@ -166,6 +177,29 @@ def det_fraction_by_elimination(matrix) -> Fraction:
             for j in range(k, n):
                 m[i][j] -= f * m[k][j]
     return det
+
+
+def rank_by_fraction_elimination(matrix) -> int:
+    """Oracle: rank over the rationals by Gauss-Jordan elimination on `Fraction`s."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    rank = 0
+    for col in range(cols):
+        pivot_row = next((i for i in range(rank, rows) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for i in range(rows):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col] / pivot
+                for j in range(col, cols):
+                    m[i][j] -= f * m[rank][j]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
 
 
 def _validate_covering(top: SerreGraph, bottom: SerreGraph, vmap, emap) -> None:
@@ -670,3 +704,155 @@ def symbolic_phase_by_heap(rows) -> tuple[list[int], list[dict[int, int]]]:
             adj[i] = (adj[i] | filled) - {p, i}
             heappush(heap, (len(adj[i]), i))
     return order, upper
+
+
+BRUTE_FORCE_EDGE_LIMIT = 20
+
+
+def brute_force_spanning_trees(g: SerreGraph) -> int:
+    """Count spanning trees by exhaustive enumeration over geometric edges.
+
+    Independent oracle for the Matrix-Tree route; guarded to small graphs.
+    """
+    m = g.geometric_edge_count
+    if m > BRUTE_FORCE_EDGE_LIMIT:
+        raise TooLargeError(f"{m} geometric edges exceeds limit {BRUTE_FORCE_EDGE_LIMIT}")
+    n = g.vertex_count
+    if n == 0:
+        return 0
+    if n == 1:
+        return 1
+    edges = g.geometric_edges()
+    count = 0
+    for subset in combinations(range(m), n - 1):
+        parent = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        acyclic = True
+        for idx in subset:
+            u, v = edges[idx]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                acyclic = False
+                break
+            parent[ru] = rv
+        if acyclic:
+            count += 1
+    return count
+
+
+def mobius_inversion_check(p: Poset, f: dict, g: dict) -> bool:
+    """Verify both directions of the inversion formula on the given data.
+
+    Each implication is checked as stated: whenever the summation premise
+    holds for every element, the inverted identity must hold for every
+    element (and conversely).  Values are treated as exact rationals.
+    """
+    table = mobius(p)
+    n = len(p)
+    fv = [Fraction(f[k]) for k in p.keys]
+    gv = [Fraction(g[k]) for k in p.keys]
+
+    def up_sum(values, x):
+        return sum(
+            (values[y] for y in range(n) if p.leq_matrix[x][y]), start=Fraction(0)
+        )
+
+    def up_mu_sum(values, x):
+        return sum(
+            (table.values[x, y] * values[y] for y in range(n) if p.leq_matrix[x][y]),
+            start=Fraction(0),
+        )
+
+    def down_sum(values, y):
+        return sum(
+            (values[x] for x in range(n) if p.leq_matrix[x][y]), start=Fraction(0)
+        )
+
+    def down_mu_sum(values, y):
+        return sum(
+            (table.values[x, y] * values[x] for x in range(n) if p.leq_matrix[x][y]),
+            start=Fraction(0),
+        )
+
+    # direction (1): g(x) = sum_{y >= x} f(y)  <=>  f(x) = sum_{y >= x} mu(x,y) g(y)
+    premise1 = all(gv[x] == up_sum(fv, x) for x in range(n))
+    conclusion1 = all(fv[x] == up_mu_sum(gv, x) for x in range(n))
+    # direction (2): g(y) = sum_{x <= y} f(x)  <=>  f(y) = sum_{x <= y} mu(x,y) g(x)
+    premise2 = all(gv[y] == down_sum(fv, y) for y in range(n))
+    conclusion2 = all(fv[y] == down_mu_sum(gv, y) for y in range(n))
+    return premise1 == conclusion1 and premise2 == conclusion2
+
+
+# -- objects of the non-existence lemmas, checked statement by statement ------
+
+
+def exp_join(a: ExponentVector, b: ExponentVector) -> ExponentVector:
+    if len(a) != len(b):
+        raise LengthMismatchError(f"lengths {len(a)} and {len(b)}")
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def exp_meet(a: ExponentVector, b: ExponentVector) -> ExponentVector:
+    if len(a) != len(b):
+        raise LengthMismatchError(f"lengths {len(a)} and {len(b)}")
+    return tuple(min(x, y) for x, y in zip(a, b))
+
+
+def family_kappa(f: FamilySpec, t: int) -> int:
+    """kappa of the proof family over Z/p^s: voltages p^(s-b) on t loops and 1."""
+    if t < 0:
+        raise FamilyParameterError("t must be nonnegative")
+    voltage = exp_pow(f.primes, exp_sub_floor(f.s, f.b))
+    return _bouquet_family_kappa(f.modulus, voltage, t)
+
+
+def mbar_matrix(primes, s: ExponentVector) -> list[list[Fraction]]:
+    """Same matrix over the full grid including the zero vector."""
+    grid = exponent_grid(s)
+    return [
+        [
+            1 - Fraction(1, exp_pow(primes, tuple(max(x + y - z, 0) for x, y, z in zip(a, b, s))))
+            for b in grid
+        ]
+        for a in grid
+    ]
+
+
+def j_block(s_i: int) -> list[list[Fraction]]:
+    return [[Fraction(1)] * (s_i + 1) for _ in range(s_i + 1)]
+
+
+def k_block(p_i: int, s_i: int) -> list[list[Fraction]]:
+    return [
+        [Fraction(1, p_i ** max(a + b - s_i, 0)) for b in range(s_i + 1)]
+        for a in range(s_i + 1)
+    ]
+
+
+def l_block(s_i: int) -> list[list[Fraction]]:
+    out = [[Fraction(0)] * (s_i + 1) for _ in range(s_i + 1)]
+    for i in range(s_i + 1):
+        out[i][i] = Fraction(1)
+        if i > 0:
+            out[i][0] = Fraction(-1)
+    return out
+
+
+def r_block(s_i: int) -> list[list[Fraction]]:
+    out = [[Fraction(0)] * (s_i + 1) for _ in range(s_i + 1)]
+    for i in range(s_i + 1):
+        out[i][i] = Fraction(1)
+        if i > 0:
+            out[0][i] = Fraction(-1)
+    return out
+
+
+def k_prime_block(p_i: int, s_i: int) -> list[list[Fraction]]:
+    """L K R: (1,1) entry 1, first row/column otherwise zero, anti-triangular block."""
+    return mat_mul(mat_mul(l_block(s_i), k_block(p_i, s_i)), r_block(s_i))

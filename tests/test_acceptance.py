@@ -20,14 +20,12 @@ from galois_span.family import (
     FamilySpec,
     degree_formula,
     exponent_grid,
-    family_kappa,
     kappa_degree_in_t,
     lemma_matrix_check,
     nonexistence_certificate,
 )
 from galois_span.graphs import (
     bouquet,
-    brute_force_spanning_trees,
     cycle_graph,
     hashimoto_check,
 )
@@ -38,7 +36,7 @@ from galois_span.groups import (
     parse_group_spec,
 )
 from galois_span.lfunctions import verify_factorization, verify_inter_rel, verify_prop_formula
-from galois_span.posets import mobius, mobius_inversion_check
+from galois_span.posets import mobius
 from galois_span.theorems import (
     table1_row,
     verify_brauer_kuroda,
@@ -48,7 +46,15 @@ from galois_span.theorems import (
     verify_kuroda,
 )
 from galois_span.groups import all_subgroups
-from helpers import dumbbell_graph, random_connected_graph, random_poset, theta_graph
+from helpers import (
+    brute_force_spanning_trees,
+    dumbbell_graph,
+    family_kappa,
+    mobius_inversion_check,
+    random_connected_graph,
+    random_poset,
+    theta_graph,
+)
 
 
 def _report(number: int, name: str, started: float, limit: float):
@@ -313,7 +319,7 @@ def test_criterion_12_property_suites():
         n = len(p)
         g_up = {
             p.keys[x]: sum(
-                (f[p.keys[y]] for y in range(n) if p.leq_idx(x, y)), start=Fraction(0)
+                (f[p.keys[y]] for y in range(n) if p.leq_matrix[x][y]), start=Fraction(0)
             )
             for x in range(n)
         }

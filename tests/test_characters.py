@@ -466,6 +466,22 @@ def test_sqrt_mod_roundtrip():
         _sqrt_mod(5, 13)  # 5 is not a QR mod 13
 
 
+def test_sqrt_mod_gives_the_root_at_most_half_p_or_raises_on_every_small_prime():
+    # every Dixon prime of the Table-1 and benchmark groups lies in 5 ... 97
+    from galois_span.characters import _sqrt_mod
+    from galois_span.numtheory import is_prime
+
+    for p in filter(is_prime, range(5, 98)):
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            if a in squares:
+                r = _sqrt_mod(a, p)
+                assert r * r % p == a and r <= p // 2
+            else:
+                with pytest.raises(InvariantError, match=f"^{a} is not a square mod {p}$"):
+                    _sqrt_mod(a, p)
+
+
 def _orthogonality_by_inner_products(table):
     """Oracle: the r^2/2 pairwise CyclotomicInt inner products."""
     chars = table.characters

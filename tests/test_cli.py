@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -113,6 +115,58 @@ def test_group_table1_without_a_spec_prints_every_fixture_row(capsys):
     code, data = run(capsys, "group", "table1")
     assert code == 0
     assert [r["spec"] for r in data["rows"]] == sorted(TABLE1_FLAGS)
+
+
+def test_group_table1_refuses_an_empty_spec_as_group_info_does(capsys):
+    for action in ("table1", "info"):
+        code = main(["group", action, ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: cannot parse empty factor in group spec ''\n"
+
+
+def test_a_stdout_closed_by_its_reader_keeps_the_exit_code_and_prints_nothing():
+    # the console script runs `main` in a fresh interpreter, as `-m` does here
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "galois_span.cli", "group", "table1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert done.stderr == b""
+
+
+def test_a_failed_verification_on_a_closed_stdout_still_exits_one(capsys, monkeypatch):
+    import galois_span.theorems as theorems
+
+    monkeypatch.setitem(theorems.TABLE1_FLAGS, "S3", (False, False))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as closed, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", closed)
+        code = main(["group", "table1", "S3"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_a_broken_pipe_writing_out_is_still_a_usage_error(capsys, monkeypatch, tmp_path):
+    def broken(text, path, stream):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_write", broken)
+    code = main(["group", "info", "S3", "--out", str(tmp_path / "info.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_poset_mobius(capsys):

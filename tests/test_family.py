@@ -15,27 +15,29 @@ from galois_span.family import (
     FamilySpec,
     build_matrix_M,
     degree_formula,
-    exp_join,
-    exp_meet,
     exp_pow,
     exponent_grid,
-    family_kappa,
-    j_block,
-    k_block,
-    k_prime_block,
     kappa_degree_in_t,
-    l_block,
     lemma_matrix_check,
-    mbar_matrix,
     nonexistence_certificate,
-    r_block,
 )
 from galois_span.linalg import det_fraction, mat_mul
 from galois_span.covers import VoltageAssignment, derived_graph
 from galois_span.graphs import bouquet
 from galois_span.groups import cyclic_group
 from galois_span.lfunctions import verify_prop_formula
-from helpers import kronecker
+from helpers import (
+    exp_join,
+    exp_meet,
+    family_kappa,
+    j_block,
+    k_block,
+    k_prime_block,
+    kronecker,
+    l_block,
+    mbar_matrix,
+    r_block,
+)
 
 
 def test_exponent_vector_ops():

@@ -13,7 +13,6 @@ from galois_span.errors import (
 from galois_span.graphs import (
     SerreGraph,
     bouquet,
-    brute_force_spanning_trees,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -26,7 +25,13 @@ from galois_span.graphs import (
     zeta_numerator,
 )
 from galois_span.linalg import det_int
-from helpers import delete_row_col, dense_zeta_numerator_at, laplacian, random_connected_graph
+from helpers import (
+    brute_force_spanning_trees,
+    delete_row_col,
+    dense_zeta_numerator_at,
+    laplacian,
+    random_connected_graph,
+)
 
 
 def test_build_graph_bouquet():

@@ -30,6 +30,7 @@ from helpers import (
     kronecker,
     laplacian,
     mat_mul_dense,
+    rank_by_fraction_elimination,
     root,
     symbolic_phase_by_heap,
     theta_graph,
@@ -410,6 +411,69 @@ def test_rank_fraction():
     assert rank_fraction([[1, 2], [2, 4]]) == 1
     assert rank_fraction([[1, 0], [0, 1]]) == 2
     assert rank_fraction([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]) == 1
+
+
+def _random_rational_matrix(rng, rows, cols):
+    """Small rationals, one in three zero, then some rows made combinations of
+    others, some rows zero and some columns zero."""
+    m = [
+        [
+            Fraction(rng.randrange(-4, 5), rng.randrange(1, 5)) if rng.randrange(3) else Fraction(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    for i in range(rows):
+        kind = rng.randrange(6)
+        if kind == 0:
+            m[i] = [Fraction(0)] * cols
+        elif kind == 1 and i >= 2:
+            a, b = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)), rng.randrange(-2, 3)
+            m[i] = [a * x + b * y for x, y in zip(m[i - 1], m[i - 2])]
+    for j in range(cols):
+        if rng.randrange(5) == 0:
+            for row in m:
+                row[j] = Fraction(0)
+    return m
+
+
+def test_rank_and_det_of_random_rational_matrices_match_the_fraction_oracles():
+    rng = random.Random(26)
+    seen = {"square": 0, "wide": 0, "tall": 0, "deficient": 0, "zero row": 0}
+    for _ in range(600):
+        rows, cols = rng.randrange(0, 7), rng.randrange(1, 7)
+        m = _random_rational_matrix(rng, rows, cols)
+        rank = rank_by_fraction_elimination(m)
+        assert rank_fraction(m) == rank
+        if rows == cols:
+            assert det_fraction(m) == det_fraction_by_elimination(m)
+            seen["square"] += 1
+        seen["wide" if cols > rows else "tall"] += rows != cols
+        seen["deficient"] += rank < min(rows, cols)
+        seen["zero row"] += any(not any(row) for row in m)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize(
+    "m, rank, det",
+    [
+        # column 1 is zero between the pivot columns 0 and 2
+        ([[2, 0, 1], [4, 0, 5], [6, 0, 3]], 2, 0),
+        ([[0, 0, 3], [1, 0, 2]], 2, None),
+        # column 1 has no pivot below row 0 once column 0 is eliminated
+        ([[1, 2, 3], [2, 4, 7]], 2, None),
+        ([[1, 2, 3, 1], [2, 4, 7, 0], [3, 6, 10, 1]], 2, None),
+        ([[1, 2, 0], [2, 4, 1], [0, 0, 5]], 2, 0),
+        # a zero row between the rows, and an exchange past it
+        ([[0, 0, 1], [0, 0, 0], [1, 1, 0]], 2, 0),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3, 1),
+        ([[0] * 3] * 2, 0, None),
+    ],
+)
+def test_rank_and_det_skip_a_column_with_no_pivot(m, rank, det):
+    assert rank_fraction(m) == rank_by_fraction_elimination(m) == rank
+    if det is not None:
+        assert det_int(m) == det_fraction(m) == det_fraction_by_elimination(m) == det
 
 
 def test_kronecker_identity():

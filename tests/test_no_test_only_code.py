@@ -15,19 +15,10 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "galois_span"
-FAMILY_LEMMAS = "an object of the non-existence lemmas, exported to check them statement by statement"
 ALLOWED = {
-    "graphs.brute_force_spanning_trees": "oracle of Matrix-Tree counting, by enumeration",
-    "posets.mobius_inversion_check": "oracle of the two Moebius recursions",
-    "groups.quotient_group": "the planned normal-quotient covers build on it",
-    "groups.are_conjugate_subgroups": "the benchmark tracer wraps it by name",
-    "groups.FiniteGroup.conj": "`perfbench/tracer.py` calls it",
-    "family.exp_join": FAMILY_LEMMAS,
-    "family.exp_meet": FAMILY_LEMMAS,
-    "family.family_kappa": FAMILY_LEMMAS,
-    "family.mbar_matrix": FAMILY_LEMMAS,
-    "family.j_block": FAMILY_LEMMAS,
-    "family.k_prime_block": FAMILY_LEMMAS,
+    "groups.quotient_group": "ROADMAP item 5: the normal-quotient covers build on it",
+    "groups.are_conjugate_subgroups": "ROADMAP item 8: the benchmark tracer wraps it by name",
+    "groups.FiniteGroup.conj": "ROADMAP item 8: `perfbench/tracer.py` calls it",
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from galois_span.characters import character_table
-from galois_span.errors import GaloisSpanError, PosetError
+from galois_span.errors import GaloisSpanError, InvariantError, PosetError
 from galois_span.groups import (
     cyclic_group,
     dicyclic_group,
@@ -15,6 +15,7 @@ from galois_span.groups import (
 from galois_span.posets import (
     BOTTOM_KEY,
     TOP_KEY,
+    MobiusTable,
     Poset,
     adjoin_bottom,
     adjoin_top,
@@ -22,9 +23,8 @@ from galois_span.posets import (
     hasse_dot,
     kernel_poset,
     mobius,
-    mobius_inversion_check,
 )
-from helpers import classical_mobius, divisor_poset, random_poset
+from helpers import classical_mobius, divisor_poset, mobius_inversion_check, random_poset
 
 
 def test_poset_validation():
@@ -95,6 +95,40 @@ def test_chain_mobius():
     assert mu.mu(0, 1) == -1
     assert mu.mu(0, 2) == 0
     assert mu.mu(1, 0) == 0  # incomparable direction
+
+
+def _mu_by_keys(p):
+    table = mobius(p)
+    return {(a, b): table.mu(a, b) for a in p.keys for b in p.keys}
+
+
+def test_mobius_does_not_depend_on_the_order_of_the_keys():
+    keys = [d for d in range(360, 0, -1) if 360 % d == 0]  # the top, 360, first
+    top_first = Poset.from_leq(keys, map(str, keys), lambda a, b: b % a == 0)
+    assert _mu_by_keys(top_first) == _mu_by_keys(divisor_poset(360))
+    rng = random.Random(26)
+    for _ in range(40):
+        p = random_poset(rng, max_elements=8)
+        order = list(range(len(p)))
+        rng.shuffle(order)
+        shuffled = Poset(
+            [p.keys[i] for i in order],
+            [p.labels[i] for i in order],
+            [[p.leq_matrix[i][j] for j in order] for i in order],
+        )
+        assert _mu_by_keys(shuffled) == _mu_by_keys(p)
+
+
+def test_mobius_recursions_that_disagree_raise_naming_the_pair():
+    chain = Poset.from_leq(range(4), "0123", lambda a, b: a <= b)
+    # 0 <= 2 dropped after validation: the lower-interval recursion gives
+    # mu(0, 3) = -(mu(0, 0) + mu(0, 1)) = 0, the upper one
+    # -(mu(3, 3) + mu(1, 3)) = -1, as mu(1, 3) = 0
+    chain.leq_matrix = tuple(
+        tuple(i <= j and (i, j) != (0, 2) for j in range(4)) for i in range(4)
+    )
+    with pytest.raises(InvariantError, match=r"^Moebius recursions disagree at \(0,3\): 0 vs -1$"):
+        MobiusTable(chain)
 
 
 def test_classical_mobius():
@@ -211,7 +245,7 @@ def test_mobius_inversion_randomized():
         n = len(p)
         g_up = {
             p.keys[x]: sum(
-                (f[p.keys[y]] for y in range(n) if p.leq_idx(x, y)), start=Fraction(0)
+                (f[p.keys[y]] for y in range(n) if p.leq_matrix[x][y]), start=Fraction(0)
             )
             for x in range(n)
         }
