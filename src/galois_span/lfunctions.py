@@ -12,7 +12,11 @@ takes one route (`character_h_polys`): tr(W_chi^k) = sum_g chi(g) N_k(g),
 where N_k(g) counts the closed non-backtracking walks of length k in the
 base with net voltage g (`walk_table`), and Newton's identities turn the
 traces into the coefficients with exact divisions, over Z or Z[zeta_e]
-(`h_from_traces`).  The same table gives h_Y(u) of the derived graph with
+(`h_from_traces`).  The table walks from every start edge at once: one
+int per (directed edge, group element) packs one bit field per start,
+length bitlen(d_max - 1) + 2 bits wide, so a step is one permutation of
+ints, one addition and one subtraction, and no carry or borrow crosses a
+field.  The same table gives h_Y(u) of the derived graph with
 no determinant of Y, from tr(W_Y^k) = |G| N_k(1) (`derived_h_poly`).
 
 A `MatrixRep` (a rep file, or a linear character as a 1 x 1 matrix) takes
@@ -175,6 +179,11 @@ def h_poly(c: Cover, rho: MatrixRep) -> IntPoly:
 # -- h_Y(u) from closed non-backtracking walks in the base ---------------------------
 
 
+def _field_width(length: int, d_max: int) -> int:
+    """Bits per start in `walk_table`'s packed ints: every count fits, no carry."""
+    return length * (d_max - 1).bit_length() + 2
+
+
 def walk_table(c: Cover, length: int) -> list[list[int]]:
     """N_k(g) for 1 <= k <= length, as row k - 1: closed walks in the base.
 
@@ -183,36 +192,51 @@ def walk_table(c: Cover, length: int) -> list[list[int]]:
     not its inverse, and e_0 follows e_(k-1) the same way), one for each
     start edge e_0, whose net voltage alpha(e_0) ... alpha(e_(k-1)) is g.
 
-    A walk from e_0 is kept as one list per directed edge e, indexed by the
-    net voltage x of the walk before e.  A step moves e's list to index
-    x alpha(e) and adds it into the lists of e's successors: the edges
-    leaving t(e), except inverse(e).  Reversing a walk and starting it at
-    inverse(e_0) gives N_k(inverse(e_0), h) = N_k(e_0, alpha h^-1 alpha^-1)
-    with alpha = alpha(e_0), so only one edge of each inverse pair is a start.
+    Walks are kept as one int per directed edge e and group element x,
+    counting the walks that end with e and have net voltage x before e;
+    bit field s, W = length bitlen(d_max - 1) + 2 bits wide, holds the
+    walks from the s-th start edge of `base.orientation()`.  A step moves
+    e's ints to index x alpha(e), the same permutation for every start,
+    and gives each edge f the sum of the ints arriving at o(f) less the one
+    from inverse(f).  No carry or borrow crosses a field: the subtracted
+    int is a summand of the sum, and a field counts distinct walks from
+    one start, at most (d_max - 1)^(k - 1) <= 2^(W - 2) at step k.  Each
+    start then reads its own field of its own edge's ints.
+
+    Reversing a walk and starting it at inverse(e_0) gives
+    N_k(inverse(e_0), h) = N_k(e_0, alpha h^-1 alpha^-1) with alpha =
+    alpha(e_0), so only one edge of each inverse pair is a start.
     """
     base, g, alpha = c.base, c.group, c.voltage
     table, inv = g.cayley, g.inverses
     elements, edges = range(g.order), range(base.edge_count)
-    # the moved list of edge e is new[y] = old[y alpha(e)^-1]
+    # the moved ints of edge e are new[y] = old[y alpha(e)^-1]
     moves = [[table[y][inv[alpha.voltage_of(e)]] for y in elements] for e in edges]
-    zero = [0] * g.order
-    counts = [[0] * g.order for _ in range(length)]
-    for start in base.orientation():
+    starts = base.orientation()
+    mirrors = []
+    for start in starts:
         a = alpha.voltage_of(start)
-        mirror = [table[table[a][inv[h]]][inv[a]] for h in elements]
-        lists = [zero] * base.edge_count
-        lists[start] = [int(x == g.identity) for x in elements]
-        for k in range(length):
-            moved = [[lst[i] for i in move] for lst, move in zip(lists, moves)]
-            arriving = [zero] * base.vertex_count
-            for e, m in enumerate(moved):
-                v = base.terminus[e]
-                arriving[v] = list(map(add, arriving[v], m))
-            lists = [
-                list(map(sub, arriving[base.origin[f]], moved[base.inverse[f]])) for f in edges
-            ]
-            back = lists[start]
-            counts[k] = [n + x + back[i] for n, x, i in zip(counts[k], back, mirror)]
+        mirrors.append([table[table[a][inv[h]]][inv[a]] for h in elements])
+    width = _field_width(length, max(base.degrees(), default=0))
+    mask = (1 << width) - 1
+    ints = [[0] * g.order for _ in edges]
+    for s, start in enumerate(starts):
+        ints[start][g.identity] = 1 << s * width
+    zero = [0] * g.order
+    counts = []
+    for _ in range(length):
+        moved = [[lst[i] for i in move] for lst, move in zip(ints, moves)]
+        arriving = [zero] * base.vertex_count
+        for e, m in enumerate(moved):
+            v = base.terminus[e]
+            arriving[v] = list(map(add, arriving[v], m))
+        ints = [list(map(sub, arriving[base.origin[f]], moved[base.inverse[f]])) for f in edges]
+        row = zero
+        for s, (start, mirror) in enumerate(zip(starts, mirrors)):
+            shift = s * width
+            back = [x >> shift & mask for x in ints[start]]
+            row = [n + x + back[i] for n, x, i in zip(row, back, mirror)]
+        counts.append(row)
     return counts
 
 

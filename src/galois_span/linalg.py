@@ -141,17 +141,10 @@ def det_int_derivative(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -
     return m0[n - 1][n - 1], m1[n - 1][n - 1]
 
 
-def _symbolic_phase(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
-    """The pivot order and stored rows of `det_int_sparse_spd`'s symbolic phase.
-
-    stored[p] maps p to its diagonal entry and each of its filled later
-    columns to its entry, 0 where the matrix has none.  Once the pivot's
-    degree is the number of rows not yet taken less one, every such row has
-    that least degree, so they form a clique: minimum degree with
-    lowest-index ties would take them in ascending index, each filled with
-    all later ones, so they are appended and stored so directly and the
-    heap loop ends.
-    """
+def _pattern(rows: Sequence[dict[int, int]]) -> list[set[int] | None]:
+    """The off-diagonal nonzero columns of each row, once every column index
+    is checked to be in range and entry (i, j) to equal entry (j, i);
+    `InvariantError` naming (i, j) otherwise."""
     n = len(rows)
     adj: list[set[int] | None] = []
     for i, row in enumerate(rows):
@@ -168,6 +161,27 @@ def _symbolic_phase(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dic
                     )
                 cols.add(j)
         adj.append(cols)
+    return adj
+
+
+def _check_pivot(pivot: int, p: int) -> None:
+    if pivot <= 0:
+        raise InvariantError(f"pivot {pivot} at row {p}: matrix is not positive definite")
+
+
+def _symbolic_phase(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """The pivot order and stored rows of `det_int_sparse_spd`'s symbolic phase.
+
+    stored[p] maps p to its diagonal entry and each of its filled later
+    columns to its entry, 0 where the matrix has none.  Once the pivot's
+    degree is the number of rows not yet taken less one, every such row has
+    that least degree, so they form a clique: minimum degree with
+    lowest-index ties would take them in ascending index, each filled with
+    all later ones, so they are appended and stored so directly and the
+    heap loop ends.
+    """
+    n = len(rows)
+    adj = _pattern(rows)
     heap = [(len(cols), i) for i, cols in enumerate(adj)]
     heapify(heap)
     order: list[int] = []
@@ -209,7 +223,8 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
 
     The symbolic phase works on the nonzero pattern.  One pass over the
     entries checks that every column index is in range and that entry (i, j)
-    equals entry (j, i), and raises `InvariantError` naming (i, j) otherwise.
+    equals entry (j, i), and raises `InvariantError` naming (i, j) otherwise
+    (`_pattern`).
     The pattern is then eliminated in minimum-degree order: the pivot is
     always the remaining row with the fewest entries, ties broken by the
     lowest index, and it joins its remaining columns in every row they name.
@@ -244,8 +259,21 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     a pivot's determinant enters only the rows it touches.  Positive
     definiteness makes every pivot positive, so no row exchange is needed,
     and the determinant is the product over the final components.
+
+    A matrix of at most two rows takes the same checks and the same pivots,
+    a and then ad - b^2 (d when b = 0), with no bookkeeping: its
+    determinant is 1, a or ad - b^2.
     """
     n = len(rows)
+    if n <= 2:  # 1, a or ad - b^2, with the checks and pivots of the elimination
+        _pattern(rows)
+        a = rows[0].get(0, 0) if n else 1
+        _check_pivot(a, 0)
+        if n < 2:
+            return a
+        b, d = rows[0].get(1, 0), rows[1].get(1, 0)
+        _check_pivot(a * d - b * b if b else d, 1)
+        return a * d - b * b
     order, upper = _symbolic_phase(rows)
     # numeric phase: each row at the scale of the eliminated components next to it
     comps = [0] * n  # a row's adjacent components, bit p for the one pivot p made
@@ -258,8 +286,7 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
         row_p = upper[p]
         upper[p] = None
         pivot = row_p.pop(p)  # det A[C] for the new component C: p and its components
-        if pivot <= 0:
-            raise InvariantError(f"pivot {pivot} at row {p}: matrix is not positive definite")
+        _check_pivot(pivot, p)
         mask_p, s_p, bit = comps[p], scale[p], 1 << p
         scale[p] = pivot
         live = live & ~mask_p | bit

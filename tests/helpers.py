@@ -7,6 +7,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add, sub
 
 from galois_span.characters import (
     _hessenberg_charpoly_mod,
@@ -574,6 +575,40 @@ def derived_walk_counts(c, length: int) -> list[list[int]]:
             vector = step
             for x in range(g.order):
                 row[x] += vector[start * g.order + x]
+    return counts
+
+
+def walk_table_by_start(c, length: int) -> list[list[int]]:
+    """Oracle for `lfunctions.walk_table`: the same walk, one start edge at a time.
+
+    A walk from e_0 is kept as one list per directed edge e, indexed by the
+    net voltage x of the walk before e.  A step moves e's list to index
+    x alpha(e) and adds it into the lists of e's successors: the edges
+    leaving t(e), except inverse(e).  Only one edge of each inverse pair is a
+    start; its reversed walks are read at alpha h^-1 alpha^-1.
+    """
+    base, g, alpha = c.base, c.group, c.voltage
+    table, inv = g.cayley, g.inverses
+    elements, edges = range(g.order), range(base.edge_count)
+    moves = [[table[y][inv[alpha.voltage_of(e)]] for y in elements] for e in edges]
+    zero = [0] * g.order
+    counts = [[0] * g.order for _ in range(length)]
+    for start in base.orientation():
+        a = alpha.voltage_of(start)
+        mirror = [table[table[a][inv[h]]][inv[a]] for h in elements]
+        lists = [zero] * base.edge_count
+        lists[start] = [int(x == g.identity) for x in elements]
+        for k in range(length):
+            moved = [[lst[i] for i in move] for lst, move in zip(lists, moves)]
+            arriving = [zero] * base.vertex_count
+            for e, m in enumerate(moved):
+                v = base.terminus[e]
+                arriving[v] = list(map(add, arriving[v], m))
+            lists = [
+                list(map(sub, arriving[base.origin[f]], moved[base.inverse[f]])) for f in edges
+            ]
+            back = lists[start]
+            counts[k] = [n + x + back[i] for n, x, i in zip(counts[k], back, mirror)]
     return counts
 
 

@@ -57,6 +57,7 @@ from helpers import (
     root,
     theta_graph,
     trivial_rep,
+    walk_table_by_start,
 )
 
 
@@ -497,6 +498,30 @@ def test_walk_table_summed_over_the_group_gives_the_base_h(name):
     rows = walk_table(cover, 2 * base.vertex_count)
     excess = base.geometric_edge_count - base.vertex_count
     assert h_from_traces([sum(row) for row in rows], excess) == base.ihara_h_poly()
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_packed_walk_table_equals_the_walk_from_one_start_at_a_time(name):
+    cover = walk_cover(name)
+    length = 2 * cover.derived.vertex_count
+    assert walk_table(cover, length) == walk_table_by_start(cover, length)
+
+
+@pytest.mark.parametrize(
+    "name", ["readme-S3", "leaf-S3", "theta-D4", "seeded-D4-complete4", "seeded-C2xC6-complete4"]
+)
+def test_a_field_narrower_than_the_counts_corrupts_the_packed_table(monkeypatch, name):
+    import galois_span.lfunctions as lfunctions
+
+    # fields of half the bits of the largest count: carries and borrows cross
+    # fields, and the masks cut counts
+    cover = walk_cover(name)
+    length = 2 * cover.derived.vertex_count
+    expected = walk_table_by_start(cover, length)
+    bits = max(max(row) for row in expected).bit_length()
+    assert bits > 16
+    monkeypatch.setattr(lfunctions, "_field_width", lambda k, d_max: bits // 2)
+    assert walk_table(cover, length) != expected
 
 
 @pytest.mark.parametrize("name", ["readme-S3", "theta-D4", "leaf-S3", "not-galois-C2xC2"])

@@ -390,6 +390,56 @@ def test_det_int_sparse_spd_refuses_a_malformed_matrix(rows, where):
         det_int_sparse_spd(rows)
 
 
+def test_det_int_sparse_spd_of_at_most_two_rows_is_the_dense_determinant():
+    # every symmetric matrix of 0, 1 or 2 rows with entries in [-3, 3]: the
+    # positive-definite ones give det_int, the others are refused at a pivot
+    matrices = [[]] + [[[a]] for a in range(-3, 4)]
+    matrices += [[[a, b], [b, d]] for a in range(-3, 4) for b in range(-3, 4) for d in range(-3, 4)]
+    for dense in matrices:
+        rows = _sparse_rows(dense)
+        if all(det_int([row[:k] for row in dense[:k]]) > 0 for k in range(1, len(dense) + 1)):
+            assert det_int_sparse_spd(rows) == det_int(dense)
+        else:
+            with pytest.raises(InvariantError, match="matrix is not positive definite"):
+                det_int_sparse_spd(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{0: 2, 1: 1}, {1: 2}], "entry (0, 1) is 1 but entry (1, 0) is 0: matrix is not symmetric"),
+        ([{0: 2}, {0: 1, 1: 2}], "entry (1, 0) is 1 but entry (0, 1) is 0: matrix is not symmetric"),
+        (
+            [{0: 2, 1: 1}, {0: -1, 1: 2}],
+            "entry (0, 1) is 1 but entry (1, 0) is -1: matrix is not symmetric",
+        ),
+        ([{0: 2, 2: 1}, {1: 2}], "entry (0, 2) lies outside the 2x2 matrix"),
+        ([{0: 2}, {-1: 1, 1: 2}], "entry (1, -1) lies outside the 2x2 matrix"),
+        ([{0: 2, "1": 1}, {1: 2}], "entry (0, '1') lies outside the 2x2 matrix"),
+        ([{0: 2, True: 1}, {1: 2}], "entry (0, True) lies outside the 2x2 matrix"),
+        ([{1: 3}], "entry (0, 1) lies outside the 1x1 matrix"),
+        # row 0's pair is checked before row 1's columns, every entry before a pivot
+        (
+            [{0: 1, 1: 1}, {1: 1, 5: 1}],
+            "entry (0, 1) is 1 but entry (1, 0) is 0: matrix is not symmetric",
+        ),
+        ([{0: -1}, {7: 1}], "entry (1, 7) lies outside the 2x2 matrix"),
+        ([{}], "pivot 0 at row 0: matrix is not positive definite"),
+        ([{0: -3}], "pivot -3 at row 0: matrix is not positive definite"),
+        ([{1: 1}, {0: 1, 1: 5}], "pivot 0 at row 0: matrix is not positive definite"),
+        # the row-1 pivot is d when b = 0, ad - b^2 otherwise
+        ([{0: 2}, {1: 0}], "pivot 0 at row 1: matrix is not positive definite"),
+        ([{0: 2}, {1: -4}], "pivot -4 at row 1: matrix is not positive definite"),
+        ([{0: 1, 1: 2}, {0: 2, 1: 1}], "pivot -3 at row 1: matrix is not positive definite"),
+        ([{0: 2, 1: 2}, {0: 2, 1: 2}], "pivot 0 at row 1: matrix is not positive definite"),
+    ],
+)
+def test_det_int_sparse_spd_of_at_most_two_rows_refuses_with_the_elimination_text(rows, message):
+    with pytest.raises(InvariantError) as caught:
+        det_int_sparse_spd(rows)
+    assert str(caught.value) == message
+
+
 def test_poly_matrix_det():
     u = IntPoly.x()
     one = IntPoly.const(1)
