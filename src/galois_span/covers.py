@@ -4,39 +4,30 @@ A voltage assignment labels one orientation of the base graph with group
 elements, kept per directed edge (inverse edges carry inverse voltages).
 The derived graph has vertex set V x G with terminus twisted by right
 multiplication; G acts on the left of the second coordinate, so the
-quotient by a subgroup H uses cosets H*sigma.  One builder makes the coset
-action of the edge voltages and the edge arrays of every such quotient (the
-derived graph is the quotient by the trivial subgroup), and it checks, while
-it builds the arrays:
+quotient by a subgroup H uses cosets H*sigma.  Every such quotient (the
+derived graph is the quotient by the trivial subgroup) is read off one coset
+plan that the group keeps per subgroup, keyed by H's elements
+(`_coset_plan`): the coset index of each element, the first element of each
+coset, and the action of each voltage a on the cosets, image[i] = coset of
+rep(i)*a.  The plan checks, the first time any cover of G asks:
 
-- that the cosets partition G, which makes X_H -> X a covering by
+- that H's left cosets partition G, which makes X_H -> X a covering by
   construction (Gross & Tucker, Topological Graph Theory, 1987, section
-  2.5): the arrays are laid out by index, one quotient edge over each base
-  edge at every vertex;
-- for each distinct edge voltage a, that the coset of sigma*a depends only
-  on the coset of sigma, which makes Y -> X_H a graph morphism, and a
-  morphism between two coverings of X that commutes with them is a
-  covering;
-- the `SerreGraph` invariants of the result (inversion is a fixed-point-free
-  involution that swaps endpoints).
+  2.5): edge e at coset i ends at coset image[i] of t(e), one quotient edge
+  over each base edge at every vertex;
+- for each voltage a, that the coset of sigma*a depends only on the coset
+  of sigma, which makes Y -> X_H a graph morphism, and a morphism between
+  two coverings of X that commutes with them is a covering.
 
-The first two raise `InvariantError`, the last `GraphError`; the last is
-run when the arrays become a labelled `SerreGraph` (`derived_graph`,
-`intermediate_graph`).  The full covering check of a map between Serre
-graphs, over every vertex and edge with every star sorted, is kept in the
-tests as the oracle of these checks.
-
-The first two checks depend only on G, the coset list and the voltage, not
-on the base or the rest of the cover, so the group keeps their results, one
-coset plan per coset list (`_coset_plan`, in `FiniteGroup._cache` beside the
-left cosets of each subgroup): the partition check and the coset
-representatives the first time any cover of G asks for that list, and each
-voltage's checked action on the cosets the first time any cover of G has
-that voltage.  The derived graph (the trivial coset list), the labelled
-quotients and the kappa path all read the same plan, and each cover lays out
-only its own arrays.  Every check runs before its result is first kept: a
-coset list or a voltage that fails keeps nothing and fails again on the
-next request.
+Both raise `InvariantError`, and each runs before its result is first kept:
+a coset list or a voltage that fails keeps nothing and fails again on the
+next request.  The labelled graphs (`derived_graph`, `intermediate_graph`)
+lay out edge arrays from the plan, and their `SerreGraph` checks that
+inversion is a fixed-point-free involution that swaps endpoints
+(`GraphError`).  The kappa route lays out no arrays: it hands the plan's
+directed edges straight to `matrix_tree_count`.  The full covering check of
+a map between Serre graphs, over every vertex and edge with every star
+sorted, is kept in the tests as the oracle of these checks.
 
 The cover is Galois exactly when the derived graph is connected; `is_galois`,
 which every Galois guard asks, decides it by generation: the base is
@@ -47,11 +38,10 @@ once per call and tests each draw by the same generation test.
 Each assignment keeps its Galois answer and each cover keeps kappa(X_H) per
 subgroup H, computed on first request and read back after that: the
 verifiers of one cover ask for overlapping sets of quotients.  The quotient
-by the trivial subgroup has the derived graph's arrays, so its kappa is
-kappa(Y), read from the derived graph instead of a second quotient.  For any
-other H, kappa(X_H) is read from the checked arrays alone, with no labelled
-graph: the partition and per-voltage checks have passed, once per group,
-and the reduced Laplacian's elimination checks symmetry and positive
+by the trivial subgroup is the derived graph, so its kappa is kappa(Y), read
+from the derived graph instead of a second quotient.  For any other H,
+kappa(X_H) is read from the plan's checked actions alone, with no labelled
+graph, and the reduced Laplacian's elimination checks symmetry and positive
 pivots.  Two checks of a labelled graph are implied and skipped.  The
 connectivity search: the Galois guard has shown Y connected, and X_H is its
 image under a morphism.  The involution check: the action of a^-1 undoes
@@ -164,93 +154,110 @@ class IntermediateGraph:
 
 def derived_graph(alpha: VoltageAssignment) -> Cover:
     """The quotient by the trivial subgroup: vertices (v, sigma), deterministically."""
-    derived, _ = _coset_quotient(alpha, [(sigma,) for sigma in range(alpha.group.order)], "")
-    return Cover(voltage=alpha, derived=derived)
+    g = alpha.group
+    plan = _coset_plan(Subgroup._trusted(g, [g.identity]))
+    return Cover(voltage=alpha, derived=_coset_quotient(alpha, plan, ""))
 
 
-def _coset_quotient(
-    alpha: VoltageAssignment, cosets: list[tuple[int, ...]], prefix: str
-) -> tuple[SerreGraph, tuple[int, ...]]:
-    """Quotient of the derived graph by the subgroup whose left cosets are given.
+class _CosetPlan:
+    """What the quotient by one subgroup H needs of G alone, kept once per group.
+
+    The left cosets, as the coset index of each element (`coset_of`, from
+    `_coset_index`, whose partition check runs before the plan exists) and
+    the first element of each coset (`reps`), and the checked action of
+    each voltage asked so far (`actions`, filled by `_edge_actions`).
+    """
+
+    __slots__ = ("coset_of", "reps", "actions")
+
+    def __init__(self, g: FiniteGroup, cosets: list[tuple[int, ...]]):
+        self.coset_of = tuple(_coset_index(g.order, cosets))
+        self.reps = [coset[0] for coset in cosets]
+        self.actions: dict[int, tuple[int, ...]] = {}
+
+
+def _coset_plan(h: Subgroup) -> _CosetPlan:
+    """The group's kept plan for H's left cosets, keyed by H's elements.
+
+    Built the first time any cover of G asks for H; a coset list that fails
+    the partition check keeps nothing and is refused again on the next
+    request.
+    """
+    plans = h.parent._cache.setdefault("coset_plans", {})
+    plan = plans.get(h.elements)
+    if plan is None:
+        plan = plans[h.elements] = _CosetPlan(h.parent, left_cosets(h))
+    return plan
+
+
+def _coset_quotient(alpha: VoltageAssignment, plan: _CosetPlan, prefix: str) -> SerreGraph:
+    """Quotient of the derived graph by the subgroup whose coset plan is given.
 
     The arrays and their checks are `_quotient_arrays`; this adds the names
     and the `SerreGraph`, whose construction checks that inversion is an
     involution.  Vertex (v, H*sigma) is named after the coset's first element
-    behind `prefix`.  Returns the graph and the coset index of each element.
+    behind `prefix`.
     """
     base, g = alpha.base, alpha.group
-    origin, terminus, inverse, coset_of = _quotient_arrays(alpha, cosets)
+    origin, terminus, inverse = _quotient_arrays(alpha, plan)
     names = [
-        f"({base.vertex_label(v)},{prefix}{g.label(coset[0])})"
+        f"({base.vertex_label(v)},{prefix}{g.label(r)})"
         for v in range(base.vertex_count)
-        for coset in cosets
+        for r in plan.reps
     ]
-    graph = SerreGraph(
-        vertex_count=base.vertex_count * len(cosets),
+    return SerreGraph(
+        vertex_count=base.vertex_count * len(plan.reps),
         origin=tuple(origin),
         terminus=tuple(terminus),
         inverse=tuple(inverse),
         vertex_names=tuple(names),
     )
-    return graph, tuple(coset_of)
 
 
 def _quotient_arrays(
-    alpha: VoltageAssignment, cosets: list[tuple[int, ...]]
-) -> tuple[list[int], list[int], list[int], tuple[int, ...]]:
-    """The quotient's edge arrays for one cover, laid out from the group's coset plan.
+    alpha: VoltageAssignment, plan: _CosetPlan
+) -> tuple[list[int], list[int], list[int]]:
+    """The labelled quotient's edge arrays for one cover, laid out from the coset plan.
 
     Vertex (v, H*sigma) is v * k + i for the i-th of the k cosets; edge
-    e x H*sigma is e * k + i, leaves it and ends at (t(e), H*sigma*alpha(e)).
-    What depends only on G, the coset list and a voltage is the group's, in
-    its kept plan (`_coset_plan`): the coset index of each element, and the
-    action of each voltage a on the cosets, image[i] = coset of rep(i)*a.
-    The action is built and checked (`_voltage_action`) the first time any
-    cover of G asks for a, and read back for every later cover; a voltage
-    whose action fails its check keeps nothing and fails again on the next
-    request.  Only the arrays are this cover's.
-
-    X_H -> X, (w, d) -> (w // k, d // k), needs no further check: the cosets
-    are checked to partition G (`_coset_index`), so every image index lies
-    in [0, k), and with the arrays built by index that alone gives vertex
-    surjectivity, endpoints, inversion and one quotient edge over each base
-    edge at every vertex.  Returns origin, terminus, inverse and the coset
-    index of each element.
+    e x H*sigma is e * k + i, leaves it and ends at (t(e), image[i]) for the
+    action image of alpha(e) (`_edge_actions`), and its inverse is
+    e-bar x image[i].  X_H -> X, (w, d) -> (w // k, d // k), needs no
+    further check: the cosets are checked to partition G (`_coset_index`),
+    so every image index lies in [0, k), and with the arrays built by index
+    that alone gives vertex surjectivity, endpoints, inversion and one
+    quotient edge over each base edge at every vertex.  Returns origin,
+    terminus and inverse.
     """
-    base, g = alpha.base, alpha.group
-    k = len(cosets)
-    coset_of, reps, actions = _coset_plan(g, cosets)
-    for a in set(alpha.edge_volt):
-        if a not in actions:
-            actions[a] = _voltage_action(g, coset_of, reps, a)
+    base = alpha.base
+    k = len(plan.reps)
     origin: list[int] = []
     terminus: list[int] = []
     inverse: list[int] = []
-    for e, a in enumerate(alpha.edge_volt):
-        image = actions[a]
+    for e, image in enumerate(_edge_actions(alpha, plan)):
         o, t, inv = base.origin[e] * k, base.terminus[e] * k, base.inverse[e] * k
         origin.extend(range(o, o + k))
         terminus.extend([t + x for x in image])
         inverse.extend([inv + x for x in image])
-    return origin, terminus, inverse, coset_of
+    return origin, terminus, inverse
 
 
-def _coset_plan(g: FiniteGroup, cosets: list[tuple[int, ...]]):
-    """The group's kept plan for one coset list: (coset_of, reps, actions).
+def _edge_actions(alpha: VoltageAssignment, plan: _CosetPlan) -> list[tuple[int, ...]]:
+    """The action of each directed edge's voltage on the plan's cosets.
 
-    coset_of is the coset index of each element, reps the first element of
-    each coset, and actions the checked action of each voltage asked so far
-    (filled by `_quotient_arrays`).  The partition check runs before the plan
-    is first kept, so a list that is not a partition keeps nothing and is
-    refused again on the next request.
+    The action of a is built and checked (`_voltage_action`) the first time
+    any cover of G asks for it with this plan, and read back for every later
+    cover; a voltage whose action fails its check keeps nothing and fails
+    again on the next request.
     """
-    plans = g._cache.setdefault("coset_plans", {})
-    key = tuple(cosets)
-    plan = plans.get(key)
-    if plan is None:
-        coset_of = tuple(_coset_index(g.order, cosets))
-        plan = plans[key] = (coset_of, [coset[0] for coset in cosets], {})
-    return plan
+    actions = plan.actions
+    out = []
+    for a in alpha.edge_volt:
+        image = actions.get(a)
+        if image is None:
+            image = actions[a] = _voltage_action(alpha.group, plan.coset_of, plan.reps, a)
+        out.append(image)
+    return out
 
 
 def _voltage_action(
@@ -375,14 +382,17 @@ def intermediate_graph(c: Cover, h: Subgroup) -> IntermediateGraph:
     """Quotient by the left action of H: vertices (v, H*sigma).
 
     Both projections, X_H -> X and Y -> X_H, (v, sigma) -> (v, H*sigma), are
-    checked by the group's coset plan for H's left cosets, on its first use
-    and for each voltage on its first use (`_quotient_arrays`).
+    checked by the group's coset plan for H, on its first use and for each
+    voltage on its first use (`_coset_plan`, `_edge_actions`).
     """
     _check_quotient(c, h)
-    cosets = left_cosets(h)
-    graph, coset_of = _coset_quotient(c.voltage, cosets, "H")
+    plan = _coset_plan(h)
     return IntermediateGraph(
-        cover=c, subgroup=h, graph=graph, coset_of=coset_of, coset_count=len(cosets)
+        cover=c,
+        subgroup=h,
+        graph=_coset_quotient(c.voltage, plan, "H"),
+        coset_of=plan.coset_of,
+        coset_count=len(plan.reps),
     )
 
 
@@ -390,26 +400,33 @@ def intermediate_kappa(c: Cover, h: Subgroup) -> int:
     """kappa(X_H), kept on the cover by the exact subgroup (never by its class).
 
     The cover keeps the count; the group keeps what every cover of G shares,
-    H's left cosets and their coset plan, with the partition check and the
-    action of each voltage checked the first time any cover asks for them
-    (`_quotient_arrays`).  A check that fails keeps nothing on either, so
-    the next request runs it again.  For the trivial subgroup the quotient
-    is the derived graph itself (same arrays), so its count is kappa(Y),
-    kept on the derived graph.  For any other H the arrays of
-    `_quotient_arrays` go straight to `matrix_tree_count`: no names, no
-    `SerreGraph` and no connectivity search.  The guard has shown that Y is
-    connected, and X_H is its image, so X_H is connected.  Inversion needs
-    no check of its own: the action of a^-1 undoes the action of a on the
-    cosets of a subgroup.  `det_int_sparse_spd` still checks that the
-    reduced Laplacian is symmetric and that every pivot is positive.
+    H's coset plan, with the partition check and the action of each voltage
+    checked the first time any cover asks for them (`_coset_plan`,
+    `_edge_actions`).  A check that fails keeps nothing on either, so the
+    next request runs it again.  For the trivial subgroup the quotient is
+    the derived graph itself, so its count is kappa(Y), kept on the derived
+    graph.  For any other H the directed edges (v, i) -> (t(e), image[i]) of
+    X_H, one per edge e at v and coset i, go straight from the voltage
+    actions to `matrix_tree_count`: no arrays, no names, no `SerreGraph`
+    and no connectivity search.  The guard has shown that Y is connected,
+    and X_H is its image, so X_H is connected.  Inversion needs no check of
+    its own: the action of a^-1 undoes the action of a on the cosets of a
+    subgroup, which is what makes the reduced Laplacian symmetric, and
+    `det_int_sparse_spd` still checks that it is symmetric and that every
+    pivot is positive.
     """
     _check_quotient(c, h)
     if h.elements not in c._kappas:
         if h.is_trivial():
             kappa = c.derived.spanning_tree_count()
         else:
-            origin, terminus, _, _ = _quotient_arrays(c.voltage, left_cosets(h))
-            kappa = matrix_tree_count(c.base.vertex_count * h.index(), origin, terminus)
+            plan = _coset_plan(h)
+            base, k = c.base, len(plan.reps)
+            edges = zip(base.origin, base.terminus, _edge_actions(c.voltage, plan))
+            kappa = matrix_tree_count(
+                base.vertex_count * k,
+                ((o * k + i, t * k + x) for o, t, image in edges for i, x in enumerate(image)),
+            )
         c._kappas[h.elements] = kappa
     return c._kappas[h.elements]
 

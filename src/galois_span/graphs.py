@@ -7,9 +7,9 @@ pair of directed edges whose origin and terminus coincide, so it contributes
 2 to the adjacency diagonal and 2 to the degree and cancels in the Laplacian.
 
 The spanning-tree count (complexity) is computed by the Matrix-Tree theorem:
-the reduced Laplacian is built directly from the edge arrays as sparse rows
-(`matrix_tree_count`, which also serves quotient arrays that never become a
-`SerreGraph`) and eliminated
+the reduced Laplacian is built directly from the directed edges as sparse
+rows (`matrix_tree_count`, which also serves the edges of quotients that
+never become a `SerreGraph`) and eliminated
 fraction-free: a symbolic phase fixes the minimum-degree pivot order and each
 pivot's fill, and a numeric phase eliminates one triangle in that order
 (`linalg.det_int_sparse_spd`).  The reciprocal zeta numerator
@@ -133,7 +133,7 @@ class SerreGraph:
         if self._kappa is None:
             if not self.is_connected():
                 raise DisconnectedGraphError("spanning trees of a disconnected graph")
-            kappa = matrix_tree_count(self.vertex_count, self.origin, self.terminus)
+            kappa = matrix_tree_count(self.vertex_count, zip(self.origin, self.terminus))
             object.__setattr__(self, "_kappa", kappa)
         return self._kappa
 
@@ -145,17 +145,18 @@ class SerreGraph:
         return self.vertex_names[v] if self.vertex_names else str(v)
 
 
-def matrix_tree_count(vertex_count: int, origin, terminus) -> int:
-    """kappa of a connected graph given by its edge arrays, by the Matrix-Tree theorem.
+def matrix_tree_count(vertex_count: int, edges) -> int:
+    """kappa of a connected graph given by its directed edges, by the Matrix-Tree theorem.
 
-    The one builder of the reduced Laplacian: the Laplacian with vertex 0's
-    row and column deleted, as sparse rows (loops cancel), whose determinant
-    is `det_int_sparse_spd`.  Connectivity is the caller's to know: on a
-    disconnected graph the elimination meets a pivot that is not positive
-    and raises `InvariantError`.
+    `edges` is an iterable of (origin, terminus) pairs, each geometric edge
+    given in both directions.  The one builder of the reduced Laplacian: the
+    Laplacian with vertex 0's row and column deleted, as sparse rows (loops
+    cancel), whose determinant is `det_int_sparse_spd`.  Connectivity is the
+    caller's to know: on a disconnected graph the elimination meets a pivot
+    that is not positive and raises `InvariantError`.
     """
     rows: list[dict[int, int]] = [{} for _ in range(vertex_count - 1)]
-    for u, v in zip(origin, terminus):
+    for u, v in edges:
         if u == v or u == 0:
             continue
         row = rows[u - 1]

@@ -7,10 +7,10 @@ build sequence.  `FiniteGroup.element` reads every element name and
 `FiniteGroup.conjugation` holds every conjugate.  Subgroups are value
 objects identified by their sorted element sets.  A group keeps what is
 derived from it alone (conjugation, classes, subgroup lists, the class key
-and the left cosets of each subgroup, the character table, posets, and the
-coset plans of `covers`) in its `_cache`, computed on first request; the
-subgroup and coset lists are handed out as fresh lists, so no caller can
-change the kept one.  A direct product also keeps its two factors
+of each subgroup, the character table, posets, and the coset plan of each
+subgroup that `covers` builds from `left_cosets`) in its `_cache`, computed
+on first request; the subgroup lists are handed out as fresh lists, so no
+caller can change the kept one.  A direct product also keeps its two factors
 (`FiniteGroup.factors`), from whose character tables `characters` builds
 its own.
 
@@ -432,25 +432,20 @@ def left_cosets(h: Subgroup) -> list[tuple[int, ...]]:
 
     Each coset is read from the Cayley table's rows of H at the least element
     not yet covered, which is then the coset's least element, so the cosets
-    come out in order of it.  The group keeps each subgroup's list and hands
-    out a fresh copy.
+    come out in order of it.
     """
     g = h.parent
-    kept = g._cache.setdefault("left_cosets", {})
-    cosets = kept.get(h.elements)
-    if cosets is None:
-        rows = [g.cayley[a] for a in h.elements]
-        seen = [False] * g.order
-        built = []
-        for x in range(g.order):
-            if seen[x]:
-                continue
-            coset = sorted([row[x] for row in rows])
-            for y in coset:
-                seen[y] = True
-            built.append(tuple(coset))
-        cosets = kept[h.elements] = tuple(built)
-    return list(cosets)
+    rows = [g.cayley[a] for a in h.elements]
+    seen = [False] * g.order
+    cosets = []
+    for x in range(g.order):
+        if seen[x]:
+            continue
+        coset = sorted([row[x] for row in rows])
+        for y in coset:
+            seen[y] = True
+        cosets.append(tuple(coset))
+    return cosets
 
 
 def quotient_group(h: Subgroup) -> tuple[FiniteGroup, list[int]]:

@@ -44,7 +44,7 @@ from galois_span.family import (
     exponent_grid,
 )
 from galois_span.graphs import SerreGraph, build_graph
-from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups
+from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups, left_cosets
 from galois_span.lfunctions import MatrixRep
 from galois_span.linalg import _check_square, det_fraction, det_int, mat_mul
 from galois_span.numtheory import factorize
@@ -260,6 +260,17 @@ def coset_quotient_by_representatives(alpha: VoltageAssignment, blocks) -> tuple
         inverse=tuple(inverse),
     )
     return graph, coset_of
+
+
+def kappa_by_representatives(alpha: VoltageAssignment, h: Subgroup) -> int:
+    """Oracle for `covers.intermediate_kappa`: kappa of the quotient that
+    `coset_quotient_by_representatives` builds from H's left cosets, counted
+    by exhaustive enumeration up to 10 geometric edges and by dense Bareiss
+    on a cofactor of the Laplacian past that."""
+    quotient, _ = coset_quotient_by_representatives(alpha, left_cosets(h))
+    if quotient.geometric_edge_count <= 10:
+        return brute_force_spanning_trees(quotient)
+    return det_int(delete_row_col(laplacian(quotient), 0, 0))
 
 
 def projection_by_full_covering_check(c: Cover, quotient: SerreGraph, coset_of) -> None:

@@ -1,11 +1,14 @@
 import json
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from galois_span.covers import (
     Cover,
     VoltageAssignment,
+    _CosetPlan,
     _coset_quotient,
     conjugate_kappa_check,
     cover_to_json_dict,
@@ -53,6 +56,7 @@ from helpers import (
     coset_quotient_by_representatives,
     cycle_nets,
     dumbbell_graph,
+    kappa_by_representatives,
     laplacian,
     projection_by_full_covering_check,
     random_connected_voltage_by_derived_graph,
@@ -302,12 +306,13 @@ def test_projection_check_agrees_with_the_full_check_on_every_partition(base_nam
             oracle = oracle and _accepts(base_projection_by_full_covering_check, expected, c.base)
             serre_but_refused += not oracle
         try:
-            graph, built_coset_of = _coset_quotient(alpha, blocks, "H")
+            plan = _CosetPlan(g, blocks)
+            graph = _coset_quotient(alpha, plan, "H")
         except InvariantError:
             graph = None
         assert (graph is not None) == oracle, blocks
         if oracle:
-            assert list(built_coset_of) == coset_of
+            assert list(plan.coset_of) == coset_of
             assert (graph.origin, graph.terminus, graph.inverse) == (
                 expected.origin,
                 expected.terminus,
@@ -329,7 +334,7 @@ def test_projection_check_refuses_a_partition_not_stable_under_right_multiplicat
     assert not h.is_normal()
     blocks = sorted({tuple(sorted(g.mul(s, x) for x in h.elements)) for s in range(g.order)})
     with pytest.raises(InvariantError, match="does not commute with endpoints"):
-        _coset_quotient(c.voltage, blocks, "H")
+        _coset_quotient(c.voltage, _CosetPlan(g, blocks), "H")
     with pytest.raises(GraphError, match="inversion not an involution"):
         coset_quotient_by_representatives(c.voltage, blocks)
 
@@ -392,8 +397,9 @@ def test_kappas_of_every_subgroup_build_no_graph_beyond_the_derived_graph(monkey
     ids=["missing", "repeated", "empty-block", "too-large", "negative"],
 )
 def test_coset_quotient_refuses_a_list_that_is_not_a_partition(blocks, message):
+    c = s3_cover()
     with pytest.raises(InvariantError, match=message):
-        _coset_quotient(s3_cover().voltage, blocks, "H")
+        _coset_quotient(c.voltage, _CosetPlan(c.group, blocks), "H")
 
 
 def test_kuroda_on_an_s4_cover_eliminates_the_cover_once(monkeypatch):
@@ -787,18 +793,18 @@ def test_one_selftest_iteration_builds_each_quotient_once(monkeypatch, spec):
 
     built = []
     asked = []
-    build = covers._quotient_arrays
+    build = covers._edge_actions
     kappa = covers.intermediate_kappa
 
-    def counting_build(alpha, cosets):
-        built.append(len(cosets))
-        return build(alpha, cosets)
+    def counting_build(alpha, plan):
+        built.append(len(plan.reps))
+        return build(alpha, plan)
 
     def recording_kappa(c, h):
         asked.append(h.elements)
         return kappa(c, h)
 
-    monkeypatch.setattr(covers, "_quotient_arrays", counting_build)
+    monkeypatch.setattr(covers, "_edge_actions", counting_build)
     for module in (covers, theorems):
         monkeypatch.setattr(module, "intermediate_kappa", recording_kappa)
     summary = theorems.random_suite(3, 1, [parse_group_spec(spec)], [bouquet(2)])
@@ -807,8 +813,9 @@ def test_one_selftest_iteration_builds_each_quotient_once(monkeypatch, spec):
     # every subgroup is asked for (the conjugate check asks for all), some more than once
     assert sorted(set(asked)) == sorted(h.elements for h in subgroups)
     assert len(asked) > len(set(asked))
-    # the arrays of one quotient per distinct nontrivial subgroup, plus the derived
-    # graph's; the trivial quotient is never built, since its kappa is the derived graph's
+    # one quotient built from the voltage actions per distinct nontrivial subgroup,
+    # plus the derived graph; the trivial quotient is never built for its kappa,
+    # which is the derived graph's
     assert len(built) == len(set(asked))
     assert built.count(parse_group_spec(spec).order) == 1
 
@@ -863,18 +870,25 @@ def test_two_covers_of_one_group_check_each_voltage_action_once(monkeypatch, spe
     [[(0, 1, 2), (3, 4)], [(0, 1, 2), (2, 3, 4, 5)], [(0, 1, 2), (3, 4, 5), ()]],
     ids=["missing", "repeated", "empty-block"],
 )
-def test_a_list_that_is_not_a_partition_keeps_no_plan_and_is_refused_again(blocks):
+def test_a_list_that_is_not_a_partition_keeps_no_plan_and_is_refused_again(monkeypatch, blocks):
+    # H's plan is built from its coset list on H's first request; a list that is
+    # not a partition keeps no plan under H, so every later request is refused again
+    import galois_span.covers as covers
+
     c = s3_cover()
-    for _ in range(2):
+    h = generated_subgroup(c.group, [c.group.element("(0 1)")])
+    monkeypatch.setattr(covers, "left_cosets", lambda subgroup: blocks)
+    for request in (intermediate_kappa, intermediate_graph, intermediate_kappa):
         with pytest.raises(InvariantError):
-            _coset_quotient(c.voltage, blocks, "H")
-        assert tuple(blocks) not in c.group._cache.get("coset_plans", {})
+            request(c, h)
+        assert h.elements not in c.group._cache.get("coset_plans", {})
+        assert h.elements not in c._kappas
 
 
 def test_a_voltage_whose_action_fails_keeps_nothing_and_is_refused_again(monkeypatch):
-    # the sigma*H cosets of a non-normal subgroup of S3 partition G, so the plan of
-    # the list is kept, but no voltage action that fails its check; every later
-    # request, from this cover or another cover of G, runs the check again
+    # the sigma*H cosets of a non-normal subgroup of S3 partition G, so H's plan is
+    # kept, but no voltage action that fails its check; every later request, from
+    # this cover or another cover of G, runs the check again
     import galois_span.covers as covers
 
     c = s3_cover()
@@ -900,12 +914,13 @@ def test_a_voltage_whose_action_fails_keeps_nothing_and_is_refused_again(monkeyp
         with pytest.raises(InvariantError, match="does not commute with endpoints"):
             intermediate_kappa(cover, h)
         assert h.elements not in cover._kappas
-    _, _, actions = g._cache["coset_plans"][tuple(blocks)]
-    assert refused and not set(refused) & set(actions)
+    plan = g._cache["coset_plans"][h.elements]
+    assert plan.coset_of == tuple(_coset_index_of(g, blocks))
+    assert refused and not set(refused) & set(plan.actions)
     assert len(refused) == 3
 
 
-def test_left_cosets_hands_out_a_fresh_list_of_the_kept_one():
+def test_left_cosets_hands_out_a_fresh_list():
     g = symmetric_group(3)
     h = generated_subgroup(g, [g.element("(0 1)")])
     cosets = left_cosets(h)
@@ -913,3 +928,84 @@ def test_left_cosets_hands_out_a_fresh_list_of_the_kept_one():
     cosets[0] = ()
     expected = sorted({tuple(sorted(g.mul(a, x) for a in h.elements)) for x in range(6)})
     assert left_cosets(h) == expected
+
+
+# -- kappa(X_H) read off the kept plan ---------------------------------------------
+
+PLAN_COVERS = [
+    (base_name, spec)
+    for spec in ("S3", "D4", "Q8", "A4", "S4", "C2xC2xC2")
+    for base_name in ("bouquet:2", "bouquet:3", "complete:4")
+    # rank 3 exceeds the Betti number 2 of bouquet:2: no connected cover exists
+    if (base_name, spec) != ("bouquet:2", "C2xC2xC2")
+]
+
+
+@pytest.mark.parametrize("base_name, spec", PLAN_COVERS)
+def test_plan_kappas_equal_the_kappas_of_quotients_built_by_representatives(base_name, spec):
+    # two covers of one group: the first builds every plan and action, the second
+    # reads them back and adds the actions of its own new voltages
+    base, g = GENERATION_BASES[base_name], parse_group_spec(spec)
+    for seed in (0, 1):
+        alpha = random_connected_voltage(base, g, seed)
+        c = derived_graph(alpha)
+        for h in all_subgroups(g):
+            assert intermediate_kappa(c, h) == kappa_by_representatives(alpha, h), (
+                seed,
+                h.describe(),
+            )
+
+
+def _asymmetric_swap(image: tuple[int, ...]):
+    """The action with the images of two cosets i < j swapped, for the first
+    pair whose change to a bouquet quotient's adjacency, E(i, image[j]) +
+    E(j, image[i]) - E(i, image[i]) - E(j, image[j]), is not symmetric off
+    coset 0, whose row and column the reduced Laplacian drops; None when no
+    pair is."""
+    for i, j in combinations(range(len(image)), 2):
+        change = Counter([(i, image[j]), (j, image[i])])
+        change.subtract([(i, image[i]), (j, image[j])])
+        if any(r and c and r != c and n != change[c, r] for (r, c), n in list(change.items())):
+            swapped = list(image)
+            swapped[i], swapped[j] = image[j], image[i]
+            return tuple(swapped)
+    return None
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "A4", "S4"])
+@pytest.mark.parametrize("base_name", ["bouquet:2", "bouquet:3"])
+def test_a_corrupted_kept_action_is_refused_by_the_symmetry_check(monkeypatch, base_name, spec):
+    # two images swapped in the kept action of a voltage a of order > 2, with the
+    # action of a^-1 left alone: the reduced Laplacian is not symmetric, and the
+    # elimination refuses it before any kappa comes out
+    import galois_span.covers as covers
+
+    base, g = GENERATION_BASES[base_name], parse_group_spec(spec)
+    alpha = next(
+        alpha
+        for alpha in (random_connected_voltage(base, g, seed) for seed in range(20))
+        if any(g.inv(a) != a for a in alpha.volt)
+    )
+    derived_graph(alpha)
+    corrupted = 0
+    for h in all_subgroups(g):
+        if h.is_trivial():
+            continue  # kappa(Y) is read from the derived graph, not from a plan
+        plan = covers._coset_plan(h)
+        covers._edge_actions(alpha, plan)
+        for a in sorted(set(alpha.volt)):
+            swapped = _asymmetric_swap(plan.actions[a])
+            if g.inv(a) == a or swapped is None:
+                continue
+            monkeypatch.setitem(plan.actions, a, swapped)
+            c = derived_graph(VoltageAssignment(base=base, group=g, volt=alpha.volt))
+            with pytest.raises(InvariantError, match="matrix is not symmetric"):
+                intermediate_kappa(c, h)
+            assert h.elements not in c._kappas
+            monkeypatch.undo()
+            corrupted += 1
+    assert corrupted > 0
+    # with every action restored, the kappas are the oracle's again
+    c = derived_graph(VoltageAssignment(base=base, group=g, volt=alpha.volt))
+    for h in all_subgroups(g):
+        assert intermediate_kappa(c, h) == kappa_by_representatives(alpha, h), h.describe()

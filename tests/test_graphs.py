@@ -135,9 +135,9 @@ def test_matrix_tree_count_of_disconnected_arrays_meets_a_non_positive_pivot():
     # still cannot pass as a count, since the elimination refuses its zero pivot
     g = build_graph(4, [(0, 1), (2, 3), (2, 3)])
     with pytest.raises(InvariantError, match="not positive definite"):
-        matrix_tree_count(g.vertex_count, g.origin, g.terminus)
+        matrix_tree_count(g.vertex_count, zip(g.origin, g.terminus))
     h = complete_graph(5)
-    assert matrix_tree_count(h.vertex_count, h.origin, h.terminus) == 125
+    assert matrix_tree_count(h.vertex_count, zip(h.origin, h.terminus)) == 125
 
 
 def test_brute_force_guard():
