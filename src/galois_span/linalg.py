@@ -16,10 +16,15 @@ triangle; a numeric phase eliminates in that order and updates each
 symmetric pair of entries once.  Its denominators are local: each row is
 held over the determinants of the eliminated components of the pattern
 next to it, not over the last pivot, and the determinant is the product
-over the final components.  Matrices of integer polynomials go through
-integer determinants at consecutive integers and one integer
-interpolation; cyclotomic matrices reach them after a lift to Z[x]
-(`lfunctions`).  The matrix product serves ints, `Fraction`s and
+over the final components.  Once the rows left are the dense tail of the
+order, all next to one component and so at one scale s, they go two pivots
+a pass by Bareiss's two-step form of Sylvester's identity: each entry is
+rewritten with 3 products and 1 division by s instead of 4 and 2, and the
+division is exact because the new entry, a 3x3 determinant of entries over
+s^2, is by that identity a minor of the matrix.  Matrices of integer
+polynomials go through integer determinants at consecutive integers and
+one integer interpolation; cyclotomic matrices reach them after a lift to
+Z[x] (`lfunctions`).  The matrix product serves ints, `Fraction`s and
 cyclotomic integers alike.
 """
 
@@ -164,21 +169,23 @@ def _pattern(rows: Sequence[dict[int, int]]) -> list[set[int] | None]:
     return adj
 
 
-def _check_pivot(pivot: int, p: int) -> None:
-    if pivot <= 0:
-        raise InvariantError(f"pivot {pivot} at row {p}: matrix is not positive definite")
+def _not_positive_definite(pivot: int, p: int) -> InvariantError:
+    """The refusal of a pivot that is not positive; callers test pivot <= 0."""
+    return InvariantError(f"pivot {pivot} at row {p}: matrix is not positive definite")
 
 
-def _symbolic_phase(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
-    """The pivot order and stored rows of `det_int_sparse_spd`'s symbolic phase.
+def _symbolic_phase(rows: Sequence[dict[int, int]]) -> tuple[list[int], int, list[dict[int, int]]]:
+    """The pivot order, the number of pivots before its dense tail and the
+    stored rows of `det_int_sparse_spd`'s symbolic phase.
 
     stored[p] maps p to its diagonal entry and each of its filled later
     columns to its entry, 0 where the matrix has none.  Once the pivot's
     degree is the number of rows not yet taken less one, every such row has
-    that least degree, so they form a clique: minimum degree with
-    lowest-index ties would take them in ascending index, each filled with
-    all later ones, so they are appended and stored so directly and the
-    heap loop ends.
+    that least degree, so they form a clique, the dense tail: minimum degree
+    with lowest-index ties would take them in ascending index, each filled
+    with all later ones, so they are appended and stored so directly and the
+    heap loop ends.  The last row is such a clique, so every order has a
+    dense tail.
     """
     n = len(rows)
     adj = _pattern(rows)
@@ -186,7 +193,7 @@ def _symbolic_phase(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dic
     heapify(heap)
     order: list[int] = []
     upper: list[dict[int, int] | None] = [None] * n  # a pivot's row: diagonal, later columns
-    while heap:
+    while True:
         degree, p = heappop(heap)
         if upper[p] is not None or degree != len(adj[p]):
             continue  # a stale entry: p was taken or its degree changed
@@ -195,11 +202,8 @@ def _symbolic_phase(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dic
             tail = [p] + sorted(filled)
             for k, q in enumerate(tail):
                 row = rows[q]
-                stored = {j: row.get(j, 0) for j in tail[k + 1 :]}
-                stored[q] = row.get(q, 0)
-                upper[q] = stored
-            order += tail
-            break
+                upper[q] = {j: row.get(j, 0) for j in tail[k:]}
+            return order + tail, len(order), upper
         order.append(p)
         row = rows[p]
         stored = {j: row.get(j, 0) for j in filled}
@@ -212,7 +216,6 @@ def _symbolic_phase(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dic
             cols.discard(i)
             heappush(heap, (len(cols), i))
         adj[p] = None  # upper[p] holds what the numeric phase needs
-    return order, upper
 
 
 def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
@@ -233,7 +236,8 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     choose.  When a row is taken as pivot, its filled set of later columns is
     final, and the row is stored as its diagonal and those columns, with 0
     where the matrix has no entry: one triangle, to which the numeric phase
-    adds no key (`_symbolic_phase`).
+    adds no column.  The rows left once every remaining row is next to every
+    other are the dense tail, taken in index order (`_symbolic_phase`).
 
     The numeric phase takes the pivots in that order.  The eliminated rows
     fall into components, the connected pieces of the pattern restricted to
@@ -244,8 +248,8 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     and i against the same rows and j.  Pivot p at scale s_p has the
     diagonal det A[C'], C' being p with its components, a principal minor,
     so it must be positive, or `InvariantError`.  It rewrites each row i it
-    reaches in one pass, for i and the columns after it, so each symmetric
-    pair is updated once:
+    reaches in place, in one pass over i and the columns after it, so each
+    symmetric pair is updated once:
 
         f = a_pi s_i // s_p
         a_ij = (a_ij a_pp - f a_pj) // d,  d = prod det A[C], C next to i and p
@@ -260,6 +264,18 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     definiteness makes every pivot positive, so no row exchange is needed,
     and the determinant is the product over the final components.
 
+    A pivot in the dense tail reaches every row left.  Once one leaves its
+    component C' the only one next to each of them (or the whole matrix is
+    the tail), the rows left share one scale s = det A[C'], and the rest is
+    global Bareiss elimination of a dense triangle, two pivots a pass
+    (Bareiss's two-step form of Sylvester's identity, `_dense_tail_det`):
+    3 products and 1 exact division per entry instead of 4 and 2.  Until
+    then tail rows in different components take the one-pivot step above.
+    The pivot order, every pivot value and every refusal are those of one
+    pivot at a time.  A pivot that reaches no row makes a component that no
+    later pivot merges, so the determinant is the product of such pivots and
+    the tail's last.
+
     A matrix of at most two rows takes the same checks and the same pivots,
     a and then ad - b^2 (d when b = 0), with no bookkeeping: its
     determinant is 1, a or ad - b^2.
@@ -268,30 +284,40 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
     if n <= 2:  # 1, a or ad - b^2, with the checks and pivots of the elimination
         _pattern(rows)
         a = rows[0].get(0, 0) if n else 1
-        _check_pivot(a, 0)
+        if a <= 0:
+            raise _not_positive_definite(a, 0)
         if n < 2:
             return a
         b, d = rows[0].get(1, 0), rows[1].get(1, 0)
-        _check_pivot(a * d - b * b if b else d, 1)
+        pivot = a * d - b * b if b else d  # row 1 is a component of its own when b = 0
+        if pivot <= 0:
+            raise _not_positive_definite(pivot, 1)
         return a * d - b * b
-    order, upper = _symbolic_phase(rows)
+    order, tail_start, upper = _symbolic_phase(rows)
     # numeric phase: each row at the scale of the eliminated components next to it
     comps = [0] * n  # a row's adjacent components, bit p for the one pivot p made
     # a row's scale, the product of their determinants, until the row is the
     # pivot; then the determinant of the component it made
     scale = [1] * n
-    live = 0  # the components no later pivot has merged
     pivot_row = [0] * n  # the pivot's entries by column, 0 elsewhere
-    for p in order:
+    det = 1  # the product over the components no later pivot merges
+    merged = tail_start == 0  # the whole matrix is the tail, no row next to a component
+    for k, p in enumerate(order):
+        if merged:  # the rows left are the dense tail at one scale
+            return det * _dense_tail_det(order[k:], upper, scale[p])
         row_p = upper[p]
-        upper[p] = None
         pivot = row_p.pop(p)  # det A[C] for the new component C: p and its components
-        _check_pivot(pivot, p)
+        if pivot <= 0:
+            raise _not_positive_definite(pivot, p)
+        if not row_p:  # no later row is next to C, so no pivot merges it
+            det *= pivot
         mask_p, s_p, bit = comps[p], scale[p], 1 << p
         scale[p] = pivot
-        live = live & ~mask_p | bit
         for j, v in row_p.items():
             pivot_row[j] = v
+        # a tail pivot reaches every row left; they have merged once C is
+        # the only component next to each of them
+        merged = k >= tail_start
         for i, f in row_p.items():
             mask_i = comps[i]
             if mask_i == mask_p:  # the global Bareiss step: s_i = s_p = d
@@ -301,12 +327,61 @@ def det_int_sparse_spd(rows: Sequence[dict[int, int]]) -> int:
                 s_i = scale[i]
                 f = f * s_i // s_p  # exact: entry (i, p) at row i's scale, a minor
                 d = _product_over_bits(mask_i & mask_p, scale)  # divides s_i
-                comps[i], scale[i] = mask_i & ~mask_p | bit, s_i // d * pivot
-            # exact: the new entry (i, j) at the new scale s_i is a minor
-            upper[i] = {j: (v * pivot - f * pivot_row[j]) // d for j, v in upper[i].items()}
+                rest = mask_i & ~mask_p
+                merged = merged and not rest
+                comps[i], scale[i] = rest | bit, s_i // d * pivot
+            row = upper[i]
+            for j, v in row.items():  # exact: the new entry at the new scale s_i is a minor
+                row[j] = (v * pivot - f * pivot_row[j]) // d
         for j in row_p:
             pivot_row[j] = 0
-    return _product_over_bits(live, scale)
+    return det
+
+
+def _dense_tail_det(tail: list[int], upper: list, s: int) -> int:
+    """The last pivot of Bareiss elimination of a dense triangle, two pivots a pass.
+
+    upper[i] holds the entries of row i at the columns of the tail from i
+    on, all at the scale s, the determinant of what was eliminated before.
+    A pass takes the pivots p, q of the first two rows.  Row q after p, and
+    row p after q, are one-pivot Bareiss steps, so their entries
+
+        x_i = (a_pp a_qi - a_pq a_pi) // s,   y_i = (a_qq a_pi - a_pq a_qi) // s
+
+    are minors by Sylvester's identity, and x_q is q's pivot.  Each later
+    entry becomes
+
+        a_ij = (x_q a_ij - x_i a_qj - y_i a_pj) // s,
+
+    the determinant of the 3x3 entries on p, q, i against p, q, j, expanded
+    along its last column, over s^2: by Sylvester's identity a minor, so the
+    division is exact.  The pivots a_pp and x_q are those of one pivot at a
+    time, checked in that order; an odd tail ends with one pivot, and the
+    last pivot is the determinant of the tail with the component before it.
+    """
+    m = len(tail)
+    for k in range(0, m - 1, 2):
+        p, q = tail[k], tail[k + 1]
+        row_p, row_q = upper[p], upper[q]
+        a_pp, a_pq, a_qq = row_p[p], row_p[q], row_q[q]
+        if a_pp <= 0:
+            raise _not_positive_definite(a_pp, p)
+        pivot = (a_pp * a_qq - a_pq * a_pq) // s
+        if pivot <= 0:
+            raise _not_positive_definite(pivot, q)
+        for i in tail[k + 2 :]:
+            a_pi, a_qi = row_p[i], row_q[i]
+            x = (a_pp * a_qi - a_pq * a_pi) // s
+            y = (a_qq * a_pi - a_pq * a_qi) // s
+            row = upper[i]
+            for j, v in row.items():
+                row[j] = (pivot * v - x * row_q[j] - y * row_p[j]) // s
+        s = pivot
+    if m % 2:
+        s = upper[tail[-1]][tail[-1]]
+        if s <= 0:
+            raise _not_positive_definite(s, tail[-1])
+    return s
 
 
 def _product_over_bits(mask: int, values: list[int]) -> int:

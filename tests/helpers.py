@@ -7,6 +7,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import prod
 from operator import add, sub
 
 from galois_span.characters import (
@@ -750,6 +751,49 @@ def symbolic_phase_by_heap(rows) -> tuple[list[int], list[dict[int, int]]]:
             adj[i] = (adj[i] | filled) - {p, i}
             heappush(heap, (len(adj[i]), i))
     return order, upper
+
+
+def det_sparse_spd_one_pivot(rows) -> int:
+    """Oracle of `linalg.det_int_sparse_spd`: the same pivot order, one pivot
+    at a time to the last row, with no two-pivot pass over the dense tail.
+
+    Each row is held over the determinants of the eliminated components next
+    to it (one bit per component in an int mask); the determinant is the
+    product over the components no pivot merges.  A pivot that is not
+    positive raises the same `InvariantError` text.  The input must be
+    symmetric; it is not checked here.
+    """
+    n = len(rows)
+    order, upper = symbolic_phase_by_heap(rows)
+    comps, scale, live, pivot_row = [0] * n, [1] * n, 0, [0] * n
+
+    def product(mask: int) -> int:
+        return prod(scale[k] for k in range(n) if mask >> k & 1)
+
+    for p in order:
+        row_p = upper[p]
+        pivot = row_p.pop(p)
+        if pivot <= 0:
+            raise InvariantError(f"pivot {pivot} at row {p}: matrix is not positive definite")
+        mask_p, s_p, bit = comps[p], scale[p], 1 << p
+        scale[p] = pivot
+        live = live & ~mask_p | bit
+        for j, v in row_p.items():
+            pivot_row[j] = v
+        for i, f in row_p.items():
+            mask_i = comps[i]
+            if mask_i == mask_p:
+                d = s_p
+                comps[i], scale[i] = bit, pivot
+            else:
+                s_i = scale[i]
+                f = f * s_i // s_p
+                d = product(mask_i & mask_p)
+                comps[i], scale[i] = mask_i & ~mask_p | bit, s_i // d * pivot
+            upper[i] = {j: (v * pivot - f * pivot_row[j]) // d for j, v in upper[i].items()}
+        for j in row_p:
+            pivot_row[j] = 0
+    return product(live)
 
 
 BRUTE_FORCE_EDGE_LIMIT = 20

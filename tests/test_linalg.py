@@ -19,6 +19,7 @@ from galois_span.linalg import (
     mat_mul,
     rank_fraction,
 )
+from galois_span.lfunctions import verify_prop_formula
 from galois_span.polynomials import IntPoly
 
 from helpers import (
@@ -26,6 +27,7 @@ from helpers import (
     delete_row_col,
     det_fraction_by_elimination,
     det_ring,
+    det_sparse_spd_one_pivot,
     dumbbell_graph,
     kronecker,
     laplacian,
@@ -371,7 +373,181 @@ def test_symbolic_phase_cuts_the_dense_tail_as_the_heap_would_take_it():
     # two cliques: no dense tail until the second block
     patterns.append(_sparse_rows(_block_diagonal([[2, -1], [-1, 2]], [[2, -1], [-1, 2]])))
     for rows in patterns:
-        assert _symbolic_phase(rows) == symbolic_phase_by_heap(rows)
+        order, tail_start, upper = _symbolic_phase(rows)
+        assert (order, upper) == symbolic_phase_by_heap(rows)
+        # the dense tail: each of its rows is stored with every later one, and
+        # the pivot before it was not, or the tail would start there
+        tail = order[tail_start:]
+        assert tail and all(set(upper[q]) == set(tail[k:]) for k, q in enumerate(tail))
+        assert tail_start == 0 or set(upper[order[tail_start - 1]]) != set(order[tail_start - 1 :])
+
+
+def _clique_with_hangers(rng: random.Random, t: int, hangers: int) -> list[list[int]]:
+    """L + D: the Laplacian of a weighted clique on t random vertices with
+    paths of 1-3 further vertices hung off single clique vertices, plus a
+    positive diagonal D, so symmetric positive definite."""
+    n = t + hangers
+    clique = rng.sample(range(n), t)
+    rest = [v for v in range(n) if v not in clique]
+    edges = [(u, v, rng.randrange(1, 4)) for a, u in enumerate(clique) for v in clique[a + 1 :]]
+    while rest:
+        at, size = rng.choice(clique), rng.randrange(1, 4)
+        path, rest = rest[:size], rest[size:]
+        for v in path:
+            edges.append((at, v, rng.randrange(1, 4)))
+            at = v
+    dense = [[0] * n for _ in range(n)]
+    for u, v, w in edges:
+        dense[u][u] += w
+        dense[v][v] += w
+        dense[u][v] -= w
+        dense[v][u] -= w
+    for i in range(n):
+        dense[i][i] += rng.randrange(1, 3)
+    return dense
+
+
+def _components_next_to_the_tail(rows) -> list[frozenset[int]]:
+    """For each row of the dense tail, the connected pieces of the pattern on
+    the rows eliminated before the tail that it is next to, each named by its
+    first row in the pivot order."""
+    order, tail_start, _ = _symbolic_phase(rows)
+    done, root = set(order[:tail_start]), {}
+    for r in order[:tail_start]:
+        if r not in root:
+            root[r], stack = r, [r]
+            while stack:
+                for j in rows[stack.pop()]:
+                    if j in done and j not in root:
+                        root[j] = r
+                        stack.append(j)
+    return [frozenset(root[j] for j in rows[i] if j in done) for i in order[tail_start:]]
+
+
+def test_det_int_sparse_spd_matches_the_one_pivot_oracle_on_dense_tails_of_1_to_9_rows():
+    # B^T B + D with B sparse outside a planted dense block: minimum degree
+    # leaves a dense tail of every length from 1 to 9
+    rng = random.Random(31)
+    seen = dict.fromkeys(range(1, 10), 0)
+    while min(seen.values()) < 6:
+        n = rng.randrange(1, 25)
+        block = set(rng.sample(range(n), rng.randrange(1, min(n, 9) + 1)))
+        density = rng.choice((0.05, 0.1, 0.2))
+        b = [
+            [
+                rng.randrange(-3, 4) * (i in block and j in block or rng.random() < density)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        dense = [
+            [sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) * rng.randrange(1, 3) for j in range(n)]
+            for i in range(n)
+        ]
+        rows = _sparse_rows(dense)
+        tail = n - _symbolic_phase(rows)[1]
+        if tail in seen:
+            seen[tail] += 1
+            assert det_int_sparse_spd(rows) == det_sparse_spd_one_pivot(rows) == det_int(dense)
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_det_int_sparse_spd_on_tails_whose_rows_start_in_several_components(t):
+    # paths hung off a clique are eliminated first, each a component next to
+    # one clique row, so the tail's rows start next to different components
+    # and take one-pivot steps before the two-pivot passes
+    rng = random.Random(t)
+    checked = 0
+    while checked < 10:
+        dense = _clique_with_hangers(rng, t, rng.randrange(2, 9))
+        rows = _sparse_rows(dense)
+        if len(set(_components_next_to_the_tail(rows))) < 2:
+            continue
+        checked += 1
+        assert det_int_sparse_spd(rows) == det_sparse_spd_one_pivot(rows) == det_int(dense)
+
+
+@pytest.mark.parametrize(
+    "spec, seed, size",
+    [
+        ("C2xS4", 801, 239),
+        ("C2xS4", 2, 239),
+        ("S4", 5, 119),
+        ("C3xS3", 6, 89),
+        ("C2xC2xC2xC2", 7, 79),
+        ("D6", 8, 59),
+    ],
+)
+def test_det_int_sparse_spd_matches_the_one_pivot_oracle_on_covers_of_k5(spec, seed, size):
+    y = derived_graph(random_connected_voltage(complete_graph(5), parse_group_spec(spec), seed)).derived
+    minor = [row[1:] for row in laplacian(y)[1:]]
+    assert len(minor) == size
+    rows = _sparse_rows(minor)
+    assert det_int_sparse_spd(rows) == det_sparse_spd_one_pivot(rows) == y.spanning_tree_count()
+    if size <= 60:
+        assert det_int_sparse_spd(rows) == det_int(minor)
+
+
+# Symmetric matrices that are not positive definite, by where the first bad
+# pivot falls once the dense tail is eliminated two pivots a pass.  The texts
+# are those of one pivot at a time.
+REFUSED_AT_A_PIVOT = [
+    # a 4-row clique from the start, passes (0, 1) and (2, 3): the first
+    # pivot of the second pass, its second, and the second of the first
+    ([[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 0, 1], [1, 1, 1, 5]], "pivot -2 at row 2"),
+    ([[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 0]], "pivot -3 at row 3"),
+    ([[2, 1, 1, 1], [1, 0, 1, 1], [1, 1, 2, 1], [1, 1, 1, 5]], "pivot -1 at row 1"),
+    # a 5-row clique: passes (0, 1), (2, 3), then row 4 alone
+    (
+        [[2, 1, 1, 1, 1], [1, 2, 1, 1, 1], [1, 1, 2, 1, 1], [1, 1, 1, 2, 1], [1, 1, 1, 1, 0]],
+        "pivot -4 at row 4",
+    ),
+    # row 0 hangs off row 1 of the clique {1, 2, 3}, so the tail starts with
+    # row 1 next to the component {0} and rows 2, 3 next to none: row 1 takes
+    # the one-pivot step, at det A[{0, 1}] = 3 - 4
+    ([[1, -2, 0, 0], [-2, 3, 1, 1], [0, 1, 4, 1], [0, 1, 1, 4]], "pivot -1 at row 1"),
+    # row 0 hangs off row 1 of the clique {1, 2, 3, 4}; after row 1's step the
+    # rest merge at scale det A[{0, 1}] = 2: the second pivot of the pass
+    # (2, 3), and row 4 alone after it
+    (
+        [[1, -1, 0, 0, 0], [-1, 3, 1, 1, 1], [0, 1, 3, 1, 1], [0, 1, 1, -1, 1], [0, 1, 1, 1, 3]],
+        "pivot -8 at row 3",
+    ),
+    (
+        [[1, -1, 0, 0, 0], [-1, 3, 1, 1, 1], [0, 1, 3, 1, 1], [0, 1, 1, 3, 1], [0, 1, 1, 1, 0]],
+        "pivot -8 at row 4",
+    ),
+]
+
+
+@pytest.mark.parametrize("dense, where", REFUSED_AT_A_PIVOT)
+def test_det_int_sparse_spd_refuses_in_the_dense_tail_with_the_one_pivot_text(dense, where):
+    message = f"{where}: matrix is not positive definite"
+    with pytest.raises(InvariantError) as caught:
+        det_int_sparse_spd(_sparse_rows(dense))
+    assert str(caught.value) == message
+    with pytest.raises(InvariantError) as caught:
+        det_sparse_spd_one_pivot(_sparse_rows(dense))
+    assert str(caught.value) == message
+
+
+# kappa(Y) of the 480-vertex C4xS4 cover of K5 (`random_connected_voltage`
+# seed 1): its reduced Laplacian has 479 rows and a dense tail of 125
+C4XS4_KAPPA = int(
+    "344237746220551233704448742139631936853083781287421868492524461952289596941279557548353662"
+    "935285872996990476838447567738540280250435870995835017160475387490064216880632218699754969"
+    "820609455138378240468585982181422014335213224591360000000000000000000000"
+)
+
+
+def test_kappa_of_the_c4xs4_cover_of_k5_through_a_long_tail():
+    cover = derived_graph(random_connected_voltage(complete_graph(5), parse_group_spec("C4xS4"), 1))
+    y = cover.derived
+    rows = _sparse_rows([row[1:] for row in laplacian(y)[1:]])
+    assert len(rows) - _symbolic_phase(rows)[1] == 125
+    assert y.spanning_tree_count() == C4XS4_KAPPA
+    # the character side is an independent oracle for the Matrix-Tree count
+    assert verify_prop_formula(cover).passed
 
 
 @pytest.mark.parametrize(
