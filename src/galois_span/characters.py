@@ -19,19 +19,19 @@ is returned: every Gram entry is one packed integer dot product, folded by
 x^e = 1 and reduced mod Phi_e.  Each distinct multiplicity vector is
 packed once, and each distinct folded integer is reduced once.
 
-Eigenspace splitting starts from a random linear combination of the class
-matrices, drawn from a fixed seed, and falls back to a deterministic sweep.
-Whatever the split, the characters are sorted into one canonical order, so
-each group has exactly one table.  Each split reduces the matrix
-restricted to the eigenspace (t x t) to upper Hessenberg form once; the
-eigenvectors for every root of its characteristic polynomial come from
-elimination on that form, mapped back through the recorded similarities,
-so a split costs O(t^3) in all (Schneider 1990).
+Eigenspaces are split by one class matrix at a time, largest class first,
+until each is a line; the class matrices together separate the characters
+(Dixon 1967), so the sweep always ends there, and no random draw is made.
+The characters are then sorted into one canonical order, so each group has
+exactly one table.  Each split reduces the matrix restricted to the
+eigenspace (t x t) to upper Hessenberg form once; the eigenvectors for
+every root of its characteristic polynomial come from elimination on that
+form, mapped back through the recorded similarities, so a split costs
+O(t^3) in all (Schneider 1990).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import mul
@@ -305,9 +305,8 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     from the dual group, a non-abelian direct product from its factors'
     tables, and any other group (an atom, a `perm:` or `table:` group, a
     quotient) from Dixon's method.  Characters are sorted on their values,
-    trivial first, so the table does not depend on the route or on the
-    random split of Dixon's method.  Every table, whatever its route,
-    passes `_verify_table` before it is kept.
+    trivial first, so the table does not depend on the route.  Every
+    table, whatever its route, passes `_verify_table` before it is kept.
     """
     if "character_table" in g._cache:
         return g._cache["character_table"]
@@ -322,7 +321,7 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     elif g.factors is not None:
         characters = _product_characters(g, e)
     else:
-        characters = _dixon_characters(g, e, 0)
+        characters = _dixon_characters(g, e)
     characters.sort(key=_table_order)
     table = CharacterTable(g, classes, e, tuple(characters))
     _verify_table(table)
@@ -411,12 +410,13 @@ def _product_characters(g: FiniteGroup, e: int) -> list[Character]:
     return characters
 
 
-def _dixon_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:
+def _dixon_characters(g: FiniteGroup, e: int) -> list[Character]:
     """Irr(G) by Dixon's method over F_p, unsorted.
 
     The characters of a non-abelian group; for abelian groups the test
-    oracle of `_dual_group_characters`.  `seed` draws the random eigenspace
-    split; `character_table` passes 0.
+    oracle of `_dual_group_characters`.  The class matrices together
+    separate the characters, so refining every eigenspace by each M_i^T in
+    turn, largest class first (ties by class index), ends with r lines.
     """
     classes = g.conjugacy_classes()
     r = len(classes)
@@ -425,24 +425,13 @@ def _dixon_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:
     sizes = [len(cls) for cls in classes]
     p = _dixon_prime(g.order, e)
 
-    # class multiplication coefficients M_i[j][k] = #{x in K_i : x^-1 z_k in K_j},
-    # kept as one (k, j) pair per such x: sum_i |K_i| r = |G| r pairs
-    pairs = []
-    for i in range(r):
-        pairs_i = []
-        for k in range(r):
-            z = reps[k]
-            pairs_i.extend((k, class_of[g.mul(g.inv(x), z)]) for x in classes[i])
-        pairs.append(pairs_i)
-
-    def combine(weights):
-        """sum_i w_i M_i^T mod p, built from the pairs in O(|G| r)."""
+    def class_matrix_t(i):
+        """M_i^T, with M_i[j][k] = #{x in K_i : x^-1 z_k in K_j}; O(|K_i| r)."""
         out = [[0] * r for _ in range(r)]
-        for w, pairs_i in zip(weights, pairs):
-            if w:
-                for k, j in pairs_i:
-                    out[k][j] += w
-        return [[x % p for x in row] for row in out]
+        for row, z in zip(out, reps):
+            for x in classes[i]:
+                row[class_of[g.mul(g.inv(x), z)]] += 1
+        return out
 
     # common right eigenvectors of all class matrices, as rows against M^T
     spaces: list[tuple[list[list[int]], list[int]]] = [
@@ -483,16 +472,11 @@ def _dixon_characters(g: FiniteGroup, e: int, seed: int) -> list[Character]:
                 raise InvariantError("class matrix not diagonalizable mod p")
         return out
 
-    rng = random.Random(seed)
-    attempts = 0
-    while any(len(b) > 1 for b, _ in spaces) and attempts < 4:
-        weights = [rng.randrange(p) for _ in range(r)]
-        spaces = refine(spaces, combine(weights))
-        attempts += 1
-    for i in range(r):
+    # class 0 is the identity's, whose matrix splits nothing
+    for i in sorted(range(1, r), key=lambda i: (-sizes[i], i)):
         if all(len(b) == 1 for b, _ in spaces):
             break
-        spaces = refine(spaces, combine([int(i == j) for j in range(r)]))
+        spaces = refine(spaces, class_matrix_t(i))
     if not all(len(b) == 1 for b, _ in spaces) or len(spaces) != r:
         raise InvariantError("failed to split eigenspaces of the class matrices")
 

@@ -193,43 +193,18 @@ def _coset_plan(h: Subgroup) -> _CosetPlan:
 def _coset_quotient(alpha: VoltageAssignment, plan: _CosetPlan, prefix: str) -> SerreGraph:
     """Quotient of the derived graph by the subgroup whose coset plan is given.
 
-    The arrays and their checks are `_quotient_arrays`; this adds the names
-    and the `SerreGraph`, whose construction checks that inversion is an
-    involution.  Vertex (v, H*sigma) is named after the coset's first element
-    behind `prefix`.
+    Vertex (v, H*sigma) is v * k + i for the i-th of the k cosets, named
+    after the coset's first element behind `prefix`; edge e x H*sigma is
+    e * k + i, leaves it and ends at (t(e), image[i]) for the action image
+    of alpha(e) (`_edge_actions`), and its inverse is e-bar x image[i].
+    X_H -> X, (w, d) -> (w // k, d // k), needs no further check: the
+    cosets are checked to partition G (`_coset_index`), so every image
+    index lies in [0, k), and with the arrays built by index that alone
+    gives vertex surjectivity, endpoints, inversion and one quotient edge
+    over each base edge at every vertex.  The `SerreGraph` construction
+    checks that inversion is an involution.
     """
     base, g = alpha.base, alpha.group
-    origin, terminus, inverse = _quotient_arrays(alpha, plan)
-    names = [
-        f"({base.vertex_label(v)},{prefix}{g.label(r)})"
-        for v in range(base.vertex_count)
-        for r in plan.reps
-    ]
-    return SerreGraph(
-        vertex_count=base.vertex_count * len(plan.reps),
-        origin=tuple(origin),
-        terminus=tuple(terminus),
-        inverse=tuple(inverse),
-        vertex_names=tuple(names),
-    )
-
-
-def _quotient_arrays(
-    alpha: VoltageAssignment, plan: _CosetPlan
-) -> tuple[list[int], list[int], list[int]]:
-    """The labelled quotient's edge arrays for one cover, laid out from the coset plan.
-
-    Vertex (v, H*sigma) is v * k + i for the i-th of the k cosets; edge
-    e x H*sigma is e * k + i, leaves it and ends at (t(e), image[i]) for the
-    action image of alpha(e) (`_edge_actions`), and its inverse is
-    e-bar x image[i].  X_H -> X, (w, d) -> (w // k, d // k), needs no
-    further check: the cosets are checked to partition G (`_coset_index`),
-    so every image index lies in [0, k), and with the arrays built by index
-    that alone gives vertex surjectivity, endpoints, inversion and one
-    quotient edge over each base edge at every vertex.  Returns origin,
-    terminus and inverse.
-    """
-    base = alpha.base
     k = len(plan.reps)
     origin: list[int] = []
     terminus: list[int] = []
@@ -239,7 +214,18 @@ def _quotient_arrays(
         origin.extend(range(o, o + k))
         terminus.extend([t + x for x in image])
         inverse.extend([inv + x for x in image])
-    return origin, terminus, inverse
+    names = [
+        f"({base.vertex_label(v)},{prefix}{g.label(r)})"
+        for v in range(base.vertex_count)
+        for r in plan.reps
+    ]
+    return SerreGraph(
+        vertex_count=base.vertex_count * k,
+        origin=tuple(origin),
+        terminus=tuple(terminus),
+        inverse=tuple(inverse),
+        vertex_names=tuple(names),
+    )
 
 
 def _edge_actions(alpha: VoltageAssignment, plan: _CosetPlan) -> list[tuple[int, ...]]:
@@ -440,8 +426,9 @@ def conjugate_kappa_check(c: Cover) -> VerificationReport:
     graph.  Every quotient's projection from Y is a checked morphism over X:
     the group's coset plan of each subgroup checks the action of each voltage
     once per group, the first time any cover of G asks for it, before the
-    action is kept (`_quotient_arrays`).  What is shared is only what the
-    group and the voltage decide, so the kappas stay each cover's own.
+    action is kept (`_voltage_action`, via `_edge_actions`).  What is shared
+    is only what the group and the voltage decide, so the kappas stay each
+    cover's own.
     """
     if not is_galois(c.voltage):
         raise NotGaloisError("conjugate check needs a Galois cover")

@@ -302,10 +302,8 @@ class Subgroup:
         return all(row[a] in elems for row in self.parent.conjugation() for a in elems)
 
     def is_cyclic(self) -> bool:
-        return any(
-            len(_closure(self.parent, [self.parent.identity], [a])) == self.order
-            for a in self.elements
-        )
+        """H is cyclic exactly when some element of H has order |H|."""
+        return any(self.parent.element_order(a) == self.order for a in self.elements)
 
     def conjugate_by(self, g: int) -> "Subgroup":
         # a conjugate of a subgroup is a subgroup

@@ -11,6 +11,7 @@ once on first request.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import InvariantError, PosetError
@@ -182,19 +183,20 @@ def subgroup_poset(subgroups: list[Subgroup], label_prefix: str = "H") -> Poset:
     )
 
 
-def kernel_subgroups(table) -> dict[tuple[int, ...], Subgroup]:
+def kernel_subgroups(table) -> Mapping[tuple[int, ...], Subgroup]:
     """The kernels of the irreducible characters of `table.group`, by element tuple.
 
     Each comes from `table.kernel_of`, which checks it is a normal subgroup,
     and they are kept on the table, so a verifier that asks again reuses
-    them instead of checking them again.
+    them instead of checking them again.  Handed out read-only, as a view
+    of the kept dict, so no caller can change the kept kernels.
     """
     if "kernel_subgroups" not in table._cache:
         kernels: dict[tuple[int, ...], Subgroup] = {}
         for chi in table.characters:
             h = table.kernel_of(chi)
             kernels.setdefault(h.elements, h)
-        table._cache["kernel_subgroups"] = kernels
+        table._cache["kernel_subgroups"] = MappingProxyType(kernels)
     return table._cache["kernel_subgroups"]
 
 

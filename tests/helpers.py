@@ -223,8 +223,9 @@ def _validate_covering(top: SerreGraph, bottom: SerreGraph, vmap, emap) -> None:
 
 
 def base_projection_by_full_covering_check(quotient: SerreGraph, base: SerreGraph) -> None:
-    """Oracle for the partition check of `covers._quotient_arrays`: the full
-    covering check of (w, d) -> (w // k, d // k) from a quotient onto its base."""
+    """Oracle for the partition check behind `covers._coset_quotient`
+    (`covers._coset_index`): the full covering check of
+    (w, d) -> (w // k, d // k) from a quotient onto its base."""
     k = quotient.vertex_count // base.vertex_count
     _validate_covering(
         quotient,
@@ -235,7 +236,7 @@ def base_projection_by_full_covering_check(quotient: SerreGraph, base: SerreGrap
 
 
 def coset_quotient_by_representatives(alpha: VoltageAssignment, blocks) -> tuple[SerreGraph, list]:
-    """Oracle builder: the quotient arrays of `covers._quotient_arrays` for any
+    """Oracle builder: the quotient arrays of `covers._coset_quotient` for any
     partition of G, edge e x B ending at the block of rep(B)*alpha(e) for the
     first element of B, one `g.mul` per edge and block and no check of its own.
     `SerreGraph` refuses arrays whose inversion is not an involution."""
@@ -275,7 +276,7 @@ def kappa_by_representatives(alpha: VoltageAssignment, h: Subgroup) -> int:
 
 
 def projection_by_full_covering_check(c: Cover, quotient: SerreGraph, coset_of) -> None:
-    """Oracle for the per-voltage action check of `covers._quotient_arrays`: the
+    """Oracle for the per-voltage action check of `covers._voltage_action`: the
     full covering check of (v, sigma) -> (v, coset_of[sigma]) from the derived
     graph onto `quotient`, with maps over every vertex and edge of the cover
     and every star sorted."""

@@ -78,8 +78,8 @@ def test_tables_are_kept_and_reproducible():
     assert character_table(g) is t1  # kept on the group
     g2 = symmetric_group(3)
     assert [c.values for c in character_table(g2).characters] == [c.values for c in t1.characters]
-    # another random split of Dixon's method sorts to the same characters
-    t3 = sorted(_dixon_characters(g2, g2.exponent(), 5), key=_table_order)
+    # Dixon's method called directly sorts to the same characters
+    t3 = sorted(_dixon_characters(g2, g2.exponent()), key=_table_order)
     assert [c.values for c in t3] == [c.values for c in t1.characters]
 
 
@@ -342,9 +342,8 @@ DIGESTS = json.loads((Path(__file__).parent / "character_table_digests.json").re
 def test_character_tables_are_byte_identical_to_recorded_dumps(spec):
     """sha256 over the sorted-key JSON dump, twice, each followed by a newline.
 
-    The digests were recorded over the dumps at two seeds, which always
-    agreed; `test_dixon_tables_at_two_seeds_equal_the_kept_table` now
-    covers the seeds.
+    The digests were recorded when Dixon's method still drew a random split,
+    over the dumps at two seeds, which always agreed.
     """
     g = parse_group_spec(spec)
     dump = json.dumps(character_table(g).to_json_dict(), sort_keys=True).encode() + b"\n"
@@ -359,12 +358,42 @@ DIXON_SPECS = [
 
 
 @pytest.mark.parametrize("spec", DIXON_SPECS)
-def test_dixon_tables_at_two_seeds_equal_the_kept_table(spec):
+def test_dixon_tables_equal_the_kept_table(spec):
     g = parse_group_spec(spec)
     table = character_table(g)
-    for seed in (0, 1):
-        dixon = sorted(_dixon_characters(g, g.exponent(), seed), key=_table_order)
-        assert tuple(dixon) == table.characters
+    dixon = sorted(_dixon_characters(g, g.exponent()), key=_table_order)
+    assert tuple(dixon) == table.characters
+
+
+def test_a_split_without_roots_is_refused_as_not_diagonalizable(monkeypatch):
+    def no_root(h, p):
+        # x^2 - c for a non-square c has no root in F_p
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        return [-c % p, 0, 1]
+
+    monkeypatch.setattr(characters, "_hessenberg_charpoly_mod", no_root)
+    g = symmetric_group(3)
+    with pytest.raises(InvariantError) as refusal:
+        _dixon_characters(g, g.exponent())
+    assert str(refusal.value) == "class matrix not diagonalizable mod p"
+
+
+def test_spaces_that_never_split_are_refused(monkeypatch):
+    # the whole space for the first root of each split, nothing for the rest
+    last = []
+
+    def whole_space(h, lam, p):
+        if last and last[-1] is h:
+            return []
+        last.append(h)
+        return [[int(i == j) for j in range(len(h))] for i in range(len(h))]
+
+    monkeypatch.setattr(characters, "_hessenberg_nullspace_mod", whole_space)
+    g = symmetric_group(3)
+    with pytest.raises(InvariantError) as refusal:
+        _dixon_characters(g, g.exponent())
+    assert str(refusal.value) == "failed to split eigenspaces of the class matrices"
+    assert len(last) > 1  # more than one class matrix was tried
 
 
 ABELIAN_SPECS = sorted(s for s in TABLE1_FLAGS if parse_group_spec(s).is_abelian()) + [
@@ -377,16 +406,13 @@ ABELIAN_SPECS = sorted(s for s in TABLE1_FLAGS if parse_group_spec(s).is_abelian
 @pytest.mark.parametrize("spec", ABELIAN_SPECS)
 def test_abelian_tables_from_the_dual_group_equal_dixon_tables(spec, monkeypatch):
     g = parse_group_spec(spec)
-    dixon = {
-        seed: tuple(sorted(_dixon_characters(g, g.exponent(), seed), key=_table_order))
-        for seed in (0, 1)
-    }
+    dixon = tuple(sorted(_dixon_characters(g, g.exponent()), key=_table_order))
 
-    def refuse(group, e, seed):
+    def refuse(group, e):
         raise AssertionError("an abelian group went through Dixon's method")
 
     monkeypatch.setattr(characters, "_dixon_characters", refuse)
-    assert character_table(g).characters == dixon[0] == dixon[1]
+    assert character_table(g).characters == dixon
 
 
 PRODUCT_SPECS = sorted(
@@ -399,19 +425,16 @@ PRODUCT_SPECS = sorted(
 def test_product_tables_from_the_factor_tables_equal_dixon_tables(spec, monkeypatch):
     g = parse_group_spec(spec)
     assert g.factors is not None
-    dixon = {
-        seed: tuple(sorted(_dixon_characters(g, g.exponent(), seed), key=_table_order))
-        for seed in (0, 1)
-    }
+    dixon = tuple(sorted(_dixon_characters(g, g.exponent()), key=_table_order))
     dixon_route = characters._dixon_characters
 
-    def refuse_the_product(group, e, seed):
+    def refuse_the_product(group, e):
         if group is g:
             raise AssertionError("a direct product went through Dixon's method")
-        return dixon_route(group, e, seed)
+        return dixon_route(group, e)
 
     monkeypatch.setattr(characters, "_dixon_characters", refuse_the_product)
-    assert character_table(g).characters == dixon[0] == dixon[1]
+    assert character_table(g).characters == dixon
 
 
 def test_a_product_with_an_abelian_product_factor_takes_the_product_route(monkeypatch):

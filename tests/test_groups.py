@@ -122,6 +122,18 @@ def test_all_subgroups_equals_pairwise_join_oracle(spec):
     assert all_subgroups(g) == subgroups_by_pairwise_joins(g)
 
 
+@pytest.mark.parametrize("spec", ["C2xC2xC2xC2xC2", "C2xS4", "C4xS4", "D32", "S5", "C8xC8"])
+def test_is_cyclic_agrees_with_the_closure_of_each_element(spec):
+    g = parse_group_spec(spec)
+    subgroups = all_subgroups(g)
+    flags = [h.is_cyclic() for h in subgroups]
+    assert flags == [
+        any(len(groups._closure(g, [g.identity], [a])) == h.order for a in h.elements)
+        for h in subgroups
+    ]
+    assert sum(flags) == len(cyclic_subgroups(g))
+
+
 @pytest.mark.parametrize("m, count", [(5, 374), (6, 2825)])
 def test_elementary_abelian_lattice_gaussian_binomial_counts(m, count):
     # sum over k of the Gaussian binomial [m, k]_2

@@ -22,6 +22,7 @@ from galois_span.posets import (
     cyclic_poset,
     hasse_dot,
     kernel_poset,
+    kernel_subgroups,
     mobius,
 )
 from helpers import classical_mobius, divisor_poset, mobius_inversion_check, random_poset
@@ -288,3 +289,27 @@ def test_posets_and_mobius_tables_are_kept_and_read_only():
         # the kept table equals one computed on an equal, fresh poset
         fresh = Poset(poset.keys, poset.labels, poset.leq_matrix)
         assert dict(mobius(fresh).values) == dict(mu.values)
+
+
+def test_kept_kernels_are_handed_out_read_only():
+    from galois_span.covers import derived_graph, random_connected_voltage
+    from galois_span.graphs import bouquet
+    from galois_span.groups import Subgroup
+    from galois_span.theorems import verify_kuroda
+
+    def kuroda_outputs(g):
+        table = character_table(g)
+        poset = kernel_poset(table)
+        cover = derived_graph(random_connected_voltage(bouquet(2), g, seed=3))
+        return poset.keys, poset.leq_matrix, verify_kuroda(cover).to_json_dict()
+
+    g = parse_group_spec("S4")
+    kernels = kernel_subgroups(character_table(g))
+    whole = Subgroup._trusted(g, range(g.order))
+    key = next(iter(kernels))
+    with pytest.raises(TypeError):
+        kernels[key] = whole
+    with pytest.raises(TypeError):
+        del kernels[key]
+    assert kernel_subgroups(character_table(g)) == kernels
+    assert kuroda_outputs(g) == kuroda_outputs(parse_group_spec("S4"))
