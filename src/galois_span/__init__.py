@@ -22,8 +22,6 @@ from .characters import (
     character_table,
     induced_trivial_values,
     inner_product,
-    is_exceptional,
-    is_irreducibly_represented,
 )
 from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
 from .family import (
@@ -54,6 +52,8 @@ from .groups import (
     dihedral_group,
     direct_product,
     from_permutations,
+    is_exceptional,
+    is_irreducibly_represented,
     parse_group_spec,
     quotient_group,
     symmetric_group,

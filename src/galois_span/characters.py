@@ -38,9 +38,10 @@ from operator import mul
 
 from .cyclotomic import CyclotomicInt, _context, reverse_mult_vector
 from .errors import InvariantError, NoSuitablePrimeError, OrderTooLargeError
-from .groups import FiniteGroup, Subgroup, max_group_order
+# the flags are re-exported under this module's name, by which the benchmark
+# tracer (`perfbench/tracer.py`) wraps them
+from .groups import FiniteGroup, Subgroup, is_exceptional, is_irreducibly_represented, max_group_order
 from .numtheory import factorize, is_prime
-from .posets import TOP_KEY, cyclic_poset, mobius
 
 _PRIME_SEARCH_LIMIT = 10_000_000
 
@@ -651,26 +652,3 @@ def inner_product(values, psi: Character) -> int:
     if rest:
         raise InvariantError("inner product with an irreducible character is not an integer")
     return multiplicity
-
-
-def is_irreducibly_represented(g: FiniteGroup) -> bool:
-    """True when some irreducible character is faithful.
-
-    The kernel of chi is the union of the classes whose multiplicity vector
-    is concentrated at zeta^0 (`CharacterTable.kernel_of`), so chi is
-    faithful exactly when the identity's class is the only such class.
-    """
-    table = character_table(g)
-    one = table.class_of[g.identity]
-    return any(
-        all(i == one or v[0] != chi.degree for i, v in enumerate(chi.values))
-        for chi in table.characters
-    )
-
-
-def is_exceptional(g: FiniteGroup) -> bool:
-    """True when mu({1}, top) vanishes in the cyclic-subgroup poset; kept on the group."""
-    if "is_exceptional" not in g._cache:
-        table = mobius(cyclic_poset(g))
-        g._cache["is_exceptional"] = table.mu((g.identity,), TOP_KEY) == 0
-    return g._cache["is_exceptional"]

@@ -7,12 +7,17 @@ build sequence.  `FiniteGroup.element` reads every element name and
 `FiniteGroup.conjugation` holds every conjugate.  Subgroups are value
 objects identified by their sorted element sets.  A group keeps what is
 derived from it alone (conjugation, classes, subgroup lists, the class key
-of each subgroup, the character table, posets, and the coset plan of each
-subgroup that `covers` builds from `left_cosets`) in its `_cache`, computed
-on first request; the subgroup lists are handed out as fresh lists, so no
-caller can change the kept one.  A direct product also keeps its two factors
-(`FiniteGroup.factors`), from whose character tables `characters` builds
-its own.
+of each subgroup, the exceptional flag, the character table, posets, and
+the coset plan of each subgroup that `covers` builds from `left_cosets`)
+in its `_cache`, computed on first request; the subgroup lists are handed
+out as fresh lists, so no caller can change the kept one.  A direct
+product also keeps its two factors (`FiniteGroup.factors`), from whose
+character tables `characters` builds its own.
+
+Both of Table 1's flags are read from the group alone: whether some
+irreducible character is faithful, by Gaschütz's criterion on the abelian
+minimal normal subgroups, and whether the group is exceptional, by a sum
+of the classical Moebius function over the cyclic subgroups' orders.
 
 The subgroup lattice is built by cyclic extension (Neubüser 1960) on
 element bitmasks.  Constructions that guarantee closure (joins, cyclic
@@ -43,6 +48,7 @@ from .errors import (
     json_object,
     load_json,
 )
+from .numtheory import classical_mobius
 
 DEFAULT_MAX_ORDER = 128
 CLOSURE_BOUND = 512
@@ -412,6 +418,47 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     out.sort(key=lambda h: (h.order, h.elements))
     g._cache["all_subgroups"] = tuple(out)
     return out
+
+
+def is_irreducibly_represented(g: FiniteGroup) -> bool:
+    """True when some irreducible character of g is faithful, by Gaschütz's
+    criterion (Math. Nachr. 12, 1954): exactly when A, the product of the
+    abelian minimal normal subgroups, is the normal closure of one element.
+
+    A class generates the normal closure of each of its elements, and every
+    minimal normal subgroup is the closure of any class it meets, so the
+    minimal normal subgroups are the closures minimal under inclusion; one
+    is abelian when the class generating it commutes elementwise.  No
+    character table is built.
+    """
+    table = g.cayley
+    closures = {}  # bitmask -> a class generating it
+    for cls in g.conjugacy_classes()[1:]:
+        mask = sum(1 << a for a in _closure(g, [g.identity], list(cls)))
+        closures.setdefault(mask, cls)
+    abelian_minimal = [
+        cls
+        for mask, cls in closures.items()
+        if not any(other != mask and other & ~mask == 0 for other in closures)
+        and all(table[a][b] == table[b][a] for a in cls for b in cls)
+    ]
+    if not abelian_minimal:
+        return True
+    a = _closure(g, [g.identity], [x for cls in abelian_minimal for x in cls])
+    return sum(1 << x for x in a) in closures
+
+
+def is_exceptional(g: FiniteGroup) -> bool:
+    """True when mu({1}, top) vanishes in the cyclic-subgroup poset; kept on the group.
+
+    The interval [1, C] of that poset is the divisor lattice of |C|, so
+    mu({1}, top) = -sum over the cyclic subgroups C of the classical mu(|C|),
+    and no Moebius table is built.
+    """
+    if "is_exceptional" not in g._cache:
+        total = sum(classical_mobius(h.order) for h in cyclic_subgroups(g))
+        g._cache["is_exceptional"] = total == 0
+    return g._cache["is_exceptional"]
 
 
 def are_conjugate_subgroups(h1: Subgroup, h2: Subgroup) -> bool:

@@ -25,3 +25,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def classical_mobius(n: int) -> int:
+    """Number-theoretic Moebius function of n >= 1, by factorization."""
+    exponents = [k for _, k in factorize(n)]
+    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)

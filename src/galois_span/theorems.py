@@ -17,8 +17,6 @@ from .characters import (
     character_table,
     induced_trivial_values,
     inner_product,
-    is_exceptional,
-    is_irreducibly_represented,
 )
 from .covers import (
     Cover,
@@ -36,7 +34,16 @@ from .errors import (
     WrongGroupError,
 )
 from .graphs import hashimoto_check
-from .groups import FiniteGroup, Subgroup, all_subgroups, canonical_spec_name, cyclic_subgroups, parse_group_spec
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    all_subgroups,
+    canonical_spec_name,
+    cyclic_subgroups,
+    is_exceptional,
+    is_irreducibly_represented,
+    parse_group_spec,
+)
 from .posets import BOTTOM_KEY, TOP_KEY, cyclic_poset, kernel_poset, kernel_subgroups, mobius
 from .report import VerificationReport
 from .table1 import PAPER_DISAGREEMENTS, TABLE1_FLAGS
@@ -156,6 +163,13 @@ def verify_brauer_kuroda(c: Cover) -> VerificationReport:
         raise NotGaloisError("the cyclic-subgroup formula needs a Galois cover")
     g = c.group
     relation = _kept_relation(g, "brauer_kuroda_relation", _brauer_kuroda_terms)
+    # relation[1] is the trivial subgroup's term, mu({1}, top) [1]: the
+    # closed-form flag must agree with the Moebius table the terms come from
+    exceptional = is_exceptional(g)
+    if exceptional != (relation[1][1] == 0):
+        raise InvariantError(
+            f"is_exceptional({g.name}) is {exceptional}, but mu({{1}}, top) is {relation[1][1]}"
+        )
     left, right, trivial, kappas = _relation_sides(c, relation)
     term_details = [
         {"subgroup": h.describe(), "index": h.index(), "kappa": k, "cleared_exponent": -n}
@@ -171,7 +185,7 @@ def verify_brauer_kuroda(c: Cover) -> VerificationReport:
         details={
             "kappa_X": kappas[0],
             "multiplier": g.order,
-            "exceptional": is_exceptional(g),
+            "exceptional": exceptional,
             "terms": term_details,
         },
     )
@@ -284,7 +298,9 @@ class Table1Row:
 
 
 def table1_row(spec: str) -> Table1Row:
-    """Both classification flags, computed ab initio and compared to the fixture."""
+    """Both classification flags, read from the group alone (no character or
+    Moebius table; see `groups.is_irreducibly_represented` and
+    `groups.is_exceptional`) and compared to the fixture."""
     g = parse_group_spec(spec)
     canonical = canonical_spec_name(spec)
     irr = is_irreducibly_represented(g)

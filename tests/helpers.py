@@ -48,8 +48,8 @@ from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups, left_cosets
 from galois_span.lfunctions import MatrixRep
 from galois_span.linalg import _check_square, det_fraction, det_int, mat_mul
-from galois_span.numtheory import factorize
-from galois_span.posets import Poset, mobius
+from galois_span.numtheory import classical_mobius
+from galois_span.posets import TOP_KEY, Poset, cyclic_poset, mobius
 
 
 def root(e: int, k: int = 1) -> CyclotomicInt:
@@ -628,10 +628,26 @@ def walk_table_by_start(c, length: int) -> list[list[int]]:
 # -- oracles and constructions with no caller in the library ------------------------
 
 
-def classical_mobius(n: int) -> int:
-    """Number-theoretic Moebius function of n >= 1, by factorization."""
-    exponents = [k for _, k in factorize(n)]
-    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
+def is_irreducibly_represented_by_characters(g: FiniteGroup) -> bool:
+    """Oracle for `groups.is_irreducibly_represented`: some irreducible
+    character of the exact table is faithful.
+
+    The kernel of chi is the union of the classes whose multiplicity vector
+    is concentrated at zeta^0 (`CharacterTable.kernel_of`), so chi is
+    faithful exactly when the identity's class is the only such class.
+    """
+    table = character_table(g)
+    one = table.class_of[g.identity]
+    return any(
+        all(i == one or v[0] != chi.degree for i, v in enumerate(chi.values))
+        for chi in table.characters
+    )
+
+
+def is_exceptional_by_cyclic_poset(g: FiniteGroup) -> bool:
+    """Oracle for `groups.is_exceptional`: mu({1}, top) read off the Moebius
+    table of the cyclic-subgroup poset."""
+    return mobius(cyclic_poset(g)).mu((g.identity,), TOP_KEY) == 0
 
 
 def artin_coefficients(table, values) -> dict[tuple[int, ...], Fraction]:

@@ -20,8 +20,6 @@ from galois_span.characters import (
     character_table,
     induced_trivial_values,
     inner_product,
-    is_exceptional,
-    is_irreducibly_represented,
 )
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import InvariantError
@@ -42,6 +40,7 @@ from helpers import (
     artin_coefficients,
     character_inner_product,
     induced_trivial_values_by_products,
+    is_irreducibly_represented_by_characters,
     linear_reps,
     nullspace_mod,
 )
@@ -122,16 +121,6 @@ def test_kernel_examples():
     cn = cyclic_group(5)
     t5 = character_table(cn)
     assert any(t5.kernel_of(c).is_trivial() for c in t5.characters)
-
-
-def test_flags():
-    assert is_irreducibly_represented(cyclic_group(4))
-    assert not is_irreducibly_represented(parse_group_spec("C2xC2"))
-    assert is_irreducibly_represented(symmetric_group(3))
-    assert not is_exceptional(symmetric_group(3))
-    assert is_exceptional(dicyclic_group(2))
-    assert is_exceptional(parse_group_spec("C2xC6"))
-    assert not is_exceptional(parse_group_spec("C2xC2"))
 
 
 def test_induced_trivial_character_values():
@@ -585,7 +574,7 @@ def test_faithfulness_from_class_values_agrees_with_the_kernel_subgroup(spec):
     g = parse_group_spec(spec)
     table = character_table(g)
     expected = any(table.kernel_of(chi).is_trivial() for chi in table.characters)
-    assert is_irreducibly_represented(g) is expected
+    assert is_irreducibly_represented_by_characters(g) is expected
 
 
 @pytest.mark.parametrize("spec", sorted(TABLE1_FLAGS) + ["C2xS4"])

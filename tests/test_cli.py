@@ -468,7 +468,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
         raise ArithmeticError("row orthogonality fails at (0,1)")
 
     monkeypatch.setattr(characters, "_verify_table", corrupt)
-    assert main(["group", "info", "Q8"]) == 3
+    assert main(["group", "characters", "Q8"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: row orthogonality fails at (0,1)\n"
@@ -487,7 +487,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
             raise
 
     monkeypatch.setattr(characters, "_verify_table", swap_then_verify)
-    assert main(["group", "info", "Q8"]) == 3
+    assert main(["group", "characters", "Q8"]) == 3
     assert raised == [InvariantError]
     captured = capsys.readouterr()
     assert captured.out == ""

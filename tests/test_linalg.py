@@ -517,6 +517,11 @@ REFUSED_AT_A_PIVOT = [
         [[1, -1, 0, 0, 0], [-1, 3, 1, 1, 1], [0, 1, 3, 1, 1], [0, 1, 1, 3, 1], [0, 1, 1, 1, 0]],
         "pivot -8 at row 4",
     ),
+    # a 3-row clique, pass (0, 1) then row 2 alone, with the first pivot
+    # exactly 0: singular at the second pivot of the pass, and at the lone
+    # last pivot
+    ([[2, 2, 1], [2, 2, 1], [1, 1, 3]], "pivot 0 at row 1"),
+    ([[1, 1, 1], [1, 2, 1], [1, 1, 1]], "pivot 0 at row 2"),
 ]
 
 
@@ -529,6 +534,13 @@ def test_det_int_sparse_spd_refuses_in_the_dense_tail_with_the_one_pivot_text(de
     with pytest.raises(InvariantError) as caught:
         det_sparse_spd_one_pivot(_sparse_rows(dense))
     assert str(caught.value) == message
+
+
+def test_det_int_sparse_spd_accepts_a_unit_first_pivot_in_a_pass():
+    # a 3-row clique whose pass (0, 1) starts at the pivot a_00 = 1
+    dense = [[1, 1, 1], [1, 2, 2], [1, 2, 3]]
+    assert det_int(dense) == 1
+    assert det_int_sparse_spd(_sparse_rows(dense)) == 1
 
 
 # kappa(Y) of the 480-vertex C4xS4 cover of K5 (`random_connected_voltage`

@@ -12,6 +12,7 @@ from galois_span.groups import (
     parse_group_spec,
     symmetric_group,
 )
+from galois_span.numtheory import classical_mobius
 from galois_span.posets import (
     BOTTOM_KEY,
     TOP_KEY,
@@ -25,7 +26,7 @@ from galois_span.posets import (
     kernel_subgroups,
     mobius,
 )
-from helpers import classical_mobius, divisor_poset, mobius_inversion_check, random_poset
+from helpers import divisor_poset, mobius_inversion_check, random_poset
 
 
 def test_poset_validation():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import galois_span.theorems as theorems
-from galois_span.characters import character_table, is_irreducibly_represented
+from galois_span.characters import character_table
 from galois_span.covers import (
     VoltageAssignment,
     derived_graph,
@@ -24,6 +24,8 @@ from galois_span.groups import (
     cyclic_group,
     cyclic_subgroups,
     generated_subgroup,
+    is_exceptional,
+    is_irreducibly_represented,
     parse_group_spec,
     symmetric_group,
 )
@@ -112,6 +114,17 @@ def test_brauer_kuroda_s3():
     assert by_order[3] == [2]
     assert by_order[2] == [7, 7, 7]
     assert 3 * by_order[3][0] * by_order[2][0] ** 2 == 294
+
+
+@pytest.mark.parametrize("spec", ["C1", "S3", "Q8", "C2xC6", "C2xC2"])
+def test_brauer_kuroda_refuses_a_wrong_exceptional_flag(spec):
+    # the kept flag is read back; flipped, it disagrees with mu({1}, top)
+    g = parse_group_spec(spec)
+    c = derived_graph(random_connected_voltage(bouquet(2), g, seed=1))
+    assert verify_brauer_kuroda(c).details["exceptional"] is is_exceptional(g)
+    g._cache["is_exceptional"] = not is_exceptional(g)
+    with pytest.raises(InvariantError, match=r"^is_exceptional\(.*\) is .*, but mu\(\{1\}, top\) is -?\d+$"):
+        verify_brauer_kuroda(c)
 
 
 def test_brauer_kuroda_trivial_for_cyclic():
