@@ -14,8 +14,7 @@ constant plus 1, True <-> False.
 
 Run from the repository root (stdlib only, besides pytest for the tests):
 
-    python3 tests/mutation_check.py            # every target
-    python3 tests/mutation_check.py is_exceptional   # targets by function name
+    python3 tests/mutation_check.py
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # (module under src/galois_span, function name, test files run against each mutant)
 TARGETS = [
     ("linalg", "_dense_tail_det", ["tests/test_linalg.py", "tests/test_fuzz_sparse_det.py"]),
-    ("groups", "is_irreducibly_represented", ["tests/test_table1_flags.py"]),
-    ("groups", "is_exceptional", ["tests/test_table1_flags.py"]),
+    ("groups", "is_irreducibly_represented", ["tests/test_table1_flags.py", "tests/test_fuzz_table1_flags.py"]),
+    ("groups", "is_exceptional", ["tests/test_table1_flags.py", "tests/test_fuzz_table1_flags.py"]),
     ("lfunctions", "walk_table", ["tests/test_fuzz_walk_table.py", "tests/test_lfunctions.py"]),
 ]
 
@@ -155,7 +154,7 @@ def _run_tests(tree: Path, tests: list[str], timeout: float) -> tuple[bool, floa
     return done.returncode == 0, time.perf_counter() - start
 
 
-def check(names: list[str]) -> int:
+def check() -> int:
     problems = []
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutation-check-") as tmp:
@@ -165,8 +164,6 @@ def check(names: list[str]) -> int:
             shutil.copytree(ROOT / part, tree / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
         for module, name, tests in TARGETS:
-            if names and name not in names:
-                continue
             path = tree / "src" / "galois_span" / f"{module}.py"
             source = path.read_text()
             passed, seconds = _run_tests(tree, tests, timeout=600)
@@ -202,4 +199,4 @@ def check(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(check(sys.argv[1:]))
+    sys.exit(check())

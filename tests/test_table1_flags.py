@@ -4,8 +4,8 @@
 `groups.is_exceptional` a sum of the classical Moebius function over the
 cyclic subgroups' orders.  Their oracles in `tests/helpers.py` read the same
 flags off the exact character table and off the Moebius table of the
-cyclic-subgroup poset.  Product examples are derandomized so a failure
-reproduces.
+cyclic-subgroup poset.  Products of two Table-1 groups are fuzzed in
+`test_fuzz_table1_flags.py`.
 """
 
 import pytest
@@ -16,10 +16,6 @@ from galois_span.table1 import TABLE1_FLAGS
 from galois_span.theorems import table1_row
 from helpers import is_exceptional_by_cyclic_poset, is_irreducibly_represented_by_characters
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-
-FUZZ = hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
 # groups past Table 1: large orders, non-abelian socles (A5, S5), a cyclic
 # A (A5xC2), and products whose A is or is not one class's closure
 BEYOND_TABLE1 = [
@@ -27,8 +23,6 @@ BEYOND_TABLE1 = [
     "C4xC4xC4", "C3xC3xC3xC3", "C2xC2xC2xC2xC2", "C2xC2xC2xC2xC2xC2",
     "C2xC2xC2xC2xC2xC2xC2", "S3xS3", "Q8xQ8", "D4xD4", "C3xA4", "C2xC2xA4",
 ]
-ORDER = {spec: parse_group_spec(spec).order for spec in TABLE1_FLAGS}
-PAIRS = sorted((a, b) for a in TABLE1_FLAGS for b in TABLE1_FLAGS if ORDER[a] * ORDER[b] <= 128)
 
 
 @pytest.mark.parametrize(
@@ -55,14 +49,6 @@ def test_flags(spec, irreducibly_represented, exceptional):
 @pytest.mark.parametrize("spec", sorted(TABLE1_FLAGS) + BEYOND_TABLE1)
 def test_closed_forms_agree_with_the_table_oracles(spec):
     g = parse_group_spec(spec)
-    assert is_irreducibly_represented(g) is is_irreducibly_represented_by_characters(g)
-    assert is_exceptional(g) is is_exceptional_by_cyclic_poset(g)
-
-
-@FUZZ
-@hypothesis.given(pair=st.sampled_from(PAIRS))
-def test_closed_forms_agree_on_products_of_two_table1_groups(pair):
-    g = parse_group_spec("x".join(pair))
     assert is_irreducibly_represented(g) is is_irreducibly_represented_by_characters(g)
     assert is_exceptional(g) is is_exceptional_by_cyclic_poset(g)
 
