@@ -32,12 +32,12 @@ O(t^3) in all (Schneider 1990).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import mul
 
 from .cyclotomic import CyclotomicInt, _context, reverse_mult_vector
 from .errors import InvariantError, NoSuitablePrimeError, OrderTooLargeError
+from .frozen import Frozen
 # the flags are re-exported under this module's name, by which the benchmark
 # tracer (`perfbench/tracer.py`) wraps them
 from .groups import FiniteGroup, Subgroup, is_exceptional, is_irreducibly_represented, max_group_order
@@ -230,18 +230,30 @@ def _poly_eval_mod(coeffs: list[int], x: int, p: int) -> int:
 # -- character table -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Frozen):
     """Irreducible character: one multiplicity vector per conjugacy class.
 
     values[i][k] is the multiplicity of zeta_e^k among the eigenvalues of a
     representing matrix at the i-th class, so each vector sums to the degree.
     """
 
-    group: FiniteGroup
-    e: int
-    degree: int
-    values: tuple[tuple[int, ...], ...]
+    __slots__ = ("group", "e", "degree", "values")
+
+    def __init__(self, group: FiniteGroup, e: int, degree: int, values: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.group == other.group
+            and self.e == other.e
+            and self.degree == other.degree
+            and self.values == other.values
+        )
 
     def value_cyclo(self, class_index: int) -> CyclotomicInt:
         return CyclotomicInt.from_mult_vector(self.e, self.values[class_index])

@@ -51,7 +51,6 @@ the action of a on the cosets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (
@@ -66,6 +65,7 @@ from .errors import (
     json_object,
     load_json,
 )
+from .frozen import Frozen
 from .graphs import SerreGraph, matrix_tree_count
 from .groups import (
     FiniteGroup,
@@ -78,19 +78,23 @@ from .groups import (
 from .report import VerificationReport
 
 
-@dataclass(frozen=True)
-class VoltageAssignment:
+class VoltageAssignment(Frozen):
     """Map from the canonical orientation of the base to group elements."""
 
-    base: SerreGraph
-    group: FiniteGroup
-    volt: tuple[int, ...]  # one element index per orientation edge
-    # one element index per directed edge, with alpha(e-bar) = alpha(e)^-1
-    edge_volt: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # the answer of `is_galois`, once asked
-    _galois: bool | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (
+        "base",
+        "group",
+        "volt",  # one element index per orientation edge
+        # one element index per directed edge, with alpha(e-bar) = alpha(e)^-1
+        "edge_volt",
+        "_galois",  # the answer of `is_galois`, once asked
+    )
 
-    def __post_init__(self):
+    def __init__(self, base: SerreGraph, group: FiniteGroup, volt: tuple[int, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "volt", volt)
+        object.__setattr__(self, "_galois", None)
         base, g = self.base, self.group
         if len(self.volt) != base.geometric_edge_count:
             raise VoltageError("need one voltage per geometric edge")
@@ -103,6 +107,11 @@ class VoltageAssignment:
             edge_volt[base.inverse[e]] = g.inv(x)
         object.__setattr__(self, "edge_volt", tuple(edge_volt))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.group == other.group and self.volt == other.volt
+
     def voltage_of(self, edge: int) -> int:
         """Voltage of any directed edge, with alpha(e-bar) = alpha(e)^-1."""
         return self.edge_volt[edge]
@@ -112,19 +121,29 @@ class VoltageAssignment:
         return f"{self.group.name} voltages ({', '.join(names)})"
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Frozen):
     """A voltage assignment together with its derived graph."""
 
-    voltage: VoltageAssignment
-    derived: SerreGraph
-    # kappa(X_H) by the element tuple of H, filled by `intermediate_kappa`
-    _kappas: dict[tuple[int, ...], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    __slots__ = (
+        "voltage",
+        "derived",
+        # kappa(X_H) by the element tuple of H, filled by `intermediate_kappa`
+        "_kappas",
+        # h(1, chi) by the index of chi in `character_table(G)`, every nontrivial
+        # chi at once, filled by `lfunctions._h_at_one`
+        "_h_at_one",
     )
-    # h(1, chi) by the index of chi in `character_table(G)`, every nontrivial
-    # chi at once, filled by `lfunctions._h_at_one`
-    _h_at_one: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __init__(self, voltage: VoltageAssignment, derived: SerreGraph):
+        object.__setattr__(self, "voltage", voltage)
+        object.__setattr__(self, "derived", derived)
+        object.__setattr__(self, "_kappas", {})
+        object.__setattr__(self, "_h_at_one", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.voltage == other.voltage and self.derived == other.derived
 
     @property
     def base(self) -> SerreGraph:
@@ -141,15 +160,24 @@ class Cover:
         )
 
 
-@dataclass(frozen=True)
-class IntermediateGraph:
+class IntermediateGraph(Frozen):
     """Quotient of the derived graph by a subgroup of the Galois group."""
 
-    cover: Cover
-    subgroup: Subgroup
-    graph: SerreGraph
-    coset_of: tuple[int, ...]  # group element -> coset index
-    coset_count: int
+    __slots__ = ("cover", "subgroup", "graph", "coset_of", "coset_count")
+
+    def __init__(
+        self,
+        cover: Cover,
+        subgroup: Subgroup,
+        graph: SerreGraph,
+        coset_of: tuple[int, ...],  # group element -> coset index
+        coset_count: int,
+    ):
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "coset_of", coset_of)
+        object.__setattr__(self, "coset_count", coset_count)
 
 
 def derived_graph(alpha: VoltageAssignment) -> Cover:

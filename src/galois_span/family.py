@@ -21,7 +21,6 @@ as code.  Determinants and ranks over Q are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import VoltageAssignment, derived_graph
@@ -33,6 +32,7 @@ from .errors import (
     OrderTooLargeError,
     TooLargeError,
 )
+from .frozen import Frozen
 from .graphs import bouquet, cycle_graph
 from .groups import cyclic_group, max_group_order
 from .linalg import det_fraction, rank_fraction
@@ -94,19 +94,19 @@ def _check_primes(primes) -> None:
             raise FamilyParameterError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """Distinct primes p, exponent vector s, and family parameter b (0 <= b <= s).
 
     The family lives on Z/p^s: p^s above `max_group_order()` is refused
     before the primes are checked.
     """
 
-    primes: tuple[int, ...]
-    s: ExponentVector
-    b: ExponentVector
+    __slots__ = ("primes", "s", "b")
 
-    def __post_init__(self):
+    def __init__(self, primes: tuple[int, ...], s: ExponentVector, b: ExponentVector):
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "b", b)
         if not (len(self.primes) == len(self.s) == len(self.b)):
             raise LengthMismatchError("primes, s and b must have equal lengths")
         for sk, bk in zip(self.s, self.b):

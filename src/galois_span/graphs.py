@@ -25,8 +25,6 @@ both matrices are symmetric, so it updates one triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     DisconnectedGraphError,
     GaloisSpanError,
@@ -37,14 +35,13 @@ from .errors import (
     json_object,
     load_json,
 )
+from .frozen import Frozen
 from .linalg import det_int_derivative, det_int_poly_matrix, det_int_sparse_spd
 from .polynomials import IntPoly
 from .report import VerificationReport
 
 
-
-@dataclass(frozen=True)
-class SerreGraph:
+class SerreGraph(Frozen):
     """Directed-edge presentation of a finite multigraph.
 
     Invariants (checked on construction): `inverse` is a fixed-point-free
@@ -52,16 +49,32 @@ class SerreGraph:
     even.
     """
 
-    vertex_count: int
-    origin: tuple[int, ...]
-    terminus: tuple[int, ...]
-    inverse: tuple[int, ...]
-    vertex_names: tuple[str, ...] | None = None
-    # the answers of `is_connected` and `spanning_tree_count`, once asked
-    _connected: bool | None = field(default=None, init=False, repr=False, compare=False)
-    _kappa: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (
+        "vertex_count",
+        "origin",
+        "terminus",
+        "inverse",
+        "vertex_names",
+        # the answers of `is_connected` and `spanning_tree_count`, once asked
+        "_connected",
+        "_kappa",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        vertex_count: int,
+        origin: tuple[int, ...],
+        terminus: tuple[int, ...],
+        inverse: tuple[int, ...],
+        vertex_names: tuple[str, ...] | None = None,
+    ):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "terminus", terminus)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "vertex_names", vertex_names)
+        object.__setattr__(self, "_connected", None)
+        object.__setattr__(self, "_kappa", None)
         n, e = self.vertex_count, len(self.origin)
         if len(self.terminus) != e or len(self.inverse) != e:
             raise GraphError("edge arrays have inconsistent lengths")
@@ -79,6 +92,17 @@ class SerreGraph:
                 raise GraphError(f"inversion does not swap endpoints at edge {i}")
         if self.vertex_names is not None and len(self.vertex_names) != n:
             raise GraphError("vertex_names length mismatch")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.vertex_count == other.vertex_count
+            and self.origin == other.origin
+            and self.terminus == other.terminus
+            and self.inverse == other.inverse
+            and self.vertex_names == other.vertex_names
+        )
 
     @property
     def edge_count(self) -> int:

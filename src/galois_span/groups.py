@@ -28,7 +28,6 @@ constructor.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 from math import gcd
 
@@ -48,6 +47,7 @@ from .errors import (
     json_object,
     load_json,
 )
+from .frozen import Frozen
 from .numtheory import classical_mobius
 
 DEFAULT_MAX_ORDER = 128
@@ -263,15 +263,18 @@ class FiniteGroup:
         return self._cache["class_of"]
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup as a sorted element set of a parent group."""
+class Subgroup(Frozen):
+    """Subgroup as a sorted element set of a parent group.
 
-    parent: FiniteGroup
-    elements: tuple[int, ...]
+    Two subgroups are equal, and hash alike, when they have the same parent
+    and the same elements.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+    __slots__ = ("parent", "elements")
+
+    def __init__(self, parent: FiniteGroup, elements: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "elements", tuple(sorted(set(elements))))
         elems = set(self.elements)
         if self.parent.identity not in elems:
             raise InvalidTableError("subgroup misses the identity")
@@ -289,6 +292,14 @@ class Subgroup:
         object.__setattr__(h, "parent", parent)
         object.__setattr__(h, "elements", tuple(sorted(elements)))
         return h
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parent == other.parent and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.elements))
 
     @property
     def order(self) -> int:

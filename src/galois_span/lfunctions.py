@@ -37,7 +37,6 @@ of the linear characters against `derived_h_poly`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from math import gcd
 from operator import add, sub
@@ -58,6 +57,7 @@ from .errors import (
     json_object,
     load_json,
 )
+from .frozen import Frozen
 from .graphs import zeta_numerator
 from .groups import FiniteGroup, Subgroup, parse_group_spec
 from .linalg import mat_mul, sample_points
@@ -65,16 +65,16 @@ from .polynomials import IntPoly, interpolate_int_poly
 from .report import VerificationReport, decimal_text
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(Frozen):
     """Matrix representation: one d x d cyclotomic matrix per group element."""
 
-    group: FiniteGroup
-    degree: int
-    e: int
-    matrices: tuple  # tuple of d x d tuples of CyclotomicInt
+    __slots__ = ("group", "degree", "e", "matrices")  # matrices: d x d tuples of CyclotomicInt
 
-    def __post_init__(self):
+    def __init__(self, group: FiniteGroup, degree: int, e: int, matrices: tuple):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "matrices", matrices)
         g, d = self.group, self.degree
         if len(self.matrices) != g.order:
             raise RepresentationError("need one matrix per group element")

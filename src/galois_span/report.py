@@ -7,8 +7,9 @@ written by `decimal_text`, which has no digit limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+from .frozen import Frozen
 
 
 # below 640, the least int-to-str digit limit Python can be set to
@@ -33,8 +34,7 @@ def decimal_text(n: int) -> str:
     return "".join(reversed(pieces))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of one exact check.
 
     `left` and `right` are the two sides after clearing denominators and
@@ -43,14 +43,27 @@ class VerificationReport:
     `trivial` and note it.
     """
 
-    claim: str
-    inputs: str
-    left: int
-    right: int
-    passed: bool
-    trivial: bool = False
-    notes: str = ""
-    details: Mapping[str, Any] = field(default_factory=dict)
+    __slots__ = ("claim", "inputs", "left", "right", "passed", "trivial", "notes", "details")
+
+    def __init__(
+        self,
+        claim: str,
+        inputs: str,
+        left: int,
+        right: int,
+        passed: bool,
+        trivial: bool = False,
+        notes: str = "",
+        details: Mapping[str, Any] | None = None,
+    ):
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "trivial", trivial)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "details", {} if details is None else details)
 
     @classmethod
     def compare(

@@ -11,8 +11,6 @@ rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .characters import (
     character_table,
     induced_trivial_values,
@@ -33,6 +31,7 @@ from .errors import (
     NotGaloisError,
     WrongGroupError,
 )
+from .frozen import Frozen
 from .graphs import hashimoto_check
 from .groups import (
     FiniteGroup,
@@ -273,16 +272,37 @@ def verify_euler_zero(c: Cover) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    spec: str
-    canonical: str | None
-    order: int
-    irreducibly_represented: bool
-    exceptional: bool
-    fixture_status: str  # "match" | "mismatch" | "unsupported"
-    fixture_flags: tuple[bool, bool] | None = None
-    note: str = ""
+class Table1Row(Frozen):
+    __slots__ = (
+        "spec",
+        "canonical",
+        "order",
+        "irreducibly_represented",
+        "exceptional",
+        "fixture_status",
+        "fixture_flags",
+        "note",
+    )
+
+    def __init__(
+        self,
+        spec: str,
+        canonical: str | None,
+        order: int,
+        irreducibly_represented: bool,
+        exceptional: bool,
+        fixture_status: str,  # "match" | "mismatch" | "unsupported"
+        fixture_flags: tuple[bool, bool] | None = None,
+        note: str = "",
+    ):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "irreducibly_represented", irreducibly_represented)
+        object.__setattr__(self, "exceptional", exceptional)
+        object.__setattr__(self, "fixture_status", fixture_status)
+        object.__setattr__(self, "fixture_flags", fixture_flags)
+        object.__setattr__(self, "note", note)
 
     def to_json_dict(self) -> dict:
         return {
@@ -313,12 +333,14 @@ def table1_row(spec: str) -> Table1Row:
     return Table1Row(spec, canonical, g.order, irr, exc, status, expected, note)
 
 
-@dataclass
 class SuiteSummary:
-    seed: int
-    iterations: int
-    entries: list[dict] = field(default_factory=list)
-    failures: int = 0
+    __slots__ = ("seed", "iterations", "entries", "failures")
+
+    def __init__(self, seed: int, iterations: int, entries: list[dict] | None = None, failures: int = 0):
+        self.seed = seed
+        self.iterations = iterations
+        self.entries = [] if entries is None else entries
+        self.failures = failures
 
     @property
     def all_passed(self) -> bool:

@@ -1,5 +1,6 @@
 """Shared generators for the randomized (seeded) test corpora."""
 
+import ast
 import contextlib
 import io
 import random
@@ -963,3 +964,19 @@ def r_block(s_i: int) -> list[list[Fraction]]:
 def k_prime_block(p_i: int, s_i: int) -> list[list[Fraction]]:
     """L K R: (1,1) entry 1, first row/column otherwise zero, anti-triangular block."""
     return mat_mul(mat_mul(l_block(s_i), k_block(p_i, s_i)), r_block(s_i))
+
+
+def module_imports(tree: ast.AST, name: str) -> list[str]:
+    """"line N: import ..." for each absolute import of module `name` (or a
+    submodule of it) in `tree`; relative imports and longer names do not count."""
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == name:
+                    found.append(f"{where}: import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == name:
+                found.append(f"{where}: from {node.module} import ...")
+    return found

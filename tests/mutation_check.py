@@ -38,6 +38,8 @@ TARGETS = [
     ("groups", "is_irreducibly_represented", ["tests/test_table1_flags.py", "tests/test_fuzz_table1_flags.py"]),
     ("groups", "is_exceptional", ["tests/test_table1_flags.py", "tests/test_fuzz_table1_flags.py"]),
     ("lfunctions", "walk_table", ["tests/test_fuzz_walk_table.py", "tests/test_lfunctions.py"]),
+    ("covers", "_coset_index", ["tests/test_covers.py"]),
+    ("covers", "_voltage_action", ["tests/test_covers.py"]),
 ]
 
 # (function, mutant as this script describes it) -> why no test can kill it

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +8,7 @@ import pytest
 
 from galois_span import characters
 from galois_span.characters import (
+    Character,
     CharacterTable,
     _dixon_characters,
     _hessenberg_mod,
@@ -507,7 +507,8 @@ def _with_values(table, changes):
     """Copy of the table with some characters' value vectors replaced."""
     chars = list(table.characters)
     for index, values in changes.items():
-        chars[index] = replace(chars[index], values=tuple(values))
+        chi = chars[index]
+        chars[index] = Character(chi.group, chi.e, chi.degree, tuple(values))
     return CharacterTable(table.group, table.classes, table.e, tuple(chars))
 
 

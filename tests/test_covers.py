@@ -366,13 +366,13 @@ def test_kappas_of_every_subgroup_build_no_graph_beyond_the_derived_graph(monkey
     g = parse_group_spec("C2xS4")
     alpha = random_connected_voltage(bouquet(2), g, 3)
     built = []
-    check = graphs.SerreGraph.__post_init__
+    init = graphs.SerreGraph.__init__
 
-    def counting_check(self):
-        built.append(self.vertex_count)
-        check(self)
+    def counting_init(self, vertex_count, *args, **kwargs):
+        built.append(vertex_count)
+        init(self, vertex_count, *args, **kwargs)
 
-    monkeypatch.setattr(graphs.SerreGraph, "__post_init__", counting_check)
+    monkeypatch.setattr(graphs.SerreGraph, "__init__", counting_init)
     c = derived_graph(alpha)
     subgroups = all_subgroups(g)
     kappas = [intermediate_kappa(c, h) for h in subgroups]

@@ -12,22 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import module_imports
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "galois_span"
 SEEDED_SAMPLERS = {"covers.py"}
-
-
-def random_imports(tree: ast.AST) -> list[str]:
-    found = []
-    for node in ast.walk(tree):
-        where = f"line {getattr(node, 'lineno', '?')}"
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "random":
-                    found.append(f"{where}: import {alias.name}")
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if (node.module or "").split(".")[0] == "random":
-                found.append(f"{where}: from {node.module} import ...")
-    return found
 
 
 @pytest.mark.parametrize(
@@ -36,7 +24,7 @@ def random_imports(tree: ast.AST) -> list[str]:
     ids=lambda p: p.name,
 )
 def test_module_draws_nothing_at_random(path):
-    assert random_imports(ast.parse(path.read_text(), str(path))) == []
+    assert module_imports(ast.parse(path.read_text(), str(path)), "random") == []
 
 
 def test_guard_catches_each_kind_of_random_import():
@@ -50,7 +38,7 @@ def test_guard_catches_each_kind_of_random_import():
             "x = random_connected_voltage",
         ]
     )
-    found = random_imports(ast.parse(source))
+    found = module_imports(ast.parse(source), "random")
     assert sorted(f.split(": ", 1)[1] for f in found) == sorted(
         [
             "import random",
