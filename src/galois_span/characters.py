@@ -40,7 +40,14 @@ from .errors import InvariantError, NoSuitablePrimeError, OrderTooLargeError
 from .frozen import Frozen
 # the flags are re-exported under this module's name, by which the benchmark
 # tracer (`perfbench/tracer.py`) wraps them
-from .groups import FiniteGroup, Subgroup, is_exceptional, is_irreducibly_represented, max_group_order
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    abelian_dual,
+    is_exceptional,
+    is_irreducibly_represented,
+    max_group_order,
+)
 from .numtheory import factorize, is_prime
 
 _PRIME_SEARCH_LIMIT = 10_000_000
@@ -277,23 +284,10 @@ class CharacterTable:
         self.e = e
         self.characters = characters
         self.class_of = group.class_index_of()
-        self._cache: dict = {}  # the kernels and kernel poset, filled by `posets`
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-    def kernel_of(self, chi: Character) -> Subgroup:
-        """Elements where the multiplicity vector is concentrated at zeta^0."""
-        elems = [
-            g
-            for g in range(self.group.order)
-            if chi.values[self.class_of[g]][0] == chi.degree
-        ]
-        kernel = Subgroup(self.group, tuple(elems))
-        if not kernel.is_normal():
-            raise InvariantError("character kernel is not normal: table is corrupt")
-        return kernel
 
     def to_json_dict(self) -> dict:
         return {
@@ -347,36 +341,9 @@ def _table_order(chi: Character):
 
 
 def _dual_group_characters(g: FiniteGroup, e: int) -> list[Character]:
-    """Irr(G) = Hom(G, mu_e) of an abelian group, by cyclic extension.
-
-    Each character is kept as exponents k with chi(y) = zeta_e^k on the
-    subgroup H reached so far, starting from H = 1.  For x outside H, with
-    x^m the first power of x in H, each chi of H extends in m ways:
-    chi'(h x^j) = chi(h) + j b (mod e) for the m solutions b of
-    m b = chi(x^m) (mod e).  They exist because x^m has order o(x)/m and m
-    divides o(x), which divides the exponent e.  O(|G|^2) in all; no prime
-    is needed.
-    """
-    members = [g.identity]
-    position = {g.identity: 0}
-    exponents = [[0]]
-    for x in range(g.order):
-        if x in position:
-            continue
-        powers = [g.identity]
-        y = x
-        while y not in position:
-            powers.append(y)
-            y = g.mul(y, x)
-        m = len(powers)
-        at = position[y]
-        members = [g.mul(h, xj) for xj in powers for h in members]
-        position = {h: i for i, h in enumerate(members)}
-        exponents = [
-            [(k + j * b) % e for j in range(m) for k in chi]
-            for chi in exponents
-            for b in range(chi[at] // m, e, e // m)
-        ]
+    """Irr(G) = Hom(G, mu_e) of an abelian group, by cyclic extension
+    (`groups.abelian_dual` over every element); no prime is needed."""
+    position, exponents = abelian_dual(g, range(g.order), e)
     units = [tuple(int(k == j) for j in range(e)) for k in range(e)]
     reps = [position[cls[0]] for cls in g.conjugacy_classes()]
     return [

@@ -184,7 +184,7 @@ def _subgroup(cover, text: str) -> Subgroup:
 
 def _poset(args):
     g = parse_group_spec(args.group)
-    return kernel_poset(character_table(g)) if args.poset == "kernel" else cyclic_poset(g)
+    return kernel_poset(g) if args.poset == "kernel" else cyclic_poset(g)
 
 
 # -- action handlers: each returns its exit code ------------------------------

@@ -6,18 +6,21 @@ groups), so every downstream matrix and poset is deterministic for a given
 build sequence.  `FiniteGroup.element` reads every element name and
 `FiniteGroup.conjugation` holds every conjugate.  Subgroups are value
 objects identified by their sorted element sets.  A group keeps what is
-derived from it alone (conjugation, classes, subgroup lists, the class key
-of each subgroup, the exceptional flag, the character table, posets, and
-the coset plan of each subgroup that `covers` builds from `left_cosets`)
-in its `_cache`, computed on first request; the subgroup lists are handed
+derived from it alone (conjugation, classes, the normal closure of each
+class, subgroup lists, the class key of each subgroup, the exceptional
+flag, the character table, the character kernels, posets, and the coset
+plan of each subgroup that `covers` builds from `left_cosets`) in its
+`_cache`, computed on first request; the subgroup lists are handed
 out as fresh lists, so no caller can change the kept one.  A direct
 product also keeps its two factors (`FiniteGroup.factors`), from whose
 character tables `characters` builds its own.
 
 Both of Table 1's flags are read from the group alone: whether some
-irreducible character is faithful, by Gaschütz's criterion on the abelian
-minimal normal subgroups, and whether the group is exceptional, by a sum
-of the classical Moebius function over the cyclic subgroups' orders.
+irreducible character is faithful, by Gaschütz's criterion on the minimal
+normal subgroups, and whether the group is exceptional, by a sum of the
+classical Moebius function over the cyclic subgroups' orders.  The kernels
+of the irreducible characters are read from the group alone too: the
+normal N for which G/N passes the same criterion.
 
 The subgroup lattice is built by cyclic extension (Neubüser 1960) on
 element bitmasks.  Constructions that guarantee closure (joins, cyclic
@@ -38,6 +41,7 @@ from .errors import (
     GroupConstructionError,
     GroupSpecError,
     InvalidTableError,
+    InvariantError,
     MismatchedGroupError,
     NotNormalError,
     OrderTooLargeError,
@@ -48,7 +52,7 @@ from .errors import (
     load_json,
 )
 from .frozen import Frozen
-from .numtheory import classical_mobius
+from .numtheory import classical_mobius, is_prime
 
 DEFAULT_MAX_ORDER = 128
 CLOSURE_BOUND = 512
@@ -353,11 +357,14 @@ def generated_subgroup(g: FiniteGroup, generators) -> Subgroup:
 
 
 def _closure(g: FiniteGroup, h_elems: list[int], gens: list[int]) -> list[int]:
-    """Elements of the subgroup generated by a subgroup H and `gens`.
+    """Elements of the subgroup generated by a subgroup H and `gens`, when
+    `gens` includes generators of H or H is normalized by `gens`.
 
     The result is a union of right cosets Hy, walked coset by coset over the
     Cayley-table rows of the coset representatives; a finite group needs no
-    inverses for its closure.
+    inverses for its closure.  The walk multiplies representatives by
+    `gens` alone, so each Hyh, h in H, must be a coset it reaches; either
+    condition makes it so.
     """
     table = g.cayley
     seen = bytearray(g.order)
@@ -431,32 +438,207 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     return out
 
 
-def is_irreducibly_represented(g: FiniteGroup) -> bool:
-    """True when some irreducible character of g is faithful, by Gaschütz's
-    criterion (Math. Nachr. 12, 1954): exactly when A, the product of the
-    abelian minimal normal subgroups, is the normal closure of one element.
+def _mask(elements) -> int:
+    return sum(1 << a for a in elements)
 
-    A class generates the normal closure of each of its elements, and every
-    minimal normal subgroup is the closure of any class it meets, so the
-    minimal normal subgroups are the closures minimal under inclusion; one
-    is abelian when the class generating it commutes elementwise.  No
-    character table is built.
+
+def abelian_dual(g: FiniteGroup, elements, e: int) -> tuple[dict[int, int], list[list[int]]]:
+    """Hom(A, mu_e) of the abelian subgroup A of g with the given elements,
+    by cyclic extension; e is a multiple of A's exponent.
+
+    Each character is kept as exponents k with chi(y) = zeta_e^k on the
+    subgroup H reached so far, starting from H = 1.  For x outside H, with
+    x^m the first power of x in H, each chi of H extends in m ways:
+    chi'(h x^j) = chi(h) + j b (mod e) for the m solutions b of
+    m b = chi(x^m) (mod e).  They exist because x^m has order o(x)/m and m
+    divides o(x), which divides e.  O(|A|^2) in all; no prime is needed.
+    Returns (position, exponents): chi(y) = zeta_e^chi[position[y]].
+    A repeated product h x^j, which elements that do not commute can give,
+    raises `InvariantError`, so the lists never outgrow the group.
     """
-    table = g.cayley
-    closures = {}  # bitmask -> a class generating it
-    for cls in g.conjugacy_classes()[1:]:
-        mask = sum(1 << a for a in _closure(g, [g.identity], list(cls)))
-        closures.setdefault(mask, cls)
-    abelian_minimal = [
-        cls
-        for mask, cls in closures.items()
-        if not any(other != mask and other & ~mask == 0 for other in closures)
-        and all(table[a][b] == table[b][a] for a in cls for b in cls)
-    ]
-    if not abelian_minimal:
+    members = [g.identity]
+    position = {g.identity: 0}
+    exponents = [[0]]
+    for x in elements:
+        if x in position:
+            continue
+        powers = [g.identity]
+        y = x
+        while y not in position:
+            powers.append(y)
+            y = g.mul(y, x)
+        m = len(powers)
+        at = position[y]
+        members = [g.mul(h, xj) for xj in powers for h in members]
+        position = {h: i for i, h in enumerate(members)}
+        if len(position) < len(members):
+            raise InvariantError("the dual group's elements repeat a product")
+        exponents = [
+            [(k + j * b) % e for j in range(m) for k in chi]
+            for chi in exponents
+            for b in range(chi[at] // m, e, e // m)
+        ]
+    return position, exponents
+
+
+def _class_closures(g: FiniteGroup) -> dict[int, tuple[list[int], list[int]]]:
+    """The normal closure of each non-identity class, kept on the group.
+
+    A class generates its own normal closure, since it is closed under
+    conjugation.  Each distinct closure is keyed by its bitmask, smallest
+    first, with a few elements of the first class that has it, those added
+    greedily while they leave the subgroup reached so far, and its elements.
+    """
+    if "class_closures" not in g._cache:
+        out: dict[int, tuple[list[int], list[int]]] = {}
+        for cls in g.conjugacy_classes()[1:]:
+            gens, reached = [], [g.identity]
+            for x in cls:
+                if x not in reached:
+                    gens.append(x)
+                    reached = _closure(g, reached, gens)
+            out.setdefault(_mask(reached), (gens, reached))
+        g._cache["class_closures"] = dict(sorted(out.items(), key=lambda item: item[0].bit_count()))
+    return g._cache["class_closures"]
+
+
+def _joins(g: FiniteGroup, n: int, known: dict[int, list[int]]) -> dict[int, list[int]]:
+    """<N, C> for each class C outside the normal subgroup N (bitmask n).
+
+    Each join is normal, keyed by its mask, with a few elements that
+    generate it over N.  `known` maps the masks of subgroups found so far
+    to their elements; it holds N and gains each new join.  No closure is
+    walked when N and C's closure together make a known subgroup (a class
+    closure holding N, say), which is then the join, or lie in a join of
+    prime index over N, which is then the join too, since nothing lies
+    strictly between.
+    """
+    out: dict[int, list[int]] = {}
+    atoms: list[int] = []  # the joins of prime index over N
+    for closure, (gens, _) in _class_closures(g).items():
+        if closure & ~n == 0 or any(closure & ~j == 0 for j in atoms):
+            continue
+        join = n | closure
+        if join not in known:
+            elems = _closure(g, known[n], gens)
+            join = _mask(elems)
+            known.setdefault(join, elems)
+        if join not in out:
+            out[join] = gens
+            if is_prime(join.bit_count() // n.bit_count()):
+                atoms.append(join)
+    return out
+
+
+def _faithful_quotient(g: FiniteGroup, n_elems: list[int], joins: dict[int, list[int]]) -> bool:
+    """Gaschütz's criterion for G/N, read inside G: G/N has a faithful
+    irreducible character exactly when its socle, the product of its
+    minimal normal subgroups, is the normal closure of one element.
+
+    `n_elems` lists N's elements and `joins` holds <N, C> for every class
+    C outside N (`_joins`).  The minimal joins under inclusion are the M
+    with M/N minimal normal, since every normal subgroup of G/N is
+    generated by classes of G's images.
+    Gaschütz (Math. Nachr. 12, 1954) asks this of A, the product of the
+    abelian minimal normal subgroups.  The socle is A x T, T a direct
+    product of non-abelian minimal normal subgroups T_i, each with trivial
+    centre, and A commutes with T.  For a in A and t with a non-trivial
+    part in each T_i, the normal closure L of at holds [at, s] = [t, s]
+    for every s in T_i, and these are not all 1, so L meets T_i in a
+    non-trivial normal subgroup of G, which is T_i; then L holds t and a.
+    So the socle is one element's closure exactly when A is, and no
+    commutator needs testing.
+    """
+    minimal: list[int] = []
+    for m in sorted(joins, key=int.bit_count):
+        if all(k & ~m for k in minimal):
+            minimal.append(m)
+    if not minimal:
         return True
-    a = _closure(g, [g.identity], [x for cls in abelian_minimal for x in cls])
-    return sum(1 << x for x in a) in closures
+    socle = _closure(g, n_elems, [x for m in minimal for x in joins[m]])
+    return _mask(socle) in joins
+
+
+def is_irreducibly_represented(g: FiniteGroup) -> bool:
+    """True when some irreducible character of g is faithful: Gaschütz's
+    criterion (`_faithful_quotient`) at N = 1, where the minimal normal
+    subgroups are the minimal normal closures of single classes.  No
+    character table is built."""
+    one = 1 << g.identity
+    known = {mask: elems for mask, (_, elems) in _class_closures(g).items()}
+    known[one] = [g.identity]
+    return _faithful_quotient(g, [g.identity], _joins(g, one, known))
+
+
+def _kernel_candidates(g: FiniteGroup) -> tuple[dict[int, dict], dict[int, list[int]]]:
+    """Every normal N of g with Z(G)/(Z(G) meet N) cyclic, with its joins.
+
+    A kernel K of an irreducible character is such an N: G/K has a faithful
+    irreducible, so its centre is cyclic, and Z(G)K/K lies in it.  The family
+    is closed upward, and its minimal members are the subgroups D of Z(G)
+    with cyclic quotient, the kernels of Hom(Z(G), mu_e) (`abelian_dual`).
+    Every normal N above D is reached from D by joins with single classes
+    (`_joins`), the walk from each mask made once.  Returns (mask -> joins,
+    mask -> elements).
+    """
+    centre = [cls[0] for cls in g.conjugacy_classes() if len(cls) == 1]
+    position, exponents = abelian_dual(g, centre, g.exponent())
+    known = {mask: elems for mask, (_, elems) in _class_closures(g).items()}
+    stack = []
+    for chi in exponents:
+        elems = [y for y, i in position.items() if chi[i] == 0]
+        stack.append(_mask(elems))
+        known.setdefault(stack[-1], elems)
+    candidates: dict[int, dict] = {}
+    while stack:
+        n = stack.pop()
+        if n not in candidates:
+            candidates[n] = _joins(g, n, known)
+            stack.extend(candidates[n])
+    return candidates, known
+
+
+def _checked_kernels(g: FiniteGroup, candidates, kernels: list[int]) -> list[int]:
+    """The kernel masks, once each candidate equals the meet of the kernels
+    above it and there are no more kernels than classes.
+
+    Every normal N is the intersection of the kernels of the irreducible
+    characters of G/N (Isaacs, Character Theory of Finite Groups, ch. 2),
+    and those are the kernels of G that contain N; G has as many irreducible
+    characters as classes.  A failure raises `InvariantError`.
+    """
+    classes = len(g.conjugacy_classes())
+    if len(kernels) > classes:
+        raise InvariantError(f"{len(kernels)} character kernels but {classes} classes")
+    for n in candidates:
+        meet = -1  # every bit set: the meet of no kernel
+        for k in kernels:
+            if n & ~k == 0:
+                meet &= k
+        if meet != n:
+            raise InvariantError(
+                f"a normal subgroup of order {n.bit_count()} is not the meet of the"
+                " character kernels that contain it"
+            )
+    return kernels
+
+
+def character_kernels(g: FiniteGroup) -> list[Subgroup]:
+    """The kernels of the irreducible characters of g, read from the group alone.
+
+    They are the normal N for which G/N has a faithful irreducible
+    character: the candidates of `_kernel_candidates` that pass Gaschütz's
+    criterion (`_faithful_quotient`), checked by `_checked_kernels`.  Sorted
+    by order, then elements.  No character table is built.
+    """
+    bound = max_group_order()
+    if g.order > bound:
+        raise OrderTooLargeError(f"order {g.order} exceeds bound {bound}")
+    candidates, known = _kernel_candidates(g)
+    kernels = [n for n, joins in candidates.items() if _faithful_quotient(g, known[n], joins)]
+    out = [Subgroup._trusted(g, known[n]) for n in _checked_kernels(g, candidates, kernels)]
+    out.sort(key=lambda h: (h.order, h.elements))
+    return out
 
 
 def is_exceptional(g: FiniteGroup) -> bool:

@@ -4,9 +4,10 @@ The Moebius function is computed by both defining recursions, which must
 agree (`MobiusTable`); a disagreement is a bug.  Adjoined bounds (a bottom
 below every kernel, a top above every cyclic subgroup) are genuine poset
 elements so that values like mu(bottom, x) come from the same code path as
-interior values.  A poset keeps its Moebius table, a group keeps its cyclic
-poset and a character table its kernels and kernel poset, each computed
-once on first request.
+interior values.  A poset keeps its Moebius table and a group its cyclic
+poset, its character kernels and its kernel poset, each computed once on
+first request.  The kernels are read from the group alone
+(`groups.character_kernels`); no character table is built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import InvariantError, PosetError
-from .groups import FiniteGroup, Subgroup, cyclic_subgroups
+from .groups import FiniteGroup, Subgroup, character_kernels, cyclic_subgroups
 
 BOTTOM_KEY = "∅"
 TOP_KEY = "∞"
@@ -183,33 +184,29 @@ def subgroup_poset(subgroups: list[Subgroup], label_prefix: str = "H") -> Poset:
     )
 
 
-def kernel_subgroups(table) -> Mapping[tuple[int, ...], Subgroup]:
-    """The kernels of the irreducible characters of `table.group`, by element tuple.
+def kernel_subgroups(g: FiniteGroup) -> Mapping[tuple[int, ...], Subgroup]:
+    """The kernels of the irreducible characters of g, by element tuple.
 
-    Each comes from `table.kernel_of`, which checks it is a normal subgroup,
-    and they are kept on the table, so a verifier that asks again reuses
-    them instead of checking them again.  Handed out read-only, as a view
+    They come from `groups.character_kernels`, which reads them from the
+    group alone and checks them, and they are kept on the group, so a
+    verifier that asks again reuses them.  Handed out read-only, as a view
     of the kept dict, so no caller can change the kept kernels.
     """
-    if "kernel_subgroups" not in table._cache:
-        kernels: dict[tuple[int, ...], Subgroup] = {}
-        for chi in table.characters:
-            h = table.kernel_of(chi)
-            kernels.setdefault(h.elements, h)
-        table._cache["kernel_subgroups"] = MappingProxyType(kernels)
-    return table._cache["kernel_subgroups"]
+    if "kernel_subgroups" not in g._cache:
+        kernels = {h.elements: h for h in character_kernels(g)}
+        g._cache["kernel_subgroups"] = MappingProxyType(kernels)
+    return g._cache["kernel_subgroups"]
 
 
-def kernel_poset(table) -> Poset:
+def kernel_poset(g: FiniteGroup) -> Poset:
     """Kernels of irreducible characters under inclusion, with a bottom adjoined.
 
-    Kept on the table, as `character_table` keeps the one table of each
-    group; its keys are those of `kernel_subgroups`.
+    Kept on the group; its keys are those of `kernel_subgroups`.
     """
-    if "kernel_poset" not in table._cache:
-        kernels = list(kernel_subgroups(table).values())
-        table._cache["kernel_poset"] = adjoin_bottom(subgroup_poset(kernels))
-    return table._cache["kernel_poset"]
+    if "kernel_poset" not in g._cache:
+        kernels = list(kernel_subgroups(g).values())
+        g._cache["kernel_poset"] = adjoin_bottom(subgroup_poset(kernels))
+    return g._cache["kernel_poset"]
 
 
 def cyclic_poset(g: FiniteGroup) -> Poset:

@@ -52,9 +52,9 @@ class VerificationReport(Frozen):
         left: int,
         right: int,
         passed: bool,
-        trivial: bool = False,
-        notes: str = "",
-        details: Mapping[str, Any] | None = None,
+        trivial: bool,
+        notes: str,
+        details: Mapping[str, Any],
     ):
         object.__setattr__(self, "claim", claim)
         object.__setattr__(self, "inputs", inputs)
@@ -63,7 +63,7 @@ class VerificationReport(Frozen):
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "trivial", trivial)
         object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "details", {} if details is None else details)
+        object.__setattr__(self, "details", details)
 
     @classmethod
     def compare(

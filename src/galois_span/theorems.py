@@ -104,10 +104,14 @@ def _kept_relation(g: FiniteGroup, name: str, build) -> tuple:
 
 
 def _kuroda_terms(g: FiniteGroup) -> list[tuple[Subgroup, int]]:
-    """[1] + sum over kernels K of mu(bottom, K) [K], the kernels in poset order."""
-    table = character_table(g)
-    poset = kernel_poset(table)
-    kernels = kernel_subgroups(table)
+    """[1] + sum over kernels K of mu(bottom, K) [K], the kernels in poset order.
+
+    The kernels of the irreducible characters come from the group alone
+    (`posets.kernel_subgroups`); no character table is built.  The relation
+    itself is still checked exactly by `checked_relation`.
+    """
+    poset = kernel_poset(g)
+    kernels = kernel_subgroups(g)
     mu = mobius(poset)
     terms = [(Subgroup._trusted(g, [g.identity]), 1)]
     terms += [(kernels[key], mu.mu(BOTTOM_KEY, key)) for key in poset.keys if key != BOTTOM_KEY]
@@ -292,8 +296,8 @@ class Table1Row(Frozen):
         irreducibly_represented: bool,
         exceptional: bool,
         fixture_status: str,  # "match" | "mismatch" | "unsupported"
-        fixture_flags: tuple[bool, bool] | None = None,
-        note: str = "",
+        fixture_flags: tuple[bool, bool] | None,
+        note: str,
     ):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "canonical", canonical)
@@ -336,11 +340,11 @@ def table1_row(spec: str) -> Table1Row:
 class SuiteSummary:
     __slots__ = ("seed", "iterations", "entries", "failures")
 
-    def __init__(self, seed: int, iterations: int, entries: list[dict] | None = None, failures: int = 0):
+    def __init__(self, seed: int, iterations: int):
         self.seed = seed
         self.iterations = iterations
-        self.entries = [] if entries is None else entries
-        self.failures = failures
+        self.entries: list[dict] = []
+        self.failures = 0
 
     @property
     def all_passed(self) -> bool:

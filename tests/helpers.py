@@ -629,13 +629,34 @@ def walk_table_by_start(c, length: int) -> list[list[int]]:
 # -- oracles and constructions with no caller in the library ------------------------
 
 
+def character_kernel(table, chi) -> Subgroup:
+    """The kernel of chi: the elements whose multiplicity vector is
+    concentrated at zeta^0, checked to be a normal subgroup."""
+    g = table.group
+    elems = [x for x in range(g.order) if chi.values[table.class_of[x]][0] == chi.degree]
+    kernel = Subgroup(g, tuple(elems))
+    assert kernel.is_normal(), "character kernel is not normal: table is corrupt"
+    return kernel
+
+
+def kernel_subgroups_by_characters(g: FiniteGroup) -> dict[tuple[int, ...], Subgroup]:
+    """Oracle for `posets.kernel_subgroups`: the kernels of the characters of
+    the exact table (`character_kernel`), by element tuple."""
+    table = character_table(g)
+    kernels: dict[tuple[int, ...], Subgroup] = {}
+    for chi in table.characters:
+        h = character_kernel(table, chi)
+        kernels.setdefault(h.elements, h)
+    return kernels
+
+
 def is_irreducibly_represented_by_characters(g: FiniteGroup) -> bool:
     """Oracle for `groups.is_irreducibly_represented`: some irreducible
     character of the exact table is faithful.
 
     The kernel of chi is the union of the classes whose multiplicity vector
-    is concentrated at zeta^0 (`CharacterTable.kernel_of`), so chi is
-    faithful exactly when the identity's class is the only such class.
+    is concentrated at zeta^0 (`character_kernel`), so chi is faithful
+    exactly when the identity's class is the only such class.
     """
     table = character_table(g)
     one = table.class_of[g.identity]

@@ -1,12 +1,14 @@
-"""Mutation check: every small fault planted in a listed function must fail its tests.
+"""Mutation check: every small fault planted in a listed function or class must
+fail its tests.
 
-For each (module, function, test files) in `TARGETS`, every mutation site of
-the function is changed one at a time in a temporary copy of `src/` and
-`tests/`, and the test files run with `pytest -x`.  A mutant is killed when
-they fail (or run past the time limit).  A mutant that survives must be
-listed in `EQUIVALENT` with the reason it cannot change a result; any other
-survivor fails the check, and so does a listed mutant that is killed or no
-longer made, so the list stays true.  The checkout itself is never written.
+For each (module, function or class, test files) in `TARGETS`, every
+mutation site of the definition is changed one at a time in a temporary copy
+of `src/` and `tests/`, and the test files run with `pytest -x`.  A mutant
+is killed when they fail (or run past the time limit).  A mutant that
+survives must be listed in `EQUIVALENT` with the reason it cannot change a
+result; any other survivor fails the check, and so does a listed mutant
+that is killed or no longer made, so the list stays true.  The checkout
+itself is never written.
 
 Mutations: + <-> -, * -> +, // -> *, & -> |, < <-> <=, > <-> >=, == <-> !=,
 in <-> not in, is <-> is not, and <-> or, `not x` and `~x` -> x, an int
@@ -32,11 +34,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (module under src/galois_span, function name, test files run against each mutant)
+# Gaschütz's criterion serves Table 1's flag and the character kernels
+KERNEL_TESTS = ["tests/test_kernels.py", "tests/test_fuzz_kernels.py"]
+GASCHUTZ_TESTS = ["tests/test_table1_flags.py", "tests/test_fuzz_table1_flags.py", *KERNEL_TESTS]
+
+# (module under src/galois_span, top-level function or class, test files run
+# against each mutant)
 TARGETS = [
     ("linalg", "_dense_tail_det", ["tests/test_linalg.py", "tests/test_fuzz_sparse_det.py"]),
-    ("groups", "is_irreducibly_represented", ["tests/test_table1_flags.py", "tests/test_fuzz_table1_flags.py"]),
+    ("groups", "_faithful_quotient", GASCHUTZ_TESTS),
+    ("groups", "_joins", GASCHUTZ_TESTS),
+    ("groups", "_kernel_candidates", KERNEL_TESTS),
+    ("groups", "_checked_kernels", KERNEL_TESTS),
     ("groups", "is_exceptional", ["tests/test_table1_flags.py", "tests/test_fuzz_table1_flags.py"]),
+    ("posets", "MobiusTable", ["tests/test_posets.py"]),
     ("lfunctions", "walk_table", ["tests/test_fuzz_walk_table.py", "tests/test_lfunctions.py"]),
     ("covers", "_coset_index", ["tests/test_covers.py"]),
     ("covers", "_voltage_action", ["tests/test_covers.py"]),
@@ -115,21 +126,21 @@ class Mutator(ast.NodeTransformer):
         return node
 
 
-def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+def _definition(tree: ast.Module, name: str) -> ast.FunctionDef | ast.ClassDef:
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
             return node
-    raise SystemExit(f"no top-level function {name}")
+    raise SystemExit(f"no top-level function or class {name}")
 
 
 def mutants(source: str, name: str) -> list[tuple[str, str]]:
-    """(description, module source) of each mutant of the function `name`.
+    """(description, module source) of each mutant of the function or class `name`.
 
     A description is the site's source line and the changed expression
     before and after, with `#k` counting earlier sites of the same
     description."""
     tree = ast.parse(source)
-    fn = _function(tree, name)
+    fn = _definition(tree, name)
     lines = source.splitlines(keepends=True)
     counter = Mutator(lines)
     counter.visit(copy.deepcopy(fn))

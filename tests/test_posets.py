@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from galois_span.characters import character_table
 from galois_span.errors import GaloisSpanError, InvariantError, PosetError
 from galois_span.groups import (
     cyclic_group,
@@ -170,7 +169,7 @@ def test_adjoin_rejects_duplicate():
 def test_kernel_poset_elementary_abelian():
     for m in (2, 3):
         g = parse_group_spec("x".join(["C2"] * m))
-        poset = kernel_poset(character_table(g))
+        poset = kernel_poset(g)
         mu = mobius(poset)
         whole = tuple(range(g.order))
         assert mu.mu(BOTTOM_KEY, whole) == 2**m - 2
@@ -182,7 +181,7 @@ def test_kernel_poset_elementary_abelian():
 
 def test_kernel_poset_cyclic_group_degenerates():
     g = cyclic_group(6)
-    poset = kernel_poset(character_table(g))
+    poset = kernel_poset(g)
     mu = mobius(poset)
     assert (g.identity,) in poset.keys
     for key in poset.keys:
@@ -193,7 +192,7 @@ def test_kernel_poset_cyclic_group_degenerates():
 
 def test_kernel_poset_trivial_group():
     g = cyclic_group(1)
-    poset = kernel_poset(character_table(g))
+    poset = kernel_poset(g)
     assert len(poset) == 2  # bottom and G
 
 
@@ -279,10 +278,9 @@ def test_hasse_dot_shapes():
 
 def test_posets_and_mobius_tables_are_kept_and_read_only():
     g = parse_group_spec("S4")
-    table = character_table(g)
     assert cyclic_poset(g) is cyclic_poset(g)
-    assert kernel_poset(table) is kernel_poset(table)
-    for poset in (cyclic_poset(g), kernel_poset(table)):
+    assert kernel_poset(g) is kernel_poset(g)
+    for poset in (cyclic_poset(g), kernel_poset(g)):
         mu = mobius(poset)
         assert mobius(poset) is mu
         with pytest.raises(TypeError):
@@ -299,18 +297,17 @@ def test_kept_kernels_are_handed_out_read_only():
     from galois_span.theorems import verify_kuroda
 
     def kuroda_outputs(g):
-        table = character_table(g)
-        poset = kernel_poset(table)
+        poset = kernel_poset(g)
         cover = derived_graph(random_connected_voltage(bouquet(2), g, seed=3))
         return poset.keys, poset.leq_matrix, verify_kuroda(cover).to_json_dict()
 
     g = parse_group_spec("S4")
-    kernels = kernel_subgroups(character_table(g))
+    kernels = kernel_subgroups(g)
     whole = Subgroup._trusted(g, range(g.order))
     key = next(iter(kernels))
     with pytest.raises(TypeError):
         kernels[key] = whole
     with pytest.raises(TypeError):
         del kernels[key]
-    assert kernel_subgroups(character_table(g)) == kernels
+    assert kernel_subgroups(g) == kernels
     assert kuroda_outputs(g) == kuroda_outputs(parse_group_spec("S4"))

@@ -85,21 +85,18 @@ def test_kuroda_trivial_for_irreducibly_represented():
 
 
 def test_kuroda_reuses_the_kernels_checked_with_the_kernel_poset(monkeypatch):
-    # kernel_of checks each kernel once, when the table's kernel poset is built;
-    # later Kuroda checks of covers of the same group check no subgroup again
-    from galois_span.groups import Subgroup
+    # the kernels are computed and checked once per group, when its kernel
+    # poset is built; later Kuroda checks of covers of the same group reuse them
+    import galois_span.posets as posets
 
-    g = parse_group_spec("C2xC6")
-    first = derived_graph(random_connected_voltage(bouquet(2), g, seed=1))
-    checks = []
-    init = Subgroup.__init__
-    monkeypatch.setattr(Subgroup, "__init__", lambda h, *args: checks.append(h) or init(h, *args))
-    assert verify_kuroda(first).passed
-    assert len(checks) == len(character_table(g).characters)
-    checks.clear()
-    for seed in (2, 3):
-        assert verify_kuroda(derived_graph(random_connected_voltage(bouquet(2), g, seed))).passed
-    assert checks == []
+    computed = []
+    compute = posets.character_kernels
+    monkeypatch.setattr(posets, "character_kernels", lambda g: computed.append(g) or compute(g))
+    groups = [parse_group_spec("C2xC6"), parse_group_spec("S4")]
+    for seed in (1, 2, 3):
+        for g in groups:
+            assert verify_kuroda(derived_graph(random_connected_voltage(bouquet(2), g, seed))).passed
+        assert computed == groups
 
 
 def test_brauer_kuroda_s3():
