@@ -59,10 +59,8 @@ from .groups import (
     symmetric_group,
 )
 from .lfunctions import (
-    MatrixRep,
     character_h_polys,
     h_poly,
-    twisted_matrices,
     verify_factorization,
     verify_inter_rel,
     verify_prop_formula,

@@ -61,8 +61,6 @@ from .graphs import (
 from .groups import FiniteGroup, Subgroup, all_subgroups, generated_subgroup, parse_group_spec
 from .lfunctions import (
     character_h_polys,
-    h_poly,
-    load_rep,
     verify_factorization,
     verify_inter_rel,
     verify_prop_formula,
@@ -311,21 +309,15 @@ def _cover_dot(args) -> int:
 
 def _lfun_h(args) -> int:
     cover = _cover_from_args(args)
-    if args.rep:
-        rho = load_rep(args.rep)
-        poly, conductor = h_poly(cover, rho), rho.e
-    else:
-        table = character_table(cover.group)
-        chi = 0 if args.chi is None else args.chi
-        if not 0 <= chi < table.class_count:
-            raise GaloisSpanError(f"--chi must be in 0..{table.class_count - 1}, got {chi}")
-        (poly,) = character_h_polys(cover, table, [table.characters[chi]])
-        conductor = table.e
+    table = character_table(cover.group)
+    if not 0 <= args.chi < table.class_count:
+        raise GaloisSpanError(f"--chi must be in 0..{table.class_count - 1}, got {args.chi}")
+    (poly,) = character_h_polys(cover, table, [table.characters[args.chi]])
     return _emit(
         {
             "degree": poly.degree,
             "coefficients": [list(map(decimal_text, c.coeffs)) for c in poly.coeffs],
-            "conductor": conductor,
+            "conductor": table.e,
         },
         args,
     )
@@ -430,14 +422,6 @@ def _option(*names: str, **kwargs):
     return lambda parser: parser.add_argument(*names, **kwargs)
 
 
-def _chi_or_rep(parser) -> None:
-    # --chi has no default: argparse takes an option given at its default
-    # value as absent from its group, so `--chi 0 --rep FILE` would pass
-    one = parser.add_mutually_exclusive_group()
-    one.add_argument("--chi", type=int, help="irreducible character index (default 0)")
-    one.add_argument("--rep", help="matrix representation JSON file")
-
-
 _BASE = _option("--base", required=True, help="graph file or builtin (bouquet:2, cycle:5, ...)")
 _GROUP = _option("--group", help="GroupSpec (required with inline voltages)")
 _VOLTAGE = _option(
@@ -445,6 +429,7 @@ _VOLTAGE = _option(
 )
 _COVER = [_BASE, _GROUP, _VOLTAGE]
 _DOT = _option("--dot", help="write DOT output to this file")
+_CHI = _option("--chi", type=int, default=0, help="irreducible character index")
 _SPEC = _option("spec", help="GroupSpec")
 _SPEC_OR_ALL = _option("spec", nargs="?", help="GroupSpec; defaults to every fixture row")
 _POSET = [
@@ -494,7 +479,7 @@ COMMANDS = {
         "dot": (_cover_dot, [*_COVER, _SUBGROUP, _DOT]),
     }),
     "lfun": ("twisted zeta numerators", {
-        "h": (_lfun_h, [*_COVER, _chi_or_rep]),
+        "h": (_lfun_h, [*_COVER, _CHI]),
         "verify-prop": (_lfun_verify_prop, _COVER),
         "verify-factor": (_lfun_verify_factor, _COVER),
         "verify-inter": (_lfun_verify_inter, [*_COVER, _NEEDED_SUBGROUP]),

@@ -4,8 +4,9 @@ Every guard in the package raises one of these instead of a bare
 ValueError so callers (and the CLI) can react to specific failure modes.
 Bad input raises a `GaloisSpanError` (CLI exit code 2); a failed internal
 invariant of the exact arithmetic raises `InvariantError` (exit code 3).
-`load_json` is the one reader of JSON input files, `json_int` their one
-integer check, and `json_list` and `json_object` their shape checks.
+`load_json` is the one reader of JSON input files (graph, voltage,
+relation and Cayley-table files), `json_int` their one integer check, and
+`json_list` and `json_object` their shape checks.
 """
 
 import json
@@ -67,13 +68,6 @@ class VoltageError(GaloisSpanError, ValueError):
     """A voltage assignment does not fit its base graph or group: the wrong
     number of voltages, an element index out of range, or an edge index out
     of range in a voltage file."""
-
-
-class RepresentationError(GaloisSpanError, ValueError):
-    """Matrices that do not form a representation of their group: not one
-    matrix per element, a matrix of the wrong degree, an identity not sent to
-    the identity matrix, a product that is not respected, or a matrix file
-    that misses an element."""
 
 
 class PosetError(GaloisSpanError, ValueError):

@@ -1,11 +1,13 @@
-"""Artin-Ihara L-functions of a cover: h(u, chi) and h(u, rho).
+"""Artin-Ihara L-functions of a cover: h(u, chi) of its irreducible characters.
 
-h(u, rho) = det(I - A_rho u + (D_rho - I) u^2).  A_rho is the
-voltage-twisted adjacency: its (v, w) block sums rho(alpha(e)) over the
-directed base edges from v to w.  D_rho is the base degree matrix tensored
-with the identity.  Ihara-Bass gives det(I - u W_rho) =
-(1 - u^2)^((m - n) deg rho) h(u, rho) for the twisted non-backtracking
-edge matrix W_rho.
+h(u, chi) = det(I - A_rho u + (D_rho - I) u^2) for a representation rho
+with character chi.  A_rho is the voltage-twisted adjacency: its (v, w)
+block sums rho(alpha(e)) over the directed base edges from v to w.  D_rho
+is the base degree matrix tensored with the identity.  Ihara-Bass gives
+det(I - u W_rho) = (1 - u^2)^((m - n) chi(1)) h(u, chi) for the twisted
+non-backtracking edge matrix W_rho.  The determinant depends only on chi
+and is multiplicative in rho (Stark & Terras II), so the irreducible
+characters answer for every representation.
 
 Every irreducible character chi of `character_table(G)`, for any finite G,
 takes one route (`character_h_polys`): tr(W_chi^k) = sum_g chi(g) N_k(g),
@@ -19,13 +21,11 @@ ints, one addition and one subtraction, and no carry or borrow crosses a
 field.  The same table gives h_Y(u) of the derived graph with
 no determinant of Y, from tr(W_Y^k) = |G| N_k(1) (`derived_h_poly`).
 
-A `MatrixRep` (a rep file, or a linear character as a 1 x 1 matrix) takes
-the twisted determinant (`h_poly`): each entry of Z[zeta_e] is lifted to
-the integer polynomial in x of its coordinates, and `graphs.zeta_numerator`
-(the builder and determinant of a graph's own h(u)) is taken at
-consecutive integers x, interpolated in x and evaluated at zeta_e.  A
-representation is checked to be a homomorphism with `linalg.mat_mul`;
-other matrices raise `RepresentationError`.
+A linear character also takes the twisted determinant (`h_poly`) of its
+n x n twisted adjacency: each entry of Z[zeta_e] is lifted to the integer
+polynomial in x of its coordinates, and `graphs.zeta_numerator` (the
+builder and determinant of a graph's own h(u)) is taken at consecutive
+integers x, interpolated in x and evaluated at zeta_e.
 
 Each verifier keeps its two sides independent.  `verify_prop_formula` and
 `verify_inter_rel` hold for every finite G: Matrix-Tree kappa against
@@ -46,134 +46,47 @@ from .covers import Cover, intermediate_kappa, is_galois
 from .cyclotomic import CyclotomicInt
 from .errors import (
     EulerZeroError,
-    GaloisSpanError,
     InvariantError,
     MismatchedGroupError,
     NotAbelianError,
     NotGaloisError,
-    RepresentationError,
-    json_int,
-    json_list,
-    json_object,
-    load_json,
 )
-from .frozen import Frozen
 from .graphs import zeta_numerator
-from .groups import FiniteGroup, Subgroup, parse_group_spec
-from .linalg import mat_mul, sample_points
+from .groups import Subgroup
+from .linalg import sample_points
 from .polynomials import IntPoly, interpolate_int_poly
 from .report import VerificationReport, decimal_text
 
 
-class MatrixRep(Frozen):
-    """Matrix representation: one d x d cyclotomic matrix per group element."""
-
-    __slots__ = ("group", "degree", "e", "matrices")  # matrices: d x d tuples of CyclotomicInt
-
-    def __init__(self, group: FiniteGroup, degree: int, e: int, matrices: tuple):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "matrices", matrices)
-        g, d = self.group, self.degree
-        if len(self.matrices) != g.order:
-            raise RepresentationError("need one matrix per group element")
-        for m in self.matrices:
-            if len(m) != d or any(len(row) != d for row in m):
-                raise RepresentationError("matrix degree mismatch")
-        ident = self.matrices[g.identity]
-        one = CyclotomicInt.one(self.e)
-        zero = CyclotomicInt.zero(self.e)
-        for i in range(d):
-            for j in range(d):
-                if ident[i][j] != (one if i == j else zero):
-                    raise RepresentationError("representation does not send identity to identity")
-        # homomorphism check, exact: the s with rho(a)rho(s) = rho(a s) for
-        # every a are closed under products, so a generating set suffices
-        for b in g.generators():
-            for a in range(g.order):
-                product = mat_mul(self.matrices[a], self.matrices[b])
-                if product != [list(row) for row in self.matrices[g.mul(a, b)]]:
-                    raise RepresentationError(f"rho({a})rho({b}) != rho({a}*{b})")
+# -- the twisted determinant of a linear character ----------------------------------
 
 
-def rep_from_json_dict(data: dict) -> MatrixRep:
-    """Matrix-rep file: element names (`FiniteGroup.element`) map to matrices
-    whose entries are length-e integer vectors (coefficients of zeta^k)."""
-    data = json_object(data, "rep file", "group", "degree", "e", "matrices")
-    g = parse_group_spec(data["group"])
-    d = json_int(data["degree"], "rep degree")
-    e = json_int(data["e"], "rep e")
-    if e < 1:
-        raise GaloisSpanError(f"rep e must be positive, got {e}")
-    mats: list = [None] * g.order
-    for name, rows in json_object(data["matrices"], "rep matrices").items():
-        mats[g.element(name, "rep element")] = tuple(
-            tuple(
-                CyclotomicInt.from_mult_vector(
-                    e, [json_int(c, "rep entry") for c in json_list(entry, "rep entry")]
-                )
-                for entry in json_list(row, "rep matrix row")
-            )
-            for row in json_list(rows, "rep matrix")
-        )
-    if any(m is None for m in mats):
-        raise RepresentationError("matrix file misses some group elements")
-    return MatrixRep(group=g, degree=d, e=e, matrices=tuple(mats))
+def h_poly(c: Cover, values, e: int) -> IntPoly:
+    """Exact determinant det(I - A_chi u + (D - I) u^2) of a linear character chi.
 
-
-def load_rep(path: str) -> MatrixRep:
-    return rep_from_json_dict(load_json(path, "rep file"))
-
-
-# -- twisted matrices and h ------------------------------------------------------
-
-
-def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    # reps may arrive from files with their own group instance; accept a
-    # structurally identical table (same element order, same labels)
-    return a is b or (a.cayley == b.cayley and a.labels == b.labels)
-
-
-def twisted_matrices(c: Cover, rho: MatrixRep):
-    """(A_rho, D_rho diagonal) for the cover's base and voltages."""
-    if not _same_group(rho.group, c.group):
-        raise MismatchedGroupError("representation over a different group")
-    base = c.base
-    d = rho.degree
-    n = base.vertex_count
-    zero = CyclotomicInt.zero(rho.e)
-    a = [[zero for _ in range(n * d)] for _ in range(n * d)]
-    for edge in range(base.edge_count):
-        v, w = base.origin[edge], base.terminus[edge]
-        m = rho.matrices[c.voltage.voltage_of(edge)]
-        for i in range(d):
-            row = a[v * d + i]
-            mi = m[i]
-            for j in range(d):
-                row[w * d + j] = row[w * d + j] + mi[j]
-    degrees = base.degrees()
-    d_rho = [degrees[v] for v in range(n) for _ in range(d)]
-    return a, d_rho
-
-
-def h_poly(c: Cover, rho: MatrixRep) -> IntPoly:
-    """Exact determinant det(I - A_rho u + (D_rho - I) u^2).
-
-    A_rho is lifted to a matrix A(x) over Z[x] with A(zeta_e) = A_rho.  The
-    map x -> zeta_e is a ring homomorphism and commutes with det, so h is
-    `zeta_numerator(A(x), D)` at the `sample_points` of A(x), every
-    u-coefficient interpolated in x and then evaluated at zeta_e.  A
-    rational A_rho has degree 0 in x and takes the single sample x = 0.
-    The coefficients are `CyclotomicInt`s of conductor rho.e.
+    `values[x]` is chi(x) in Z[zeta_e] for each group element x.  A_chi
+    is the n x n twisted adjacency: entry (v, w) sums chi(alpha(d)) over
+    the directed base edges d from v to w.  It is lifted to a matrix A(x) over
+    Z[x] with A(zeta_e) = A_chi.  The map x -> zeta_e is a ring
+    homomorphism and commutes with det, so h is `zeta_numerator(A(x), D)`
+    at the `sample_points` of A(x), every u-coefficient interpolated in x
+    and then evaluated at zeta_e.  A rational A_chi has degree 0 in x and
+    takes the single sample x = 0.  The coefficients are `CyclotomicInt`s
+    of conductor e.
     """
-    a, d_diag = twisted_matrices(c, rho)
+    base = c.base
+    zero = CyclotomicInt.zero(e)
+    a = [[zero] * base.vertex_count for _ in range(base.vertex_count)]
+    for edge in range(base.edge_count):
+        row = a[base.origin[edge]]
+        row[base.terminus[edge]] = row[base.terminus[edge]] + values[c.voltage.voltage_of(edge)]
     lifted = [[IntPoly(entry.coeffs) for entry in row] for row in a]
     xs = sample_points(lifted)
-    samples = [zeta_numerator([[p(x) for p in row] for row in lifted], d_diag).coeffs for x in xs]
+    degrees = base.degrees()
+    samples = [zeta_numerator([[p(x) for p in row] for row in lifted], degrees).coeffs for x in xs]
     # each u-coefficient as a polynomial in x, at zeta_e (any length: zeta^e = 1)
     at_root = (interpolate_int_poly(xs.start, v).coeffs for v in zip_longest(*samples, fillvalue=0))
-    return IntPoly([CyclotomicInt.from_mult_vector(rho.e, v) for v in at_root])
+    return IntPoly([CyclotomicInt.from_mult_vector(e, v) for v in at_root])
 
 
 # -- h_Y(u) from closed non-backtracking walks in the base ---------------------------
@@ -271,7 +184,7 @@ def character_h_polys(c: Cover, table: CharacterTable, chars) -> list[IntPoly]:
     many traces fix it.  Its coefficients are `CyclotomicInt`s of conductor
     table.e: chi is realised over Q(zeta_e), whose integers are Z[zeta_e].
     """
-    if not _same_group(table.group, c.group):
+    if table.group is not c.group:
         raise MismatchedGroupError("character table of a different group")
     base = c.base
     n, excess = base.vertex_count, base.geometric_edge_count - base.vertex_count
@@ -326,8 +239,8 @@ def verify_factorization(c: Cover) -> VerificationReport:
     """prod_chi h(u, chi) = h_Y(u) as exact integer polynomials (abelian G).
 
     The left side takes h(u, chi) from the twisted determinant (`h_poly`)
-    of the 1 x 1 representation chi, read off the character table, once
-    per Galois orbit of characters: A_chi^a is A_chi under zeta -> zeta^a,
+    of the linear character chi, its values read off the character table,
+    once per Galois orbit of characters: A_chi^a is A_chi under zeta -> zeta^a,
     which commutes with det, so h(u, chi^a) is h(u, chi) under
     `CyclotomicInt.galois(a)` coefficientwise.  The product over an orbit
     is fixed by every such map, so it is a rational polynomial: `as_int`
@@ -347,8 +260,7 @@ def verify_factorization(c: Cover) -> VerificationReport:
         values = tuple(chi.value_cyclo(i) for i in range(table.class_count))
         if values in seen:
             continue
-        matrices = tuple(((values[i],),) for i in table.class_of)
-        h = orbit = h_poly(c, MatrixRep(group=g, degree=1, e=table.e, matrices=matrices))
+        h = orbit = h_poly(c, [values[i] for i in table.class_of], table.e)
         seen.add(values)
         for a in units:
             image = tuple(x.galois(a) for x in values)

@@ -24,8 +24,7 @@ division is exact because the new entry, a 3x3 determinant of entries over
 s^2, is by that identity a minor of the matrix.  Matrices of integer
 polynomials go through integer determinants at consecutive integers and
 one integer interpolation; cyclotomic matrices reach them after a lift to
-Z[x] (`lfunctions`).  The matrix product serves ints, `Fraction`s and
-cyclotomic integers alike.
+Z[x] (`lfunctions`).
 """
 
 from __future__ import annotations
@@ -437,22 +436,3 @@ def det_int_poly_matrix(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
     xs = sample_points(matrix)
     values = [det_int([[p(x) for p in row] for row in matrix]) for x in xs]
     return interpolate_int_poly(xs.start, values)
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """Matrix product over any commutative ring of entries.
-
-    Row i of the product combines the rows of b at the nonzero entries of
-    row i of a, so a permutation factor costs one ring product per entry
-    of b.  An all-zero row of a is multiplied into row 0 of b, which keeps
-    the entries in the operands' ring.
-    """
-    out = []
-    for row in a:
-        terms = [(k, x) for k, x in enumerate(row) if x] or [(0, row[0])]
-        k, x = terms[0]
-        acc = [x * y for y in b[k]]
-        for k, x in terms[1:]:
-            acc = [s + x * y for s, y in zip(acc, b[k])]
-        out.append(acc)
-    return out

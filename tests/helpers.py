@@ -33,7 +33,6 @@ from galois_span.errors import (
     FamilyParameterError,
     InvariantError,
     LengthMismatchError,
-    MismatchedGroupError,
     NoConnectedAssignmentFoundError,
     TooLargeError,
 )
@@ -47,8 +46,7 @@ from galois_span.family import (
 )
 from galois_span.graphs import SerreGraph, build_graph
 from galois_span.groups import FiniteGroup, Subgroup, cyclic_subgroups, left_cosets
-from galois_span.lfunctions import MatrixRep
-from galois_span.linalg import _check_square, det_fraction, det_int, mat_mul
+from galois_span.linalg import _check_square, det_fraction, det_int
 from galois_span.numtheory import classical_mobius
 from galois_span.posets import TOP_KEY, Poset, cyclic_poset, mobius
 
@@ -117,34 +115,29 @@ def charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
     return _hessenberg_charpoly_mod(_hessenberg_mod(matrix, p)[0], p)
 
 
-def linear_reps(g: FiniteGroup) -> list[MatrixRep]:
+def linear_reps(g: FiniteGroup) -> list[tuple[CyclotomicInt, ...]]:
     """The degree-one characters of `character_table(g)`, in table order, as
-    1 x 1 representations; `MatrixRep` checks that each is a homomorphism."""
+    value tuples: entry x is chi(x) in Z[zeta_e], e the table's conductor."""
     table = character_table(g)
-    reps = []
-    for chi in table.characters:
-        if chi.degree == 1:
-            values = [chi.value_cyclo(i) for i in range(table.class_count)]
-            matrices = tuple(((values[i],),) for i in table.class_of)
-            reps.append(MatrixRep(group=g, degree=1, e=table.e, matrices=matrices))
-    return reps
+    return [
+        tuple(chi.value_cyclo(i) for i in table.class_of)
+        for chi in table.characters
+        if chi.degree == 1
+    ]
 
 
-def direct_sum(rho: MatrixRep, tau: MatrixRep) -> MatrixRep:
-    """Block-diagonal sum of two representations of the same group."""
-    if rho.group is not tau.group:
-        raise MismatchedGroupError("representations of different groups")
-    if rho.e != tau.e:
-        raise ValueError("representations over different root orders")
-    zero = CyclotomicInt.zero(rho.e)
-    d1, d2 = rho.degree, tau.degree
-    mats = []
-    for x in range(rho.group.order):
-        a, b = rho.matrices[x], tau.matrices[x]
-        top = [tuple(a[i]) + (zero,) * d2 for i in range(d1)]
-        bottom = [(zero,) * d1 + tuple(b[i]) for i in range(d2)]
-        mats.append(tuple(top + bottom))
-    return MatrixRep(group=rho.group, degree=d1 + d2, e=rho.e, matrices=tuple(mats))
+def twisted_adjacency(c: Cover, values) -> list[list]:
+    """Oracle: the n x n twisted adjacency A_chi of a linear character with
+    `values[x]` = chi(x): entry (v, w) sums chi(alpha(e)) over the directed
+    base edges e from v to w, found by scanning every edge for every pair."""
+    base, zero = c.base, values[c.group.identity] * 0
+    ends = list(zip(base.origin, base.terminus))
+    volts = [values[c.voltage.voltage_of(e)] for e in range(base.edge_count)]
+    n = base.vertex_count
+    return [
+        [sum((x for end, x in zip(ends, volts) if end == (v, w)), start=zero) for w in range(n)]
+        for v in range(n)
+    ]
 
 
 def mat_mul_dense(a, b) -> list[list]:
@@ -712,29 +705,13 @@ def character_inner_product(chi, psi) -> Fraction:
     return Fraction(acc.as_int(), g.order)
 
 
-def trivial_rep(g: FiniteGroup) -> MatrixRep:
-    one = ((CyclotomicInt.one(g.exponent()),),)
-    return MatrixRep(group=g, degree=1, e=g.exponent(), matrices=(one,) * g.order)
-
-
-def regular_rep(g: FiniteGroup) -> MatrixRep:
-    """Right regular representation as permutation matrices: rho(x)[s][t] = [t = s*x]."""
-    e = g.exponent()
-    one, zero = CyclotomicInt.one(e), CyclotomicInt.zero(e)
-    mats = tuple(
-        tuple(tuple(one if g.mul(s, x) == t else zero for t in range(g.order)) for s in range(g.order))
-        for x in range(g.order)
-    )
-    return MatrixRep(group=g, degree=g.order, e=e, matrices=mats)
-
-
-def bouquet_h_formula(c: Cover, rho: MatrixRep) -> CyclotomicInt:
-    """Closed form h(1, rho) = sum_s (2 - rho(alpha(s)) - rho(alpha(s))^-1) of a
-    degree-one rho over a bouquet base."""
-    assert c.base.vertex_count == 1 and rho.degree == 1
-    total = CyclotomicInt.zero(rho.e)
+def bouquet_h_formula(c: Cover, values) -> CyclotomicInt:
+    """Closed form h(1, chi) = sum_s (2 - chi(alpha(s)) - chi(alpha(s))^-1) of a
+    linear character with `values[x]` = chi(x) over a bouquet base."""
+    assert c.base.vertex_count == 1
+    total = values[c.group.identity] * 0
     for x in c.voltage.volt:
-        total = total + 2 - rho.matrices[x][0][0] - rho.matrices[c.group.inv(x)][0][0]
+        total = total + 2 - values[x] - values[c.group.inv(x)]
     return total
 
 
@@ -752,7 +729,7 @@ def cauchy_binet_check(a, b, m1: int, m2: int) -> bool:
     """det((AB)(m1,m2)) == sum_m det(A(m1,m)) det(B(m,m2)), indices 1-based."""
     n = _check_square(a)
     _check_square(b)
-    lhs = det_fraction(delete_row_col(mat_mul(a, b), m1 - 1, m2 - 1))
+    lhs = det_fraction(delete_row_col(mat_mul_dense(a, b), m1 - 1, m2 - 1))
     rhs = sum(
         det_fraction(delete_row_col(a, m1 - 1, m)) * det_fraction(delete_row_col(b, m, m2 - 1))
         for m in range(n)
@@ -984,7 +961,7 @@ def r_block(s_i: int) -> list[list[Fraction]]:
 
 def k_prime_block(p_i: int, s_i: int) -> list[list[Fraction]]:
     """L K R: (1,1) entry 1, first row/column otherwise zero, anti-triangular block."""
-    return mat_mul(mat_mul(l_block(s_i), k_block(p_i, s_i)), r_block(s_i))
+    return mat_mul_dense(mat_mul_dense(l_block(s_i), k_block(p_i, s_i)), r_block(s_i))
 
 
 def module_imports(tree: ast.AST, name: str) -> list[str]:

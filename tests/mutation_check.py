@@ -49,6 +49,8 @@ TARGETS = [
     ("groups", "is_exceptional", ["tests/test_table1_flags.py", "tests/test_fuzz_table1_flags.py"]),
     ("posets", "MobiusTable", ["tests/test_posets.py"]),
     ("lfunctions", "walk_table", ["tests/test_fuzz_walk_table.py", "tests/test_lfunctions.py"]),
+    ("lfunctions", "h_from_traces", ["tests/test_lfunctions.py"]),
+    ("lfunctions", "h_poly", ["tests/test_lfunctions.py"]),
     ("covers", "_coset_index", ["tests/test_covers.py"]),
     ("covers", "_voltage_action", ["tests/test_covers.py"]),
 ]

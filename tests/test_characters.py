@@ -196,19 +196,21 @@ def test_verify_eq3_small_groups():
 
 
 def test_one_dim_characters():
-    # the degree-one characters of a table, read as 1 x 1 representations
-    # (as `verify_factorization` reads them): homomorphisms with the table's kernels
+    # the degree-one characters of a table, read element by element (as
+    # `verify_factorization` reads them): homomorphisms with the table's kernels
     for spec, count in (("C2", 2), ("C4", 4), ("C2xC6", 12), ("S3", 2), ("A4", 3), ("Q8", 4)):
         g = parse_group_spec(spec)
         table = character_table(g)
         reps = linear_reps(g)
         linear = [chi for chi in table.characters if chi.degree == 1]
         assert len(reps) == len(linear) == count
-        for rho, chi in zip(reps, linear):
+        for values, chi in zip(reps, linear):
+            pairs = ((a, b) for a in range(g.order) for b in range(g.order))
+            assert all(values[a] * values[b] == values[g.mul(a, b)] for a, b in pairs)
             one = CyclotomicInt.one(table.e)
-            kernel = tuple(x for x in range(g.order) if rho.matrices[x][0][0] == one)
+            kernel = tuple(x for x in range(g.order) if values[x] == one)
             assert kernel == character_kernel(table, chi).elements
-    assert [tuple(m[0][0] for m in rho.matrices) for rho in linear_reps(cyclic_group(2))] == [
+    assert linear_reps(cyclic_group(2)) == [
         (1, 1),
         (1, -1),
     ]

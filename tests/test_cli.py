@@ -499,17 +499,6 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert captured.err.startswith("internal error: row orthogonality fails at ")
 
 
-# rho(1) = [[0, 1/2], [2, 0]]: the swap conjugated by diag(1, 2), a true
-# representation of C2 over Q but not over Z[zeta_2]
-HALF_REP = {
-    "group": "C2",
-    "degree": 2,
-    "e": 2,
-    "matrices": {
-        "0": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-        "1": [[[0, 0], [0.5, 0]], [[2, 0], [0, 0]]],
-    },
-}
 COVER = ["--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"]
 # what the error names -> (file contents, command whose last option takes the file)
 NON_INTEGER_FILES = {
@@ -531,18 +520,11 @@ NON_INTEGER_FILES = {
         [{"elements": [0, True], "coefficient": 1}, {"elements": [0], "coefficient": -2}],
         ["verify", "relation", *COVER, "--relation"],
     ),
-    "rep degree": ({**HALF_REP, "degree": 2.0}, ["lfun", "h", *COVER, "--rep"]),
-    "rep e": ({**HALF_REP, "e": "2"}, ["lfun", "h", *COVER, "--rep"]),
-    "rep entry": (
-        HALF_REP,
-        ["lfun", "h", "--base", "complete:3", "--group", "C2", "--voltage", "1;0;0", "--rep"],
-    ),
 }
 
 
 S3_COVER = ["--base", "bouquet:2", "--group", "S3", "--voltage", "(0 1);(0 1 2)"]
 C3_COVER = ["--base", "bouquet:2", "--group", "C3", "--voltage", "1;0"]
-C2_REP = {"group": "C2", "degree": 1, "e": 2, "matrices": {"0": [[[1, 0]]], "5": [[[0, 1]]]}}
 # what is refused -> (argv, file contents for the last option or None, error message)
 REFUSED_ELEMENTS = {
     "subgroup out of range": (
@@ -564,11 +546,6 @@ REFUSED_ELEMENTS = {
         ["verify", "relation", *S3_COVER, "--relation"],
         [{"elements": [0, 99], "coefficient": 1}, {"elements": [0], "coefficient": -1}],
         "relation element 99 out of range: S3 has order 6",
-    ),
-    "rep key out of range": (
-        ["lfun", "h", *COVER, "--rep"],
-        C2_REP,
-        "rep element 5 out of range: C2 has order 2",
     ),
     "chi above the range": (
         ["lfun", "h", *C3_COVER, "--chi", "7"],
@@ -764,21 +741,6 @@ MISSHAPEN_FILES = {
         ["graph", "kappa", "--base"],
         "graph names must be a JSON array, got 'ab'",
     ),
-    "rep matrices that are an array": (
-        {"group": "C2", "degree": 1, "e": 2, "matrices": []},
-        ["lfun", "h", *COVER, "--rep"],
-        "rep matrices must be a JSON object, got []",
-    ),
-    "rep entry that is a number": (
-        {"group": "C2", "degree": 1, "e": 2, "matrices": {"0": [[1]], "1": [[[0, 1]]]}},
-        ["lfun", "h", *COVER, "--rep"],
-        "rep entry must be a JSON array, got 1",
-    ),
-    "rep conductor zero": (
-        {"group": "C2", "degree": 1, "e": 0, "matrices": {}},
-        ["lfun", "h", *COVER, "--rep"],
-        "rep e must be positive, got 0",
-    ),
 }
 
 
@@ -901,11 +863,12 @@ def in_tmp(tmp_path, monkeypatch):
 def test_every_action_has_a_run():
     actions = {(c, a) for c, (_, by_action) in cli.COMMANDS.items() for a in by_action}
     assert set(ACTION_RUNS) == actions
-    assert len(FOREIGN_OPTIONS) == 27
+    assert len(FOREIGN_OPTIONS) == 28
 
 
 # (command, action, option) for the 27 pairs that the parser of the command
-# accepted and the handler of the action never read
+# accepted and the handler of the action never read, and `--rep` of `lfun h`,
+# an option no parser has
 FOREIGN_OPTIONS = [
     ("graph", "kappa", ["--dot", "x.dot"]),
     ("graph", "zeta", ["--dot", "x.dot"]),
@@ -916,6 +879,7 @@ FOREIGN_OPTIONS = [
     ("cover", "intermediates", ["--subgroup", "1"]),
     ("cover", "intermediates", ["--dot", "x.dot"]),
     ("lfun", "h", ["--subgroup", "1"]),
+    ("lfun", "h", ["--rep", "rep.json"]),
     *(
         ("lfun", action, option)
         for action in ("verify-prop", "verify-factor")
@@ -970,23 +934,6 @@ def test_a_missing_required_option_is_refused_by_argparse_without_a_traceback(
     assert "Traceback" not in err
     prog = " ".join(["galois-span", *argv[:2]])
     assert err.splitlines()[-1] == f"{prog}: error: the following arguments are required: {names}"
-
-
-@pytest.mark.parametrize(
-    "options",
-    [["--chi", "1", "--rep", "REP"], ["--chi", "0", "--rep", "REP"], ["--rep", "REP", "--chi", "0"]],
-)
-def test_lfun_h_takes_chi_or_rep_not_both(capsys, tmp_path, options):
-    # --chi 0 is the index used without --chi, and is refused all the same
-    rep = tmp_path / "rep.json"
-    rep.write_text(json.dumps({**C2_REP, "matrices": {"0": [[[1, 0]]], "1": [[[0, 1]]]}}))
-    argv = ["lfun", "h", *COVER, *(str(rep) if word == "REP" else word for word in options)]
-    code, out, err = outcome(capsys, main, argv)
-    assert (code, out) == (2, "")
-    first, second = sorted(["--chi", "--rep"], key=options.index)
-    assert err.splitlines()[-1] == (
-        f"galois-span lfun h: error: argument {second}: not allowed with argument {first}"
-    )
 
 
 SUCCESSFUL_RUNS = [
@@ -1080,7 +1027,7 @@ def test_the_readme_table_lists_the_options_of_every_action(capsys, monkeypatch)
     for key in ACTION_RUNS:
         assert declared_options(capsys, *key) == table[key], key
     # the parsers of the commands accepted 95 (action, option) pairs
-    assert sum(len(required) + len(optional) for required, optional in table.values()) == 68
+    assert sum(len(required) + len(optional) for required, optional in table.values()) == 67
 
 
 def test_family_primes_are_checked_as_bad_input(capsys):

@@ -1,8 +1,8 @@
 """Fuzz the element names and whole input files of every CLI input through `cli.main`.
 
 Random tokens go into inline `--voltage` lists, `--subgroup`, `--chi`, and the
-element fields of voltage, relation and matrix-representation files.  Whole
-graph, voltage, rep, relation and `table:` files are random bytes, truncated
+element fields of voltage and relation files.  Whole graph, voltage,
+relation and `table:` files are random bytes, truncated
 JSON, or JSON with one integer of 5000 digits, and `--base kind:token` takes
 non-ASCII digits.  Each run may pass (0), fail a verification (1) or be
 refused as bad input (2, with an `error:` line); nothing else, and never a
@@ -97,29 +97,13 @@ def test_relation_file_elements(elements, coefficient):
     with_file(data, ["verify", "relation", *cover, "--relation"])
 
 
-@FUZZ
-@hypothesis.given(keys=st.lists(TOKENS, min_size=1, max_size=3, unique=True))
-@hypothesis.example(keys=["0", "5"])
-def test_rep_file_keys(keys):
-    # the identity's matrix is 1 and the other element's is zeta_2 = -1
-    matrices = {k: [[[1, 0]]] if i == 0 else [[[0, 1]]] for i, k in enumerate(keys)}
-    data = {"group": "C2", "degree": 1, "e": 2, "matrices": matrices}
-    cover = ["--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"]
-    with_file(data, ["lfun", "h", *cover, "--rep"])
-
-
 # kind -> (a valid file of that kind, the command that reads it, path last)
 S3_COVER = ["--base", "bouquet:2", "--group", "S3", "--voltage", "(0 1);(0 1 2)"]
-C2_COVER = ["--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"]
 FILES = {
     "graph": ({"vertices": 2, "edges": [[0, 1], [0, 0], [1, 1]]}, ["graph", "kappa", "--base"]),
     "voltage": (
         {"group": "C2", "assignments": [{"edge": 0, "element": 1}, {"edge": 1, "element": 0}]},
         ["cover", "kappa", "--base", "bouquet:2", "--voltage"],
-    ),
-    "rep": (
-        {"group": "C2", "degree": 1, "e": 2, "matrices": {"0": [[[1, 0]]], "1": [[[0, 1]]]}},
-        ["lfun", "h", *C2_COVER, "--rep"],
     ),
     "relation": (
         [

@@ -6,11 +6,9 @@ import pytest
 from galois_span.covers import VoltageAssignment, derived_graph, is_galois, random_connected_voltage
 from galois_span.errors import (
     EulerZeroError,
-    GaloisSpanError,
     InvariantError,
     MismatchedGroupError,
     NotAbelianError,
-    RepresentationError,
 )
 from galois_span.graphs import (
     bouquet,
@@ -33,13 +31,10 @@ from galois_span.cli import main
 from galois_span.polynomials import IntPoly
 from galois_span.cyclotomic import CyclotomicInt
 from galois_span.lfunctions import (
-    MatrixRep,
     character_h_polys,
     derived_h_poly,
     h_from_traces,
     h_poly,
-    rep_from_json_dict,
-    twisted_matrices,
     verify_factorization,
     verify_inter_rel,
     verify_prop_formula,
@@ -51,12 +46,10 @@ from helpers import (
     dense_zeta_numerator_at,
     derived_walk_counts,
     det_ring,
-    direct_sum,
     linear_reps,
-    regular_rep,
     root,
     theta_graph,
-    trivial_rep,
+    twisted_adjacency,
     walk_table_by_start,
 )
 
@@ -67,26 +60,31 @@ def simple_cover(group_spec="C4", loops=2, volt=(1, 2)):
     return derived_graph(alpha)
 
 
+def trivial_values(g):
+    """The trivial character's value at every element, in Z[zeta_e] for e = exp(G)."""
+    return (CyclotomicInt.one(g.exponent()),) * g.order
+
+
 def test_trivial_rep_reduces_to_base_matrices():
     for cover in (simple_cover(), simple_cover("S3", 2, (2, 3))):
-        rho = trivial_rep(cover.group)
-        a, d = twisted_matrices(cover, rho)
+        a = twisted_adjacency(cover, trivial_values(cover.group))
         assert [[x.as_int() for x in row] for row in a] == cover.base.adjacency_matrix()
-        assert d == cover.base.degrees()
 
 
 def test_regular_rep_matches_derived_graph():
+    # the regular representation splits into chi(1) copies of each chi; the
+    # linear ones go through the twisted determinant
     for spec, volt in (("C4", (1, 2)), ("S3", (2, 3)), ("C2xC2", (1, 2))):
         cover = simple_cover(spec, 2, volt)
-        hreg = h_poly(cover, regular_rep(cover.group))
-        assert hreg == cover.derived.ihara_h_poly()
-
-
-def test_regular_rep_twisted_matrix_is_derived_adjacency():
-    cover = simple_cover("C4", 2, (1, 2))
-    a, d = twisted_matrices(cover, regular_rep(cover.group))
-    derived_a = cover.derived.adjacency_matrix()
-    assert [[x.as_int() for x in row] for row in a] == derived_a
+        table = character_table(cover.group)
+        product = IntPoly.const(1)
+        for chi, h in zip(table.characters, character_hs(cover)):
+            if chi.degree == 1:
+                values = tuple(chi.value_cyclo(i) for i in table.class_of)
+                h = h_poly(cover, values, table.e)
+            for _ in range(chi.degree):
+                product = product * h
+        assert product == cover.derived.ihara_h_poly()
 
 
 def test_zeta_numerator_matches_dense_determinants_on_twisted_integer_matrices():
@@ -97,14 +95,13 @@ def test_zeta_numerator_matches_dense_determinants_on_twisted_integer_matrices()
     ]
     checked = 0
     for cover in covers:
-        reps = [trivial_rep(cover.group), regular_rep(cover.group)]
-        if cover.group.is_abelian():
-            reps += linear_reps(cover.group)
-        for rho in reps:
-            a, d = twisted_matrices(cover, rho)
-            ints = [[x.as_int() for x in row] for row in a]
+        # every linear character of S3, D4 and C2xC2 takes the values +-1
+        e = character_table(cover.group).e
+        for values in linear_reps(cover.group):
+            ints = [[x.as_int() for x in row] for row in twisted_adjacency(cover, values)]
+            d = cover.base.degrees()
             h = zeta_numerator(ints, d)
-            assert h_poly(cover, rho) == h
+            assert h_poly(cover, values, e) == h
             for u in range(2 * len(ints) + 2):
                 assert h(u) == dense_zeta_numerator_at(ints, d, u)
             checked += 1
@@ -113,7 +110,8 @@ def test_zeta_numerator_matches_dense_determinants_on_twisted_integer_matrices()
 
 def test_h_poly_trivial_is_base_h():
     cover = simple_cover("C2xC2", 2, (1, 2))
-    twisted, base = h_poly(cover, trivial_rep(cover.group)), cover.base.ihara_h_poly()
+    g = cover.group
+    twisted, base = h_poly(cover, trivial_values(g), g.exponent()), cover.base.ihara_h_poly()
     assert twisted == base
     # cyclotomic coefficients with rational values hash as their ints
     assert hash(twisted) == hash(base)
@@ -145,8 +143,8 @@ def test_bouquet_formula_matches_h_at_one():
         linear = character_h_polys(cover, table, [x for x in table.characters if x.degree == 1])
         reps = linear_reps(g)
         assert len(reps) == len(linear) == (2 if spec == "S3" else g.order)
-        for rho, h in zip(reps, linear):
-            assert bouquet_h_formula(cover, rho) == h(1)
+        for values, h in zip(reps, linear):
+            assert bouquet_h_formula(cover, values) == h(1)
 
 
 def test_bouquet_formula_c2_all_ones():
@@ -194,10 +192,10 @@ def test_factorization_multivertex_base():
 def test_irrational_character_product_is_an_invariant_error(monkeypatch, capsys):
     import galois_span.lfunctions as lfunctions
 
-    def irrational_h_poly(c, rho):
+    def irrational_h_poly(c, values, e):
         # 1 + zeta_4 u for chi_0, chi_1, chi_2, and chi_3 = conj(chi_1) takes the
         # conjugate 1 - zeta_4 u: the product has the coefficient 2 zeta_4
-        return IntPoly((CyclotomicInt.one(rho.e), root(rho.e)))
+        return IntPoly((CyclotomicInt.one(e), root(e)))
 
     monkeypatch.setattr(lfunctions, "h_poly", irrational_h_poly)
     with pytest.raises(InvariantError, match="not a rational integer"):
@@ -261,110 +259,10 @@ def test_inter_rel_fig2():
         assert verify_inter_rel(cover, h).passed
 
 
-def test_direct_sum_factorization():
-    cover = simple_cover("C4", 2, (1, 2))
-    reps = linear_reps(cover.group)
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            s = direct_sum(reps[i], reps[j])
-            assert h_poly(cover, s) == h_poly(cover, reps[i]) * h_poly(cover, reps[j])
-
-
-def test_rep_from_json():
-    g = cyclic_group(2)
-    data = {
-        "group": "C2",
-        "degree": 1,
-        "e": 2,
-        "matrices": {
-            "0": [[[1, 0]]],
-            "1": [[[0, 1]]],
-        },
-    }
-    rho = rep_from_json_dict(data)
-    assert rho.degree == 1
-    cover = derived_graph(VoltageAssignment(base=bouquet(2), group=g, volt=(1, 1)))
-    assert h_poly(cover, rho)(1).as_int() == 8
-
-
-def test_rep_validation_rejects_non_homomorphism():
-    g = cyclic_group(2)
-    bad = {
-        "group": "C2",
-        "degree": 1,
-        "e": 4,
-        "matrices": {
-            "0": [[[1, 0, 0, 0]]],
-            "1": [[[0, 1, 0, 0]]],  # zeta_4 has order 4, not 2
-        },
-    }
-    with pytest.raises(ValueError):
-        rep_from_json_dict(bad)
-
-
-# message -> a C2 rep file (e = 4) that `lfun h --rep` refuses with it
-BAD_REP_FILES = {
-    "matrix degree mismatch": {"degree": 2, "matrices": {"0": [[[1, 0, 0, 0]]], "1": [[[1, 0, 0, 0]]]}},
-    "representation does not send identity to identity": {
-        "degree": 1,
-        "matrices": {"0": [[[0, 0, 1, 0]]], "1": [[[1, 0, 0, 0]]]},
-    },
-    "rho(1)rho(1) != rho(1*1)": {"degree": 1, "matrices": {"0": [[[1, 0, 0, 0]]], "1": [[[0, 1, 0, 0]]]}},
-    "matrix file misses some group elements": {"degree": 1, "matrices": {"0": [[[1, 0, 0, 0]]]}},
-}
-
-
-@pytest.mark.parametrize("message", sorted(BAD_REP_FILES))
-def test_bad_rep_file_raises_representation_error_and_exits_2(message, tmp_path, capsys):
-    data = {"group": "C2", "e": 4, **BAD_REP_FILES[message]}
-    with pytest.raises(RepresentationError) as exc:
-        rep_from_json_dict(data)
-    assert str(exc.value) == message
-    assert isinstance(exc.value, GaloisSpanError) and isinstance(exc.value, ValueError)
-    path = tmp_path / "rep.json"
-    path.write_text(json.dumps(data))
-    cover = ["--base", "bouquet:2", "--group", "C2", "--voltage", "1;0"]
-    assert main(["lfun", "h", *cover, "--rep", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_rep_with_a_matrix_count_other_than_the_order_raises_representation_error():
-    g = cyclic_group(2)
-    one = ((CyclotomicInt.one(2),),)
-    with pytest.raises(RepresentationError, match="^need one matrix per group element$"):
-        MatrixRep(group=g, degree=1, e=2, matrices=(one,))
-
-
-def test_rep_validation_is_exact_above_order_64():
-    # C2xC48, element 48a + b = (a, b); chi(a, b) = zeta_48^(24a + b)
-    g = parse_group_spec("C2xC48")
-    assert g.order == 96
-
-    def rep(exponents):
-        # the 1 x 1 matrices zeta_48^k, checked to be a homomorphism
-        mats = tuple(((root(48, k),),) for k in exponents)
-        return MatrixRep(group=g, degree=1, e=48, matrices=mats)
-
-    exps = [(24 * (x // 48) + x % 48) % 48 for x in range(g.order)]
-    assert rep(exps).degree == 1
-    gens = g.generators()
-    others = [x for x in range(g.order) if x not in gens and x != g.identity]
-    for x in (gens[0], gens[-1], others[0], others[-1]):
-        bad = list(exps)
-        bad[x] = (bad[x] + 1) % 48
-        with pytest.raises(RepresentationError):
-            rep(bad)
-    # zeta^(b + 5a) respects right multiplication by (0,1) but not by (1,0),
-    # whose value zeta^5 does not square to 1: only the second generator sees it
-    assert gens == [1, 48]
-    with pytest.raises(RepresentationError, match=r"rho\(\d+\)rho\(48\)"):
-        rep([(x % 48 + 5 * (x // 48)) % 48 for x in range(96)])
-
-
-def _det_ring_h_poly(cover, rho):
-    """Oracle: det(I - A_rho u + (D_rho - I) u^2) by Laplace expansion over Z[zeta_e][u]."""
-    a, d_diag = twisted_matrices(cover, rho)
-    e, m = rho.e, len(a)
+def _det_ring_h_poly(cover, values, e):
+    """Oracle: det(I - A_chi u + (D - I) u^2) by Laplace expansion over Z[zeta_e][u]."""
+    a, d_diag = twisted_adjacency(cover, values), cover.base.degrees()
+    m = len(a)
     one = IntPoly.const(CyclotomicInt.one(e))
     u = IntPoly((CyclotomicInt.zero(e), CyclotomicInt.one(e)))
     mat = [
@@ -377,12 +275,12 @@ def _det_ring_h_poly(cover, rho):
     return det_ring(mat, one)
 
 
-def _det_ring_h_at_one(cover, rho):
-    """Oracle: det(D_rho - A_rho) by Laplace expansion over Z[zeta_e]."""
-    a, d_diag = twisted_matrices(cover, rho)
+def _det_ring_h_at_one(cover, values, e):
+    """Oracle: det(D - A_chi) by Laplace expansion over Z[zeta_e]."""
+    a, d_diag = twisted_adjacency(cover, values), cover.base.degrees()
     m = len(a)
     mat = [[(d_diag[i] if i == j else 0) - a[i][j] for j in range(m)] for i in range(m)]
-    return det_ring(mat, CyclotomicInt.one(rho.e))
+    return det_ring(mat, CyclotomicInt.one(e))
 
 
 @pytest.mark.parametrize("spec", ["C3", "C4", "C5", "C7", "C8", "C12", "C3xC4", "C2xC4"])
@@ -393,60 +291,29 @@ def test_cyclotomic_route_matches_laplace_oracle(spec):
         for base, seed in ((bouquet(2), 3), (complete_graph(4), 5), (cycle_graph(3), 7))
         if base.euler_characteristic() != 0 or g.is_cyclic()
     ]
+    e = character_table(g).e
     conductors = set()
     for cover in covers:
-        for rho, h_chi in zip(linear_reps(g), character_hs(cover)):
-            h = h_poly(cover, rho)
-            assert h == _det_ring_h_poly(cover, rho) == h_chi
-            assert h_chi(1) == _det_ring_h_at_one(cover, rho) == h(1)
-            conductors.update({rho.e, *(c.e for c in h_chi.coeffs)})
+        for values, h_chi in zip(linear_reps(g), character_hs(cover)):
+            h = h_poly(cover, values, e)
+            assert h == _det_ring_h_poly(cover, values, e) == h_chi
+            assert h_chi(1) == _det_ring_h_at_one(cover, values, e) == h(1)
+            conductors.update({e, *(c.e for c in h.coeffs), *(c.e for c in h_chi.coeffs)})
     assert conductors == {g.exponent()}
 
 
-def _c3_sum_of_three(cover):
-    reps = linear_reps(cover.group)
-    return reps, direct_sum(direct_sum(reps[1], reps[2]), reps[1])
-
-
-def test_eighteen_by_eighteen_cyclotomic_h_is_product_of_summands():
-    g = cyclic_group(3)
-    cover = derived_graph(random_connected_voltage(complete_graph(6), g, 2))
-    reps, rho = _c3_sum_of_three(cover)
-    assert len(twisted_matrices(cover, rho)[0]) == 18
-    h1, h2 = h_poly(cover, reps[1]), h_poly(cover, reps[2])
-    h = h_poly(cover, rho)
-    assert h == h1 * h2 * h1
-    assert h.degree == 2 * 18
-    assert character_hs(cover) == [h_poly(cover, reps[0]), h1, h2]
-    assert h(1) == h1(1) * h2(1) * h1(1)
-
-
-def test_lfun_h_accepts_an_eighteen_by_eighteen_rep_file(tmp_path, capsys):
-    g = cyclic_group(3)
-    alpha = random_connected_voltage(complete_graph(6), g, 2)
-    cover = derived_graph(alpha)
-    _, rho = _c3_sum_of_three(cover)
-    path = tmp_path / "rep.json"
-    path.write_text(
-        json.dumps(
-            {
-                "group": "C3",
-                "degree": rho.degree,
-                "e": rho.e,
-                "matrices": {
-                    str(x): [[list(entry.coeffs) + [0] for entry in row] for row in m]
-                    for x, m in enumerate(rho.matrices)
-                },
-            }
-        )
-    )
-    voltage = ";".join(map(str, alpha.volt))
-    argv = ["lfun", "h", "--base", "complete:6", "--group", "C3", "--voltage", voltage]
-    assert main([*argv, "--rep", str(path)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    h = h_poly(cover, rho)
-    assert out["degree"] == h.degree == 36
-    assert out["coefficients"] == [list(map(str, c.coeffs)) for c in h.coeffs]
+@pytest.mark.parametrize("n, spec, volt", [(2, "C5", (4,)), (3, "C3", (2, 0))])
+def test_twisted_determinant_on_a_tree_is_one_minus_u_squared(n, spec, volt):
+    # W is nilpotent on a tree, so Ihara-Bass gives h(u, chi) = 1 - u^2 for
+    # every chi; the lifted determinant is 1 - a(x) b(x) u^2 with a(zeta)
+    # b(zeta) = 1, and at an x where a(x) b(x) = 0 its sample is the
+    # constant 1, shorter than the others: the missing coefficients are 0
+    g = parse_group_spec(spec)
+    cover = derived_graph(VoltageAssignment(base=path_graph(n), group=g, volt=volt))
+    e = character_table(g).e
+    for values in linear_reps(g):
+        h = h_poly(cover, values, e)
+        assert h == IntPoly((1, 0, -1)) == _det_ring_h_poly(cover, values, e)
 
 
 # -- h_Y(u) from closed non-backtracking walks in the base ----------------------------
@@ -582,13 +449,13 @@ def test_factorization_takes_one_h_per_conjugate_pair(monkeypatch):
     import galois_span.lfunctions as lfunctions
 
     cover = walk_cover("readme-C2xC6")
-    reps = linear_reps(cover.group)
+    e = character_table(cover.group).e
     old_product = IntPoly.const(1)
-    for rho in reps:
-        old_product = old_product * h_poly(cover, rho)
+    for values in linear_reps(cover.group):
+        old_product = old_product * h_poly(cover, values, e)
     calls = []
     real = lfunctions.h_poly
-    monkeypatch.setattr(lfunctions, "h_poly", lambda c, rho: calls.append(rho) or real(c, rho))
+    monkeypatch.setattr(lfunctions, "h_poly", lambda c, v, e: calls.append(v) or real(c, v, e))
     report = verify_factorization(cover)
     assert report.passed
     # C2xC6 has 4 real characters and 4 conjugate pairs
@@ -609,12 +476,13 @@ def test_factorization_takes_one_h_per_galois_orbit(monkeypatch, spec, volt, h_c
     import galois_span.lfunctions as lfunctions
 
     cover = simple_cover(spec, 2, volt)
+    e = character_table(cover.group).e
     old_product = IntPoly.const(1)
-    for rho in linear_reps(cover.group):
-        old_product = old_product * h_poly(cover, rho)
+    for values in linear_reps(cover.group):
+        old_product = old_product * h_poly(cover, values, e)
     calls = []
     real = lfunctions.h_poly
-    monkeypatch.setattr(lfunctions, "h_poly", lambda c, rho: calls.append(rho) or real(c, rho))
+    monkeypatch.setattr(lfunctions, "h_poly", lambda c, v, e: calls.append(v) or real(c, v, e))
     report = verify_factorization(cover)
     assert report.passed
     assert len(calls) == h_calls
@@ -638,6 +506,32 @@ def test_factorization_refuses_a_corrupted_orbit_member(monkeypatch):
         verify_factorization(cover)
 
 
+@pytest.mark.parametrize("which", [0, 2])
+def test_factorization_fails_on_one_corrupted_linear_character_value(monkeypatch, capsys, which):
+    # no homomorphism check stands between the values and the determinant:
+    # chi(g) -> -chi(g) at the generator, for the trivial character or the
+    # real chi^2 of C4, leaves integer values and a rational product that
+    # no longer equals h_Y(u)
+    import galois_span.lfunctions as lfunctions
+
+    cover = simple_cover("C4", 2, (1, 2))
+    target = linear_reps(cover.group)[which]
+    real = lfunctions.h_poly
+
+    def corrupted(c, values, e):
+        if tuple(values) == target:
+            values = list(values)
+            values[1] = -values[1]
+        return real(c, values, e)
+
+    monkeypatch.setattr(lfunctions, "h_poly", corrupted)
+    report = verify_factorization(cover)
+    assert not report.passed
+    argv = ["lfun", "verify-factor", "--base", "bouquet:2", "--group", "C4", "--voltage", "1;2"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
 # -- h(u, chi) for every irreducible chi from the walk table ---------------------------
 
 
@@ -648,8 +542,8 @@ def test_character_route_equals_the_twisted_determinant_on_every_linear_characte
     linear = [chi for chi in table.characters if chi.degree == 1]
     reps = linear_reps(cover.group)
     assert len(reps) == len(linear) >= 1
-    for rho, h in zip(reps, character_h_polys(cover, table, linear)):
-        assert h == h_poly(cover, rho)
+    for values, h in zip(reps, character_h_polys(cover, table, linear)):
+        assert h == h_poly(cover, values, table.e)
         assert all(c.e == table.e for c in h.coeffs)
 
 
@@ -730,8 +624,8 @@ def test_lfun_h_chi_prints_the_two_dimensional_character_of_s3(capsys):
     assert [out["degree"] for out in outputs] == [2, 2, 4]
     assert {out["conductor"] for out in outputs} == {6}
     h = [IntPoly([CyclotomicInt(6, map(int, c)) for c in out["coefficients"]]) for out in outputs]
-    # h(u, 1) h(u, sign) h(u, chi_2)^2 is the twisted determinant of the regular representation
-    assert h[0] * h[1] * h[2] * h[2] == h_poly(cover, regular_rep(cover.group))
+    # h(u, 1) h(u, sign) h(u, chi_2)^2 is h(u) of the regular representation: h_Y(u)
+    assert h[0] * h[1] * h[2] * h[2] == cover.derived.ihara_h_poly()
     assert main([*argv, "--chi", "3"]) == 2
     assert capsys.readouterr().err == "error: --chi must be in 0..2, got 3\n"
 

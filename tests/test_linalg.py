@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from galois_span.covers import derived_graph, random_connected_voltage
-from galois_span.cyclotomic import CyclotomicInt
 from galois_span.errors import InvariantError, NotSquareError, TooLargeError
 from galois_span.graphs import bouquet, complete_graph
 from galois_span.groups import parse_group_spec
@@ -16,7 +15,6 @@ from galois_span.linalg import (
     det_int_derivative,
     det_int_poly_matrix,
     det_int_sparse_spd,
-    mat_mul,
     rank_fraction,
 )
 from galois_span.lfunctions import verify_prop_formula
@@ -31,9 +29,7 @@ from helpers import (
     dumbbell_graph,
     kronecker,
     laplacian,
-    mat_mul_dense,
     rank_by_fraction_elimination,
-    root,
     symbolic_phase_by_heap,
     theta_graph,
 )
@@ -741,53 +737,9 @@ def test_cauchy_binet_all_minors():
                 assert cauchy_binet_check(a, b, m1, m2)
 
 
-def test_delete_row_col_and_mat_mul():
+def test_delete_row_col():
     m = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     assert delete_row_col(m, 0, 1) == [[4, 6], [7, 9]]
-    assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
-
-
-# ring name -> (lift of a small integer into the ring, the ring's one)
-RINGS = {
-    "int": (lambda rng, k: k, 1),
-    "fraction": (lambda rng, k: Fraction(k, rng.randrange(1, 5)), Fraction(1)),
-    "cyclotomic": (
-        lambda rng, k: k * root(12, rng.randrange(12)),
-        CyclotomicInt.one(12),
-    ),
-}
-
-
-@pytest.mark.parametrize("ring", sorted(RINGS))
-def test_mat_mul_matches_dense_oracle(ring):
-    lift, one = RINGS[ring]
-    rng = random.Random(23)
-
-    def matrix(rows, cols):
-        # about half the entries are zero
-        return [
-            [lift(rng, rng.randrange(-3, 4) if rng.randrange(2) else 0) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-
-    def permutation(n):
-        image = rng.sample(range(n), n)
-        return [[one if j == image[i] else one * 0 for j in range(n)] for i in range(n)]
-
-    pairs = [(matrix(1, 1), matrix(1, 1)), ([[one * 0]], matrix(1, 3))]
-    for _ in range(25):
-        r, k, c = (rng.randrange(1, 5) for _ in range(3))
-        a = matrix(r, k)
-        a[rng.randrange(r)] = [one * 0] * k  # a zero row
-        pairs.append((a, matrix(k, c)))
-    for n in (1, 2, 5):
-        p, m = permutation(n), matrix(n, n)
-        pairs += [(p, m), (m, p), (p, permutation(n))]
-    for a, b in pairs:
-        product = mat_mul(a, b)
-        assert product == mat_mul_dense(a, b)
-        # zero rows included, every entry stays in the ring
-        assert {type(x) for row in product for x in row} == {type(one)}
 
 
 def test_det_fraction_matches_elimination_oracle():

@@ -39,6 +39,14 @@ change run with the limit lifted.
 
 `group-characters` pins `group characters` on S3 and A4: the order of the
 characters that `lfun h --chi k` indexes, and their values.
+
+`readme-S3`, `readme-Q8` and `seeded-D4-complete4` once ran `lfun h --rep`
+on the right regular representation, whose h(u, rho) is h_Y(u).  They now
+run `lfun h --chi k` for every class index k, as the abelian cases do, and
+their digests were recorded again.  `REGULAR_REP_SHA256` keeps the sha256
+of each old `--rep` stdout: the product over chi of h(u, chi)^chi(1), read
+from the `--chi` outputs and printed as `lfun h` prints, must give those
+bytes.
 """
 
 import contextlib
@@ -50,30 +58,39 @@ from pathlib import Path
 
 import pytest
 
+from galois_span.characters import character_table
 from galois_span.cli import _load_base, main
 from galois_span.covers import random_connected_voltage
+from galois_span.cyclotomic import CyclotomicInt
 from galois_span.groups import parse_group_spec
+from galois_span.polynomials import IntPoly
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "galois_span", "fixtures")
 
 # name -> (base, group, inline voltages or a seed for random_connected_voltage, lfun h)
-# where lfun h is "chars" (every abelian character), "regular" (the right regular
-# representation from a file) or None
+# where lfun h says whether `lfun h --chi k` runs for every class index k
 CASES = {
-    "readme-C2xC6": ("bouquet:2", "C2xC6", "(1,0);(0,1)", "chars"),
-    "readme-S3": ("bouquet:2", "S3", "(0 1);(0 1 2)", "regular"),
-    "readme-Q8": ("bouquet:2", "Q8", "a1;a0b", "regular"),
-    "readme-C2xC2": ("bouquet:2", "C2xC2", "(1,0);(0,1)", "chars"),
-    "readme-C4-cycle3": ("cycle:3", "C4", "1;0;0", "chars"),
-    "fixture-fig2": ("bouquet2.json", "C2xC6", "fig2_voltage.json", "chars"),
-    "fixture-s3": ("bouquet2.json", "S3", "s3_voltage.json", None),
-    "seeded-S4-complete4": ("complete:4", "S4", 3, None),
-    "seeded-A4-bouquet3": ("bouquet:3", "A4", 5, None),
-    "seeded-C3xS3-bouquet2": ("bouquet:2", "C3xS3", 7, None),
-    "seeded-D4-complete4": ("complete:4", "D4", 11, "regular"),
-    "seeded-C2xS4-bouquet2": ("bouquet:2", "C2xS4", 19, None),
-    "seeded-C2xC6-complete4": ("complete:4", "C2xC6", 13, "chars"),
-    "seeded-C2x4-bouquet4": ("bouquet:4", "C2xC2xC2xC2", 17, "chars"),
+    "readme-C2xC6": ("bouquet:2", "C2xC6", "(1,0);(0,1)", True),
+    "readme-S3": ("bouquet:2", "S3", "(0 1);(0 1 2)", True),
+    "readme-Q8": ("bouquet:2", "Q8", "a1;a0b", True),
+    "readme-C2xC2": ("bouquet:2", "C2xC2", "(1,0);(0,1)", True),
+    "readme-C4-cycle3": ("cycle:3", "C4", "1;0;0", True),
+    "fixture-fig2": ("bouquet2.json", "C2xC6", "fig2_voltage.json", True),
+    "fixture-s3": ("bouquet2.json", "S3", "s3_voltage.json", False),
+    "seeded-S4-complete4": ("complete:4", "S4", 3, False),
+    "seeded-A4-bouquet3": ("bouquet:3", "A4", 5, False),
+    "seeded-C3xS3-bouquet2": ("bouquet:2", "C3xS3", 7, False),
+    "seeded-D4-complete4": ("complete:4", "D4", 11, True),
+    "seeded-C2xS4-bouquet2": ("bouquet:2", "C2xS4", 19, False),
+    "seeded-C2xC6-complete4": ("complete:4", "C2xC6", 13, True),
+    "seeded-C2x4-bouquet4": ("bouquet:4", "C2xC2xC2xC2", 17, True),
+}
+# name -> sha256 of the stdout of `lfun h --rep` on the right regular
+# representation, recorded before that option was removed
+REGULAR_REP_SHA256 = {
+    "readme-S3": "6564408f85a57e335953ea5fad38c137a658fd99d6c64dd843226ecf9920eef1",
+    "readme-Q8": "792ac7247283ecdbf262a95dbccb3b52b0ef72ac4feec2b8e279ad28bf2b7375",
+    "seeded-D4-complete4": "15a9d910e147f71f5b78c1c1a487bec4c6dff6b6737f10701a6cd2ad7b38c49c",
 }
 
 # abelian cases whose base has nonzero Euler characteristic
@@ -113,19 +130,6 @@ def _fixture(name: str) -> str:
     return os.path.join(FIXTURES, name) if name.endswith(".json") else name
 
 
-def _regular_rep_file(spec: str, path: Path) -> str:
-    """The right regular representation as a matrix-representation file."""
-    g = parse_group_spec(spec)
-    e = g.exponent()
-    one, zero = [1] + [0] * (e - 1), [0] * e
-    matrices = {
-        str(x): [[one if g.mul(s, x) == t else zero for t in range(g.order)] for s in range(g.order)]
-        for x in range(g.order)
-    }
-    path.write_text(json.dumps({"group": spec, "degree": g.order, "e": e, "matrices": matrices}))
-    return str(path)
-
-
 def _cover_args(name: str) -> list[str]:
     base, spec, voltage, _ = CASES[name]
     if isinstance(voltage, int):
@@ -134,22 +138,20 @@ def _cover_args(name: str) -> list[str]:
     return ["--base", _fixture(base), "--group", spec, "--voltage", _fixture(voltage)]
 
 
-def case_commands(name: str, tmp_path: Path) -> list[list[str]]:
-    _, spec, _, lfun = CASES[name]
+def lfun_h_commands(name: str) -> list[list[str]]:
+    """`lfun h --chi k` on the case's cover for every class index k."""
+    classes = parse_group_spec(CASES[name][1]).conjugacy_classes()
+    return [["lfun", "h", *_cover_args(name), "--chi", str(k)] for k in range(len(classes))]
+
+
+def case_commands(name: str) -> list[list[str]]:
     args = _cover_args(name)
     commands = [
         ["cover", "build", *args],
         ["cover", "intermediates", *args],
         ["cover", "dot", *args, "--subgroup", "1"],
     ]
-    if lfun == "chars":
-        commands += [
-            ["lfun", "h", *args, "--chi", str(k)] for k in range(parse_group_spec(spec).order)
-        ]
-    elif lfun == "regular":
-        rep = _regular_rep_file(spec, tmp_path / "regular.json")
-        commands.append(["lfun", "h", *args, "--rep", rep])
-    return commands
+    return commands + (lfun_h_commands(name) if CASES[name][3] else [])
 
 
 def verify_commands(name: str) -> list[list[str]]:
@@ -162,13 +164,17 @@ def verify_commands(name: str) -> list[list[str]]:
     ]
 
 
+def stdout_of(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
 def commands_digest(commands: list[list[str]]) -> str:
     digest = hashlib.sha256()
     for argv in commands:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == 0, argv
-        digest.update(out.getvalue().encode() + b"\n")
+        digest.update(stdout_of(argv).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -188,8 +194,29 @@ def test_every_case_has_a_digest():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cover_and_lfun_output_is_byte_identical_to_recorded_digest(name, tmp_path):
-    assert commands_digest(case_commands(name, tmp_path)) == DIGESTS[name]
+def test_cover_and_lfun_output_is_byte_identical_to_recorded_digest(name):
+    assert commands_digest(case_commands(name)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR_REP_SHA256))
+def test_character_product_prints_the_bytes_of_the_removed_regular_rep_output(name):
+    # h(u, rho_reg) = prod_chi h(u, chi)^chi(1), with the conductor of the table
+    table = character_table(parse_group_spec(CASES[name][1]))
+    product, conductors = IntPoly.const(1), set()
+    for chi, argv in zip(table.characters, lfun_h_commands(name)):
+        out = json.loads(stdout_of(argv))
+        conductors.add(out["conductor"])
+        h = IntPoly([CyclotomicInt(out["conductor"], map(int, c)) for c in out["coefficients"]])
+        for _ in range(chi.degree):
+            product = product * h
+    (conductor,) = conductors
+    payload = {
+        "degree": product.degree,
+        "coefficients": [[str(x) for x in c.coeffs] for c in product.coeffs],
+        "conductor": conductor,
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REGULAR_REP_SHA256[name]
 
 
 @pytest.mark.parametrize("name", VERIFY_CASES)

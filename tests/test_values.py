@@ -22,7 +22,6 @@ from galois_span.graphs import bouquet, cycle_graph
 from galois_span.groups import Subgroup, cyclic_group, parse_group_spec
 from galois_span.report import VerificationReport
 from galois_span.theorems import SuiteSummary, table1_row
-from helpers import trivial_rep
 
 
 def test_subgroup_equality_and_hash_ignore_the_order_of_the_elements():
@@ -78,7 +77,6 @@ def _frozen_values():
         FamilySpec(primes=(2,), s=(2,), b=(1,)),
         cover.derived,
         h,
-        trivial_rep(g),
         VerificationReport.compare("x = x", "none", 1, 1),
         table1_row("C2"),
     ]
@@ -98,7 +96,7 @@ def test_every_frozen_class_is_checked():
     import galois_span  # noqa: F401  (imports every module, so every subclass exists)
 
     assert {type(v) for v in _frozen_values()} == set(Frozen.__subclasses__())
-    assert len(Frozen.__subclasses__()) == 10 and not issubclass(SuiteSummary, Frozen)
+    assert len(Frozen.__subclasses__()) == 9 and not issubclass(SuiteSummary, Frozen)
 
 
 def test_suite_summary_stays_mutable():
