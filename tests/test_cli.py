@@ -911,6 +911,23 @@ def test_an_option_the_action_does_not_read_is_refused_before_any_work(
     assert sorted(in_tmp.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--chi", "1", "--rep", "rep.json"],
+        ["--chi", "0", "--rep", "rep.json"],
+        ["--rep", "rep.json", "--chi", "0"],
+    ],
+)
+def test_lfun_h_refuses_rep_before_or_after_chi(capsys, in_tmp, options):
+    # --rep is no option of lfun h: wherever it stands beside --chi, argparse
+    # names it and the absent file is never opened
+    code, out, err = outcome(capsys, main, ["lfun", "h", *COVER, *options])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "galois-span: error: unrecognized arguments: --rep rep.json"
+    assert not (in_tmp / "rep.json").exists()
+
+
 # an argv without an option its action cannot run without -> the options named
 MISSING_REQUIRED = {
     "verify relation": (["verify", "relation", *S3_COVER], "--relation"),

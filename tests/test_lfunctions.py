@@ -358,6 +358,24 @@ def test_walk_route_h_y_equals_the_dense_h_of_the_derived_graph(name):
     assert derived_h_poly(cover) == cover.derived.ihara_h_poly()
 
 
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in WALK_CASES if parse_group_spec(WALK_CASES[n][1]).is_abelian())
+)
+def test_linear_twisted_determinants_multiply_to_the_dense_h_of_the_derived_graph(name):
+    # for abelian G the regular representation is the direct sum of the |G|
+    # linear characters, so their n x n determinants multiply to h_Y(u),
+    # here the dense determinant of the derived graph
+    cover = walk_cover(name)
+    e = character_table(cover.group).e
+    reps = linear_reps(cover.group)
+    assert len(reps) == cover.group.order
+    product = IntPoly.const(CyclotomicInt.one(e))
+    for values in reps:
+        product = product * h_poly(cover, values, e)
+    assert IntPoly([c.as_int() for c in product.coeffs]) == cover.derived.ihara_h_poly()
+
+
 @pytest.mark.parametrize("name", sorted(WALK_CASES))
 def test_walk_table_summed_over_the_group_gives_the_base_h(name):
     cover = walk_cover(name)
@@ -532,6 +550,42 @@ def test_factorization_fails_on_one_corrupted_linear_character_value(monkeypatch
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "spec, volt",
+    [
+        ("C2", (1, 1)),
+        ("C3", (1, 2)),
+        ("C5", (1, 1)),
+        ("C2xC2", (1, 2)),
+        ("C6", (1, 2)),
+        ("C2xC4", (1, 2)),
+    ],
+)
+def test_factorization_fails_on_a_corrupted_value_of_every_character_it_reads(
+    monkeypatch, spec, volt
+):
+    # verify-factor takes h(u, chi) from the twisted determinant for one
+    # character of each Galois orbit; chi(x) -> -chi(x) at the element 1 of
+    # any one of them leaves a product that is not h_Y(u)
+    import galois_span.lfunctions as lfunctions
+
+    cover = simple_cover(spec, 2, volt)
+    real, read = lfunctions.h_poly, []
+    monkeypatch.setattr(lfunctions, "h_poly", lambda c, v, e: read.append(v) or real(c, v, e))
+    assert verify_factorization(cover).passed
+    assert read and {tuple(v) for v in read} <= set(linear_reps(cover.group))
+    for target in map(tuple, read):
+
+        def corrupted(c, values, e, target=target):
+            if tuple(values) == target:
+                values = list(values)
+                values[1] = -values[1]
+            return real(c, values, e)
+
+        monkeypatch.setattr(lfunctions, "h_poly", corrupted)
+        assert not verify_factorization(cover).passed
+
+
 # -- h(u, chi) for every irreducible chi from the walk table ---------------------------
 
 
@@ -570,6 +624,26 @@ def test_character_route_refuses_a_table_of_another_group():
     table = character_table(parse_group_spec("C2xC2"))
     with pytest.raises(MismatchedGroupError):
         character_h_polys(cover, table, table.characters)
+
+
+@pytest.mark.parametrize(
+    "spec, volt",
+    [("C4", "1;2"), ("S3", "(0 1);(0 1 2)"), ("Q8", "a1;a0b"), ("C2xC6", "(1,0);(0,1)")],
+)
+def test_character_route_takes_the_table_of_the_cover_group_object_only(spec, volt):
+    # a table is the cover's when it was built on the same group object: an
+    # equal group parsed again from the same spec is another group
+    g = parse_group_spec(spec)
+    cover = derived_graph(
+        VoltageAssignment(base=bouquet(2), group=g, volt=tuple(map(g.element, volt.split(";"))))
+    )
+    own = character_table(g)
+    hs = character_h_polys(cover, own, own.characters)
+    assert len(hs) == len(own.characters)
+    other = character_table(parse_group_spec(spec))
+    assert other.group is not g and other.group.order == g.order
+    with pytest.raises(MismatchedGroupError, match="^character table of a different group$"):
+        character_h_polys(cover, other, other.characters)
 
 
 @pytest.mark.parametrize(
