@@ -1,18 +1,17 @@
 """Exact character tables of finite groups and the apparatus built on them.
 
-A table takes one of three routes.  An abelian group's table is its dual
-group Hom(G, mu_e) (e the group exponent), built by extending characters
-one cyclic step at a time.  A non-abelian direct product A x B (built by
-`groups.direct_product`) takes the products chi x psi of its factors'
-tables.  Any other group's table is computed by Dixon's finite-field method:
-class-multiplication matrices are simultaneously diagonalized over F_p for
-a prime p = 1 (mod e) with p > 2*sqrt(|G|), degrees are recovered with a
-square root mod p, and every character value is lifted to an exact
-eigenvalue-multiplicity vector by a discrete Fourier transform mod p.  The
-eigenvalues at g are o(g)-th roots of unity, so the transform has length
-o(g), and it is taken once for each family of classes that generate
-conjugate cyclic subgroups; the other classes of a family permute its
-result.  No floating point is involved anywhere.
+A table takes one of two routes, chosen from the group alone.  An abelian
+group's table is its dual group Hom(G, mu_e) (e the group exponent), built
+by extending characters one cyclic step at a time.  Every non-abelian
+group's table, however the group was built, is computed by Dixon's
+finite-field method: class-multiplication matrices are simultaneously
+diagonalized over F_p for a prime p = 1 (mod e) with p > 2*sqrt(|G|),
+degrees are recovered with a square root mod p, and every character value
+is lifted to an exact eigenvalue-multiplicity vector by a discrete Fourier
+transform mod p.  The eigenvalues at g are o(g)-th roots of unity, so the
+transform has length o(g), and it is taken once for each family of classes
+that generate conjugate cyclic subgroups; the other classes of a family
+permute its result.  No floating point is involved anywhere.
 
 Whatever the route, row orthogonality is verified exactly before a table
 is returned: every Gram entry is one packed integer dot product, folded by
@@ -308,12 +307,12 @@ class CharacterTable:
 def character_table(g: FiniteGroup) -> CharacterTable:
     """Compute Irr(G) exactly; the table is kept on the group.
 
-    Three routes: an abelian group (every class a singleton) gets its table
-    from the dual group, a non-abelian direct product from its factors'
-    tables, and any other group (an atom, a `perm:` or `table:` group, a
-    quotient) from Dixon's method.  Characters are sorted on their values,
-    trivial first, so the table does not depend on the route.  Every
-    table, whatever its route, passes `_verify_table` before it is kept.
+    Two routes: an abelian group (every class a singleton) gets its table
+    from the dual group, and every other group (an atom, a direct product,
+    a `perm:` or `table:` group, a quotient) from Dixon's method.
+    Characters are sorted on their values, trivial first, so the table does
+    not depend on the route.  Every table, whatever its route, passes
+    `_verify_table` before it is kept.
     """
     if "character_table" in g._cache:
         return g._cache["character_table"]
@@ -325,8 +324,6 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     e = g.exponent()
     if len(classes) == g.order:
         characters = _dual_group_characters(g, e)
-    elif g.factors is not None:
-        characters = _product_characters(g, e)
     else:
         characters = _dixon_characters(g, e)
     characters.sort(key=_table_order)
@@ -352,51 +349,14 @@ def _dual_group_characters(g: FiniteGroup, e: int) -> list[Character]:
     ]
 
 
-def _product_characters(g: FiniteGroup, e: int) -> list[Character]:
-    """Irr(A x B) = {chi x psi : chi in Irr(A), psi in Irr(B)} (Isaacs, Thm 4.21).
-
-    g = A x B is a direct product (`FiniteGroup.factors`); the factors'
-    tables come from `character_table` and are kept on the factors.  The
-    eigenvalues of chi x psi at (a, b) are the products of chi's at a and
-    psi's at b, so its multiplicity vector there is the convolution mod
-    e = lcm(e_A, e_B) of theirs, with exponents scaled by e / e_A and
-    e / e_B.  Unsorted.
-    """
-    a, b = g.factors
-    n_b = b.order
-    tables = (character_table(a), character_table(b))
-    pairs = [divmod(cls[0], n_b) for cls in g.conjugacy_classes()]
-    class_pairs = [(tables[0].class_of[x], tables[1].class_of[y]) for x, y in pairs]
-    # per factor character and class, the nonzero (scaled exponent, multiplicity)s
-    sparse = [
-        [
-            [[(k * (e // t.e), m) for k, m in enumerate(v) if m] for v in chi.values]
-            for chi in t.characters
-        ]
-        for t in tables
-    ]
-    characters = []
-    for chi, terms_chi in zip(tables[0].characters, sparse[0]):
-        for psi, terms_psi in zip(tables[1].characters, sparse[1]):
-            values = []
-            for i, j in class_pairs:
-                vec = [0] * e
-                for s, m in terms_chi[i]:
-                    for t, k in terms_psi[j]:
-                        vec[(s + t) % e] += m * k
-                values.append(tuple(vec))
-            degree = chi.degree * psi.degree
-            characters.append(Character(group=g, e=e, degree=degree, values=tuple(values)))
-    return characters
-
-
 def _dixon_characters(g: FiniteGroup, e: int) -> list[Character]:
     """Irr(G) by Dixon's method over F_p, unsorted.
 
-    The characters of a non-abelian group; for abelian groups the test
-    oracle of `_dual_group_characters`.  The class matrices together
-    separate the characters, so refining every eigenspace by each M_i^T in
-    turn, largest class first (ties by class index), ends with r lines.
+    The characters of every non-abelian group, direct products included;
+    for abelian groups the test oracle of `_dual_group_characters`.  The
+    class matrices together separate the characters, so refining every
+    eigenspace by each M_i^T in turn, largest class first (ties by class
+    index), ends with r lines.
     """
     classes = g.conjugacy_classes()
     r = len(classes)

@@ -11,9 +11,9 @@ class, subgroup lists, the class key of each subgroup, the exceptional
 flag, the character table, the character kernels, posets, and the coset
 plan of each subgroup that `covers` builds from `left_cosets`) in its
 `_cache`, computed on first request; the subgroup lists are handed
-out as fresh lists, so no caller can change the kept one.  A direct
-product also keeps its two factors (`FiniteGroup.factors`), from whose
-character tables `characters` builds its own.
+out as fresh lists, so no caller can change the kept one.  A group keeps
+nothing of how it was built but its name, so what is derived from it
+depends on its Cayley table and labels alone.
 
 Both of Table 1's flags are read from the group alone: whether some
 irreducible character is faithful, by Gaschütz's criterion on the minimal
@@ -90,7 +90,6 @@ class FiniteGroup:
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
         self._validate()
-        self.factors: tuple[FiniteGroup, FiniteGroup] | None = None  # set by direct_product
         self._cache: dict = {}
 
     # -- construction checks ------------------------------------------------
@@ -716,16 +715,14 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """g1 x g2, the element (a1, a2) at index a1 * |g2| + a2; it keeps both factors."""
+    """g1 x g2, the element (a1, a2) at index a1 * |g2| + a2."""
     n1, n2 = g1.order, g2.order
     t1, t2 = g1.cayley, g2.cayley
     table = [[x * n2 + y for x in t1[a1] for y in t2[a2]] for a1 in range(n1) for a2 in range(n2)]
     labels = [
         f"({g1.label(a1)},{g2.label(a2)})" for a1 in range(n1) for a2 in range(n2)
     ]
-    product = FiniteGroup(table, labels, name=f"{g1.name}x{g2.name}")
-    product.factors = (g1, g2)
-    return product
+    return FiniteGroup(table, labels, name=f"{g1.name}x{g2.name}")
 
 
 def dihedral_group(n: int) -> FiniteGroup:

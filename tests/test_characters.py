@@ -345,7 +345,7 @@ def test_character_tables_are_byte_identical_to_recorded_dumps(spec):
 DIXON_SPECS = [
     spec
     for spec in sorted(DIGESTS)
-    if parse_group_spec(spec).factors is None and not parse_group_spec(spec).is_abelian()
+    if not parse_group_spec(spec).is_abelian()
 ]
 
 
@@ -407,34 +407,10 @@ def test_abelian_tables_from_the_dual_group_equal_dixon_tables(spec, monkeypatch
     assert character_table(g).characters == dixon
 
 
-PRODUCT_SPECS = sorted(
-    {s for s in TABLE1_FLAGS if "x" in s and not parse_group_spec(s).is_abelian()}
-    | {"C2xS4", "C3xS3", "S3xS3", "C2xC2xA4", "C4xS4"}
-)
-
-
-@pytest.mark.parametrize("spec", PRODUCT_SPECS)
-def test_product_tables_from_the_factor_tables_equal_dixon_tables(spec, monkeypatch):
-    g = parse_group_spec(spec)
-    assert g.factors is not None
-    dixon = tuple(sorted(_dixon_characters(g, g.exponent()), key=_table_order))
-    dixon_route = characters._dixon_characters
-
-    def refuse_the_product(group, e):
-        if group is g:
-            raise AssertionError("a direct product went through Dixon's method")
-        return dixon_route(group, e)
-
-    monkeypatch.setattr(characters, "_dixon_characters", refuse_the_product)
-    assert character_table(g).characters == dixon
-
-
-def test_a_product_with_an_abelian_product_factor_takes_the_product_route(monkeypatch):
+def test_a_direct_product_takes_dixons_route_on_the_product_itself(monkeypatch):
     g = parse_group_spec("C2xC2xS3")
-    a, b = g.factors
-    assert a.factors is not None and a.is_abelian() and not b.is_abelian()
     calls = []
-    for route in ("_dual_group_characters", "_product_characters", "_dixon_characters"):
+    for route in ("_dual_group_characters", "_dixon_characters"):
 
         def logged(group, *args, original=getattr(characters, route), route=route):
             calls.append((route, group))
@@ -442,28 +418,19 @@ def test_a_product_with_an_abelian_product_factor_takes_the_product_route(monkey
 
         monkeypatch.setattr(characters, route, logged)
     character_table(g)
-    assert calls == [
-        ("_product_characters", g),
-        ("_dual_group_characters", a),
-        ("_dixon_characters", b),
-    ]
+    assert calls == [("_dixon_characters", g)]
 
 
-@pytest.mark.parametrize(
-    "spec, side", [("C3xS3", 0), ("C3xS3", 1), ("S3xS3", 1), ("C2xC2xA4", 0), ("C2xC2xA4", 1)]
-)
-def test_a_factor_table_with_a_moved_multiplicity_fails_the_product_check(spec, side):
-    g = parse_group_spec(spec)
-    factor = g.factors[side]
-    table = character_table(factor)
-    # one eigenvalue of a non-trivial character moves from zeta^t to zeta^(t+1)
-    values = [list(v) for v in table.characters[1].values]
-    t = next(t for t, m in enumerate(values[1]) if m)
-    values[1][t] -= 1
-    values[1][(t + 1) % table.e] += 1
-    factor._cache["character_table"] = _with_values(table, {1: map(tuple, values)})
-    with pytest.raises(InvariantError, match="row orthogonality fails"):
-        character_table(g)
+def test_a_table_file_gives_the_table_of_the_spec_it_was_written_from(tmp_path):
+    """The table depends on the group alone, not on how it was built."""
+    product = parse_group_spec("C2xS4")
+    path = tmp_path / "c2xs4.json"
+    path.write_text(json.dumps({"table": product.cayley, "labels": product.labels}))
+    expected, table = character_table(product), character_table(parse_group_spec(f"table:{path}"))
+    assert table.group is not product
+    assert table.classes == expected.classes
+    assert [chi.degree for chi in table.characters] == [chi.degree for chi in expected.characters]
+    assert [chi.values for chi in table.characters] == [chi.values for chi in expected.characters]
 
 
 def test_sqrt_mod_roundtrip():
@@ -521,7 +488,22 @@ def test_packed_orthogonality_check_accepts_tables(spec):
 
 
 @pytest.mark.parametrize(
-    "spec", ["C6", "C2xC6", "D4", "Q8", "A4", "Dic3", "C3xC3", "S4", "C8xC8", "C2xC2xC2xC2xC2"]
+    "spec",
+    [
+        "C6",
+        "C2xC6",
+        "D4",
+        "Q8",
+        "A4",
+        "Dic3",
+        "C3xC3",
+        "S4",
+        "C8xC8",
+        "C2xC2xC2xC2xC2",
+        "C3xS3",
+        "S3xS3",
+        "C2xC2xA4",
+    ],
 )
 def test_packed_orthogonality_check_rejects_corrupted_tables(spec):
     table = character_table(parse_group_spec(spec))
